@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-smoke fuzz-smoke deque-parity dag-parity chaos soak serve-soak
+.PHONY: all build test race vet check bench bench-smoke fuzz-smoke deque-parity dag-parity exhibit-golden chaos soak serve-soak
 
 all: check
 
@@ -60,6 +60,26 @@ dag-parity: build
 	for f in "$$dir"/*.txt; do cmp "$$dir/mutex-1.txt" "$$f"; done; \
 	echo "dag parity OK: exhibit byte-identical across deque kinds and worker counts"
 
+# Cross-commit golden gate: the two parity gates above compare a commit
+# with itself, so a change that moved every kind and worker count the same
+# way would pass them. The golden file is the same exhibit set at -seed 1
+# (fig4 excluded, "regenerated" line stripped, as above) as first checked
+# in from the parent of the commit that added this gate; a performance
+# change to the simulator must leave it byte-identical. A change that
+# means to move a simulated number reruns with UPDATE=1 and commits the
+# diff, which then shows exactly which exhibit numbers it moved.
+GOLDEN := testdata/exhibits_seed1.golden
+exhibit-golden: build
+	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	$(GO) run ./cmd/distws-experiments -seed 1 -only $(PARITY_EXHIBITS),dag \
+		| grep -v '^regenerated ' > "$$out"; \
+	if [ -n "$(UPDATE)" ]; then \
+		cp "$$out" $(GOLDEN); echo "exhibit golden rewritten: $(GOLDEN)"; \
+	else \
+		cmp "$$out" $(GOLDEN); \
+		echo "exhibit golden OK: seed-1 exhibits byte-identical to $(GOLDEN)"; \
+	fi
+
 # 30-second coverage-guided shakes of the binary wire codecs: the TCP
 # transport frame, the service job/reply frames, and the task envelope
 # (DAG dataflow fields included) all face untrusted bytes, so malformed
@@ -71,11 +91,13 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDAGEnvelope -fuzztime=30s ./internal/task
 
 # The gate a change must pass before merging.
-check: build vet test race bench-smoke deque-parity dag-parity fuzz-smoke
+check: build vet test race bench-smoke deque-parity dag-parity exhibit-golden fuzz-smoke
 
 # Full measurement: refreshes the machine-readable perf baseline
-# (BENCH_sim.json) and prints the per-exhibit Go benchmarks, including the
-# wire-codec-vs-gob microbenchmarks.
+# (BENCH_sim.json), appends the run's headline numbers as one line to the
+# append-only BENCH_history.jsonl (commit both: the overwritten file alone
+# cannot show a slow drift), and prints the per-exhibit Go benchmarks,
+# including the wire-codec-vs-gob microbenchmarks.
 bench:
 	$(GO) run ./cmd/distws-bench -out BENCH_sim.json
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem . ./internal/comm

@@ -218,6 +218,33 @@ func BenchmarkSimulator128Workers(b *testing.B) {
 	}
 }
 
+// TestSimulatorAllocCeiling pins the allocation count of one simulated run
+// — the DMG trace on the 16×8 cluster under DistWS, the same run
+// BenchmarkSimulator128Workers times — so per-event or per-worker
+// allocations cannot creep back into the engine unnoticed. The count is
+// deterministic (the engine is); the ceiling is the measured 391 plus ~10%.
+func TestSimulatorAllocCeiling(t *testing.T) {
+	const ceiling = 430
+	r := runner()
+	app, err := suite.ByName("dmg", suite.Small, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := r.Trace(app, r.Cluster.Places)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := sim.Run(g, r.Cluster, sched.DistWS, sim.Options{Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per 16×8 DistWS run of %s (ceiling %d)", allocs, g.Name, ceiling)
+	if allocs > ceiling {
+		t.Fatalf("%.0f allocations per run, ceiling %d: something on the simulator's hot path allocates again", allocs, ceiling)
+	}
+}
+
 // BenchmarkSimulatorTracing measures what the observability subsystem
 // costs the simulator hot path: "off" runs with a nil recorder (the
 // default; the acceptance budget is ≤2% slowdown and zero extra

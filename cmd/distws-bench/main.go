@@ -2,10 +2,13 @@
 // raw simulator throughput and full-evaluation wall clock — and writes the
 // results as machine-readable JSON. It exists so every perf-affecting PR
 // can record a before/after point on the same axes (`make bench` refreshes
-// BENCH_sim.json, the checked-in baseline):
+// BENCH_sim.json, the checked-in baseline). BENCH_sim.json is overwritten,
+// which is how a 6% simulator slip once went unremarked, so every -out run
+// also appends its headline numbers as one line to the append-only
+// BENCH_history.jsonl beside the output file:
 //
 //	distws-bench                       # print JSON to stdout
-//	distws-bench -out BENCH_sim.json   # refresh the checked-in baseline
+//	distws-bench -out BENCH_sim.json   # refresh the baseline, append to BENCH_history.jsonl
 package main
 
 import (
@@ -15,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -108,6 +112,53 @@ type report struct {
 	DAGCholesky dagPoint `json:"dag_cholesky"`
 	DAGLu       dagPoint `json:"dag_lu"`
 	DAGPipeline dagPoint `json:"dag_pipeline"`
+}
+
+// historyFile is the append-only ledger kept beside the -out file.
+const historyFile = "BENCH_history.jsonl"
+
+// historyLine is one run's headline numbers in BENCH_history.jsonl: the
+// simulator hot path (the Simulator128Workers shape) and what tracing and
+// the adaptive policy cost on top of it.
+type historyLine struct {
+	Date                string  `json:"date"`
+	GoVersion           string  `json:"go_version"`
+	EventsPerSec        float64 `json:"events_per_sec"`
+	NsPerEvent          float64 `json:"ns_per_event"`
+	AllocsPerRun        int64   `json:"allocs_per_run"`
+	TracingOverheadPct  float64 `json:"tracing_overhead_pct"`
+	AdaptiveOverheadPct float64 `json:"adaptive_overhead_pct"`
+}
+
+// appendHistory appends rep's headline numbers to path as one JSON line,
+// creating the file if need be and never touching earlier lines.
+func appendHistory(path string, rep report, now time.Time) (err error) {
+	line := historyLine{
+		Date:                now.UTC().Format(time.RFC3339),
+		GoVersion:           rep.GoVersion,
+		EventsPerSec:        rep.Simulator.EventsPerSec,
+		AllocsPerRun:        rep.Simulator.AllocsPerOp,
+		TracingOverheadPct:  rep.TracingOverheadPct,
+		AdaptiveOverheadPct: rep.AdaptiveOverheadPct,
+	}
+	if rep.Simulator.EventsPerOp > 0 {
+		line.NsPerEvent = float64(rep.Simulator.NsPerOp) / float64(rep.Simulator.EventsPerOp)
+	}
+	data, err := json.Marshal(line)
+	if err != nil {
+		return err
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	_, err = f.Write(append(data, '\n'))
+	return err
 }
 
 // dagPoint is one dataflow app's blind-versus-aware comparison in
@@ -310,7 +361,7 @@ func pairedOverheadPct(base, phase func() error) (float64, error) {
 
 func run() error {
 	var (
-		out   = flag.String("out", "", "write JSON to `file` (default stdout)")
+		out   = flag.String("out", "", "write JSON to `file` (default stdout) and append one summary line to "+historyFile+" beside it")
 		seed  = flag.Int64("seed", 1, "workload and scheduler seed")
 		scale = flag.Int("scale", 1, "workload scale multiplier")
 		dq    = flag.String("deque", "mutex", "simulated worker-queue kind for the hot-path benchmarks: "+strings.Join(deque.KindNames(), ", "))
@@ -522,8 +573,13 @@ func run() error {
 		if _, err := os.Stdout.Write(data); err != nil {
 			return err
 		}
-	} else if err := os.WriteFile(*out, data, 0o644); err != nil {
-		return err
+	} else {
+		if err := os.WriteFile(*out, data, 0o644); err != nil {
+			return err
+		}
+		if err := appendHistory(filepath.Join(filepath.Dir(*out), historyFile), rep, time.Now()); err != nil {
+			return err
+		}
 	}
 	return diag.Stop()
 }

@@ -29,12 +29,23 @@ type App interface {
 	// checksum.
 	Sequential() uint64
 	// Parallel runs the application on rt and returns the result checksum,
-	// which must equal Sequential() for the same parameters.
+	// which must equal ParallelReference of the app for the same parameters.
 	Parallel(rt *core.Runtime) (uint64, error)
 	// Trace generates the simulator task graph for a cluster of places
 	// places. The graph reflects the real algorithm's task structure and
 	// work distribution at the app's configured scale.
 	Trace(places int) (*trace.Graph, error)
+}
+
+// ParallelReference returns the checksum a.Parallel must produce:
+// Sequential(), except for an app whose parallel visit order is free (uts),
+// which folds its result order-independently and supplies that reference
+// as ChecksumXOR.
+func ParallelReference(a App) uint64 {
+	if x, ok := a.(interface{ ChecksumXOR() uint64 }); ok {
+		return x.ChecksumXOR()
+	}
+	return a.Sequential()
 }
 
 // Fnv1a implements the FNV-1a hash over a stream of uint64 words; apps use

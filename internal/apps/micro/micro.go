@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"distws/internal/apps"
@@ -562,11 +563,13 @@ func (r *RandomAccess) Sequential() uint64 {
 }
 
 // Parallel implements apps.App: per-place private tables merged by XOR at
-// the end (XOR is associative and commutative, so races are avoided by
-// giving each place its own accumulation table).
+// the end (XOR is associative and commutative, so places never touch each
+// other's accumulation table). A place's workers share its table, so a
+// batch's read-modify-write updates run under the place's lock.
 func (r *RandomAccess) Parallel(rt *core.Runtime) (uint64, error) {
 	places := rt.Places()
 	tables := make([][]uint64, places)
+	locks := make([]sync.Mutex, places)
 	for p := range tables {
 		tables[p] = make([]uint64, r.TableSize)
 	}
@@ -578,7 +581,9 @@ func (r *RandomAccess) Parallel(rt *core.Runtime) (uint64, error) {
 				home := b * places / nb
 				// Sensitive: updates must land in the home partition copy.
 				c.Async(home, func(cc *core.Ctx) {
+					locks[home].Lock()
 					r.apply(tables[home], b)
+					locks[home].Unlock()
 				})
 			}
 		})

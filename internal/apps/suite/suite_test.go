@@ -1,6 +1,13 @@
 package suite
 
-import "testing"
+import (
+	"testing"
+
+	"distws/internal/apps"
+	"distws/internal/core"
+	"distws/internal/sched"
+	"distws/internal/topology"
+)
 
 func TestPaperSuiteShape(t *testing.T) {
 	apps := Paper(Small, 1)
@@ -65,5 +72,33 @@ func TestUTSInstanceBounded(t *testing.T) {
 	n := u.Count()
 	if n < 1000 || n >= u.MaxNodes {
 		t.Fatalf("UTS default tree size %d out of range [1000, %d)", n, u.MaxNodes)
+	}
+}
+
+// Every app a -mode runtime run can name must reproduce its own reference
+// on real goroutines. uts is the one whose reference is not Sequential():
+// its parallel visit order is free, so it folds order-independently.
+func TestParallelMatchesReference(t *testing.T) {
+	all := append(Paper(Small, 1), Micro(1)...)
+	all = append(all, UTS(1))
+	for _, app := range all {
+		t.Run(app.Name(), func(t *testing.T) {
+			rt, err := core.New(core.Config{
+				Cluster: topology.Cluster{Places: 2, WorkersPerPlace: 2},
+				Policy:  sched.DistWS,
+				Seed:    1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Shutdown()
+			got, err := app.Parallel(rt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := apps.ParallelReference(app); got != want {
+				t.Fatalf("parallel %x != reference %x", got, want)
+			}
+		})
 	}
 }

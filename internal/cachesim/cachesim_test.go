@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -116,7 +117,10 @@ func TestLRUModelEquivalence(t *testing.T) {
 			return false
 		}
 		for _, raw := range blocks {
-			b := uint64(raw % 32)
+			// 64 keys over a table of at most 32 slots: probe runs collide,
+			// wrap, and are shifted back by every eviction. Half carry the
+			// simulator's place alias in the top byte.
+			b := uint64(raw%32) | uint64(raw>>7)<<56
 			gotHit := c.Touch(b)
 			wantHit := touchModel(b)
 			if gotHit != wantHit {
@@ -126,9 +130,11 @@ func TestLRUModelEquivalence(t *testing.T) {
 				return false
 			}
 		}
-		for _, b := range model {
-			if !c.Contains(b) {
-				return false
+		for b := uint64(0); b < 32; b++ {
+			for _, k := range []uint64{b, b | 1<<56} {
+				if c.Contains(k) != slices.Contains(model, k) {
+					return false
+				}
 			}
 		}
 		return true

@@ -252,7 +252,14 @@ func TestTCPMeshWriteCoalescing(t *testing.T) {
 			t.Fatalf("message %d arrived with seq %d (order lost)", i, got.Seq)
 		}
 	}
+	// The flusher bumps its counters after conn.Write returns, so the
+	// receiver above can have drained the last batch before the sender has
+	// counted it: wait for the count to settle instead of reading it once.
 	writes, frames := nodes[0].CoalescingStats()
+	for deadline := time.Now().Add(5 * time.Second); frames < burst && time.Now().Before(deadline); {
+		runtime.Gosched()
+		writes, frames = nodes[0].CoalescingStats()
+	}
 	if frames != burst {
 		t.Fatalf("frames = %d, want %d", frames, burst)
 	}

@@ -9,7 +9,9 @@
 //     roots the largest remaining subtree of work. Supports chunked steals
 //     (the paper uses chunks of 2 for distributed stealing).
 //
-// Both types are safe for concurrent use. Synchronization is a per-deque
+// Both types are safe for concurrent use; each is a Ring — the one
+// implementation of the queue algorithms, used bare by the simulator's
+// single-goroutine engine — behind a lock. Synchronization is a per-deque
 // mutex: the private deque's mutex is virtually uncontended (only its owner
 // and the occasional co-located thief touch it), and the shared deque's
 // mutex is exactly the lock the paper describes remote thieves contending
@@ -27,16 +29,20 @@ package deque
 
 import "sync"
 
-// ring is a growable circular buffer. Capacity is always a power of two
-// (grow doubles from 8), so index wrap is a mask instead of a division.
-// Not safe for concurrent use; callers hold their own lock.
-type ring[T any] struct {
+// Ring is the growable circular buffer under both queue flavours, and the
+// queue itself where a single goroutine owns it (the simulator's event
+// loop): every algorithm — push, the two pops, the chunked and the scored
+// steal — is implemented here once, and Private and Shared are this type
+// behind a mutex. Capacity is always a power of two (grow doubles from 8),
+// so index wrap is a mask instead of a division. The zero value is an
+// empty ring. Not safe for concurrent use.
+type Ring[T any] struct {
 	buf  []T
 	head int // index of oldest element
 	n    int // number of elements
 }
 
-func (r *ring[T]) grow() {
+func (r *Ring[T]) grow() {
 	newCap := 2 * len(r.buf)
 	if newCap == 0 {
 		newCap = 8
@@ -49,7 +55,11 @@ func (r *ring[T]) grow() {
 	r.buf, r.head = buf, 0
 }
 
-func (r *ring[T]) pushBack(v T) {
+// Len returns the number of queued elements.
+func (r *Ring[T]) Len() int { return r.n }
+
+// PushBack appends v as the newest element.
+func (r *Ring[T]) PushBack(v T) {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
@@ -57,7 +67,9 @@ func (r *ring[T]) pushBack(v T) {
 	r.n++
 }
 
-func (r *ring[T]) popBack() (T, bool) {
+// PopBack removes and returns the newest element (LIFO end). The second
+// result is false when the ring is empty.
+func (r *Ring[T]) PopBack() (T, bool) {
 	var zero T
 	if r.n == 0 {
 		return zero, false
@@ -69,7 +81,9 @@ func (r *ring[T]) popBack() (T, bool) {
 	return v, true
 }
 
-func (r *ring[T]) popFront() (T, bool) {
+// PopFront removes and returns the oldest element (FIFO end). The second
+// result is false when the ring is empty.
+func (r *Ring[T]) PopFront() (T, bool) {
 	var zero T
 	if r.n == 0 {
 		return zero, false
@@ -81,17 +95,65 @@ func (r *ring[T]) popFront() (T, bool) {
 	return v, true
 }
 
+// StealChunkAppend removes up to k oldest elements and appends them to
+// dst, returning the extended slice (dst unchanged when the ring is empty
+// or k <= 0): the paper's chunked distributed steal (§V-B3, chunk size 2).
+// Callers that steal in a loop pass a reused scratch buffer.
+func (r *Ring[T]) StealChunkAppend(dst []T, k int) []T {
+	if k > r.n {
+		k = r.n
+	}
+	for i := 0; i < k; i++ {
+		v, _ := r.PopFront()
+		dst = append(dst, v)
+	}
+	return dst
+}
+
+// StealBestAppend removes up to k elements chosen by score — highest
+// first, ties broken oldest-first — and appends them to dst, returning
+// the extended slice. It is the data-aware variant of StealChunkAppend:
+// a thief that knows which queued tasks' inputs are already resident
+// locally passes a score favouring them (e.g. negated fetch bytes).
+// Elements not taken keep their relative order, so with a constant
+// score the result is exactly StealChunkAppend.
+func (r *Ring[T]) StealBestAppend(dst []T, k int, score func(T) int64) []T {
+	if k > r.n {
+		k = r.n
+	}
+	for i := 0; i < k; i++ {
+		mask := len(r.buf) - 1
+		bestAt := 0
+		bestScore := score(r.buf[r.head])
+		for j := 1; j < r.n; j++ {
+			if s := score(r.buf[(r.head+j)&mask]); s > bestScore {
+				bestAt, bestScore = j, s
+			}
+		}
+		v := r.buf[(r.head+bestAt)&mask]
+		// Close the gap: shift the elements older than the chosen one back
+		// by a slot, then drop the now-duplicated front. Order among the
+		// remaining elements is preserved.
+		for j := bestAt; j > 0; j-- {
+			r.buf[(r.head+j)&mask] = r.buf[(r.head+j-1)&mask]
+		}
+		r.PopFront()
+		dst = append(dst, v)
+	}
+	return dst
+}
+
 // Private is a per-worker double-ended queue. The owner uses Push/Pop
 // (LIFO); thieves use Steal (FIFO end). The zero value is ready to use.
 type Private[T any] struct {
 	mu sync.Mutex
-	r  ring[T]
+	r  Ring[T]
 }
 
 // Push appends v at the bottom of the deque (owner operation).
 func (d *Private[T]) Push(v T) {
 	d.mu.Lock()
-	d.r.pushBack(v)
+	d.r.PushBack(v)
 	d.mu.Unlock()
 }
 
@@ -99,7 +161,7 @@ func (d *Private[T]) Push(v T) {
 // operation, LIFO). The second result is false when the deque is empty.
 func (d *Private[T]) Pop() (T, bool) {
 	d.mu.Lock()
-	v, ok := d.r.popBack()
+	v, ok := d.r.PopBack()
 	d.mu.Unlock()
 	return v, ok
 }
@@ -108,7 +170,7 @@ func (d *Private[T]) Pop() (T, bool) {
 // end). The second result is false when the deque is empty.
 func (d *Private[T]) Steal() (T, bool) {
 	d.mu.Lock()
-	v, ok := d.r.popFront()
+	v, ok := d.r.PopFront()
 	d.mu.Unlock()
 	return v, ok
 }
@@ -126,13 +188,13 @@ func (d *Private[T]) Len() int {
 // oldest task. The zero value is ready to use.
 type Shared[T any] struct {
 	mu sync.Mutex
-	r  ring[T]
+	r  Ring[T]
 }
 
 // Push appends v at the tail.
 func (d *Shared[T]) Push(v T) {
 	d.mu.Lock()
-	d.r.pushBack(v)
+	d.r.PushBack(v)
 	d.mu.Unlock()
 }
 
@@ -140,7 +202,7 @@ func (d *Shared[T]) Push(v T) {
 // when the deque is empty.
 func (d *Shared[T]) Poll() (T, bool) {
 	d.mu.Lock()
-	v, ok := d.r.popFront()
+	v, ok := d.r.PopFront()
 	d.mu.Unlock()
 	return v, ok
 }
@@ -156,60 +218,26 @@ func (d *Shared[T]) StealChunk(k int) []T {
 	return out
 }
 
-// StealChunkAppend removes up to k oldest elements in one critical section
-// and appends them to dst, returning the extended slice (dst unchanged when
-// the deque is empty or k <= 0). It is the allocation-free form of
-// StealChunk: callers that steal in a loop pass a reused scratch buffer.
+// StealChunkAppend is Ring.StealChunkAppend in one critical section: the
+// allocation-free form of StealChunk.
 func (d *Shared[T]) StealChunkAppend(dst []T, k int) []T {
 	if k <= 0 {
 		return dst
 	}
 	d.mu.Lock()
-	if k > d.r.n {
-		k = d.r.n
-	}
-	for i := 0; i < k; i++ {
-		v, _ := d.r.popFront()
-		dst = append(dst, v)
-	}
+	dst = d.r.StealChunkAppend(dst, k)
 	d.mu.Unlock()
 	return dst
 }
 
-// StealBestAppend removes up to k elements chosen by score — highest
-// first, ties broken oldest-first — and appends them to dst, returning
-// the extended slice. It is the data-aware variant of StealChunkAppend:
-// a thief that knows which queued tasks' inputs are already resident
-// locally passes a score favouring them (e.g. negated fetch bytes).
-// Elements not taken keep their relative order, so with a constant
-// score the result is exactly StealChunkAppend.
+// StealBestAppend is Ring.StealBestAppend in one critical section; score
+// runs under the deque's lock.
 func (d *Shared[T]) StealBestAppend(dst []T, k int, score func(T) int64) []T {
 	if k <= 0 {
 		return dst
 	}
 	d.mu.Lock()
-	if k > d.r.n {
-		k = d.r.n
-	}
-	for i := 0; i < k; i++ {
-		mask := len(d.r.buf) - 1
-		bestAt := 0
-		bestScore := score(d.r.buf[d.r.head])
-		for j := 1; j < d.r.n; j++ {
-			if s := score(d.r.buf[(d.r.head+j)&mask]); s > bestScore {
-				bestAt, bestScore = j, s
-			}
-		}
-		v := d.r.buf[(d.r.head+bestAt)&mask]
-		// Close the gap: shift the elements older than the chosen one back
-		// by a slot, then drop the now-duplicated front. Order among the
-		// remaining elements is preserved.
-		for j := bestAt; j > 0; j-- {
-			d.r.buf[(d.r.head+j)&mask] = d.r.buf[(d.r.head+j-1)&mask]
-		}
-		d.r.popFront()
-		dst = append(dst, v)
-	}
+	dst = d.r.StealBestAppend(dst, k, score)
 	d.mu.Unlock()
 	return dst
 }

@@ -1,6 +1,8 @@
 package deque
 
 import (
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -239,6 +241,87 @@ func TestPrivateConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: Ring, and Private and Shared wrapping it, are one queue. Any
+// op sequence gives the same answers on the bare ring, on the locked type,
+// and on a plain slice model; and a scored steal with a constant score is
+// the chunked steal.
+func TestRingPrivateSharedAgree(t *testing.T) {
+	constant := func(int) int64 { return 7 }
+	f := func(ops []uint8) bool {
+		var (
+			ringP, ringS, ringBest Ring[int]
+			priv                   Private[int]
+			shared, sharedBest     Shared[int]
+			modelP, modelS         []int // oldest first
+			next                   int
+		)
+		for _, op := range ops {
+			switch k := int(op >> 2); op % 4 {
+			case 0, 1: // push (twice as likely, so queues grow and wrap)
+				next++
+				ringP.PushBack(next)
+				priv.Push(next)
+				modelP = append(modelP, next)
+				ringS.PushBack(next)
+				ringBest.PushBack(next)
+				shared.Push(next)
+				sharedBest.Push(next)
+				modelS = append(modelS, next)
+			case 2: // deque ends: LIFO pop on even k, FIFO steal on odd
+				var want, a, b int
+				var okA, okB bool
+				wantOK := len(modelP) > 0
+				if k%2 == 0 {
+					a, okA = ringP.PopBack()
+					b, okB = priv.Pop()
+					if wantOK {
+						want, modelP = modelP[len(modelP)-1], modelP[:len(modelP)-1]
+					}
+				} else {
+					a, okA = ringP.PopFront()
+					b, okB = priv.Steal()
+					if wantOK {
+						want, modelP = modelP[0], modelP[1:]
+					}
+				}
+				if okA != wantOK || okB != wantOK || a != want || b != want {
+					return false
+				}
+			case 3: // chunked steal of k%5-1 (so -1 and 0 occur), all four ways
+				k = k%5 - 1
+				want := modelS[:max(0, min(k, len(modelS)))]
+				modelS = modelS[len(want):]
+				for _, got := range [][]int{
+					ringS.StealChunkAppend(nil, k),
+					ringBest.StealBestAppend(nil, k, constant),
+					shared.StealChunkAppend(nil, k),
+					sharedBest.StealBestAppend(nil, k, constant),
+				} {
+					if !slices.Equal(got, want) {
+						return false
+					}
+				}
+			}
+			if ringP.Len() != len(modelP) || priv.Len() != len(modelP) ||
+				ringS.Len() != len(modelS) || ringBest.Len() != len(modelS) ||
+				shared.Len() != len(modelS) || sharedBest.Len() != len(modelS) {
+				return false
+			}
+		}
+		return true
+	}
+	// Sequences long enough to grow the ring several times with a wrapped
+	// head (testing/quick caps a generated slice at 50 elements).
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 300; round++ {
+		ops := make([]uint8, 400)
+		rng.Read(ops)
+		if !f(ops) {
+			t.Fatalf("round %d: ring, locked types and model diverged on %v", round, ops)
+		}
 	}
 }
 

@@ -126,7 +126,7 @@ func (e *engine) dagRelease(ids []int, from, fromW int) {
 		home := e.dagHome(r)
 		e.ctrs.DAGTasksReleased.Add(1)
 		e.record(home, 0, obs.KindDAGRelease, int32(r), int32(home), 0)
-		e.push(event{at: e.now, kind: evSpawn, taskID: r, home: home, from: from, fromW: fromW})
+		e.events.push(event{at: e.now, kind: evSpawn, taskID: r, home: home, from: from, fromW: fromW})
 	}
 }
 
@@ -210,7 +210,7 @@ func (e *engine) dagFetch(id int, w *simWorker) int64 {
 }
 
 // dagStealScore returns the thief place's steal-scoring closure for
-// Shared.StealBestAppend: fewest fetch bytes first (scores are negated
+// Ring.StealBestAppend: fewest fetch bytes first (scores are negated
 // byte counts, and the deque breaks ties oldest-first). Closures are
 // cached per place so the steady-state steal path does not allocate.
 func (e *engine) dagStealScore(place int) func(int) int64 {

@@ -178,7 +178,6 @@ const (
 
 type event struct {
 	at      int64
-	seq     uint64
 	kind    evKind
 	worker  int   // evWake, evDone
 	taskID  int   // evSpawn, evDone
@@ -194,7 +193,7 @@ type simWorker struct {
 	id    int
 	local int
 	place *simPlace
-	priv  deque.Private[int]
+	priv  deque.Ring[int]
 	busy  bool
 	// curTask is the task currently executing (-1 when idle); a crash of
 	// the place loses it mid-flight, so recovery re-homes it.
@@ -202,22 +201,15 @@ type simWorker struct {
 	// wakePending dedups wake events so a dormant worker has at most one
 	// outstanding wake.
 	wakePending bool
-	// rng drives this worker's victim selection. It is seeded lazily on the
-	// first remote-steal sweep: seeding a math/rand source costs a 607-word
-	// state initialization, which dominated short simulations when paid for
-	// all 128 workers up front, and workers that never steal remotely
-	// (X10WS, single-place clusters, never-idle workers) never consume a
-	// random number. Lazy seeding draws the identical stream.
+	// rng drives this worker's victim selection, drawing from src.
 	rng    *rand.Rand
+	src    replaySource
 	busyNS int64
-	// victims is a reusable scratch buffer for victim orderings, so the
-	// per-sweep permutation never allocates.
-	victims []int
 }
 
 type simPlace struct {
 	id           int
-	shared       deque.Shared[int]
+	shared       deque.Ring[int]
 	workers      []*simWorker
 	running      int
 	queued       int
@@ -254,7 +246,6 @@ type engine struct {
 	opts    Options
 	ctrs    metrics.Counters
 	events  eventHeap
-	seq     uint64
 	now     int64
 	places  []*simPlace
 	workers []*simWorker
@@ -288,9 +279,11 @@ type engine struct {
 
 	// Reused scratch storage for the hot path, so steady-state simulation
 	// performs no per-event heap allocations:
-	//   - stealBuf receives each steal chunk (consumed within stealRemote);
+	//   - victimBuf receives each sweep's victim order and stealBuf each
+	//     steal chunk (both consumed within stealRemote);
 	//   - aliasBuf receives aliased block IDs (consumed within start);
 	//   - batchPool recycles evArrive payload slices after delivery.
+	victimBuf []int
 	stealBuf  []int
 	aliasBuf  []uint64
 	batchPool [][]int
@@ -392,25 +385,32 @@ func runEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Opti
 	if e.stealTimeoutNS <= 0 {
 		e.stealTimeoutNS = 4 * cl.Net.RoundTripNS(32, 32)
 	}
-	e.places = make([]*simPlace, cl.Places)
-	for p := range e.places {
-		e.places[p] = &simPlace{
+	// Places and workers are carved from one slab each (two allocations
+	// instead of one per place and worker); the pointer slices index them.
+	places := make([]simPlace, cl.Places)
+	workers := make([]simWorker, cl.Places*cl.WorkersPerPlace)
+	e.places = make([]*simPlace, len(places))
+	e.workers = make([]*simWorker, len(workers))
+	for p := range places {
+		pl := &places[p]
+		*pl = simPlace{
 			id:        p,
 			lifelines: make([]bool, cl.Places),
 			cache:     cachesim.New(opts.CacheBlocks),
+			workers:   e.workers[p*cl.WorkersPerPlace : (p+1)*cl.WorkersPerPlace : (p+1)*cl.WorkersPerPlace],
 		}
-	}
-	for p, pl := range e.places {
-		pl.workers = make([]*simWorker, cl.WorkersPerPlace)
+		e.places[p] = pl
 		for i := range pl.workers {
-			w := &simWorker{
+			w := &workers[p*cl.WorkersPerPlace+i]
+			*w = simWorker{
 				id:      p*cl.WorkersPerPlace + i,
 				local:   i,
 				place:   pl,
 				curTask: -1,
+				src:     newReplaySource(opts.Seed + int64(p*1000+i)),
 			}
+			w.rng = rand.New(&w.src)
 			pl.workers[i] = w
-			e.workers = append(e.workers, w)
 		}
 	}
 
@@ -418,7 +418,7 @@ func runEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Opti
 	// heap ordering alone decides what they interrupt.
 	for p := range e.places {
 		if at, ok := e.inj.CrashAtNS(p); ok {
-			e.push(event{at: at, kind: evCrash, place: p})
+			e.events.push(event{at: at, kind: evCrash, place: p})
 		}
 	}
 	// Churn schedule: late joiners start absent, drains and flap cycles
@@ -428,23 +428,23 @@ func runEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Opti
 	if f := opts.Fault; f != nil {
 		for _, j := range f.Joins {
 			e.places[j.Place].dead = true
-			e.push(event{at: j.AtNS, kind: evJoin, place: j.Place})
+			e.events.push(event{at: j.AtNS, kind: evJoin, place: j.Place})
 		}
 		for _, d := range f.Drains {
-			e.push(event{at: d.AtNS, kind: evDrain, place: d.Place})
+			e.events.push(event{at: d.AtNS, kind: evDrain, place: d.Place})
 		}
 		for _, fl := range f.Flaps {
 			period := fl.DownNS + fl.UpNS
 			for i := 0; i < fl.Cycles; i++ {
 				at := fl.AtNS + int64(i)*period
-				e.push(event{at: at, kind: evCrash, place: fl.Place})
-				e.push(event{at: at + fl.DownNS, kind: evHeal, place: fl.Place})
+				e.events.push(event{at: at, kind: evCrash, place: fl.Place})
+				e.events.push(event{at: at + fl.DownNS, kind: evHeal, place: fl.Place})
 			}
 		}
 		for _, part := range f.Partitions {
-			e.push(event{at: part.AtNS, kind: evPartition, place: len(part.GroupA)})
+			e.events.push(event{at: part.AtNS, kind: evPartition, place: len(part.GroupA)})
 			if part.HealNS > 0 {
-				e.push(event{at: part.HealNS, kind: evHeal, place: -1})
+				e.events.push(event{at: part.HealNS, kind: evHeal, place: -1})
 			}
 		}
 	}
@@ -459,7 +459,7 @@ func runEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Opti
 			if home < 0 || home >= cl.Places {
 				home = 0
 			}
-			e.push(event{at: 0, kind: evSpawn, taskID: r, home: home, from: -1, fromW: -1})
+			e.events.push(event{at: 0, kind: evSpawn, taskID: r, home: home, from: -1, fromW: -1})
 		}
 	}
 
@@ -521,12 +521,6 @@ func runEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Opti
 		}
 	}
 	return res, nil
-}
-
-func (e *engine) push(ev event) {
-	ev.seq = e.seq
-	e.seq++
-	e.events.push(ev)
 }
 
 // record logs one scheduling event at the current virtual time when
@@ -597,7 +591,7 @@ func (e *engine) handleSpawn(ev event) {
 	home.active = true
 	home.failedSweeps = 0
 	if target == sched.TargetShared {
-		home.shared.Push(ev.taskID)
+		home.shared.PushBack(ev.taskID)
 		if e.policy == sched.LifelineWS {
 			e.serveLifelines(home)
 		}
@@ -612,7 +606,7 @@ func (e *engine) handleSpawn(ev event) {
 			w = home.workers[home.rr%len(home.workers)]
 			home.rr++
 		}
-		w.priv.Push(ev.taskID)
+		w.priv.PushBack(ev.taskID)
 	}
 	e.wakeFor(home, target == sched.TargetShared)
 }
@@ -628,7 +622,7 @@ func (e *engine) wakeFor(p *simPlace, remotelyStealable bool) {
 		if !w.busy && !w.wakePending {
 			w.wakePending = true
 			p.pendingWakes++
-			e.push(event{at: e.now, kind: evWake, worker: w.id})
+			e.events.push(event{at: e.now, kind: evWake, worker: w.id})
 			return
 		}
 	}
@@ -645,7 +639,7 @@ func (e *engine) wakeFor(p *simPlace, remotelyStealable bool) {
 				w.wakePending = true
 				q.pendingWakes++
 				e.remoteRR = (e.remoteRR + off + 1) % len(e.places)
-				e.push(event{at: e.now, kind: evWake, worker: w.id})
+				e.events.push(event{at: e.now, kind: evWake, worker: w.id})
 				return
 			}
 		}
@@ -717,7 +711,7 @@ func (e *engine) handleArrive(ev event) {
 			} else {
 				e.ctrs.TasksOffloaded.Add(1)
 			}
-			e.push(event{at: e.now, kind: evSpawn, taskID: id,
+			e.events.push(event{at: e.now, kind: evSpawn, taskID: id,
 				home: e.aliveHome(ev.place), from: -1, fromW: -1, requeue: true})
 		}
 		e.putBatch(ev.batch)
@@ -726,7 +720,7 @@ func (e *engine) handleArrive(ev event) {
 	e.record(ev.place, 0, obs.KindArrive, -1, int32(len(ev.batch)), 0)
 	for _, id := range ev.batch {
 		p.queued++
-		p.shared.Push(id)
+		p.shared.PushBack(id)
 	}
 	e.putBatch(ev.batch)
 	p.active = true
@@ -765,7 +759,7 @@ func (e *engine) crashPlace(p *simPlace) {
 
 	var orphans []int
 	for {
-		id, ok := p.shared.Poll()
+		id, ok := p.shared.PopFront()
 		if !ok {
 			break
 		}
@@ -773,7 +767,7 @@ func (e *engine) crashPlace(p *simPlace) {
 	}
 	for _, w := range p.workers {
 		for {
-			id, ok := w.priv.Pop()
+			id, ok := w.priv.PopBack()
 			if !ok {
 				break
 			}
@@ -797,7 +791,7 @@ func (e *engine) crashPlace(p *simPlace) {
 	for i, id := range orphans {
 		e.ctrs.TasksReExecuted.Add(1)
 		delay := e.cl.Net.TransferNS(e.g.Tasks[id].MigBytes)
-		e.push(event{at: e.now + delay, kind: evSpawn, taskID: id,
+		e.events.push(event{at: e.now + delay, kind: evSpawn, taskID: id,
 			home: e.aliveHome(p.id + 1 + i), from: -1, fromW: -1, requeue: true})
 	}
 }
@@ -834,7 +828,7 @@ func (e *engine) drainPlace(p *simPlace) {
 
 	var moved []int
 	for {
-		id, ok := p.shared.Poll()
+		id, ok := p.shared.PopFront()
 		if !ok {
 			break
 		}
@@ -842,7 +836,7 @@ func (e *engine) drainPlace(p *simPlace) {
 	}
 	for _, w := range p.workers {
 		for {
-			id, ok := w.priv.Pop()
+			id, ok := w.priv.PopBack()
 			if !ok {
 				break
 			}
@@ -855,7 +849,7 @@ func (e *engine) drainPlace(p *simPlace) {
 	for i, id := range moved {
 		e.ctrs.TasksOffloaded.Add(1)
 		delay := e.cl.Net.TransferNS(e.g.Tasks[id].MigBytes)
-		e.push(event{at: e.now + delay, kind: evSpawn, taskID: id,
+		e.events.push(event{at: e.now + delay, kind: evSpawn, taskID: id,
 			home: e.aliveHome(p.id + 1 + i), from: -1, fromW: -1, requeue: true})
 	}
 	if p.running == 0 {
@@ -890,7 +884,7 @@ func (e *engine) findWork(w *simWorker) {
 	over := e.cl.Over
 
 	// 1. Own private deque.
-	if id, ok := w.priv.Pop(); ok {
+	if id, ok := w.priv.PopBack(); ok {
 		p.queued--
 		e.start(w, id, over.DispatchNS)
 		return
@@ -898,7 +892,7 @@ func (e *engine) findWork(w *simWorker) {
 	// 2. Co-located workers' private deques.
 	for off := 1; off < len(p.workers); off++ {
 		peer := p.workers[(w.local+off)%len(p.workers)]
-		if id, ok := peer.priv.Steal(); ok {
+		if id, ok := peer.priv.PopFront(); ok {
 			p.queued--
 			e.ctrs.LocalSteals.Add(1)
 			e.record(p.id, w.local, obs.KindStealLocal, int32(id), int32(peer.local), 0)
@@ -908,7 +902,7 @@ func (e *engine) findWork(w *simWorker) {
 	}
 	// 3. The local shared deque. Retrieving a flexible task from the own
 	// place's designated deque is a normal dequeue, not a steal.
-	if id, ok := p.shared.Poll(); ok {
+	if id, ok := p.shared.PopFront(); ok {
 		p.queued--
 		e.start(w, id, e.sharedDequeDelay(p, false)+over.DispatchNS)
 		return
@@ -948,22 +942,19 @@ func (e *engine) stealRemote(w *simWorker) bool {
 	var delay int64
 	probeRTT := e.cl.Net.RoundTripNS(32, 32)
 	receiver := e.opts.LockContention && e.opts.Deque == deque.KindRelaxed
-	if w.rng == nil {
-		w.rng = rand.New(rand.NewSource(e.opts.Seed + int64(w.place.id*1000+w.local)))
-	}
 	if e.ctrl != nil {
 		// Same randomized sweep, then stably reordered by observed steal
 		// latency (low first). The shuffle consumes the identical rng
 		// stream either way, preserving determinism.
-		w.victims = e.ctrl.AppendVictimOrder(w.victims[:0], w.place.id, w.rng)
+		e.victimBuf = e.ctrl.AppendVictimOrder(e.victimBuf[:0], w.place.id, w.rng)
 	} else {
-		w.victims = sched.AppendVictimOrder(w.victims[:0], e.policy, w.place.id, len(e.places), w.rng)
+		e.victimBuf = sched.AppendVictimOrder(e.victimBuf[:0], e.policy, w.place.id, len(e.places), w.rng)
 	}
 	// Per-probe counters accumulate in locals and flush once per sweep: a
 	// sweep probes up to places-1 victims and the two atomic adds per
 	// probe were a measurable slice of the sweep in profiles.
 	var probes, messages int64
-	for _, v := range w.victims {
+	for _, v := range e.victimBuf {
 		victim := e.places[v]
 		if victim.dead || victim.draining {
 			continue
@@ -1043,7 +1034,7 @@ func (e *engine) stealRemote(w *simWorker) bool {
 				// stays with the victim.
 				dup := chunk[len(chunk)-1]
 				chunk = chunk[:len(chunk)-1]
-				victim.shared.Push(dup)
+				victim.shared.PushBack(dup)
 				e.ctrs.DuplicateTakes.Add(1)
 				bytes := e.g.Tasks[dup].MigBytes
 				e.ctrs.BytesTransferred.Add(int64(bytes))
@@ -1074,7 +1065,7 @@ func (e *engine) stealRemote(w *simWorker) bool {
 		e.record(w.place.id, w.local, obs.KindStealRemote, int32(chunk[0]), int32(v), delay)
 		if len(chunk) > 1 {
 			batch := append(e.getBatch(), chunk[1:]...)
-			e.push(event{at: e.now + delay, kind: evArrive, place: w.place.id, batch: batch})
+			e.events.push(event{at: e.now + delay, kind: evArrive, place: w.place.id, batch: batch})
 		}
 		e.ctrs.RemoteProbes.Add(probes)
 		e.ctrs.Messages.Add(messages)
@@ -1217,14 +1208,14 @@ func (e *engine) serveLifelines(p *simPlace) {
 			continue
 		}
 		p.lifelines[q] = false
-		if id, ok := p.shared.Poll(); ok {
+		if id, ok := p.shared.PopFront(); ok {
 			p.queued--
 			t := &e.g.Tasks[id]
 			e.ctrs.Messages.Add(1)
 			e.ctrs.BytesTransferred.Add(int64(t.MigBytes))
 			e.ctrs.RemoteSteals.Add(1)
 			arrive := e.now + e.cl.Net.TransferNS(t.MigBytes)
-			e.push(event{at: arrive, kind: evArrive, place: q, batch: append(e.getBatch(), id)})
+			e.events.push(event{at: arrive, kind: evArrive, place: q, batch: append(e.getBatch(), id)})
 		}
 	}
 }
@@ -1326,7 +1317,7 @@ func (e *engine) start(w *simWorker, id int, startDelay int64) {
 	}
 	doneAt := e.now + service
 	w.busyNS += service
-	e.push(event{at: doneAt, kind: evDone, worker: w.id, taskID: id})
+	e.events.push(event{at: doneAt, kind: evDone, worker: w.id, taskID: id})
 
 	// Children become available during the parent's execution. A task
 	// re-executed after a crash has already scheduled its children; the
@@ -1349,7 +1340,7 @@ func (e *engine) start(w *simWorker, id int, startDelay int64) {
 		if home < 0 || home >= len(e.places) {
 			home = 0
 		}
-		e.push(event{at: at, kind: evSpawn, taskID: c, home: home, from: p.id, fromW: w.id})
+		e.events.push(event{at: at, kind: evSpawn, taskID: c, home: home, from: p.id, fromW: w.id})
 	}
 }
 

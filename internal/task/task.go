@@ -122,12 +122,6 @@ func (r *Registry) Len() int {
 	return n
 }
 
-// Names returns the number of registered functions.
-//
-// Deprecated: the name is a historical accident — it never returned
-// names, only their count. Use Len.
-func (r *Registry) Names() int { return r.Len() }
-
 // Envelope is the wire representation of a task spawned across a process
 // boundary: the registered function name, its encoded argument, and the
 // scheduling metadata the destination needs to map it (Algorithm 1).

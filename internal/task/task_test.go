@@ -38,9 +38,6 @@ func TestRegistryRegisterLookup(t *testing.T) {
 	if r.Len() != 1 {
 		t.Fatalf("Len() = %d, want 1", r.Len())
 	}
-	if r.Names() != r.Len() { // deprecated alias must agree
-		t.Fatalf("Names() = %d, Len() = %d", r.Names(), r.Len())
-	}
 }
 
 func TestRegistryDuplicatePanics(t *testing.T) {
