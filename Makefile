@@ -26,9 +26,13 @@ race:
 # shared-queue contention study (which asserts the relaxed deque's >= 2x
 # steal-throughput bound at 512 workers inline): catches the hot path
 # regressing to a non-compiling, panicking, racy, or slow-queue state
-# without paying for a full measurement.
+# without paying for a full measurement. The dag.Execute overhead
+# benchmark runs once under its watchdog, so an executor that deadlocks
+# again fails here in seconds with a goroutine dump, not at the CI
+# timeout.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkSimulator128Workers|BenchmarkContentionStudy' -benchtime=1x .
+	$(GO) test -run='^$$' -bench=BenchmarkExecuteOverhead -benchtime=1x ./internal/dag
 
 # Cross-kind parity gate: sim.Options.Deque only models synchronization
 # cost the paper-faithful configuration never charges, so every
@@ -97,10 +101,12 @@ check: build vet test race bench-smoke deque-parity dag-parity exhibit-golden fu
 # (BENCH_sim.json), appends the run's headline numbers as one line to the
 # append-only BENCH_history.jsonl (commit both: the overwritten file alone
 # cannot show a slow drift), and prints the per-exhibit Go benchmarks,
-# including the wire-codec-vs-gob microbenchmarks.
+# including the wire-codec-vs-gob microbenchmarks and dag.Execute's
+# empty-kernel ns/task.
 bench:
 	$(GO) run ./cmd/distws-bench -out BENCH_sim.json
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem . ./internal/comm
+	$(GO) test -run='^$$' -bench=BenchmarkExecuteOverhead -benchtime=200x ./internal/dag
 
 # Churn soak: dynamic-membership endurance under the race detector —
 # concurrent joins, graceful drains, a healing partition, and a flapping

@@ -127,34 +127,56 @@ func (e *CycleError) Error() string {
 // (edges always point forward in program order); explicit Deps can
 // close a loop, which this catches.
 func (g *Graph) Validate() error {
+	_, err := g.validate(false)
+	return err
+}
+
+// validate is Validate for a caller about to run g: with schedule set
+// it also returns the derived Schedule, so the run does not derive the
+// edge lists a second time. Only an explicit dep on a later task can
+// close a cycle (every other edge points forward in program order), so
+// a graph without one passes the cycle check unexamined and, schedule
+// unset, costs no derivation at all — which is what keeps callers in
+// other packages (Validate, then NewSchedule) at one derivation per run.
+func (g *Graph) validate(schedule bool) (*Schedule, error) {
+	later := false // some explicit dep names a later task
 	for i := range g.Tasks {
 		t := &g.Tasks[i]
 		if t.ID != i {
-			return fmt.Errorf("dag: task at index %d has ID %d", i, t.ID)
+			return nil, fmt.Errorf("dag: task at index %d has ID %d", i, t.ID)
 		}
 		if t.CostNS < 0 {
-			return fmt.Errorf("dag: task %d (%s) has negative cost %d", i, t.Label, t.CostNS)
+			return nil, fmt.Errorf("dag: task %d (%s) has negative cost %d", i, t.Label, t.CostNS)
 		}
 		for _, b := range t.Inputs {
 			if _, ok := g.BlockBytes[b]; !ok {
-				return fmt.Errorf("dag: task %d (%s) reads block %#x with no size", i, t.Label, b)
+				return nil, fmt.Errorf("dag: task %d (%s) reads block %#x with no size", i, t.Label, b)
 			}
 		}
 		for _, b := range t.Outputs {
 			if _, ok := g.BlockBytes[b]; !ok {
-				return fmt.Errorf("dag: task %d (%s) writes block %#x with no size", i, t.Label, b)
+				return nil, fmt.Errorf("dag: task %d (%s) writes block %#x with no size", i, t.Label, b)
 			}
 		}
 		for _, d := range t.Deps {
 			if d < 0 || d >= len(g.Tasks) {
-				return fmt.Errorf("dag: task %d (%s) depends on out-of-range task %d", i, t.Label, d)
+				return nil, fmt.Errorf("dag: task %d (%s) depends on out-of-range task %d", i, t.Label, d)
 			}
 			if d == i {
-				return fmt.Errorf("dag: task %d (%s) depends on itself", i, t.Label)
+				return nil, fmt.Errorf("dag: task %d (%s) depends on itself", i, t.Label)
+			}
+			if d > i {
+				later = true
 			}
 		}
 	}
+	if !later && !schedule {
+		return nil, nil
+	}
 	s := NewSchedule(g)
+	if !later {
+		return s, nil
+	}
 	// Kahn's algorithm: peel zero-in-degree tasks; anything left sits on
 	// or behind a cycle.
 	indeg := append([]int(nil), s.InDegree...)
@@ -183,9 +205,9 @@ func (g *Graph) Validate() error {
 				stuck = append(stuck, i)
 			}
 		}
-		return &CycleError{Tasks: stuck}
+		return nil, &CycleError{Tasks: stuck}
 	}
-	return nil
+	return s, nil
 }
 
 // Schedule is the derived dependency structure of a Graph: the edge
@@ -254,8 +276,8 @@ func NewSchedule(g *Graph) *Schedule {
 
 // Tracker is the per-run readiness state: a mutable in-degree vector
 // over a shared Schedule. Not safe for concurrent use; each run owns
-// one (the simulator's event loop and Execute's coordinator are both
-// single-consumer).
+// one (the simulator's event loop is single-threaded, and Execute's
+// completing workers call it under the run's lock).
 type Tracker struct {
 	s      *Schedule
 	indeg  []int

@@ -108,6 +108,31 @@ func TestValidateRejectsCycle(t *testing.T) {
 	}
 }
 
+// TestValidateDerivesEdgesOnce pins what lets a run derive its edge lists
+// once: validate hands a runner the schedule NewSchedule would build, and
+// a graph whose explicit deps all point at earlier tasks (every graph the
+// repo builds) is acyclic by construction, so plain Validate derives
+// nothing — a caller in another package pays for NewSchedule alone.
+func TestValidateDerivesEdgesOnce(t *testing.T) {
+	g := chain()
+	g.Tasks[2].Deps = []int{0}
+	if s, err := g.validate(false); s != nil || err != nil {
+		t.Fatalf("validate(false) with only earlier deps = %v, %v, want no schedule derived", s, err)
+	}
+	later := chain()
+	later.Tasks = append(later.Tasks, Task{ID: 3, CostNS: 10})
+	later.Tasks[0].Deps = []int{3} // a dep on a later task that closes no loop
+	for _, g := range []*Graph{g, later} {
+		s, err := g.validate(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := NewSchedule(g); !reflect.DeepEqual(s, want) {
+			t.Fatalf("validate(true) = %+v, NewSchedule = %+v", s, want)
+		}
+	}
+}
+
 func TestValidateRejectsMalformed(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -8,8 +8,9 @@ import (
 // Directory records which places hold a current copy of each block. A
 // producer completing at a place makes that place the block's sole
 // resident (earlier copies are stale); a consumer fetching the block to
-// another place adds a replica. Single-consumer like Tracker: the run's
-// coordinator owns it.
+// another place adds a replica. Not safe for concurrent use, like Tracker:
+// the simulator's event loop owns its own, Execute guards its under the
+// run's lock.
 type Directory struct {
 	places int
 	words  int
@@ -189,7 +190,14 @@ func ParsePolicy(s string) (Policy, error) {
 // lowest place id; the scan order is fixed, so the choice is
 // deterministic.
 func BestPlace(g *Graph, d *Directory, t int, backlogNS []int64, transfer func(bytes int) int64) int {
-	home := g.Tasks[t].Home
+	return bestPlace(g, d, t, g.Tasks[t].Home, backlogNS, transfer)
+}
+
+// bestPlace is BestPlace with the incumbent home passed in, for a caller
+// whose cluster is smaller than the one the graph's declared homes were
+// built for: Execute scores against the wrapped home without writing it
+// back into the (shared, read-only) graph.
+func bestPlace(g *Graph, d *Directory, t, home int, backlogNS []int64, transfer func(bytes int) int64) int {
 	if home < 0 || home >= len(backlogNS) {
 		home = 0
 	}
