@@ -94,8 +94,10 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzServiceFrame -fuzztime=30s ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzDAGEnvelope -fuzztime=30s ./internal/task
 
-# The gate a change must pass before merging.
-check: build vet test race bench-smoke deque-parity dag-parity exhibit-golden fuzz-smoke
+# The gate a change must pass before merging. The two soaks block: what
+# they add to `race` is the membership-codec fuzz shake and the
+# distws-load -sim -verify byte-identity run.
+check: build vet test race bench-smoke deque-parity dag-parity exhibit-golden fuzz-smoke soak serve-soak
 
 # Full measurement: refreshes the machine-readable perf baseline
 # (BENCH_sim.json), appends the run's headline numbers as one line to the
@@ -111,9 +113,7 @@ bench:
 # Churn soak: dynamic-membership endurance under the race detector —
 # concurrent joins, graceful drains, a healing partition, and a flapping
 # place, in both the simulator and the TCP-mesh runtime — plus a short
-# shake of the membership wire codec. Deterministic (fixed seeds), but
-# heavier than the tier-1 gate, so it runs as its own target and as a
-# non-blocking CI job.
+# shake of the membership wire codec. Deterministic (fixed seeds).
 soak:
 	$(GO) test -race -count=1 -v -run 'TestChurn' -timeout 10m .
 	$(GO) test -race -count=1 -run 'Churn|Drain|Join|Flap|Partition|Gray|Heartbeat|Survivors|Retry|Rejoin|Member|Detector' \

@@ -1,6 +1,8 @@
 // Package member is the dynamic-membership layer: an epoch/incarnation
-// membership table with a heartbeat-based failure detector, shared by
-// the batch coordinator (internal/node) and usable over any transport.
+// membership table with a heartbeat-based failure detector, usable over
+// any transport. node.Dispatcher keeps the one Table of a cluster (for
+// the batch coordinator and the job service alike); node.Executor speaks
+// the Payload codec in its beats, joins and drains.
 //
 // It replaces the fail-stop "sticky dead" model — where a place that
 // misses traffic is down forever and the cluster only shrinks — with a

@@ -11,6 +11,9 @@ type Item struct {
 	Client int
 	// AdmittedNS is the admission instant (queue-wait accounting).
 	AdmittedNS int64
+	// Seq is the dispatch id the server minted at admission: the wire Seq
+	// of every KindSpawn that carries this job, however often it is re-sent.
+	Seq uint64
 }
 
 // tenantQueue is one tenant's backlog plus its deficit-round-robin state.

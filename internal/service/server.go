@@ -4,11 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"distws/internal/comm"
-	"distws/internal/member"
 	"distws/internal/metrics"
+	"distws/internal/node"
 	"distws/internal/obs"
 	"distws/internal/task"
 )
@@ -59,27 +60,13 @@ type Server struct {
 	// Logf reports lifecycle events; nil is silent.
 	Logf func(format string, a ...any)
 
-	adm      *Admission
-	fs       *FairShare
-	alive    []bool
-	draining []bool
-	members  *member.Table
-	// outstanding tracks dispatched jobs per executor by dispatch seq;
-	// seqs indexes the same entries globally for completion lookup.
-	outstanding map[int]map[uint64]*inflight
-	seqs        map[uint64]*inflight
-	nextSeq     uint64
-	rr          int // round-robin dispatch preference
-	start       time.Time
-	drainCh     chan struct{}
-	stopping    bool
-}
+	adm *Admission
+	fs  *FairShare
+	d   *node.Dispatcher[Item]
+	seq uint64 // dispatch ids minted so far, one per admitted job
 
-// inflight is one admitted job from dispatch to completion.
-type inflight struct {
-	it    Item
-	seq   uint64
-	place int
+	drainInit, drainOnce sync.Once
+	drainCh              chan struct{}
 }
 
 // ErrServerClosed is returned by Serve after a graceful drain completes.
@@ -91,155 +78,74 @@ func (s *Server) logf(format string, a ...any) {
 	}
 }
 
-// now returns the server-relative clock in ns.
-func (s *Server) now() int64 {
-	if s.Clock != nil {
-		return s.Clock()
-	}
-	return time.Since(s.start).Nanoseconds()
+// drained returns the channel Drain closes. Either method may run first,
+// on any goroutine, so whichever does creates it.
+func (s *Server) drained() chan struct{} {
+	s.drainInit.Do(func() { s.drainCh = make(chan struct{}) })
+	return s.drainCh
 }
 
-func (s *Server) window() int {
-	if s.Window > 0 {
-		return s.Window
+// stopping reports whether Drain has been called.
+func (s *Server) stopping() bool {
+	select {
+	case <-s.drained():
+		return true
+	default:
+		return false
 	}
-	return 8
 }
 
 // Drain begins a graceful shutdown from any goroutine (the daemon's
-// SIGTERM handler): new submissions are nacked with NackDraining, every
-// already-admitted job still completes, then executors are released and
-// Serve returns ErrServerClosed. Idempotent.
+// SIGTERM handler), before or during Serve: new submissions are nacked
+// with NackDraining, every already-admitted job still completes, then
+// executors are released and Serve returns ErrServerClosed. Idempotent.
 func (s *Server) Drain() {
-	defer func() { recover() }() // concurrent Drain: second close is a no-op
-	close(s.drainCh)
+	s.drainOnce.Do(func() {
+		s.logf("server: drain requested")
+		close(s.drained())
+	})
 }
 
-// Serve runs the front-door event loop until ctx is cancelled (hard stop:
-// queued jobs are nacked back) or a Drain completes (every admitted job
-// finished). It must be called once.
+// Serve runs the front door as a node.Dispatcher policy until ctx is
+// cancelled (hard stop: queued jobs are nacked back) or a Drain completes
+// (every admitted job finished). It must be called once.
 func (s *Server) Serve(ctx context.Context) error {
-	if s.Node == nil {
-		return fmt.Errorf("service: Server needs Node")
-	}
-	if s.Places < 2 {
-		return fmt.Errorf("service: Server over %d compute places, want >= 2", s.Places)
-	}
 	if len(s.Tenants) == 0 {
 		return fmt.Errorf("service: Server needs at least one tenant config")
 	}
-	if s.RetryAfter <= 0 {
-		s.RetryAfter = 5 * time.Second
+	d, err := node.NewDispatcher(node.Config{
+		Node: s.Node, Places: s.Places, Window: s.Window, RetryAfter: s.RetryAfter,
+		Heartbeat: s.Heartbeat, Absent: s.Absent, Counters: s.Counters, Clock: s.Clock, Logf: s.Logf,
+	}, node.Policy[Item]{
+		Describe: func(it Item) node.Work {
+			return node.Work{ID: it.Seq, Name: it.Job.Name, Arg: it.Job.Arg, Tenant: it.Job.Tenant}
+		},
+		Next:     s.next,
+		Requeue:  func(it Item) { s.fs.Push(it.Job.Tenant, it) }, // its admission slot is still held
+		Done:     s.done,
+		Other:    s.onSubmit,
+		Finished: func() bool { return s.stopping() && s.d.Live() == 0 },
+		Wake:     s.drained(),
+	})
+	if err != nil {
+		return err
 	}
-	s.start = time.Now()
+	s.d = d
 	s.adm = NewAdmission(s.Tenants)
 	s.fs = NewFairShare(s.Quantum, s.adm.Weights())
-	s.alive = make([]bool, s.Places)
-	s.draining = make([]bool, s.Places)
-	s.outstanding = make(map[int]map[uint64]*inflight)
-	s.seqs = make(map[uint64]*inflight)
-	s.drainCh = make(chan struct{})
-	s.members = member.NewTable(s.Places, 0, member.Config{MinTimeoutNS: s.Heartbeat.Nanoseconds()})
-	absent := make(map[int]bool, len(s.Absent))
-	for _, p := range s.Absent {
-		if p > 0 && p < s.Places {
-			absent[p] = true
-		}
+	if err = d.Run(ctx); err == nil {
+		return ErrServerClosed
 	}
-	for p := 1; p < s.Places; p++ {
-		if absent[p] {
-			continue
-		}
-		s.alive[p] = true
-		s.members.SeedAlive(p, 0)
-	}
-
-	var tick <-chan time.Time
-	if s.Heartbeat > 0 {
-		t := time.NewTicker(s.Heartbeat)
-		defer t.Stop()
-		tick = t.C
-	}
-
-	drainCh := s.drainCh
-	for {
-		if s.stopping && s.fs.Len() == 0 && len(s.seqs) == 0 {
-			s.release()
-			return ErrServerClosed
-		}
-		select {
-		case <-ctx.Done():
-			s.nackQueued(NackDraining)
-			s.release()
-			return ctx.Err()
-		case <-drainCh:
-			s.stopping = true
-			drainCh = nil // fire once
-			s.logf("server: draining (%d queued, %d dispatched)", s.fs.Len(), len(s.seqs))
-		case m, ok := <-s.Node.Inbox():
-			if !ok {
-				return fmt.Errorf("service: inbox closed with %d jobs in flight", len(s.seqs))
-			}
-			if err := s.handle(m); err != nil {
-				return err
-			}
-		case <-tick:
-			if err := s.detect(); err != nil {
-				return err
-			}
-		case <-time.After(s.RetryAfter):
-			if len(s.seqs) == 0 {
-				continue
-			}
-			s.logf("server: no progress for %v, re-dispatching %d job(s)", s.RetryAfter, len(s.seqs))
-			if err := s.retryOutstanding(); err != nil {
-				return err
+	if ctx.Err() != nil {
+		// Hard stop: bounce every job that is still waiting to go out.
+		for _, it := range s.fs.DrainAll() {
+			if d.Drop(it.Seq) {
+				s.adm.Complete(it.Job.Tenant)
+				s.reject(it.Client, it.Job, NackDraining, 0)
 			}
 		}
 	}
-}
-
-// release broadcasts shutdown to the surviving executors.
-func (s *Server) release() {
-	for p := 1; p < s.Places; p++ {
-		if s.alive[p] {
-			s.Node.Send(comm.Message{Kind: comm.KindShutdown, To: p})
-		}
-	}
-}
-
-// nackQueued bounces every queued job back to its client (hard stop).
-func (s *Server) nackQueued(code NackCode) {
-	for _, it := range s.fs.DrainAll() {
-		s.adm.Complete(it.Job.Tenant)
-		s.reject(it.Client, it.Job, code, 0)
-	}
-}
-
-// handle processes one protocol message.
-func (s *Server) handle(m comm.Message) error {
-	switch m.Kind {
-	case comm.KindSubmit:
-		return s.onSubmit(m)
-	case comm.KindSpawnDone:
-		return s.onDone(m)
-	case comm.KindSpawnNack:
-		return s.onExecutorNack(m)
-	case comm.KindPlaceDown:
-		if m.From > 0 && m.From < s.Places {
-			if err := s.markDown(m.From); err != nil {
-				return err
-			}
-		}
-		return nil
-	case comm.KindHeartbeat:
-		return s.onHeartbeat(m)
-	case comm.KindJoin:
-		return s.onJoin(m)
-	case comm.KindDrain:
-		return s.onDrain(m)
-	}
-	return nil
+	return err
 }
 
 // record emits a job lifecycle event at the front door's track.
@@ -263,29 +169,30 @@ func (s *Server) reject(client int, j Job, code NackCode, retryNS int64) {
 }
 
 // onSubmit runs admission control on one streamed job and either queues
-// it for dispatch or nacks it with a typed reason.
-func (s *Server) onSubmit(m comm.Message) error {
-	if m.From < s.Places {
-		return nil // compute places do not submit; ignore
+// it for dispatch or nacks it with a typed reason. The dispatcher hands it
+// only messages from client seats; compute places do not submit.
+func (s *Server) onSubmit(m comm.Message) {
+	if m.Kind != comm.KindSubmit || m.From < s.Places {
+		return
 	}
 	j, err := DecodeJob(m.Payload)
 	if err != nil {
 		s.logf("server: malformed submit from seat %d: %v", m.From, err)
-		return nil // a bad frame poisons nothing; drop it
+		return // a bad frame poisons nothing; drop it
 	}
 	// The payload aliases the inbox buffer on TCP transports; copy what
 	// outlives this message.
 	j.Arg = append([]byte(nil), j.Arg...)
-	now := s.now()
+	now := s.d.Now()
 	if s.Counters != nil {
 		s.Counters.JobsSubmitted.Add(1)
 	}
 	if s.Stats != nil {
 		s.Stats.Tenant(j.Tenant).Submitted.Add(1)
 	}
-	if s.stopping {
+	if s.stopping() {
 		s.reject(m.From, j, NackDraining, 0)
-		return nil
+		return
 	}
 	reg := s.Registry
 	if reg == nil {
@@ -293,11 +200,11 @@ func (s *Server) onSubmit(m comm.Message) error {
 	}
 	if _, ok := reg.Lookup(j.Name); !ok {
 		s.reject(m.From, j, NackUnknownTask, 0)
-		return nil
+		return
 	}
 	if j.DeadlineNS > 0 && now >= j.DeadlineNS {
 		s.reject(m.From, j, NackDeadline, 0)
-		return nil
+		return
 	}
 	if err := s.adm.Admit(j.Tenant, now); err != nil {
 		var ae *AdmissionError
@@ -306,7 +213,7 @@ func (s *Server) onSubmit(m comm.Message) error {
 			code, retry = ae.Code, ae.RetryAfterNS
 		}
 		s.reject(m.From, j, code, retry)
-		return nil
+		return
 	}
 	if s.Counters != nil {
 		s.Counters.JobsAdmitted.Add(1)
@@ -315,343 +222,50 @@ func (s *Server) onSubmit(m comm.Message) error {
 		s.Stats.Tenant(j.Tenant).Admitted.Add(1)
 	}
 	s.record(obs.KindJobAdmit, j.Tenant)
-	s.fs.Push(j.Tenant, Item{Job: j, Client: m.From, AdmittedNS: now})
-	return s.pump()
+	s.seq++
+	it := Item{Job: j, Client: m.From, AdmittedNS: now, Seq: s.seq}
+	s.d.Add(it)
+	s.fs.Push(j.Tenant, it)
 }
 
-// onDone completes a dispatched job exactly once and acks its client.
-func (s *Server) onDone(m comm.Message) error {
-	e := s.seqs[m.Seq]
-	if e == nil || e.place != m.From {
-		return nil // stale twin from a re-dispatch or a healed partition
+// next pops the fair-share queue for the dispatcher, expiring jobs whose
+// deadline passed while they waited.
+func (s *Server) next() (Item, bool) {
+	for {
+		it, ok := s.fs.Pop()
+		if !ok {
+			return Item{}, false
+		}
+		now := s.d.Now()
+		if it.Job.DeadlineNS > 0 && now >= it.Job.DeadlineNS {
+			if s.d.Drop(it.Seq) { // a finished twin has had its reply already
+				s.adm.Complete(it.Job.Tenant)
+				if s.Stats != nil {
+					s.Stats.Tenant(it.Job.Tenant).Expired.Add(1)
+				}
+				s.reject(it.Client, it.Job, NackDeadline, 0)
+			}
+			continue
+		}
+		if s.Stats != nil {
+			s.Stats.Tenant(it.Job.Tenant).QueueWait.Record(now - it.AdmittedNS)
+		}
+		return it, true
 	}
-	delete(s.seqs, e.seq)
-	if om := s.outstanding[e.place]; om != nil {
-		delete(om, e.seq)
-	}
-	now := s.now()
-	s.adm.Complete(e.it.Job.Tenant)
+}
+
+// done acks a job's first completion to its client.
+func (s *Server) done(it Item, result []byte) {
+	s.adm.Complete(it.Job.Tenant)
 	if s.Counters != nil {
 		s.Counters.JobsCompleted.Add(1)
 	}
 	if s.Stats != nil {
-		st := s.Stats.Tenant(e.it.Job.Tenant)
+		st := s.Stats.Tenant(it.Job.Tenant)
 		st.Completed.Add(1)
-		st.Latency.Record(now - e.it.AdmittedNS)
+		st.Latency.Record(s.d.Now() - it.AdmittedNS)
 	}
-	s.record(obs.KindJobDone, e.it.Job.Tenant)
-	payload := AppendReply(nil, Reply{Tenant: e.it.Job.Tenant, ID: e.it.Job.ID, Result: m.Payload})
-	s.Node.Send(comm.Message{Kind: comm.KindJobDone, To: e.it.Client, Seq: e.it.Job.ID, Payload: payload})
-	if err := s.maybeCompleteDrain(m.From); err != nil {
-		return err
-	}
-	return s.pump()
-}
-
-// onExecutorNack re-homes a job a draining executor returned unstarted.
-func (s *Server) onExecutorNack(m comm.Message) error {
-	e := s.seqs[m.Seq]
-	if e != nil && e.place == m.From {
-		s.unlink(e)
-		if s.Counters != nil {
-			s.Counters.TasksOffloaded.Add(1)
-		}
-		s.requeue(e)
-	}
-	if err := s.maybeCompleteDrain(m.From); err != nil {
-		return err
-	}
-	return s.pump()
-}
-
-// unlink removes a dispatched entry from both indexes.
-func (s *Server) unlink(e *inflight) {
-	delete(s.seqs, e.seq)
-	if om := s.outstanding[e.place]; om != nil {
-		delete(om, e.seq)
-	}
-}
-
-// requeue returns a job to the head of the fair-share discipline (its
-// admission slot is still held, so no re-admission).
-func (s *Server) requeue(e *inflight) {
-	s.fs.Push(e.it.Job.Tenant, e.it)
-}
-
-// slot returns the first alive, non-draining executor at or after
-// preferred with window capacity, skipping places in skip; -1 if none.
-func (s *Server) slot(preferred int, skip map[int]bool) int {
-	if preferred < 1 {
-		preferred = 1
-	}
-	for try := 0; try < s.Places; try++ {
-		dest := 1 + (preferred-1+try)%(s.Places-1)
-		if !s.alive[dest] || s.draining[dest] || skip[dest] {
-			continue
-		}
-		if len(s.outstanding[dest]) >= s.window() {
-			continue
-		}
-		return dest
-	}
-	return -1
-}
-
-// pump moves queued jobs into free executor windows under the DRR
-// discipline, stopping when capacity runs out, every reachable executor
-// sheds with backpressure, or the queues drain.
-func (s *Server) pump() error {
-	skip := map[int]bool(nil)
-	for s.fs.Len() > 0 {
-		dest := s.slot(s.rr, skip)
-		if dest < 0 {
-			return nil // saturated (or momentarily shed): resume on the next event
-		}
-		it, ok := s.fs.Pop()
-		if !ok {
-			return nil
-		}
-		now := s.now()
-		if it.Job.DeadlineNS > 0 && now >= it.Job.DeadlineNS {
-			s.expire(it)
-			continue
-		}
-		err := s.place(it, dest, now)
-		if errors.Is(err, comm.ErrPlaceDown) {
-			if err := s.markDown(dest); err != nil {
-				return err
-			}
-			s.fs.Push(it.Job.Tenant, it)
-			continue
-		}
-		if errors.Is(err, comm.ErrBackpressure) {
-			// The executor's queue is full: a typed shed, not a failure.
-			// Park the job back in its tenant queue and stop hammering
-			// this destination until the next event frees it.
-			if skip == nil {
-				skip = make(map[int]bool)
-			}
-			skip[dest] = true
-			s.fs.Push(it.Job.Tenant, it)
-			continue
-		}
-		if err != nil {
-			// Any other send failure (a route still assembling, a transient
-			// link error) is treated like a shed: the job keeps its admission
-			// slot and goes out on a later pump or the RetryAfter sweep. A
-			// genuinely dead executor is caught by typed errors or the
-			// failure detector.
-			s.logf("server: dispatch to executor %d: %v", dest, err)
-			if skip == nil {
-				skip = make(map[int]bool)
-			}
-			skip[dest] = true
-			s.fs.Push(it.Job.Tenant, it)
-			continue
-		}
-		s.rr = dest + 1
-	}
-	return nil
-}
-
-// expire drops a deadline-passed job and nacks its client.
-func (s *Server) expire(it Item) {
-	s.adm.Complete(it.Job.Tenant)
-	if s.Stats != nil {
-		s.Stats.Tenant(it.Job.Tenant).Expired.Add(1)
-	}
-	s.reject(it.Client, it.Job, NackDeadline, 0)
-}
-
-// place dispatches one job to dest, registering it as in flight.
-func (s *Server) place(it Item, dest int, nowNS int64) error {
-	env := &task.Envelope{
-		Name:   it.Job.Name,
-		Arg:    it.Job.Arg,
-		Home:   dest,
-		Origin: 0,
-		Class:  task.Flexible,
-		Tenant: it.Job.Tenant,
-	}
-	payload, err := env.Encode()
-	if err != nil {
-		return err
-	}
-	s.nextSeq++
-	seq := s.nextSeq
-	if err := s.Node.Send(comm.Message{Kind: comm.KindSpawn, To: dest, Seq: seq, Payload: payload}); err != nil {
-		return err
-	}
-	e := &inflight{it: it, seq: seq, place: dest}
-	if s.outstanding[dest] == nil {
-		s.outstanding[dest] = make(map[uint64]*inflight)
-	}
-	s.outstanding[dest][seq] = e
-	s.seqs[seq] = e
-	if s.Stats != nil {
-		s.Stats.Tenant(it.Job.Tenant).QueueWait.Record(nowNS - it.AdmittedNS)
-	}
-	return nil
-}
-
-// markDown records an executor failure and requeues its in-flight jobs.
-func (s *Server) markDown(p int) error {
-	if p <= 0 || p >= s.Places || !s.alive[p] {
-		return nil
-	}
-	s.alive[p] = false
-	s.draining[p] = false
-	s.members.MarkDown(p, s.now())
-	if s.Counters != nil {
-		s.Counters.PlacesLost.Add(1)
-	}
-	orphans := s.outstanding[p]
-	delete(s.outstanding, p)
-	s.logf("server: executor %d down, re-homing %d job(s)", p, len(orphans))
-	for _, e := range orphans {
-		delete(s.seqs, e.seq)
-		if s.Counters != nil {
-			s.Counters.TasksReExecuted.Add(1)
-		}
-		s.requeue(e)
-	}
-	return s.pump()
-}
-
-// retryOutstanding re-dispatches every in-flight job after a silent
-// period. Completions deduplicate by dispatch seq, so the twin that
-// loses the race is dropped.
-func (s *Server) retryOutstanding() error {
-	var stale []*inflight
-	for _, e := range s.seqs {
-		stale = append(stale, e)
-	}
-	for _, e := range stale {
-		if s.seqs[e.seq] == nil {
-			continue // completed while we were resending
-		}
-		if s.Counters != nil {
-			s.Counters.Retries.Add(1)
-		}
-		s.unlink(e)
-		s.requeue(e)
-	}
-	return s.pump()
-}
-
-// detect runs one failure-detector sweep (see node.Coordinator.detect).
-func (s *Server) detect() error {
-	for _, tr := range s.members.Tick(s.now()) {
-		switch tr.To {
-		case member.Suspect:
-			if s.Counters != nil {
-				s.Counters.HeartbeatMisses.Add(1)
-			}
-			s.logf("server: executor %d suspected (silent too long)", tr.Place)
-		case member.Down:
-			s.logf("server: executor %d declared down by failure detector", tr.Place)
-			if err := s.markDown(tr.Place); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// onHeartbeat refreshes the member table and acks with the server's view
-// (see node.Coordinator.onHeartbeat for the rejoin contract).
-func (s *Server) onHeartbeat(m comm.Message) error {
-	if m.From <= 0 || m.From >= s.Places {
-		return nil
-	}
-	p, err := member.DecodePayload(m.Payload)
-	if err != nil {
-		return nil
-	}
-	now := s.now()
-	if tr, ok := s.members.Heartbeat(m.From, p.Incarnation, now); ok && tr.To == member.Alive {
-		switch tr.From {
-		case member.Suspect:
-			s.logf("server: executor %d refuted suspicion", m.From)
-		case member.Down, member.Left, member.Unknown:
-			if err := s.admit(m.From, tr); err != nil {
-				return err
-			}
-		}
-	}
-	ack := member.Payload{
-		Incarnation: s.members.Incarnation(m.From),
-		Epoch:       s.members.Epoch(),
-		State:       s.members.State(m.From),
-	}
-	s.Node.Send(comm.Message{Kind: comm.KindHeartbeat, To: m.From,
-		Payload: member.AppendPayload(nil, ack)})
-	return nil
-}
-
-// onJoin admits a joining or rejoining executor.
-func (s *Server) onJoin(m comm.Message) error {
-	if m.From <= 0 || m.From >= s.Places {
-		return nil
-	}
-	p, err := member.DecodePayload(m.Payload)
-	if err != nil {
-		return nil
-	}
-	tr, ok := s.members.Join(m.From, p.Incarnation, s.now())
-	if !ok {
-		s.logf("server: stale join from executor %d (incarnation %d)", m.From, p.Incarnation)
-		return nil
-	}
-	return s.admit(m.From, tr)
-}
-
-// admit makes an executor eligible for dispatch and pumps the backlog.
-func (s *Server) admit(p int, tr member.Transition) error {
-	rejoin := tr.From == member.Down || tr.From == member.Left
-	s.alive[p] = true
-	s.draining[p] = false
-	if s.Counters != nil {
-		if rejoin {
-			s.Counters.MembershipRejoins.Add(1)
-		} else {
-			s.Counters.MembershipJoins.Add(1)
-		}
-	}
-	s.logf("server: executor %d joined (incarnation %d, rejoin=%v)", p, tr.Incarnation, rejoin)
-	return s.pump()
-}
-
-// onDrain starts an executor's graceful departure.
-func (s *Server) onDrain(m comm.Message) error {
-	if m.From <= 0 || m.From >= s.Places || s.draining[m.From] || !s.alive[m.From] {
-		return nil
-	}
-	s.draining[m.From] = true
-	s.members.Drain(m.From, s.now())
-	if s.Counters != nil {
-		s.Counters.MembershipDrains.Add(1)
-	}
-	s.logf("server: executor %d draining (%d job(s) outstanding there)",
-		m.From, len(s.outstanding[m.From]))
-	if err := s.maybeCompleteDrain(m.From); err != nil {
-		return err
-	}
-	return s.pump()
-}
-
-// maybeCompleteDrain releases a draining executor once it is empty.
-func (s *Server) maybeCompleteDrain(p int) error {
-	if p <= 0 || p >= s.Places || !s.draining[p] || !s.alive[p] {
-		return nil
-	}
-	if len(s.outstanding[p]) > 0 {
-		return nil
-	}
-	s.alive[p] = false
-	delete(s.outstanding, p)
-	s.members.Left(p, s.now())
-	s.logf("server: executor %d drain complete, released", p)
-	s.Node.Send(comm.Message{Kind: comm.KindShutdown, To: p})
-	return nil
+	s.record(obs.KindJobDone, it.Job.Tenant)
+	payload := AppendReply(nil, Reply{Tenant: it.Job.Tenant, ID: it.Job.ID, Result: result})
+	s.Node.Send(comm.Message{Kind: comm.KindJobDone, To: it.Client, Seq: it.Job.ID, Payload: payload})
 }

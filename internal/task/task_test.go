@@ -1,6 +1,7 @@
 package task
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -96,8 +97,8 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeEnvelopeGarbage(t *testing.T) {
-	if _, err := DecodeEnvelope([]byte("not gob")); err == nil {
-		t.Fatalf("decoding garbage should fail")
+	if _, err := DecodeEnvelope([]byte("not an envelope")); !errors.Is(err, ErrEnvelopeMagic) {
+		t.Fatalf("decoding garbage: err = %v, want ErrEnvelopeMagic", err)
 	}
 }
 

@@ -1,9 +1,7 @@
 package task
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 )
@@ -28,11 +26,9 @@ import (
 //	...     4     len(Inputs), same shape
 //	...     4     len(Outputs), same shape
 //
-// The magic byte doubles as the gob discriminator: 0xE7 begins the
-// second half of a two-byte uvarint and can never be the first byte of
-// a gob stream (a gob stream opens with a small one-byte section
-// length), so DecodeEnvelope still accepts envelopes encoded by older
-// gob-speaking peers and routes them to the gob path.
+// The magic byte is the whole format check: a payload that does not open
+// with it is rejected with ErrEnvelopeMagic before any length field is
+// read, so every byte sequence that decodes has passed the bounds below.
 const (
 	envMagic   = 0xE7
 	envVersion = 1
@@ -57,6 +53,9 @@ var (
 	// ErrEnvelopeTruncated reports an envelope shorter than its declared
 	// sections.
 	ErrEnvelopeTruncated = errors.New("task: truncated envelope")
+	// ErrEnvelopeMagic reports a payload that does not begin with the
+	// envelope magic byte: not an envelope at all.
+	ErrEnvelopeMagic = errors.New("task: not an envelope")
 	// ErrEnvelopeVersion reports an unknown format version behind a
 	// valid magic byte.
 	ErrEnvelopeVersion = errors.New("task: unknown envelope version")
@@ -103,16 +102,15 @@ func (e *Envelope) Encode() ([]byte, error) {
 	return out, nil
 }
 
-// DecodeEnvelope deserializes an envelope produced by Encode. Payloads
-// that do not start with the binary format's magic byte fall back to the
-// gob decoder, so peers running the previous gob-encoded protocol stay
-// decodable.
+// DecodeEnvelope deserializes an envelope produced by Encode. The bytes
+// come off the network, so every failure is a typed error and no declared
+// length is trusted beyond its bound.
 func DecodeEnvelope(p []byte) (*Envelope, error) {
 	if len(p) == 0 {
 		return nil, fmt.Errorf("%w: empty payload", ErrEnvelopeTruncated)
 	}
 	if p[0] != envMagic {
-		return decodeGobEnvelope(p)
+		return nil, fmt.Errorf("%w: first byte %#x", ErrEnvelopeMagic, p[0])
 	}
 	if len(p) < envFixed {
 		return nil, fmt.Errorf("%w: %d of %d header bytes", ErrEnvelopeTruncated, len(p), envFixed)
@@ -184,13 +182,4 @@ func DecodeEnvelope(p []byte) (*Envelope, error) {
 		return nil, fmt.Errorf("task: envelope has %d trailing bytes", len(rest))
 	}
 	return e, nil
-}
-
-// decodeGobEnvelope is the legacy-format fallback path.
-func decodeGobEnvelope(p []byte) (*Envelope, error) {
-	var e Envelope
-	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&e); err != nil {
-		return nil, fmt.Errorf("task: decoding envelope: %w", err)
-	}
-	return &e, nil
 }

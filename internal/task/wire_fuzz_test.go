@@ -62,8 +62,8 @@ func FuzzDAGEnvelope(f *testing.F) {
 		}
 
 		// Arbitrary bytes must never panic the decoder. Errors are fine
-		// (non-magic payloads land in the gob fallback, which has its own
-		// error surface), but a successful decode must stay within bounds.
+		// (anything that does not open with the magic byte is rejected
+		// outright), but a successful decode must stay within bounds.
 		if d, err := DecodeEnvelope(raw); err == nil {
 			if len(d.Arg) > MaxEnvelopeArg ||
 				len(d.Blocks) > MaxEnvelopeBlocks ||

@@ -2,7 +2,6 @@ package task
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"strings"
 	"testing"
@@ -153,25 +152,5 @@ func TestDecodeDoesNotAliasInput(t *testing.T) {
 	}
 	if !bytes.Equal(out.Arg, []byte{0xde, 0xad, 0xbe, 0xef}) {
 		t.Fatalf("decoded Arg aliases the input buffer: %x", out.Arg)
-	}
-}
-
-// TestDecodeGobFallback pins compatibility with the previous wire format:
-// a gob-encoded envelope from an older peer must still decode.
-func TestDecodeGobFallback(t *testing.T) {
-	in := wireEnvelope()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(in); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Bytes()[0] == envMagic {
-		t.Fatalf("gob stream begins with the binary magic byte — discriminator is broken")
-	}
-	out, err := DecodeEnvelope(buf.Bytes())
-	if err != nil {
-		t.Fatalf("decoding gob envelope: %v", err)
-	}
-	if !sameEnvelope(in, out) {
-		t.Fatalf("gob fallback round-trip mismatch: %+v vs %+v", out, in)
 	}
 }
