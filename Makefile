@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-smoke fuzz-smoke deque-parity dag-parity exhibit-golden chaos soak serve-soak
+.PHONY: all build test race vet check bench bench-smoke fuzz-smoke deque-parity dag-parity exhibit-golden chaos soak serve-soak loc
 
 all: check
 
@@ -112,25 +112,40 @@ bench:
 
 # Churn soak: dynamic-membership endurance under the race detector —
 # concurrent joins, graceful drains, a healing partition, and a flapping
-# place, in both the simulator and the TCP-mesh runtime — plus a short
-# shake of the membership wire codec. Deterministic (fixed seeds).
+# place, in both the simulator and the TCP-mesh runtime; the service's
+# control plane through join, drain, partition and crash on virtual time,
+# over seed sweeps (internal/service/vtime_test.go), with the net they run
+# on — plus a short shake of the membership wire codec. Deterministic
+# (fixed seeds).
 soak:
 	$(GO) test -race -count=1 -v -run 'TestChurn' -timeout 10m .
-	$(GO) test -race -count=1 -run 'Churn|Drain|Join|Flap|Partition|Gray|Heartbeat|Survivors|Retry|Rejoin|Member|Detector' \
-		-timeout 10m ./internal/node/ ./internal/sim/ ./internal/core/ ./internal/member/
+	$(GO) test -race -count=1 -run 'Churn|Drain|Join|Flap|Partition|Gray|Heartbeat|Survivors|Retry|Rejoin|Member|Detector|Crash|TestNet' \
+		-timeout 10m ./internal/node/ ./internal/sim/ ./internal/core/ ./internal/member/ ./internal/service/ ./internal/vtime/
 	$(GO) test -run='^$$' -fuzz=FuzzMemberPayload -fuzztime=15s ./internal/member
 
 # Service soak: sustained multi-tenant load at the task service over a
 # real TCP mesh — admission rejections, fair-share dispatch, a mid-run
-# join and a graceful drain with exactly-once accounting — plus the
-# fixed-seed virtual-time simulation, rerun and compared bit for bit
+# join and a graceful drain with exactly-once accounting — plus the same
+# Server and Executors on virtual time: the dispatch-liveness seed sweeps
+# and the fixed-seed simulation, rerun and compared bit for bit
 # (in-process and again through the distws-load -sim -verify CLI).
 serve-soak:
 	$(GO) test -race -count=1 -v -run 'TestServe' -timeout 10m .
-	$(GO) test -race -count=1 -run 'TestService|TestRunLoad|TestSimulate' -timeout 10m ./internal/service
+	$(GO) test -race -count=1 -run 'TestService|TestRunLoad|TestSimulate|TestShedJob|TestLongJob|TestLostSpawn' -timeout 10m ./internal/service
 	$(GO) run ./cmd/distws-load -sim -verify -seed 7 -slots 4 -duration 2s \
 		-churn "500ms:-2;1s:+2" \
 		-spec "1:w=1,arrival=5000,svc=1ms,inflight=32;2:w=3,arrival=5000,svc=1ms,inflight=32"
+
+# Non-test Go lines per package, and the total outside benchmark/: the
+# figure ROADMAP.md and a simplicity PR's CHANGES.md entry quote, counted
+# the same way every time (raw lines of the files `git ls-files` knows,
+# comments and blanks included).
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | xargs wc -l | awk '$$2 != "total" { \
+		dir = $$2; if (!sub("/[^/]*$$", "", dir)) dir = "."; n[dir] += $$1; \
+		if (dir !~ /^benchmark/) total += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
+		printf "%7d  total outside benchmark/\n", total }'
 
 # Fault-injection suite only (also part of `test`).
 chaos:

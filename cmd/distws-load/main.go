@@ -16,11 +16,13 @@
 // `clients` calls in flight; open-loop tenants submit on a seeded
 // Poisson clock regardless of completions.
 //
-// With -sim the cluster is not contacted at all: the same admission and
-// fair-share code runs on virtual time (internal/service.Simulate), so
-// a fixed -seed renders a bit-identical report — the mode the soak
-// harness uses. Sim clause keys: w, rate, burst, inflight (admission),
-// arrival (Poisson submission Hz), svc (mean service time), prio.
+// With -sim no cluster is contacted: internal/service.Simulate builds the
+// real front door and -slots real executors on an in-memory network and
+// runs them on virtual time, so a fixed -seed renders a bit-identical
+// report — the mode the soak harness uses. -churn drains (negative) or
+// joins (positive) executors mid-run. Sim clause keys: w, rate, burst,
+// inflight (admission), arrival (Poisson submission Hz), svc (mean
+// service time), prio.
 //
 //	distws-load -sim -seed 7 -slots 4 -duration 2s \
 //	    -spec "1:w=1,arrival=5000,svc=1ms,inflight=32;2:w=3,arrival=5000,svc=1ms,inflight=32"

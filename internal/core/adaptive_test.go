@@ -19,7 +19,6 @@ func TestAdaptiveRuntimeSmoke(t *testing.T) {
 	ctrl := adapt.New(adapt.Config{Places: places})
 	cfg := testConfig(sched.Adaptive, places, 2)
 	cfg.Adapt = ctrl
-	cfg.CacheBlocks = 64
 	rt := mustNew(t, cfg)
 
 	var ran atomic.Int64

@@ -309,28 +309,33 @@ func TestAtSamePlaceIsFree(t *testing.T) {
 	}
 }
 
-func TestAsyncLocAccountsCacheAndRemoteRefs(t *testing.T) {
-	cfg := testConfig(sched.DistWS, 2, 1)
-	cfg.CacheBlocks = 16
-	rt := mustNew(t, cfg)
+// A flexible task that runs off its home place is charged its declared
+// remote references. Place 0's only worker is held inside the Finish body
+// until the task has run, so the task can only run by being stolen to
+// place 1.
+func TestAsyncLocAccountsRemoteRefs(t *testing.T) {
+	rt := mustNew(t, testConfig(sched.DistWS, 2, 1))
 	err := rt.Run(func(ctx *Ctx) {
 		ctx.Finish(func(c *Ctx) {
-			loc := task.Locality{
-				Class:  task.Sensitive,
-				Blocks: []uint64{1, 2, 3, 1}, // 3 cold misses + 1 hit
+			ran := make(chan int, 1)
+			c.AsyncLoc(0, task.Locality{Class: task.Flexible, RemoteRefs: 3}, func(c *Ctx) { ran <- c.Place() })
+			select {
+			case p := <-ran:
+				if p != 1 {
+					t.Errorf("task ran at place %d while place 0's worker was held", p)
+				}
+			case <-time.After(10 * time.Second):
+				t.Error("place 1 never stole the flexible task")
 			}
-			c.AsyncLoc(0, loc, func(*Ctx) {})
 		})
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	m := rt.Metrics()
-	if m.CacheRefs != 4 {
-		t.Fatalf("CacheRefs = %d, want 4", m.CacheRefs)
-	}
-	if m.CacheMisses < 3 {
-		t.Fatalf("CacheMisses = %d, want >= 3", m.CacheMisses)
+	if m.TasksMigrated != 1 || m.RemoteDataAccess != 3 {
+		t.Fatalf("TasksMigrated = %d, RemoteDataAccess = %d, want 1 migrated task charged 3 remote refs",
+			m.TasksMigrated, m.RemoteDataAccess)
 	}
 }
 

@@ -93,8 +93,8 @@ func (c *Ctx) AsyncAny(p int, body func(*Ctx)) {
 }
 
 // AsyncLoc spawns an activity with full locality attributes: class, data
-// footprint for the cache model, migration payload size and remote
-// reference count for the communication model.
+// footprint (part of the adaptive policy's task signature), migration
+// payload size and remote reference count for the communication model.
 func (c *Ctx) AsyncLoc(p int, loc task.Locality, body func(*Ctx)) {
 	c.checkPlace(p)
 	if body == nil {

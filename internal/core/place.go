@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"distws/internal/cachesim"
 	"distws/internal/deque"
 	"distws/internal/obs"
 	"distws/internal/sched"
@@ -92,9 +91,6 @@ func newPlace(rt *Runtime, id int) *place {
 			// flexible queue; the place's shared deque survives only as a
 			// cold-path inbox for cross-place arrivals.
 			w.flex = deque.NewRelaxed[*activity]()
-		}
-		if rt.cfg.CacheBlocks > 0 {
-			w.cache = cachesim.New(rt.cfg.CacheBlocks)
 		}
 		p.workers[i] = w
 	}
@@ -304,7 +300,6 @@ type worker struct {
 	// mutex-guarded and safe from any goroutine. The owner drains it once
 	// its own priv is empty, and co-located thieves may steal from it.
 	inbox deque.Private[*activity]
-	cache *cachesim.Cache
 	rng   *rand.Rand
 	// victims is sweep-order scratch reused across adaptive remote
 	// steals so victim ordering does not allocate per sweep.
@@ -837,11 +832,6 @@ func (w *worker) run(a *activity, how stealKind) {
 			rt.counters.RemoteDataAccess.Add(int64(a.loc.RemoteRefs))
 			rt.counters.Messages.Add(int64(a.loc.RemoteRefs))
 		}
-	}
-	if w.cache != nil && len(a.loc.Blocks) > 0 {
-		hits, misses := w.cache.TouchAll(a.loc.Blocks)
-		rt.counters.CacheRefs.Add(int64(hits + misses))
-		rt.counters.CacheMisses.Add(int64(misses))
 	}
 
 	rt.record(p.id, w.local, obs.KindTaskStart, -1, int32(a.home), 0)

@@ -55,9 +55,6 @@ type Config struct {
 	MaxThreads int
 	// Seed makes victim selection deterministic for tests. Zero picks 1.
 	Seed int64
-	// CacheBlocks sets the per-worker modelled L1d capacity in blocks; 0
-	// disables cache modelling.
-	CacheBlocks int
 	// IdlePoll is how long an idle worker sleeps between failed
 	// work-finding sweeps. Defaults to 200µs.
 	IdlePoll time.Duration

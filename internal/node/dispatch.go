@@ -1,6 +1,7 @@
 package node
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -110,7 +111,7 @@ type Dispatcher[T any] struct {
 	load    []int               // items registered at each place
 	shed    []bool              // places that refused a send during this pump
 	cursor  int                 // where the next slot search starts
-	rearm   bool                // dispatch progressed: restart the retry window
+	rearm   bool                // dispatch progressed during this Step
 	start   time.Time
 }
 
@@ -187,9 +188,70 @@ func (d *Dispatcher[T]) Drop(id uint64) bool {
 // Live returns how many items are queued or outstanding.
 func (d *Dispatcher[T]) Live() int { return len(d.live) }
 
-// Run is the event loop: it pumps after every event until the policy is
-// finished, then releases the executors with KindShutdown. A cancelled
-// ctx releases them at once and returns ctx.Err().
+// EventKind says what a dispatcher is reacting to.
+type EventKind uint8
+
+const (
+	// Wake is the zero Event: nothing happened to the dispatcher itself, but
+	// the policy's queue or its Finished answer may have changed. It is also
+	// how a driver starts the loop.
+	Wake EventKind = iota
+	// Arrival is a message from the transport, in Event.Msg.
+	Arrival
+	// DetectorTick is one period of the failure detector (Config.Heartbeat).
+	DetectorTick
+	// RetryFire is the retry window running out: RetryAfter has passed
+	// since a Step last reported dispatch progress.
+	RetryFire
+)
+
+// Event is one thing that happens to a dispatcher.
+type Event struct {
+	Kind EventKind
+	Msg  comm.Message // Arrival only
+}
+
+// Step is the whole of the dispatch loop's logic for one event: react to
+// it, pump the queue into whatever windows that opened, and ask the policy
+// whether the loop is over, releasing the executors with KindShutdown if
+// it is. What waits for the next event and keeps the time is a driver:
+// Run on the wall clock and the transport's inbox, service.Simulate on
+// virtual time.
+//
+// progress reports that dispatch moved (an item went out, came back or was
+// given up on), which is the only thing that restarts the retry window: if
+// heartbeats or the detector's tick did, a cadence below RetryAfter would
+// keep RetryFire from ever happening, and one lost KindSpawn to a live,
+// beating executor would never be re-sent. A RetryFire step always reports
+// progress. After done or an error the dispatcher must not be stepped
+// again.
+func (d *Dispatcher[T]) Step(ev Event) (progress, done bool, err error) {
+	d.rearm = false
+	switch ev.Kind {
+	case Arrival:
+		d.handle(ev.Msg)
+	case DetectorTick:
+		d.detect()
+	case RetryFire:
+		d.sweep()
+		d.rearm = true
+	}
+	// Whatever happened may have opened a slot or queued an item, and with
+	// nothing outstanding RetryFire is the cue for items parked after a shed.
+	if err := d.Pump(); err != nil {
+		return false, true, err
+	}
+	if d.Finished() {
+		d.release()
+		return false, true, nil
+	}
+	return d.rearm, false, nil
+}
+
+// Run drives Step from the transport's inbox, a ticker for the failure
+// detector and one timer for the retry window, until the policy is
+// finished. A cancelled ctx releases the executors at once and returns
+// ctx.Err().
 func (d *Dispatcher[T]) Run(ctx context.Context) error {
 	var tick <-chan time.Time
 	if d.Heartbeat > 0 {
@@ -197,16 +259,12 @@ func (d *Dispatcher[T]) Run(ctx context.Context) error {
 		defer t.Stop()
 		tick = t.C
 	}
-	// One timer for the whole run. Only dispatch progress restarts it: if
-	// heartbeats or the detector's tick did, a cadence below RetryAfter
-	// would keep it from ever firing, and one lost KindSpawn to a live,
-	// beating executor would never be re-sent.
 	retry := time.NewTimer(d.RetryAfter)
 	defer retry.Stop()
 	wake := d.Wake
-	err := d.Pump()
-	for err == nil && !d.Finished() {
-		d.rearm = false
+	_, done, err := d.Step(Event{})
+	for !done {
+		var ev Event
 		select {
 		case <-ctx.Done():
 			d.release()
@@ -217,18 +275,14 @@ func (d *Dispatcher[T]) Run(ctx context.Context) error {
 			if !ok {
 				return fmt.Errorf("node: inbox closed with %d item(s) unfinished", len(d.live))
 			}
-			d.handle(m)
+			ev = Event{Kind: Arrival, Msg: m}
 		case <-tick:
-			d.detect()
+			ev.Kind = DetectorTick
 		case <-retry.C:
-			d.sweep()
-			d.rearm = true
+			ev.Kind = RetryFire
 		}
-		// Whatever happened may have opened a slot or queued an item, and
-		// with nothing outstanding the timer's firing is the cue for items
-		// parked after a shed.
-		err = d.Pump()
-		if d.rearm {
+		var progress bool
+		if progress, done, err = d.Step(ev); progress {
 			if !retry.Stop() {
 				select {
 				case <-retry.C:
@@ -238,11 +292,7 @@ func (d *Dispatcher[T]) Run(ctx context.Context) error {
 			retry.Reset(d.RetryAfter)
 		}
 	}
-	if err != nil {
-		return err
-	}
-	d.release()
-	return nil
+	return err
 }
 
 // handle processes one message of the dispatch protocol. Only executor
@@ -328,17 +378,31 @@ func (d *Dispatcher[T]) markDown(p int) {
 	}
 }
 
+// registered returns the items outstanding at place p, or at any executor
+// when p is 0, in ascending id. The registry is a map, and the order in
+// which orphans and re-sends re-enter the policy's queue is the order they
+// go out again: ranging over it directly made that differ from run to run.
+// Only failure paths pay for the sort.
+func (d *Dispatcher[T]) registered(p int) []*item[T] {
+	var its []*item[T]
+	for _, it := range d.live {
+		if it.place != 0 && (p == 0 || it.place == p) {
+			its = append(its, it)
+		}
+	}
+	slices.SortFunc(its, func(a, b *item[T]) int { return cmp.Compare(d.Describe(a.v).ID, d.Describe(b.v).ID) })
+	return its
+}
+
 // lost re-homes everything registered at a place the table just moved to
 // Down, by markDown or by the detector.
 func (d *Dispatcher[T]) lost(p int) {
 	d.Counters.PlacesLost.Add(1)
 	d.logf("dispatch: place %d down, re-homing %d item(s)", p, d.load[p])
-	for _, it := range d.live {
-		if it.place == p {
-			it.place = 0
-			d.Counters.TasksReExecuted.Add(1)
-			d.Requeue(it.v)
-		}
+	for _, it := range d.registered(p) {
+		it.place = 0
+		d.Counters.TasksReExecuted.Add(1)
+		d.Requeue(it.v)
 	}
 	d.load[p] = 0
 }
@@ -347,17 +411,14 @@ func (d *Dispatcher[T]) lost(p int) {
 // no dispatch progress every outstanding item goes back to the queue to be
 // sent again, to whichever executor the cursor reaches.
 func (d *Dispatcher[T]) sweep() {
-	n := 0
-	for _, it := range d.live {
-		if it.place != 0 {
-			d.Counters.Retries.Add(1)
-			d.unregister(it)
-			d.Requeue(it.v)
-			n++
-		}
+	its := d.registered(0)
+	for _, it := range its {
+		d.Counters.Retries.Add(1)
+		d.unregister(it)
+		d.Requeue(it.v)
 	}
-	if n > 0 {
-		d.logf("dispatch: no progress for %v, re-sending %d item(s)", d.RetryAfter, n)
+	if len(its) > 0 {
+		d.logf("dispatch: no progress for %v, re-sending %d item(s)", d.RetryAfter, len(its))
 	}
 }
 
@@ -458,7 +519,7 @@ func (d *Dispatcher[T]) stranded() bool {
 }
 
 // Pump moves queued items into free executor windows until capacity runs
-// out, every executor with room has shed, or the queue drains. Run calls
+// out, every executor with room has shed, or the queue drains. Step calls
 // it after every event; a policy calls it to start executors on their
 // windows before doing work of its own.
 func (d *Dispatcher[T]) Pump() error {

@@ -12,6 +12,12 @@
 // completion for cmd/distws-node; service.Server queues streamed jobs of
 // many tenants for cmd/distws-serve. Executor is the serve loop of every
 // other place, the same for both.
+//
+// Each loop is a step and a driver. Dispatcher.Step and Executor.Start,
+// Handle and Beat hold all the logic and never wait; Dispatcher.Run and
+// Executor.Serve wait on the transport and the wall clock and call them,
+// and service.Simulate calls the same methods from a virtual-time event
+// loop (internal/vtime).
 package node
 
 import (
@@ -215,6 +221,10 @@ type Executor struct {
 
 	inc      atomic.Uint32 // current incarnation (bumped on forced rejoin)
 	draining atomic.Bool
+	done     atomic.Int64   // batches executed and replied to
+	pool     chan struct{}  // worker slots when Concurrency > 1; nil runs each spawn inline
+	wg       sync.WaitGroup // pool workers in flight
+	failed   chan error     // the first pool worker to fail (or, nil, to fail-stop), for Serve's select
 }
 
 // incarnation returns the current incarnation, initializing it from the
@@ -254,152 +264,161 @@ func (e *Executor) Drain() {
 	e.Node.Send(comm.Message{Kind: comm.KindDrain, To: 0, Payload: e.membershipPayload()})
 }
 
-// Serve processes messages until a KindShutdown arrives, the inbox
-// closes, or the CrashAfter budget is spent. It returns the number of
-// batches executed.
-func (e *Executor) Serve() (int, error) {
+// Start validates the executor and, with Announce set, sends the join
+// announcement. A driver calls it once, before the first Handle.
+func (e *Executor) Start() error {
 	if e.Node == nil || e.Run == nil {
-		return 0, fmt.Errorf("node: Executor needs Node and Run")
+		return fmt.Errorf("node: Executor needs Node and Run")
 	}
-	reg := e.Registry
-	if reg == nil {
-		reg = task.DefaultRegistry
+	// With Concurrency > 1 envelopes are still decoded and validated in
+	// order by Handle, then run by up to Concurrency workers, each replying
+	// under its own Seq as it finishes. Replies may therefore overtake each
+	// other — the dispatcher correlates by Seq, never by order.
+	if e.Concurrency > 1 {
+		e.pool = make(chan struct{}, e.Concurrency)
 	}
+	e.failed = make(chan error, 1)
 	if e.Announce {
 		if err := e.Node.Send(comm.Message{Kind: comm.KindJoin, To: 0, Payload: e.membershipPayload()}); err != nil {
-			return 0, fmt.Errorf("node %d: join announcement: %w", e.Place, err)
+			return fmt.Errorf("node %d: join announcement: %w", e.Place, err)
 		}
 	}
+	return nil
+}
+
+// Beat sends one heartbeat to the dispatcher. A driver calls it every
+// Heartbeat, independently of Handle: a beat does not wait for the batch
+// being run. Lossy by design: a shed beat is superseded by the next.
+func (e *Executor) Beat() {
+	e.Node.Send(comm.Message{Kind: comm.KindHeartbeat, To: 0, Payload: e.membershipPayload()})
+}
+
+// Handle processes one message and reports whether the executor is over:
+// released by KindShutdown, stopped by its CrashAfter budget (a fail-stop,
+// so without a goodbye and without an error), or failed. It is the whole
+// of the serve loop's logic; what waits for the next message is a driver,
+// Serve on the transport's inbox or service.Simulate on virtual time.
+func (e *Executor) Handle(m comm.Message) (stop bool, err error) {
+	switch m.Kind {
+	case comm.KindShutdown:
+		e.wg.Wait() // pool workers reply before the goodbye
+		if e.Logf != nil {
+			e.Logf("node %d: done after %d batches", e.Place, e.done.Load())
+		}
+		return true, nil
+	case comm.KindHeartbeat:
+		// The coordinator's ack carries its view of us. Seeing Down
+		// means a partition healed under our feet: the coordinator
+		// evicted us while we kept running. Bump the incarnation and
+		// rejoin — exactly-once is safe because results are
+		// deduplicated by batch id.
+		p, err := member.DecodePayload(m.Payload)
+		if err == nil && p.State == member.Down && !e.draining.Load() &&
+			p.Incarnation >= e.incarnation() {
+			// The ack's incarnation proves the verdict is about our
+			// CURRENT life — a stale ack about an incarnation we
+			// already bumped past (queued behind a work backlog)
+			// must not trigger another rejoin.
+			e.inc.Add(1)
+			if e.Logf != nil {
+				e.Logf("node %d: coordinator saw us down, rejoining with incarnation %d", e.Place, e.inc.Load())
+			}
+			e.Node.Send(comm.Message{Kind: comm.KindJoin, To: 0, Payload: e.membershipPayload()})
+		}
+	case comm.KindSpawn:
+		if e.draining.Load() {
+			// Return the batch unstarted; the coordinator re-homes it.
+			return false, e.Node.Send(comm.Message{Kind: comm.KindSpawnNack, To: 0, Seq: m.Seq})
+		}
+		env, err := task.DecodeEnvelope(m.Payload)
+		if err != nil {
+			return false, err
+		}
+		reg := e.Registry
+		if reg == nil {
+			reg = task.DefaultRegistry
+		}
+		if _, ok := reg.Lookup(env.Name); !ok {
+			return false, fmt.Errorf("node %d: unknown remote task %q", e.Place, env.Name)
+		}
+		if e.pool == nil {
+			// Inline, so CrashAfter fail-stops at an exact batch count.
+			return e.run(m.Seq, env)
+		}
+		e.pool <- struct{}{} // bound the pool; blocks when saturated
+		e.wg.Add(1)
+		go func() {
+			defer e.wg.Done()
+			defer func() { <-e.pool }()
+			if stop, err := e.run(m.Seq, env); stop || err != nil {
+				select {
+				case e.failed <- err:
+				default: // an earlier one already stops the loop
+				}
+			}
+		}()
+	}
+	return false, nil
+}
+
+// run executes one spawn and replies. It reports stop once the CrashAfter
+// budget is spent.
+func (e *Executor) run(seq uint64, env *task.Envelope) (stop bool, err error) {
+	reply, err := e.Run(env.Name, env.Arg)
+	if err != nil {
+		return false, err
+	}
+	if err := e.Node.Send(comm.Message{Kind: comm.KindSpawnDone, To: env.Origin, Seq: seq, Payload: reply}); err != nil {
+		return false, err
+	}
+	n := int(e.done.Add(1))
+	if e.CrashAfter > 0 && n >= e.CrashAfter {
+		if e.Logf != nil {
+			e.Logf("node %d: fail-stop after %d batches", e.Place, n)
+		}
+		return true, nil
+	}
+	if e.DrainAfter > 0 && n >= e.DrainAfter {
+		e.Drain()
+	}
+	return false, nil
+}
+
+// Serve drives Handle from the transport's inbox, and Beat from a ticker,
+// until a KindShutdown arrives, the inbox closes, or the CrashAfter budget
+// is spent. It returns the number of batches executed.
+func (e *Executor) Serve() (int, error) {
+	if err := e.Start(); err != nil {
+		return 0, err
+	}
 	if e.Heartbeat > 0 {
-		stop := make(chan struct{})
-		defer close(stop)
+		quit := make(chan struct{})
+		defer close(quit)
 		go func() {
 			t := time.NewTicker(e.Heartbeat)
 			defer t.Stop()
 			for {
 				select {
-				case <-stop:
+				case <-quit:
 					return
 				case <-t.C:
-					// Lossy by design: a shed beat is superseded by the next.
-					e.Node.Send(comm.Message{Kind: comm.KindHeartbeat, To: 0, Payload: e.membershipPayload()})
+					e.Beat()
 				}
 			}
 		}()
 	}
-	// With Concurrency > 1 envelopes are still decoded and validated in
-	// order on this loop, then run by up to Concurrency workers, each
-	// replying under its own Seq as it finishes. Replies may therefore
-	// overtake each other — the dispatcher correlates by Seq, never by
-	// order.
-	var sem chan struct{} // pool slots; nil runs each spawn inline
-	if e.Concurrency > 1 {
-		sem = make(chan struct{}, e.Concurrency)
-	}
-	errCh := make(chan error, 1) // the first worker failure stops the loop
-	var wg sync.WaitGroup
-	var done atomic.Int64
-	finish := func(err error) (int, error) {
-		wg.Wait()
-		if errors.Is(err, errCrashStop) {
-			err = nil // fail-stop: return without a goodbye
-		}
-		return int(done.Load()), err
-	}
-	// run executes one spawn and replies; errCrashStop once the CrashAfter
-	// budget is spent.
-	run := func(seq uint64, env *task.Envelope) error {
-		reply, err := e.Run(env.Name, env.Arg)
-		if err != nil {
-			return err
-		}
-		if err := e.Node.Send(comm.Message{Kind: comm.KindSpawnDone, To: env.Origin, Seq: seq, Payload: reply}); err != nil {
-			return err
-		}
-		n := int(done.Add(1))
-		if e.CrashAfter > 0 && n >= e.CrashAfter {
-			if e.Logf != nil {
-				e.Logf("node %d: fail-stop after %d batches", e.Place, n)
-			}
-			return errCrashStop
-		}
-		if e.DrainAfter > 0 && n >= e.DrainAfter {
-			e.Drain()
-		}
-		return nil
-	}
 	for {
+		stop, err := true, error(nil)
 		select {
-		case err := <-errCh:
-			return finish(err)
+		case err = <-e.failed:
 		case m, ok := <-e.Node.Inbox():
-			if !ok {
-				return finish(nil)
+			if ok {
+				stop, err = e.Handle(m)
 			}
-			switch m.Kind {
-			case comm.KindShutdown:
-				n, err := finish(nil)
-				if e.Logf != nil {
-					e.Logf("node %d: done after %d batches", e.Place, n)
-				}
-				return n, err
-			case comm.KindHeartbeat:
-				// The coordinator's ack carries its view of us. Seeing Down
-				// means a partition healed under our feet: the coordinator
-				// evicted us while we kept running. Bump the incarnation and
-				// rejoin — exactly-once is safe because results are
-				// deduplicated by batch id.
-				p, err := member.DecodePayload(m.Payload)
-				if err == nil && p.State == member.Down && !e.draining.Load() &&
-					p.Incarnation >= e.incarnation() {
-					// The ack's incarnation proves the verdict is about our
-					// CURRENT life — a stale ack about an incarnation we
-					// already bumped past (queued behind a work backlog)
-					// must not trigger another rejoin.
-					e.inc.Add(1)
-					if e.Logf != nil {
-						e.Logf("node %d: coordinator saw us down, rejoining with incarnation %d", e.Place, e.inc.Load())
-					}
-					e.Node.Send(comm.Message{Kind: comm.KindJoin, To: 0, Payload: e.membershipPayload()})
-				}
-			case comm.KindSpawn:
-				if e.draining.Load() {
-					// Return the batch unstarted; the coordinator re-homes it.
-					if err := e.Node.Send(comm.Message{Kind: comm.KindSpawnNack, To: 0, Seq: m.Seq}); err != nil {
-						return finish(err)
-					}
-					continue
-				}
-				env, err := task.DecodeEnvelope(m.Payload)
-				if err != nil {
-					return finish(err)
-				}
-				if _, ok := reg.Lookup(env.Name); !ok {
-					return finish(fmt.Errorf("node %d: unknown remote task %q", e.Place, env.Name))
-				}
-				if sem == nil {
-					// Inline, so CrashAfter fail-stops at an exact batch count.
-					if err := run(m.Seq, env); err != nil {
-						return finish(err)
-					}
-					continue
-				}
-				sem <- struct{}{} // bound the pool; blocks when saturated
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					defer func() { <-sem }()
-					if err := run(m.Seq, env); err != nil {
-						select {
-						case errCh <- err:
-						default: // an earlier error already stops the loop
-						}
-					}
-				}()
-			}
+		}
+		if stop || err != nil {
+			e.wg.Wait()
+			return int(e.done.Load()), err
 		}
 	}
 }
-
-// errCrashStop signals a CrashAfter fail-stop out of Serve's run step.
-var errCrashStop = errors.New("node: crash budget spent")

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 
+	"distws/internal/metrics"
 	"distws/internal/sched"
 )
 
@@ -295,42 +296,16 @@ func (td *TraceData) WriteUtilizationCSV(w io.Writer, buckets int) error {
 	return bw.Flush()
 }
 
-// histogram is a power-of-two-bucketed latency histogram.
-type histogram struct {
-	counts []int64 // bucket i holds values in [2^i, 2^(i+1)) ns, bucket 0 = [0, 2)
-}
-
-func (h *histogram) add(v int64) {
-	b := 0
-	for x := v; x >= 2 && b < 62; x >>= 1 {
-		b++
-	}
-	for len(h.counts) <= b {
-		h.counts = append(h.counts, 0)
-	}
-	h.counts[b]++
-}
-
-func (h *histogram) render(bw io.Writer, unit string) {
-	var total int64
-	for _, c := range h.counts {
-		total += c
-	}
+// renderHistogram prints h's non-empty log2 buckets, one per line.
+func renderHistogram(bw io.Writer, h *metrics.Histogram, unit string) {
+	total := h.Count()
 	if total == 0 {
 		fmt.Fprintln(bw, "  (none)")
 		return
 	}
-	for b, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		lo := int64(0)
-		if b > 0 {
-			lo = int64(1) << b
-		}
-		hi := int64(1) << (b + 1)
+	h.Buckets(func(lo, hi, c int64) {
 		fmt.Fprintf(bw, "  [%9d, %9d) %s  %6d  %5.1f%%\n", lo, hi, unit, c, 100*float64(c)/float64(total))
-	}
+	})
 }
 
 // WriteSummary writes a human-readable digest of the trace: event and
@@ -340,7 +315,7 @@ func (h *histogram) render(bw io.Writer, unit string) {
 func (td *TraceData) WriteSummary(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	counts := make([]int64, numKinds)
-	var latency histogram
+	var latency metrics.Histogram
 	distance := make([]int64, td.Places)
 	for i := range td.Events {
 		ev := &td.Events[i]
@@ -348,7 +323,7 @@ func (td *TraceData) WriteSummary(w io.Writer) error {
 			counts[ev.Kind]++
 		}
 		if ev.Kind == KindStealRemote {
-			latency.add(ev.Dur)
+			latency.Record(ev.Dur)
 			if d := sched.StealDistance(int(ev.Place), int(ev.Arg)); d >= 0 && d < len(distance) {
 				distance[d]++
 			}
@@ -364,7 +339,7 @@ func (td *TraceData) WriteSummary(w io.Writer) error {
 		counts[KindStealLocal], counts[KindStealRemote], counts[KindStealFail],
 		counts[KindProbe], counts[KindTimeout], counts[KindArrive], counts[KindCrash])
 	fmt.Fprintf(bw, "remote steal latency (%s):\n", td.Unit)
-	latency.render(bw, "ns")
+	renderHistogram(bw, &latency, "ns")
 	fmt.Fprintln(bw, "steal distance (places):")
 	anyDist := false
 	for d, c := range distance {

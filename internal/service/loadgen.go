@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"distws/internal/metrics"
 )
 
 // TenantLoad describes one tenant's traffic in a load run.
@@ -54,7 +56,7 @@ type TenantResult struct {
 	// Nacks counts rejections by reason, indexed by NackCode.
 	Nacks [numNackCodes]int64
 	// Latency observes client-side submit→reply time for completions.
-	Latency Histogram
+	Latency metrics.Histogram
 }
 
 // LoadReport aggregates a load run.

@@ -106,10 +106,9 @@ func (s *Server) Drain() {
 	})
 }
 
-// Serve runs the front door as a node.Dispatcher policy until ctx is
-// cancelled (hard stop: queued jobs are nacked back) or a Drain completes
-// (every admitted job finished). It must be called once.
-func (s *Server) Serve(ctx context.Context) error {
+// start builds the front door as a node.Dispatcher policy. What steps the
+// dispatcher afterwards is a driver: Serve, or Simulate on virtual time.
+func (s *Server) start() error {
 	if len(s.Tenants) == 0 {
 		return fmt.Errorf("service: Server needs at least one tenant config")
 	}
@@ -133,13 +132,24 @@ func (s *Server) Serve(ctx context.Context) error {
 	s.d = d
 	s.adm = NewAdmission(s.Tenants)
 	s.fs = NewFairShare(s.Quantum, s.adm.Weights())
-	if err = d.Run(ctx); err == nil {
+	return nil
+}
+
+// Serve runs the front door until ctx is cancelled (hard stop: queued jobs
+// are nacked back) or a Drain completes (every admitted job finished). It
+// must be called once.
+func (s *Server) Serve(ctx context.Context) error {
+	if err := s.start(); err != nil {
+		return err
+	}
+	err := s.d.Run(ctx)
+	if err == nil {
 		return ErrServerClosed
 	}
 	if ctx.Err() != nil {
 		// Hard stop: bounce every job that is still waiting to go out.
 		for _, it := range s.fs.DrainAll() {
-			if d.Drop(it.Seq) {
+			if s.d.Drop(it.Seq) {
 				s.adm.Complete(it.Job.Tenant)
 				s.reject(it.Client, it.Job, NackDraining, 0)
 			}

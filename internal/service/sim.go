@@ -1,12 +1,18 @@
 package service
 
 import (
-	"container/heap"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
 	"time"
+
+	"distws/internal/comm"
+	"distws/internal/metrics"
+	"distws/internal/node"
+	"distws/internal/task"
+	"distws/internal/vtime"
 )
 
 // SimTenant is one tenant's traffic model in the service simulator.
@@ -23,9 +29,11 @@ type SimTenant struct {
 	Priority uint8
 }
 
-// SimChurn changes the executor capacity mid-run: positive DeltaSlots
-// models places joining, negative models graceful drains (running jobs
-// finish; the capacity loss lands as they complete).
+// SimChurn changes the executor set mid-run: a positive DeltaSlots makes
+// that many absent executors join, a negative one makes that many start a
+// graceful drain (the job each is running finishes, the jobs queued behind
+// it are returned to the front door). The cluster never drains its last
+// executor.
 type SimChurn struct {
 	AtNS       int64
 	DeltaSlots int
@@ -36,7 +44,7 @@ type SimChurn struct {
 // reports — the property the fixed-seed soak pins.
 type SimConfig struct {
 	Seed int64
-	// Slots is the initial executor capacity (concurrent jobs).
+	// Slots is the initial number of executors; each runs one job at a time.
 	Slots int
 	// Quantum scales the DRR credit per visit (0 = 1).
 	Quantum int
@@ -45,28 +53,6 @@ type SimConfig struct {
 	Tenants    []SimTenant
 	Churn      []SimChurn
 }
-
-// simEvent is one heap entry; seq breaks time ties deterministically.
-type simEvent struct {
-	t    int64
-	seq  uint64
-	kind int  // 0 arrival, 1 completion, 2 churn
-	idx  int  // tenant index (arrival) or churn index
-	item Item // completion only
-}
-
-type simHeap []simEvent
-
-func (h simHeap) Len() int { return len(h) }
-func (h simHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
-func (h simHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *simHeap) Push(x any)   { *h = append(*h, x.(simEvent)) }
-func (h *simHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
 // SimTenantResult is one tenant's simulated outcome.
 type SimTenantResult struct {
@@ -109,12 +95,135 @@ func (r *SimReport) Format() string {
 	return b.String()
 }
 
-// Simulate runs the service model on virtual time: Poisson arrivals per
-// tenant feed the real Admission and FairShare code (the same structs the
-// live server runs), jobs occupy executor slots for exponential service
-// times, and churn events grow or shrink capacity mid-stream. Everything
-// derives from cfg.Seed — no wall clock, no map-order dependence — so the
-// report is bit-identical across runs.
+// cluster drives a Server and its Executors on a vtime.Net: the second
+// driver of the loops whose first is Dispatcher.Run and Executor.Serve.
+// Where those block in a select with a ticker and a timer, this one turns
+// every arriving frame, detector period, heartbeat period and retry expiry
+// into one call of the same Step, Handle or Beat, from the one goroutine
+// that steps the net.
+type cluster struct {
+	net   *vtime.Net
+	srv   *Server
+	execs map[int]*node.Executor // the executors still serving, by place
+	// client receives the frames addressed to seats outside the cluster.
+	client func(to int, m comm.Message)
+
+	retryAt int64 // when the retry window runs out
+	done    bool  // the dispatcher finished and released its executors
+	err     error // the first failure of the server or an executor
+}
+
+// newCluster starts srv, which must sit on seat 0 of net, and takes over
+// the net's deliveries.
+func newCluster(net *vtime.Net, srv *Server) (*cluster, error) {
+	if err := srv.start(); err != nil {
+		return nil, err
+	}
+	c := &cluster{net: net, srv: srv, execs: make(map[int]*node.Executor)}
+	net.Deliver = c.deliver
+	c.step(node.Event{})
+	c.retryAt = srv.d.RetryAfter.Nanoseconds()
+	net.At(c.retryAt, c.retry)
+	if hb := srv.Heartbeat.Nanoseconds(); hb > 0 {
+		net.Every(hb, func() bool {
+			c.step(node.Event{Kind: node.DetectorTick})
+			return !c.done
+		})
+	}
+	return c, c.err
+}
+
+// step is the dispatcher's half of the driver: one Step, then the retry
+// window restarted if dispatch progressed.
+func (c *cluster) step(ev node.Event) {
+	if c.done {
+		return
+	}
+	progress, done, err := c.srv.d.Step(ev)
+	c.done = done
+	if err != nil && c.err == nil {
+		c.err = err
+	}
+	if progress {
+		c.retryAt = c.net.Now() + c.srv.d.RetryAfter.Nanoseconds()
+	}
+}
+
+// retry is the retry timer. One callback is pending however often the
+// window restarts: it reads retryAt when it runs and goes back to sleep if
+// the window has moved on. A RetryFire step always moves it.
+func (c *cluster) retry() {
+	if c.done {
+		return
+	}
+	if c.net.Now() >= c.retryAt {
+		c.step(node.Event{Kind: node.RetryFire})
+	}
+	c.net.At(c.retryAt, c.retry)
+}
+
+// add starts ex on its seat: the join announcement, if it makes one, and
+// its heartbeats.
+func (c *cluster) add(ex *node.Executor) error {
+	if err := ex.Start(); err != nil {
+		return err
+	}
+	c.execs[ex.Place] = ex
+	if hb := ex.Heartbeat.Nanoseconds(); hb > 0 {
+		c.net.Every(hb, func() bool {
+			if c.execs[ex.Place] != ex || c.net.Crashed(ex.Place) {
+				return false
+			}
+			ex.Beat()
+			return true
+		})
+	}
+	return nil
+}
+
+// deliver routes an arriving frame to the loop that owns its seat.
+func (c *cluster) deliver(to int, m comm.Message) {
+	switch ex := c.execs[to]; {
+	case to == 0:
+		c.step(node.Event{Kind: node.Arrival, Msg: m})
+	case ex != nil:
+		stop, err := ex.Handle(m)
+		if err != nil && c.err == nil {
+			c.err = err
+		}
+		if stop || err != nil {
+			delete(c.execs, to)
+		}
+	case to >= c.srv.Places && c.client != nil:
+		c.client(to, m)
+	}
+}
+
+// The constants of a simulated cluster. SimConfig describes the offered
+// load; the machine it is offered to is fixed.
+const (
+	// simLinkNS is the one-way latency of every link: half the loopback
+	// TCP mesh round trip in benchmark/README.md's ledger.
+	simLinkNS = 10_000
+	// simHeartbeat is the executors' heartbeat cadence and the front door's
+	// detector period.
+	simHeartbeat = 50 * time.Millisecond
+	// simTask is the one registered task: it works for the duration in its
+	// argument, like distws-serve's svc.sleep.
+	simTask = "sim.work"
+)
+
+// Simulate runs the real service on virtual time: a Server (Admission,
+// FairShare, the node.Dispatcher and its member.Table) at seat 0 of a
+// vtime.Net, cfg.Slots node.Executors on the seats after it, and one
+// client seat per tenant submitting on a Poisson clock until DurationNS.
+// Every submission is a KindSubmit frame, every dispatch a KindSpawn into
+// an executor's window, and a job's exponential service time is virtual
+// time its executor spends before the KindSpawnDone departs. Churn is the
+// real protocol too: Executor.Drain, or a KindJoin from a seat the server
+// listed as Absent. Everything derives from cfg.Seed on one goroutine — no
+// wall clock, no map-order dependence — so the report is bit-identical
+// across runs.
 func Simulate(cfg SimConfig) (*SimReport, error) {
 	if cfg.Slots < 1 {
 		return nil, fmt.Errorf("service: simulate with %d slots, want >= 1", cfg.Slots)
@@ -127,105 +236,118 @@ func Simulate(cfg SimConfig) (*SimReport, error) {
 	}
 	tcfg := make(map[uint32]TenantConfig, len(cfg.Tenants))
 	for _, t := range cfg.Tenants {
-		tcfg[t.Tenant] = t.Config
-	}
-	adm := NewAdmission(tcfg)
-	fs := NewFairShare(cfg.Quantum, adm.Weights())
-	stats := NewStats()
-
-	// Independent arrival streams and one service-time stream: dispatch
-	// order is deterministic, so drawing service times at dispatch is too.
-	arrival := make([]*rand.Rand, len(cfg.Tenants))
-	for i, t := range cfg.Tenants {
-		arrival[i] = rand.New(rand.NewSource(cfg.Seed + int64(t.Tenant)))
-	}
-	svc := rand.New(rand.NewSource(cfg.Seed ^ 0x5eed))
-
-	var h simHeap
-	var seq uint64
-	push := func(e simEvent) {
-		seq++
-		e.seq = seq
-		heap.Push(&h, e)
-	}
-	for i, t := range cfg.Tenants {
 		if t.ArrivalHz <= 0 {
 			return nil, fmt.Errorf("service: tenant %d arrival rate %g, want > 0", t.Tenant, t.ArrivalHz)
 		}
-		push(simEvent{t: int64(arrival[i].ExpFloat64() / t.ArrivalHz * 1e9), kind: 0, idx: i})
+		tcfg[t.Tenant] = t.Config
 	}
-	for i, c := range cfg.Churn {
-		push(simEvent{t: c.AtNS, kind: 2, idx: i})
-	}
-
-	slots, busy := cfg.Slots, 0
-	var now, endNS int64
-	meanSvc := make(map[uint32]int64, len(cfg.Tenants))
-	for _, t := range cfg.Tenants {
-		m := t.MeanServiceNS
-		if m < 1 {
-			m = 1
-		}
-		meanSvc[t.Tenant] = m
-	}
-	pump := func() {
-		for busy < slots {
-			it, ok := fs.Pop()
-			if !ok {
-				return
-			}
-			busy++
-			stats.Tenant(it.Job.Tenant).QueueWait.Record(now - it.AdmittedNS)
-			d := int64(svc.ExpFloat64() * float64(meanSvc[it.Job.Tenant]))
-			if d < 1 {
-				d = 1
-			}
-			push(simEvent{t: now + d, kind: 1, item: it})
+	// Seats: the server, the initial executors, one absent seat for every
+	// executor the churn will add, then the clients.
+	places := 1 + cfg.Slots
+	var absent []int
+	for _, ch := range cfg.Churn {
+		for i := 0; i < ch.DeltaSlots; i++ {
+			absent = append(absent, places)
+			places++
 		}
 	}
+	net := vtime.NewNet(places+len(cfg.Tenants), simLinkNS, nil)
+	reg := task.NewRegistry()
+	reg.Register(simTask, func([]byte) error { return nil })
+	stats := NewStats()
+	var ctrs metrics.Counters
+	srv := &Server{
+		Node: net.Seat(0), Places: places, Tenants: tcfg, Registry: reg, Counters: &ctrs, Stats: stats,
+		Quantum: cfg.Quantum, Heartbeat: simHeartbeat, Absent: absent, Clock: net.Now,
+	}
+	c, err := newCluster(net, srv)
+	if err != nil {
+		return nil, err
+	}
+	var endNS int64
+	c.client = func(_ int, m comm.Message) {
+		if m.Kind == comm.KindJobDone {
+			endNS = net.Now()
+		}
+	}
+	var serving []*node.Executor // not draining, in joining order
+	join := func(p int, announce bool) {
+		seat := net.Seat(p)
+		ex := &node.Executor{
+			Node: seat, Place: p, Registry: reg, Heartbeat: simHeartbeat, Announce: announce,
+			Run: func(_ string, arg []byte) ([]byte, error) {
+				seat.Work(int64(binary.BigEndian.Uint64(arg)))
+				return nil, nil
+			},
+		}
+		serving = append(serving, ex)
+		if err := c.add(ex); err != nil && c.err == nil {
+			c.err = err
+		}
+	}
+	for p := 1; p <= cfg.Slots; p++ {
+		join(p, false)
+	}
+	for _, ch := range cfg.Churn {
+		net.At(ch.AtNS, func() {
+			for i := 0; i < ch.DeltaSlots; i++ {
+				join(absent[0], true)
+				absent = absent[1:]
+			}
+			for i := 0; i > ch.DeltaSlots && len(serving) > 1; i-- {
+				serving[len(serving)-1].Drain()
+				serving = serving[:len(serving)-1]
+			}
+		})
+	}
 
-	for h.Len() > 0 {
-		e := heap.Pop(&h).(simEvent)
-		now = e.t
-		switch e.kind {
-		case 0: // arrival
-			t := cfg.Tenants[e.idx]
-			st := stats.Tenant(t.Tenant)
-			st.Submitted.Add(1)
-			if err := adm.Admit(t.Tenant, now); err != nil {
-				st.Rejected.Add(1)
+	// One stream per tenant draws its inter-arrival gaps and its service
+	// times, so a tenant's offered load does not depend on the others'.
+	var sent int64
+	open := len(cfg.Tenants)
+	for i, t := range cfg.Tenants {
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(t.Tenant)))
+		seat := net.Seat(places + i)
+		gap := func() int64 { return int64(rng.ExpFloat64() / t.ArrivalHz * 1e9) }
+		var id uint64
+		var arrive func()
+		arrive = func() {
+			id++
+			sent++
+			svc := max(int64(rng.ExpFloat64()*float64(t.MeanServiceNS)), 1)
+			job := Job{Tenant: t.Tenant, ID: id, Name: simTask, Priority: t.Priority,
+				Arg: binary.BigEndian.AppendUint64(nil, uint64(svc))}
+			seat.Send(comm.Message{Kind: comm.KindSubmit, To: 0, Seq: id, Payload: AppendJob(nil, job)})
+			if next := net.Now() + gap(); next < cfg.DurationNS {
+				net.At(next, arrive)
 			} else {
-				st.Admitted.Add(1)
-				fs.Push(t.Tenant, Item{Job: Job{Tenant: t.Tenant, Priority: t.Priority}, AdmittedNS: now})
-				pump()
+				open--
 			}
-			next := now + int64(arrival[e.idx].ExpFloat64()/t.ArrivalHz*1e9)
-			if next < cfg.DurationNS {
-				push(simEvent{t: next, kind: 0, idx: e.idx})
-			}
-		case 1: // completion
-			busy--
-			adm.Complete(e.item.Job.Tenant)
-			st := stats.Tenant(e.item.Job.Tenant)
-			st.Completed.Add(1)
-			st.Latency.Record(now - e.item.AdmittedNS)
-			endNS = now
-			pump()
-		case 2: // churn
-			slots += cfg.Churn[e.idx].DeltaSlots
-			if slots < 1 {
-				slots = 1 // the cluster never loses its last slot
-			}
-			pump()
+		}
+		net.At(gap(), arrive)
+	}
+
+	// The run drains once the last submission has reached the front door:
+	// every admitted job still completes, then the executors are released
+	// and, with nothing left to tick, the net runs dry.
+	draining := false
+	for net.Step() && c.err == nil {
+		if !draining && open == 0 && sent == ctrs.JobsSubmitted.Load() {
+			draining = true
+			srv.Drain()
+			c.step(node.Event{})
 		}
 	}
-	if fs.Len() != 0 {
-		return nil, fmt.Errorf("service: simulation ended with %d jobs stranded", fs.Len())
+	if c.err != nil {
+		return nil, c.err
+	}
+	if !c.done {
+		return nil, fmt.Errorf("service: simulation stalled with %d jobs unfinished", srv.d.Live())
 	}
 
 	report := &SimReport{Config: cfg, EndNS: endNS}
 	ids := make([]uint32, 0, len(cfg.Tenants))
-	weights := adm.Weights()
+	weights := srv.adm.Weights()
 	for _, t := range cfg.Tenants {
 		ids = append(ids, t.Tenant)
 	}

@@ -6,78 +6,9 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"distws/internal/metrics"
 )
-
-// histBuckets is the number of log2 latency buckets: bucket i counts
-// observations in [2^i, 2^(i+1)) ns, so the range spans 1ns to ~2.3
-// hours — wide enough for queue waits under overload.
-const histBuckets = 43
-
-// Histogram is a fixed-size log2 histogram of nanosecond durations.
-// Recording is lock-free and allocation-free; quantiles are read from a
-// snapshot of the bucket counts, so a concurrent scrape never tears.
-type Histogram struct {
-	buckets [histBuckets]atomic.Int64
-	count   atomic.Int64
-	sum     atomic.Int64
-}
-
-// bucketOf returns the bucket index for a duration.
-func bucketOf(ns int64) int {
-	if ns < 1 {
-		ns = 1
-	}
-	b := 0
-	for v := ns; v > 1; v >>= 1 {
-		b++
-	}
-	if b >= histBuckets {
-		b = histBuckets - 1
-	}
-	return b
-}
-
-// Record adds one observation.
-func (h *Histogram) Record(ns int64) {
-	h.buckets[bucketOf(ns)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(ns)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Mean returns the mean observation in ns (0 when empty).
-func (h *Histogram) Mean() int64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return h.sum.Load() / n
-}
-
-// Quantile returns an upper bound on the q-quantile (0 < q <= 1) in ns:
-// the top of the first bucket at which the cumulative count reaches
-// q×total. Resolution is one octave — exactly what tail-latency
-// monitoring needs, with no per-sample storage.
-func (h *Histogram) Quantile(q float64) int64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	need := int64(q * float64(total))
-	if need < 1 {
-		need = 1
-	}
-	var cum int64
-	for i := 0; i < histBuckets; i++ {
-		cum += h.buckets[i].Load()
-		if cum >= need {
-			return int64(1) << uint(i+1) // bucket upper bound
-		}
-	}
-	return int64(1) << histBuckets
-}
 
 // TenantStats aggregates one tenant's service-side accounting. Counter
 // fields are atomics so the owning event loop increments while the HTTP
@@ -89,9 +20,9 @@ type TenantStats struct {
 	Completed atomic.Int64 // jobs completed and acked
 	Expired   atomic.Int64 // jobs dropped at their deadline
 	// QueueWait observes admission→dispatch latency per job.
-	QueueWait Histogram
+	QueueWait metrics.Histogram
 	// Latency observes submission→completion latency per job.
-	Latency Histogram
+	Latency metrics.Histogram
 }
 
 // Stats is the per-tenant statistics registry of one service instance.
@@ -174,10 +105,10 @@ func (s *Stats) WritePrometheus(w io.Writer) error {
 	for _, h := range []struct {
 		name string
 		help string
-		get  func(*TenantStats) *Histogram
+		get  func(*TenantStats) *metrics.Histogram
 	}{
-		{"distws_tenant_queue_wait_ns", "Admission-to-dispatch wait per tenant (log2-bucket quantile upper bounds).", func(t *TenantStats) *Histogram { return &t.QueueWait }},
-		{"distws_tenant_latency_ns", "Submission-to-completion latency per tenant (log2-bucket quantile upper bounds).", func(t *TenantStats) *Histogram { return &t.Latency }},
+		{"distws_tenant_queue_wait_ns", "Admission-to-dispatch wait per tenant (log2-bucket quantile upper bounds).", func(t *TenantStats) *metrics.Histogram { return &t.QueueWait }},
+		{"distws_tenant_latency_ns", "Submission-to-completion latency per tenant (log2-bucket quantile upper bounds).", func(t *TenantStats) *metrics.Histogram { return &t.Latency }},
 	} {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s summary\n", h.name, h.help, h.name); err != nil {
 			return err

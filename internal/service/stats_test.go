@@ -6,32 +6,6 @@ import (
 	"testing"
 )
 
-// TestHistogramQuantiles pins the log2 histogram's quantile semantics:
-// each quantile is an upper bound, and they are monotone.
-func TestHistogramQuantiles(t *testing.T) {
-	var h Histogram
-	for i := int64(1); i <= 1000; i++ {
-		h.Record(i)
-	}
-	if h.Count() != 1000 {
-		t.Fatalf("Count = %d, want 1000", h.Count())
-	}
-	p50, p99, p999 := h.Quantile(0.5), h.Quantile(0.99), h.Quantile(0.999)
-	if p50 < 500 {
-		t.Fatalf("p50 bound %d below the true median 500", p50)
-	}
-	if p50 > p99 || p99 > p999 {
-		t.Fatalf("quantiles not monotone: p50=%d p99=%d p999=%d", p50, p99, p999)
-	}
-	if got := h.Mean(); got != 500 {
-		t.Fatalf("Mean = %d, want 500", got)
-	}
-	var empty Histogram
-	if empty.Quantile(0.99) != 0 || empty.Mean() != 0 {
-		t.Fatalf("empty histogram not zero-valued")
-	}
-}
-
 // TestTenantPrometheusGolden pins the per-tenant exposition byte for
 // byte: the /metrics endpoint is a public contract, so any rename,
 // reorder, or format drift must fail here. New series may only be

@@ -126,7 +126,7 @@ func (e *engine) dagRelease(ids []int, from, fromW int) {
 		home := e.dagHome(r)
 		e.ctrs.DAGTasksReleased.Add(1)
 		e.record(home, 0, obs.KindDAGRelease, int32(r), int32(home), 0)
-		e.events.push(event{at: e.now, kind: evSpawn, taskID: r, home: home, from: from, fromW: fromW})
+		e.events.Push(e.now, event{kind: evSpawn, taskID: r, home: home, from: from, fromW: fromW})
 	}
 }
 

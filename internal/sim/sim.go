@@ -37,6 +37,7 @@ import (
 	"distws/internal/task"
 	"distws/internal/topology"
 	"distws/internal/trace"
+	"distws/internal/vtime"
 )
 
 // Options tunes the simulation.
@@ -177,7 +178,6 @@ const (
 )
 
 type event struct {
-	at      int64
 	kind    evKind
 	worker  int   // evWake, evDone
 	taskID  int   // evSpawn, evDone
@@ -245,7 +245,7 @@ type engine struct {
 	policy  sched.Kind
 	opts    Options
 	ctrs    metrics.Counters
-	events  eventHeap
+	events  vtime.Heap[event]
 	now     int64
 	places  []*simPlace
 	workers []*simWorker
@@ -418,7 +418,7 @@ func runEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Opti
 	// heap ordering alone decides what they interrupt.
 	for p := range e.places {
 		if at, ok := e.inj.CrashAtNS(p); ok {
-			e.events.push(event{at: at, kind: evCrash, place: p})
+			e.events.Push(at, event{kind: evCrash, place: p})
 		}
 	}
 	// Churn schedule: late joiners start absent, drains and flap cycles
@@ -428,23 +428,23 @@ func runEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Opti
 	if f := opts.Fault; f != nil {
 		for _, j := range f.Joins {
 			e.places[j.Place].dead = true
-			e.events.push(event{at: j.AtNS, kind: evJoin, place: j.Place})
+			e.events.Push(j.AtNS, event{kind: evJoin, place: j.Place})
 		}
 		for _, d := range f.Drains {
-			e.events.push(event{at: d.AtNS, kind: evDrain, place: d.Place})
+			e.events.Push(d.AtNS, event{kind: evDrain, place: d.Place})
 		}
 		for _, fl := range f.Flaps {
 			period := fl.DownNS + fl.UpNS
 			for i := 0; i < fl.Cycles; i++ {
 				at := fl.AtNS + int64(i)*period
-				e.events.push(event{at: at, kind: evCrash, place: fl.Place})
-				e.events.push(event{at: at + fl.DownNS, kind: evHeal, place: fl.Place})
+				e.events.Push(at, event{kind: evCrash, place: fl.Place})
+				e.events.Push(at+fl.DownNS, event{kind: evHeal, place: fl.Place})
 			}
 		}
 		for _, part := range f.Partitions {
-			e.events.push(event{at: part.AtNS, kind: evPartition, place: len(part.GroupA)})
+			e.events.Push(part.AtNS, event{kind: evPartition, place: len(part.GroupA)})
 			if part.HealNS > 0 {
-				e.events.push(event{at: part.HealNS, kind: evHeal, place: -1})
+				e.events.Push(part.HealNS, event{kind: evHeal, place: -1})
 			}
 		}
 	}
@@ -459,13 +459,13 @@ func runEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Opti
 			if home < 0 || home >= cl.Places {
 				home = 0
 			}
-			e.events.push(event{at: 0, kind: evSpawn, taskID: r, home: home, from: -1, fromW: -1})
+			e.events.Push(0, event{kind: evSpawn, taskID: r, home: home, from: -1, fromW: -1})
 		}
 	}
 
-	for e.events.len() > 0 && e.tasksDone < len(g.Tasks) {
-		ev := e.events.pop()
-		e.now = ev.at
+	for e.events.Len() > 0 && e.tasksDone < len(g.Tasks) {
+		at, ev := e.events.Pop()
+		e.now = at
 		e.eventsHandled++
 		switch ev.kind {
 		case evSpawn:
@@ -622,7 +622,7 @@ func (e *engine) wakeFor(p *simPlace, remotelyStealable bool) {
 		if !w.busy && !w.wakePending {
 			w.wakePending = true
 			p.pendingWakes++
-			e.events.push(event{at: e.now, kind: evWake, worker: w.id})
+			e.events.Push(e.now, event{kind: evWake, worker: w.id})
 			return
 		}
 	}
@@ -639,7 +639,7 @@ func (e *engine) wakeFor(p *simPlace, remotelyStealable bool) {
 				w.wakePending = true
 				q.pendingWakes++
 				e.remoteRR = (e.remoteRR + off + 1) % len(e.places)
-				e.events.push(event{at: e.now, kind: evWake, worker: w.id})
+				e.events.Push(e.now, event{kind: evWake, worker: w.id})
 				return
 			}
 		}
@@ -711,7 +711,7 @@ func (e *engine) handleArrive(ev event) {
 			} else {
 				e.ctrs.TasksOffloaded.Add(1)
 			}
-			e.events.push(event{at: e.now, kind: evSpawn, taskID: id,
+			e.events.Push(e.now, event{kind: evSpawn, taskID: id,
 				home: e.aliveHome(ev.place), from: -1, fromW: -1, requeue: true})
 		}
 		e.putBatch(ev.batch)
@@ -791,7 +791,7 @@ func (e *engine) crashPlace(p *simPlace) {
 	for i, id := range orphans {
 		e.ctrs.TasksReExecuted.Add(1)
 		delay := e.cl.Net.TransferNS(e.g.Tasks[id].MigBytes)
-		e.events.push(event{at: e.now + delay, kind: evSpawn, taskID: id,
+		e.events.Push(e.now+delay, event{kind: evSpawn, taskID: id,
 			home: e.aliveHome(p.id + 1 + i), from: -1, fromW: -1, requeue: true})
 	}
 }
@@ -849,7 +849,7 @@ func (e *engine) drainPlace(p *simPlace) {
 	for i, id := range moved {
 		e.ctrs.TasksOffloaded.Add(1)
 		delay := e.cl.Net.TransferNS(e.g.Tasks[id].MigBytes)
-		e.events.push(event{at: e.now + delay, kind: evSpawn, taskID: id,
+		e.events.Push(e.now+delay, event{kind: evSpawn, taskID: id,
 			home: e.aliveHome(p.id + 1 + i), from: -1, fromW: -1, requeue: true})
 	}
 	if p.running == 0 {
@@ -1065,7 +1065,7 @@ func (e *engine) stealRemote(w *simWorker) bool {
 		e.record(w.place.id, w.local, obs.KindStealRemote, int32(chunk[0]), int32(v), delay)
 		if len(chunk) > 1 {
 			batch := append(e.getBatch(), chunk[1:]...)
-			e.events.push(event{at: e.now + delay, kind: evArrive, place: w.place.id, batch: batch})
+			e.events.Push(e.now+delay, event{kind: evArrive, place: w.place.id, batch: batch})
 		}
 		e.ctrs.RemoteProbes.Add(probes)
 		e.ctrs.Messages.Add(messages)
@@ -1215,7 +1215,7 @@ func (e *engine) serveLifelines(p *simPlace) {
 			e.ctrs.BytesTransferred.Add(int64(t.MigBytes))
 			e.ctrs.RemoteSteals.Add(1)
 			arrive := e.now + e.cl.Net.TransferNS(t.MigBytes)
-			e.events.push(event{at: arrive, kind: evArrive, place: q, batch: append(e.getBatch(), id)})
+			e.events.Push(arrive, event{kind: evArrive, place: q, batch: append(e.getBatch(), id)})
 		}
 	}
 }
@@ -1317,7 +1317,7 @@ func (e *engine) start(w *simWorker, id int, startDelay int64) {
 	}
 	doneAt := e.now + service
 	w.busyNS += service
-	e.events.push(event{at: doneAt, kind: evDone, worker: w.id, taskID: id})
+	e.events.Push(doneAt, event{kind: evDone, worker: w.id, taskID: id})
 
 	// Children become available during the parent's execution. A task
 	// re-executed after a crash has already scheduled its children; the
@@ -1340,7 +1340,7 @@ func (e *engine) start(w *simWorker, id int, startDelay int64) {
 		if home < 0 || home >= len(e.places) {
 			home = 0
 		}
-		e.events.push(event{at: at, kind: evSpawn, taskID: c, home: home, from: p.id, fromW: w.id})
+		e.events.Push(at, event{kind: evSpawn, taskID: c, home: home, from: p.id, fromW: w.id})
 	}
 }
 

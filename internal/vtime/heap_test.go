@@ -1,4 +1,4 @@
-package sim
+package vtime
 
 import (
 	"math/rand"
@@ -9,15 +9,20 @@ import (
 // reused many times over — must pop in (at, push order) order, and a
 // freed slot must not keep its event's batch alive.
 func TestEventHeapOrderAndSlotReuse(t *testing.T) {
+	type event struct {
+		at    int64
+		id    int // push-order stamp
+		batch []int
+	}
 	rng := rand.New(rand.NewSource(5))
 	for round := 0; round < 50; round++ {
-		var h eventHeap
-		pushed := 0         // doubles as the push-order stamp, carried in taskID
+		var h Heap[event]
+		pushed := 0
 		var pending []event // reference: the multiset of events in the heap
 		popMin := func() event {
 			best := 0
 			for i, e := range pending {
-				if e.at < pending[best].at || (e.at == pending[best].at && e.taskID < pending[best].taskID) {
+				if e.at < pending[best].at || (e.at == pending[best].at && e.id < pending[best].id) {
 					best = i
 				}
 			}
@@ -29,30 +34,31 @@ func TestEventHeapOrderAndSlotReuse(t *testing.T) {
 		for op := 0; op < 400; op++ {
 			if len(pending) == 0 || rng.Intn(5) < 3 {
 				// Few distinct timestamps: ties are the common case.
-				e := event{at: int64(rng.Intn(8)), kind: evArrive, taskID: pushed, batch: []int{pushed}}
+				e := event{at: int64(rng.Intn(8)), id: pushed, batch: []int{pushed}}
 				pushed++
-				h.push(e)
+				h.Push(e.at, e)
 				pending = append(pending, e)
 			} else {
-				got, want := h.pop(), popMin()
-				if got.at != want.at || got.taskID != want.taskID {
+				at, got := h.Pop()
+				want := popMin()
+				if at != want.at || got.id != want.id {
 					t.Fatalf("round %d op %d: popped (at %d, #%d), want (at %d, #%d)",
-						round, op, got.at, got.taskID, want.at, want.taskID)
+						round, op, at, got.id, want.at, want.id)
 				}
-				if len(got.batch) != 1 || got.batch[0] != got.taskID {
-					t.Fatalf("round %d op %d: event #%d came back with batch %v", round, op, got.taskID, got.batch)
+				if len(got.batch) != 1 || got.batch[0] != got.id {
+					t.Fatalf("round %d op %d: event #%d came back with batch %v", round, op, got.id, got.batch)
 				}
 			}
-			if h.len() != len(pending) {
-				t.Fatalf("round %d op %d: len = %d, want %d", round, op, h.len(), len(pending))
+			if h.Len() != len(pending) {
+				t.Fatalf("round %d op %d: len = %d, want %d", round, op, h.Len(), len(pending))
 			}
 			if len(pending) > peak {
 				peak = len(pending)
 			}
 		}
 		for len(pending) > 0 {
-			if got, want := h.pop(), popMin(); got.taskID != want.taskID {
-				t.Fatalf("round %d drain: popped #%d, want #%d", round, got.taskID, want.taskID)
+			if _, got := h.Pop(); got.id != popMin().id {
+				t.Fatalf("round %d drain: popped #%d out of order", round, got.id)
 			}
 		}
 		if len(h.slab) != peak || len(h.free) != peak {
