@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-smoke fuzz-smoke deque-parity dag-parity exhibit-golden chaos soak serve-soak loc
+.PHONY: all build test race vet check bench bench-smoke fuzz-smoke deque-parity dag-parity exhibit-golden chaos soak serve-soak loc coverage-ledger
 
 all: check
 
@@ -129,12 +129,12 @@ soak:
 # Server and Executors on virtual time: the dispatch-liveness seed sweeps
 # and the fixed-seed simulation, rerun and compared bit for bit
 # (in-process and again through the distws-load -sim -verify CLI).
+LOAD_SIM := -sim -verify -seed 7 -slots 4 -duration 2s -churn "500ms:-2;1s:+2" \
+	-spec "1:w=1,arrival=5000,svc=1ms,inflight=32;2:w=3,arrival=5000,svc=1ms,inflight=32"
 serve-soak:
 	$(GO) test -race -count=1 -v -run 'TestServe' -timeout 10m .
 	$(GO) test -race -count=1 -run 'TestService|TestRunLoad|TestSimulate|TestShedJob|TestLongJob|TestLostSpawn' -timeout 10m ./internal/service
-	$(GO) run ./cmd/distws-load -sim -verify -seed 7 -slots 4 -duration 2s \
-		-churn "500ms:-2;1s:+2" \
-		-spec "1:w=1,arrival=5000,svc=1ms,inflight=32;2:w=3,arrival=5000,svc=1ms,inflight=32"
+	$(GO) run ./cmd/distws-load $(LOAD_SIM)
 
 # Non-test Go lines per package, and the total outside benchmark/: the
 # figure ROADMAP.md and a simplicity PR's CHANGES.md entry quote, counted
@@ -146,6 +146,37 @@ loc:
 		if (dir !~ /^benchmark/) total += $$1 } \
 		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
 		printf "%7d  total outside benchmark/\n", total }'
+
+# Coverage ledger (ROADMAP item 4): the functions outside benchmark/, cmd/
+# and examples/ that (1) nothing reaches and (2) only tests reach. "Reached
+# by the program" is what coverage-instrumented builds of the commands and
+# the benchmark execute on the exhibit run, the benchmark's smoke run and
+# the serve-soak simulation; "reached by tests" is the whole suite with
+# -coverpkg=./... . List (1) is deletion candidates (facade re-exports and
+# interface methods no caller happens to use excepted), list (2) is where
+# to ask whether the test or the program is missing something. Not part of
+# `check`; needs go >= 1.20 for `go build -cover`, runs offline, ~1 min.
+coverage-ledger:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	mkdir "$$dir/bin" "$$dir/prog" "$$dir/test"; \
+	$(GO) build -cover -coverpkg=./... -o "$$dir/bin/" ./cmd/... ./benchmark; \
+	export GOCOVERDIR="$$dir/prog"; \
+	"$$dir/bin/distws-experiments" -seed 1 > /dev/null; \
+	"$$dir/bin/benchmark" -quick -seconds 0.3 -out "" > /dev/null; \
+	"$$dir/bin/distws-load" $(LOAD_SIM) > /dev/null; \
+	unset GOCOVERDIR; \
+	$(GO) test -count=1 -cover -coverpkg=./... ./... -args -test.gocoverdir="$$dir/test" > /dev/null; \
+	$(GO) tool covdata func -i="$$dir/prog,$$dir/test" > "$$dir/all.txt"; \
+	$(GO) tool covdata func -i="$$dir/prog" | awk ' \
+		$$1 ~ /^distws\/(benchmark|cmd|examples)\// || $$1 == "total" { next } \
+		{ sub(/^distws\//, "", $$1); k = $$1 " " $$2 } \
+		FNR == NR { all[k] = $$3 + 0; next } \
+		!(k in all) { next } \
+		all[k] == 0 { none[++n] = k; next } \
+		$$3 + 0 == 0 { tests[++m] = k } \
+		END { printf "(1) reached by nothing: %d function(s)\n", n; for (i = 1; i <= n; i++) print "  " none[i]; \
+		      printf "(2) reached only by tests: %d function(s)\n", m; for (i = 1; i <= m; i++) print "  " tests[i] }' \
+		"$$dir/all.txt" -
 
 # Fault-injection suite only (also part of `test`).
 chaos:

@@ -43,12 +43,13 @@
 //
 // # Transports
 //
-// A Runtime hosts every place in one process over the in-process
-// transport (TransportInproc, the Config.Transport zero value). The
-// distributed transports — TransportTCPHub (star topology, place 0
-// routes) and TransportTCPMesh (peer-to-peer, lazily dialed links, write
-// coalescing) — connect one process per place; they are opened by the
-// node layer, not by New. See cmd/distws-node and its -transport flag.
+// A Runtime hosts every place in one process and has no transport to
+// choose: its places exchange work through shared memory. The Transport
+// constants name the message layers comm.Open connects processes with —
+// TransportInproc (in-process channels), TransportTCPHub (star topology,
+// place 0 routes) and TransportTCPMesh (peer-to-peer, lazily dialed
+// links, write coalescing) — which the node layer drives, one process per
+// place. See cmd/distws-node and its -transport flag.
 // ParseTransport resolves the flag spellings "inproc", "tcp-hub", and
 // "tcp-mesh".
 //
@@ -121,7 +122,7 @@ type (
 	TraceRecorder = obs.Recorder
 	// TraceRecorderOptions tunes a TraceRecorder (ring capacity).
 	TraceRecorderOptions = obs.RecorderOptions
-	// Transport selects the inter-place message layer (Config.Transport).
+	// Transport names an inter-place message layer for comm.Open.
 	Transport = comm.Transport
 	// DequeKind selects the worker-queue implementation (Config.Deque).
 	DequeKind = deque.Kind
@@ -133,10 +134,10 @@ type (
 	BackpressureError = comm.BackpressureError
 )
 
-// Transports for Config.Transport and comm.Open.
+// Transports for comm.Open.
 const (
 	// TransportInproc connects places through in-process channels — the
-	// default, and the only transport a single-process Runtime accepts.
+	// zero value.
 	TransportInproc = comm.TransportInproc
 	// TransportTCPHub is the star topology: one process per place, place 0
 	// routes all spoke-to-spoke traffic (two hops).

@@ -56,8 +56,4 @@ func TestFacadeTransport(t *testing.T) {
 	if TransportInproc.String() != "inproc" {
 		t.Fatalf("zero-value transport should spell inproc")
 	}
-	cfg := Config{Cluster: LaptopCluster(), Policy: DistWS, Transport: TransportTCPHub}
-	if _, err := New(cfg); err == nil {
-		t.Fatalf("New must reject distributed transports (one process per place)")
-	}
 }

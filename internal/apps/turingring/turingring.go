@@ -335,26 +335,3 @@ func cellBlocks(cell, nb int) []uint64 {
 }
 
 var _ apps.App = (*App)(nil)
-
-// DebugMaxShift reports the largest single-iteration body-count ratio seen
-// across a full run (used to validate the burst model).
-func (a *App) DebugMaxShift() float64 {
-	cur := a.initial()
-	next := make([]Cell, len(cur))
-	maxRatio := 1.0
-	for iter := 0; iter < a.Iters; iter++ {
-		for i := range cur {
-			next[i] = a.stepCell(cur, i, iter)
-			before, after := float64(bodies(cur[i])+1), float64(bodies(next[i])+1)
-			r := after / before
-			if r < 1 {
-				r = 1 / r
-			}
-			if r > maxRatio {
-				maxRatio = r
-			}
-		}
-		cur, next = next, cur
-	}
-	return maxRatio
-}

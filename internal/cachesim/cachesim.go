@@ -62,9 +62,6 @@ func New(capacity int) *Cache {
 	}
 }
 
-// Capacity returns the configured block capacity.
-func (c *Cache) Capacity() int { return c.capacity }
-
 // Len returns the number of resident blocks.
 func (c *Cache) Len() int { return int(c.used) }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"distws/internal/deque"
 	"distws/internal/fault"
 	"distws/internal/sched"
 	"distws/internal/topology"
@@ -55,6 +56,49 @@ func chaosCluster() topology.Cluster {
 	return topology.Cluster{Places: 4, WorkersPerPlace: 2}
 }
 
+// chaosFanOut is chaosSum for steal-path faults under the relaxed kind.
+// chaosSum's one-shot burst from the root leaves every flexible queue
+// empty (see TestReceiverInitiatedStealing), so no receiver-initiated
+// request is ever posted and no fault can hit one; this grows that test's
+// recursive flexible fan-out from place 0 instead — 2^(depth+1)-1 tasks —
+// and checks every one executed exactly once.
+func chaosFanOut(t *testing.T, cfg Config, depth int) *Runtime {
+	t.Helper()
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	var count atomic.Int64
+	var spawn func(c *Ctx, depth int)
+	spawn = func(c *Ctx, depth int) {
+		count.Add(1)
+		time.Sleep(10 * time.Microsecond)
+		for i := 0; i < 2 && depth > 0; i++ {
+			c.AsyncAny(c.Place(), func(c *Ctx) { spawn(c, depth-1) })
+		}
+	}
+	if err := rt.Run(func(ctx *Ctx) {
+		ctx.Finish(func(c *Ctx) { spawn(c, depth) })
+	}); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	want := int64(1)<<(depth+1) - 1
+	if got := count.Load(); got != want {
+		t.Fatalf("executed %d activities, want %d", got, want)
+	}
+	return rt
+}
+
+// eachDequeKind runs body once per worker-queue kind: the fault and churn
+// cases below take the kind as one more input, so the receiver-initiated
+// steal (relaxed) meets the same drops, partitions, crashes and drains as
+// the sender-initiated one.
+func eachDequeKind(t *testing.T, body func(t *testing.T, k deque.Kind)) {
+	for _, k := range deque.Kinds() {
+		t.Run(k.String(), func(t *testing.T) { body(t, k) })
+	}
+}
+
 func TestCrashedPlaceWorkIsReExecuted(t *testing.T) {
 	rt := chaosSum(t, Config{
 		Cluster: chaosCluster(),
@@ -72,6 +116,28 @@ func TestCrashedPlaceWorkIsReExecuted(t *testing.T) {
 	if s.TasksReExecuted == 0 {
 		t.Fatalf("a loaded place crashed; queued tasks should be re-executed")
 	}
+}
+
+// TestCrashCompletesOnEveryKind is the crash above per worker-queue kind,
+// checking completion only (chaosSum's exact sum): how many tasks were
+// still queued when the place died, and so re-executed, is a schedule the
+// test does not control.
+func TestCrashCompletesOnEveryKind(t *testing.T) {
+	eachDequeKind(t, func(t *testing.T, k deque.Kind) {
+		rt := chaosSum(t, Config{
+			Cluster: chaosCluster(),
+			Policy:  sched.DistWS,
+			Seed:    7,
+			Deque:   k,
+			Fault: &fault.Plan{
+				Crashes: []fault.Crash{{Place: 1, AfterTasks: 3}},
+			},
+		}, 400)
+		defer rt.Shutdown()
+		if s := rt.Metrics(); s.PlacesLost != 1 {
+			t.Fatalf("PlacesLost = %d, want 1", s.PlacesLost)
+		}
+	})
 }
 
 func TestCrashUnderX10WSStillCompletes(t *testing.T) {
@@ -94,44 +160,71 @@ func TestCrashUnderX10WSStillCompletes(t *testing.T) {
 
 func TestLossySteals(t *testing.T) {
 	// All work homed at place 0: remote thieves must steal through a
-	// lossy fabric, so timeouts, retries, and drops accumulate while the
-	// result stays exact.
-	rt, err := New(Config{
-		Cluster:      chaosCluster(),
-		Policy:       sched.DistWS,
-		Seed:         7,
-		StealTimeout: 20 * time.Microsecond,
-		Fault:        &fault.Plan{Seed: 3, DropProb: 0.3},
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer rt.Shutdown()
-	const n = 300
-	var count atomic.Int64
-	err = rt.Run(func(ctx *Ctx) {
-		ctx.Finish(func(c *Ctx) {
-			for i := 0; i < n; i++ {
-				c.AsyncAny(0, func(*Ctx) {
-					time.Sleep(20 * time.Microsecond)
-					count.Add(1)
-				})
+	// lossy, slow, duplicating fabric, so timeouts, retries, and drops
+	// accumulate while the result stays exact.
+	eachDequeKind(t, func(t *testing.T, k deque.Kind) {
+		cfg := Config{
+			Cluster:      chaosCluster(),
+			Policy:       sched.DistWS,
+			Seed:         7,
+			Deque:        k,
+			StealTimeout: 20 * time.Microsecond,
+			Fault: &fault.Plan{
+				Seed:     3,
+				DropProb: 0.3,
+				DupProb:  0.3,
+				Grays:    []fault.Gray{{From: -1, To: 0, ExtraNS: 5_000}},
+			},
+		}
+		var rt *Runtime
+		if k == deque.KindRelaxed {
+			rt = chaosFanOut(t, cfg, 9)
+		} else {
+			var err error
+			if rt, err = New(cfg); err != nil {
+				t.Fatalf("New: %v", err)
 			}
-		})
+			const n = 300
+			var count atomic.Int64
+			err = rt.Run(func(ctx *Ctx) {
+				ctx.Finish(func(c *Ctx) {
+					for i := 0; i < n; i++ {
+						c.AsyncAny(0, func(*Ctx) {
+							time.Sleep(20 * time.Microsecond)
+							count.Add(1)
+						})
+					}
+				})
+			})
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if count.Load() != n {
+				t.Fatalf("executed %d of %d under loss", count.Load(), n)
+			}
+		}
+		rt.Shutdown() // idle thieves keep probing; read the counters at rest
+		s := rt.Metrics()
+		if s.TasksExecuted != s.TasksSpawned {
+			t.Fatalf("executed %d of %d spawned", s.TasksExecuted, s.TasksSpawned)
+		}
+		if s.DroppedMessages == 0 || s.StealTimeouts == 0 {
+			t.Fatalf("30%% loss recorded no faults: %v", s)
+		}
+		if s.Retries == 0 {
+			t.Fatalf("timeouts should be retried with backoff: %v", s)
+		}
+		if s.DuplicatedMessages == 0 {
+			t.Fatalf("30%% duplication recorded no duplicated reply: %v", s)
+		}
+		if s.Messages < 2*s.RemoteProbes {
+			t.Fatalf("every probe is a message pair: Messages = %d, RemoteProbes = %d", s.Messages, s.RemoteProbes)
+		}
+		if k == deque.KindRelaxed && s.StealRequests != s.RemoteProbes {
+			t.Fatalf("every receiver-initiated probe is one steal request: StealRequests = %d, RemoteProbes = %d",
+				s.StealRequests, s.RemoteProbes)
+		}
 	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if count.Load() != n {
-		t.Fatalf("executed %d of %d under loss", count.Load(), n)
-	}
-	s := rt.Metrics()
-	if s.DroppedMessages == 0 || s.StealTimeouts == 0 {
-		t.Fatalf("30%% loss recorded no faults: %v", s)
-	}
-	if s.Retries == 0 {
-		t.Fatalf("timeouts should be retried with backoff: %v", s)
-	}
 }
 
 func TestCrashWithLifelines(t *testing.T) {

@@ -39,7 +39,6 @@ type place struct {
 	shared  deque.Shared[*activity]
 
 	running  atomic.Int32  // activities currently executing here
-	queued   atomic.Int32  // activities queued here (private + shared)
 	spawnSeq atomic.Uint64 // per-place spawn counter (DistWS-NS round robin)
 
 	// active is the §VI-B place status bit: set when an activity is
@@ -97,33 +96,30 @@ func newPlace(rt *Runtime, id int) *place {
 	return p
 }
 
-// queuesEmpty reports whether nothing is queued at the place. The queued
-// counter is exact under the strict deque kinds; under the relaxed queues
-// duplicate takes make it a heuristic, so drain logic inspects the queues
-// themselves.
-func (p *place) queuesEmpty() bool {
-	if !p.rt.receiver {
-		return p.queued.Load() == 0
-	}
-	if p.shared.Len() != 0 {
-		return false
-	}
+// queueLen reports how many activities sit in the place's queues. Nothing
+// mirrors the queues: the few callers that need the figure (a drain, its
+// trace event) read it from the queues themselves, so the spawn and take
+// paths pay nothing for it and duplicate takes under the relaxed kind
+// cannot make it drift.
+func (p *place) queueLen() int {
+	n := p.shared.Len()
 	for _, w := range p.workers {
-		if w.priv.Len() != 0 || w.inbox.Len() != 0 || w.flex.Len() != 0 {
-			return false
+		n += w.priv.Len() + w.inbox.Len()
+		if w.flex != nil {
+			n += w.flex.Len()
 		}
 	}
-	return true
+	return n
 }
 
-// donatable reports whether any worker's flexible queue holds work a
-// receiver-initiated donation could hand out. Remote thieves use this for
-// their skip heuristic instead of the queued counter: duplicate takes
-// under multiplicity drift that counter (serveMail decrements for a task
-// whose other copy was already claimed and decremented), and a negative
-// drift would otherwise hide a victim with real backlog from every remote
-// thief permanently.
+// donatable reports how much queued work the place could hand a remote
+// thief: the shared deque under the sender-initiated protocol, the
+// workers' flexible queues under the receiver-initiated one (where the
+// shared deque is only the cold-path inbox for arrivals).
 func (p *place) donatable() int {
+	if !p.rt.receiver {
+		return p.shared.Len()
+	}
 	n := 0
 	for _, w := range p.workers {
 		n += w.flex.Len()
@@ -142,34 +138,31 @@ func (p *place) startWorkers() {
 	}
 }
 
-// load captures the Algorithm-1 inputs for task mapping. The queued
-// counter can drift negative under the relaxed queues' duplicate takes;
-// clamp it so a drifted place does not under-report its Size.
+// load captures the Algorithm-1 inputs for task mapping. Size leaves the
+// queued activities out: the thread ceiling here is the worker count, so
+// Algorithm 1's third clause (Size < MaxThreads) can hold only while
+// running < WorkersPerPlace, which is its second clause (Spares > 0), and
+// counting the queues could never change a mapping. (Not so in the
+// simulator, where wakes already committed to queued work are taken out
+// of Spares and the two clauses separate.)
 func (p *place) load() sched.PlaceLoad {
+	workers := p.rt.cfg.Cluster.WorkersPerPlace
 	running := int(p.running.Load())
-	queued := int(p.queued.Load())
-	if queued < 0 {
-		queued = 0
-	}
 	return sched.PlaceLoad{
 		Active:     p.active.Load(),
-		Spares:     p.rt.cfg.Cluster.WorkersPerPlace - running,
-		Size:       running + queued,
-		MaxThreads: p.rt.cfg.MaxThreads,
+		Spares:     workers - running,
+		Size:       running,
+		MaxThreads: workers,
 	}
 }
 
 func (p *place) nextSeq() uint64 { return p.spawnSeq.Add(1) }
 
-// enqueue places a freshly mapped activity in the chosen deque flavour and
-// wakes idle workers. Assigning work (re)activates the place (§VI-B).
+// enqueue places a freshly mapped activity in the chosen deque flavour.
 // spawner, when non-nil and co-located, receives private-target tasks in
 // its own deque (X10 help-first: spawned work stays with the spawner until
 // stolen).
 func (p *place) enqueue(a *activity, target sched.Target, spawner *worker) {
-	p.queued.Add(1)
-	p.active.Store(true)
-	p.failedSweeps.Store(0)
 	if target == sched.TargetShared {
 		if w := spawner; p.rt.receiver && w != nil && w.place == p {
 			// Receiver-initiated mode, spawn boundary: the spawning owner
@@ -196,16 +189,7 @@ func (p *place) enqueue(a *activity, target sched.Target, spawner *worker) {
 		w := p.workers[int(p.rrWorker.Add(1))%len(p.workers)]
 		w.inbox.Push(a)
 	}
-	p.wakeAll()
-	// A spawn racing the place's crash or drain may land after the
-	// respective queue sweep: both paths set their flag before sweeping,
-	// so re-checking here and re-sweeping guarantees the activity is not
-	// stranded.
-	if p.dead.Load() {
-		p.rt.rescue(p)
-	} else if p.draining.Load() {
-		p.rt.offload(p)
-	}
+	p.assigned()
 }
 
 // enqueueStolen inserts tasks obtained by a distributed steal into this
@@ -214,9 +198,17 @@ func (p *place) enqueue(a *activity, target sched.Target, spawner *worker) {
 func (p *place) enqueueStolen(chunk []*activity) {
 	p.rt.record(p.id, 0, obs.KindArrive, -1, int32(len(chunk)), 0)
 	for _, a := range chunk {
-		p.queued.Add(1)
 		p.shared.Push(a)
 	}
+	p.assigned()
+}
+
+// assigned follows every push into one of the place's queues: assigning
+// work (re)activates the place (§VI-B) and wakes its idle workers. A push
+// racing the place's crash or drain may land after the respective queue
+// sweep: both paths set their flag before sweeping, so re-checking here
+// and re-sweeping guarantees the activity is not stranded.
+func (p *place) assigned() {
 	p.active.Store(true)
 	p.failedSweeps.Store(0)
 	p.wakeAll()
@@ -256,7 +248,6 @@ func (p *place) serveLifelines() {
 			continue
 		}
 		if a, ok := p.shared.Poll(); ok {
-			p.queued.Add(-1)
 			p.rt.counters.Messages.Add(1)
 			p.rt.counters.BytesTransferred.Add(int64(a.loc.MigrationBytes))
 			p.rt.counters.RemoteSteals.Add(1) // lifeline push counts as a balanced transfer
@@ -358,7 +349,6 @@ func (w *worker) serveMail() {
 		chunk = append(chunk, a)
 	}
 	if len(chunk) > 0 {
-		w.place.queued.Add(-int32(len(chunk)))
 		rt.counters.Donations.Add(1)
 		rt.record(w.place.id, w.local, obs.KindDonate, -1, int32(len(chunk)), 0)
 	}
@@ -424,7 +414,6 @@ func (w *worker) findWork() (*activity, stealKind) {
 			break
 		}
 		if w.claim(a) {
-			p.queued.Add(-1)
 			return a, tookOwn
 		}
 	}
@@ -435,7 +424,6 @@ func (w *worker) findWork() (*activity, stealKind) {
 			break
 		}
 		if w.claim(a) {
-			p.queued.Add(-1)
 			return a, tookOwn
 		}
 	}
@@ -447,7 +435,6 @@ func (w *worker) findWork() (*activity, stealKind) {
 				break
 			}
 			if w.claim(a) {
-				p.queued.Add(-1)
 				return a, tookOwn
 			}
 		}
@@ -458,18 +445,15 @@ func (w *worker) findWork() (*activity, stealKind) {
 	for off := 1; off < len(p.workers); off++ {
 		peer := p.workers[(w.local+off)%len(p.workers)]
 		if a, ok := peer.priv.Steal(); ok && w.claim(a) {
-			p.queued.Add(-1)
 			p.rt.record(p.id, w.local, obs.KindStealLocal, -1, int32(peer.local), 0)
 			return a, tookLocalSteal
 		}
 		if a, ok := peer.inbox.Steal(); ok && w.claim(a) {
-			p.queued.Add(-1)
 			p.rt.record(p.id, w.local, obs.KindStealLocal, -1, int32(peer.local), 0)
 			return a, tookLocalSteal
 		}
 		if rcv {
 			if a, ok := peer.flex.Steal(); ok && w.claim(a) {
-				p.queued.Add(-1)
 				p.rt.record(p.id, w.local, obs.KindStealLocal, -1, int32(peer.local), 0)
 				return a, tookLocalSteal
 			}
@@ -483,7 +467,6 @@ func (w *worker) findWork() (*activity, stealKind) {
 			break
 		}
 		if w.claim(a) {
-			p.queued.Add(-1)
 			return a, tookSharedLocal
 		}
 	}
@@ -496,33 +479,35 @@ func (w *worker) findWork() (*activity, stealKind) {
 	return nil, tookOwn
 }
 
-// stealRemote sweeps remote places' shared deques in randomized order,
-// taking a chunk from the first victim with surplus. The first task is
-// returned for execution; the remainder go to the thief place's shared
-// deque. Every probe is a request/reply message pair. Places marked down
-// are excluded from the sweep, and a probe lost to an injected link fault
-// costs the thief a steal timeout followed by retries under exponential
-// backoff with jitter.
+// stealRemote is the distributed steal (Algorithm 1 lines 14–29): sweep
+// the remote places in randomized order — latency-biased under the adapt
+// controller — run one request/reply round trip against each live victim,
+// and stop at the first that yields work. The first task is returned for
+// execution; the remainder are queued at the thief's place. Places marked
+// down are excluded from the sweep.
+//
+// Sender-initiated stealing (the paper's protocol: the thief takes a chunk
+// from the victim's shared deque) and receiver-initiated stealing
+// (deque.KindRelaxed: the thief posts a request and a victim worker
+// donates half its flexible queue at its next task boundary) share this
+// sweep and roundTrip; they differ only where rt.receiver is tested.
 func (w *worker) stealRemote() *activity {
-	rt := w.place.rt
-	if rt.receiver {
-		return w.stealRemoteReceiver()
-	}
+	p := w.place
+	rt := p.rt
 	chunkSize := sched.RemoteChunk(rt.cfg.Policy)
 	if rt.ctrl != nil {
-		chunkSize = rt.ctrl.Chunk(w.place.id)
+		chunkSize = rt.ctrl.Chunk(p.id)
 	}
 	// Acquisition latency (probe round trips, backoff waits, transfer) is
-	// only measured when tracing is on or the adapt controller needs it to
-	// bias victim selection; the plain path stays clock-free.
-	timing := rt.rec != nil || rt.ctrl != nil
+	// measured only for whoever reads it: the whole sweep for the trace,
+	// each probe for the adapt controller's victim bias.
 	var sweepStart time.Time
-	if timing {
+	if rt.rec != nil {
 		sweepStart = time.Now()
 	}
-	victims := sched.VictimOrder(rt.cfg.Policy, w.place.id, len(rt.places), w.rng)
+	victims := sched.VictimOrder(rt.cfg.Policy, p.id, len(rt.places), w.rng)
 	if rt.ctrl != nil {
-		w.victims = rt.ctrl.AppendVictimOrder(w.victims[:0], w.place.id, w.rng)
+		w.victims = rt.ctrl.AppendVictimOrder(w.victims[:0], p.id, w.rng)
 		victims = w.victims
 	}
 	for _, v := range victims {
@@ -530,85 +515,30 @@ func (w *worker) stealRemote() *activity {
 		if victim.dead.Load() || victim.draining.Load() {
 			continue
 		}
+		if rt.receiver && victim.donatable() == 0 {
+			// Don't park a request for nothing. A sender-initiated thief
+			// cannot see the victim's queue without the probe, so it pays
+			// the message pair (the paper's Table III counts them).
+			continue
+		}
 		var probeStart time.Time
 		if rt.ctrl != nil {
 			probeStart = time.Now()
 		}
-		chunk := w.probeVictim(victim, chunkSize)
-		if chunk == nil {
-			if rt.ctrl != nil {
-				rt.ctrl.ObserveSteal(w.place.id, v, time.Since(probeStart).Nanoseconds(), 0, 0)
+		chunk := w.roundTrip(victim, chunkSize)
+		if rt.ctrl != nil {
+			left := 0
+			if len(chunk) > 0 {
+				left = victim.donatable()
 			}
-			continue
+			rt.ctrl.ObserveSteal(p.id, v, time.Since(probeStart).Nanoseconds(), len(chunk), left)
 		}
-		if rt.ctrl != nil {
-			rt.ctrl.ObserveSteal(w.place.id, v, time.Since(probeStart).Nanoseconds(),
-				len(chunk), victim.shared.Len())
-		}
-		victim.queued.Add(-int32(len(chunk)))
-		rt.counters.RemoteSteals.Add(int64(len(chunk)))
-		if rt.rec != nil {
-			rt.rec.Record(w.place.id, w.local, obs.KindStealRemote, -1, int32(v),
-				time.Since(sweepStart).Nanoseconds())
-		}
-		var bytes int64
-		for _, a := range chunk {
-			bytes += int64(a.loc.MigrationBytes)
-		}
-		rt.counters.BytesTransferred.Add(bytes)
-		first := chunk[0]
-		if len(chunk) > 1 {
-			w.place.enqueueStolen(chunk[1:])
-		}
-		return first
-	}
-	return nil
-}
-
-// stealRemoteReceiver is the receiver-initiated counterpart of
-// stealRemote (deque.KindRelaxed): instead of reaching into a victim's
-// shared deque, the idle thief posts a steal request into one victim
-// worker's mailbox and waits for that owner to donate half its flexible
-// queue at its next task boundary. The victim's hot path never takes a
-// lock on the thief's behalf.
-func (w *worker) stealRemoteReceiver() *activity {
-	rt := w.place.rt
-	timing := rt.rec != nil || rt.ctrl != nil
-	var sweepStart time.Time
-	if timing {
-		sweepStart = time.Now()
-	}
-	victims := sched.VictimOrder(rt.cfg.Policy, w.place.id, len(rt.places), w.rng)
-	if rt.ctrl != nil {
-		w.victims = rt.ctrl.AppendVictimOrder(w.victims[:0], w.place.id, w.rng)
-		victims = w.victims
-	}
-	for _, v := range victims {
-		victim := rt.places[v]
-		if victim.dead.Load() || victim.draining.Load() {
-			continue
-		}
-		if victim.donatable() == 0 {
-			continue // nothing to donate; don't park a request for nothing
-		}
-		var probeStart time.Time
-		if rt.ctrl != nil {
-			probeStart = time.Now()
-		}
-		chunk := w.receiverProbe(victim)
 		if len(chunk) == 0 {
-			if rt.ctrl != nil {
-				rt.ctrl.ObserveSteal(w.place.id, v, time.Since(probeStart).Nanoseconds(), 0, 0)
-			}
 			continue
-		}
-		if rt.ctrl != nil {
-			rt.ctrl.ObserveSteal(w.place.id, v, time.Since(probeStart).Nanoseconds(),
-				len(chunk), victim.donatable())
 		}
 		rt.counters.RemoteSteals.Add(int64(len(chunk)))
 		if rt.rec != nil {
-			rt.rec.Record(w.place.id, w.local, obs.KindStealRemote, -1, int32(v),
+			rt.rec.Record(p.id, w.local, obs.KindStealRemote, -1, int32(v),
 				time.Since(sweepStart).Nanoseconds())
 		}
 		var bytes int64
@@ -616,33 +546,29 @@ func (w *worker) stealRemoteReceiver() *activity {
 			bytes += int64(a.loc.MigrationBytes)
 		}
 		rt.counters.BytesTransferred.Add(bytes)
-		// The first claimable task runs now; the rest go into this
-		// worker's own flexible queue (an owner push — no shared
-		// structure involved) where co-located workers can steal them.
-		p := w.place
+		// The first claimable task runs now: chunk[0] under the strict
+		// kinds, while a relaxed donation may lead with duplicates.
 		var first *activity
-		kept := 0
-		for _, a := range chunk {
-			if first == nil {
-				if w.claim(a) {
-					first = a
-				}
-				continue
+		for first == nil && len(chunk) > 0 {
+			if w.claim(chunk[0]) {
+				first = chunk[0]
 			}
-			w.flex.Push(a)
-			kept++
+			chunk = chunk[1:]
 		}
-		if kept > 0 {
-			p.queued.Add(int32(kept))
-			p.active.Store(true)
-			p.failedSweeps.Store(0)
-			rt.record(p.id, w.local, obs.KindArrive, -1, int32(kept), 0)
-			p.wakeAll()
-			if p.dead.Load() {
-				rt.rescue(p)
-			} else if p.draining.Load() {
-				rt.offload(p)
+		// The rest stay where co-located workers can take them without a
+		// distributed steal of their own (§V-B3): the place's shared
+		// deque, or the thief's own flexible queue — an owner push, no
+		// shared structure involved.
+		switch {
+		case len(chunk) == 0:
+		case rt.receiver:
+			for _, a := range chunk {
+				w.flex.Push(a)
 			}
+			rt.record(p.id, w.local, obs.KindArrive, -1, int32(len(chunk)), 0)
+			p.assigned()
+		default:
+			p.enqueueStolen(chunk)
 		}
 		if first != nil {
 			return first
@@ -652,28 +578,28 @@ func (w *worker) stealRemoteReceiver() *activity {
 	return nil
 }
 
-// receiverProbe runs one receiver-initiated steal round trip: CAS a
-// request into a victim worker's mailbox, wake the victim's idle workers,
-// and wait for the donation. The same injected-fault vocabulary as
-// probeVictim applies — a lost request or reply burns a steal timeout and
-// retries under backoff. A mailbox already occupied by another thief
-// counts as a failed probe; requests never queue. A request the owner has
-// not answered within the steal timeout is withdrawn, unless the owner
-// claimed it concurrently, in which case the donation is already in
-// flight on the buffered reply channel.
-func (w *worker) receiverProbe(victim *place) []*activity {
-	rt := w.place.rt
+// roundTrip runs the steal request/reply exchange against one victim and
+// returns what the victim handed over. Every attempt is a message pair.
+// When the injected fault plan loses the request or the reply — to a link
+// fault or an active partition window — the thief waits out one steal
+// timeout, then retries under exponential backoff with jitter, up to
+// Config.StealMaxAttempts requests, before giving the victim up for this
+// sweep.
+func (w *worker) roundTrip(victim *place, chunkSize int) []*activity {
+	p := w.place
+	rt := p.rt
 	for attempt := 0; ; attempt++ {
 		rt.counters.RemoteProbes.Add(1)
-		rt.counters.StealRequests.Add(1)
-		rt.counters.Messages.Add(2) // steal-req + donation reply
-		rt.record(w.place.id, w.local, obs.KindProbe, -1, int32(victim.id), 0)
-		now := rt.nowNS()
-		if rt.inj.PartitionedAt(w.place.id, victim.id, now) ||
-			rt.inj.Drop(w.place.id, victim.id) || rt.inj.Drop(victim.id, w.place.id) {
+		if rt.receiver {
+			rt.counters.StealRequests.Add(1)
+		}
+		rt.counters.Messages.Add(2) // request + reply
+		rt.record(p.id, w.local, obs.KindProbe, -1, int32(victim.id), 0)
+		lost, extraNS, dup := rt.inj.RoundTrip(p.id, victim.id, rt.nowNS())
+		if lost {
 			rt.counters.DroppedMessages.Add(1)
 			rt.counters.StealTimeouts.Add(1)
-			rt.record(w.place.id, w.local, obs.KindTimeout, -1, int32(victim.id), 0)
+			rt.record(p.id, w.local, obs.KindTimeout, -1, int32(victim.id), 0)
 			if attempt+1 >= rt.cfg.StealMaxAttempts {
 				return nil
 			}
@@ -684,92 +610,61 @@ func (w *worker) receiverProbe(victim *place) []*activity {
 			}
 			continue
 		}
-		delay := rt.inj.SpikeNS(w.place.id, victim.id) +
-			rt.inj.GrayNS(w.place.id, victim.id, now) + rt.inj.GrayNS(victim.id, w.place.id, now)
-		if delay > 0 {
-			time.Sleep(time.Duration(delay))
+		if extraNS > 0 {
+			time.Sleep(time.Duration(extraNS))
 		}
-		if rt.inj.Duplicate(victim.id, w.place.id) {
-			rt.counters.Messages.Add(1)
-			rt.counters.DuplicatedMessages.Add(1)
-		}
-		target := victim.workers[int(victim.rrWorker.Add(1))%len(victim.workers)]
-		req := &donateReq{reply: make(chan []*activity, 1)}
-		if !target.mail.CompareAndSwap(nil, req) {
-			return nil // another thief's request is parked there
-		}
-		victim.wakeAll() // idle victim workers answer promptly
-		select {
-		case chunk := <-req.reply:
-			return chunk
-		case <-time.After(rt.cfg.StealTimeout):
-			if target.mail.CompareAndSwap(req, nil) {
-				// Withdrawn: the owner never reached a communication
-				// boundary in time.
-				rt.counters.StealTimeouts.Add(1)
-				rt.record(w.place.id, w.local, obs.KindTimeout, -1, int32(victim.id), 0)
-				return nil
-			}
-			return <-req.reply
-		case <-rt.stopCh:
-			if target.mail.CompareAndSwap(req, nil) {
-				return nil
-			}
-			// The owner claimed the request before we could withdraw it:
-			// a donation (already deducted from the victim's accounting)
-			// is in flight on the buffered reply. Drain it and re-home
-			// the tasks rather than dropping them on the floor.
-			if chunk := <-req.reply; len(chunk) > 0 {
-				w.place.enqueueStolen(chunk)
-			}
-			return nil
-		}
-	}
-}
-
-// probeVictim performs the steal request/reply round trip against one
-// victim. When fault injection loses the request or the reply, the thief
-// waits out one steal timeout, then retries under exponential backoff
-// with jitter, up to Config.StealMaxAttempts requests, before giving the
-// victim up for this sweep.
-func (w *worker) probeVictim(victim *place, chunkSize int) []*activity {
-	rt := w.place.rt
-	for attempt := 0; ; attempt++ {
-		rt.counters.RemoteProbes.Add(1)
-		rt.counters.Messages.Add(2) // steal-req + steal-resp
-		rt.record(w.place.id, w.local, obs.KindProbe, -1, int32(victim.id), 0)
-		now := rt.nowNS()
-		if rt.inj.PartitionedAt(w.place.id, victim.id, now) ||
-			rt.inj.Drop(w.place.id, victim.id) || rt.inj.Drop(victim.id, w.place.id) {
-			// Request or reply lost — to a link fault or an active
-			// partition window: the thief burns a timeout and retries.
-			rt.counters.DroppedMessages.Add(1)
-			rt.counters.StealTimeouts.Add(1)
-			rt.record(w.place.id, w.local, obs.KindTimeout, -1, int32(victim.id), 0)
-			if attempt+1 >= rt.cfg.StealMaxAttempts {
-				return nil
-			}
-			rt.counters.Retries.Add(1)
-			time.Sleep(backoffJitter(rt.cfg.StealTimeout, attempt, w.rng))
-			if victim.dead.Load() || victim.draining.Load() || rt.shutdown.Load() {
-				return nil
-			}
-			continue
-		}
-		// Gray links degrade silently: both directions pay the injected
-		// extra latency on top of any spike.
-		delay := rt.inj.SpikeNS(w.place.id, victim.id) +
-			rt.inj.GrayNS(w.place.id, victim.id, now) + rt.inj.GrayNS(victim.id, w.place.id, now)
-		if delay > 0 {
-			time.Sleep(time.Duration(delay))
-		}
-		if rt.inj.Duplicate(victim.id, w.place.id) {
+		if dup {
 			// The reply arrives twice; dedup absorbs the copy, but the
 			// extra message is real traffic.
 			rt.counters.Messages.Add(1)
 			rt.counters.DuplicatedMessages.Add(1)
 		}
+		if rt.receiver {
+			return w.requestDonation(victim)
+		}
 		return victim.shared.StealChunk(chunkSize)
+	}
+}
+
+// requestDonation is the receiver-initiated hand-over: CAS a request into
+// one victim worker's mailbox, wake the victim's idle workers, and wait
+// for that owner to donate at its next task boundary (serveMail), so the
+// victim's hot path never takes a lock on the thief's behalf. A mailbox
+// already occupied by another thief counts as a failed probe; requests
+// never queue. A request the owner has not answered within the steal
+// timeout is withdrawn, unless the owner claimed it concurrently, in which
+// case the donation is already in flight on the buffered reply channel.
+func (w *worker) requestDonation(victim *place) []*activity {
+	rt := w.place.rt
+	target := victim.workers[int(victim.rrWorker.Add(1))%len(victim.workers)]
+	req := &donateReq{reply: make(chan []*activity, 1)}
+	if !target.mail.CompareAndSwap(nil, req) {
+		return nil // another thief's request is parked there
+	}
+	victim.wakeAll() // idle victim workers answer promptly
+	select {
+	case chunk := <-req.reply:
+		return chunk
+	case <-time.After(rt.cfg.StealTimeout):
+		if target.mail.CompareAndSwap(req, nil) {
+			// Withdrawn: the owner never reached a communication
+			// boundary in time.
+			rt.counters.StealTimeouts.Add(1)
+			rt.record(w.place.id, w.local, obs.KindTimeout, -1, int32(victim.id), 0)
+			return nil
+		}
+		return <-req.reply
+	case <-rt.stopCh:
+		if target.mail.CompareAndSwap(req, nil) {
+			return nil
+		}
+		// The owner claimed the request before we could withdraw it: a
+		// donation is in flight on the buffered reply. Drain it and
+		// re-home the tasks rather than dropping them on the floor.
+		if chunk := <-req.reply; len(chunk) > 0 {
+			w.place.enqueueStolen(chunk)
+		}
+		return nil
 	}
 }
 
@@ -837,20 +732,23 @@ func (w *worker) run(a *activity, how stealKind) {
 	rt.record(p.id, w.local, obs.KindTaskStart, -1, int32(a.home), 0)
 	start := time.Now()
 	ctx := &Ctx{rt: rt, placeID: p.id, worker: w, fin: a.fin}
+	var elapsed int64
 	func() {
 		defer a.fin.done()
 		defer func() {
 			if v := recover(); v != nil {
 				a.fin.fail(v)
 			}
+			// Accounted before the finish is released: once Run returns,
+			// every activity it waited for reads as executed and timed.
+			elapsed = time.Since(start).Nanoseconds()
+			rt.util.AddBusy(p.id, elapsed)
+			rt.record(p.id, w.local, obs.KindTaskEnd, -1, 0, elapsed)
+			rt.counters.TasksExecuted.Add(1)
+			p.running.Add(-1)
 		}()
 		a.body(ctx)
 	}()
-	elapsed := time.Since(start).Nanoseconds()
-	rt.util.AddBusy(p.id, elapsed)
-	rt.record(p.id, w.local, obs.KindTaskEnd, -1, 0, elapsed)
-	rt.counters.TasksExecuted.Add(1)
-	p.running.Add(-1)
 
 	// Feed the measured service time back to the adapt controller. The
 	// in-process runtime has no instrumented data-locality penalty (no

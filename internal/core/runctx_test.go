@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"distws/internal/comm"
 	"distws/internal/sched"
 )
 
@@ -114,21 +113,4 @@ func TestShutdownContextDeadline(t *testing.T) {
 	if err := rt.ShutdownContext(context.Background()); err != nil {
 		t.Fatalf("follow-up ShutdownContext: %v", err)
 	}
-}
-
-func TestConfigRejectsDistributedTransport(t *testing.T) {
-	for _, tr := range []comm.Transport{comm.TransportTCPHub, comm.TransportTCPMesh} {
-		cfg := testConfig(sched.DistWS, 2, 1)
-		cfg.Transport = tr
-		if _, err := New(cfg); err == nil {
-			t.Fatalf("New with %v should fail: a Runtime is single-process", tr)
-		}
-	}
-	cfg := testConfig(sched.DistWS, 2, 1)
-	cfg.Transport = comm.TransportInproc
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatalf("inproc transport must stay accepted: %v", err)
-	}
-	rt.Shutdown()
 }

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"distws/internal/adapt"
-	"distws/internal/comm"
 	"distws/internal/deque"
 	"distws/internal/fault"
 	"distws/internal/metrics"
@@ -42,17 +41,8 @@ type Config struct {
 	// Cluster describes places and workers per place. Defaults to
 	// topology.Laptop() when zero.
 	Cluster topology.Cluster
-	// Transport selects the inter-place message layer. A Runtime hosts all
-	// places in one process, so only comm.TransportInproc (the zero value)
-	// is accepted here; the distributed transports (tcp-hub, tcp-mesh) are
-	// opened with comm.Open and driven by the node layer — see
-	// cmd/distws-node.
-	Transport comm.Transport
 	// Policy selects the scheduling algorithm. Default DistWS.
 	Policy sched.Kind
-	// MaxThreads is the per-place activity ceiling used by the
-	// under-utilization test of Algorithm 1. Defaults to WorkersPerPlace.
-	MaxThreads int
 	// Seed makes victim selection deterministic for tests. Zero picks 1.
 	Seed int64
 	// IdlePoll is how long an idle worker sleeps between failed
@@ -96,9 +86,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Cluster.Places == 0 && c.Cluster.WorkersPerPlace == 0 {
 		c.Cluster = topology.Laptop()
-	}
-	if c.MaxThreads <= 0 {
-		c.MaxThreads = c.Cluster.WorkersPerPlace
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -177,9 +164,6 @@ func (rt *Runtime) sleepUntil(atNS int64) bool {
 // New starts a runtime: all worker goroutines are live on return.
 func New(cfg Config) (*Runtime, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Transport != comm.TransportInproc {
-		return nil, fmt.Errorf("core: transport %v needs one process per place — open it with comm.Open (see cmd/distws-node); a Runtime only runs %v", cfg.Transport, comm.TransportInproc)
-	}
 	if err := cfg.Cluster.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -235,7 +219,7 @@ func New(cfg Config) (*Runtime, error) {
 		for _, j := range cfg.Fault.Joins {
 			p := rt.places[j.Place]
 			rt.timers = append(rt.timers, time.AfterFunc(time.Duration(j.AtNS), func() {
-				rt.joinPlace(p)
+				rt.revive(p, false)
 			}))
 		}
 		for _, d := range cfg.Fault.Drains {
@@ -261,7 +245,7 @@ func New(cfg Config) (*Runtime, error) {
 					if !rt.sleepUntil(at + fl.DownNS) {
 						return
 					}
-					rt.healPlace(p)
+					rt.revive(p, true)
 				}
 			}()
 		}
@@ -490,7 +474,6 @@ func (rt *Runtime) rehomeQueued(p *place, reexec bool) {
 		}
 		orphans = uniq
 	}
-	p.queued.Add(-int32(len(orphans)))
 	for i, a := range orphans {
 		if reexec {
 			rt.counters.TasksReExecuted.Add(1)
@@ -507,39 +490,32 @@ func (rt *Runtime) rehomeQueued(p *place, reexec bool) {
 	}
 }
 
-// joinPlace brings an absent (late-joining) place into the cluster: its
-// workers start and acquire work by stealing, and spawns may be homed
-// there from now on.
-func (rt *Runtime) joinPlace(p *place) {
+// revive starts fresh workers at a down place, which then acquire work
+// by stealing; spawns may be homed there from now on. It serves a late
+// joiner's arrival (rejoin false) and the up edge of a flap (rejoin true):
+// that outage was a crash — queued work was re-homed and re-executed — but
+// the place rejoins instead of staying evicted.
+func (rt *Runtime) revive(p *place, rejoin bool) {
 	rt.churnMu.Lock()
 	defer rt.churnMu.Unlock()
 	if rt.shutdown.Load() || !p.dead.Load() {
 		return
 	}
 	p.wg.Wait() // let any previous worker generation exit fully
-	rt.down.Revive(p.id)
+	// Clear dead before the down set forgets the place: a spawn that still
+	// reads dead re-homes through NextAlive, which must not hand the place
+	// back while enqueue's dead re-check would take the arrival for an
+	// orphan and count it re-executed.
 	p.draining.Store(false)
 	p.dead.Store(false)
-	rt.counters.MembershipJoins.Add(1)
-	rt.record(p.id, 0, obs.KindJoin, -1, 1, 0)
-	p.startWorkers()
-}
-
-// healPlace recovers a flapped place: the outage was a crash (queued work
-// was re-homed and re-executed), but the place rejoins with fresh workers
-// instead of staying evicted, and steals its way back in.
-func (rt *Runtime) healPlace(p *place) {
-	rt.churnMu.Lock()
-	defer rt.churnMu.Unlock()
-	if rt.shutdown.Load() || !p.dead.Load() {
-		return
+	rt.down.Revive(p.id)
+	if rejoin {
+		rt.counters.MembershipRejoins.Add(1)
+		rt.record(p.id, 0, obs.KindHeal, -1, int32(p.id), 0)
+	} else {
+		rt.counters.MembershipJoins.Add(1)
+		rt.record(p.id, 0, obs.KindJoin, -1, 1, 0)
 	}
-	p.wg.Wait() // let the crashed worker generation exit fully
-	rt.down.Revive(p.id)
-	p.draining.Store(false)
-	p.dead.Store(false)
-	rt.counters.MembershipRejoins.Add(1)
-	rt.record(p.id, 0, obs.KindHeal, -1, int32(p.id), 0)
 	p.startWorkers()
 }
 
@@ -578,7 +554,7 @@ func (rt *Runtime) DrainPlace(pid int) error {
 	// back.
 	rt.down.MarkDown(pid)
 	rt.counters.MembershipDrains.Add(1)
-	rt.record(pid, 0, obs.KindDrain, -1, int32(p.queued.Load()), 0)
+	rt.record(pid, 0, obs.KindDrain, -1, int32(p.queueLen()), 0)
 	rt.offload(p)
 	// Wait for in-flight activities to finish, then release the workers.
 	// Two consecutive idle observations close the window where a worker
@@ -587,7 +563,7 @@ func (rt *Runtime) DrainPlace(pid int) error {
 		if rt.shutdown.Load() {
 			return ErrShutdown
 		}
-		if p.running.Load() == 0 && p.queuesEmpty() {
+		if p.running.Load() == 0 && p.queueLen() == 0 {
 			idle++
 		} else {
 			idle = 0
@@ -599,6 +575,3 @@ func (rt *Runtime) DrainPlace(pid int) error {
 	p.wakeAll()
 	return nil
 }
-
-// placeLoad exposes load introspection to white-box tests.
-func (rt *Runtime) placeLoad(p int) sched.PlaceLoad { return rt.places[p].load() }

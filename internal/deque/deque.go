@@ -230,18 +230,6 @@ func (d *Shared[T]) StealChunkAppend(dst []T, k int) []T {
 	return dst
 }
 
-// StealBestAppend is Ring.StealBestAppend in one critical section; score
-// runs under the deque's lock.
-func (d *Shared[T]) StealBestAppend(dst []T, k int, score func(T) int64) []T {
-	if k <= 0 {
-		return dst
-	}
-	d.mu.Lock()
-	dst = d.r.StealBestAppend(dst, k, score)
-	d.mu.Unlock()
-	return dst
-}
-
 // Len returns the current number of queued elements.
 func (d *Shared[T]) Len() int {
 	d.mu.Lock()

@@ -111,9 +111,9 @@ func TestSharedStealChunkNonPositive(t *testing.T) {
 }
 
 func TestSharedStealBest(t *testing.T) {
-	var d Shared[int]
+	var d Ring[int]
 	for _, v := range []int{10, 30, 20, 30} {
-		d.Push(v)
+		d.PushBack(v)
 	}
 	// Highest score first; the tied 30s come out oldest-first.
 	got := d.StealBestAppend(nil, 3, func(v int) int64 { return int64(v) })
@@ -121,8 +121,8 @@ func TestSharedStealBest(t *testing.T) {
 		t.Fatalf("StealBestAppend = %v, want [30 30 20]", got)
 	}
 	// The untaken remainder keeps FIFO order.
-	if v, ok := d.Poll(); !ok || v != 10 {
-		t.Fatalf("Poll after StealBestAppend = %v, %v", v, ok)
+	if v, ok := d.PopFront(); !ok || v != 10 {
+		t.Fatalf("PopFront after StealBestAppend = %v, %v", v, ok)
 	}
 	if got := d.StealBestAppend(nil, 2, func(int) int64 { return 0 }); len(got) != 0 {
 		t.Fatalf("StealBestAppend on empty = %v", got)
@@ -130,10 +130,10 @@ func TestSharedStealBest(t *testing.T) {
 }
 
 func TestSharedStealBestConstantScoreIsFIFO(t *testing.T) {
-	var a, b Shared[int]
+	var a, b Ring[int]
 	for i := 0; i < 9; i++ {
-		a.Push(i)
-		b.Push(i)
+		a.PushBack(i)
+		b.PushBack(i)
 	}
 	fifo := a.StealChunkAppend(nil, 4)
 	best := b.StealBestAppend(nil, 4, func(int) int64 { return 7 })
@@ -254,7 +254,7 @@ func TestRingPrivateSharedAgree(t *testing.T) {
 		var (
 			ringP, ringS, ringBest Ring[int]
 			priv                   Private[int]
-			shared, sharedBest     Shared[int]
+			shared                 Shared[int]
 			modelP, modelS         []int // oldest first
 			next                   int
 		)
@@ -268,7 +268,6 @@ func TestRingPrivateSharedAgree(t *testing.T) {
 				ringS.PushBack(next)
 				ringBest.PushBack(next)
 				shared.Push(next)
-				sharedBest.Push(next)
 				modelS = append(modelS, next)
 			case 2: // deque ends: LIFO pop on even k, FIFO steal on odd
 				var want, a, b int
@@ -290,7 +289,7 @@ func TestRingPrivateSharedAgree(t *testing.T) {
 				if okA != wantOK || okB != wantOK || a != want || b != want {
 					return false
 				}
-			case 3: // chunked steal of k%5-1 (so -1 and 0 occur), all four ways
+			case 3: // chunked steal of k%5-1 (so -1 and 0 occur), all three ways
 				k = k%5 - 1
 				want := modelS[:max(0, min(k, len(modelS)))]
 				modelS = modelS[len(want):]
@@ -298,7 +297,6 @@ func TestRingPrivateSharedAgree(t *testing.T) {
 					ringS.StealChunkAppend(nil, k),
 					ringBest.StealBestAppend(nil, k, constant),
 					shared.StealChunkAppend(nil, k),
-					sharedBest.StealBestAppend(nil, k, constant),
 				} {
 					if !slices.Equal(got, want) {
 						return false
@@ -307,7 +305,7 @@ func TestRingPrivateSharedAgree(t *testing.T) {
 			}
 			if ringP.Len() != len(modelP) || priv.Len() != len(modelP) ||
 				ringS.Len() != len(modelS) || ringBest.Len() != len(modelS) ||
-				shared.Len() != len(modelS) || sharedBest.Len() != len(modelS) {
+				shared.Len() != len(modelS) {
 				return false
 			}
 		}

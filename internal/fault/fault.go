@@ -447,6 +447,25 @@ func (in *Injector) Duplicate(from, to int) bool {
 	return in.roll(from, to) < in.plan.DupProb
 }
 
+// RoundTrip decides the fate of one steal request/reply exchange between
+// thief and victim at nowNS: whether the request or the reply is lost (to
+// an active partition or a dropped message), else how much extra latency
+// the exchange pays (a spike on the request, gray links both ways) and
+// whether the reply arrives twice. The goroutine runtime and the simulator
+// both ask here, and the decision counter is consumed in one fixed order —
+// partition, drop there, drop back, spike, gray, duplicate — so a seeded
+// plan yields one schedule.
+func (in *Injector) RoundTrip(thief, victim int, nowNS int64) (lost bool, extraNS int64, dup bool) {
+	if in == nil {
+		return false, 0, false
+	}
+	if in.PartitionedAt(thief, victim, nowNS) || in.Drop(thief, victim) || in.Drop(victim, thief) {
+		return true, 0, false
+	}
+	extraNS = in.SpikeNS(thief, victim) + in.GrayNS(thief, victim, nowNS) + in.GrayNS(victim, thief, nowNS)
+	return false, extraNS, in.Duplicate(victim, thief)
+}
+
 // roll draws a deterministic uniform in [0,1) for the next decision on
 // the from→to link: a stateless hash of the seed, the link, and a global
 // decision counter.

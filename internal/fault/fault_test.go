@@ -317,3 +317,54 @@ func TestDuplicateDeterminism(t *testing.T) {
 		t.Fatalf("nil injector duplicated")
 	}
 }
+
+// RoundTrip is the seven primitive decisions in the order the runtime and
+// the simulator used to make them inline — partition, drop there, drop
+// back, spike, gray there, gray back, duplicate of the reply — so a seeded
+// plan keeps the schedule it had before the two call sites shared it.
+func TestRoundTripMatchesPrimitiveOrder(t *testing.T) {
+	plan := &Plan{
+		Seed:       9,
+		DropProb:   0.2,
+		SpikeProb:  0.3,
+		SpikeNS:    700,
+		DupProb:    0.25,
+		Links:      []Link{{From: 1, To: -1, DropProb: 0.5}},
+		Partitions: []Partition{{GroupA: []int{0, 1}, AtNS: 2_000, HealNS: 4_000}},
+		Grays:      []Gray{{From: -1, To: 2, AtNS: 1_000, UntilNS: 8_000, ExtraNS: 90}},
+	}
+	a, b := NewInjector(plan), NewInjector(plan)
+	var losses, delayed, dups int
+	for i := 0; i < 10_000; i++ {
+		thief, victim, now := i%4, (i+1+i/4%3)%4, int64(i)
+		lost, extraNS, dup := a.RoundTrip(thief, victim, now)
+
+		wantLost := b.PartitionedAt(thief, victim, now) || b.Drop(thief, victim) || b.Drop(victim, thief)
+		var wantExtra int64
+		wantDup := false
+		if !wantLost {
+			wantExtra = b.SpikeNS(thief, victim) + b.GrayNS(thief, victim, now) + b.GrayNS(victim, thief, now)
+			wantDup = b.Duplicate(victim, thief)
+		}
+		if lost != wantLost || extraNS != wantExtra || dup != wantDup {
+			t.Fatalf("draw %d (%d→%d at %d): RoundTrip = (%v, %d, %v), primitives = (%v, %d, %v)",
+				i, thief, victim, now, lost, extraNS, dup, wantLost, wantExtra, wantDup)
+		}
+		if lost {
+			losses++
+		}
+		if extraNS > 0 {
+			delayed++
+		}
+		if dup {
+			dups++
+		}
+	}
+	if losses == 0 || delayed == 0 || dups == 0 {
+		t.Fatalf("plan exercised too little: %d lost, %d delayed, %d duplicated", losses, delayed, dups)
+	}
+	var nilInj *Injector
+	if lost, extraNS, dup := nilInj.RoundTrip(0, 1, 0); lost || extraNS != 0 || dup {
+		t.Fatalf("nil injector faulted a round trip")
+	}
+}

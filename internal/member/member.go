@@ -127,6 +127,11 @@ const gapAlpha = 0.25
 type row struct {
 	state       State
 	incarnation uint32
+	// lastHeardNS is when the place last gave a sign of life. Every way
+	// into Alive or Draining (SeedAlive, Join, Heartbeat, Drain) stamps it,
+	// so a row the detector looks at always has one, and 0 is an instant
+	// like any other: a place seeded while the clock reads 0 that never
+	// beats is as silent as one seeded later.
 	lastHeardNS int64
 	gapEWMA     float64 // smoothed heartbeat inter-arrival gap, ns
 }
@@ -225,14 +230,11 @@ func (t *Table) Heartbeat(place int, inc uint32, nowNS int64) (Transition, bool)
 		if inc < r.incarnation {
 			return Transition{}, false
 		}
-		if r.lastHeardNS > 0 {
-			gap := float64(nowNS - r.lastHeardNS)
-			if gap > 0 {
-				if r.gapEWMA == 0 {
-					r.gapEWMA = gap
-				} else {
-					r.gapEWMA += gapAlpha * (gap - r.gapEWMA)
-				}
+		if gap := float64(nowNS - r.lastHeardNS); gap > 0 {
+			if r.gapEWMA == 0 {
+				r.gapEWMA = gap
+			} else {
+				r.gapEWMA += gapAlpha * (gap - r.gapEWMA)
 			}
 		}
 		r.lastHeardNS = nowNS
@@ -337,7 +339,7 @@ func (t *Table) Tick(nowNS int64) []Transition {
 		if float64(t.cfg.MinTimeoutNS) > gap {
 			gap = float64(t.cfg.MinTimeoutNS)
 		}
-		if gap <= 0 || r.lastHeardNS == 0 {
+		if gap <= 0 {
 			continue
 		}
 		silence := float64(nowNS - r.lastHeardNS)
@@ -399,14 +401,3 @@ func (t *Table) AliveCount() int {
 
 // Places returns the provisioned seat count.
 func (t *Table) Places() int { return len(t.rows) }
-
-// States returns a snapshot of every seat's state, indexed by place.
-func (t *Table) States() []State {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]State, len(t.rows))
-	for i := range t.rows {
-		out[i] = t.rows[i].state
-	}
-	return out
-}

@@ -160,6 +160,23 @@ func TestAdaptiveTimeout(t *testing.T) {
 	}
 }
 
+// A place seeded alive while the clock reads 0 that never sends a beat is
+// silent from 0 on: the detector must give up on it like on any other, not
+// read the 0 stamp as "no stamp".
+func TestSeededAtZeroThenSilent(t *testing.T) {
+	tab := NewTable(2, 0, Config{MinTimeoutNS: ms(10)})
+	tab.SeedAlive(1, 0)
+	if trs := tab.Tick(ms(30)); len(trs) != 0 {
+		t.Fatalf("30ms of silence is within 4×10ms: %v", trs)
+	}
+	if trs := tab.Tick(ms(50)); len(trs) != 1 || trs[0].To != Suspect {
+		t.Fatalf("50ms of silence since the seed: %v, want suspect", trs)
+	}
+	if trs := tab.Tick(ms(90)); len(trs) != 1 || trs[0].To != Down {
+		t.Fatalf("90ms of silence since the seed: %v, want down", trs)
+	}
+}
+
 func TestPayloadRoundTrip(t *testing.T) {
 	in := Payload{Incarnation: 7, Epoch: 1 << 40, State: Suspect}
 	b := AppendPayload(nil, in)

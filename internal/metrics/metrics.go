@@ -278,9 +278,6 @@ func (u *Utilization) AddBusy(p int, d int64) { u.busy[p].Add(d) }
 // Places returns the number of tracked places.
 func (u *Utilization) Places() int { return len(u.busy) }
 
-// Busy returns the busy time accumulated by place p.
-func (u *Utilization) Busy(p int) int64 { return u.busy[p].Load() }
-
 // Fractions returns, for a run lasting total time units on workersPerPlace
 // workers per place, the busy fraction of each place in percent.
 func (u *Utilization) Fractions(total int64, workersPerPlace int) []float64 {

@@ -325,14 +325,20 @@ func (d *Dispatcher[T]) handle(m comm.Message) {
 	case comm.KindJoin:
 		d.onJoin(m)
 	case comm.KindDrain:
-		// A graceful departure: no new work goes there, results and nacks
-		// for what is outstanding flow back, then the place is released.
-		// Nothing is re-executed and the place is not counted lost.
-		if _, ok := d.members.Drain(m.From, d.Now()); ok {
-			d.Counters.MembershipDrains.Add(1)
-			d.logf("dispatch: place %d draining (%d item(s) outstanding there)", m.From, d.load[m.From])
-			d.maybeRelease(m.From)
-		}
+		d.drain(m.From)
+	}
+}
+
+// drain starts a graceful departure, announced by KindDrain or, if that
+// frame was lost, by the first heartbeat that says Draining: no new work
+// goes there, results and nacks for what is outstanding flow back, then
+// the place is released. Nothing is re-executed and the place is not
+// counted lost. A repeated announcement changes nothing.
+func (d *Dispatcher[T]) drain(p int) {
+	if _, ok := d.members.Drain(p, d.Now()); ok {
+		d.Counters.MembershipDrains.Add(1)
+		d.logf("dispatch: place %d draining (%d item(s) outstanding there)", p, d.load[p])
+		d.maybeRelease(p)
 	}
 }
 
@@ -441,18 +447,27 @@ func (d *Dispatcher[T]) detect() {
 // onHeartbeat refreshes the member table and acks with this side's view
 // of the sender. A partitioned-then-healed executor learns from the Down
 // in the ack that it must rejoin with a bumped incarnation; a beat that
-// already carries the bumped incarnation is itself the rejoin.
+// already carries the bumped incarnation is itself the rejoin. A drained
+// executor whose KindShutdown was lost learns from the Left in the ack that
+// it has been released.
 func (d *Dispatcher[T]) onHeartbeat(m comm.Message) {
 	p, err := member.DecodePayload(m.Payload)
 	if err != nil {
 		return // malformed beat: the next one supersedes it
 	}
-	if tr, ok := d.members.Heartbeat(m.From, p.Incarnation, d.Now()); ok && tr.To == member.Alive {
+	tr, ok := d.members.Heartbeat(m.From, p.Incarnation, d.Now())
+	if ok && tr.To == member.Alive {
 		if tr.From == member.Suspect {
 			d.logf("dispatch: place %d refuted suspicion", m.From)
 		} else {
 			d.admit(tr)
 		}
+	}
+	// KindDrain is sent once. The beats keep saying what it said, so a
+	// drain whose announcement a partition swallowed starts at the first
+	// beat the table accepts afterwards.
+	if ok && p.State == member.Draining {
+		d.drain(m.From)
 	}
 	ack := member.Payload{
 		Incarnation: d.members.Incarnation(m.From),

@@ -301,18 +301,20 @@ func (e *Executor) Beat() {
 func (e *Executor) Handle(m comm.Message) (stop bool, err error) {
 	switch m.Kind {
 	case comm.KindShutdown:
-		e.wg.Wait() // pool workers reply before the goodbye
-		if e.Logf != nil {
-			e.Logf("node %d: done after %d batches", e.Place, e.done.Load())
-		}
-		return true, nil
+		return e.released()
 	case comm.KindHeartbeat:
-		// The coordinator's ack carries its view of us. Seeing Down
-		// means a partition healed under our feet: the coordinator
-		// evicted us while we kept running. Bump the incarnation and
-		// rejoin — exactly-once is safe because results are
-		// deduplicated by batch id.
+		// The coordinator's ack carries its view of us.
 		p, err := member.DecodePayload(m.Payload)
+		if err == nil && p.State == member.Left && e.draining.Load() &&
+			p.Incarnation >= e.incarnation() {
+			// Our drain completed and the KindShutdown that said so, sent
+			// once, never arrived.
+			return e.released()
+		}
+		// Seeing Down means a partition healed under our feet: the
+		// coordinator evicted us while we kept running. Bump the
+		// incarnation and rejoin — exactly-once is safe because results
+		// are deduplicated by batch id.
 		if err == nil && p.State == member.Down && !e.draining.Load() &&
 			p.Incarnation >= e.incarnation() {
 			// The ack's incarnation proves the verdict is about our
@@ -359,6 +361,15 @@ func (e *Executor) Handle(m comm.Message) (stop bool, err error) {
 		}()
 	}
 	return false, nil
+}
+
+// released ends the serve loop once the coordinator lets the executor go.
+func (e *Executor) released() (stop bool, err error) {
+	e.wg.Wait() // pool workers reply before the goodbye
+	if e.Logf != nil {
+		e.Logf("node %d: done after %d batches", e.Place, e.done.Load())
+	}
+	return true, nil
 }
 
 // run executes one spawn and replies. It reports stop once the CrashAfter

@@ -173,7 +173,9 @@ func RemoteStealing(k Kind) bool { return k != X10WS }
 // The paper's empirical sweet spot is 2 for both structured and bursty
 // task graphs (§V-B3); the UTS baselines steal single tasks. Adaptive
 // starts at the same 2 — its controller then moves each place's chunk
-// within [1, 4] from steal feedback, overriding this static value.
+// within [1, 4] from steal feedback, overriding this static value. An
+// intra-place steal always takes one task, in both engines (§V-B3:
+// stealing several locally showed no improvement).
 func RemoteChunk(k Kind) int {
 	switch k {
 	case DistWS, DistWSNS, Adaptive:
@@ -184,10 +186,6 @@ func RemoteChunk(k Kind) int {
 		return 0
 	}
 }
-
-// LocalChunk returns how many tasks an intra-place steal takes: always one
-// (§V-B3: stealing multiple tasks locally showed no improvement).
-func LocalChunk(Kind) int { return 1 }
 
 // StealHalf returns how many tasks a donor hands over from a queue of n
 // under the receiver-initiated protocol's steal-half chunking (WSPDR

@@ -129,9 +129,6 @@ func TestChunks(t *testing.T) {
 	if got := RemoteChunk(X10WS); got != 0 {
 		t.Fatalf("X10WS RemoteChunk = %d, want 0", got)
 	}
-	if got := LocalChunk(DistWS); got != 1 {
-		t.Fatalf("LocalChunk = %d, want 1", got)
-	}
 }
 
 func TestVictimOrderCoversAllOtherPlaces(t *testing.T) {

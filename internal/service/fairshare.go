@@ -94,14 +94,6 @@ func (f *FairShare) Push(tenant uint32, it Item) {
 // Len returns the total queued job count across tenants.
 func (f *FairShare) Len() int { return f.queued }
 
-// QueuedFor returns one tenant's backlog depth.
-func (f *FairShare) QueuedFor(tenant uint32) int {
-	if q := f.queues[tenant]; q != nil {
-		return len(q.items)
-	}
-	return 0
-}
-
 // Pop removes and returns the next job under the DRR discipline. The
 // second result is false when nothing is queued.
 func (f *FairShare) Pop() (Item, bool) {

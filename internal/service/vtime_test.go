@@ -26,13 +26,18 @@ import (
 const (
 	// vSeeds is the width of a sweep. The two scenarios that wait for the
 	// detector to give up on a place run several times longer in virtual
-	// time and get half of it, which keeps the file under 2 s with -race.
+	// time and get half of it, which keeps the file under 3 s with -race.
 	vSeeds      = 200
 	vLink       = 50 * time.Microsecond
 	vRetryAfter = 100 * time.Millisecond
 	vHeartbeat  = 20 * time.Millisecond
 	vDeadline   = 20 * time.Second // virtual: a run not quiescent by then has lost a job
-	vTask       = "v.work"
+	// vFrames is ~100 times what the server sends in the busiest run. Work
+	// bounced between the server and an executor that keeps returning it
+	// multiplies with every duplicated frame; that fails here, in
+	// milliseconds, not at the deadline with the frame log filling memory.
+	vFrames = 10_000
+	vTask   = "v.work"
 )
 
 // chaos is the sweeps' fault plan: every frame may be delayed past its
@@ -236,6 +241,10 @@ func (r *vrig) run() {
 			t.Fatalf("%s: not quiescent after %v: %d of %d jobs answered, %d live\n%s",
 				name, vDeadline, len(r.replied), r.jobs, r.srv.d.Live(), r.Format())
 		}
+		if len(r.tap.log) > vFrames {
+			t.Fatalf("%s: the server has sent %d frames by %v, %d of them KindSpawn for %d jobs",
+				name, len(r.tap.log), time.Duration(now), r.tap.spawns, r.jobs)
+		}
 		if got := r.ctrs.Retries.Load(); got != retries {
 			if now != progressAt+retryNS {
 				t.Fatalf("%s: retry sweep at %v, last dispatch progress at %v: want exactly RetryAfter (%v) apart",
@@ -412,7 +421,7 @@ func TestJoinLate(t *testing.T) {
 // job with the rest of its window queued behind it. The queued jobs come
 // back as nacks and finish elsewhere; the executor is released as soon as
 // its window is empty. Its links lose nothing: KindDrain and KindShutdown
-// are sent once, and the protocol does not retry them.
+// are sent once, and without heartbeats nothing repeats what they said.
 func TestDrainWithAFullWindow(t *testing.T) {
 	sweep(t, vSeeds, func(t *testing.T, name string, seed int64) *vrig {
 		r := newVrig(t, name, chaos(seed, 1, 1), 2, 4, 0)
@@ -427,6 +436,52 @@ func TestDrainWithAFullWindow(t *testing.T) {
 		}
 		if lost := r.ctrs.PlacesLost.Load(); lost != 0 {
 			t.Fatalf("%s: PlacesLost = %d: a drain is not a failure", name, lost)
+		}
+		return r
+	})
+}
+
+// TestDrainAnnouncementLost: executor 2 starts its drain inside the
+// partition window, so the one KindDrain it sends is swallowed. Its beats
+// say Draining all the same, and the first to get through after the heal
+// must start the drain at the server: counted once, no more work sent
+// there, the executor released when its window is empty.
+func TestDrainAnnouncementLost(t *testing.T) {
+	sweep(t, vSeeds, func(t *testing.T, name string, seed int64) *vrig {
+		r := newVrig(t, name, chaos(seed, 2, 1), 2, 4, vHeartbeat)
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 12; i++ {
+			r.submit(ms(rng, 20, 90), 5*time.Millisecond)
+		}
+		r.drain(ms(rng, 31, 60), r.c.execs[2])
+		r.run()
+		if lost := r.ctrs.PlacesLost.Load(); lost != 0 {
+			t.Fatalf("%s: PlacesLost = %d: a drain is not a failure", name, lost)
+		}
+		return r
+	})
+}
+
+// TestDrainReleaseLost: executor 2, idle, announces its drain just before
+// the partition closes, so the KindShutdown the server answers with departs
+// into it and is swallowed. The server holds the place Left from then on
+// and will not release it again; the executor must take the Left in the
+// acks of the beats it keeps sending as that release. A second wave of
+// jobs keeps the server up until it has.
+func TestDrainReleaseLost(t *testing.T) {
+	sweep(t, vSeeds, func(t *testing.T, name string, seed int64) *vrig {
+		plan := chaos(seed, 2, 1)
+		r := newVrig(t, name, plan, 2, 4, vHeartbeat)
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 4; i++ {
+			r.submit(ms(rng, 120, 140), 5*time.Millisecond)
+		}
+		// Half a link latency before the cut: KindDrain departs outside the
+		// window and arrives, spiked or not, inside it.
+		r.drain(time.Duration(plan.Partitions[0].AtNS)-vLink/2, r.c.execs[2])
+		r.run()
+		if got := r.tap.count(comm.KindShutdown, 2, 0); got != 1 {
+			t.Fatalf("%s: %d KindShutdown frames to executor 2, want the one the partition swallowed", name, got)
 		}
 		return r
 	})
@@ -464,13 +519,12 @@ func TestPartitionDownRejoin(t *testing.T) {
 	})
 }
 
-// crashWithAFullWindow crashes executor 1 while its window is full (and
-// after its first heartbeat: the detector cannot miss a place it has never
-// heard), with enough work queued that executor 2 keeps dispatch progressing, and the
-// retry sweep quiet, until the detector declares the crash. The window is
-// then re-homed to executor 2.
-func crashWithAFullWindow(t *testing.T, name string, plan *fault.Plan) *vrig {
-	plan.Crashes = []fault.Crash{{Place: 1, AtVirtualNS: (32 * time.Millisecond).Nanoseconds()}}
+// crashWithAFullWindow crashes executor 1 at virtual time at with its
+// window full, and with enough work queued that executor 2 keeps dispatch
+// progressing, and the retry sweep quiet, until the detector declares the
+// crash. The window is then re-homed to executor 2.
+func crashWithAFullWindow(t *testing.T, name string, plan *fault.Plan, at time.Duration) *vrig {
+	plan.Crashes = []fault.Crash{{Place: 1, AtVirtualNS: at.Nanoseconds()}}
 	r := newVrig(t, name, plan, 2, 4, vHeartbeat)
 	rng := rand.New(rand.NewSource(plan.Seed))
 	for i := 0; i < 12; i++ {
@@ -483,9 +537,23 @@ func crashWithAFullWindow(t *testing.T, name string, plan *fault.Plan) *vrig {
 	return r
 }
 
+// vCrashAt is after executor 1's first heartbeat.
+const vCrashAt = 32 * time.Millisecond
+
 func TestCrashWithAFullWindow(t *testing.T) {
 	sweep(t, vSeeds/2, func(t *testing.T, name string, seed int64) *vrig {
-		return crashWithAFullWindow(t, name, chaos(seed, 2, 2))
+		return crashWithAFullWindow(t, name, chaos(seed, 2, 2), vCrashAt)
+	})
+}
+
+// TestCrashBeforeFirstBeat: executor 1 dies at once, so all the server
+// ever has of it is the seat it seeded alive when its clock read 0. The
+// detector must count the silence from that instant and declare the place
+// down; taking the 0 for "never heard" left it alive for good, its window
+// recovered only by the retry sweep, one RetryAfter at a time.
+func TestCrashBeforeFirstBeat(t *testing.T) {
+	sweep(t, vSeeds/2, func(t *testing.T, name string, seed int64) *vrig {
+		return crashWithAFullWindow(t, name, chaos(seed, 2, 2), time.Nanosecond)
 	})
 }
 
@@ -496,7 +564,7 @@ func TestCrashWithAFullWindow(t *testing.T) {
 // repeats an id is a re-homed item.
 func TestCrashRehomesInIDOrder(t *testing.T) {
 	spawns := func() (all string, rehomed []uint64) {
-		r := crashWithAFullWindow(t, "crash only", &fault.Plan{Seed: 1})
+		r := crashWithAFullWindow(t, "crash only", &fault.Plan{Seed: 1}, vCrashAt)
 		seen := map[uint64]bool{}
 		for _, f := range r.tap.log {
 			if f.kind == comm.KindSpawn {

@@ -182,3 +182,32 @@ func TestPlanValidatedAgainstCluster(t *testing.T) {
 		t.Fatalf("crashing every place should fail validation")
 	}
 }
+
+// TestSeededFaultRunIsPinned holds one seeded drop + spike + gray +
+// duplicate + partition run to the makespan and counters it produced
+// while the steal's fault prologue was still written out inline here: the
+// shared fault.Injector.RoundTrip must consume the decision counter in
+// that order, or every seeded chaos exhibit silently changes.
+func TestSeededFaultRunIsPinned(t *testing.T) {
+	g := deepGraph(t, 10, 5, 700_000, true)
+	plan := &fault.Plan{
+		Seed:       5,
+		DropProb:   0.15,
+		SpikeProb:  0.2,
+		SpikeNS:    150_000,
+		DupProb:    0.3,
+		Grays:      []fault.Gray{{From: -1, To: 0, AtNS: 500_000, UntilNS: 6_000_000, ExtraNS: 120_000}},
+		Partitions: []fault.Partition{{GroupA: []int{0, 1}, AtNS: 1_000_000, HealNS: 3_000_000}},
+	}
+	r, err := Run(g, cluster(4, 2), sched.DistWS, Options{Seed: 7, Fault: plan})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	c := r.Counters
+	got := [...]int64{r.MakespanNS, c.TasksExecuted, c.RemoteProbes, c.Messages, c.RemoteSteals,
+		c.DroppedMessages, c.StealTimeouts, c.Retries, c.DuplicatedMessages}
+	want := [...]int64{6_192_745, 60, 108, 240, 24, 35, 35, 33, 24}
+	if got != want {
+		t.Fatalf("makespan, executed, probes, messages, remote steals, dropped, timeouts, retries, duplicated:\n got %v\nwant %v", got, want)
+	}
+}

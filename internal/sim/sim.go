@@ -973,8 +973,8 @@ func (e *engine) stealRemote(w *simWorker) bool {
 				delay += probeRTT
 				break
 			}
-			if e.inj.PartitionedAt(w.place.id, v, e.now+delay) ||
-				e.inj.Drop(w.place.id, v) || e.inj.Drop(v, w.place.id) {
+			lost, extraNS, dup := e.inj.RoundTrip(w.place.id, v, e.now+delay)
+			if lost {
 				// Request or reply lost — to a link fault or an active
 				// partition: the thief burns a full timeout.
 				e.ctrs.DroppedMessages.Add(1)
@@ -990,9 +990,8 @@ func (e *engine) stealRemote(w *simWorker) bool {
 			}
 			// Gray links degrade silently: both directions of the probe pay
 			// the injected extra latency on top of any spike.
-			delay += probeRTT + e.inj.SpikeNS(w.place.id, v) +
-				e.inj.GrayNS(w.place.id, v, e.now+delay) + e.inj.GrayNS(v, w.place.id, e.now+delay)
-			if e.inj.Duplicate(v, w.place.id) {
+			delay += probeRTT + extraNS
+			if dup {
 				// The reply arrives twice; dedup absorbs the copy, but the
 				// extra message is real traffic.
 				messages++

@@ -243,9 +243,6 @@ func (b *Builder) Child(parent int, t Task) int {
 	return id
 }
 
-// SetSequential records the measured sequential time.
-func (b *Builder) SetSequential(ns int64) { b.g.SeqNS = ns }
-
 // NumTasks returns the number of tasks added so far.
 func (b *Builder) NumTasks() int { return len(b.g.Tasks) }
 
