@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-smoke fuzz-smoke deque-parity dag-parity exhibit-golden chaos soak serve-soak loc coverage-ledger
+.PHONY: all build test race vet check bench bench-smoke fuzz-smoke dag-parity exhibit-golden chaos soak serve-soak loc coverage-ledger
 
 all: check
 
@@ -34,48 +34,32 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkSimulator128Workers|BenchmarkContentionStudy' -benchtime=1x .
 	$(GO) test -run='^$$' -bench=BenchmarkExecuteOverhead -benchtime=1x ./internal/dag
 
-# Cross-kind parity gate: sim.Options.Deque only models synchronization
-# cost the paper-faithful configuration never charges, so every
-# deterministic exhibit must be byte-identical whatever -deque selects.
-# fig4 is excluded (it reports host wall clock) and the trailing
-# "regenerated ..." line is stripped (it carries elapsed time). A diff
-# here means the deque kind leaked into paper results.
-PARITY_EXHIBITS := fig3,fig5,table1,table2,table3,fig6,fig7,granularity,uts,adaptive,contention
-deque-parity: build
-	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	for k in mutex chaselev relaxed; do \
-		$(GO) run ./cmd/distws-experiments -deque $$k -only $(PARITY_EXHIBITS) \
-			| grep -v '^regenerated ' > "$$dir/$$k.txt"; \
-	done; \
-	cmp "$$dir/mutex.txt" "$$dir/chaselev.txt"; \
-	cmp "$$dir/mutex.txt" "$$dir/relaxed.txt"; \
-	echo "deque parity OK: exhibits byte-identical across mutex, chaselev, relaxed"
-
 # Dataflow determinism gate: the dag exhibit replays virtual time, so its
-# output must be byte-identical whatever -workers parallelism renders it
-# and whatever -deque kind backs the shared queues. A diff means host
-# scheduling or the deque kind leaked into the DAG results.
+# output must be byte-identical whatever -workers parallelism renders it.
+# A diff means host scheduling leaked into the DAG results.
 dag-parity: build
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	for k in mutex chaselev relaxed; do for w in 1 2 8; do \
-		$(GO) run ./cmd/distws-experiments -deque $$k -workers $$w -only dag \
-			| grep -v '^regenerated ' > "$$dir/$$k-$$w.txt"; \
-	done; done; \
-	for f in "$$dir"/*.txt; do cmp "$$dir/mutex-1.txt" "$$f"; done; \
-	echo "dag parity OK: exhibit byte-identical across deque kinds and worker counts"
+	for w in 1 2 8; do \
+		$(GO) run ./cmd/distws-experiments -workers $$w -only dag \
+			| grep -v '^regenerated ' > "$$dir/$$w.txt"; \
+	done; \
+	for f in "$$dir"/*.txt; do cmp "$$dir/1.txt" "$$f"; done; \
+	echo "dag parity OK: exhibit byte-identical across worker counts"
 
-# Cross-commit golden gate: the two parity gates above compare a commit
-# with itself, so a change that moved every kind and worker count the same
-# way would pass them. The golden file is the same exhibit set at -seed 1
-# (fig4 excluded, "regenerated" line stripped, as above) as first checked
-# in from the parent of the commit that added this gate; a performance
-# change to the simulator must leave it byte-identical. A change that
-# means to move a simulated number reruns with UPDATE=1 and commits the
-# diff, which then shows exactly which exhibit numbers it moved.
+# Cross-commit golden gate: the parity gate above compares a commit with
+# itself, so a change that moved every worker count the same way would
+# pass it. The golden file is every deterministic exhibit at -seed 1 (fig4
+# excluded: it reports host wall clock; "regenerated" line stripped, as
+# above) as first checked in from the parent of the commit that added this
+# gate; a performance change to the simulator must leave it
+# byte-identical. A change that means to move a simulated number reruns
+# with UPDATE=1 and commits the diff, which then shows exactly which
+# exhibit numbers it moved.
 GOLDEN := testdata/exhibits_seed1.golden
+GOLDEN_EXHIBITS := fig3,fig5,table1,table2,table3,fig6,fig7,granularity,uts,adaptive,contention,dag
 exhibit-golden: build
 	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
-	$(GO) run ./cmd/distws-experiments -seed 1 -only $(PARITY_EXHIBITS),dag \
+	$(GO) run ./cmd/distws-experiments -seed 1 -only $(GOLDEN_EXHIBITS) \
 		| grep -v '^regenerated ' > "$$out"; \
 	if [ -n "$(UPDATE)" ]; then \
 		cp "$$out" $(GOLDEN); echo "exhibit golden rewritten: $(GOLDEN)"; \
@@ -97,7 +81,7 @@ fuzz-smoke:
 # The gate a change must pass before merging. The two soaks block: what
 # they add to `race` is the membership-codec fuzz shake and the
 # distws-load -sim -verify byte-identity run.
-check: build vet test race bench-smoke deque-parity dag-parity exhibit-golden fuzz-smoke soak serve-soak
+check: build vet test race bench-smoke dag-parity exhibit-golden fuzz-smoke soak serve-soak
 
 # Full measurement: refreshes the machine-readable perf baseline
 # (BENCH_sim.json), appends the run's headline numbers as one line to the
@@ -152,10 +136,15 @@ loc:
 # by the program" is what coverage-instrumented builds of the commands and
 # the benchmark execute on the exhibit run, the benchmark's smoke run and
 # the serve-soak simulation; "reached by tests" is the whole suite with
-# -coverpkg=./... . List (1) is deletion candidates (facade re-exports and
-# interface methods no caller happens to use excepted), list (2) is where
-# to ask whether the test or the program is missing something. Not part of
-# `check`; needs go >= 1.20 for `go build -cover`, runs offline, ~1 min.
+# -coverpkg=./... . List (1) must equal $(LEDGER_KEPT), which names each
+# function kept on purpose (`file: Func reason`, in the ledger's order) and
+# why: the target fails on a function nothing reaches that the file does
+# not name (delete it, test it, or add it with its reason) and on a line of
+# the file that is now reached (remove it). List (2) is where to ask whether
+# the test or the program is missing something. Not part of `check`: it
+# takes ~45 s and a timing-dependent path may flip a row; needs go >= 1.20
+# for `go build -cover`, runs offline.
+LEDGER_KEPT := testdata/ledger_kept.txt
 coverage-ledger:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	mkdir "$$dir/bin" "$$dir/prog" "$$dir/test"; \
@@ -165,20 +154,29 @@ coverage-ledger:
 	"$$dir/bin/benchmark" -quick -seconds 0.3 -out "" > /dev/null; \
 	"$$dir/bin/distws-load" $(LOAD_SIM) > /dev/null; \
 	unset GOCOVERDIR; \
-	$(GO) test -count=1 -cover -coverpkg=./... ./... -args -test.gocoverdir="$$dir/test" > /dev/null; \
+	$(GO) test -count=1 -cover -coverpkg=./... ./... -args -test.gocoverdir="$$dir/test" > "$$dir/test.log" 2>&1 \
+		|| { grep -Ev '^ok |no test files|coverage: [0-9.]+% of statements$$' "$$dir/test.log"; exit 1; }; \
 	$(GO) tool covdata func -i="$$dir/prog,$$dir/test" > "$$dir/all.txt"; \
-	$(GO) tool covdata func -i="$$dir/prog" | awk ' \
+	$(GO) tool covdata func -i="$$dir/prog" > "$$dir/prog.txt"; \
+	awk ' \
+		FNR == 1 { input++ } \
+		input == 1 { if ($$0 !~ /^(#|$$)/) { k = $$1 " " $$2; sub(/^[^ ]+ +[^ ]+ */, ""); why[k] = $$0 }; next } \
 		$$1 ~ /^distws\/(benchmark|cmd|examples)\// || $$1 == "total" { next } \
 		{ sub(/^distws\//, "", $$1); k = $$1 " " $$2 } \
-		FNR == NR { all[k] = $$3 + 0; next } \
-		!(k in all) { next } \
-		all[k] == 0 { none[++n] = k; next } \
-		$$3 + 0 == 0 { tests[++m] = k } \
-		END { printf "(1) reached by nothing: %d function(s)\n", n; for (i = 1; i <= n; i++) print "  " none[i]; \
-		      printf "(2) reached only by tests: %d function(s)\n", m; for (i = 1; i <= m; i++) print "  " tests[i] }' \
-		"$$dir/all.txt" -
+		input == 2 { prog[k] = $$3 + 0; next } \
+		$$3 + 0 == 0 { none[++n] = k; next } \
+		prog[k] == 0 { tests[++m] = k } \
+		END { printf "(1) reached by nothing, kept on purpose ($(LEDGER_KEPT)): %d function(s)\n", n; \
+		      for (i = 1; i <= n; i++) { k = none[i]; sub(/:[0-9]+: /, ": ", k); \
+		        if (k in why) { print "  " k " " why[k]; delete why[k] } else stray[++s] = none[i] } \
+		      printf "(2) reached only by tests: %d function(s)\n", m; for (i = 1; i <= m; i++) print "  " tests[i]; \
+		      if (s) print "coverage-ledger: reached by nothing and not in $(LEDGER_KEPT):"; \
+		      for (i = 1; i <= s; i++) print "  " stray[i]; \
+		      for (k in why) { if (!stale++) print "coverage-ledger: in $(LEDGER_KEPT) but reached, or gone:"; print "  " k } \
+		      exit (s || stale) ? 1 : 0 }' \
+		$(LEDGER_KEPT) "$$dir/prog.txt" "$$dir/all.txt"
 
 # Fault-injection suite only (also part of `test`).
 chaos:
-	$(GO) test -v -run 'Chaos|Crash|Fault|Lossy|Drop|Evict|Await|PlaceDown|Spike|Rehom|DownSet|Injector|Plan' \
+	$(GO) test -v -run 'Chaos|Crash|Fault|Lossy|Drop|Evict|Await|PlaceDown|Spike|Rehom|Injector|Plan' \
 		. ./internal/fault/ ./internal/comm/ ./internal/sim/ ./internal/core/

@@ -21,7 +21,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
@@ -364,7 +363,6 @@ func run() error {
 		out   = flag.String("out", "", "write JSON to `file` (default stdout) and append one summary line to "+historyFile+" beside it")
 		seed  = flag.Int64("seed", 1, "workload and scheduler seed")
 		scale = flag.Int("scale", 1, "workload scale multiplier")
-		dq    = flag.String("deque", "mutex", "simulated worker-queue kind for the hot-path benchmarks: "+strings.Join(deque.KindNames(), ", "))
 	)
 	diag := cliutil.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -372,11 +370,6 @@ func run() error {
 	if cliutil.VersionRequested() {
 		cliutil.PrintVersion(os.Stdout, "distws-bench")
 		return nil
-	}
-
-	dk, err := deque.ParseKind(*dq)
-	if err != nil {
-		return err
 	}
 
 	if err := diag.Start(); err != nil {
@@ -405,7 +398,7 @@ func run() error {
 	// process costs (page faults, branch predictor, allocator growth) and
 	// the overhead percentages below would compare a cold baseline
 	// against warm variants.
-	if _, err := sim.Run(g, r.Cluster, sched.DistWS, sim.Options{Seed: *seed, Deque: dk}); err != nil {
+	if _, err := sim.Run(g, r.Cluster, sched.DistWS, sim.Options{Seed: *seed}); err != nil {
 		return err
 	}
 	// The three phases — plain, traced, adaptive — are sampled
@@ -422,7 +415,7 @@ func run() error {
 		func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(g, r.Cluster, sched.DistWS, sim.Options{Seed: *seed, Deque: dk})
+				res, err := sim.Run(g, r.Cluster, sched.DistWS, sim.Options{Seed: *seed})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -433,7 +426,7 @@ func run() error {
 		func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(g, r.Cluster, sched.DistWS, sim.Options{Seed: *seed, Deque: dk, Recorder: rec}); err != nil {
+				if _, err := sim.Run(g, r.Cluster, sched.DistWS, sim.Options{Seed: *seed, Recorder: rec}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -441,7 +434,7 @@ func run() error {
 		func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(g, r.Cluster, sched.Adaptive, sim.Options{Seed: *seed, Deque: dk}); err != nil {
+				if _, err := sim.Run(g, r.Cluster, sched.Adaptive, sim.Options{Seed: *seed}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -478,18 +471,18 @@ func run() error {
 	}
 	// Overhead ratios from the paired sampler (see pairedOverheadPct).
 	baseRun := func() error {
-		_, err := sim.Run(g, r.Cluster, sched.DistWS, sim.Options{Seed: *seed, Deque: dk})
+		_, err := sim.Run(g, r.Cluster, sched.DistWS, sim.Options{Seed: *seed})
 		return err
 	}
 	rep.TracingOverheadPct, err = pairedOverheadPct(baseRun, func() error {
-		_, err := sim.Run(g, r.Cluster, sched.DistWS, sim.Options{Seed: *seed, Deque: dk, Recorder: rec})
+		_, err := sim.Run(g, r.Cluster, sched.DistWS, sim.Options{Seed: *seed, Recorder: rec})
 		return err
 	})
 	if err != nil {
 		return err
 	}
 	rep.AdaptiveOverheadPct, err = pairedOverheadPct(baseRun, func() error {
-		_, err := sim.Run(g, r.Cluster, sched.Adaptive, sim.Options{Seed: *seed, Deque: dk})
+		_, err := sim.Run(g, r.Cluster, sched.Adaptive, sim.Options{Seed: *seed})
 		return err
 	})
 	if err != nil {

@@ -10,15 +10,12 @@
 //	distws-experiments -only fig5      # one experiment
 //	distws-experiments -scale 4        # 4x larger workloads (slower)
 //	distws-experiments -workers 1      # disable the parallel harness
-//	distws-experiments -deque relaxed  # simulate a different worker-queue kind
 //	distws-experiments -only contention   # the shared-queue contention study
 //	distws-experiments -cpuprofile cpu.prof -memprofile mem.prof
 //	distws-experiments -listen 127.0.0.1:8080   # live /debug/pprof while it runs
 //
-// The paper exhibits are byte-identical whatever -deque selects (the kind
-// only models synchronization cost the paper configuration does not
-// charge; `make check` enforces the parity). Only the contention study
-// separates the kinds.
+// The paper exhibits price no shared-queue synchronization; only the
+// contention study does, and it sweeps the deque kinds itself.
 package main
 
 import (
@@ -28,7 +25,6 @@ import (
 	"strings"
 	"time"
 
-	"distws"
 	"distws/internal/apps/suite"
 	"distws/internal/cliutil"
 	"distws/internal/expt"
@@ -47,7 +43,6 @@ func run() error {
 		scale   = flag.Int("scale", 1, "workload scale multiplier")
 		only    = flag.String("only", "", "comma-separated experiments to run: fig3, fig4, fig5, fig6, fig7, table1, table2, table3, granularity, uts, adaptive, contention, dag")
 		workers = flag.Int("workers", 0, "simulation cells run concurrently (0 = GOMAXPROCS, 1 = sequential)")
-		dq      = flag.String("deque", "mutex", "simulated worker-queue kind: "+strings.Join(distws.DequeKindNames(), ", "))
 	)
 	diag := cliutil.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -62,14 +57,8 @@ func run() error {
 	}
 	defer diag.Stop()
 
-	kind, err := distws.ParseDequeKind(*dq)
-	if err != nil {
-		return err
-	}
-
 	r := expt.New(suite.Scale(*scale), *seed)
 	r.Workers = *workers
-	r.Deque = kind
 	type ex struct {
 		name string
 		run  func() (string, error)

@@ -51,7 +51,7 @@ func run() error {
 		appName = flag.String("app", "dmg", "application (quicksort, turingring, kmeans, agglom, dmg, dmr, nbody, uts, a micro app, or a dataflow app: cholesky, lu, pipeline)")
 		policy  = flag.String("policy", "distws", "scheduler: x10ws, distws, distws-ns, random, lifeline, adaptive")
 		dagPol  = flag.String("dag-policy", "blind", "dataflow placement for dag apps: "+strings.Join(dag.PolicyNames(), ", "))
-		dq      = flag.String("deque", "mutex", "worker-queue kind: "+strings.Join(deque.KindNames(), ", "))
+		dq      = flag.String("deque", "mutex", "worker-queue kind of -mode runtime: "+strings.Join(deque.KindNames(), ", "))
 		mode    = flag.String("mode", "sim", "sim (virtual cluster) or runtime (real goroutine runtime)")
 		places  = flag.Int("places", 16, "number of places (nodes)")
 		workers = flag.Int("workers", 8, "workers per place")
@@ -162,11 +162,11 @@ func run() error {
 
 	switch {
 	case dagApp != nil && *mode == "sim":
-		err = runDAGSim(dagApp, cl, k, dk, pol, *seed, plan, rec, diag.Server())
+		err = runDAGSim(dagApp, cl, k, pol, *seed, plan, rec, diag.Server())
 	case dagApp != nil:
 		err = runDAGRuntime(dagApp, cl, k, dk, pol, *seed, *timeout)
 	case *mode == "sim":
-		err = runSim(app, cl, k, dk, *seed, plan, rec, diag.Server())
+		err = runSim(app, cl, k, *seed, plan, rec, diag.Server())
 	default:
 		err = runRuntime(app, cl, k, dk, *seed, *timeout, plan, rec, diag.Server())
 	}
@@ -182,7 +182,7 @@ func run() error {
 	return diag.Stop()
 }
 
-func runSim(app apps.App, cl topology.Cluster, k sched.Kind, dk deque.Kind, seed int64, plan *fault.Plan, rec *obs.Recorder, srv *obs.Server) error {
+func runSim(app apps.App, cl topology.Cluster, k sched.Kind, seed int64, plan *fault.Plan, rec *obs.Recorder, srv *obs.Server) error {
 	start := time.Now()
 	g, err := app.Trace(cl.Places)
 	if err != nil {
@@ -190,7 +190,7 @@ func runSim(app apps.App, cl topology.Cluster, k sched.Kind, dk deque.Kind, seed
 	}
 	genTime := time.Since(start)
 	start = time.Now()
-	res, err := sim.Run(g, cl, k, sim.Options{Seed: seed, Deque: dk, Fault: plan, Recorder: rec})
+	res, err := sim.Run(g, cl, k, sim.Options{Seed: seed, Fault: plan, Recorder: rec})
 	if err != nil {
 		return err
 	}
@@ -262,7 +262,7 @@ func runRuntime(app apps.App, cl topology.Cluster, k sched.Kind, dk deque.Kind, 
 
 // runDAGSim simulates a dataflow app: the graph's tasks are released by
 // the dependency tracker and placed by -dag-policy.
-func runDAGSim(app linalg.App, cl topology.Cluster, k sched.Kind, dk deque.Kind, pol dag.Policy, seed int64, plan *fault.Plan, rec *obs.Recorder, srv *obs.Server) error {
+func runDAGSim(app linalg.App, cl topology.Cluster, k sched.Kind, pol dag.Policy, seed int64, plan *fault.Plan, rec *obs.Recorder, srv *obs.Server) error {
 	start := time.Now()
 	g, err := app.Graph(cl.Places)
 	if err != nil {
@@ -270,7 +270,7 @@ func runDAGSim(app linalg.App, cl topology.Cluster, k sched.Kind, dk deque.Kind,
 	}
 	genTime := time.Since(start)
 	start = time.Now()
-	res, err := sim.RunDAG(g, cl, k, pol, sim.Options{Seed: seed, Deque: dk, Fault: plan, Recorder: rec})
+	res, err := sim.RunDAG(g, cl, k, pol, sim.Options{Seed: seed, Fault: plan, Recorder: rec})
 	if err != nil {
 		return err
 	}

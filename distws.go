@@ -227,10 +227,6 @@ func ParseTransport(s string) (Transport, error) { return comm.ParseTransport(s)
 // "mutex", "chaselev", or "relaxed".
 func ParseDequeKind(s string) (DequeKind, error) { return deque.ParseKind(s) }
 
-// DequeKindNames lists the valid Config.Deque flag spellings in
-// presentation order, for CLI help and validation messages.
-func DequeKindNames() []string { return deque.KindNames() }
-
 // PaperCluster returns the evaluation platform of the paper (§VII):
 // 16 places × 8 workers = 128 workers.
 func PaperCluster() Cluster { return topology.Paper() }

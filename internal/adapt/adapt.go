@@ -382,30 +382,6 @@ func (c *Controller) ObserveExec(kind int32, migrated bool, serviceNS, penaltyNS
 	return true, k.class
 }
 
-// KindState is an introspection snapshot of one kind's classifier
-// state, for tests and exhibits; the scheduler itself only ever calls
-// Classify.
-type KindState struct {
-	Class                task.Class
-	HomeEW, AwayEW       float64
-	HomePenEW, AwayPenEW float64
-	HomeN, AwayN         int
-	Flips                int64
-}
-
-// State returns kind's current classifier state.
-func (c *Controller) State(kind int32) KindState {
-	c.lock()
-	defer c.unlock()
-	if int(kind) >= len(c.kinds) {
-		return KindState{Class: task.Flexible}
-	}
-	k := c.kinds[kind]
-	return KindState{Class: k.class, HomeEW: k.homeEW, AwayEW: k.awayEW,
-		HomePenEW: k.homePenEW, AwayPenEW: k.awayPenEW,
-		HomeN: k.homeN, AwayN: k.awayN, Flips: k.flips}
-}
-
 // Flips returns the total number of reclassifications so far.
 func (c *Controller) Flips() int64 {
 	c.lock()

@@ -179,21 +179,21 @@ func (a *App) Sequential() uint64 {
 	return checksum(cur)
 }
 
-// Parallel implements apps.App: the ring is a DistArray over the places;
+// Parallel implements apps.App: the ring is block-distributed over the places;
 // each iteration spawns one flexible outer task per cell (which spawns
 // the sensitive inner prey task), with a finish barrier per iteration as
 // in the paper's pseudo-code.
 func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 	cur := a.initial()
 	next := make([]Cell, len(cur))
-	ring := dist.NewDistArray[struct{}](a.Cells, rt.Places(), nil)
+	places := rt.Places()
 	err := rt.Run(func(ctx *core.Ctx) {
 		for iter := 0; iter < a.Iters; iter++ {
 			it := iter
 			ctx.Finish(func(c *core.Ctx) {
 				for i := range cur {
 					cell := i
-					home := ring.PlaceOf(cell)
+					home := dist.PlaceOf(cell, a.Cells, places)
 					loc := task.Locality{
 						Class:          task.Flexible,
 						MigrationBytes: 16 * (bodies(cur[cell]) + 1),
@@ -229,7 +229,6 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 // outer task per cell (cost ∝ bodies), each with a sensitive inner child.
 func (a *App) Trace(places int) (*trace.Graph, error) {
 	b := trace.NewBuilder(a.Name())
-	ring := dist.NewDistArray[struct{}](a.Cells, places, nil)
 	cur := a.initial()
 	next := make([]Cell, len(cur))
 	saveWork := a.WorkPerBody
@@ -255,7 +254,7 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 		prevIter = cid
 		for i := range cur {
 			nb := bodies(cur[i])
-			id := b.Child(cid, a.outerTask(ring, i, nb, ring.PlaceOf(i)))
+			id := b.Child(cid, a.outerTask(places, i, nb, dist.PlaceOf(i, a.Cells, places)))
 			// Inner sensitive prey update, local to wherever the outer ran.
 			b.Child(id, trace.Task{
 				HomeMode: trace.HomeInherit,
@@ -294,7 +293,7 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 }
 
 // outerTask models the flexible whole-cell task.
-func (a *App) outerTask(ring *dist.DistArray[struct{}], cell, nb, home int) trace.Task {
+func (a *App) outerTask(places, cell, nb, home int) trace.Task {
 	t := trace.Task{
 		HomeMode: trace.HomeFixed,
 		Home:     home,
@@ -310,11 +309,11 @@ func (a *App) outerTask(ring *dist.DistArray[struct{}], cell, nb, home int) trac
 	n := a.Cells
 	left := (cell - 1 + n) % n
 	right := (cell + 1) % n
-	if ring.PlaceOf(left) != home {
+	if dist.PlaceOf(left, n, places) != home {
 		t.BaseMsgs++
 		t.BaseBytes += 32
 	}
-	if ring.PlaceOf(right) != home {
+	if dist.PlaceOf(right, n, places) != home {
 		t.BaseMsgs++
 		t.BaseBytes += 32
 	}

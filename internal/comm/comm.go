@@ -235,9 +235,6 @@ func (m *Mesh) Endpoint(p int) Endpoint {
 	return &meshEndpoint{mesh: m, place: p}
 }
 
-// Places returns the number of endpoints in the mesh.
-func (m *Mesh) Places() int { return len(m.inboxes) }
-
 // InjectFaults arms the mesh with a fault injector: steal messages may be
 // silently dropped (the sender's timeout recovers) and any message may be
 // delayed by a latency spike. Call before traffic starts; nil disarms.

@@ -9,7 +9,6 @@ import (
 
 	"distws/internal/fault"
 	"distws/internal/metrics"
-	"distws/internal/obs"
 )
 
 // Defaults for MeshOptions zero values.
@@ -90,10 +89,9 @@ type TCPMesh struct {
 	start time.Time // wall-clock origin for time-windowed fault injection
 
 	// Atomic because flusher/reader goroutines are already live when the
-	// owner arms them (a non-zero place dials place 0 eagerly inside
+	// owner arms it (a non-zero place dials place 0 eagerly inside
 	// ListenMeshTCP). Loads are nil-safe.
 	inj atomic.Pointer[fault.Injector] // set via InjectFaults
-	rec atomic.Pointer[obs.Recorder]   // set via SetRecorder
 
 	mu       sync.Mutex
 	links    map[int]*meshLink // outbound links by peer
@@ -161,19 +159,11 @@ func (t *TCPMesh) Addr() string { return t.ln.Addr().String() }
 // Place implements Endpoint.
 func (t *TCPMesh) Place() int { return t.place }
 
-// Places returns the mesh size.
-func (t *TCPMesh) Places() int { return len(t.addrs) }
-
 // InjectFaults arms sends and dials with a fault injector: steal messages
 // may be dropped, any message may suffer a latency spike, and dial
 // attempts on a lossy link may fail (exercising the backoff path). Safe
 // to call while links are live; nil disarms.
 func (t *TCPMesh) InjectFaults(inj *fault.Injector) { t.inj.Store(inj) }
-
-// SetRecorder attaches a scheduling-event recorder: inbound task arrivals
-// (KindArrive) and peer evictions (KindCrash) are recorded on this
-// place's track. Safe to call while links are live; nil records nothing.
-func (t *TCPMesh) SetRecorder(rec *obs.Recorder) { t.rec.Store(rec) }
 
 // Down reports whether this node has marked peer p's link as failed.
 func (t *TCPMesh) Down(p int) bool {
@@ -350,9 +340,6 @@ func (t *TCPMesh) link(peer int) *meshLink {
 }
 
 func (t *TCPMesh) deliverLocal(m Message) {
-	if m.Kind == KindSpawn {
-		t.rec.Load().Record(t.place, 0, obs.KindArrive, -1, int32(m.From), 0)
-	}
 	// Gate the send on the closed flag so Close can wait out in-flight
 	// senders before closing the inbox (close-vs-send is a data race).
 	t.mu.Lock()
@@ -390,7 +377,6 @@ func (t *TCPMesh) linkDown(peer int) {
 	if c != nil {
 		c.Close()
 	}
-	t.rec.Load().Record(t.place, 0, obs.KindCrash, -1, int32(peer), 0)
 	t.deliverLocal(Message{Kind: KindPlaceDown, From: peer, To: t.place})
 }
 
@@ -451,7 +437,6 @@ func (t *TCPMesh) handshake(tc *tcpConn) {
 	t.mu.Unlock()
 	if staleLink != nil {
 		staleLink.close()
-		t.rec.Load().Record(t.place, 0, obs.KindHeal, -1, int32(peer), 0)
 	}
 	t.readLoop(peer, tc)
 }

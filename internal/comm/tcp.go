@@ -7,9 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"distws/internal/fault"
 	"distws/internal/metrics"
-	"distws/internal/obs"
 )
 
 // KindHello is the handshake message a spoke sends right after dialing the
@@ -66,8 +64,6 @@ type Hub struct {
 	ln       net.Listener
 	places   int
 	counters *metrics.Counters
-	inj      *fault.Injector // nil-safe; set via InjectFaults
-	rec      *obs.Recorder   // nil-safe; set via SetRecorder
 
 	mu      sync.Mutex
 	conns   map[int]*tcpConn
@@ -150,16 +146,6 @@ func (h *Hub) AwaitPeers(n int, d time.Duration) error {
 	}
 }
 
-// InjectFaults arms the hub with a fault injector: steal messages may be
-// silently dropped and any routed message may be delayed by a latency
-// spike. Call before traffic starts; nil disarms.
-func (h *Hub) InjectFaults(inj *fault.Injector) { h.inj = inj }
-
-// SetRecorder attaches a scheduling-event recorder: task arrivals
-// (KindArrive) and place evictions (KindCrash) are recorded on the hub's
-// track. Call before traffic starts; nil (the default) records nothing.
-func (h *Hub) SetRecorder(rec *obs.Recorder) { h.rec = rec }
-
 // Down reports whether place p's connection has failed and been evicted.
 func (h *Hub) Down(p int) bool {
 	h.mu.Lock()
@@ -220,9 +206,6 @@ func (h *Hub) readLoop(from int, tc *tcpConn) {
 }
 
 func (h *Hub) deliverLocal(m Message) {
-	if m.Kind == KindSpawn {
-		h.rec.Record(0, 0, obs.KindArrive, -1, int32(m.From), 0)
-	}
 	// Gate the send on the closed flag so Close can wait out in-flight
 	// senders before closing the inbox (close-vs-send is a data race).
 	h.mu.Lock()
@@ -253,7 +236,6 @@ func (h *Hub) evict(place int, tc *tcpConn) {
 	h.down[place] = true
 	h.mu.Unlock()
 	tc.conn.Close()
-	h.rec.Record(0, 0, obs.KindCrash, -1, int32(place), 0)
 	h.deliverLocal(Message{Kind: KindPlaceDown, From: place, To: 0})
 }
 
@@ -271,15 +253,6 @@ func (h *Hub) route(m Message) error {
 	}
 	if tc == nil {
 		return fmt.Errorf("comm: no route to place %d", m.To)
-	}
-	if lossy(m.Kind) && h.inj.Drop(m.From, m.To) {
-		if h.counters != nil {
-			h.counters.DroppedMessages.Add(1)
-		}
-		return nil
-	}
-	if ns := h.inj.SpikeNS(m.From, m.To); ns > 0 {
-		time.Sleep(time.Duration(ns))
 	}
 	if h.counters != nil {
 		h.counters.Messages.Add(1)
@@ -334,8 +307,6 @@ type Spoke struct {
 	place    int
 	tc       *tcpConn
 	counters *metrics.Counters
-	inj      *fault.Injector // nil-safe; set via InjectFaults
-	rec      *obs.Recorder   // nil-safe; set via SetRecorder
 	inbox    chan Message
 	once     sync.Once
 }
@@ -370,9 +341,6 @@ func (s *Spoke) readLoop() {
 		if err != nil {
 			return
 		}
-		if m.Kind == KindSpawn {
-			s.rec.Record(s.place, 0, obs.KindArrive, -1, int32(m.From), 0)
-		}
 		s.inbox <- m
 	}
 }
@@ -384,35 +352,13 @@ func (s *Spoke) closeInbox() {
 // Place implements Endpoint.
 func (s *Spoke) Place() int { return s.place }
 
-// InjectFaults arms the spoke's sends with a fault injector. Call before
-// traffic starts; nil disarms.
-func (s *Spoke) InjectFaults(inj *fault.Injector) { s.inj = inj }
-
-// SetRecorder attaches a scheduling-event recorder to inbound task
-// arrivals. Call before traffic starts; nil records nothing.
-func (s *Spoke) SetRecorder(rec *obs.Recorder) { s.rec = rec }
-
 // AwaitTimeout implements Node: a spoke is joined the moment its dial and
 // handshake succeed, so there is nothing to wait for.
 func (s *Spoke) AwaitTimeout(time.Duration) error { return nil }
 
-// Down implements Node. A spoke routes everything through the hub and
-// learns about dead peers only from typed send errors, so it never marks
-// places down itself.
-func (s *Spoke) Down(int) bool { return false }
-
 // Send implements Endpoint. All traffic goes via the hub.
 func (s *Spoke) Send(m Message) error {
 	m.From = s.place
-	if lossy(m.Kind) && s.inj.Drop(m.From, m.To) {
-		if s.counters != nil {
-			s.counters.DroppedMessages.Add(1)
-		}
-		return nil
-	}
-	if ns := s.inj.SpikeNS(m.From, m.To); ns > 0 {
-		time.Sleep(time.Duration(ns))
-	}
 	if s.counters != nil {
 		s.counters.Messages.Add(1)
 		s.counters.BytesTransferred.Add(int64(len(m.Payload)))

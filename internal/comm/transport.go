@@ -5,9 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"distws/internal/fault"
 	"distws/internal/metrics"
-	"distws/internal/obs"
 )
 
 // Transport selects how places exchange messages. The zero value is
@@ -55,24 +53,14 @@ func ParseTransport(s string) (Transport, error) {
 	return 0, fmt.Errorf("comm: unknown transport %q (want inproc, tcp-hub, or tcp-mesh)", s)
 }
 
-// Node is one OS process's attachment to a distributed transport: an
-// Endpoint plus the lifecycle hooks the node layer needs regardless of
-// topology. Hub, Spoke, and TCPMesh all implement it.
+// Node is one OS process's attachment to a distributed transport, as Open
+// returns it: an Endpoint plus the one lifecycle call the daemons make
+// whatever the topology. Hub, Spoke, and TCPMesh all implement it.
 type Node interface {
 	Endpoint
 	// AwaitTimeout blocks until this node considers the cluster assembled
 	// (topology-specific; see the implementations) or the deadline passes.
 	AwaitTimeout(d time.Duration) error
-	// Down reports whether this node has observed place p's link fail.
-	// Topologies that learn about failures only through typed send errors
-	// (the hub's spokes) always report false.
-	Down(p int) bool
-	// InjectFaults arms sends with a deterministic fault injector; nil
-	// disarms. Call before traffic starts.
-	InjectFaults(inj *fault.Injector)
-	// SetRecorder attaches a scheduling-event recorder for task arrivals
-	// and peer evictions; nil records nothing. Call before traffic starts.
-	SetRecorder(rec *obs.Recorder)
 }
 
 // NodeConfig describes one process's seat in a distributed cluster.

@@ -279,6 +279,43 @@ func TestSpawnToDeadPlaceIsRehomed(t *testing.T) {
 	}
 }
 
+// TestNextAliveTotalLoss pins the re-homing rule on the two place flags:
+// the first place at or after from, wrapping, that is neither dead nor
+// draining; the -1 sentinel (never a spin) once every place is gone; and
+// a revived place reachable again.
+func TestNextAliveTotalLoss(t *testing.T) {
+	rt, err := New(Config{Cluster: chaosCluster(), Policy: sched.DistWS, Seed: 7})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer rt.Shutdown()
+	if got := rt.nextAlive(2); got != 2 {
+		t.Fatalf("nextAlive(2) with every place up = %d, want 2", got)
+	}
+	rt.places[2].dead.Store(true)
+	if got := rt.nextAlive(2); got != 3 {
+		t.Fatalf("nextAlive(2) = %d, want 3", got)
+	}
+	rt.places[3].draining.Store(true)
+	if got := rt.nextAlive(2); got != 0 {
+		t.Fatalf("nextAlive(2) = %d, want wraparound to 0", got)
+	}
+	if got := rt.nextAlive(-1); got != 0 {
+		t.Fatalf("nextAlive(-1) = %d, want 0", got)
+	}
+	rt.places[0].draining.Store(true)
+	rt.places[1].dead.Store(true)
+	for from := -2; from < 6; from++ {
+		if got := rt.nextAlive(from); got != -1 {
+			t.Fatalf("nextAlive(%d) with every place gone = %d, want -1", from, got)
+		}
+	}
+	rt.places[1].dead.Store(false)
+	if got := rt.nextAlive(2); got != 1 {
+		t.Fatalf("nextAlive(2) after place 1 came back = %d, want 1", got)
+	}
+}
+
 func TestInvalidFaultPlanRejected(t *testing.T) {
 	_, err := New(Config{
 		Cluster: chaosCluster(),

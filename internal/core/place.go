@@ -583,7 +583,7 @@ func (w *worker) stealRemote() *activity {
 // When the injected fault plan loses the request or the reply — to a link
 // fault or an active partition window — the thief waits out one steal
 // timeout, then retries under exponential backoff with jitter, up to
-// Config.StealMaxAttempts requests, before giving the victim up for this
+// sched.StealMaxAttempts requests, before giving the victim up for this
 // sweep.
 func (w *worker) roundTrip(victim *place, chunkSize int) []*activity {
 	p := w.place
@@ -600,7 +600,7 @@ func (w *worker) roundTrip(victim *place, chunkSize int) []*activity {
 			rt.counters.DroppedMessages.Add(1)
 			rt.counters.StealTimeouts.Add(1)
 			rt.record(p.id, w.local, obs.KindTimeout, -1, int32(victim.id), 0)
-			if attempt+1 >= rt.cfg.StealMaxAttempts {
+			if attempt+1 >= sched.StealMaxAttempts {
 				return nil
 			}
 			rt.counters.Retries.Add(1)
@@ -691,7 +691,7 @@ func (w *worker) registerLifelines() {
 	rt := w.place.rt
 	for _, q := range sched.Lifelines(w.place.id, len(rt.places)) {
 		if rt.places[q].dead.Load() || rt.places[q].draining.Load() {
-			q = rt.down.NextAlive(q + 1)
+			q = rt.nextAlive(q + 1)
 			if q < 0 || q == w.place.id {
 				continue
 			}

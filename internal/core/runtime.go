@@ -67,9 +67,6 @@ type Config struct {
 	// steal round trip lost; it is also the base of the exponential
 	// backoff between retries. Defaults to 200µs.
 	StealTimeout time.Duration
-	// StealMaxAttempts bounds the requests sent to one victim (first try
-	// plus backoff retries). Defaults to 3.
-	StealMaxAttempts int
 	// Recorder, when non-nil, receives per-worker scheduling events
 	// (activity start/end, spawns, steal attempts and outcomes, chunk
 	// arrivals, crashes) stamped in wall-clock nanoseconds since New.
@@ -96,9 +93,6 @@ func (c Config) withDefaults() Config {
 	if c.StealTimeout <= 0 {
 		c.StealTimeout = 200 * time.Microsecond
 	}
-	if c.StealMaxAttempts <= 0 {
-		c.StealMaxAttempts = 3
-	}
 	return c
 }
 
@@ -120,11 +114,8 @@ type Runtime struct {
 	// claim-checked because the relaxed queues may hand a task out twice.
 	receiver bool
 
-	// inj evaluates the injected fault plan (nil-safe when fault-free);
-	// down records which places have failed, for victim exclusion and
-	// re-homing.
-	inj  *fault.Injector
-	down *fault.DownSet
+	// inj evaluates the injected fault plan (nil-safe when fault-free).
+	inj *fault.Injector
 
 	shutdown atomic.Bool
 	// stopCh is closed by the first Shutdown so blocked RunContext calls
@@ -182,7 +173,6 @@ func New(cfg Config) (*Runtime, error) {
 		util:     metrics.NewUtilization(cfg.Cluster.Places),
 		rec:      cfg.Recorder,
 		inj:      fault.NewInjector(cfg.Fault),
-		down:     fault.NewDownSet(cfg.Cluster.Places),
 		stopCh:   make(chan struct{}),
 		started:  time.Now(),
 	}
@@ -207,7 +197,6 @@ func New(cfg Config) (*Runtime, error) {
 		for _, j := range cfg.Fault.Joins {
 			joining[j.Place] = true
 			rt.places[j.Place].dead.Store(true)
-			rt.down.MarkDown(j.Place)
 		}
 	}
 	for _, p := range rt.places {
@@ -367,7 +356,7 @@ func (rt *Runtime) RunContext(ctx context.Context, body func(*Ctx)) error {
 func (rt *Runtime) spawn(a *activity, from int, spawner *worker) {
 	rt.counters.TasksSpawned.Add(1)
 	if rt.places[a.home].dead.Load() || rt.places[a.home].draining.Load() {
-		a.home = rt.down.NextAlive(a.home)
+		a.home = rt.nextAlive(a.home)
 	}
 	home := rt.places[a.home]
 	rt.record(a.home, 0, obs.KindSpawn, -1, int32(from), 0)
@@ -377,6 +366,24 @@ func (rt *Runtime) spawn(a *activity, from int, spawner *worker) {
 	}
 	target := sched.MapTask(rt.cfg.Policy, rt.mapClass(a), home.load(), home.nextSeq())
 	home.enqueue(a, target, spawner)
+}
+
+// nextAlive returns the first place at or after from (wrapping around)
+// that is neither dead nor draining, or -1 if there is none: the
+// deterministic re-homing rule for work whose home has left.
+func (rt *Runtime) nextAlive(from int) int {
+	n := len(rt.places)
+	from %= n
+	if from < 0 {
+		from += n
+	}
+	for i := 0; i < n; i++ {
+		p := rt.places[(from+i)%n]
+		if !p.dead.Load() && !p.draining.Load() {
+			return p.id
+		}
+	}
+	return -1
 }
 
 // mapClass resolves the class Algorithm 1 maps an activity by: the
@@ -405,7 +412,6 @@ func (rt *Runtime) crashPlace(p *place) {
 	if p.dead.Swap(true) {
 		return
 	}
-	rt.down.MarkDown(p.id)
 	rt.counters.PlacesLost.Add(1)
 	rt.record(p.id, 0, obs.KindCrash, -1, 0, 0)
 	p.wakeAll() // idle workers notice the death and exit
@@ -483,7 +489,7 @@ func (rt *Runtime) rehomeQueued(p *place, reexec bool) {
 		// Recovery ships the task once to its new home.
 		rt.counters.Messages.Add(1)
 		rt.counters.BytesTransferred.Add(int64(a.loc.MigrationBytes))
-		a.home = rt.down.NextAlive(p.id + 1 + i)
+		a.home = rt.nextAlive(p.id + 1 + i)
 		home := rt.places[a.home]
 		target := sched.MapTask(rt.cfg.Policy, rt.mapClass(a), home.load(), home.nextSeq())
 		home.enqueue(a, target, nil)
@@ -502,13 +508,8 @@ func (rt *Runtime) revive(p *place, rejoin bool) {
 		return
 	}
 	p.wg.Wait() // let any previous worker generation exit fully
-	// Clear dead before the down set forgets the place: a spawn that still
-	// reads dead re-homes through NextAlive, which must not hand the place
-	// back while enqueue's dead re-check would take the arrival for an
-	// orphan and count it re-executed.
 	p.draining.Store(false)
 	p.dead.Store(false)
-	rt.down.Revive(p.id)
 	if rejoin {
 		rt.counters.MembershipRejoins.Add(1)
 		rt.record(p.id, 0, obs.KindHeal, -1, int32(p.id), 0)
@@ -542,17 +543,19 @@ func (rt *Runtime) DrainPlace(pid int) error {
 	if p.dead.Load() {
 		return fmt.Errorf("core: place %d is down", pid)
 	}
-	if p.draining.Swap(true) {
+	if p.draining.Load() {
 		return nil // already draining
 	}
+	// Refuse before the flag is published: a spawn that saw draining set on
+	// the last available place would find nowhere to re-home.
 	if alive <= 1 {
-		p.draining.Store(false)
 		return fmt.Errorf("core: cannot drain place %d: no other place available", pid)
 	}
-	// From here on spawns and steals avoid p; mark it down for re-homing
-	// (NextAlive skips it) before moving its queue so no activity bounces
-	// back.
-	rt.down.MarkDown(pid)
+	if p.draining.Swap(true) {
+		return nil // a concurrent drain of p won the race
+	}
+	// From here on spawns and steals avoid p and nextAlive skips it, so
+	// nothing moved off its queues bounces back.
 	rt.counters.MembershipDrains.Add(1)
 	rt.record(pid, 0, obs.KindDrain, -1, int32(p.queueLen()), 0)
 	rt.offload(p)

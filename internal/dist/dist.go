@@ -1,140 +1,30 @@
-// Package dist provides the PGAS collection abstractions the paper's
-// applications are written against: PlaceLocalHandle (X10's per-place
-// storage resolved by a globally valid handle, §VI-B) and DistArray
-// (a block-distributed array, as used by the Turing Ring pseudo-code in
-// §IV-B and the Limitation example in §IX).
-//
-// In this in-process realization all places share an address space, so
-// the collections enforce the place discipline logically: every element
-// has an owning place, and applications consult PlaceOf to spawn work
-// where the data lives. Accounting for remote access is the caller's job
-// via Ctx.At.
+// Package dist is the block distribution the paper's PGAS collections
+// place their elements by (the DistArray of the Turing Ring pseudo-code in
+// §IV-B): all places share an address space here, so what an application
+// needs from a distributed array is only where each element lives, to
+// spawn work there.
 package dist
 
 import "fmt"
 
-// PlaceLocalHandle resolves to one T per place — X10's PlaceLocalHandle.
-// The scheduler itself uses the same idea for its per-place load objects.
-type PlaceLocalHandle[T any] struct {
-	vals []T
-}
-
-// NewPlaceLocalHandle builds a handle over places places, initializing
-// each place's value with init.
-func NewPlaceLocalHandle[T any](places int, init func(place int) T) *PlaceLocalHandle[T] {
+// PlaceOf returns the place owning index i of an n-element array
+// block-distributed over places places: place p owns the contiguous index
+// range [p·n/P, (p+1)·n/P).
+func PlaceOf(i, n, places int) int {
 	if places <= 0 {
-		panic(fmt.Sprintf("dist: NewPlaceLocalHandle places=%d", places))
+		panic(fmt.Sprintf("dist: PlaceOf places=%d", places))
 	}
-	h := &PlaceLocalHandle[T]{vals: make([]T, places)}
-	for p := range h.vals {
-		h.vals[p] = init(p)
+	if i < 0 || i >= n {
+		panic(fmt.Sprintf("dist: index %d out of range [0,%d)", i, n))
 	}
-	return h
-}
-
-// At returns the value local to place p.
-func (h *PlaceLocalHandle[T]) At(p int) T {
-	if p < 0 || p >= len(h.vals) {
-		panic(fmt.Sprintf("dist: PlaceLocalHandle.At(%d) of %d places", p, len(h.vals)))
-	}
-	return h.vals[p]
-}
-
-// Set replaces the value local to place p. Only the owning place's workers
-// should call this (the handle performs no synchronization, mirroring
-// X10's place-local objects which are mutated by co-located workers only).
-func (h *PlaceLocalHandle[T]) Set(p int, v T) {
-	if p < 0 || p >= len(h.vals) {
-		panic(fmt.Sprintf("dist: PlaceLocalHandle.Set(%d) of %d places", p, len(h.vals)))
-	}
-	h.vals[p] = v
-}
-
-// Places returns the number of places the handle spans.
-func (h *PlaceLocalHandle[T]) Places() int { return len(h.vals) }
-
-// DistArray is a block-distributed array: place p owns the contiguous
-// index range [p·n/P, (p+1)·n/P).
-type DistArray[T any] struct {
-	n      int
-	places int
-	data   []T
-}
-
-// NewDistArray builds an n-element array distributed over places places,
-// initialized by init (which may be nil for zero values).
-func NewDistArray[T any](n, places int, init func(i int) T) *DistArray[T] {
-	if n < 0 {
-		panic(fmt.Sprintf("dist: NewDistArray n=%d", n))
-	}
-	if places <= 0 {
-		panic(fmt.Sprintf("dist: NewDistArray places=%d", places))
-	}
-	d := &DistArray[T]{n: n, places: places, data: make([]T, n)}
-	if init != nil {
-		for i := range d.data {
-			d.data[i] = init(i)
-		}
-	}
-	return d
-}
-
-// Len returns the element count.
-func (d *DistArray[T]) Len() int { return d.n }
-
-// Places returns the number of places the array is distributed over.
-func (d *DistArray[T]) Places() int { return d.places }
-
-// PlaceOf returns the place owning index i under the block distribution.
-func (d *DistArray[T]) PlaceOf(i int) int {
-	d.check(i)
-	if d.n == 0 {
-		return 0
-	}
-	// Inverse of the block bounds: the place whose range contains i.
-	p := i * d.places / d.n
-	// Guard against rounding at block boundaries.
-	for p > 0 && i < d.lo(p) {
+	// Inverse of the block bounds, guarded against rounding at block
+	// boundaries.
+	p := i * places / n
+	for p > 0 && i < p*n/places {
 		p--
 	}
-	for p < d.places-1 && i >= d.hi(p) {
+	for p < places-1 && i >= (p+1)*n/places {
 		p++
 	}
 	return p
-}
-
-func (d *DistArray[T]) lo(p int) int { return p * d.n / d.places }
-func (d *DistArray[T]) hi(p int) int { return (p + 1) * d.n / d.places }
-
-// Range returns the index interval [lo, hi) owned by place p.
-func (d *DistArray[T]) Range(p int) (lo, hi int) {
-	if p < 0 || p >= d.places {
-		panic(fmt.Sprintf("dist: Range(%d) of %d places", p, d.places))
-	}
-	return d.lo(p), d.hi(p)
-}
-
-// Local returns the slice of elements owned by place p, sharing storage
-// with the array.
-func (d *DistArray[T]) Local(p int) []T {
-	lo, hi := d.Range(p)
-	return d.data[lo:hi:hi]
-}
-
-// Get returns element i.
-func (d *DistArray[T]) Get(i int) T {
-	d.check(i)
-	return d.data[i]
-}
-
-// Set stores v at index i.
-func (d *DistArray[T]) Set(i int, v T) {
-	d.check(i)
-	d.data[i] = v
-}
-
-func (d *DistArray[T]) check(i int) {
-	if i < 0 || i >= d.n {
-		panic(fmt.Sprintf("dist: index %d out of range [0,%d)", i, d.n))
-	}
 }

@@ -5,99 +5,57 @@ import (
 	"testing/quick"
 )
 
-func TestPlaceLocalHandle(t *testing.T) {
-	h := NewPlaceLocalHandle(4, func(p int) int { return p * 10 })
-	for p := 0; p < 4; p++ {
-		if got := h.At(p); got != p*10 {
-			t.Fatalf("At(%d) = %d, want %d", p, got, p*10)
-		}
-	}
-	h.Set(2, 99)
-	if h.At(2) != 99 {
-		t.Fatalf("Set did not stick")
-	}
-	if h.Places() != 4 {
-		t.Fatalf("Places() = %d", h.Places())
-	}
-}
-
-func TestPlaceLocalHandlePanics(t *testing.T) {
-	h := NewPlaceLocalHandle(2, func(int) int { return 0 })
-	assertPanics(t, func() { h.At(2) })
-	assertPanics(t, func() { h.At(-1) })
-	assertPanics(t, func() { h.Set(5, 1) })
-	assertPanics(t, func() { NewPlaceLocalHandle(0, func(int) int { return 0 }) })
+// blockRange is the specification PlaceOf inverts: place p owns [lo, hi).
+func blockRange(p, n, places int) (lo, hi int) {
+	return p * n / places, (p + 1) * n / places
 }
 
 func TestDistArrayBlockDistribution(t *testing.T) {
-	d := NewDistArray(100, 4, func(i int) int { return i })
 	// 100 over 4 places: 25 each.
 	for p := 0; p < 4; p++ {
-		lo, hi := d.Range(p)
+		lo, hi := blockRange(p, 100, 4)
 		if hi-lo != 25 {
 			t.Fatalf("place %d owns %d elements, want 25", p, hi-lo)
 		}
 		for i := lo; i < hi; i++ {
-			if d.PlaceOf(i) != p {
-				t.Fatalf("PlaceOf(%d) = %d, want %d", i, d.PlaceOf(i), p)
+			if got := PlaceOf(i, 100, 4); got != p {
+				t.Fatalf("PlaceOf(%d) = %d, want %d", i, got, p)
 			}
 		}
 	}
 }
 
 func TestDistArrayUnevenDistribution(t *testing.T) {
-	d := NewDistArray[int](10, 3, nil)
-	total := 0
-	for p := 0; p < 3; p++ {
-		lo, hi := d.Range(p)
-		if hi < lo {
-			t.Fatalf("place %d has negative range [%d,%d)", p, lo, hi)
+	owned := make([]int, 3)
+	for i := 0; i < 10; i++ {
+		owned[PlaceOf(i, 10, 3)]++
+	}
+	for p, n := range owned {
+		if n != 3 && n != 4 {
+			t.Fatalf("place %d owns %d of 10 elements over 3 places, want 3 or 4", p, n)
 		}
-		total += hi - lo
-	}
-	if total != 10 {
-		t.Fatalf("ranges cover %d elements, want 10", total)
-	}
-}
-
-func TestDistArrayGetSetLocal(t *testing.T) {
-	d := NewDistArray(8, 2, func(i int) string { return "" })
-	d.Set(5, "x")
-	if d.Get(5) != "x" {
-		t.Fatalf("Get after Set failed")
-	}
-	local := d.Local(1)
-	if len(local) != 4 {
-		t.Fatalf("Local(1) has %d elements, want 4", len(local))
-	}
-	local[1] = "y" // index 5 globally
-	if d.Get(5) != "y" {
-		t.Fatalf("Local must share storage with the array")
 	}
 }
 
 func TestDistArrayPanics(t *testing.T) {
-	d := NewDistArray[int](4, 2, nil)
-	assertPanics(t, func() { d.Get(4) })
-	assertPanics(t, func() { d.Set(-1, 0) })
-	assertPanics(t, func() { d.Range(2) })
-	assertPanics(t, func() { NewDistArray[int](-1, 2, nil) })
-	assertPanics(t, func() { NewDistArray[int](4, 0, nil) })
+	assertPanics(t, func() { PlaceOf(4, 4, 2) })
+	assertPanics(t, func() { PlaceOf(-1, 4, 2) })
+	assertPanics(t, func() { PlaceOf(0, -1, 2) })
+	assertPanics(t, func() { PlaceOf(0, 4, 0) })
 }
 
-// Property: every index belongs to exactly the place whose Range contains
-// it, and ranges partition [0, n).
+// Property: every index belongs to exactly the place whose block range
+// contains it, and the ranges partition [0, n).
 func TestDistArrayPartitionProperty(t *testing.T) {
 	f := func(nRaw, pRaw uint8) bool {
 		n := int(nRaw)%200 + 1
 		places := int(pRaw)%16 + 1
-		d := NewDistArray[int](n, places, nil)
 		covered := 0
 		for p := 0; p < places; p++ {
-			lo, hi := d.Range(p)
+			lo, hi := blockRange(p, n, places)
 			covered += hi - lo
 			for i := lo; i < hi; i++ {
-				if d.PlaceOf(i) != p {
+				if PlaceOf(i, n, places) != p {
 					return false
 				}
 			}
@@ -114,11 +72,12 @@ func TestDistArrayBalanceProperty(t *testing.T) {
 	f := func(nRaw, pRaw uint8) bool {
 		n := int(nRaw)%500 + 1
 		places := int(pRaw)%16 + 1
-		d := NewDistArray[int](n, places, nil)
+		owned := make([]int, places)
+		for i := 0; i < n; i++ {
+			owned[PlaceOf(i, n, places)]++
+		}
 		minSz, maxSz := n, 0
-		for p := 0; p < places; p++ {
-			lo, hi := d.Range(p)
-			sz := hi - lo
+		for _, sz := range owned {
 			if sz < minSz {
 				minSz = sz
 			}

@@ -73,10 +73,7 @@ func (r *Runner) DAGStudy() ([]DAGRow, error) {
 	err := r.forEach(len(apps)*len(dagPolicies), func(i int) error {
 		ai, pi := i/len(dagPolicies), i%len(dagPolicies)
 		pol := dagPolicies[pi]
-		res, err := sim.RunDAG(graphs[ai], r.Cluster, sched.DistWS, pol, sim.Options{
-			Seed:  r.Seed,
-			Deque: r.Deque,
-		})
+		res, err := sim.RunDAG(graphs[ai], r.Cluster, sched.DistWS, pol, sim.Options{Seed: r.Seed})
 		if err != nil {
 			return fmt.Errorf("expt: dag %s/%v: %w", rows[ai].App, pol, err)
 		}

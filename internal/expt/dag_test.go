@@ -5,7 +5,6 @@ import (
 
 	"distws/internal/apps/suite"
 	"distws/internal/dag"
-	"distws/internal/deque"
 )
 
 func dagRunner(workers int) *Runner {
@@ -41,8 +40,7 @@ func TestDAGStudyDataAwareWinsOnCholesky(t *testing.T) {
 }
 
 // TestDAGStudyDeterministic pins that the exhibit renders byte-identically
-// regardless of the runner's pool width — the -workers half of the
-// dag-parity gate.
+// regardless of the runner's pool width — the dag-parity gate's axis.
 func TestDAGStudyDeterministic(t *testing.T) {
 	seq, err := dagRunner(1).DAGStudy()
 	if err != nil {
@@ -55,28 +53,5 @@ func TestDAGStudyDeterministic(t *testing.T) {
 	if RenderDAG(seq) != RenderDAG(par) {
 		t.Fatalf("DAG study diverged across pool widths:\n--- workers=1\n%s\n--- workers=8\n%s",
 			RenderDAG(seq), RenderDAG(par))
-	}
-}
-
-// TestDAGStudyDequeKindParity pins the other half of the dag-parity
-// gate: the study never sets LockContention, so the deque kind cannot
-// change its output.
-func TestDAGStudyDequeKindParity(t *testing.T) {
-	var base string
-	for _, k := range deque.Kinds() {
-		r := dagRunner(0)
-		r.Deque = k
-		rows, err := r.DAGStudy()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := RenderDAG(rows)
-		if base == "" {
-			base = out
-			continue
-		}
-		if out != base {
-			t.Fatalf("deque kind %v changed the DAG study output", k)
-		}
 	}
 }

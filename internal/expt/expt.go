@@ -31,16 +31,6 @@ type Runner struct {
 	Cluster topology.Cluster
 	Apps    []apps.App
 
-	// Deque selects the simulated worker-queue synchronization kind for
-	// every cell the runner executes (see sim.Options.Deque). The zero
-	// value is the paper-faithful mutex deque. Without
-	// sim.Options.LockContention the kind only models synchronization
-	// cost that the paper configuration does not charge, so every exhibit
-	// is byte-identical across kinds — the cross-kind parity gate in
-	// `make check` pins that down. Only the contention study, which turns
-	// LockContention on, separates the kinds.
-	Deque deque.Kind
-
 	// Workers bounds how many simulation cells run concurrently. Zero
 	// means GOMAXPROCS; 1 forces fully sequential execution (useful to
 	// verify determinism or to profile a single-threaded run).
@@ -158,7 +148,7 @@ func (r *Runner) simulate(a apps.App, places int, policy sched.Kind) (*sim.Resul
 		return nil, fmt.Errorf("expt: trace %s: %w", a.Name(), err)
 	}
 	cl := r.Cluster.WithPlaces(places)
-	res, err := sim.Run(g, cl, policy, sim.Options{Seed: r.Seed, Deque: r.Deque})
+	res, err := sim.Run(g, cl, policy, sim.Options{Seed: r.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("expt: sim %s/%v: %w", a.Name(), policy, err)
 	}
@@ -679,7 +669,7 @@ func (r *Runner) UTSStudy() ([]UTSRow, error) {
 	policies := []sched.Kind{sched.RandomWS, sched.LifelineWS, sched.DistWS}
 	rows := make([]UTSRow, len(policies))
 	err = r.forEach(len(policies), func(i int) error {
-		res, err := sim.Run(g, r.Cluster, policies[i], sim.Options{Seed: r.Seed, Deque: r.Deque})
+		res, err := sim.Run(g, r.Cluster, policies[i], sim.Options{Seed: r.Seed})
 		if err != nil {
 			return err
 		}
@@ -859,8 +849,8 @@ func (row ContentionRow) Cell(k deque.Kind) ContentionCell {
 // ContentionStudy sweeps ContentionWorkerCounts × deque.Kinds() over the
 // contention microbenchmark with the shared-queue lock simulated
 // (sim.Options.LockContention), under DistWS. This is the one exhibit
-// where Options.Deque changes results; everything else in the suite is
-// deque-kind invariant.
+// that sets Options.Deque; every other cell runs the paper-faithful
+// configuration, which prices no shared-queue synchronization.
 func (r *Runner) ContentionStudy() ([]ContentionRow, error) {
 	kinds := deque.Kinds()
 	counts := ContentionWorkerCounts

@@ -485,87 +485,3 @@ func mix(a, b uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
-
-// DownSet tracks which places have been observed down. It is the shared
-// "places marked down" record thieves consult for victim exclusion and
-// dispatchers consult for re-homing. Safe for concurrent use; the zero
-// value is unusable — create with NewDownSet.
-type DownSet struct {
-	down []atomic.Bool
-	n    atomic.Int32
-}
-
-// NewDownSet returns a tracker over places places.
-func NewDownSet(places int) *DownSet {
-	if places <= 0 {
-		panic(fmt.Sprintf("fault: NewDownSet places=%d, want > 0", places))
-	}
-	return &DownSet{down: make([]atomic.Bool, places)}
-}
-
-// MarkDown records place as down. It reports whether this call was the
-// first to mark it (so callers can count PlacesLost exactly once).
-func (d *DownSet) MarkDown(place int) bool {
-	if place < 0 || place >= len(d.down) {
-		return false
-	}
-	if d.down[place].Swap(true) {
-		return false
-	}
-	d.n.Add(1)
-	return true
-}
-
-// Revive clears a down mark, readmitting a healed or rejoined place to
-// victim selection and re-homing. It reports whether the place was
-// actually down.
-func (d *DownSet) Revive(place int) bool {
-	if place < 0 || place >= len(d.down) {
-		return false
-	}
-	if !d.down[place].Swap(false) {
-		return false
-	}
-	d.n.Add(-1)
-	return true
-}
-
-// Down reports whether place has been marked down.
-func (d *DownSet) Down(place int) bool {
-	if d == nil || place < 0 || place >= len(d.down) {
-		return false
-	}
-	return d.down[place].Load()
-}
-
-// Count returns how many places are marked down.
-func (d *DownSet) Count() int {
-	if d == nil {
-		return 0
-	}
-	return int(d.n.Load())
-}
-
-// Places returns the tracked place count.
-func (d *DownSet) Places() int { return len(d.down) }
-
-// NextAlive returns the first place at or after from (wrapping around)
-// that is not marked down, or -1 if every place is down. It is the
-// deterministic re-homing rule used when a task's home place has failed.
-func (d *DownSet) NextAlive(from int) int {
-	n := len(d.down)
-	if n == 0 {
-		return -1
-	}
-	from %= n
-	if from < 0 {
-		from += n
-	}
-	for i := 0; i < n; i++ {
-		p := (from + i) % n
-		if !d.down[p].Load() {
-			return p
-		}
-	}
-	return -1
-}

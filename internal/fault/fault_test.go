@@ -148,71 +148,6 @@ func TestSpike(t *testing.T) {
 	}
 }
 
-func TestDownSet(t *testing.T) {
-	d := NewDownSet(4)
-	if d.Down(2) || d.Count() != 0 {
-		t.Fatalf("fresh set has downs")
-	}
-	if !d.MarkDown(2) {
-		t.Fatalf("first MarkDown should report true")
-	}
-	if d.MarkDown(2) {
-		t.Fatalf("second MarkDown should report false")
-	}
-	if !d.Down(2) || d.Count() != 1 {
-		t.Fatalf("place 2 should be down")
-	}
-	if got := d.NextAlive(2); got != 3 {
-		t.Fatalf("NextAlive(2) = %d, want 3", got)
-	}
-	d.MarkDown(3)
-	if got := d.NextAlive(2); got != 0 {
-		t.Fatalf("NextAlive(2) = %d, want wraparound to 0", got)
-	}
-	if got := d.NextAlive(-1); got != 0 && got != 1 {
-		t.Fatalf("NextAlive(-1) = %d", got)
-	}
-	d.MarkDown(0)
-	d.MarkDown(1)
-	if got := d.NextAlive(0); got != -1 {
-		t.Fatalf("NextAlive with all down = %d, want -1", got)
-	}
-	// Out-of-range queries are harmless.
-	if d.Down(99) || d.MarkDown(99) {
-		t.Fatalf("out-of-range place should not be markable")
-	}
-}
-
-// TestNextAliveTotalLoss is the satellite regression: once every place
-// is down, NextAlive must return the -1 sentinel (never spin), and a
-// Revive must make the place reachable again.
-func TestNextAliveTotalLoss(t *testing.T) {
-	d := NewDownSet(3)
-	for p := 0; p < 3; p++ {
-		d.MarkDown(p)
-	}
-	for from := -2; from < 5; from++ {
-		if got := d.NextAlive(from); got != -1 {
-			t.Fatalf("NextAlive(%d) with all down = %d, want -1", from, got)
-		}
-	}
-	if !d.Revive(1) {
-		t.Fatalf("Revive(1) of a down place should report true")
-	}
-	if d.Revive(1) {
-		t.Fatalf("second Revive(1) should report false")
-	}
-	if d.Count() != 2 || d.Down(1) {
-		t.Fatalf("after revive: Count=%d Down(1)=%v", d.Count(), d.Down(1))
-	}
-	if got := d.NextAlive(2); got != 1 {
-		t.Fatalf("NextAlive(2) after revive = %d, want 1", got)
-	}
-	if d.Revive(99) {
-		t.Fatalf("out-of-range revive should be a no-op")
-	}
-}
-
 func TestPartitionWindow(t *testing.T) {
 	in := NewInjector(&Plan{Partitions: []Partition{{GroupA: []int{0, 1}, AtNS: 100, HealNS: 200}}})
 	if in.PartitionedAt(0, 2, 50) {

@@ -398,6 +398,3 @@ func (t *Table) AliveCount() int {
 	}
 	return n
 }
-
-// Places returns the provisioned seat count.
-func (t *Table) Places() int { return len(t.rows) }

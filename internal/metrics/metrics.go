@@ -275,9 +275,6 @@ func NewUtilization(places int) *Utilization {
 // AddBusy credits d time units of useful work to place p.
 func (u *Utilization) AddBusy(p int, d int64) { u.busy[p].Add(d) }
 
-// Places returns the number of tracked places.
-func (u *Utilization) Places() int { return len(u.busy) }
-
 // Fractions returns, for a run lasting total time units on workersPerPlace
 // workers per place, the busy fraction of each place in percent.
 func (u *Utilization) Fractions(total int64, workersPerPlace int) []float64 {

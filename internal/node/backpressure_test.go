@@ -7,25 +7,15 @@ import (
 	"time"
 
 	"distws/internal/comm"
-	"distws/internal/fault"
 	"distws/internal/metrics"
-	"distws/internal/obs"
 	"distws/internal/task"
 )
 
-// inprocNode adapts an in-process mesh endpoint to comm.Node.
-type inprocNode struct{ comm.Endpoint }
-
-func (inprocNode) AwaitTimeout(time.Duration) error { return nil }
-func (inprocNode) Down(int) bool                    { return false }
-func (inprocNode) InjectFaults(*fault.Injector)     {}
-func (inprocNode) SetRecorder(*obs.Recorder)        {}
-
-// shedNode wraps a comm.Node and sheds the first shedLeft[p] spawn sends
+// shedNode wraps a comm.Endpoint and sheds the first shedLeft[p] spawn sends
 // to each place p with a typed BackpressureError, counting every spawn
 // attempt — the harness for the coordinator's backpressure audit.
 type shedNode struct {
-	comm.Node
+	comm.Endpoint
 	mu         sync.Mutex
 	shedLeft   map[int]int
 	spawnSends map[int]int
@@ -45,7 +35,7 @@ func (s *shedNode) Send(m comm.Message) error {
 		}
 		s.mu.Unlock()
 	}
-	return s.Node.Send(m)
+	return s.Endpoint.Send(m)
 }
 
 func (s *shedNode) sends(p int) int {
@@ -65,7 +55,7 @@ func runBackpressured(t *testing.T, shedLeft map[int]int, batches int) (*metrics
 	exDone := make(chan error, places-1)
 	for p := 1; p < places; p++ {
 		ex := &Executor{
-			Node:     inprocNode{m.Endpoint(p)},
+			Node:     m.Endpoint(p),
 			Place:    p,
 			Registry: reg,
 			Run: func(name string, arg []byte) ([]byte, error) {
@@ -78,7 +68,7 @@ func runBackpressured(t *testing.T, shedLeft map[int]int, batches int) (*metrics
 		}()
 	}
 
-	shim := &shedNode{Node: inprocNode{m.Endpoint(0)}, shedLeft: shedLeft}
+	shim := &shedNode{Endpoint: m.Endpoint(0), shedLeft: shedLeft}
 	var ctrs metrics.Counters
 	work := make([]Batch, batches)
 	for i := range work {

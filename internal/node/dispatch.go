@@ -18,7 +18,7 @@ import (
 // settings Coordinator and service.Server export, passed through.
 type Config struct {
 	// Node is the transport attachment at place 0.
-	Node comm.Node
+	Node comm.Endpoint
 	// Places is the compute cluster size: place 0 dispatches, places
 	// 1..Places-1 run Executors. Any other seat reaches only Policy.Other.
 	Places int
@@ -313,8 +313,12 @@ func (d *Dispatcher[T]) handle(m comm.Message) {
 		// A draining executor returned the item unstarted. Unlike a
 		// completion this is honoured only from the place the item is
 		// registered at: a nack says "not here", which is news about that
-		// one copy.
+		// one copy. Only a draining executor nacks, so it is also the drain
+		// announcement if none got through yet: the place must stop being
+		// eligible before the item is queued again, or it goes straight
+		// back there and every duplicate of the nack repeats the trip.
 		if it := d.live[m.Seq]; it != nil && it.place == m.From {
+			d.drain(m.From)
 			d.Counters.TasksOffloaded.Add(1)
 			d.unregister(it)
 			d.Requeue(it.v)

@@ -2,7 +2,7 @@
 // executors of a cluster: at-least-once delivery of registry tasks with
 // exactly-once result accounting, through executor joins, drains and
 // failures. The protocol is transport-agnostic — it speaks through a
-// comm.Node, so the same code runs over the star (tcp-hub) and
+// comm.Endpoint, so the same code runs over the star (tcp-hub) and
 // peer-to-peer (tcp-mesh) topologies, and payloads stay opaque bytes end
 // to end.
 //
@@ -64,7 +64,7 @@ type Batch struct {
 // once dispatch still accounts every batch exactly once.
 type Coordinator struct {
 	// Node is this process's transport attachment (place 0).
-	Node comm.Node
+	Node comm.Endpoint
 	// Places is the cluster size.
 	Places int
 	// Counters receives protocol accounting (PlacesLost, TasksReExecuted,
@@ -182,7 +182,7 @@ func (c *Coordinator) finish(b Batch, result []byte) {
 // replies with the result under the same Seq.
 type Executor struct {
 	// Node is this process's transport attachment.
-	Node comm.Node
+	Node comm.Endpoint
 	// Place is this executor's place id.
 	Place int
 	// Registry resolves envelope names; nil uses task.DefaultRegistry.

@@ -108,14 +108,6 @@ const (
 	TargetShared
 )
 
-// String names the target for diagnostics.
-func (t Target) String() string {
-	if t == TargetPrivate {
-		return "private"
-	}
-	return "shared"
-}
-
 // PlaceLoad is the runtime load information Algorithm 1 consults when
 // mapping a flexible task (paper §V-B1): whether the place has running
 // activities, how many workers are idle, and how much room remains before
@@ -199,6 +191,12 @@ func StealHalf(n int) int {
 	}
 	return (n + 1) / 2
 }
+
+// StealMaxAttempts bounds the requests a thief sends to one victim in one
+// sweep when the round trip is lost: the first try plus retries under
+// exponential backoff. The runtime and the simulator give up on the victim
+// at the same count.
+const StealMaxAttempts = 3
 
 // VictimOrder returns the order in which a thief at place self probes the
 // other places' shared deques. DistWS and DistWS-NS sweep all places in a

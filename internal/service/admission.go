@@ -93,15 +93,6 @@ func NewAdmission(cfg map[uint32]TenantConfig) *Admission {
 	return a
 }
 
-// Config returns the tenant's configuration and whether it is known.
-func (a *Admission) Config(tenant uint32) (TenantConfig, bool) {
-	st, ok := a.tenants[tenant]
-	if !ok {
-		return TenantConfig{}, false
-	}
-	return st.cfg, true
-}
-
 // Weights returns the fair-share weight of every configured tenant.
 func (a *Admission) Weights() map[uint32]int {
 	w := make(map[uint32]int, len(a.tenants))

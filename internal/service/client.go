@@ -14,7 +14,7 @@ import (
 // whoever asked. Safe for concurrent use; the receive loop starts on
 // construction and ends when the node's inbox closes.
 type Client struct {
-	node   comm.Node
+	node   comm.Endpoint
 	server int
 
 	mu      sync.Mutex
@@ -25,7 +25,7 @@ type Client struct {
 
 // NewClient wraps an attached comm node (already Open-ed on a client
 // seat) talking to the front door at server. It spawns the receive loop.
-func NewClient(node comm.Node, server int) *Client {
+func NewClient(node comm.Endpoint, server int) *Client {
 	c := &Client{
 		node:    node,
 		server:  server,

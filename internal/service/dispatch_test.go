@@ -17,10 +17,10 @@ import (
 	"distws/internal/task"
 )
 
-// loseFirstSpawn wraps a comm.Node and swallows the first KindSpawn sent
+// loseFirstSpawn wraps a comm.Endpoint and swallows the first KindSpawn sent
 // through it: Send reports success and nothing goes out.
 type loseFirstSpawn struct {
-	comm.Node
+	comm.Endpoint
 	armed bool // set before the dispatcher starts; only its goroutine sends
 }
 
@@ -29,7 +29,7 @@ func (f *loseFirstSpawn) Send(m comm.Message) error {
 		f.armed = false
 		return nil
 	}
-	return f.Node.Send(m)
+	return f.Endpoint.Send(m)
 }
 
 // dispatchRig is one dispatcher seat, one executor and one client seat on
@@ -45,9 +45,9 @@ type dispatchRig struct {
 func newDispatchRig(hb time.Duration) *dispatchRig {
 	r := &dispatchRig{mesh: comm.NewMesh(3, 64, nil), reg: task.NewRegistry(), exDone: make(chan error, 1)}
 	r.reg.Register("rig.double", func([]byte) error { return nil })
-	r.front = &loseFirstSpawn{Node: meshNode{r.mesh.Endpoint(0)}}
+	r.front = &loseFirstSpawn{Endpoint: r.mesh.Endpoint(0)}
 	ex := &node.Executor{
-		Node: meshNode{r.mesh.Endpoint(1)}, Place: 1, Registry: r.reg, Heartbeat: hb,
+		Node: r.mesh.Endpoint(1), Place: 1, Registry: r.reg, Heartbeat: hb,
 		Run: func(_ string, arg []byte) ([]byte, error) {
 			return u64(binary.BigEndian.Uint64(arg) * 2), nil
 		},

@@ -27,7 +27,7 @@ import (
 // just another mesh peer or hub spoke.
 type Server struct {
 	// Node is the transport attachment at place 0.
-	Node comm.Node
+	Node comm.Endpoint
 	// Places is the compute cluster size (server + executors). Transport
 	// seats at or beyond Places are client seats.
 	Places int

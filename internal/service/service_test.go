@@ -10,21 +10,10 @@ import (
 	"time"
 
 	"distws/internal/comm"
-	"distws/internal/fault"
 	"distws/internal/metrics"
 	"distws/internal/node"
-	"distws/internal/obs"
 	"distws/internal/task"
 )
-
-// meshNode adapts an in-process mesh endpoint to the comm.Node surface
-// the server, executors, and clients speak.
-type meshNode struct{ comm.Endpoint }
-
-func (meshNode) AwaitTimeout(time.Duration) error { return nil }
-func (meshNode) Down(int) bool                    { return false }
-func (meshNode) InjectFaults(*fault.Injector)     {}
-func (meshNode) SetRecorder(*obs.Recorder)        {}
 
 func u64(v uint64) []byte {
 	b := make([]byte, 8)
@@ -35,7 +24,7 @@ func u64(v uint64) []byte {
 // startExecutor runs a node.Executor on seat p and returns its exit channel.
 func startExecutor(m *comm.Mesh, p int, reg *task.Registry, conc int, announce bool) (*node.Executor, chan error) {
 	ex := &node.Executor{
-		Node:        meshNode{m.Endpoint(p)},
+		Node:        m.Endpoint(p),
 		Place:       p,
 		Registry:    reg,
 		Concurrency: conc,
@@ -71,7 +60,7 @@ func TestServiceEndToEnd(t *testing.T) {
 	var ctrs metrics.Counters
 	stats := NewStats()
 	srv := &Server{
-		Node:   meshNode{m.Endpoint(0)},
+		Node:   m.Endpoint(0),
 		Places: places,
 		Tenants: map[uint32]TenantConfig{
 			1: {MaxInFlight: 8},
@@ -88,8 +77,8 @@ func TestServiceEndToEnd(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	ca := NewClient(meshNode{m.Endpoint(places)}, 0)
-	cb := NewClient(meshNode{m.Endpoint(places + 1)}, 0)
+	ca := NewClient(m.Endpoint(places), 0)
+	cb := NewClient(m.Endpoint(places+1), 0)
 
 	var wg sync.WaitGroup
 	var bad atomic.Int64
@@ -193,7 +182,7 @@ func TestServiceFairShareSaturation(t *testing.T) {
 	var mu sync.Mutex
 	var order []uint32 // tenant of each job, in execution order
 	ex := &node.Executor{
-		Node:     meshNode{m.Endpoint(1)},
+		Node:     m.Endpoint(1),
 		Place:    1,
 		Registry: reg,
 		Run: func(name string, arg []byte) ([]byte, error) {
@@ -209,7 +198,7 @@ func TestServiceFairShareSaturation(t *testing.T) {
 
 	stats := NewStats()
 	srv := &Server{
-		Node:   meshNode{m.Endpoint(0)},
+		Node:   m.Endpoint(0),
 		Places: places,
 		Tenants: map[uint32]TenantConfig{
 			1: {Weight: 1},
@@ -222,7 +211,7 @@ func TestServiceFairShareSaturation(t *testing.T) {
 	srvDone := make(chan error, 1)
 	go func() { srvDone <- srv.Serve(context.Background()) }()
 
-	c := NewClient(meshNode{m.Endpoint(places)}, 0)
+	c := NewClient(m.Endpoint(places), 0)
 	const per = 300
 	arg := func(tenant uint32) []byte {
 		b := make([]byte, 8)
@@ -294,7 +283,7 @@ func TestServiceChurnExactlyOnce(t *testing.T) {
 	var ctrs metrics.Counters
 	stats := NewStats()
 	srv := &Server{
-		Node:       meshNode{m.Endpoint(0)},
+		Node:       m.Endpoint(0),
 		Places:     places,
 		Tenants:    map[uint32]TenantConfig{1: {MaxInFlight: 16}},
 		Registry:   reg,
@@ -308,7 +297,7 @@ func TestServiceChurnExactlyOnce(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	c := NewClient(meshNode{m.Endpoint(places)}, 0)
+	c := NewClient(m.Endpoint(places), 0)
 
 	const total = 200
 	var replies atomic.Int64
@@ -387,6 +376,86 @@ func TestServiceChurnExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestServiceHardStopBouncesQueuedJobs cancels Serve's context with one job
+// running at the only executor slot and four admitted behind it: Serve
+// returns the context's error, every queued job is nacked NackDraining and
+// gives its admission slot back, and the running one is neither answered
+// nor released.
+func TestServiceHardStopBouncesQueuedJobs(t *testing.T) {
+	const places, queued = 2, 4
+	m := comm.NewMesh(places+1, 64, nil)
+	reg := task.NewRegistry()
+	reg.Register("svc.gate", func([]byte) error { return nil })
+	gate := make(chan struct{})
+	ex := &node.Executor{
+		Node:     m.Endpoint(1),
+		Place:    1,
+		Registry: reg,
+		Run:      func(string, []byte) ([]byte, error) { <-gate; return nil, nil },
+	}
+	exDone := make(chan error, 1)
+	go func() { _, err := ex.Serve(); exDone <- err }()
+
+	stats := NewStats()
+	srv := &Server{
+		Node:       m.Endpoint(0),
+		Places:     places,
+		Tenants:    map[uint32]TenantConfig{1: {}},
+		Registry:   reg,
+		Stats:      stats,
+		Window:     1,
+		RetryAfter: time.Minute, // no re-dispatch while gated
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	srvDone := make(chan error, 1)
+	go func() { srvDone <- srv.Serve(ctx) }()
+
+	c := NewClient(m.Endpoint(places), 0)
+	var replies []<-chan Reply
+	for i := 0; i < 1+queued; i++ {
+		ch, err := c.Submit(Job{Tenant: 1, Name: "svc.gate"})
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		replies = append(replies, ch)
+	}
+	for deadline := time.Now().Add(10 * time.Second); stats.Tenant(1).Admitted.Load() < 1+queued; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d/%d jobs admitted", stats.Tenant(1).Admitted.Load(), 1+queued)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-srvDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Serve returned %v, want context.Canceled", err)
+	}
+	for i, ch := range replies[1:] {
+		select {
+		case r := <-ch:
+			if r.Code != NackDraining {
+				t.Errorf("queued job %d: reply code %v, want NackDraining", i+2, r.Code)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("queued job %d was never bounced", i+2)
+		}
+	}
+	if got := stats.Tenant(1).Rejected.Load(); got != queued {
+		t.Errorf("Rejected = %d, want the %d queued jobs", got, queued)
+	}
+	if got := srv.adm.InFlight(1); got != 1 {
+		t.Errorf("%d admission slot(s) held after the hard stop, want the running job's 1", got)
+	}
+	select {
+	case r := <-replies[0]:
+		t.Errorf("the running job was answered with %+v", r)
+	default:
+	}
+	close(gate)
+	if err := <-exDone; err != nil {
+		t.Fatalf("executor: %v", err)
+	}
+}
+
 // TestRunLoadMesh drives the load generator against a live service and
 // checks its accounting adds up.
 func TestRunLoadMesh(t *testing.T) {
@@ -400,7 +469,7 @@ func TestRunLoadMesh(t *testing.T) {
 
 	stats := NewStats()
 	srv := &Server{
-		Node:   meshNode{m.Endpoint(0)},
+		Node:   m.Endpoint(0),
 		Places: places,
 		Tenants: map[uint32]TenantConfig{
 			1: {Weight: 1, MaxInFlight: 8},
@@ -416,7 +485,7 @@ func TestRunLoadMesh(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	c := NewClient(meshNode{m.Endpoint(places)}, 0)
+	c := NewClient(m.Endpoint(places), 0)
 	report, err := RunLoad(ctx, c, LoadConfig{
 		Seed: 42,
 		Tenants: []TenantLoad{

@@ -69,12 +69,12 @@ type frame struct {
 	fate string // "" sent; "shed" refused with backpressure; "lost" swallowed by the tap
 }
 
-// tap is the server's comm.Node: the net's seat 0 with every send on
+// tap is the server's comm.Endpoint: the net's seat 0 with every send on
 // record, and the two things a transport can do to a KindSpawn that a
 // fault plan cannot — refuse it with typed backpressure, or swallow one
 // chosen frame.
 type tap struct {
-	comm.Node
+	comm.Endpoint
 	net        *vtime.Net
 	shed, lose int   // how many of the first KindSpawns to refuse / swallow
 	spawns     int64 // KindSpawns the server believes it sent
@@ -92,7 +92,7 @@ func (t *tap) Send(m comm.Message) error {
 		t.lose--
 		f.fate = "lost"
 	default:
-		err = t.Node.Send(m)
+		err = t.Endpoint.Send(m)
 	}
 	if m.Kind == comm.KindSpawn && err == nil {
 		t.spawns++
@@ -123,13 +123,15 @@ type vrig struct {
 	tap     *tap
 	reg     *task.Registry
 	ctrs    metrics.Counters
-	client  int              // the client seat
-	jobs    int              // submissions scripted so far
-	submits map[uint64]int   // KindSubmit frames delivered to the server, by job id
-	replied map[uint64]int   // replies that reached the client, by job id
-	answer  map[uint64]int64 // when the first of them did
-	ran     map[int]int      // jobs run, by executor place
-	drained []int            // executors the scenario drained
+	client  int                 // the client seat
+	jobs    int                 // submissions scripted so far
+	submits map[uint64]int      // KindSubmit frames delivered to the server, by job id
+	replied map[uint64]int      // replies that reached the client, by job id
+	answer  map[uint64]int64    // when the first of them did
+	code    map[uint64]NackCode // what the last of them said
+	ran     map[int]int         // jobs run, by executor place
+	drained []int               // executors the scenario drained
+	nacked  map[int]int         // len(tap.log) when the first KindSpawnNack of a place reached the server
 	endNS   int64
 }
 
@@ -138,10 +140,11 @@ type vrig struct {
 // the scenario joins them. hb of 0 runs without heartbeats or detector.
 func newVrig(t *testing.T, name string, plan *fault.Plan, execs, window int, hb time.Duration, absent ...int) *vrig {
 	r := &vrig{t: t, name: name, reg: task.NewRegistry(), client: execs + 1,
-		submits: map[uint64]int{}, replied: map[uint64]int{}, answer: map[uint64]int64{}, ran: map[int]int{}}
+		submits: map[uint64]int{}, replied: map[uint64]int{}, answer: map[uint64]int64{}, code: map[uint64]NackCode{},
+		ran: map[int]int{}, nacked: map[int]int{}}
 	r.reg.Register(vTask, func([]byte) error { return nil })
 	r.net = vtime.NewNet(execs+2, vLink.Nanoseconds(), fault.NewInjector(plan))
-	r.tap = &tap{Node: r.net.Seat(0), net: r.net}
+	r.tap = &tap{Endpoint: r.net.Seat(0), net: r.net}
 	r.srv = &Server{
 		Node: r.tap, Places: execs + 1, Tenants: map[uint32]TenantConfig{1: {}}, Registry: r.reg,
 		Counters: &r.ctrs, Stats: NewStats(), Window: window, RetryAfter: vRetryAfter, Heartbeat: hb,
@@ -156,6 +159,9 @@ func newVrig(t *testing.T, name string, plan *fault.Plan, execs, window int, hb 
 		if to == 0 && m.Kind == comm.KindSubmit {
 			r.submits[m.Seq]++
 		}
+		if _, seen := r.nacked[m.From]; to == 0 && m.Kind == comm.KindSpawnNack && !seen {
+			r.nacked[m.From] = len(r.tap.log)
+		}
 		c.deliver(to, m)
 	}
 	// The server drains once every job has been answered; it then finishes
@@ -168,6 +174,7 @@ func newVrig(t *testing.T, name string, plan *fault.Plan, execs, window int, hb 
 		if r.replied[rep.ID]++; r.replied[rep.ID] == 1 {
 			r.answer[rep.ID] = r.net.Now()
 		}
+		r.code[rep.ID] = rep.Code
 		if len(r.replied) == r.jobs {
 			r.srv.Drain()
 			c.step(node.Event{})
@@ -201,11 +208,15 @@ func (r *vrig) join(p int, hb time.Duration, announce bool) *node.Executor {
 
 // submit scripts one job of the given length to be submitted at virtual
 // time at. Job ids count from 1 in submission-script order.
-func (r *vrig) submit(at, work time.Duration) {
+func (r *vrig) submit(at, work time.Duration) { r.submitBy(at, work, 0) }
+
+// submitBy is submit for a job that must be dispatched before the server's
+// clock reads deadline (0: whenever).
+func (r *vrig) submitBy(at, work, deadline time.Duration) {
 	r.jobs++
 	id := uint64(r.jobs)
 	r.net.At(at.Nanoseconds(), func() {
-		job := AppendJob(nil, Job{Tenant: 1, ID: id, Name: vTask, Arg: u64(uint64(work.Nanoseconds()))})
+		job := AppendJob(nil, Job{Tenant: 1, ID: id, DeadlineNS: deadline.Nanoseconds(), Name: vTask, Arg: u64(uint64(work.Nanoseconds()))})
 		r.net.Seat(r.client).Send(comm.Message{Kind: comm.KindSubmit, To: 0, Seq: id, Payload: job})
 	})
 }
@@ -375,6 +386,44 @@ func TestLongJobCompletesOnce(t *testing.T) {
 	})
 }
 
+// TestQueuedJobExpires: one executor with a window of one is busy with a
+// long job while a second, admitted well inside its deadline, waits behind
+// it until the deadline has passed. The pop that would have dispatched it
+// must end it instead: a NackDeadline to the client for every copy of the
+// submission that arrived (the plan may deliver it twice), each counted
+// Expired, its admission slot returned, and no KindSpawn for it, ever.
+func TestQueuedJobExpires(t *testing.T) {
+	sweep(t, vSeeds, func(t *testing.T, name string, seed int64) *vrig {
+		r := newVrig(t, name, chaos(seed, 1, 1), 1, 1, 0)
+		rng := rand.New(rand.NewSource(seed))
+		r.submit(ms(rng, 0, 5), 50*time.Millisecond)
+		// Submitted after the long job has arrived however it was delayed,
+		// and arriving, however delayed, with the deadline still ahead.
+		r.submitBy(ms(rng, 10, 15), time.Millisecond, 30*time.Millisecond)
+		r.run()
+		waited := r.submits[2]
+		if got := r.tap.count(comm.KindJobNack, r.client, 2); got != waited || r.code[2] != NackDeadline {
+			t.Fatalf("%s: the waiting job arrived %d time(s) and was nacked %d time(s), last with %v: want NackDeadline each time\n%s",
+				name, waited, got, r.code[2], r.Format())
+		}
+		if got := r.srv.Stats.Tenant(1).Expired.Load(); got != int64(waited) {
+			t.Fatalf("%s: Expired = %d, want %d", name, got, waited)
+		}
+		// Re-sends reuse the dispatch id, so the ids that ever went out are
+		// the items that did: the long job's copies and nothing else.
+		sent := map[uint64]bool{}
+		for _, f := range r.tap.log {
+			if f.kind == comm.KindSpawn {
+				sent[f.seq] = true
+			}
+		}
+		if len(sent) != r.submits[1] {
+			t.Fatalf("%s: KindSpawn went out for %d item(s), want only the long job's %d\n%s", name, len(sent), r.submits[1], r.Format())
+		}
+		return r
+	})
+}
+
 // lostSpawnUnderHeartbeats is defect (C) for the Server policy: a
 // KindSpawn is silently lost on its way to a live executor that beats five
 // times per RetryAfter. Heartbeats and the detector's tick must not keep
@@ -445,7 +494,11 @@ func TestDrainWithAFullWindow(t *testing.T) {
 // partition window, so the one KindDrain it sends is swallowed. Its beats
 // say Draining all the same, and the first to get through after the heal
 // must start the drain at the server: counted once, no more work sent
-// there, the executor released when its window is empty.
+// there, the executor released when its window is empty. A nack that gets
+// through first says the same: only a draining executor nacks, so from the
+// first one the server handles it must send that place no further
+// KindSpawn. Taking the item back and nothing more re-sent it to the same
+// place, and every duplicate of the nack did so again.
 func TestDrainAnnouncementLost(t *testing.T) {
 	sweep(t, vSeeds, func(t *testing.T, name string, seed int64) *vrig {
 		r := newVrig(t, name, chaos(seed, 2, 1), 2, 4, vHeartbeat)
@@ -457,6 +510,14 @@ func TestDrainAnnouncementLost(t *testing.T) {
 		r.run()
 		if lost := r.ctrs.PlacesLost.Load(); lost != 0 {
 			t.Fatalf("%s: PlacesLost = %d: a drain is not a failure", name, lost)
+		}
+		for p, from := range r.nacked {
+			for _, f := range r.tap.log[from:] {
+				if f.kind == comm.KindSpawn && f.to == p {
+					t.Fatalf("%s: KindSpawn %d sent to executor %d at %v, after the server handled a KindSpawnNack from it (%d KindSpawn frames for %d jobs)\n%s",
+						name, f.seq, p, time.Duration(f.at), r.tap.spawns, r.jobs, r.Format())
+				}
+			}
 		}
 		return r
 	})

@@ -44,15 +44,6 @@ import (
 type Options struct {
 	// Seed drives victim selection. Zero picks 1.
 	Seed int64
-	// CacheBlocks is the per-worker modelled L1d capacity in blocks.
-	// Zero picks 512 (a 32 KiB cache of 64-byte lines).
-	CacheBlocks int
-	// MissPenaltyNS is the stall charged per modelled cache miss.
-	// Zero picks 150ns.
-	MissPenaltyNS int64
-	// RemoteRefBytes is the payload of one remote data reference.
-	// Zero picks 256.
-	RemoteRefBytes int
 	// ChunkOverride, when positive, overrides the policy's distributed
 	// steal chunk size (ablation of §V-B3's empirical choice of 2).
 	ChunkOverride int
@@ -90,12 +81,6 @@ type Options struct {
 	// executing; their queued and running tasks are re-homed to survivors
 	// and re-executed, and thieves exclude them from victim sweeps.
 	Fault *fault.Plan
-	// StealTimeoutNS is how long a thief waits for a steal reply before
-	// declaring the round trip lost. Zero picks 4× the probe round trip.
-	StealTimeoutNS int64
-	// StealMaxAttempts bounds the per-victim request attempts (the first
-	// try plus retries under exponential backoff). Zero picks 3.
-	StealMaxAttempts int
 	// Recorder, when non-nil, receives per-worker scheduling events
 	// (task start/end, spawns, steal attempts and outcomes, chunk
 	// arrivals, crashes) stamped in virtual nanoseconds. Run configures
@@ -111,21 +96,24 @@ type Options struct {
 	Adapt *adapt.Controller
 }
 
+// The cost model's fixed parameters. No exhibit, benchmark or test varies
+// them, so they are constants rather than options.
+const (
+	// cacheBlocks is the per-worker modelled L1d capacity in blocks: a
+	// 32 KiB cache of 64-byte lines.
+	cacheBlocks = 512
+	// missPenaltyNS is the stall charged per modelled cache miss.
+	missPenaltyNS int64 = 150
+	// remoteRefBytes is the payload of one remote data reference.
+	remoteRefBytes = 256
+	// stealTimeoutRTTs is how many probe round trips a thief waits for a
+	// steal reply before declaring the round trip lost.
+	stealTimeoutRTTs = 4
+)
+
 func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.CacheBlocks == 0 {
-		o.CacheBlocks = 512
-	}
-	if o.MissPenaltyNS == 0 {
-		o.MissPenaltyNS = 150
-	}
-	if o.RemoteRefBytes == 0 {
-		o.RemoteRefBytes = 256
-	}
-	if o.StealMaxAttempts <= 0 {
-		o.StealMaxAttempts = 3
 	}
 	return o
 }
@@ -153,13 +141,6 @@ func (r *Result) Speedup() float64 {
 		return 0
 	}
 	return float64(r.SequentialNS) / float64(r.MakespanNS)
-}
-
-// String renders the headline numbers.
-func (r *Result) String() string {
-	return fmt.Sprintf("%s/%s on %s: makespan=%.3fms speedup=%.2f %s",
-		r.Graph, r.Policy, r.Cluster.String(),
-		float64(r.MakespanNS)/1e6, r.Speedup(), r.Counters.String())
 }
 
 // event kinds.
@@ -381,10 +362,7 @@ func runEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Opti
 	}
 	e.resolvedHome = make([]int, len(g.Tasks))
 	e.childSpawned = make([]bool, len(g.Tasks))
-	e.stealTimeoutNS = opts.StealTimeoutNS
-	if e.stealTimeoutNS <= 0 {
-		e.stealTimeoutNS = 4 * cl.Net.RoundTripNS(32, 32)
-	}
+	e.stealTimeoutNS = stealTimeoutRTTs * cl.Net.RoundTripNS(32, 32)
 	// Places and workers are carved from one slab each (two allocations
 	// instead of one per place and worker); the pointer slices index them.
 	places := make([]simPlace, cl.Places)
@@ -396,7 +374,7 @@ func runEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Opti
 		*pl = simPlace{
 			id:        p,
 			lifelines: make([]bool, cl.Places),
-			cache:     cachesim.New(opts.CacheBlocks),
+			cache:     cachesim.New(cacheBlocks),
 			workers:   e.workers[p*cl.WorkersPerPlace : (p+1)*cl.WorkersPerPlace : (p+1)*cl.WorkersPerPlace],
 		}
 		e.places[p] = pl
@@ -479,14 +457,14 @@ func runEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Opti
 		case evCrash:
 			e.crashPlace(e.places[ev.place])
 		case evJoin:
-			e.joinPlace(e.places[ev.place])
+			e.revive(e.places[ev.place], false)
 		case evDrain:
 			e.drainPlace(e.places[ev.place])
 		case evHeal:
 			if ev.place < 0 {
 				e.record(0, 0, obs.KindHeal, -1, -1, 0)
 			} else {
-				e.healPlace(e.places[ev.place])
+				e.revive(e.places[ev.place], true)
 			}
 		case evPartition:
 			e.record(0, 0, obs.KindPartition, -1, int32(ev.place), 0)
@@ -757,24 +735,7 @@ func (e *engine) crashPlace(p *simPlace) {
 	p.active = false
 	e.ctrs.PlacesLost.Add(1)
 
-	var orphans []int
-	for {
-		id, ok := p.shared.PopFront()
-		if !ok {
-			break
-		}
-		orphans = append(orphans, id)
-	}
-	for _, w := range p.workers {
-		for {
-			id, ok := w.priv.PopBack()
-			if !ok {
-				break
-			}
-			orphans = append(orphans, id)
-		}
-	}
-	p.queued -= len(orphans)
+	orphans := e.takeQueued(p)
 	for _, w := range p.workers {
 		if w.busy && w.curTask >= 0 {
 			orphans = append(orphans, w.curTask)
@@ -788,18 +749,52 @@ func (e *engine) crashPlace(p *simPlace) {
 	p.running = 0
 
 	e.record(p.id, 0, obs.KindCrash, -1, int32(len(orphans)), 0)
-	for i, id := range orphans {
-		e.ctrs.TasksReExecuted.Add(1)
+	e.ctrs.TasksReExecuted.Add(int64(len(orphans)))
+	e.rehome(p, orphans)
+}
+
+// takeQueued empties p's shared deque and then each worker's private one,
+// and returns the tasks in that order: what a crash orphans and a drain
+// offloads.
+func (e *engine) takeQueued(p *simPlace) []int {
+	var ids []int
+	for {
+		id, ok := p.shared.PopFront()
+		if !ok {
+			break
+		}
+		ids = append(ids, id)
+	}
+	for _, w := range p.workers {
+		for {
+			id, ok := w.priv.PopBack()
+			if !ok {
+				break
+			}
+			ids = append(ids, id)
+		}
+	}
+	p.queued -= len(ids)
+	return ids
+}
+
+// rehome ships the tasks taken off p to the surviving places after it,
+// round robin; each is spawned again once its payload has been transferred.
+func (e *engine) rehome(p *simPlace, ids []int) {
+	for i, id := range ids {
 		delay := e.cl.Net.TransferNS(e.g.Tasks[id].MigBytes)
 		e.events.Push(e.now+delay, event{kind: evSpawn, taskID: id,
 			home: e.aliveHome(p.id + 1 + i), from: -1, fromW: -1, requeue: true})
 	}
 }
 
-// joinPlace brings an absent place into the cluster at e.now. The place
-// starts idle and empty; its workers acquire work by stealing, and new
-// spawns may be homed there from this instant on.
-func (e *engine) joinPlace(p *simPlace) {
+// revive brings a down place into the cluster at e.now: an absent place
+// joining, or (rejoin) a flapped one recovering, whose outage re-homed its
+// work (that was a crash, with re-execution) but whose link is
+// re-established rather than evicted. Either way the place starts idle and
+// empty, its workers acquire work by stealing, and new spawns may be homed
+// there from this instant on.
+func (e *engine) revive(p *simPlace, rejoin bool) {
 	if !p.dead {
 		return
 	}
@@ -807,9 +802,14 @@ func (e *engine) joinPlace(p *simPlace) {
 	p.draining = false
 	p.active = false
 	p.failedSweeps = 0
-	e.ctrs.MembershipJoins.Add(1)
-	e.record(p.id, 0, obs.KindJoin, -1, 1, 0)
-	// Wake one worker so the joiner starts probing for surplus instead of
+	if rejoin {
+		e.ctrs.MembershipRejoins.Add(1)
+		e.record(p.id, 0, obs.KindHeal, -1, int32(p.id), 0)
+	} else {
+		e.ctrs.MembershipJoins.Add(1)
+		e.record(p.id, 0, obs.KindJoin, -1, 1, 0)
+	}
+	// Wake one worker so the place starts probing for surplus instead of
 	// waiting for the next spawn to notice it.
 	e.wakeFor(p, true)
 }
@@ -826,52 +826,13 @@ func (e *engine) drainPlace(p *simPlace) {
 	p.active = false
 	e.ctrs.MembershipDrains.Add(1)
 
-	var moved []int
-	for {
-		id, ok := p.shared.PopFront()
-		if !ok {
-			break
-		}
-		moved = append(moved, id)
-	}
-	for _, w := range p.workers {
-		for {
-			id, ok := w.priv.PopBack()
-			if !ok {
-				break
-			}
-			moved = append(moved, id)
-		}
-	}
-	p.queued -= len(moved)
-
+	moved := e.takeQueued(p)
 	e.record(p.id, 0, obs.KindDrain, -1, int32(len(moved)), 0)
-	for i, id := range moved {
-		e.ctrs.TasksOffloaded.Add(1)
-		delay := e.cl.Net.TransferNS(e.g.Tasks[id].MigBytes)
-		e.events.Push(e.now+delay, event{kind: evSpawn, taskID: id,
-			home: e.aliveHome(p.id + 1 + i), from: -1, fromW: -1, requeue: true})
-	}
+	e.ctrs.TasksOffloaded.Add(int64(len(moved)))
+	e.rehome(p, moved)
 	if p.running == 0 {
 		p.dead = true
 	}
-}
-
-// healPlace recovers a flapped place: the outage re-homed its work (that
-// was a crash, with re-execution), but the link is re-established rather
-// than evicted, so the place rejoins with empty deques and steals its way
-// back into the computation.
-func (e *engine) healPlace(p *simPlace) {
-	if !p.dead {
-		return
-	}
-	p.dead = false
-	p.draining = false
-	p.active = false
-	p.failedSweeps = 0
-	e.ctrs.MembershipRejoins.Add(1)
-	e.record(p.id, 0, obs.KindHeal, -1, int32(p.id), 0)
-	e.wakeFor(p, true)
 }
 
 // findWork performs one Algorithm-1 sweep for w at e.now. On failure the
@@ -981,7 +942,7 @@ func (e *engine) stealRemote(w *simWorker) bool {
 				e.ctrs.StealTimeouts.Add(1)
 				e.record(w.place.id, w.local, obs.KindTimeout, -1, int32(v), e.stealTimeoutNS<<attempt)
 				delay += e.stealTimeoutNS << attempt
-				if attempt+1 >= e.opts.StealMaxAttempts {
+				if attempt+1 >= sched.StealMaxAttempts {
 					ok = false
 					break
 				}
@@ -1259,8 +1220,8 @@ func (e *engine) start(w *simWorker, id int, startDelay int64) {
 			// pays on locality-sensitive tasks.
 			e.ctrs.Messages.Add(int64(t.MigMsgs))
 			e.ctrs.RemoteDataAccess.Add(int64(t.MigMsgs))
-			e.ctrs.BytesTransferred.Add(int64(t.MigMsgs * e.opts.RemoteRefBytes))
-			refNS := int64(t.MigMsgs) * e.cl.Net.RoundTripNS(32, e.opts.RemoteRefBytes)
+			e.ctrs.BytesTransferred.Add(int64(t.MigMsgs * remoteRefBytes))
+			refNS := int64(t.MigMsgs) * e.cl.Net.RoundTripNS(32, remoteRefBytes)
 			service += refNS
 			penalty += refNS
 		}
@@ -1284,8 +1245,8 @@ func (e *engine) start(w *simWorker, id int, startDelay int64) {
 			n := int64(len(t.Blocks)) * int64(reps)
 			e.ctrs.CacheRefs.Add(n)
 			e.ctrs.CacheMisses.Add(n)
-			service += n * e.opts.MissPenaltyNS
-			penalty += n * e.opts.MissPenaltyNS
+			service += n * missPenaltyNS
+			penalty += n * missPenaltyNS
 		default:
 			blocks := t.Blocks
 			if migrated {
@@ -1298,8 +1259,8 @@ func (e *engine) start(w *simWorker, id int, startDelay int64) {
 				hits, misses := p.cache.TouchAll(blocks)
 				e.ctrs.CacheRefs.Add(int64(hits + misses))
 				e.ctrs.CacheMisses.Add(int64(misses))
-				service += int64(misses) * e.opts.MissPenaltyNS
-				penalty += int64(misses) * e.opts.MissPenaltyNS
+				service += int64(misses) * missPenaltyNS
+				penalty += int64(misses) * missPenaltyNS
 			}
 		}
 	}

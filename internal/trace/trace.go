@@ -243,9 +243,6 @@ func (b *Builder) Child(parent int, t Task) int {
 	return id
 }
 
-// NumTasks returns the number of tasks added so far.
-func (b *Builder) NumTasks() int { return len(b.g.Tasks) }
-
 // Graph validates and returns the built graph. The builder must not be
 // used afterwards.
 func (b *Builder) Graph() (*Graph, error) {

@@ -2,7 +2,7 @@
 // the repository runs on: Heap, the pending-event set the simulator
 // (internal/sim) and the service simulator (internal/service) both pop in
 // (time, push order), and Net, an in-memory network whose frames are
-// events on that heap, so code written against comm.Node runs under a
+// events on that heap, so code written against comm.Endpoint runs under a
 // clock the caller controls and faults a seed decides.
 package vtime
 

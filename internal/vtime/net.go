@@ -2,15 +2,13 @@ package vtime
 
 import (
 	"fmt"
-	"time"
 
 	"distws/internal/comm"
 	"distws/internal/fault"
-	"distws/internal/obs"
 )
 
 // Net is an in-memory network on virtual time. Its seats implement
-// comm.Node, so the dispatch protocol runs on it unchanged, but nothing
+// comm.Endpoint, so the dispatch protocol runs on it unchanged, but nothing
 // here blocks, sleeps or starts a goroutine: Send pushes the frame onto the
 // event heap to arrive one link latency later, and the caller's loop over
 // Step is the only thing that makes time pass. A seeded fault.Injector
@@ -115,7 +113,7 @@ type Seat struct {
 	busyUntil int64 // frames arriving before this wait
 }
 
-var _ comm.Node = (*Seat)(nil)
+var _ comm.Endpoint = (*Seat)(nil)
 
 // Work makes the code running at this seat spend d ns of virtual time, as
 // a blocking call would: what it sends afterwards, during the same event,
@@ -166,17 +164,3 @@ func (s *Seat) Inbox() <-chan comm.Message { return nil }
 
 // Close implements comm.Endpoint; a seat holds nothing to release.
 func (s *Seat) Close() error { return nil }
-
-// AwaitTimeout implements comm.Node: the net is assembled from the start.
-func (s *Seat) AwaitTimeout(time.Duration) error { return nil }
-
-// Down implements comm.Node: whether the fault plan has crashed seat p.
-func (s *Seat) Down(p int) bool { return s.net.Crashed(p) }
-
-// InjectFaults implements comm.Node. The injector is the net's, not the
-// seat's: one decision sequence for every link is what makes a run
-// repeatable.
-func (s *Seat) InjectFaults(inj *fault.Injector) { s.net.inj = inj }
-
-// SetRecorder implements comm.Node; the net records no scheduling events.
-func (s *Seat) SetRecorder(*obs.Recorder) {}

@@ -116,7 +116,7 @@ func TestNetFaults(t *testing.T) {
 		if !errors.Is(crashedSend, comm.ErrClosed) {
 			t.Fatalf("send from a crashed seat: %v, want ErrClosed", crashedSend)
 		}
-		if !n.Crashed(1) || n.Crashed(2) || !n.Seat(0).Down(1) {
+		if !n.Crashed(1) || n.Crashed(2) {
 			t.Fatalf("Crashed(1) = %v, Crashed(2) = %v after the plan's crash of seat 1", n.Crashed(1), n.Crashed(2))
 		}
 		reordered, copies := false, map[arrival]int{}
