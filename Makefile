@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-smoke fuzz-smoke dag-parity exhibit-golden chaos soak serve-soak loc coverage-ledger
+.PHONY: all build test race vet check bench bench-smoke deque-stress fuzz-smoke dag-parity exhibit-golden chaos soak serve-soak loc coverage-ledger
 
 all: check
 
@@ -33,6 +33,14 @@ race:
 bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkSimulator128Workers|BenchmarkContentionStudy' -benchtime=1x .
 	$(GO) test -run='^$$' -bench=BenchmarkExecuteOverhead -benchtime=1x ./internal/dag
+
+# The queue contract test, 200 times over with the collector off: the
+# setting under which a relaxed queue that lost elements (a LIFO owner pop
+# against stale thieves, until PR 26) showed it in every run instead of
+# one in several. GOMEMLIMIT bounds what "off" may cost a shared box: the
+# collector stays off until the heap reaches it. ~10 s.
+deque-stress:
+	GOGC=off GOMEMLIMIT=256MiB $(GO) test -count=200 -run '^TestConformance$$' ./internal/deque
 
 # Dataflow determinism gate: the dag exhibit replays virtual time, so its
 # output must be byte-identical whatever -workers parallelism renders it.
@@ -81,7 +89,7 @@ fuzz-smoke:
 # The gate a change must pass before merging. The two soaks block: what
 # they add to `race` is the membership-codec fuzz shake and the
 # distws-load -sim -verify byte-identity run.
-check: build vet test race bench-smoke dag-parity exhibit-golden fuzz-smoke soak serve-soak
+check: build vet test race bench-smoke deque-stress dag-parity exhibit-golden fuzz-smoke soak serve-soak
 
 # Full measurement: refreshes the machine-readable perf baseline
 # (BENCH_sim.json), appends the run's headline numbers as one line to the
@@ -134,17 +142,21 @@ loc:
 # Coverage ledger (ROADMAP item 4): the functions outside benchmark/, cmd/
 # and examples/ that (1) nothing reaches and (2) only tests reach. "Reached
 # by the program" is what coverage-instrumented builds of the commands and
-# the benchmark execute on the exhibit run, the benchmark's smoke run and
-# the serve-soak simulation; "reached by tests" is the whole suite with
+# the benchmark execute on the exhibit run, the benchmark's smoke run, the
+# serve-soak simulation and distws-run's other faces (each micro kernel
+# and the relaxed kind on the goroutine runtime; a crash and lossy steals
+# in the simulator, traced, with distws-trace rendering the trace in every
+# format); "reached by tests" is the whole suite with
 # -coverpkg=./... . List (1) must equal $(LEDGER_KEPT), which names each
 # function kept on purpose (`file: Func reason`, in the ledger's order) and
 # why: the target fails on a function nothing reaches that the file does
 # not name (delete it, test it, or add it with its reason) and on a line of
 # the file that is now reached (remove it). List (2) is where to ask whether
 # the test or the program is missing something. Not part of `check`: it
-# takes ~45 s and a timing-dependent path may flip a row; needs go >= 1.20
+# takes ~50 s and a timing-dependent path may flip a row; needs go >= 1.20
 # for `go build -cover`, runs offline.
 LEDGER_KEPT := testdata/ledger_kept.txt
+LEDGER_MICRO := mergesort skyline montecarlo-pi matchain randomaccess
 coverage-ledger:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	mkdir "$$dir/bin" "$$dir/prog" "$$dir/test"; \
@@ -153,6 +165,15 @@ coverage-ledger:
 	"$$dir/bin/distws-experiments" -seed 1 > /dev/null; \
 	"$$dir/bin/benchmark" -quick -seconds 0.3 -out "" > /dev/null; \
 	"$$dir/bin/distws-load" $(LOAD_SIM) > /dev/null; \
+	for app in $(LEDGER_MICRO); do \
+		"$$dir/bin/distws-run" -mode runtime -app $$app -places 2 -workers 2 > /dev/null; \
+	done; \
+	"$$dir/bin/distws-run" -mode runtime -app quicksort -places 2 -workers 2 -deque relaxed > /dev/null; \
+	"$$dir/bin/distws-run" -mode sim -app quicksort -places 4 -workers 2 \
+		-crash-place 1 -crash-at 1ms -drop 0.05 -trace "$$dir/run.events" > /dev/null; \
+	for format in summary chrome csv events; do \
+		"$$dir/bin/distws-trace" -in "$$dir/run.events" -format $$format > /dev/null; \
+	done; \
 	unset GOCOVERDIR; \
 	$(GO) test -count=1 -cover -coverpkg=./... ./... -args -test.gocoverdir="$$dir/test" > "$$dir/test.log" 2>&1 \
 		|| { grep -Ev '^ok |no test files|coverage: [0-9.]+% of statements$$' "$$dir/test.log"; exit 1; }; \

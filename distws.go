@@ -155,12 +155,12 @@ const (
 	// DequeChaseLev swaps in lock-free Chase–Lev deques: owner push/pop
 	// without locks, one CAS per steal, exactly-once hand-off.
 	DequeChaseLev = deque.KindChaseLev
-	// DequeRelaxed selects fence-free queues with multiplicity semantics
+	// DequeRelaxed gives each worker a Chase–Lev private deque and a
+	// fence-free FIFO queue of flexible tasks with multiplicity semantics
 	// (a task may rarely be handed out twice; the runtime dedups at
-	// dispatch) and switches remote stealing to the receiver-initiated
-	// private-deques protocol: thieves post requests into per-worker
-	// mailboxes and busy owners donate half their flexible queue at task
-	// boundaries.
+	// dispatch), and switches remote stealing to the receiver-initiated
+	// protocol: thieves post requests into per-worker mailboxes and busy
+	// owners donate half their flexible queue at task boundaries.
 	DequeRelaxed = deque.KindRelaxed
 )
 

@@ -247,14 +247,6 @@ func New(cfg Config) *Controller {
 	return c
 }
 
-// Unsynchronized reports whether the controller was built with
-// Config.Unsynchronized — callers that batch observations purely to
-// amortize the internal mutex (the simulator) can feed per-probe calls
-// directly when it is set.
-func (c *Controller) Unsynchronized() bool {
-	return c.cfg.Unsynchronized
-}
-
 // lock/unlock guard the controller's mutable state; they are the mutex
 // unless Config.Unsynchronized promised single-goroutine use.
 func (c *Controller) lock() {
@@ -415,40 +407,6 @@ func (c *Controller) Chunk(place int) int {
 func (c *Controller) ObserveSteal(thief, victim int, latencyNS int64, got, victimLeft int) {
 	c.lock()
 	defer c.unlock()
-	c.observeStealLocked(thief, victim, latencyNS, got, victimLeft)
-}
-
-// StealObservation is one probe outcome for ObserveStealBatch, with the
-// same fields ObserveSteal takes.
-type StealObservation struct {
-	Thief, Victim int
-	LatencyNS     int64
-	Got           int
-	VictimLeft    int
-}
-
-// ObserveStealBatch feeds a sequence of probe outcomes under a single
-// lock acquisition, in order — state-identical to calling ObserveSteal
-// once per element. Sweep-scoped callers (the simulator observes every
-// probe of a victim sweep before any of the sweep's state is read back)
-// use it to pay the controller mutex once per sweep instead of once per
-// probe, which profiling showed as the dominant adaptive overhead.
-func (c *Controller) ObserveStealBatch(obs []StealObservation) {
-	if len(obs) == 0 {
-		return
-	}
-	c.lock()
-	defer c.unlock()
-	for i := range obs {
-		o := &obs[i]
-		c.latObserveLocked(o.Thief, o.Victim, o.LatencyNS)
-		if o.Got > 0 {
-			c.chunkObserveLocked(o.Thief, o.VictimLeft)
-		}
-	}
-}
-
-func (c *Controller) observeStealLocked(thief, victim int, latencyNS int64, got, victimLeft int) {
 	c.latObserveLocked(thief, victim, latencyNS)
 	if got > 0 {
 		c.chunkObserveLocked(thief, victimLeft)
@@ -457,10 +415,10 @@ func (c *Controller) observeStealLocked(thief, victim int, latencyNS int64, got,
 
 // latObserveLocked is the per-probe hot path — most observations are
 // failed probes (got == 0) whose only effect is the latency EWMA — and
-// is kept small enough for the compiler to inline it into the
-// ObserveStealBatch loop; a call per probe on top of three float ops
-// showed up in sweep-heavy profiles. The successful-steal bookkeeping
-// lives in chunkObserveLocked, off this path.
+// is kept small enough for the compiler to inline it into ObserveSteal;
+// a call per probe on top of three float ops showed up in sweep-heavy
+// profiles. The successful-steal bookkeeping lives in chunkObserveLocked,
+// off this path.
 func (c *Controller) latObserveLocked(thief, victim int, latencyNS int64) {
 	if latencyNS < 0 {
 		latencyNS = 0
@@ -559,12 +517,4 @@ func (c *Controller) AppendVictimOrder(dst []int, thief int, rng *rand.Rand) []i
 	}
 	c.unlock()
 	return dst
-}
-
-// VictimOrder is AppendVictimOrder into a fresh slice.
-func (c *Controller) VictimOrder(thief int, rng *rand.Rand) []int {
-	if c.cfg.Places <= 1 {
-		return nil
-	}
-	return c.AppendVictimOrder(make([]int, 0, c.cfg.Places-1), thief, rng)
 }

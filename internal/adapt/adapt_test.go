@@ -260,7 +260,7 @@ func TestVictimOrderPermutationProperty(t *testing.T) {
 				c.ObserveSteal(thief, v, int64(o)*100, i%3, i%5)
 			}
 		}
-		order := c.VictimOrder(thief, rng)
+		order := c.AppendVictimOrder(nil, thief, rng)
 		if len(order) != places-1 {
 			return false
 		}
@@ -287,7 +287,7 @@ func TestVictimOrderPrefersLowLatency(t *testing.T) {
 		c.ObserveSteal(0, 2, 10_000, 1, 1)  // clean round trips
 	}
 	for seed := int64(1); seed <= 20; seed++ {
-		order := c.VictimOrder(0, rand.New(rand.NewSource(seed)))
+		order := c.AppendVictimOrder(nil, 0, rand.New(rand.NewSource(seed)))
 		if order[0] != 3 {
 			t.Fatalf("seed %d: unobserved victim not probed first: %v", seed, order)
 		}
@@ -306,7 +306,7 @@ func TestVictimOrderUniformLatencyIsRandomized(t *testing.T) {
 	}
 	seen := map[int]bool{}
 	for seed := int64(1); seed <= 32; seed++ {
-		order := c.VictimOrder(0, rand.New(rand.NewSource(seed)))
+		order := c.AppendVictimOrder(nil, 0, rand.New(rand.NewSource(seed)))
 		seen[order[0]] = true
 	}
 	if len(seen) < 3 {
@@ -316,8 +316,8 @@ func TestVictimOrderUniformLatencyIsRandomized(t *testing.T) {
 
 func TestVictimOrderSinglePlace(t *testing.T) {
 	c := New(Config{Places: 1})
-	if got := c.VictimOrder(0, rand.New(rand.NewSource(1))); got != nil {
-		t.Fatalf("single place should yield nil order, got %v", got)
+	if got := c.AppendVictimOrder(nil, 0, rand.New(rand.NewSource(1))); len(got) != 0 {
+		t.Fatalf("single place should yield an empty order, got %v", got)
 	}
 }
 
@@ -336,7 +336,7 @@ func TestConcurrentObservations(t *testing.T) {
 				c.ObserveExec(k, i%2 == 0, int64(1000+i), int64(i))
 				c.ObserveSteal(g%8, (g+1)%8, int64(i), i%3, i%5)
 				c.Chunk(g % 8)
-				c.VictimOrder(g%8, rng)
+				c.AppendVictimOrder(nil, g%8, rng)
 			}
 		}(g)
 	}

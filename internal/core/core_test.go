@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -681,5 +682,32 @@ func TestCtxMetricsVisibleToActivities(t *testing.T) {
 	}
 	if spawned < 6 { // root + 5
 		t.Fatalf("Metrics().TasksSpawned = %d, want >= 6", spawned)
+	}
+}
+
+// Private (sensitive) spawns run depth-first, newest first, on every kind.
+// Under deque.KindRelaxed that is why priv is a ChaseLev deque and not a
+// second relaxed queue, which takes oldest-first at both ends.
+func TestPrivateSpawnsRunNewestFirst(t *testing.T) {
+	for _, k := range deque.Kinds() {
+		t.Run(k.String(), func(t *testing.T) {
+			cfg := testConfig(sched.DistWS, 1, 1)
+			cfg.Deque = k
+			rt := mustNew(t, cfg)
+			var order []int // one worker runs every activity: no race
+			err := rt.Run(func(ctx *Ctx) {
+				ctx.Finish(func(c *Ctx) {
+					for i := 0; i < 4; i++ {
+						c.Async(0, func(*Ctx) { order = append(order, i) })
+					}
+				})
+			})
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if want := []int{3, 2, 1, 0}; !slices.Equal(order, want) {
+				t.Fatalf("private spawns ran in order %v, want %v", order, want)
+			}
+		})
 	}
 }

@@ -22,7 +22,7 @@ type activity struct {
 	// locality signature (adaptive policy only; see Runtime.mapClass).
 	kind     int32
 	interned bool
-	// claimed is the dispatch-level dedup for the relaxed queues
+	// claimed is the dispatch-level dedup for the relaxed flexible queues
 	// (multiplicity semantics): whichever taker wins this flag runs the
 	// activity; every other take of the same activity is discarded.
 	claimed atomic.Bool
@@ -83,13 +83,17 @@ func newPlace(rt *Runtime, id int) *place {
 			place: p,
 			local: i,
 			rng:   rand.New(rand.NewSource(rt.cfg.Seed + int64(id*1000+i))),
-			priv:  deque.New[*activity](rt.cfg.Deque),
 		}
 		if rt.receiver {
-			// Receiver-initiated mode: each worker owns a fence-free
-			// flexible queue; the place's shared deque survives only as a
-			// cold-path inbox for cross-place arrivals.
+			// Receiver-initiated mode is Fig. 2 per worker: a strict LIFO
+			// private deque (the relaxed queue is FIFO at both ends, and
+			// sensitive spawns must run depth-first) beside a fence-free
+			// FIFO queue of flexible tasks; the place's shared deque
+			// survives only as a cold-path inbox for cross-place arrivals.
+			w.priv = deque.NewChaseLev[*activity]()
 			w.flex = deque.NewRelaxed[*activity]()
+		} else {
+			w.priv = deque.New[*activity](rt.cfg.Deque)
 		}
 		p.workers[i] = w
 	}
@@ -182,8 +186,8 @@ func (p *place) enqueue(a *activity, target sched.Target, spawner *worker) {
 		w.priv.Push(a)
 	} else {
 		// External submit, cross-place spawn, or re-homed orphan: a
-		// foreign Push racing the owner on a ChaseLev/Relaxed priv deque
-		// races on bottom and can drop or duplicate tasks, so foreign
+		// foreign Push racing the owner on a ChaseLev priv deque races on
+		// bottom and can drop or duplicate tasks, so foreign
 		// affinitized arrivals go through a round-robin-chosen worker's
 		// mutex-guarded inbox instead.
 		w := p.workers[int(p.rrWorker.Add(1))%len(p.workers)]
@@ -275,11 +279,12 @@ type donateReq struct {
 
 // worker is one scheduling thread within a place. priv is the
 // private-deque discipline it schedules from — owner LIFO push/pop plus a
-// FIFO-end steal for co-located thieves — behind deque.WorkQueue:
-// Config.Deque selects the mutex-guarded deque.Private (default, the
-// observable-lock design the paper reasons about), the lock-free
-// deque.ChaseLev, which bounds the interruption a steal inflicts on the
-// victim (§V), or the fence-free deque.Relaxed.
+// FIFO-end steal for co-located thieves, each task handed out exactly
+// once — behind deque.WorkQueue: Config.Deque selects the mutex-guarded
+// deque.Private (default, the observable-lock design the paper reasons
+// about) or the lock-free deque.ChaseLev, which bounds the interruption a
+// steal inflicts on the victim (§V) and is also what deque.KindRelaxed
+// puts here, beside flex.
 type worker struct {
 	place *place
 	local int // index within the place
@@ -292,15 +297,16 @@ type worker struct {
 	// its own priv is empty, and co-located thieves may steal from it.
 	inbox deque.Private[*activity]
 	rng   *rand.Rand
-	// victims is sweep-order scratch reused across adaptive remote
-	// steals so victim ordering does not allocate per sweep.
+	// victims is sweep-order scratch reused across remote steals so
+	// victim ordering does not allocate per sweep.
 	victims []int
 
 	// flex is this worker's fence-free queue of locality-flexible tasks
 	// (receiver-initiated mode only, nil otherwise): the owner pushes its
-	// flexible spawns here instead of the place's shared deque, co-located
-	// thieves steal from it directly, and remote thieves receive halves of
-	// it as donations.
+	// flexible spawns here instead of the place's shared deque, and owner,
+	// co-located thieves and donations to remote thieves all take its
+	// oldest task first, as Poll does from the shared deque. It is the
+	// only queue that can hand a task out twice.
 	flex *deque.Relaxed[*activity]
 	// mail is the worker's steal-request mailbox: an idle remote thief
 	// CASes a request in; the owner answers at its next task-spawn or
@@ -308,10 +314,12 @@ type worker struct {
 	mail atomic.Pointer[donateReq]
 }
 
-// claim marks a as dispatched exactly once. The relaxed queues may hand a
-// task out twice (multiplicity semantics); the loser of the claim discards
-// its copy. The strict kinds hand out each task at most once, so the check
-// short-circuits to true.
+// claim marks a as dispatched exactly once. A relaxed flexible queue may
+// hand a task out twice (multiplicity semantics), and a donation, a rescue
+// or an offload can carry the second copy into a shared deque or an inbox;
+// the loser of the claim discards its copy. Private deques are strict and
+// are never claim-checked, and outside receiver mode every queue is, so the
+// check short-circuits to true.
 func (w *worker) claim(a *activity) bool {
 	rt := w.place.rt
 	if !rt.receiver {
@@ -405,19 +413,14 @@ func (w *worker) findWork() (*activity, stealKind) {
 		// looking for own work.
 		w.serveMail()
 	}
-	// 1. Own private deque (line 9). The take loops skip claim-losing
-	// duplicates from the relaxed queues; under the strict kinds claim is
-	// always true and each loop runs at most one full iteration.
-	for {
-		a, ok := w.priv.Pop()
-		if !ok {
-			break
-		}
-		if w.claim(a) {
-			return a, tookOwn
-		}
+	// 1. Own private deque (line 9): strict on every kind, newest first.
+	if a, ok := w.priv.Pop(); ok {
+		return a, tookOwn
 	}
 	// 1a. Own inbox: foreign affinitized arrivals (FIFO — oldest first).
+	// This and the other take loops skip claim-losing duplicates that
+	// came out of a relaxed flexible queue; outside receiver mode claim is
+	// always true and each loop runs at most one full iteration.
 	for {
 		a, ok := w.inbox.Steal()
 		if !ok {
@@ -427,10 +430,10 @@ func (w *worker) findWork() (*activity, stealKind) {
 			return a, tookOwn
 		}
 	}
-	// 1b. Own flexible queue (receiver-initiated mode).
+	// 1b. Own flexible queue (receiver-initiated mode), oldest first.
 	if rcv {
 		for {
-			a, ok := w.flex.Pop()
+			a, ok := w.flex.Steal()
 			if !ok {
 				break
 			}
@@ -444,7 +447,7 @@ func (w *worker) findWork() (*activity, stealKind) {
 	// so a peer's inbox is fair game for a co-located thief.
 	for off := 1; off < len(p.workers); off++ {
 		peer := p.workers[(w.local+off)%len(p.workers)]
-		if a, ok := peer.priv.Steal(); ok && w.claim(a) {
+		if a, ok := peer.priv.Steal(); ok {
 			p.rt.record(p.id, w.local, obs.KindStealLocal, -1, int32(peer.local), 0)
 			return a, tookLocalSteal
 		}
@@ -505,12 +508,12 @@ func (w *worker) stealRemote() *activity {
 	if rt.rec != nil {
 		sweepStart = time.Now()
 	}
-	victims := sched.VictimOrder(rt.cfg.Policy, p.id, len(rt.places), w.rng)
 	if rt.ctrl != nil {
 		w.victims = rt.ctrl.AppendVictimOrder(w.victims[:0], p.id, w.rng)
-		victims = w.victims
+	} else {
+		w.victims = sched.AppendVictimOrder(w.victims[:0], rt.cfg.Policy, p.id, len(rt.places), w.rng)
 	}
-	for _, v := range victims {
+	for _, v := range w.victims {
 		victim := rt.places[v]
 		if victim.dead.Load() || victim.draining.Load() {
 			continue

@@ -51,12 +51,14 @@ type Config struct {
 	// Deque selects the worker-queue implementation (deque.Kinds):
 	// deque.KindMutex (zero value) is the paper-faithful mutex-guarded
 	// deque; deque.KindChaseLev swaps in lock-free Chase–Lev private
-	// deques; deque.KindRelaxed selects the fence-free multiplicity
-	// queues AND switches remote stealing to the receiver-initiated
-	// private-deques protocol — thieves post steal requests into
-	// per-worker mailboxes and busy owners donate half their flexible
-	// queue at task-spawn boundaries, so no remote thief ever touches a
-	// shared structure on the victim's hot path.
+	// deques; deque.KindRelaxed gives every worker the paper's Fig. 2
+	// pair, a Chase–Lev private deque (LIFO, exactly-once) and a
+	// fence-free FIFO multiplicity queue of flexible tasks, AND switches
+	// remote stealing to the receiver-initiated protocol — thieves post
+	// steal requests into per-worker mailboxes and busy owners donate
+	// the older half of their flexible queue at task-spawn boundaries, so
+	// no remote thief ever touches a shared structure on the victim's hot
+	// path.
 	Deque deque.Kind
 	// Fault injects failures: place crashes after a task count, message
 	// loss and latency spikes on the remote-steal path. Nil runs
@@ -110,8 +112,9 @@ type Runtime struct {
 	// the latency-biased victim order.
 	ctrl *adapt.Controller
 	// receiver is true under deque.KindRelaxed: remote stealing runs the
-	// receiver-initiated private-deques protocol and every take is
-	// claim-checked because the relaxed queues may hand a task out twice.
+	// receiver-initiated protocol, and every take that is not from a
+	// private deque is claim-checked because the relaxed flexible queues
+	// may hand a task out twice.
 	receiver bool
 
 	// inj evaluates the injected fault plan (nil-safe when fault-free).
@@ -465,11 +468,11 @@ func (rt *Runtime) rehomeQueued(p *place, reexec bool) {
 		return
 	}
 	if rt.receiver {
-		// Relaxed queues may hand an activity out twice under concurrent
-		// drains; dedup the orphan list so nothing is double-homed. (The
-		// claim check would still keep execution exactly-once, but the
-		// re-homing counters and queue accounting should see each task
-		// once.)
+		// Relaxed flexible queues may hand an activity out twice under
+		// concurrent drains; dedup the orphan list so nothing is
+		// double-homed. (The claim check would still keep execution
+		// exactly-once, but the re-homing counters and queue accounting
+		// should see each task once.)
 		seen := make(map[*activity]bool, len(orphans))
 		uniq := orphans[:0]
 		for _, a := range orphans {

@@ -21,10 +21,11 @@
 //
 // The worker-side queue is pluggable beyond that paper-faithful default:
 // Kind selects among Private (mutex), ChaseLev (lock-free, CAS steals) and
-// Relaxed (fence-free with multiplicity) behind the common WorkQueue
-// interface — see kind.go. Selecting Relaxed also flips the runtime to
-// receiver-initiated stealing, removing the Shared structure from the hot
-// path entirely.
+// Relaxed (fence-free FIFO with multiplicity: the Shared discipline, not
+// the Private one) behind the common WorkQueue interface — see kind.go.
+// Selecting Relaxed also flips the runtime to receiver-initiated stealing,
+// removing the Shared structure from the hot path entirely.
+// TestConformance is the concurrent contract all three are held to.
 package deque
 
 import "sync"

@@ -20,16 +20,17 @@ const (
 	// 2005): owner push/pop without locks, one CAS per steal. Steals are
 	// linearizable; no task is ever handed out twice.
 	KindChaseLev
-	// KindRelaxed is the fence-free queue with multiplicity semantics in
-	// the style of Castañeda and Piña (arXiv:2008.04424): no locks and no
+	// KindRelaxed is the fence-free FIFO queue with multiplicity of
+	// Castañeda and Piña (arXiv:2008.04424): no locks and no
 	// read-modify-write anywhere — owner and thieves synchronize through
-	// plain atomic reads and writes only. The relaxation: under a race a
-	// task may be taken twice, and the scheduler dedups at dispatch (the
-	// runtime claims each task once; the simulator's batch accounting
-	// marks task ids taken). Selecting this kind also switches the
-	// runtime's remote stealing to the receiver-initiated private-deques
-	// protocol (see internal/core): the lock-guarded per-place shared
-	// structure disappears from the hot path entirely.
+	// plain atomic reads and writes only, and all of them take the oldest
+	// element. The relaxation: under a race a task may be taken twice,
+	// and the scheduler dedups at dispatch (the runtime claims each task
+	// once). Selecting this kind gives each runtime worker such a queue
+	// for its flexible tasks beside a ChaseLev private deque, and
+	// switches remote stealing to the receiver-initiated protocol (see
+	// internal/core): the lock-guarded per-place shared structure
+	// disappears from the hot path entirely.
 	KindRelaxed
 	numKinds
 )
@@ -81,16 +82,19 @@ func ParseKind(s string) (Kind, error) {
 	}
 }
 
-// WorkQueue is the private-deque discipline every worker schedules from:
-// the owner pushes and pops at the bottom (LIFO, maximizing cache reuse of
-// the most recently spawned task); thieves take the oldest element from
-// the top. Push and Pop are owner-side operations — KindMutex tolerates
-// any caller, the lock-free kinds require a single owner goroutine; Steal
-// and Len are safe from any goroutine on every kind.
+// WorkQueue is the queue a worker schedules from: the owner pushes at the
+// bottom and takes with Pop; thieves take the oldest element from the top
+// with Steal. Pop is LIFO on the strict kinds (maximizing cache reuse of
+// the most recently spawned task) and oldest-first, the same take as
+// Steal, on KindRelaxed. Push and Pop are owner-side operations —
+// KindMutex tolerates any caller, the lock-free kinds require a single
+// owner goroutine; Steal and Len are safe from any goroutine on every
+// kind.
 //
-// KindRelaxed weakens the exactly-once guarantee: a racy Pop/Steal or
-// Steal/Steal pair may return the same element twice (multiplicity).
-// Callers selecting it must dedup at dispatch; no element is ever lost.
+// KindRelaxed also weakens the exactly-once guarantee: two racing takes
+// may return the same element (multiplicity), and a late one may
+// re-deliver elements taken since. Callers selecting it must dedup at
+// dispatch; no element is ever lost.
 type WorkQueue[T any] interface {
 	Push(T)
 	Pop() (T, bool)

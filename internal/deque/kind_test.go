@@ -49,7 +49,8 @@ func TestKindRoundTrip(t *testing.T) {
 }
 
 // Every kind behind the factory honours the WorkQueue contract under the
-// single-owner discipline: LIFO pops, oldest-first steals, conservation.
+// single-owner discipline: oldest-first steals, owner takes newest-first on
+// the strict kinds and oldest-first on the relaxed one, conservation.
 func TestNewFactoryContract(t *testing.T) {
 	for _, k := range Kinds() {
 		t.Run(k.String(), func(t *testing.T) {
@@ -63,7 +64,11 @@ func TestNewFactoryContract(t *testing.T) {
 			if v, ok := q.Steal(); !ok || v != 0 {
 				t.Fatalf("Steal = %d,%v, want 0,true", v, ok)
 			}
-			for want := 99; want >= 1; want-- {
+			for i := 1; i <= 99; i++ {
+				want := 100 - i
+				if k == KindRelaxed {
+					want = i
+				}
 				v, ok := q.Pop()
 				if !ok || v != want {
 					t.Fatalf("Pop = %d,%v, want %d,true", v, ok, want)

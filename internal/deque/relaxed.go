@@ -2,34 +2,42 @@ package deque
 
 import "sync/atomic"
 
-// Relaxed is a work-stealing queue with multiplicity semantics in the
-// style of Castañeda and Piña (arXiv:2008.04424): it is fully fence-free —
-// every synchronization step is a plain atomic load or store; there is no
-// CAS or any other read-modify-write anywhere, so neither the owner's hot
-// path nor a steal ever spins on contended hardware primitives.
+// Relaxed is the FIFO work-stealing queue with multiplicity of Castañeda
+// and Piña (arXiv:2008.04424): the owner appends at the bottom and every
+// taker, the owner included, takes the oldest element at the top. It is
+// fully fence-free: every synchronization step is a plain atomic load or
+// store, with no CAS or other read-modify-write anywhere.
 //
 // The relaxation that buys this: a take is published by *storing* top+1
-// rather than compare-and-swapping it, so two thieves (or a thief and the
-// owner popping the last element) that read the same top may both return
-// the same element. The multiplicity guarantee is one-sided:
+// rather than compare-and-swapping it, so two takers that read the same
+// top may both return the same element, and a taker that was descheduled
+// between its load and its store moves top backwards, re-exposing
+// elements already taken. The guarantee is one-sided: an element may be
+// returned more than once, but none is ever lost. Three facts carry it:
 //
-//   - no element is ever lost — top only advances to i+1 via a thread
-//     that has already read element i, so the window [top, bottom) never
-//     skips an untaken element;
-//   - an element may be returned more than once, and a stale thief's
-//     store may even move top backwards, re-exposing recently taken
-//     elements. Every such re-delivery is a duplicate of a previously
-//     delivered element, never garbage.
+//   - bottom is monotone: only Push stores it, always to bottom+1. An
+//     index therefore names one element for ever, and is written once per
+//     buffer generation (by its Push, or by the grow that copies it).
+//   - top never passes an index nobody read: top becomes i+1 only in a
+//     taker that loaded top == i and then loaded slot i, so by induction
+//     every index below any value top ever held has been read by a taker
+//     that returns it. A late store of a small i+1 only re-exposes such
+//     indices; a late store of a large one skips nothing unread.
+//   - what a taker finds in slot i is element i, or (the ring wrapped, or
+//     a grow copied across a regressed top) some other element that was
+//     pushed, or nil. The owner overwrites or drops slot i only after
+//     seeing top > i, so in the last two cases i was already read: the
+//     other element is merely delivered once more than it would have
+//     been, and nil is stepped over.
 //
 // Callers must therefore dedup at dispatch: the goroutine runtime claims
-// each activity with a single atomic flag before running it, and the
-// simulator's batch accounting marks task ids taken. That machinery
-// already exists for exactly-once execution across faults, which is what
-// makes this queue's weaker contract free to adopt.
+// each activity with a single atomic flag before running it. That
+// machinery already exists for exactly-once execution across faults,
+// which is what makes this queue's weaker contract free to adopt.
 //
-// Like ChaseLev: Push and Pop are owner-only, Steal and Len are safe from
-// any goroutine, and the element window lives in a grow-only buffer of
-// atomic pointer slots shared with concurrent readers.
+// Push is owner-only; Steal, Pop and Len are safe from any goroutine. The
+// element window lives in a grow-only buffer of atomic pointer slots
+// shared with concurrent readers, like ChaseLev's.
 type Relaxed[T any] struct {
 	top    atomic.Int64
 	bottom atomic.Int64
@@ -47,18 +55,12 @@ func NewRelaxed[T any]() *Relaxed[T] {
 func (d *Relaxed[T]) Push(v T) {
 	b := d.bottom.Load()
 	t := d.top.Load()
-	if t > b {
-		// A duplicate take of the last element advanced top past bottom;
-		// resync so the new element lands inside the visible window.
-		b = t
-	}
 	buf := d.buf.Load()
 	if b-t >= int64(len(buf.items)) {
-		// Grow: copy the live window into a buffer twice the size. A stale
-		// thief still holding an index below t finds a nil slot in the new
-		// buffer and reports a lost race rather than reading garbage.
+		// Grow: copy the window into a larger buffer. A taker holding an
+		// index below t finds nil there and steps over it.
 		//
-		// A stale thief's backwards top store can widen b-t beyond twice
+		// A stale taker's backwards top store can widen b-t beyond twice
 		// the old capacity, so doubling once is not always enough: keep
 		// doubling until the whole window fits, or the copy loop would
 		// wrap the power-of-two mask and overwrite live slots.
@@ -77,59 +79,28 @@ func (d *Relaxed[T]) Push(v T) {
 	d.bottom.Store(b + 1)
 }
 
-// Pop removes the most recently pushed element (owner only, LIFO). When it
-// races a thief for the last element both may receive it; the dispatch
-// layer dedups.
-func (d *Relaxed[T]) Pop() (T, bool) {
-	var zero T
-	b := d.bottom.Load() - 1
-	t := d.top.Load()
-	if t > b {
-		// Empty: resync bottom with however far the thieves got.
-		d.bottom.Store(t)
-		return zero, false
+// Steal removes the oldest element (any goroutine). It returns false only
+// when the queue is empty; it never executes a read-modify-write, and it
+// loops only over nil slots: indices a backwards top store re-exposed
+// after a grow had dropped them as taken.
+func (d *Relaxed[T]) Steal() (T, bool) {
+	for {
+		t := d.top.Load()
+		if t >= d.bottom.Load() {
+			var zero T
+			return zero, false
+		}
+		vp := d.buf.Load().load(t)
+		d.top.Store(t + 1)
+		if vp != nil {
+			return *vp, true
+		}
 	}
-	vp := d.buf.Load().load(b)
-	if vp == nil {
-		// A stale thief's backwards top store re-exposed indices a grow
-		// discarded; a nil slot proves b predates the grow-time top, so
-		// everything at or below it was already taken. Collapse the
-		// window to empty at b+1 (top never legitimately exceeded
-		// bottom, so this store cannot skip a live element).
-		d.top.Store(b + 1)
-		d.bottom.Store(b + 1)
-		return zero, false
-	}
-	if t == b {
-		// Last element: take it by plain stores. No CAS — a thief that
-		// read the same top may take it too (multiplicity).
-		d.top.Store(b + 1)
-		d.bottom.Store(b + 1)
-	} else {
-		d.bottom.Store(b)
-	}
-	return *vp, true
 }
 
-// Steal removes the oldest element (any goroutine, FIFO end). It returns
-// false when the queue looks empty or the thief observed a buffer it is
-// too stale for; it never spins and never executes a read-modify-write.
-func (d *Relaxed[T]) Steal() (T, bool) {
-	var zero T
-	t := d.top.Load()
-	b := d.bottom.Load()
-	if t >= b {
-		return zero, false
-	}
-	vp := d.buf.Load().load(t)
-	if vp == nil {
-		// The owner grew the buffer past this index; the element was
-		// copied only if still live, so it is owned by someone else now.
-		return zero, false
-	}
-	d.top.Store(t + 1)
-	return *vp, true
-}
+// Pop is Steal: the queue is FIFO at both ends, so the owner's take is the
+// same head take as a thief's. It exists so Relaxed satisfies WorkQueue.
+func (d *Relaxed[T]) Pop() (T, bool) { return d.Steal() }
 
 // Len returns an instantaneous (racy) size estimate.
 func (d *Relaxed[T]) Len() int {

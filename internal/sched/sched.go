@@ -198,24 +198,15 @@ func StealHalf(n int) int {
 // at the same count.
 const StealMaxAttempts = 3
 
-// VictimOrder returns the order in which a thief at place self probes the
-// other places' shared deques. DistWS and DistWS-NS sweep all places in a
-// randomized order (the thief tracks visited places per Algorithm 1 lines
-// 22–29); RandomWS and LifelineWS sample victims uniformly at random with
-// replacement, which is modelled here as a random permutation as well. The
-// result never contains self and covers every other place exactly once.
-func VictimOrder(k Kind, self, places int, rng *rand.Rand) []int {
-	if places <= 1 || !RemoteStealing(k) {
-		return nil
-	}
-	return AppendVictimOrder(make([]int, 0, places-1), k, self, places, rng)
-}
-
-// AppendVictimOrder appends the same victim ordering VictimOrder returns to
-// dst and returns the extended slice. It draws from rng identically, so the
-// two forms are interchangeable; the append form lets hot callers (one
-// sweep per failed steal) reuse a scratch buffer instead of allocating a
-// permutation per sweep.
+// AppendVictimOrder appends to dst the order in which a thief at place
+// self probes the other places' shared deques and returns the extended
+// slice. DistWS and DistWS-NS sweep all places in a randomized order (the
+// thief tracks visited places per Algorithm 1 lines 22–29); RandomWS and
+// LifelineWS sample victims uniformly at random with replacement, which is
+// modelled here as a random permutation as well. The appended order never
+// contains self and covers every other place exactly once; it is empty for
+// a single place or a policy without remote stealing. Callers run one
+// sweep per failed steal, so they pass a scratch buffer to reuse.
 func AppendVictimOrder(dst []int, k Kind, self, places int, rng *rand.Rand) []int {
 	if places <= 1 || !RemoteStealing(k) {
 		return dst

@@ -133,7 +133,7 @@ func TestChunks(t *testing.T) {
 
 func TestVictimOrderCoversAllOtherPlaces(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	order := VictimOrder(DistWS, 3, 8, rng)
+	order := AppendVictimOrder(nil, DistWS, 3, 8, rng)
 	if len(order) != 7 {
 		t.Fatalf("len(order) = %d, want 7", len(order))
 	}
@@ -154,11 +154,11 @@ func TestVictimOrderCoversAllOtherPlaces(t *testing.T) {
 
 func TestVictimOrderDegenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	if got := VictimOrder(DistWS, 0, 1, rng); got != nil {
-		t.Fatalf("single place should yield nil order, got %v", got)
+	if got := AppendVictimOrder(nil, DistWS, 0, 1, rng); len(got) != 0 {
+		t.Fatalf("single place should yield an empty order, got %v", got)
 	}
-	if got := VictimOrder(X10WS, 0, 8, rng); got != nil {
-		t.Fatalf("X10WS should yield nil order, got %v", got)
+	if got := AppendVictimOrder(nil, X10WS, 0, 8, rng); len(got) != 0 {
+		t.Fatalf("X10WS should yield an empty order, got %v", got)
 	}
 }
 
@@ -168,7 +168,7 @@ func TestVictimOrderPermutationProperty(t *testing.T) {
 		places := int(placesRaw%16) + 2
 		self := int(selfRaw) % places
 		rng := rand.New(rand.NewSource(seed))
-		order := VictimOrder(DistWS, self, places, rng)
+		order := AppendVictimOrder(nil, DistWS, self, places, rng)
 		if len(order) != places-1 {
 			return false
 		}

@@ -268,13 +268,6 @@ type engine struct {
 	stealBuf  []int
 	aliasBuf  []uint64
 	batchPool [][]int
-	// obsBuf accumulates one steal sweep's probe outcomes for a single
-	// locked hand-off to the adapt controller (sched.Adaptive only).
-	// When the controller is unsynchronized (obsDirect) the batching
-	// would amortize nothing, so observations are fed per probe instead —
-	// same order, same state, no struct copies.
-	obsBuf    []adapt.StealObservation
-	obsDirect bool
 
 	// dag, when non-nil, runs the engine in dataflow mode (RunDAG): tasks
 	// are released by dependency completion instead of parent spawns, and
@@ -342,7 +335,6 @@ func runEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Opti
 			// can skip internal locking.
 			e.ctrl = adapt.New(adapt.Config{Places: cl.Places, Unsynchronized: true})
 		}
-		e.obsDirect = e.ctrl.Unsynchronized()
 		// Kinds are interned up front from observable task descriptors —
 		// never from the Flexible annotation, which the adaptive policy
 		// must not read. Signatures collapse to a handful of kinds, so a
@@ -962,7 +954,7 @@ func (e *engine) stealRemote(w *simWorker) bool {
 		}
 		if !ok {
 			if e.ctrl != nil {
-				e.observeSteal(w.place.id, v, delay-probeStart, 0, 0)
+				e.ctrl.ObserveSteal(w.place.id, v, delay-probeStart, 0, 0)
 			}
 			continue
 		}
@@ -1003,7 +995,7 @@ func (e *engine) stealRemote(w *simWorker) bool {
 		}
 		if len(chunk) == 0 {
 			if e.ctrl != nil {
-				e.observeSteal(w.place.id, v, delay-probeStart, 0, 0)
+				e.ctrl.ObserveSteal(w.place.id, v, delay-probeStart, 0, 0)
 			}
 			continue
 		}
@@ -1019,8 +1011,7 @@ func (e *engine) stealRemote(w *simWorker) bool {
 		delay += e.cl.Net.TransferNS(bytes)
 		e.ctrs.BytesTransferred.Add(int64(bytes))
 		if e.ctrl != nil {
-			e.observeSteal(w.place.id, v, delay-probeStart, len(chunk), victim.shared.Len())
-			e.flushStealObs()
+			e.ctrl.ObserveSteal(w.place.id, v, delay-probeStart, len(chunk), victim.shared.Len())
 		}
 		e.record(w.place.id, w.local, obs.KindStealRemote, int32(chunk[0]), int32(v), delay)
 		if len(chunk) > 1 {
@@ -1034,38 +1025,7 @@ func (e *engine) stealRemote(w *simWorker) bool {
 	}
 	e.ctrs.RemoteProbes.Add(probes)
 	e.ctrs.Messages.Add(messages)
-	if e.ctrl != nil {
-		e.flushStealObs()
-	}
 	return false
-}
-
-// observeSteal feeds one probe outcome to the adapt controller. An
-// unsynchronized controller takes it directly — no mutex to amortize, so
-// buffering would only add struct copies. A synchronized (shared)
-// controller gets the sweep's outcomes accumulated into obsBuf for a
-// single locked hand-off in flushStealObs; observation order, and thus
-// every controller decision, is identical either way — no controller
-// state is read between a sweep's first probe and its flush.
-func (e *engine) observeSteal(thief, victim int, latencyNS int64, got, victimLeft int) {
-	if e.obsDirect {
-		e.ctrl.ObserveSteal(thief, victim, latencyNS, got, victimLeft)
-		return
-	}
-	e.obsBuf = append(e.obsBuf, adapt.StealObservation{
-		Thief: thief, Victim: victim, LatencyNS: latencyNS,
-		Got: got, VictimLeft: victimLeft})
-}
-
-// flushStealObs hands the sweep's accumulated probe outcomes to the
-// controller in one locked batch (a no-op for an unsynchronized
-// controller, whose observations were fed directly).
-func (e *engine) flushStealObs() {
-	if len(e.obsBuf) == 0 {
-		return
-	}
-	e.ctrl.ObserveStealBatch(e.obsBuf)
-	e.obsBuf = e.obsBuf[:0]
 }
 
 // sharedDequeDelay returns the cost of one shared-deque operation at p:
