@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-smoke deque-stress fuzz-smoke dag-parity exhibit-golden chaos soak serve-soak loc coverage-ledger
+.PHONY: all build test race vet check bench bench-smoke rt-profile deque-stress fuzz-smoke dag-parity exhibit-golden chaos soak serve-soak loc coverage-ledger
 
 all: check
 
@@ -33,6 +33,15 @@ race:
 bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkSimulator128Workers|BenchmarkContentionStudy' -benchtime=1x .
 	$(GO) test -run='^$$' -bench=BenchmarkExecuteOverhead -benchtime=1x ./internal/dag
+
+# Where the goroutine runtime's per-task time goes: a CPU profile of the
+# empty-body fan-out (spawn, push, take, run, join and nothing else),
+# binary and profile in a temp directory, top of the flat list printed.
+rt-profile:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) test -run='^$$' -bench='BenchmarkRuntimeFanout/mutex' -benchtime=3s \
+		-o "$$dir/distws.test" -outputdir "$$dir" -cpuprofile cpu.prof .; \
+	$(GO) tool pprof -top -nodecount=35 "$$dir/distws.test" "$$dir/cpu.prof"
 
 # The queue contract test, 200 times over with the collector off: the
 # setting under which a relaxed queue that lost elements (a LIFO owner pop

@@ -72,7 +72,7 @@ func (c *Ctx) Place() int { return c.placeID }
 // Places returns the number of places in the runtime.
 func (c *Ctx) Places() int { return len(c.rt.places) }
 
-// Home asserts p is a valid place id.
+// checkPlace panics unless p is a valid place id.
 func (c *Ctx) checkPlace(p int) {
 	if p < 0 || p >= len(c.rt.places) {
 		panic(fmt.Sprintf("core: invalid place %d (have %d places)", p, len(c.rt.places)))
@@ -143,24 +143,27 @@ func (c *Ctx) waitHelping(fin *finish) {
 		}
 		return
 	}
-	for !fin.isDone() {
-		if c.rt.shutdown.Load() {
-			return
+	// The wait idles as worker.loop does: a first failed sweep opens the
+	// idle stretch, the next is the parking protocol's re-check, and only
+	// then does the worker block. A fruitless help-wait counts as idle.
+	w := c.worker
+	for !fin.isDone() && !c.rt.shutdown.Load() {
+		if a, how := w.findWork(); a != nil {
+			w.run(a, how)
+			continue
 		}
-		a, how := c.worker.findWork()
-		if a != nil {
-			c.worker.run(a, how)
+		if !w.idle() {
+			w.beginIdle()
 			continue
 		}
 		select {
-		case <-c.worker.place.wake:
+		case <-w.place.wake:
 		case <-fin.doneCh:
-			return
 		case <-c.rt.stopCh:
-			return
 		case <-time.After(c.rt.cfg.IdlePoll):
 		}
 	}
+	w.endIdle()
 }
 
 // At synchronously executes body at place p and returns when it is done —
@@ -176,12 +179,9 @@ func (c *Ctx) At(p int, bytes int, body func(*Ctx)) {
 		c.rt.counters.BytesTransferred.Add(2 * int64(bytes))
 		c.rt.counters.RemoteDataAccess.Add(1)
 	}
-	shifted := &Ctx{rt: c.rt, placeID: p, worker: nil, fin: c.fin}
-	start := time.Now()
-	body(shifted)
-	c.rt.util.AddBusy(p, time.Since(start).Nanoseconds())
+	body(&Ctx{rt: c.rt, placeID: p, worker: nil, fin: c.fin})
 }
 
 // Metrics exposes a snapshot of the runtime counters to activity bodies
 // (useful in examples and tests).
-func (c *Ctx) Metrics() metrics.Snapshot { return c.rt.counters.Snapshot() }
+func (c *Ctx) Metrics() metrics.Snapshot { return c.rt.Metrics() }

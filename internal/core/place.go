@@ -26,6 +26,9 @@ type activity struct {
 	// (multiplicity semantics): whichever taker wins this flag runs the
 	// activity; every other take of the same activity is discarded.
 	claimed atomic.Bool
+	// ctx is the context run hands the body: it lives here so that an
+	// activity is one allocation, not two.
+	ctx Ctx
 }
 
 // place mirrors the paper's Fig. 2: several workers with private deques
@@ -38,7 +41,6 @@ type place struct {
 	workers []*worker
 	shared  deque.Shared[*activity]
 
-	running  atomic.Int32  // activities currently executing here
 	spawnSeq atomic.Uint64 // per-place spawn counter (DistWS-NS round robin)
 
 	// active is the §VI-B place status bit: set when an activity is
@@ -62,7 +64,11 @@ type place struct {
 	lifelineWaiters []atomic.Bool
 
 	rrWorker atomic.Uint32 // round-robin target for externally spawned tasks
-	wake     chan struct{}
+	// idlers counts this place's workers inside an idle stretch (see
+	// worker.beginIdle); wake holds one token per worker a pusher or a
+	// lifecycle change wants to sweep again.
+	idlers atomic.Int32
+	wake   chan struct{}
 
 	// wg tracks this place's live worker goroutines so a heal/join can
 	// wait for a crashed generation to fully exit before restarting —
@@ -95,6 +101,7 @@ func newPlace(rt *Runtime, id int) *place {
 		} else {
 			w.priv = deque.New[*activity](rt.cfg.Deque)
 		}
+		w.stats.idleSince.Store(rt.stamp()) // idle until loop starts it
 		p.workers[i] = w
 	}
 	return p
@@ -151,7 +158,7 @@ func (p *place) startWorkers() {
 // of Spares and the two clauses separate.)
 func (p *place) load() sched.PlaceLoad {
 	workers := p.rt.cfg.Cluster.WorkersPerPlace
-	running := int(p.running.Load())
+	running := p.running()
 	return sched.PlaceLoad{
 		Active:     p.active.Load(),
 		Spares:     workers - running,
@@ -160,13 +167,47 @@ func (p *place) load() sched.PlaceLoad {
 	}
 }
 
-func (p *place) nextSeq() uint64 { return p.spawnSeq.Add(1) }
+// running is how many activities are executing here: the sum of the
+// workers' nesting depths (an activity helping inside Finish runs others
+// inside its own run).
+func (p *place) running() int {
+	n := 0
+	for _, w := range p.workers {
+		n += int(w.stats.depth.Load())
+	}
+	return n
+}
+
+// mapTarget is the Algorithm-1 mapping of a at this place. Only what
+// sched.MapTask reads is gathered, because gathering is what costs: the
+// load (a read of every co-located worker's line) for a flexible task
+// under DistWS or Adaptive, the spawn counter (a shared RMW) under
+// DistWS-NS. TestMapTargetSkipsOnlyWhatMapTaskIgnores holds the two
+// conditions to sched.
+func (p *place) mapTarget(a *activity) sched.Target {
+	policy := p.rt.cfg.Policy
+	class := p.rt.mapClass(a)
+	var load sched.PlaceLoad
+	if readsLoad(policy, class) {
+		load = p.load()
+	}
+	var seq uint64
+	if policy == sched.DistWSNS {
+		seq = p.spawnSeq.Add(1)
+	}
+	return sched.MapTask(policy, class, load, seq)
+}
+
+func readsLoad(policy sched.Kind, class task.Class) bool {
+	return (policy == sched.DistWS || policy == sched.Adaptive) && class != task.Sensitive
+}
 
 // enqueue places a freshly mapped activity in the chosen deque flavour.
 // spawner, when non-nil and co-located, receives private-target tasks in
 // its own deque (X10 help-first: spawned work stays with the spawner until
 // stolen).
 func (p *place) enqueue(a *activity, target sched.Target, spawner *worker) {
+	stealable := false // pushed where a remote thief may take it from
 	if target == sched.TargetShared {
 		if w := spawner; p.rt.receiver && w != nil && w.place == p {
 			// Receiver-initiated mode, spawn boundary: the spawning owner
@@ -175,9 +216,11 @@ func (p *place) enqueue(a *activity, target sched.Target, spawner *worker) {
 			// busy owner communicates with thieves.
 			w.flex.Push(a)
 			w.serveMail()
+			stealable = true
 		} else {
 			p.shared.Push(a)
 			p.serveLifelines()
+			stealable = !p.rt.receiver
 		}
 	} else if w := spawner; w != nil && w.place == p {
 		// The spawning worker pushes onto its own private deque — the
@@ -193,7 +236,7 @@ func (p *place) enqueue(a *activity, target sched.Target, spawner *worker) {
 		w := p.workers[int(p.rrWorker.Add(1))%len(p.workers)]
 		w.inbox.Push(a)
 	}
-	p.assigned()
+	p.assigned(stealable)
 }
 
 // enqueueStolen inserts tasks obtained by a distributed steal into this
@@ -204,22 +247,71 @@ func (p *place) enqueueStolen(chunk []*activity) {
 	for _, a := range chunk {
 		p.shared.Push(a)
 	}
-	p.assigned()
+	p.assigned(!p.rt.receiver)
 }
 
 // assigned follows every push into one of the place's queues: assigning
-// work (re)activates the place (§VI-B) and wakes its idle workers. A push
-// racing the place's crash or drain may land after the respective queue
-// sweep: both paths set their flag before sweeping, so re-checking here
-// and re-sweeping guarantees the activity is not stranded.
-func (p *place) assigned() {
-	p.active.Store(true)
-	p.failedSweeps.Store(0)
-	p.wakeAll()
+// work (re)activates the place (§VI-B) and wakes idle workers. stealable
+// says the push went where a remote thief may take it from (the shared
+// deque, or a flexible queue in receiver mode). On the common path, with
+// every worker busy, it writes nothing: the status words are stored only
+// on change and the wake is gated on the runtime-wide count of idle
+// workers.
+//
+// A push racing the place's crash or drain may land after the respective
+// queue sweep: both paths set their flag before sweeping, so re-checking
+// here and re-sweeping guarantees the activity is not stranded.
+func (p *place) assigned(stealable bool) {
+	p.markActive()
+	if p.rt.idlers.Load() != 0 {
+		p.wakeFor(stealable)
+	}
 	if p.dead.Load() {
 		p.rt.rescue(p)
 	} else if p.draining.Load() {
 		p.rt.offload(p)
+	}
+}
+
+// markActive sets the §VI-B status bit and clears the failed-sweep run,
+// storing only on change so that a busy place's status line stays shared.
+func (p *place) markActive() {
+	if !p.active.Load() {
+		p.active.Store(true)
+	}
+	if p.failedSweeps.Load() != 0 {
+		p.failedSweeps.Store(0)
+	}
+}
+
+// wakeFor wakes whoever should sweep after a push at p: the place's own
+// idle workers if it has any, else, for a stealable push (only a policy
+// with sched.RemoteStealing maps a task to those queues), at most one idle
+// worker at another live place, which then steals it instead of learning
+// of it from its IdlePoll timer. A place whose wake buffer is full is
+// being woken already, so the next one is tried.
+//
+// This is the pusher's half of the parking protocol; worker.beginIdle is
+// the other half.
+func (p *place) wakeFor(stealable bool) {
+	if p.idlers.Load() != 0 {
+		p.wakeAll()
+		return
+	}
+	if !stealable {
+		return
+	}
+	places := p.rt.places
+	for off := 1; off < len(places); off++ {
+		q := places[(p.id+off)%len(places)]
+		if q.idlers.Load() == 0 || q.dead.Load() || q.draining.Load() {
+			continue
+		}
+		select {
+		case q.wake <- struct{}{}:
+			return
+		default:
+		}
 	}
 }
 
@@ -312,7 +404,70 @@ type worker struct {
 	// CASes a request in; the owner answers at its next task-spawn or
 	// task-completion boundary. At most one request parks at a time.
 	mail atomic.Pointer[donateReq]
+
+	stats workerStats
 }
+
+// workerStats is the bookkeeping a worker does per task. Only the owning
+// worker writes it (atomically, for the snapshot readers: Runtime.Metrics,
+// Runtime.Utilization, place.load), and the padding keeps it off every
+// line another worker writes, so the writes never leave the owner's cache.
+type workerStats struct {
+	_ [64]byte
+
+	spawned  atomic.Int64 // activities this worker spawned
+	executed atomic.Int64 // activities this worker ran to completion
+	depth    atomic.Int32 // activities executing on this worker now (nested by help-first Finish)
+
+	// Utilisation is kept from the idle side. idleSince is the runtime
+	// clock (Runtime.stamp, never 0) at which the current idle stretch
+	// began, 0 while the worker is busy; idleNS sums the closed stretches.
+	// A worker is idle from a failed sweep until it next finds work, and
+	// while it is not started (before a join, after a crash or Shutdown).
+	idleSince atomic.Int64
+	idleNS    atomic.Int64
+
+	_ [64]byte
+}
+
+// beginIdle opens an idle stretch after a failed sweep: it stamps the
+// clock for Utilization and publishes the worker in the idle counts that
+// gate every pusher's wake. The caller must sweep once more before it
+// blocks: a push that loaded the counts before this publication sent no
+// token, but it completed before that load, so the second sweep sees it
+// (both sides are sequentially consistent atomics around the queue
+// operation). Every later push sees the count and leaves a token in
+// place.wake. Config.IdlePoll bounds what a bug here could cost.
+func (w *worker) beginIdle() {
+	rt := w.place.rt
+	w.stats.idleSince.Store(rt.stamp())
+	w.place.idlers.Add(1)
+	rt.idlers.Add(1)
+}
+
+// endIdle closes the stretch beginIdle opened, if one is open: the worker
+// found work (run calls it), its finish completed, or it is exiting.
+func (w *worker) endIdle() {
+	if !w.idle() {
+		return
+	}
+	w.place.rt.idlers.Add(-1)
+	w.place.idlers.Add(-1)
+	w.closeIdleStamp()
+}
+
+// closeIdleStamp moves the open idle stretch into idleNS. idleSince is
+// cleared first and Utilization reads the two in the opposite order, so a
+// concurrent reader may miss a stretch but never counts one twice.
+func (w *worker) closeIdleStamp() {
+	st := &w.stats
+	since := st.idleSince.Load()
+	st.idleSince.Store(0)
+	st.idleNS.Add(w.place.rt.nowNS() - since)
+}
+
+// idle reports whether the worker is inside an idle stretch.
+func (w *worker) idle() bool { return w.stats.idleSince.Load() != 0 }
 
 // claim marks a as dispatched exactly once. A relaxed flexible queue may
 // hand a task out twice (multiplicity semantics), and a donation, a rescue
@@ -365,26 +520,39 @@ func (w *worker) serveMail() {
 
 // loop is Algorithm 1 lines 9–29. A worker whose place fail-stops exits
 // the loop: the crash model is fail-stop at the next scheduling point.
+//
+// An idle worker is woken, not polling: the first failed sweep opens an
+// idle stretch (beginIdle), the next sweep is the protocol's re-check, and
+// only then does the worker block, on its place's wake tokens; the
+// IdlePoll timer is the bound on a missed wake, not the way work is found.
 func (w *worker) loop() {
 	rt := w.place.rt
 	defer rt.workerWG.Done()
+	w.closeIdleStamp() // the time before this start was idle
 	for !rt.shutdown.Load() && !w.place.dead.Load() {
 		a, how := w.findWork()
-		if a == nil {
-			w.place.noteFailedSweep()
-			rt.counters.FailedSteals.Add(1)
-			rt.record(w.place.id, w.local, obs.KindStealFail, -1, 0, 0)
-			if rt.cfg.Policy == sched.LifelineWS {
-				w.registerLifelines()
-			}
-			select {
-			case <-w.place.wake:
-			case <-time.After(rt.cfg.IdlePoll):
-			}
+		if a != nil {
+			w.run(a, how)
 			continue
 		}
-		w.run(a, how)
+		w.place.noteFailedSweep()
+		rt.counters.FailedSteals.Add(1)
+		rt.record(w.place.id, w.local, obs.KindStealFail, -1, 0, 0)
+		if rt.cfg.Policy == sched.LifelineWS {
+			w.registerLifelines()
+		}
+		if !w.idle() {
+			w.beginIdle()
+			continue
+		}
+		select {
+		case <-w.place.wake:
+		case <-rt.stopCh:
+		case <-time.After(rt.cfg.IdlePoll):
+		}
 	}
+	w.endIdle()
+	w.stats.idleSince.Store(rt.stamp()) // stopped is idle, until a revive
 }
 
 // stealKind says how a task was obtained, for accounting.
@@ -569,7 +737,7 @@ func (w *worker) stealRemote() *activity {
 				w.flex.Push(a)
 			}
 			rt.record(p.id, w.local, obs.KindArrive, -1, int32(len(chunk)), 0)
-			p.assigned()
+			p.assigned(true)
 		default:
 			p.enqueueStolen(chunk)
 		}
@@ -707,14 +875,17 @@ func (w *worker) registerLifelines() {
 	}
 }
 
-// run executes one activity and performs all the paper's accounting: busy
-// time for Fig. 7, migration/cache effects for Tables II–III.
+// run executes one activity and performs the paper's accounting:
+// migration effects for Tables II–III, and, for whoever reads it, the
+// service time. What it writes per task is the worker's own (stats, the
+// activity); the shared counters below move only when a task was stolen or
+// ran off-home.
 func (w *worker) run(a *activity, how stealKind) {
 	rt := w.place.rt
 	p := w.place
-	p.running.Add(1)
-	p.active.Store(true)
-	p.failedSweeps.Store(0)
+	w.endIdle()
+	w.stats.depth.Add(1)
+	p.markActive()
 
 	// Only genuine steals count (Fig. 3): taking a task from a co-located
 	// worker's private deque. Polling the own place's shared deque is the
@@ -733,24 +904,31 @@ func (w *worker) run(a *activity, how stealKind) {
 	}
 
 	rt.record(p.id, w.local, obs.KindTaskStart, -1, int32(a.home), 0)
-	start := time.Now()
-	ctx := &Ctx{rt: rt, placeID: p.id, worker: w, fin: a.fin}
+	// The service time has two readers, the trace and the adapt
+	// controller; without either the clock is not read.
+	timed := rt.rec != nil || rt.ctrl != nil
+	var start time.Time
+	if timed {
+		start = time.Now()
+	}
+	a.ctx = Ctx{rt: rt, placeID: p.id, worker: w, fin: a.fin}
 	var elapsed int64
 	func() {
-		defer a.fin.done()
 		defer func() {
 			if v := recover(); v != nil {
 				a.fin.fail(v)
 			}
 			// Accounted before the finish is released: once Run returns,
-			// every activity it waited for reads as executed and timed.
-			elapsed = time.Since(start).Nanoseconds()
-			rt.util.AddBusy(p.id, elapsed)
+			// every activity it waited for reads as executed.
+			if timed {
+				elapsed = time.Since(start).Nanoseconds()
+			}
 			rt.record(p.id, w.local, obs.KindTaskEnd, -1, 0, elapsed)
-			rt.counters.TasksExecuted.Add(1)
-			p.running.Add(-1)
+			w.stats.executed.Add(1)
+			w.stats.depth.Add(-1)
+			a.fin.done()
 		}()
-		a.body(ctx)
+		a.body(&a.ctx)
 	}()
 
 	// Feed the measured service time back to the adapt controller. The

@@ -45,8 +45,9 @@ type Config struct {
 	Policy sched.Kind
 	// Seed makes victim selection deterministic for tests. Zero picks 1.
 	Seed int64
-	// IdlePoll is how long an idle worker sleeps between failed
-	// work-finding sweeps. Defaults to 200µs.
+	// IdlePoll is the longest an idle worker blocks between work-finding
+	// sweeps. A push wakes the idle workers it concerns, so this is the
+	// bound on a missed wake, not the way work is found. Defaults to 200µs.
 	IdlePoll time.Duration
 	// Deque selects the worker-queue implementation (deque.Kinds):
 	// deque.KindMutex (zero value) is the paper-faithful mutex-guarded
@@ -101,10 +102,13 @@ func (c Config) withDefaults() Config {
 // Runtime is a running APGAS instance. Create with New, release with
 // Shutdown.
 type Runtime struct {
-	cfg      Config
-	places   []*place
+	cfg    Config
+	places []*place
+	// counters holds what moves per steal, per message or per fault.
+	// What moves per task (spawned, executed) is counted on the worker
+	// that did it (workerStats) and summed by Metrics; the two fields
+	// here take only the spawns made from outside the pool.
 	counters metrics.Counters
-	util     *metrics.Utilization
 	rec      *obs.Recorder // scheduling-event recorder (nil = tracing off)
 	// ctrl is the adapt feedback controller (non-nil only under
 	// sched.Adaptive): it supplies each activity's online classification
@@ -119,6 +123,11 @@ type Runtime struct {
 
 	// inj evaluates the injected fault plan (nil-safe when fault-free).
 	inj *fault.Injector
+
+	// idlers counts the workers inside an idle stretch, runtime-wide: the
+	// one word a push loads to learn that nobody needs waking (see
+	// worker.beginIdle for the protocol).
+	idlers atomic.Int32
 
 	shutdown atomic.Bool
 	// stopCh is closed by the first Shutdown so blocked RunContext calls
@@ -141,6 +150,9 @@ type Runtime struct {
 // measured from New — the same origin the sim's virtual clock uses from
 // its t=0, so one Plan drives both.
 func (rt *Runtime) nowNS() int64 { return time.Since(rt.started).Nanoseconds() }
+
+// stamp is nowNS for workerStats.idleSince, where 0 means "not idle".
+func (rt *Runtime) stamp() int64 { return max(1, rt.nowNS()) }
 
 // sleepUntil blocks until the runtime clock reaches atNS or the runtime
 // shuts down; it reports whether the caller should proceed.
@@ -173,7 +185,6 @@ func New(cfg Config) (*Runtime, error) {
 	rt := &Runtime{
 		cfg:      cfg,
 		receiver: cfg.Deque == deque.KindRelaxed,
-		util:     metrics.NewUtilization(cfg.Cluster.Places),
 		rec:      cfg.Recorder,
 		inj:      fault.NewInjector(cfg.Fault),
 		stopCh:   make(chan struct{}),
@@ -254,8 +265,19 @@ func (rt *Runtime) WorkersPerPlace() int { return rt.cfg.Cluster.WorkersPerPlace
 // Policy returns the active scheduling policy.
 func (rt *Runtime) Policy() sched.Kind { return rt.cfg.Policy }
 
-// Metrics returns a snapshot of the run's counters.
-func (rt *Runtime) Metrics() metrics.Snapshot { return rt.counters.Snapshot() }
+// Metrics returns a snapshot of the run's counters: the shared ones plus
+// the per-task counts summed over the workers. Each summand only grows,
+// so neither total ever reads lower than an earlier call saw it.
+func (rt *Runtime) Metrics() metrics.Snapshot {
+	s := rt.counters.Snapshot()
+	for _, p := range rt.places {
+		for _, w := range p.workers {
+			s.TasksSpawned += w.stats.spawned.Load()
+			s.TasksExecuted += w.stats.executed.Load()
+		}
+	}
+	return s
+}
 
 // record logs one scheduling event when tracing is on. The nil check is
 // the disabled fast path: one predictable branch, no call, no allocation.
@@ -265,10 +287,30 @@ func (rt *Runtime) record(place, worker int, k obs.Kind, taskID, arg int32, dur 
 	}
 }
 
-// Utilization returns per-place busy fractions since New, in percent.
+// Utilization returns per-place busy fractions since New, in percent:
+// the share of its workers' time a place did not spend idle, where a
+// worker is idle between a failed work-finding sweep and the next task it
+// finds (parked or sweeping, in its loop or helping inside Finish) and
+// while it is not started. A body that blocks is busy. Measured from the
+// idle side the figure cannot exceed 100, and a task costs it nothing.
 func (rt *Runtime) Utilization() []float64 {
-	elapsed := time.Since(rt.started).Nanoseconds()
-	return rt.util.Fractions(elapsed, rt.cfg.Cluster.WorkersPerPlace)
+	out := make([]float64, len(rt.places))
+	for i, p := range rt.places {
+		// idleNS before idleSince, the reverse of closeIdleStamp, and
+		// the clock last, so every stretch counted has ended by now.
+		var idle, open int64
+		for _, w := range p.workers {
+			idle += w.stats.idleNS.Load()
+			if since := w.stats.idleSince.Load(); since != 0 {
+				idle -= since
+				open++
+			}
+		}
+		now := rt.stamp()
+		idle += open * now
+		out[i] = 100 * (1 - float64(idle)/(float64(now)*float64(len(p.workers))))
+	}
+	return out
 }
 
 // Shutdown stops all workers and waits for them to exit. Pending tasks are
@@ -357,7 +399,11 @@ func (rt *Runtime) RunContext(ctx context.Context, body func(*Ctx)) error {
 // message carrying the task payload. A spawn addressed to a crashed place
 // is re-homed to the next surviving place.
 func (rt *Runtime) spawn(a *activity, from int, spawner *worker) {
-	rt.counters.TasksSpawned.Add(1)
+	if spawner != nil {
+		spawner.stats.spawned.Add(1)
+	} else {
+		rt.counters.TasksSpawned.Add(1)
+	}
 	if rt.places[a.home].dead.Load() || rt.places[a.home].draining.Load() {
 		a.home = rt.nextAlive(a.home)
 	}
@@ -367,8 +413,7 @@ func (rt *Runtime) spawn(a *activity, from int, spawner *worker) {
 		rt.counters.Messages.Add(1)
 		rt.counters.BytesTransferred.Add(int64(a.loc.MigrationBytes))
 	}
-	target := sched.MapTask(rt.cfg.Policy, rt.mapClass(a), home.load(), home.nextSeq())
-	home.enqueue(a, target, spawner)
+	home.enqueue(a, home.mapTarget(a), spawner)
 }
 
 // nextAlive returns the first place at or after from (wrapping around)
@@ -494,8 +539,7 @@ func (rt *Runtime) rehomeQueued(p *place, reexec bool) {
 		rt.counters.BytesTransferred.Add(int64(a.loc.MigrationBytes))
 		a.home = rt.nextAlive(p.id + 1 + i)
 		home := rt.places[a.home]
-		target := sched.MapTask(rt.cfg.Policy, rt.mapClass(a), home.load(), home.nextSeq())
-		home.enqueue(a, target, nil)
+		home.enqueue(a, home.mapTarget(a), nil)
 	}
 }
 
@@ -569,7 +613,7 @@ func (rt *Runtime) DrainPlace(pid int) error {
 		if rt.shutdown.Load() {
 			return ErrShutdown
 		}
-		if p.running.Load() == 0 && p.queueLen() == 0 {
+		if p.running() == 0 && p.queueLen() == 0 {
 			idle++
 		} else {
 			idle = 0

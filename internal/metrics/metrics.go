@@ -1,11 +1,12 @@
-// Package metrics provides lock-free counters and per-place utilization
-// accounting shared by the real runtime (internal/core) and the cluster
-// simulator (internal/sim).
+// Package metrics provides the lock-free counters shared by the real
+// runtime (internal/core) and the cluster simulator (internal/sim), and
+// the summaries of a per-place utilization series (Fig. 7), which each
+// engine measures itself.
 //
 // The counter set mirrors the quantities reported in the paper's
 // evaluation: local and remote steal counts (Fig. 3), messages and bytes
 // transmitted across nodes (Table III), cache misses and references
-// (Table II), and per-place busy time for CPU-utilization curves (Fig. 7).
+// (Table II).
 package metrics
 
 import (
@@ -253,44 +254,6 @@ func (s Snapshot) String() string {
 		" faults(timeouts=%d retries=%d dropped=%d duplicated=%d placesLost=%d reExecuted=%d)",
 		s.StealTimeouts, s.Retries, s.DroppedMessages, s.DuplicatedMessages,
 		s.PlacesLost, s.TasksReExecuted)
-}
-
-// Utilization tracks per-place busy time against a common total, yielding
-// the per-node CPU utilization series of Fig. 7.
-//
-// Time is dimensionless: the real runtime feeds nanoseconds, the simulator
-// feeds virtual ticks. The zero value is unusable; create with NewUtilization.
-type Utilization struct {
-	busy []atomic.Int64 // one slot per place
-}
-
-// NewUtilization returns a tracker for places places.
-func NewUtilization(places int) *Utilization {
-	if places <= 0 {
-		panic(fmt.Sprintf("metrics: NewUtilization places=%d, want > 0", places))
-	}
-	return &Utilization{busy: make([]atomic.Int64, places)}
-}
-
-// AddBusy credits d time units of useful work to place p.
-func (u *Utilization) AddBusy(p int, d int64) { u.busy[p].Add(d) }
-
-// Fractions returns, for a run lasting total time units on workersPerPlace
-// workers per place, the busy fraction of each place in percent.
-func (u *Utilization) Fractions(total int64, workersPerPlace int) []float64 {
-	out := make([]float64, len(u.busy))
-	denom := float64(total) * float64(workersPerPlace)
-	if denom <= 0 {
-		return out
-	}
-	for i := range u.busy {
-		f := 100 * float64(u.busy[i].Load()) / denom
-		if f > 100 {
-			f = 100
-		}
-		out[i] = f
-	}
-	return out
 }
 
 // Spread summarizes a utilization series: min, max, mean, and the

@@ -71,47 +71,6 @@ func TestCountersConcurrent(t *testing.T) {
 	}
 }
 
-func TestUtilizationFractions(t *testing.T) {
-	u := NewUtilization(4)
-	u.AddBusy(0, 100)
-	u.AddBusy(1, 50)
-	u.AddBusy(3, 200)
-	got := u.Fractions(100, 2) // denom per place: 200
-	want := []float64{50, 25, 0, 100}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Fractions[%d] = %v, want %v (all: %v)", i, got[i], want[i], got)
-		}
-	}
-}
-
-func TestUtilizationClampsAt100(t *testing.T) {
-	u := NewUtilization(1)
-	u.AddBusy(0, 1000)
-	if got := u.Fractions(10, 1)[0]; got != 100 {
-		t.Fatalf("over-busy place should clamp to 100%%, got %v", got)
-	}
-}
-
-func TestUtilizationZeroTotal(t *testing.T) {
-	u := NewUtilization(2)
-	u.AddBusy(0, 5)
-	for i, f := range u.Fractions(0, 8) {
-		if f != 0 {
-			t.Fatalf("Fractions with zero total: slot %d = %v, want 0", i, f)
-		}
-	}
-}
-
-func TestNewUtilizationPanicsOnBadPlaces(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("NewUtilization(0) should panic")
-		}
-	}()
-	NewUtilization(0)
-}
-
 func TestSummarize(t *testing.T) {
 	sp := Summarize([]float64{60, 95, 80, 65})
 	if sp.Min != 60 || sp.Max != 95 {

@@ -121,8 +121,8 @@ func (td *TraceData) PlaceBusyNS() []int64 {
 }
 
 // BusyFractions returns each place's busy fraction of the trace span in
-// percent — the quantity Result.Utilization / metrics.Utilization report
-// from counters, here reproduced purely from events.
+// percent — the quantity the simulator's Result.Utilization reports from
+// counters, here reproduced purely from events.
 func (td *TraceData) BusyFractions() []float64 {
 	out := make([]float64, td.Places)
 	_, end := td.Span()
