@@ -155,7 +155,9 @@ loc:
 # serve-soak simulation and distws-run's other faces (each micro kernel
 # and the relaxed kind on the goroutine runtime; a crash and lossy steals
 # in the simulator, traced, with distws-trace rendering the trace in every
-# format); "reached by tests" is the whole suite with
+# format; the same faults under lifelines on the runtime, on turingring,
+# whose ring visits every place, so the crashed one reaches its task count
+# whatever the schedule); "reached by tests" is the whole suite with
 # -coverpkg=./... . List (1) must equal $(LEDGER_KEPT), which names each
 # function kept on purpose (`file: Func reason`, in the ledger's order) and
 # why: the target fails on a function nothing reaches that the file does
@@ -180,6 +182,8 @@ coverage-ledger:
 	"$$dir/bin/distws-run" -mode runtime -app quicksort -places 2 -workers 2 -deque relaxed > /dev/null; \
 	"$$dir/bin/distws-run" -mode sim -app quicksort -places 4 -workers 2 \
 		-crash-place 1 -crash-at 1ms -drop 0.05 -trace "$$dir/run.events" > /dev/null; \
+	"$$dir/bin/distws-run" -mode runtime -app turingring -policy lifeline -places 4 -workers 2 \
+		-crash-place 1 -crash-after-tasks 50 -drop 0.05 > /dev/null; \
 	for format in summary chrome csv events; do \
 		"$$dir/bin/distws-trace" -in "$$dir/run.events" -format $$format > /dev/null; \
 	done; \

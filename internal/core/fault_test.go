@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -289,29 +290,30 @@ func TestNextAliveTotalLoss(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	defer rt.Shutdown()
-	if got := rt.nextAlive(2); got != 2 {
+	nextAlive := func(from int) int { return sched.NextAlive(from, len(rt.places), rt.down) }
+	if got := nextAlive(2); got != 2 {
 		t.Fatalf("nextAlive(2) with every place up = %d, want 2", got)
 	}
 	rt.places[2].dead.Store(true)
-	if got := rt.nextAlive(2); got != 3 {
+	if got := nextAlive(2); got != 3 {
 		t.Fatalf("nextAlive(2) = %d, want 3", got)
 	}
 	rt.places[3].draining.Store(true)
-	if got := rt.nextAlive(2); got != 0 {
+	if got := nextAlive(2); got != 0 {
 		t.Fatalf("nextAlive(2) = %d, want wraparound to 0", got)
 	}
-	if got := rt.nextAlive(-1); got != 0 {
+	if got := nextAlive(-1); got != 0 {
 		t.Fatalf("nextAlive(-1) = %d, want 0", got)
 	}
 	rt.places[0].draining.Store(true)
 	rt.places[1].dead.Store(true)
 	for from := -2; from < 6; from++ {
-		if got := rt.nextAlive(from); got != -1 {
+		if got := nextAlive(from); got != -1 {
 			t.Fatalf("nextAlive(%d) with every place gone = %d, want -1", from, got)
 		}
 	}
 	rt.places[1].dead.Store(false)
-	if got := rt.nextAlive(2); got != 1 {
+	if got := nextAlive(2); got != 1 {
 		t.Fatalf("nextAlive(2) after place 1 came back = %d, want 1", got)
 	}
 }
@@ -330,5 +332,18 @@ func TestInvalidFaultPlanRejected(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatalf("DropProb=2 should be rejected")
+	}
+	// Place 0 crashes while place 1 has yet to join: its queue would have
+	// nowhere to go (a Run of 200 Async(0, ...) used to end in an index
+	// out of range [-1] from the re-homing rule, or never return).
+	_, err = New(Config{
+		Cluster: topology.Cluster{Places: 2, WorkersPerPlace: 2},
+		Fault: &fault.Plan{
+			Crashes: []fault.Crash{{Place: 0, AfterTasks: 5}},
+			Joins:   []fault.Join{{Place: 1, AtNS: 5e9}},
+		},
+	})
+	if !errors.Is(err, fault.ErrNoSurvivor) {
+		t.Fatalf("a crash while the only other place is absent: New = %v, want fault.ErrNoSurvivor", err)
 	}
 }

@@ -85,10 +85,17 @@ func newPlace(rt *Runtime, id int) *place {
 	}
 	p.workers = make([]*worker, rt.cfg.Cluster.WorkersPerPlace)
 	for i := range p.workers {
-		w := &worker{
-			place: p,
-			local: i,
-			rng:   rand.New(rand.NewSource(rt.cfg.Seed + int64(id*1000+i))),
+		w := &worker{place: p, local: i}
+		w.thief = sched.Thief{
+			Policy:    rt.cfg.Policy,
+			Self:      id,
+			Places:    rt.cfg.Cluster.Places,
+			Rng:       rand.New(rand.NewSource(rt.cfg.Seed + int64(id*1000+i))),
+			Receiver:  rt.receiver,
+			TimeoutNS: rt.cfg.StealTimeout.Nanoseconds(),
+			Ctrl:      rt.ctrl,
+			Inj:       rt.inj,
+			Ctrs:      &rt.counters,
 		}
 		if rt.receiver {
 			// Receiver-initiated mode is Fig. 2 per worker: a strict LIFO
@@ -388,10 +395,12 @@ type worker struct {
 	// mutex-guarded and safe from any goroutine. The owner drains it once
 	// its own priv is empty, and co-located thieves may steal from it.
 	inbox deque.Private[*activity]
-	rng   *rand.Rand
-	// victims is sweep-order scratch reused across remote steals so
-	// victim ordering does not allocate per sweep.
-	victims []int
+	// thief runs this worker's remote steals (sched.Thief.Sweep, with the
+	// worker as its sched.Engine); loot is the task the sweep in progress
+	// took to run now, and sweepStart when that sweep began, for the trace.
+	thief      sched.Thief
+	loot       *activity
+	sweepStart int64
 
 	// flex is this worker's fence-free queue of locality-flexible tasks
 	// (receiver-initiated mode only, nil otherwise): the owner pushes its
@@ -650,151 +659,93 @@ func (w *worker) findWork() (*activity, stealKind) {
 	return nil, tookOwn
 }
 
-// stealRemote is the distributed steal (Algorithm 1 lines 14–29): sweep
-// the remote places in randomized order — latency-biased under the adapt
-// controller — run one request/reply round trip against each live victim,
-// and stop at the first that yields work. The first task is returned for
-// execution; the remainder are queued at the thief's place. Places marked
-// down are excluded from the sweep.
+// stealRemote is the distributed steal (Algorithm 1 lines 14–29): one
+// sched.Thief.Sweep, with this worker as its sched.Engine. It returns the
+// task to run now, if the sweep found one; the rest of what was stolen is
+// already queued at the thief's place.
 //
 // Sender-initiated stealing (the paper's protocol: the thief takes a chunk
 // from the victim's shared deque) and receiver-initiated stealing
 // (deque.KindRelaxed: the thief posts a request and a victim worker
-// donates half its flexible queue at its next task boundary) share this
-// sweep and roundTrip; they differ only where rt.receiver is tested.
+// donates half its flexible queue at its next task boundary) share the
+// sweep; they differ only where rt.receiver is tested.
 func (w *worker) stealRemote() *activity {
-	p := w.place
-	rt := p.rt
-	chunkSize := sched.RemoteChunk(rt.cfg.Policy)
-	if rt.ctrl != nil {
-		chunkSize = rt.ctrl.Chunk(p.id)
+	if w.place.rt.rec != nil {
+		w.sweepStart = w.Now()
 	}
-	// Acquisition latency (probe round trips, backoff waits, transfer) is
-	// measured only for whoever reads it: the whole sweep for the trace,
-	// each probe for the adapt controller's victim bias.
-	var sweepStart time.Time
-	if rt.rec != nil {
-		sweepStart = time.Now()
-	}
-	if rt.ctrl != nil {
-		w.victims = rt.ctrl.AppendVictimOrder(w.victims[:0], p.id, w.rng)
-	} else {
-		w.victims = sched.AppendVictimOrder(w.victims[:0], rt.cfg.Policy, p.id, len(rt.places), w.rng)
-	}
-	for _, v := range w.victims {
-		victim := rt.places[v]
-		if victim.dead.Load() || victim.draining.Load() {
-			continue
-		}
-		if rt.receiver && victim.donatable() == 0 {
-			// Don't park a request for nothing. A sender-initiated thief
-			// cannot see the victim's queue without the probe, so it pays
-			// the message pair (the paper's Table III counts them).
-			continue
-		}
-		var probeStart time.Time
-		if rt.ctrl != nil {
-			probeStart = time.Now()
-		}
-		chunk := w.roundTrip(victim, chunkSize)
-		if rt.ctrl != nil {
-			left := 0
-			if len(chunk) > 0 {
-				left = victim.donatable()
-			}
-			rt.ctrl.ObserveSteal(p.id, v, time.Since(probeStart).Nanoseconds(), len(chunk), left)
-		}
-		if len(chunk) == 0 {
-			continue
-		}
-		rt.counters.RemoteSteals.Add(int64(len(chunk)))
-		if rt.rec != nil {
-			rt.rec.Record(p.id, w.local, obs.KindStealRemote, -1, int32(v),
-				time.Since(sweepStart).Nanoseconds())
-		}
-		var bytes int64
-		for _, a := range chunk {
-			bytes += int64(a.loc.MigrationBytes)
-		}
-		rt.counters.BytesTransferred.Add(bytes)
-		// The first claimable task runs now: chunk[0] under the strict
-		// kinds, while a relaxed donation may lead with duplicates.
-		var first *activity
-		for first == nil && len(chunk) > 0 {
-			if w.claim(chunk[0]) {
-				first = chunk[0]
-			}
-			chunk = chunk[1:]
-		}
-		// The rest stay where co-located workers can take them without a
-		// distributed steal of their own (§V-B3): the place's shared
-		// deque, or the thief's own flexible queue — an owner push, no
-		// shared structure involved.
-		switch {
-		case len(chunk) == 0:
-		case rt.receiver:
-			for _, a := range chunk {
-				w.flex.Push(a)
-			}
-			rt.record(p.id, w.local, obs.KindArrive, -1, int32(len(chunk)), 0)
-			p.assigned(true)
-		default:
-			p.enqueueStolen(chunk)
-		}
-		if first != nil {
-			return first
-		}
-		// Every task in the donation was a duplicate; keep sweeping.
-	}
-	return nil
+	w.loot = nil
+	w.thief.Sweep(w)
+	return w.loot
 }
 
-// roundTrip runs the steal request/reply exchange against one victim and
-// returns what the victim handed over. Every attempt is a message pair.
-// When the injected fault plan loses the request or the reply — to a link
-// fault or an active partition window — the thief waits out one steal
-// timeout, then retries under exponential backoff with jitter, up to
-// sched.StealMaxAttempts requests, before giving the victim up for this
-// sweep.
-func (w *worker) roundTrip(victim *place, chunkSize int) []*activity {
+// Skip is what a thief sees of a victim without a message: its liveness
+// (and the runtime's own), and under the receiver-initiated protocol how
+// much it could donate, because a request parked at a worker with nothing
+// to give holds its one-slot mailbox for a whole timeout. A sender-
+// initiated thief cannot see the victim's queue without the probe, so it
+// pays the message pair (the paper's Table III counts them).
+func (w *worker) Skip(victim int) bool {
+	rt := w.place.rt
+	return rt.down(victim) || rt.shutdown.Load() || rt.receiver && rt.places[victim].donatable() == 0
+}
+
+func (w *worker) Now() int64    { return w.place.rt.nowNS() }
+func (w *worker) Wait(ns int64) { time.Sleep(time.Duration(ns)) }
+func (w *worker) Record(k obs.Kind, victim int, dur int64) {
+	w.place.rt.record(w.place.id, w.local, k, -1, int32(victim), dur)
+}
+
+// Steal is the hand-over and the landing of one delivered request: take a
+// chunk from the victim's shared deque, or ask one of its workers for a
+// donation; keep the first claimable task in w.loot to run now and queue
+// the rest where co-located workers can take them without a distributed
+// steal of their own (§V-B3).
+func (w *worker) Steal(victim, chunkSize int) (got, left int) {
 	p := w.place
 	rt := p.rt
-	for attempt := 0; ; attempt++ {
-		rt.counters.RemoteProbes.Add(1)
-		if rt.receiver {
-			rt.counters.StealRequests.Add(1)
-		}
-		rt.counters.Messages.Add(2) // request + reply
-		rt.record(p.id, w.local, obs.KindProbe, -1, int32(victim.id), 0)
-		lost, extraNS, dup := rt.inj.RoundTrip(p.id, victim.id, rt.nowNS())
-		if lost {
-			rt.counters.DroppedMessages.Add(1)
-			rt.counters.StealTimeouts.Add(1)
-			rt.record(p.id, w.local, obs.KindTimeout, -1, int32(victim.id), 0)
-			if attempt+1 >= sched.StealMaxAttempts {
-				return nil
-			}
-			rt.counters.Retries.Add(1)
-			time.Sleep(backoffJitter(rt.cfg.StealTimeout, attempt, w.rng))
-			if victim.dead.Load() || victim.draining.Load() || rt.shutdown.Load() {
-				return nil
-			}
-			continue
-		}
-		if extraNS > 0 {
-			time.Sleep(time.Duration(extraNS))
-		}
-		if dup {
-			// The reply arrives twice; dedup absorbs the copy, but the
-			// extra message is real traffic.
-			rt.counters.Messages.Add(1)
-			rt.counters.DuplicatedMessages.Add(1)
-		}
-		if rt.receiver {
-			return w.requestDonation(victim)
-		}
-		return victim.shared.StealChunk(chunkSize)
+	from := rt.places[victim]
+	var chunk []*activity
+	if rt.receiver {
+		chunk = w.requestDonation(from)
+	} else {
+		chunk = from.shared.StealChunk(chunkSize)
 	}
+	var bytes int64
+	for _, a := range chunk {
+		bytes += int64(a.loc.MigrationBytes)
+	}
+	// chunk[0] under the strict kinds, while a relaxed donation may lead
+	// with duplicates; one made only of them is no loot at all.
+	for w.loot == nil && len(chunk) > 0 {
+		if w.claim(chunk[0]) {
+			w.loot = chunk[0]
+		}
+		chunk = chunk[1:]
+	}
+	if w.loot == nil {
+		return 0, 0
+	}
+	rt.counters.BytesTransferred.Add(bytes)
+	if rt.rec != nil {
+		w.Record(obs.KindStealRemote, victim, w.Now()-w.sweepStart)
+	}
+	switch {
+	case len(chunk) == 0:
+	case rt.receiver:
+		// The thief's own flexible queue: an owner push, no shared
+		// structure involved.
+		for _, a := range chunk {
+			w.flex.Push(a)
+		}
+		rt.record(p.id, w.local, obs.KindArrive, -1, int32(len(chunk)), 0)
+		p.assigned(true)
+	default:
+		p.enqueueStolen(chunk)
+	}
+	if rt.ctrl != nil {
+		left = from.donatable() // read for the chunk controller only
+	}
+	return 1 + len(chunk), left
 }
 
 // requestDonation is the receiver-initiated hand-over: CAS a request into
@@ -839,40 +790,17 @@ func (w *worker) requestDonation(victim *place) []*activity {
 	}
 }
 
-// backoffJitter returns the wait before retry attempt (0-based): the base
-// timeout doubled per attempt, with full jitter in [d/2, d) so racing
-// thieves desynchronize.
-func backoffJitter(base time.Duration, attempt int, rng *rand.Rand) time.Duration {
-	d := base << attempt
-	if d <= 0 {
-		return base
-	}
-	half := int64(d / 2)
-	if half <= 0 {
-		return d
-	}
-	return time.Duration(half + rng.Int63n(half+1))
-}
-
-// registerLifelines marks this place on its hypercube lifeline neighbours
-// (LifelineWS) so they push surplus work here. A crashed neighbour is
-// re-homed: the registration goes to the next surviving place, keeping
-// the lifeline graph connected as places fail.
+// registerLifelines marks this place on its lifeline neighbours
+// (LifelineWS, sched.EachLifeline) so they push surplus work here.
 func (w *worker) registerLifelines() {
 	rt := w.place.rt
-	for _, q := range sched.Lifelines(w.place.id, len(rt.places)) {
-		if rt.places[q].dead.Load() || rt.places[q].draining.Load() {
-			q = rt.nextAlive(q + 1)
-			if q < 0 || q == w.place.id {
-				continue
-			}
-		}
+	sched.EachLifeline(w.place.id, len(rt.places), rt.down, func(q int) {
 		neighbour := rt.places[q]
 		if !neighbour.lifelineWaiters[w.place.id].Swap(true) {
 			rt.counters.Messages.Add(1) // lifeline registration message
 		}
 		neighbour.serveLifelines()
-	}
+	})
 }
 
 // run executes one activity and performs the paper's accounting:

@@ -404,8 +404,8 @@ func (rt *Runtime) spawn(a *activity, from int, spawner *worker) {
 	} else {
 		rt.counters.TasksSpawned.Add(1)
 	}
-	if rt.places[a.home].dead.Load() || rt.places[a.home].draining.Load() {
-		a.home = rt.nextAlive(a.home)
+	if rt.down(a.home) {
+		a.home = sched.NextAlive(a.home, len(rt.places), rt.down)
 	}
 	home := rt.places[a.home]
 	rt.record(a.home, 0, obs.KindSpawn, -1, int32(from), 0)
@@ -416,22 +416,10 @@ func (rt *Runtime) spawn(a *activity, from int, spawner *worker) {
 	home.enqueue(a, home.mapTarget(a), spawner)
 }
 
-// nextAlive returns the first place at or after from (wrapping around)
-// that is neither dead nor draining, or -1 if there is none: the
-// deterministic re-homing rule for work whose home has left.
-func (rt *Runtime) nextAlive(from int) int {
-	n := len(rt.places)
-	from %= n
-	if from < 0 {
-		from += n
-	}
-	for i := 0; i < n; i++ {
-		p := rt.places[(from+i)%n]
-		if !p.dead.Load() && !p.draining.Load() {
-			return p.id
-		}
-	}
-	return -1
+// down reports that place p is dead or draining: the view the re-homing
+// rule (sched.NextAlive) and thieves take of it.
+func (rt *Runtime) down(p int) bool {
+	return rt.places[p].dead.Load() || rt.places[p].draining.Load()
 }
 
 // mapClass resolves the class Algorithm 1 maps an activity by: the
@@ -477,36 +465,17 @@ func (rt *Runtime) offload(p *place) { rt.rehomeQueued(p, false) }
 
 func (rt *Runtime) rehomeQueued(p *place, reexec bool) {
 	var orphans []*activity
-	for {
-		a, ok := p.shared.Poll()
-		if !ok {
-			break
+	drain := func(take func() (*activity, bool)) {
+		for a, ok := take(); ok; a, ok = take() {
+			orphans = append(orphans, a)
 		}
-		orphans = append(orphans, a)
 	}
+	drain(p.shared.Poll)
 	for _, w := range p.workers {
-		for {
-			a, ok := w.priv.Steal()
-			if !ok {
-				break
-			}
-			orphans = append(orphans, a)
-		}
-		for {
-			a, ok := w.inbox.Steal()
-			if !ok {
-				break
-			}
-			orphans = append(orphans, a)
-		}
+		drain(w.priv.Steal)
+		drain(w.inbox.Steal)
 		if w.flex != nil {
-			for {
-				a, ok := w.flex.Steal()
-				if !ok {
-					break
-				}
-				orphans = append(orphans, a)
-			}
+			drain(w.flex.Steal)
 		}
 	}
 	if len(orphans) == 0 {
@@ -537,7 +506,7 @@ func (rt *Runtime) rehomeQueued(p *place, reexec bool) {
 		// Recovery ships the task once to its new home.
 		rt.counters.Messages.Add(1)
 		rt.counters.BytesTransferred.Add(int64(a.loc.MigrationBytes))
-		a.home = rt.nextAlive(p.id + 1 + i)
+		a.home = sched.NextAlive(p.id+1+i, len(rt.places), rt.down)
 		home := rt.places[a.home]
 		home.enqueue(a, home.mapTarget(a), nil)
 	}
@@ -580,12 +549,6 @@ func (rt *Runtime) DrainPlace(pid int) error {
 	if pid < 0 || pid >= len(rt.places) {
 		return fmt.Errorf("core: DrainPlace(%d) of %d places", pid, len(rt.places))
 	}
-	alive := 0
-	for _, q := range rt.places {
-		if !q.dead.Load() && !q.draining.Load() {
-			alive++
-		}
-	}
 	p := rt.places[pid]
 	if p.dead.Load() {
 		return fmt.Errorf("core: place %d is down", pid)
@@ -595,13 +558,13 @@ func (rt *Runtime) DrainPlace(pid int) error {
 	}
 	// Refuse before the flag is published: a spawn that saw draining set on
 	// the last available place would find nowhere to re-home.
-	if alive <= 1 {
+	if sched.NextAlive(pid+1, len(rt.places), rt.down) == pid {
 		return fmt.Errorf("core: cannot drain place %d: no other place available", pid)
 	}
 	if p.draining.Swap(true) {
 		return nil // a concurrent drain of p won the race
 	}
-	// From here on spawns and steals avoid p and nextAlive skips it, so
+	// From here on spawns and steals avoid p and re-homing skips it, so
 	// nothing moved off its queues bounces back.
 	rt.counters.MembershipDrains.Add(1)
 	rt.record(pid, 0, obs.KindDrain, -1, int32(p.queueLen()), 0)

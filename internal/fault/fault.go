@@ -13,6 +13,7 @@
 package fault
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 )
@@ -155,14 +156,21 @@ type Plan struct {
 	Drains []Drain
 }
 
-// Validate checks the plan against a cluster of places places: crash
-// targets must exist, probabilities must be in [0,1], and at least one
-// place must survive.
+// ErrNoSurvivor is the error Validate wraps for a plan that leaves no place
+// up from start to end.
+var ErrNoSurvivor = errors.New("fault: no place stays up throughout the run")
+
+// Validate checks the plan against a cluster of places places: every
+// target must exist, probabilities must be in [0,1], and at least one
+// place must be named by no crash, drain, flap or late join. That place
+// is up from start to end, so work whose home goes down always has
+// somewhere to be re-homed to: a late joiner does not help while it is
+// still absent, and a flap's down window can cover another place's crash.
 func (p *Plan) Validate(places int) error {
 	if p == nil {
 		return nil
 	}
-	crashed := make(map[int]bool)
+	churned := make(map[int]bool) // places some crash, drain, flap or join names
 	for _, c := range p.Crashes {
 		if c.Place < 0 || c.Place >= places {
 			return fmt.Errorf("fault: crash of invalid place %d (have %d places)", c.Place, places)
@@ -170,10 +178,7 @@ func (p *Plan) Validate(places int) error {
 		if c.AtVirtualNS <= 0 && c.AfterTasks <= 0 {
 			return fmt.Errorf("fault: crash of place %d has no trigger (set AtVirtualNS or AfterTasks)", c.Place)
 		}
-		crashed[c.Place] = true
-	}
-	if len(crashed) >= places {
-		return fmt.Errorf("fault: plan crashes all %d places; at least one must survive", places)
+		churned[c.Place] = true
 	}
 	if err := checkProb("DropProb", p.DropProb); err != nil {
 		return err
@@ -219,7 +224,6 @@ func (p *Plan) Validate(places int) error {
 			return fmt.Errorf("fault: gray UntilNS = %d, want > AtNS (%d) or 0", g.UntilNS, g.AtNS)
 		}
 	}
-	flapped := make(map[int]bool)
 	for _, f := range p.Flaps {
 		if f.Place < 0 || f.Place >= places {
 			return fmt.Errorf("fault: flap of invalid place %d (have %d places)", f.Place, places)
@@ -230,7 +234,7 @@ func (p *Plan) Validate(places int) error {
 		if f.Cycles > 1 && f.UpNS <= 0 {
 			return fmt.Errorf("fault: flap of place %d has %d cycles but UpNS <= 0", f.Place, f.Cycles)
 		}
-		flapped[f.Place] = true
+		churned[f.Place] = true
 	}
 	joined := make(map[int]bool)
 	for _, j := range p.Joins {
@@ -244,13 +248,7 @@ func (p *Plan) Validate(places int) error {
 			return fmt.Errorf("fault: place %d joins twice", j.Place)
 		}
 		joined[j.Place] = true
-	}
-	if len(joined) >= places {
-		return fmt.Errorf("fault: every place joins late; at least one must be present at start")
-	}
-	gone := make(map[int]bool, len(crashed))
-	for pl := range crashed {
-		gone[pl] = true
+		churned[j.Place] = true
 	}
 	for _, d := range p.Drains {
 		if d.Place < 0 || d.Place >= places {
@@ -259,10 +257,10 @@ func (p *Plan) Validate(places int) error {
 		if d.AtNS <= 0 {
 			return fmt.Errorf("fault: drain of place %d needs AtNS > 0", d.Place)
 		}
-		gone[d.Place] = true
+		churned[d.Place] = true
 	}
-	if len(gone) >= places {
-		return fmt.Errorf("fault: plan crashes or drains all %d places; at least one must survive", places)
+	if len(churned) >= places {
+		return fmt.Errorf("%w: the plan crashes, drains, flaps or late-joins all %d places", ErrNoSurvivor, places)
 	}
 	return nil
 }

@@ -55,6 +55,22 @@ func TestValidate(t *testing.T) {
 			Crashes: []Crash{{Place: 0, AtVirtualNS: 5}, {Place: 1, AtVirtualNS: 5}},
 			Drains:  []Drain{{Place: 2, AtNS: 9}, {Place: 3, AtNS: 9}},
 		}, false},
+		{"crash+join+flap leave one untouched", Plan{
+			Crashes: []Crash{{Place: 0, AfterTasks: 5}},
+			Joins:   []Join{{Place: 1, AtNS: 50}},
+			Flaps:   []Flap{{Place: 2, AtNS: 10, DownNS: 5, Cycles: 1}},
+		}, true},
+		// No place is up throughout: place 0's work has nowhere to go while
+		// 1 and 2 are still absent and 3 is inside its down window.
+		{"crash while the rest are absent or flapped", Plan{
+			Crashes: []Crash{{Place: 0, AfterTasks: 5}},
+			Joins:   []Join{{Place: 1, AtNS: 50}, {Place: 2, AtNS: 50}},
+			Flaps:   []Flap{{Place: 3, AtNS: 10, DownNS: 5, Cycles: 1}},
+		}, false},
+		{"drain while the rest join late", Plan{
+			Drains: []Drain{{Place: 0, AtNS: 9}},
+			Joins:  []Join{{Place: 1, AtNS: 50}, {Place: 2, AtNS: 50}, {Place: 3, AtNS: 50}},
+		}, false},
 		{"bad dup prob", Plan{DupProb: 2}, false},
 	}
 	for _, c := range cases {

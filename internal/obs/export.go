@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"distws/internal/metrics"
-	"distws/internal/sched"
 )
 
 // TrackEvent is an Event annotated with the place×worker track it was
@@ -205,7 +204,7 @@ func (td *TraceData) WriteChromeTrace(w io.Writer) error {
 		case KindStealRemote:
 			args["victim"] = ev.Arg
 			args["latency_ns"] = ev.Dur
-			args["distance"] = sched.StealDistance(int(ev.Place), int(ev.Arg))
+			args["distance"] = stealDistance(int(ev.Place), int(ev.Arg))
 		case KindProbe, KindTimeout:
 			args["victim"] = ev.Arg
 		case KindStealLocal:
@@ -324,7 +323,7 @@ func (td *TraceData) WriteSummary(w io.Writer) error {
 		}
 		if ev.Kind == KindStealRemote {
 			latency.Record(ev.Dur)
-			if d := sched.StealDistance(int(ev.Place), int(ev.Arg)); d >= 0 && d < len(distance) {
+			if d := stealDistance(int(ev.Place), int(ev.Arg)); d >= 0 && d < len(distance) {
 				distance[d]++
 			}
 		}
@@ -477,4 +476,15 @@ func ReadEvents(r io.Reader) (*TraceData, error) {
 	}
 	td.sort()
 	return td, nil
+}
+
+// stealDistance is the distance between a thief and its victim in the
+// linear place ordering, the x-axis of steal-distance histograms: the
+// paper's cluster is one switch, so hop count is uniform and index distance
+// says how far from its home community a stolen task landed.
+func stealDistance(thief, victim int) int {
+	if thief < victim {
+		return victim - thief
+	}
+	return thief - victim
 }

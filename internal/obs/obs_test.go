@@ -318,3 +318,17 @@ func TestRecorderConcurrentRecordAndSnapshot(t *testing.T) {
 	}
 	<-done
 }
+
+func TestStealDistance(t *testing.T) {
+	cases := []struct{ thief, victim, want int }{
+		{0, 0, 0},
+		{3, 1, 2},
+		{1, 3, 2},
+		{0, 15, 15},
+	}
+	for _, c := range cases {
+		if got := stealDistance(c.thief, c.victim); got != c.want {
+			t.Fatalf("stealDistance(%d, %d) = %d, want %d", c.thief, c.victim, got, c.want)
+		}
+	}
+}

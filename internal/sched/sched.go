@@ -2,8 +2,10 @@
 // mapping (Algorithm 1 lines 1–8), the work-finding order (lines 9–29),
 // victim selection and steal chunk sizes — as pure functions shared by the
 // real goroutine runtime (internal/core) and the discrete-event simulator
-// (internal/sim). Keeping the decision logic in one place guarantees the
-// simulator evaluates exactly the policy the library ships.
+// (internal/sim), and the distributed steal itself (lines 14–29,
+// Thief.Sweep), which both engines run through the Engine interface.
+// Keeping both in one place guarantees the simulator evaluates exactly the
+// policy, and counts exactly the steal attempts, the library ships.
 //
 // Six policies are provided:
 //
@@ -192,12 +194,6 @@ func StealHalf(n int) int {
 	return (n + 1) / 2
 }
 
-// StealMaxAttempts bounds the requests a thief sends to one victim in one
-// sweep when the round trip is lost: the first try plus retries under
-// exponential backoff. The runtime and the simulator give up on the victim
-// at the same count.
-const StealMaxAttempts = 3
-
 // AppendVictimOrder appends to dst the order in which a thief at place
 // self probes the other places' shared deques and returns the extended
 // slice. DistWS and DistWS-NS sweep all places in a randomized order (the
@@ -222,19 +218,6 @@ func AppendVictimOrder(dst []int, k Kind, self, places int, rng *rand.Rand) []in
 		order[i], order[j] = order[j], order[i]
 	})
 	return dst
-}
-
-// StealDistance returns the distance between a thief and its victim in
-// the linear place ordering — the x-axis of steal-distance histograms
-// (the paper's cluster is a single switch, so hop count is uniform and
-// index distance is the meaningful locality measure: how far from its
-// home community a stolen task landed). Negative only on invalid input.
-func StealDistance(thief, victim int) int {
-	d := thief - victim
-	if d < 0 {
-		d = -d
-	}
-	return d
 }
 
 // Lifelines returns the outgoing lifeline edges of place self in a

@@ -281,17 +281,3 @@ func TestQuiesceThreshold(t *testing.T) {
 		t.Fatalf("threshold(0) = %d, want 1", got)
 	}
 }
-
-func TestStealDistance(t *testing.T) {
-	cases := []struct{ thief, victim, want int }{
-		{0, 0, 0},
-		{3, 1, 2},
-		{1, 3, 2},
-		{0, 15, 15},
-	}
-	for _, c := range cases {
-		if got := StealDistance(c.thief, c.victim); got != c.want {
-			t.Fatalf("StealDistance(%d, %d) = %d, want %d", c.thief, c.victim, got, c.want)
-		}
-	}
-}

@@ -87,7 +87,7 @@ func RunDAG(g *dag.Graph, cl topology.Cluster, policy sched.Kind, pol dag.Policy
 	if ds.avgCostNS < 1 {
 		ds.avgCostNS = 1
 	}
-	return runEngine(dagTrace(g, cl.Places), cl, policy, opts, ds)
+	return newEngine(dagTrace(g, cl.Places), cl, policy, opts, ds).run()
 }
 
 // dagTrace projects a dataflow graph onto the trace representation the

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 
 	"distws/internal/fault"
@@ -181,13 +182,23 @@ func TestPlanValidatedAgainstCluster(t *testing.T) {
 	if _, err := Run(g, cluster(2, 2), sched.DistWS, Options{Fault: allDown}); err == nil {
 		t.Fatalf("crashing every place should fail validation")
 	}
+	// Place 0 crashes while place 1 has yet to join: its queue would have
+	// nowhere to go (this plan used to stall the run part-way).
+	absent := &fault.Plan{
+		Crashes: []fault.Crash{{Place: 0, AfterTasks: 5}},
+		Joins:   []fault.Join{{Place: 1, AtNS: 5e9}},
+	}
+	if _, err := Run(flatGraph(t, 200, 1_000_000, 0, 1, true), cluster(2, 2), sched.DistWS, Options{Fault: absent}); !errors.Is(err, fault.ErrNoSurvivor) {
+		t.Fatalf("a crash while the only other place is absent: Run = %v, want fault.ErrNoSurvivor", err)
+	}
 }
 
 // TestSeededFaultRunIsPinned holds one seeded drop + spike + gray +
-// duplicate + partition run to the makespan and counters it produced
-// while the steal's fault prologue was still written out inline here: the
-// shared fault.Injector.RoundTrip must consume the decision counter in
-// that order, or every seeded chaos exhibit silently changes.
+// duplicate + partition run to its makespan and counters: the order in
+// which fault.Injector.RoundTrip consumes the decision counter and the
+// backoff schedule of sched.Thief.Sweep (a jittered wait between attempts,
+// none after the last) are both in these numbers, so a change to either
+// shows here before it silently moves every seeded chaos run.
 func TestSeededFaultRunIsPinned(t *testing.T) {
 	g := deepGraph(t, 10, 5, 700_000, true)
 	plan := &fault.Plan{
@@ -206,7 +217,7 @@ func TestSeededFaultRunIsPinned(t *testing.T) {
 	c := r.Counters
 	got := [...]int64{r.MakespanNS, c.TasksExecuted, c.RemoteProbes, c.Messages, c.RemoteSteals,
 		c.DroppedMessages, c.StealTimeouts, c.Retries, c.DuplicatedMessages}
-	want := [...]int64{6_192_745, 60, 108, 240, 24, 35, 35, 33, 24}
+	want := [...]int64{6_063_740, 60, 91, 200, 22, 24, 24, 24, 18}
 	if got != want {
 		t.Fatalf("makespan, executed, probes, messages, remote steals, dropped, timeouts, retries, duplicated:\n got %v\nwant %v", got, want)
 	}

@@ -244,8 +244,16 @@ type engine struct {
 	// childSpawned marks tasks whose children have been scheduled, so a
 	// re-executed task does not spawn its subtree twice.
 	childSpawned []bool
-	// stealTimeoutNS is the resolved per-request steal timeout.
-	stealTimeoutNS int64
+	// thief runs every worker's remote steal (sched.Thief.Sweep, with the
+	// engine as its sched.Engine): the event loop is one goroutine, so one
+	// Thief serves them all, pointed at the sweeping worker per sweep.
+	// sweeper is that worker and sweepDelay the acquisition latency its
+	// sweep has accumulated so far, which delays the stolen task's start.
+	thief      sched.Thief
+	sweeper    *simWorker
+	sweepDelay int64
+	// probeRTT is the modelled request/reply round trip of one steal probe.
+	probeRTT int64
 	// eventsHandled counts processed events for throughput reporting.
 	eventsHandled int64
 	// rec receives scheduling events in virtual time (nil = tracing off).
@@ -260,11 +268,9 @@ type engine struct {
 
 	// Reused scratch storage for the hot path, so steady-state simulation
 	// performs no per-event heap allocations:
-	//   - victimBuf receives each sweep's victim order and stealBuf each
-	//     steal chunk (both consumed within stealRemote);
+	//   - stealBuf receives each steal chunk (consumed within Steal);
 	//   - aliasBuf receives aliased block IDs (consumed within start);
 	//   - batchPool recycles evArrive payload slices after delivery.
-	victimBuf []int
 	stealBuf  []int
 	aliasBuf  []uint64
 	batchPool [][]int
@@ -312,13 +318,14 @@ func Run(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Options) (
 	if err := opts.Fault.Validate(cl.Places); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	return runEngine(g, cl, policy, opts, nil)
+	return newEngine(g, cl, policy, opts, nil).run()
 }
 
-// runEngine is the shared event loop behind Run and RunDAG. The caller
-// has validated its inputs and applied option defaults; ds selects
-// dataflow mode (nil for fork-join traces).
-func runEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Options, ds *dagState) (*Result, error) {
+// newEngine builds the engine behind Run and RunDAG with its first events
+// scheduled: the plan's churn and the roots. The caller has validated its
+// inputs and applied option defaults; ds selects dataflow mode (nil for
+// fork-join traces).
+func newEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Options, ds *dagState) *engine {
 	e := &engine{g: g, cl: cl, policy: policy, opts: opts, dag: ds}
 	e.rec = opts.Recorder
 	// Events are stamped with the event loop's virtual time via RecordAt
@@ -354,7 +361,16 @@ func runEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Opti
 	}
 	e.resolvedHome = make([]int, len(g.Tasks))
 	e.childSpawned = make([]bool, len(g.Tasks))
-	e.stealTimeoutNS = stealTimeoutRTTs * cl.Net.RoundTripNS(32, 32)
+	e.probeRTT = cl.Net.RoundTripNS(32, 32)
+	e.thief = sched.Thief{
+		Policy:    policy,
+		Places:    cl.Places,
+		Receiver:  opts.LockContention && opts.Deque == deque.KindRelaxed,
+		TimeoutNS: stealTimeoutRTTs * e.probeRTT,
+		Ctrl:      e.ctrl,
+		Inj:       e.inj,
+		Ctrs:      &e.ctrs,
+	}
 	// Places and workers are carved from one slab each (two allocations
 	// instead of one per place and worker); the pointer slices index them.
 	places := make([]simPlace, cl.Places)
@@ -432,7 +448,13 @@ func runEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Opti
 			e.events.Push(0, event{kind: evSpawn, taskID: r, home: home, from: -1, fromW: -1})
 		}
 	}
+	return e
+}
 
+// run is the event loop: it processes events in virtual-time order until
+// every task is done and summarizes the run.
+func (e *engine) run() (*Result, error) {
+	g, cl := e.g, e.cl
 	for e.events.Len() > 0 && e.tasksDone < len(g.Tasks) {
 		at, ev := e.events.Pop()
 		e.now = at
@@ -469,7 +491,7 @@ func runEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Opti
 
 	res := &Result{
 		Graph:        g.Name,
-		Policy:       policy,
+		Policy:       e.policy,
 		Cluster:      cl,
 		MakespanNS:   e.lastDone,
 		SequentialNS: g.Sequential(),
@@ -528,10 +550,10 @@ func (e *engine) load(p *simPlace) sched.PlaceLoad {
 // handleSpawn maps a newly available task per Algorithm 1 lines 1–8.
 func (e *engine) handleSpawn(ev event) {
 	t := &e.g.Tasks[ev.taskID]
-	if e.places[ev.home].dead || e.places[ev.home].draining {
+	if e.down(ev.home) {
 		// The home place failed (or is departing) before the task arrived:
 		// the runtime re-homes it to a survivor.
-		ev.home = e.aliveHome(ev.home)
+		ev.home = sched.NextAlive(ev.home, len(e.places), e.down)
 	}
 	home := e.places[ev.home]
 	e.resolvedHome[ev.taskID] = ev.home
@@ -682,7 +704,7 @@ func (e *engine) handleArrive(ev event) {
 				e.ctrs.TasksOffloaded.Add(1)
 			}
 			e.events.Push(e.now, event{kind: evSpawn, taskID: id,
-				home: e.aliveHome(ev.place), from: -1, fromW: -1, requeue: true})
+				home: sched.NextAlive(ev.place, len(e.places), e.down), from: -1, fromW: -1, requeue: true})
 		}
 		e.putBatch(ev.batch)
 		return
@@ -698,22 +720,9 @@ func (e *engine) handleArrive(ev event) {
 	e.wakeFor(p, true)
 }
 
-// aliveHome returns the first surviving place at or after prefer, wrapping
-// around. Plan validation guarantees at least one survivor.
-func (e *engine) aliveHome(prefer int) int {
-	n := len(e.places)
-	prefer %= n
-	if prefer < 0 {
-		prefer += n
-	}
-	for i := 0; i < n; i++ {
-		p := (prefer + i) % n
-		if !e.places[p].dead && !e.places[p].draining {
-			return p
-		}
-	}
-	return prefer
-}
+// down reports that place p is dead or draining: the view thieves and the
+// re-homing rule (sched.NextAlive) take of it.
+func (e *engine) down(p int) bool { return e.places[p].dead || e.places[p].draining }
 
 // crashPlace fail-stops p: every queued task (shared and private deques)
 // and every task running there at the instant of the crash is re-homed to
@@ -776,7 +785,7 @@ func (e *engine) rehome(p *simPlace, ids []int) {
 	for i, id := range ids {
 		delay := e.cl.Net.TransferNS(e.g.Tasks[id].MigBytes)
 		e.events.Push(e.now+delay, event{kind: evSpawn, taskID: id,
-			home: e.aliveHome(p.id + 1 + i), from: -1, fromW: -1, requeue: true})
+			home: sched.NextAlive(p.id+1+i, len(e.places), e.down), from: -1, fromW: -1, requeue: true})
 	}
 }
 
@@ -861,10 +870,8 @@ func (e *engine) findWork(w *simWorker) {
 		return
 	}
 	// 4. Distributed steal.
-	if sched.RemoteStealing(e.policy) && len(e.places) > 1 {
-		if e.stealRemote(w) {
-			return
-		}
+	if sched.RemoteStealing(e.policy) && e.stealRemote(w) {
+		return
 	}
 	// Nothing found: note the failed sweep and go dormant.
 	e.ctrs.FailedSteals.Add(1)
@@ -878,154 +885,95 @@ func (e *engine) findWork(w *simWorker) {
 	}
 }
 
-// stealRemote probes remote shared deques in randomized order, taking a
-// chunk from the first victim with surplus. Probe round trips and payload
-// transfer delay the stolen task's start. Victims marked down are
-// excluded; a probe whose request or reply is lost to an injected link
-// fault costs the thief one steal timeout, after which it retries the
-// victim under exponential backoff before moving on.
+// stealRemote is w's distributed steal at e.now: one sched.Thief.Sweep,
+// driven by the engine as its sched.Engine. It reports whether the sweep
+// found work, which Steal has by then started on w.
 func (e *engine) stealRemote(w *simWorker) bool {
-	chunkSize := sched.RemoteChunk(e.policy)
-	if e.ctrl != nil {
-		chunkSize = e.ctrl.Chunk(w.place.id)
-	}
+	e.thief.Self, e.thief.Rng = w.place.id, w.rng
+	e.sweeper, e.sweepDelay = w, 0
+	return e.thief.Sweep(e)
+}
+
+// Skip is what a modelled thief sees of a victim without a message: whether
+// it is down, nothing of its queue (under either protocol, which is the
+// contention exhibit's model: every live victim costs a probe).
+func (e *engine) Skip(victim int) bool { return e.down(victim) }
+
+// Now and Wait keep the sweeping thief's clock: virtual time plus the
+// delay its sweep has accumulated. Events are stamped at e.now, when the
+// sweep runs.
+func (e *engine) Now() int64    { return e.now + e.sweepDelay }
+func (e *engine) Wait(ns int64) { e.sweepDelay += ns }
+func (e *engine) Record(k obs.Kind, victim int, dur int64) {
+	e.record(e.sweeper.place.id, e.sweeper.local, k, -1, int32(victim), dur)
+}
+
+// Steal is the hand-over and the landing of one delivered request: the
+// probe round trip, a chunk off the victim's shared deque (steal-half and
+// the multiplicity model under the receiver-initiated protocol, the best
+// data fit under the data-aware DAG policy), the wait for the victim's
+// deque lock and the payload transfer all delay the first task's start on
+// the thief; the rest arrive at its place's shared deque at the same time.
+func (e *engine) Steal(v, chunkSize int) (got, left int) {
+	w := e.sweeper
+	victim := e.places[v]
+	e.sweepDelay += e.probeRTT
 	if e.opts.ChunkOverride > 0 {
 		chunkSize = e.opts.ChunkOverride
 	}
-	var delay int64
-	probeRTT := e.cl.Net.RoundTripNS(32, 32)
-	receiver := e.opts.LockContention && e.opts.Deque == deque.KindRelaxed
-	if e.ctrl != nil {
-		// Same randomized sweep, then stably reordered by observed steal
-		// latency (low first). The shuffle consumes the identical rng
-		// stream either way, preserving determinism.
-		e.victimBuf = e.ctrl.AppendVictimOrder(e.victimBuf[:0], w.place.id, w.rng)
+	if e.thief.Receiver {
+		// The round trip above is the request/donate exchange: the thief
+		// posts into a victim worker's mailbox and the owner answers with
+		// half its queue at its next task boundary.
+		chunkSize = sched.StealHalf(victim.shared.Len())
+	}
+	var chunk []int
+	if e.dag != nil && e.dag.pol == dag.PolicyDataAware && !e.thief.Receiver {
+		// Data-aware steal: take the queued tasks whose inputs are
+		// already resident at the thief (fewest fetch bytes first,
+		// ties oldest-first) instead of blindly taking the oldest.
+		chunk = victim.shared.StealBestAppend(e.stealBuf[:0], chunkSize, e.dagStealScore(w.place.id))
 	} else {
-		e.victimBuf = sched.AppendVictimOrder(e.victimBuf[:0], e.policy, w.place.id, len(e.places), w.rng)
+		chunk = victim.shared.StealChunkAppend(e.stealBuf[:0], chunkSize)
 	}
-	// Per-probe counters accumulate in locals and flush once per sweep: a
-	// sweep probes up to places-1 victims and the two atomic adds per
-	// probe were a measurable slice of the sweep in profiles.
-	var probes, messages int64
-	for _, v := range e.victimBuf {
-		victim := e.places[v]
-		if victim.dead || victim.draining {
-			continue
+	e.stealBuf = chunk[:0]
+	if e.thief.Receiver && len(chunk) > 0 {
+		e.ctrs.Donations.Add(1)
+		if w.rng.Intn(relaxedDupOneIn) == 0 {
+			// Multiplicity: the donation's last task was concurrently
+			// retaken at the victim — the thief's copy is a duplicate.
+			// Dedup discards it on arrival (it is never executed
+			// twice), but its transfer was paid for; the real task
+			// stays with the victim.
+			dup := chunk[len(chunk)-1]
+			chunk = chunk[:len(chunk)-1]
+			victim.shared.PushBack(dup)
+			e.ctrs.DuplicateTakes.Add(1)
+			bytes := e.g.Tasks[dup].MigBytes
+			e.ctrs.BytesTransferred.Add(int64(bytes))
+			e.sweepDelay += e.cl.Net.TransferNS(bytes)
 		}
-		probeStart := delay
-		ok := true
-		for attempt := 0; ; attempt++ {
-			probes++
-			messages += 2
-			e.record(w.place.id, w.local, obs.KindProbe, -1, int32(v), 0)
-			if e.inj == nil {
-				// Fault-free fast path — no partitions, drops, spikes,
-				// gray links, or duplicated replies to consult. This is
-				// the paper-faithful configuration, so it skips the
-				// injector's per-direction no-op calls entirely.
-				delay += probeRTT
-				break
-			}
-			lost, extraNS, dup := e.inj.RoundTrip(w.place.id, v, e.now+delay)
-			if lost {
-				// Request or reply lost — to a link fault or an active
-				// partition: the thief burns a full timeout.
-				e.ctrs.DroppedMessages.Add(1)
-				e.ctrs.StealTimeouts.Add(1)
-				e.record(w.place.id, w.local, obs.KindTimeout, -1, int32(v), e.stealTimeoutNS<<attempt)
-				delay += e.stealTimeoutNS << attempt
-				if attempt+1 >= sched.StealMaxAttempts {
-					ok = false
-					break
-				}
-				e.ctrs.Retries.Add(1)
-				continue
-			}
-			// Gray links degrade silently: both directions of the probe pay
-			// the injected extra latency on top of any spike.
-			delay += probeRTT + extraNS
-			if dup {
-				// The reply arrives twice; dedup absorbs the copy, but the
-				// extra message is real traffic.
-				messages++
-				e.ctrs.DuplicatedMessages.Add(1)
-			}
-			break
-		}
-		if !ok {
-			if e.ctrl != nil {
-				e.ctrl.ObserveSteal(w.place.id, v, delay-probeStart, 0, 0)
-			}
-			continue
-		}
-		if receiver {
-			// Receiver-initiated protocol: the probe round trip already
-			// modelled above is the request/donate exchange — the thief
-			// posts into a victim worker's mailbox and the owner answers
-			// with half its queue at its next task boundary.
-			e.ctrs.StealRequests.Add(1)
-			chunkSize = sched.StealHalf(victim.shared.Len())
-		}
-		var chunk []int
-		if e.dag != nil && e.dag.pol == dag.PolicyDataAware && !receiver {
-			// Data-aware steal: take the queued tasks whose inputs are
-			// already resident at the thief (fewest fetch bytes first,
-			// ties oldest-first) instead of blindly taking the oldest.
-			chunk = victim.shared.StealBestAppend(e.stealBuf[:0], chunkSize, e.dagStealScore(w.place.id))
-		} else {
-			chunk = victim.shared.StealChunkAppend(e.stealBuf[:0], chunkSize)
-		}
-		e.stealBuf = chunk[:0]
-		if receiver && len(chunk) > 0 {
-			e.ctrs.Donations.Add(1)
-			if w.rng.Intn(relaxedDupOneIn) == 0 {
-				// Multiplicity: the donation's last task was concurrently
-				// retaken at the victim — the thief's copy is a duplicate.
-				// Dedup discards it on arrival (it is never executed
-				// twice), but its transfer was paid for; the real task
-				// stays with the victim.
-				dup := chunk[len(chunk)-1]
-				chunk = chunk[:len(chunk)-1]
-				victim.shared.PushBack(dup)
-				e.ctrs.DuplicateTakes.Add(1)
-				bytes := e.g.Tasks[dup].MigBytes
-				e.ctrs.BytesTransferred.Add(int64(bytes))
-				delay += e.cl.Net.TransferNS(bytes)
-			}
-		}
-		if len(chunk) == 0 {
-			if e.ctrl != nil {
-				e.ctrl.ObserveSteal(w.place.id, v, delay-probeStart, 0, 0)
-			}
-			continue
-		}
-		// Holding the victim's shared-deque lock (or CAS window) for the
-		// removal; the width already priced into the probe RTT is excluded.
-		delay += e.stealDequeExtraNS(victim)
-		victim.queued -= len(chunk)
-		e.ctrs.RemoteSteals.Add(int64(len(chunk)))
-		var bytes int
-		for _, id := range chunk {
-			bytes += e.g.Tasks[id].MigBytes
-		}
-		delay += e.cl.Net.TransferNS(bytes)
-		e.ctrs.BytesTransferred.Add(int64(bytes))
-		if e.ctrl != nil {
-			e.ctrl.ObserveSteal(w.place.id, v, delay-probeStart, len(chunk), victim.shared.Len())
-		}
-		e.record(w.place.id, w.local, obs.KindStealRemote, int32(chunk[0]), int32(v), delay)
-		if len(chunk) > 1 {
-			batch := append(e.getBatch(), chunk[1:]...)
-			e.events.Push(e.now+delay, event{kind: evArrive, place: w.place.id, batch: batch})
-		}
-		e.ctrs.RemoteProbes.Add(probes)
-		e.ctrs.Messages.Add(messages)
-		e.start(w, chunk[0], delay)
-		return true
 	}
-	e.ctrs.RemoteProbes.Add(probes)
-	e.ctrs.Messages.Add(messages)
-	return false
+	if len(chunk) == 0 {
+		return 0, 0
+	}
+	// Holding the victim's shared-deque lock (or CAS window) for the
+	// removal; the width already priced into the probe RTT is excluded.
+	e.sweepDelay += e.stealDequeExtraNS(victim)
+	victim.queued -= len(chunk)
+	var bytes int
+	for _, id := range chunk {
+		bytes += e.g.Tasks[id].MigBytes
+	}
+	e.sweepDelay += e.cl.Net.TransferNS(bytes)
+	e.ctrs.BytesTransferred.Add(int64(bytes))
+	e.record(w.place.id, w.local, obs.KindStealRemote, int32(chunk[0]), int32(v), e.sweepDelay)
+	if len(chunk) > 1 {
+		batch := append(e.getBatch(), chunk[1:]...)
+		e.events.Push(e.now+e.sweepDelay, event{kind: evArrive, place: w.place.id, batch: batch})
+	}
+	e.start(w, chunk[0], e.sweepDelay)
+	return len(chunk), victim.shared.Len()
 }
 
 // sharedDequeDelay returns the cost of one shared-deque operation at p:
@@ -1093,24 +1041,17 @@ func (e *engine) stealDequeExtraNS(victim *simPlace) int64 {
 // stream, so runs stay reproducible.
 const relaxedDupOneIn = 64
 
-// registerLifelines marks p on its hypercube neighbours (LifelineWS).
-// A neighbour that has crashed is re-homed: the registration goes to the
-// next surviving place instead, so the lifeline graph stays connected.
+// registerLifelines marks p on its lifeline neighbours (LifelineWS,
+// sched.EachLifeline) so they push surplus work there.
 func (e *engine) registerLifelines(p *simPlace) {
-	for _, q := range sched.Lifelines(p.id, len(e.places)) {
-		if e.places[q].dead || e.places[q].draining {
-			q = e.aliveHome(q + 1)
-			if q == p.id {
-				continue
-			}
-		}
+	sched.EachLifeline(p.id, len(e.places), e.down, func(q int) {
 		neighbour := e.places[q]
 		if !neighbour.lifelines[p.id] {
 			neighbour.lifelines[p.id] = true
 			e.ctrs.Messages.Add(1)
 		}
 		e.serveLifelines(neighbour)
-	}
+	})
 }
 
 // serveLifelines pushes surplus work from p to registered waiters.

@@ -57,9 +57,6 @@ type Overheads struct {
 	MapDecisionNS int64
 	// LocalStealNS: cost of a steal from a co-located worker's deque.
 	LocalStealNS int64
-	// IdlePollNS: how long an idle worker waits between failed work-finding
-	// sweeps.
-	IdlePollNS int64
 }
 
 // Cluster is a full machine description.
@@ -106,7 +103,6 @@ func DefaultOverheads() Overheads {
 		SharedDequeNS: 400,
 		MapDecisionNS: 150,
 		LocalStealNS:  1_000,
-		IdlePollNS:    20_000,
 	}
 }
 
