@@ -168,7 +168,9 @@ loc:
 # in the simulator, traced, with distws-trace rendering the trace in every
 # format; the same faults under lifelines on the runtime, on turingring,
 # whose ring visits every place, so the crashed one reaches its task count
-# whatever the schedule); "reached by tests" is the whole suite with
+# whatever the schedule; a join, a partition, a flap and a drain, in both
+# modes, on dmg, whose ~20 ms runtime run outlasts the 1.2 ms timeline);
+# "reached by tests" is the whole suite with
 # -coverpkg=./... . List (1) must equal $(LEDGER_KEPT), which names each
 # function kept on purpose (`file: Func reason`, in the ledger's order) and
 # why: the target fails on a function nothing reaches that the file does
@@ -179,6 +181,8 @@ loc:
 # for `go build -cover`, runs offline.
 LEDGER_KEPT := testdata/ledger_kept.txt
 LEDGER_MICRO := mergesort skyline montecarlo-pi matchain randomaccess
+LEDGER_CHURN := -join-place 3 -join-at 300us -partition 0,1 -partition-at 200us -partition-heal 1ms \
+	-flap-place 2 -flap-at 500us -flap-down 500us -flap-up 500us -drain-place 1 -drain-at 1200us
 coverage-ledger:
 	@set -e; dir=$$(mktemp -d); pids=; trap 'kill $$pids 2>/dev/null || true; rm -rf "$$dir"' EXIT; \
 	mkdir "$$dir/bin" "$$dir/prog" "$$dir/test"; \
@@ -201,6 +205,9 @@ coverage-ledger:
 		-crash-place 1 -crash-at 1ms -drop 0.05 -trace "$$dir/run.events" > /dev/null; \
 	"$$dir/bin/distws-run" -mode runtime -app turingring -policy lifeline -places 4 -workers 2 \
 		-crash-place 1 -crash-after-tasks 50 -drop 0.05 > /dev/null; \
+	for mode in sim runtime; do \
+		"$$dir/bin/distws-run" -mode $$mode -app dmg -places 4 -workers 2 $(LEDGER_CHURN) > /dev/null; \
+	done; \
 	for format in summary chrome csv events; do \
 		"$$dir/bin/distws-trace" -in "$$dir/run.events" -format $$format > /dev/null; \
 	done; \

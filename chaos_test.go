@@ -37,7 +37,7 @@ func chaosPlan() *fault.Plan {
 	return &fault.Plan{
 		Seed:     42,
 		DropProb: 0.01,
-		Crashes:  []fault.Crash{{Place: 1, AtVirtualNS: 2_000_000}},
+		Crashes:  []fault.Crash{{Place: 1, AtNS: 2_000_000}},
 	}
 }
 

@@ -61,8 +61,8 @@ func run() error {
 		list    = flag.Bool("list", false, "list available applications and policies and exit")
 
 		crashPlace = flag.Int("crash-place", -1, "place to crash mid-run (-1 = none)")
-		crashAt    = flag.Duration("crash-at", 0, "virtual time of the crash (sim mode)")
-		crashAfter = flag.Int64("crash-after-tasks", 0, "crash after this many tasks at the place (runtime mode)")
+		crashAt    = flag.Duration("crash-at", 0, "instant of the crash: virtual time in sim mode, wall time since start in runtime mode")
+		crashAfter = flag.Int64("crash-after-tasks", 0, "crash once the place has run this many tasks (either mode)")
 		dropProb   = flag.Float64("drop", 0, "steal message drop probability [0,1]")
 		dupProb    = flag.Float64("dup", 0, "steal reply duplication probability [0,1]")
 		faultSeed  = flag.Int64("fault-seed", 1, "seed of the fault injector")
@@ -360,9 +360,9 @@ func buildPlan(seed int64, drop, dup float64,
 	if crashPlace >= 0 {
 		used = true
 		plan.Crashes = []fault.Crash{{
-			Place:       crashPlace,
-			AtVirtualNS: crashAt.Nanoseconds(),
-			AfterTasks:  crashAfter,
+			Place:      crashPlace,
+			AtNS:       crashAt.Nanoseconds(),
+			AfterTasks: crashAfter,
 		}}
 	}
 	if partGroup != "" {

@@ -2,7 +2,6 @@ package kmeans
 
 import (
 	"testing"
-	"time"
 
 	"distws/internal/apps"
 	"distws/internal/core"
@@ -80,10 +79,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 	want := small().Sequential()
 	for _, policy := range []sched.Kind{sched.X10WS, sched.DistWS} {
 		rt, err := core.New(core.Config{
-			Cluster:  topology.Cluster{Places: 2, WorkersPerPlace: 2},
-			Policy:   policy,
-			Seed:     1,
-			IdlePoll: 50 * time.Microsecond,
+			Cluster: topology.Cluster{Places: 2, WorkersPerPlace: 2},
+			Policy:  policy,
+			Seed:    1,
 		})
 		if err != nil {
 			t.Fatal(err)

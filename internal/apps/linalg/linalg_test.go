@@ -2,7 +2,6 @@ package linalg
 
 import (
 	"testing"
-	"time"
 
 	"distws/internal/core"
 	"distws/internal/dag"
@@ -23,10 +22,9 @@ func small(seed int64) []App {
 func newTestRuntime(t *testing.T) *core.Runtime {
 	t.Helper()
 	rt, err := core.New(core.Config{
-		Cluster:  topology.Cluster{Places: 2, WorkersPerPlace: 2},
-		Policy:   sched.DistWS,
-		Seed:     1,
-		IdlePoll: 50 * time.Microsecond,
+		Cluster: topology.Cluster{Places: 2, WorkersPerPlace: 2},
+		Policy:  sched.DistWS,
+		Seed:    1,
 	})
 	if err != nil {
 		t.Fatal(err)

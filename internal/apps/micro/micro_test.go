@@ -3,7 +3,6 @@ package micro
 import (
 	"math"
 	"testing"
-	"time"
 
 	"distws/internal/apps"
 	"distws/internal/core"
@@ -15,10 +14,9 @@ import (
 func newRT(t *testing.T, policy sched.Kind) *core.Runtime {
 	t.Helper()
 	rt, err := core.New(core.Config{
-		Cluster:  topology.Cluster{Places: 2, WorkersPerPlace: 2},
-		Policy:   policy,
-		Seed:     1,
-		IdlePoll: 50 * time.Microsecond,
+		Cluster: topology.Cluster{Places: 2, WorkersPerPlace: 2},
+		Policy:  policy,
+		Seed:    1,
 	})
 	if err != nil {
 		t.Fatal(err)

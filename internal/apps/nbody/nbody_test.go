@@ -3,7 +3,6 @@ package nbody
 import (
 	"math"
 	"testing"
-	"time"
 
 	"distws/internal/apps"
 	"distws/internal/core"
@@ -122,10 +121,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 	want := small().Sequential()
 	for _, policy := range []sched.Kind{sched.X10WS, sched.DistWS} {
 		rt, err := core.New(core.Config{
-			Cluster:  topology.Cluster{Places: 2, WorkersPerPlace: 2},
-			Policy:   policy,
-			Seed:     1,
-			IdlePoll: 50 * time.Microsecond,
+			Cluster: topology.Cluster{Places: 2, WorkersPerPlace: 2},
+			Policy:  policy,
+			Seed:    1,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -3,7 +3,6 @@ package qsort
 import (
 	"sort"
 	"testing"
-	"time"
 
 	"distws/internal/apps"
 	"distws/internal/core"
@@ -57,10 +56,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 	want := small().Sequential()
 	for _, policy := range []sched.Kind{sched.X10WS, sched.DistWS, sched.DistWSNS} {
 		rt, err := core.New(core.Config{
-			Cluster:  topology.Cluster{Places: 2, WorkersPerPlace: 2},
-			Policy:   policy,
-			Seed:     1,
-			IdlePoll: 50 * time.Microsecond,
+			Cluster: topology.Cluster{Places: 2, WorkersPerPlace: 2},
+			Policy:  policy,
+			Seed:    1,
 		})
 		if err != nil {
 			t.Fatal(err)

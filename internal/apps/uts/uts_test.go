@@ -2,7 +2,6 @@ package uts
 
 import (
 	"testing"
-	"time"
 
 	"distws/internal/core"
 	"distws/internal/sched"
@@ -68,10 +67,9 @@ func TestParallelMatchesChecksumXOR(t *testing.T) {
 	want := a.ChecksumXOR()
 	for _, policy := range []sched.Kind{sched.DistWS, sched.RandomWS, sched.LifelineWS} {
 		rt, err := core.New(core.Config{
-			Cluster:  topology.Cluster{Places: 2, WorkersPerPlace: 2},
-			Policy:   policy,
-			Seed:     1,
-			IdlePoll: 50 * time.Microsecond,
+			Cluster: topology.Cluster{Places: 2, WorkersPerPlace: 2},
+			Policy:  policy,
+			Seed:    1,
 		})
 		if err != nil {
 			t.Fatal(err)

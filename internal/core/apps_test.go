@@ -23,11 +23,10 @@ func TestRelaxedRunsFineAppsExactlyOnce(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	for seed := int64(1); seed <= 20; seed++ {
 		rt, err := core.New(core.Config{
-			Cluster:  topology.Cluster{Places: 2, WorkersPerPlace: 2},
-			Policy:   sched.DistWS,
-			Deque:    deque.KindRelaxed,
-			Seed:     seed,
-			IdlePoll: 50 * time.Microsecond,
+			Cluster: topology.Cluster{Places: 2, WorkersPerPlace: 2},
+			Policy:  sched.DistWS,
+			Deque:   deque.KindRelaxed,
+			Seed:    seed,
 		})
 		if err != nil {
 			t.Fatal(err)

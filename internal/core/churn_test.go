@@ -10,6 +10,14 @@ import (
 	"distws/internal/sched"
 )
 
+// walkedAndShutDown waits for the churn walker to apply the whole
+// timeline, then shuts the runtime down, so the counters read after it are
+// final.
+func walkedAndShutDown(rt *Runtime) {
+	<-rt.walked
+	rt.Shutdown()
+}
+
 // TestDrainPlaceGraceful drains a place mid-run via the fault plan's
 // wall-clock schedule: the run completes exactly once, the moved tasks
 // count as offloaded, and nothing is re-executed or counted lost.
@@ -24,10 +32,7 @@ func TestDrainPlaceGraceful(t *testing.T) {
 				Drains: []fault.Drain{{Place: 1, AtNS: int64(500 * time.Microsecond)}},
 			},
 		}, 800)
-		defer rt.Shutdown()
-		// The drain timer fired mid-run; give its goroutine a beat to finish
-		// flushing before reading the counters.
-		time.Sleep(20 * time.Millisecond)
+		walkedAndShutDown(rt)
 		s := rt.Metrics()
 		if s.MembershipDrains != 1 {
 			t.Fatalf("MembershipDrains = %d, want 1", s.MembershipDrains)
@@ -85,8 +90,7 @@ func TestJoinLateRuntime(t *testing.T) {
 			Joins: []fault.Join{{Place: 3, AtNS: int64(300 * time.Microsecond)}},
 		},
 	}, 800)
-	defer rt.Shutdown()
-	time.Sleep(5 * time.Millisecond)
+	walkedAndShutDown(rt)
 	s := rt.Metrics()
 	if s.MembershipJoins != 1 {
 		t.Fatalf("MembershipJoins = %d, want 1", s.MembershipJoins)
@@ -116,10 +120,7 @@ func TestFlapRuntime(t *testing.T) {
 				}},
 			},
 		}, 800)
-		defer rt.Shutdown()
-		// Wait out the up edge (down at 300µs + 2ms) regardless of how fast
-		// the workload finished.
-		time.Sleep(20 * time.Millisecond)
+		walkedAndShutDown(rt) // the up edge may come after the run
 		s := rt.Metrics()
 		if s.PlacesLost != 1 {
 			t.Fatalf("PlacesLost = %d, want 1", s.PlacesLost)
@@ -150,7 +151,8 @@ func TestPartitionWindowRuntime(t *testing.T) {
 		}
 		var rt *Runtime
 		if k == deque.KindRelaxed {
-			rt = chaosFanOut(t, cfg, 9)
+			rt = mustNew(t, cfg)
+			chaosFanOut(t, rt, 9)
 		} else {
 			rt = chaosSum(t, cfg, 800)
 		}
@@ -165,8 +167,9 @@ func TestPartitionWindowRuntime(t *testing.T) {
 	})
 }
 
-// TestShutdownCancelsChurnTimers makes sure a pending churn schedule does
-// not fire into a shut-down runtime.
+// TestShutdownCancelsChurnTimers makes sure a pending churn timeline does
+// not fire into a shut-down runtime: Shutdown stops the walker and waits
+// for it.
 func TestShutdownCancelsChurnTimers(t *testing.T) {
 	rt, err := New(Config{
 		Cluster: chaosCluster(),
@@ -186,6 +189,6 @@ func TestShutdownCancelsChurnTimers(t *testing.T) {
 	}
 	s := rt.Metrics()
 	if s.MembershipDrains != 0 || s.MembershipJoins != 0 {
-		t.Fatalf("cancelled timers still fired: %+v", s)
+		t.Fatalf("cancelled churn still fired: %+v", s)
 	}
 }

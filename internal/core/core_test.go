@@ -17,19 +17,12 @@ func testConfig(policy sched.Kind, places, workers int) Config {
 		Cluster: topology.Cluster{Places: places, WorkersPerPlace: workers},
 		Policy:  policy,
 		Seed:    42,
-		// Short poll so tests converge quickly even on one CPU.
-		IdlePoll: 50 * time.Microsecond,
 	}
 }
 
 func mustNew(t *testing.T, cfg Config) *Runtime {
 	t.Helper()
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	t.Cleanup(rt.Shutdown)
-	return rt
+	return mustNewTuned(t, cfg, idlePoll, stealTimeout)
 }
 
 func TestRunSimpleBody(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"distws/internal/metrics"
 	"distws/internal/task"
@@ -106,8 +105,9 @@ func (c *Ctx) AsyncLoc(p int, loc task.Locality, body func(*Ctx)) {
 
 // Finish runs body and blocks until every activity transitively spawned
 // inside it has completed — the X10 `finish { S }`. While waiting, the
-// calling worker helps by executing queued tasks, so nested finishes never
-// deadlock the pool.
+// calling worker helps by executing queued tasks (its worker loop, run
+// until the scope completes), so nested finishes never deadlock the pool.
+// A runtime shutdown releases the wait.
 func (c *Ctx) Finish(body func(*Ctx)) {
 	inner := newFinish(c.fin)
 	inner.add(1) // the body itself
@@ -121,49 +121,19 @@ func (c *Ctx) Finish(body func(*Ctx)) {
 		}()
 		body(child)
 	}()
-	c.waitHelping(inner)
+	if c.worker != nil {
+		c.worker.loop(inner) // help until the scope completes
+	} else {
+		select {
+		case <-inner.doneCh:
+		case <-c.rt.stopCh:
+		}
+	}
 	if v := inner.firstErr(); v != nil {
 		// Re-throw at the finish point; the enclosing activity's recovery
 		// hands it to *its* finish, so failures climb to Run.
 		panic(v)
 	}
-}
-
-// waitHelping blocks until fin completes, executing other queued work in
-// the meantime (help-first semantics of the X10 scheduler). A runtime
-// shutdown releases the wait: pending activities in the scope are
-// abandoned (the documented Shutdown contract), which keeps a worker
-// parked inside a nested finish from deadlocking ShutdownContext after
-// its peers — the only ones who could have completed the scope — exited.
-func (c *Ctx) waitHelping(fin *finish) {
-	if c.worker == nil {
-		select {
-		case <-fin.doneCh:
-		case <-c.rt.stopCh:
-		}
-		return
-	}
-	// The wait idles as worker.loop does: a first failed sweep opens the
-	// idle stretch, the next is the parking protocol's re-check, and only
-	// then does the worker block. A fruitless help-wait counts as idle.
-	w := c.worker
-	for !fin.isDone() && !c.rt.shutdown.Load() {
-		if a, how := w.findWork(); a != nil {
-			w.run(a, how)
-			continue
-		}
-		if !w.idle() {
-			w.beginIdle()
-			continue
-		}
-		select {
-		case <-w.place.wake:
-		case <-fin.doneCh:
-		case <-c.rt.stopCh:
-		case <-time.After(c.rt.cfg.IdlePoll):
-		}
-	}
-	w.endIdle()
 }
 
 // At synchronously executes body at place p and returns when it is done —

@@ -63,12 +63,8 @@ func chaosCluster() topology.Cluster {
 // request is ever posted and no fault can hit one; this grows that test's
 // recursive flexible fan-out from place 0 instead — 2^(depth+1)-1 tasks —
 // and checks every one executed exactly once.
-func chaosFanOut(t *testing.T, cfg Config, depth int) *Runtime {
+func chaosFanOut(t *testing.T, rt *Runtime, depth int) {
 	t.Helper()
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
 	var count atomic.Int64
 	var spawn func(c *Ctx, depth int)
 	spawn = func(c *Ctx, depth int) {
@@ -87,7 +83,6 @@ func chaosFanOut(t *testing.T, cfg Config, depth int) *Runtime {
 	if got := count.Load(); got != want {
 		t.Fatalf("executed %d activities, want %d", got, want)
 	}
-	return rt
 }
 
 // eachDequeKind runs body once per worker-queue kind: the fault and churn
@@ -116,6 +111,23 @@ func TestCrashedPlaceWorkIsReExecuted(t *testing.T) {
 	}
 	if s.TasksReExecuted == 0 {
 		t.Fatalf("a loaded place crashed; queued tasks should be re-executed")
+	}
+}
+
+// TestTimedCrashFires crashes a place at an instant on the runtime's own
+// clock rather than after a task count: the plan's churn timeline is walked
+// on the wall clock as the simulator walks it on virtual time, and the run's
+// result stays exact.
+func TestTimedCrashFires(t *testing.T) {
+	rt := chaosSum(t, Config{
+		Cluster: chaosCluster(),
+		Policy:  sched.DistWS,
+		Seed:    7,
+		Fault:   &fault.Plan{Crashes: []fault.Crash{{Place: 1, AtNS: int64(500 * time.Microsecond)}}},
+	}, 800)
+	walkedAndShutDown(rt)
+	if s := rt.Metrics(); s.PlacesLost != 1 {
+		t.Fatalf("PlacesLost = %d, want 1: the timed crash never fired", s.PlacesLost)
 	}
 }
 
@@ -164,30 +176,24 @@ func TestLossySteals(t *testing.T) {
 	// lossy, slow, duplicating fabric, so timeouts, retries, and drops
 	// accumulate while the result stays exact.
 	eachDequeKind(t, func(t *testing.T, k deque.Kind) {
-		cfg := Config{
-			Cluster:      chaosCluster(),
-			Policy:       sched.DistWS,
-			Seed:         7,
-			Deque:        k,
-			StealTimeout: 20 * time.Microsecond,
+		rt := mustNewTuned(t, Config{
+			Cluster: chaosCluster(),
+			Policy:  sched.DistWS,
+			Seed:    7,
+			Deque:   k,
 			Fault: &fault.Plan{
 				Seed:     3,
 				DropProb: 0.3,
 				DupProb:  0.3,
 				Grays:    []fault.Gray{{From: -1, To: 0, ExtraNS: 5_000}},
 			},
-		}
-		var rt *Runtime
+		}, idlePoll, 20*time.Microsecond)
 		if k == deque.KindRelaxed {
-			rt = chaosFanOut(t, cfg, 9)
+			chaosFanOut(t, rt, 9)
 		} else {
-			var err error
-			if rt, err = New(cfg); err != nil {
-				t.Fatalf("New: %v", err)
-			}
 			const n = 300
 			var count atomic.Int64
-			err = rt.Run(func(ctx *Ctx) {
+			err := rt.Run(func(ctx *Ctx) {
 				ctx.Finish(func(c *Ctx) {
 					for i := 0; i < n; i++ {
 						c.AsyncAny(0, func(*Ctx) {
@@ -280,39 +286,35 @@ func TestSpawnToDeadPlaceIsRehomed(t *testing.T) {
 	}
 }
 
-// TestNextAliveTotalLoss pins the re-homing rule on the two place flags:
-// the first place at or after from, wrapping, that is neither dead nor
-// draining; the -1 sentinel (never a spin) once every place is gone; and
-// a revived place reachable again.
+// TestNextAliveTotalLoss pins the re-homing rule on the two place flags as
+// the lifecycle sets them: the first place at or after from, wrapping, that
+// is neither crashed nor draining; the -1 sentinel (never a spin) once every
+// place is gone; and a revived place reachable again.
 func TestNextAliveTotalLoss(t *testing.T) {
-	rt, err := New(Config{Cluster: chaosCluster(), Policy: sched.DistWS, Seed: 7})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer rt.Shutdown()
-	nextAlive := func(from int) int { return sched.NextAlive(from, len(rt.places), rt.down) }
+	rt := mustNew(t, Config{Cluster: chaosCluster(), Policy: sched.DistWS, Seed: 7})
+	nextAlive := func(from int) int { return sched.NextAlive(from, len(rt.places), rt.life.Down) }
 	if got := nextAlive(2); got != 2 {
 		t.Fatalf("nextAlive(2) with every place up = %d, want 2", got)
 	}
-	rt.places[2].dead.Store(true)
+	rt.crashPlace(rt.places[2])
 	if got := nextAlive(2); got != 3 {
 		t.Fatalf("nextAlive(2) = %d, want 3", got)
 	}
-	rt.places[3].draining.Store(true)
+	rt.life.Drain(3)
 	if got := nextAlive(2); got != 0 {
 		t.Fatalf("nextAlive(2) = %d, want wraparound to 0", got)
 	}
 	if got := nextAlive(-1); got != 0 {
 		t.Fatalf("nextAlive(-1) = %d, want 0", got)
 	}
-	rt.places[0].draining.Store(true)
-	rt.places[1].dead.Store(true)
+	rt.life.Drain(0)
+	rt.crashPlace(rt.places[1])
 	for from := -2; from < 6; from++ {
 		if got := nextAlive(from); got != -1 {
 			t.Fatalf("nextAlive(%d) with every place gone = %d, want -1", from, got)
 		}
 	}
-	rt.places[1].dead.Store(false)
+	rt.revive(rt.places[1], true)
 	if got := nextAlive(2); got != 1 {
 		t.Fatalf("nextAlive(2) after place 1 came back = %d, want 1", got)
 	}

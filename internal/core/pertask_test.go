@@ -86,11 +86,10 @@ func TestAllocsPerSpawnedTask(t *testing.T) {
 func TestShardedCountersConserve(t *testing.T) {
 	const n = 400
 	rt := mustNew(t, Config{
-		Cluster:  topology.Cluster{Places: 2, WorkersPerPlace: 2},
-		Policy:   sched.DistWS,
-		Seed:     7,
-		IdlePoll: 50 * time.Microsecond,
-		Fault:    &fault.Plan{Crashes: []fault.Crash{{Place: 1, AfterTasks: 3}}},
+		Cluster: topology.Cluster{Places: 2, WorkersPerPlace: 2},
+		Policy:  sched.DistWS,
+		Seed:    7,
+		Fault:   &fault.Plan{Crashes: []fault.Crash{{Place: 1, AfterTasks: 3}}},
 	})
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
@@ -147,12 +146,10 @@ func TestShardedCountersConserve(t *testing.T) {
 	}
 }
 
-// wakeRuntime is a 2x1 DistWS runtime whose IdlePoll is far beyond the
+// wakeRuntime is a 2x1 DistWS runtime whose idle poll is far beyond the
 // test's deadline: an idle worker that makes progress was woken.
 func wakeRuntime(t *testing.T) *Runtime {
-	cfg := testConfig(sched.DistWS, 2, 1)
-	cfg.IdlePoll = 30 * time.Second
-	return mustNew(t, cfg)
+	return mustNewTuned(t, testConfig(sched.DistWS, 2, 1), 30*time.Second, stealTimeout)
 }
 
 const wakeDeadline = 2 * time.Second
@@ -231,6 +228,29 @@ func TestHelpingThiefIsWoken(t *testing.T) {
 		if rt.Metrics().RemoteSteals == before {
 			t.Fatalf("iteration %d: the worker waiting in Finish at place 1 stole nothing in %v: lost wake-up", i, wakeDeadline)
 		}
+	}
+}
+
+// TestHelpWaitSweepIsAccounted: a worker waiting inside Finish with nothing
+// to help with fails its sweeps as an idle worker does (Algorithm 1,
+// §VI-B), so its place, of which it is the only worker, goes inactive
+// while the scope's child runs elsewhere.
+func TestHelpWaitSweepIsAccounted(t *testing.T) {
+	rt := mustNew(t, testConfig(sched.DistWS, 2, 1))
+	err := rt.Run(func(c *Ctx) {
+		c.Finish(func(c *Ctx) {
+			c.Async(1, func(*Ctx) {
+				for deadline := time.Now().Add(wakeDeadline); rt.places[0].Active(); time.Sleep(10 * time.Microsecond) {
+					if time.Now().After(deadline) {
+						t.Errorf("place 0 stayed active for %v while its only worker waited in Finish with nothing to run", wakeDeadline)
+						return
+					}
+				}
+			})
+		})
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 }
 

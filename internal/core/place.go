@@ -32,9 +32,11 @@ type activity struct {
 }
 
 // place mirrors the paper's Fig. 2: several workers with private deques
-// plus one shared deque for locality-flexible tasks, and the place-local
-// status object of §VI-B.
+// plus one shared deque for locality-flexible tasks. Its §VI-B status, its
+// liveness (dead: crashed, not yet joined or drained; draining: departing)
+// and its lifeline waiters are the embedded sched.Place.
 type place struct {
+	sched.Place
 	id int
 	rt *Runtime
 
@@ -43,25 +45,9 @@ type place struct {
 
 	spawnSeq atomic.Uint64 // per-place spawn counter (DistWS-NS round robin)
 
-	// active is the §VI-B place status bit: set when an activity is
-	// assigned, cleared after n successive failed steal sweeps.
-	active       atomic.Bool
-	failedSweeps atomic.Int32
-
-	// dead marks a fail-stopped place (fault injection): workers exit,
-	// thieves exclude it, and queued work is re-homed to survivors.
-	dead atomic.Bool
-	// draining marks a place departing gracefully (Runtime.DrainPlace):
-	// it refuses new steals and spawns re-home, but in-flight activities
-	// complete normally; once they have, the place flips to dead.
-	draining atomic.Bool
 	// executed counts activities completed here, for the fault plan's
 	// AfterTasks crash trigger.
 	executed atomic.Int64
-
-	// lifelineWaiters holds place ids registered on this place's incoming
-	// lifelines (LifelineWS only); a bit set per place.
-	lifelineWaiters []atomic.Bool
 
 	rrWorker atomic.Uint32 // round-robin target for externally spawned tasks
 	// idlers counts this place's workers inside an idle stretch (see
@@ -78,10 +64,9 @@ type place struct {
 
 func newPlace(rt *Runtime, id int) *place {
 	p := &place{
-		id:              id,
-		rt:              rt,
-		lifelineWaiters: make([]atomic.Bool, rt.cfg.Cluster.Places),
-		wake:            make(chan struct{}, rt.cfg.Cluster.WorkersPerPlace),
+		id:   id,
+		rt:   rt,
+		wake: make(chan struct{}, rt.cfg.Cluster.WorkersPerPlace),
 	}
 	p.workers = make([]*worker, rt.cfg.Cluster.WorkersPerPlace)
 	for i := range p.workers {
@@ -92,7 +77,7 @@ func newPlace(rt *Runtime, id int) *place {
 			Places:    rt.cfg.Cluster.Places,
 			Rng:       rand.New(rand.NewSource(rt.cfg.Seed + int64(id*1000+i))),
 			Receiver:  rt.receiver,
-			TimeoutNS: rt.cfg.StealTimeout.Nanoseconds(),
+			TimeoutNS: rt.stealTimeout.Nanoseconds(),
 			Ctrl:      rt.ctrl,
 			Inj:       rt.inj,
 			Ctrs:      &rt.counters,
@@ -115,10 +100,10 @@ func newPlace(rt *Runtime, id int) *place {
 }
 
 // queueLen reports how many activities sit in the place's queues. Nothing
-// mirrors the queues: the few callers that need the figure (a drain, its
-// trace event) read it from the queues themselves, so the spawn and take
-// paths pay nothing for it and duplicate takes under the relaxed kind
-// cannot make it drift.
+// mirrors the queues: the one caller that needs the figure (DrainPlace's
+// wait) reads it from the queues themselves, so the spawn and take paths
+// pay nothing for it and duplicate takes under the relaxed kind cannot make
+// it drift.
 func (p *place) queueLen() int {
 	n := p.shared.Len()
 	for _, w := range p.workers {
@@ -146,12 +131,16 @@ func (p *place) donatable() int {
 }
 
 func (p *place) startWorkers() {
+	rt := p.rt
 	for _, w := range p.workers {
-		p.rt.workerWG.Add(1)
+		rt.workerWG.Add(1)
 		p.wg.Add(1)
 		go func(w *worker) {
 			defer p.wg.Done()
-			w.loop()
+			defer rt.workerWG.Done()
+			w.closeIdleStamp() // the time before this start was idle
+			w.loop(nil)
+			w.stats.idleSince.Store(rt.stamp()) // stopped is idle, until a revive
 		}(w)
 	}
 }
@@ -167,7 +156,7 @@ func (p *place) load() sched.PlaceLoad {
 	workers := p.rt.cfg.Cluster.WorkersPerPlace
 	running := p.running()
 	return sched.PlaceLoad{
-		Active:     p.active.Load(),
+		Active:     p.Active(),
 		Spares:     workers - running,
 		Size:       running,
 		MaxThreads: workers,
@@ -226,7 +215,7 @@ func (p *place) enqueue(a *activity, target sched.Target, spawner *worker) {
 			stealable = true
 		} else {
 			p.shared.Push(a)
-			p.serveLifelines()
+			p.rt.life.Serve(p.id)
 			stealable = !p.rt.receiver
 		}
 	} else if w := spawner; w != nil && w.place == p {
@@ -267,27 +256,14 @@ func (p *place) enqueueStolen(chunk []*activity) {
 //
 // A push racing the place's crash or drain may land after the respective
 // queue sweep: both paths set their flag before sweeping, so re-checking
-// here and re-sweeping guarantees the activity is not stranded.
+// here and re-homing again guarantees the activity is not stranded.
 func (p *place) assigned(stealable bool) {
-	p.markActive()
+	p.Assigned()
 	if p.rt.idlers.Load() != 0 {
 		p.wakeFor(stealable)
 	}
-	if p.dead.Load() {
-		p.rt.rescue(p)
-	} else if p.draining.Load() {
-		p.rt.offload(p)
-	}
-}
-
-// markActive sets the §VI-B status bit and clears the failed-sweep run,
-// storing only on change so that a busy place's status line stays shared.
-func (p *place) markActive() {
-	if !p.active.Load() {
-		p.active.Store(true)
-	}
-	if p.failedSweeps.Load() != 0 {
-		p.failedSweeps.Store(0)
+	if p.Down() {
+		p.rt.life.Rehome(p.id, p.Dead())
 	}
 }
 
@@ -295,7 +271,7 @@ func (p *place) markActive() {
 // idle workers if it has any, else, for a stealable push (only a policy
 // with sched.RemoteStealing maps a task to those queues), at most one idle
 // worker at another live place, which then steals it instead of learning
-// of it from its IdlePoll timer. A place whose wake buffer is full is
+// of it from its idlePoll timer. A place whose wake buffer is full is
 // being woken already, so the next one is tried.
 //
 // This is the pusher's half of the parking protocol; worker.beginIdle is
@@ -311,7 +287,7 @@ func (p *place) wakeFor(stealable bool) {
 	places := p.rt.places
 	for off := 1; off < len(places); off++ {
 		q := places[(p.id+off)%len(places)]
-		if q.idlers.Load() == 0 || q.dead.Load() || q.draining.Load() {
+		if q.idlers.Load() == 0 || q.Down() {
 			continue
 		}
 		select {
@@ -330,42 +306,6 @@ func (p *place) wakeAll() {
 		default:
 			return
 		}
-	}
-}
-
-// serveLifelines pushes surplus shared-deque work to places that have
-// registered on this place's lifelines (LifelineWS only). Waiters that
-// crashed after registering are dropped rather than served.
-func (p *place) serveLifelines() {
-	if p.rt.cfg.Policy != sched.LifelineWS {
-		return
-	}
-	for q := range p.lifelineWaiters {
-		if p.shared.Len() <= 1 {
-			return
-		}
-		if !p.lifelineWaiters[q].Swap(false) {
-			continue
-		}
-		if p.rt.places[q].dead.Load() || p.rt.places[q].draining.Load() {
-			continue
-		}
-		if a, ok := p.shared.Poll(); ok {
-			p.rt.counters.Messages.Add(1)
-			p.rt.counters.BytesTransferred.Add(int64(a.loc.MigrationBytes))
-			p.rt.counters.RemoteSteals.Add(1) // lifeline push counts as a balanced transfer
-			p.rt.places[q].enqueueStolen([]*activity{a})
-		}
-	}
-}
-
-// noteFailedSweep records one fully failed work-finding sweep; after n
-// consecutive failures (n = workers per place) the place marks itself
-// inactive (§VI-B).
-func (p *place) noteFailedSweep() {
-	n := p.failedSweeps.Add(1)
-	if int(n) >= sched.FailedStealQuiesceThreshold(p.rt.cfg.Cluster.WorkersPerPlace) {
-		p.active.Store(false)
 	}
 }
 
@@ -446,7 +386,7 @@ type workerStats struct {
 // token, but it completed before that load, so the second sweep sees it
 // (both sides are sequentially consistent atomics around the queue
 // operation). Every later push sees the count and leaves a token in
-// place.wake. Config.IdlePoll bounds what a bug here could cost.
+// place.wake. idlePoll bounds what a bug here could cost.
 func (w *worker) beginIdle() {
 	rt := w.place.rt
 	w.stats.idleSince.Store(rt.stamp())
@@ -479,8 +419,8 @@ func (w *worker) closeIdleStamp() {
 func (w *worker) idle() bool { return w.stats.idleSince.Load() != 0 }
 
 // claim marks a as dispatched exactly once. A relaxed flexible queue may
-// hand a task out twice (multiplicity semantics), and a donation, a rescue
-// or an offload can carry the second copy into a shared deque or an inbox;
+// hand a task out twice (multiplicity semantics), and a donation or a
+// re-homing can carry the second copy into a shared deque or an inbox;
 // the loser of the claim discards its copy. Private deques are strict and
 // are never claim-checked, and outside receiver mode every queue is, so the
 // check short-circuits to true.
@@ -527,41 +467,48 @@ func (w *worker) serveMail() {
 	req.reply <- chunk
 }
 
-// loop is Algorithm 1 lines 9–29. A worker whose place fail-stops exits
-// the loop: the crash model is fail-stop at the next scheduling point.
+// loop is Algorithm 1 lines 9–29 for one worker. At the top of the
+// worker's goroutine (fin nil) it runs until the runtime shuts down or the
+// place fail-stops (fail-stop lands at the next scheduling point); inside
+// Finish it helps (X10 help-first) until fin completes or the runtime
+// shuts down. A fruitless sweep is the same in both: sched's failed-sweep
+// tail (§VI-B status, lifelines), then idling.
 //
 // An idle worker is woken, not polling: the first failed sweep opens an
 // idle stretch (beginIdle), the next sweep is the protocol's re-check, and
 // only then does the worker block, on its place's wake tokens; the
-// IdlePoll timer is the bound on a missed wake, not the way work is found.
-func (w *worker) loop() {
-	rt := w.place.rt
-	defer rt.workerWG.Done()
-	w.closeIdleStamp() // the time before this start was idle
-	for !rt.shutdown.Load() && !w.place.dead.Load() {
+// idlePoll timer is the bound on a missed wake, not the way work is found.
+// A shutdown releases a help-wait too: pending activities in the scope are
+// abandoned (the documented Shutdown contract), which keeps a worker
+// parked inside a nested finish from deadlocking ShutdownContext.
+func (w *worker) loop(fin *finish) {
+	p, rt := w.place, w.place.rt
+	var done <-chan struct{}
+	if fin != nil {
+		done = fin.doneCh
+	}
+	for !rt.shutdown.Load() {
+		if fin == nil && p.Dead() || fin != nil && fin.isDone() {
+			break
+		}
 		a, how := w.findWork()
 		if a != nil {
 			w.run(a, how)
 			continue
 		}
-		w.place.noteFailedSweep()
-		rt.counters.FailedSteals.Add(1)
-		rt.record(w.place.id, w.local, obs.KindStealFail, -1, 0, 0)
-		if rt.cfg.Policy == sched.LifelineWS {
-			w.registerLifelines()
-		}
+		rt.life.FailedSweep(p.id, w.local)
 		if !w.idle() {
 			w.beginIdle()
 			continue
 		}
 		select {
-		case <-w.place.wake:
+		case <-p.wake:
+		case <-done:
 		case <-rt.stopCh:
-		case <-time.After(rt.cfg.IdlePoll):
+		case <-time.After(rt.idlePoll):
 		}
 	}
 	w.endIdle()
-	w.stats.idleSince.Store(rt.stamp()) // stopped is idle, until a revive
 }
 
 // stealKind says how a task was obtained, for accounting.
@@ -581,7 +528,7 @@ func (w *worker) findWork() (*activity, stealKind) {
 	// crash and survivors own the work now. A draining place starts
 	// nothing new — its queue was offloaded and only in-flight
 	// activities may finish.
-	if p.dead.Load() || p.draining.Load() {
+	if p.Down() {
 		return nil, tookOwn
 	}
 	rcv := p.rt.receiver
@@ -686,7 +633,7 @@ func (w *worker) stealRemote() *activity {
 // pays the message pair (the paper's Table III counts them).
 func (w *worker) Skip(victim int) bool {
 	rt := w.place.rt
-	return rt.down(victim) || rt.shutdown.Load() || rt.receiver && rt.places[victim].donatable() == 0
+	return rt.life.Down(victim) || rt.shutdown.Load() || rt.receiver && rt.places[victim].donatable() == 0
 }
 
 func (w *worker) Now() int64    { return w.place.rt.nowNS() }
@@ -767,7 +714,7 @@ func (w *worker) requestDonation(victim *place) []*activity {
 	select {
 	case chunk := <-req.reply:
 		return chunk
-	case <-time.After(rt.cfg.StealTimeout):
+	case <-time.After(rt.stealTimeout):
 		if target.mail.CompareAndSwap(req, nil) {
 			// Withdrawn: the owner never reached a communication
 			// boundary in time.
@@ -790,19 +737,6 @@ func (w *worker) requestDonation(victim *place) []*activity {
 	}
 }
 
-// registerLifelines marks this place on its lifeline neighbours
-// (LifelineWS, sched.EachLifeline) so they push surplus work here.
-func (w *worker) registerLifelines() {
-	rt := w.place.rt
-	sched.EachLifeline(w.place.id, len(rt.places), rt.down, func(q int) {
-		neighbour := rt.places[q]
-		if !neighbour.lifelineWaiters[w.place.id].Swap(true) {
-			rt.counters.Messages.Add(1) // lifeline registration message
-		}
-		neighbour.serveLifelines()
-	})
-}
-
 // run executes one activity and performs the paper's accounting:
 // migration effects for Tables II–III, and, for whoever reads it, the
 // service time. What it writes per task is the worker's own (stats, the
@@ -813,7 +747,7 @@ func (w *worker) run(a *activity, how stealKind) {
 	p := w.place
 	w.endIdle()
 	w.stats.depth.Add(1)
-	p.markActive()
+	p.Assigned()
 
 	// Only genuine steals count (Fig. 3): taking a task from a co-located
 	// worker's private deque. Polling the own place's shared deque is the

@@ -45,10 +45,6 @@ type Config struct {
 	Policy sched.Kind
 	// Seed makes victim selection deterministic for tests. Zero picks 1.
 	Seed int64
-	// IdlePoll is the longest an idle worker blocks between work-finding
-	// sweeps. A push wakes the idle workers it concerns, so this is the
-	// bound on a missed wake, not the way work is found. Defaults to 200µs.
-	IdlePoll time.Duration
 	// Deque selects the worker-queue implementation (deque.Kinds):
 	// deque.KindMutex (zero value) is the paper-faithful mutex-guarded
 	// deque; deque.KindChaseLev swaps in lock-free Chase–Lev private
@@ -61,15 +57,12 @@ type Config struct {
 	// no remote thief ever touches a shared structure on the victim's hot
 	// path.
 	Deque deque.Kind
-	// Fault injects failures: place crashes after a task count, message
-	// loss and latency spikes on the remote-steal path. Nil runs
+	// Fault injects failures: place crashes at an instant (wall time since
+	// New) or after a task count, message loss and latency spikes on the
+	// remote-steal path, and churn (late joins, drains, flaps). Nil runs
 	// fault-free. A crashed place fail-stops (its workers exit after the
 	// activity they are running); queued work is re-homed to survivors.
 	Fault *fault.Plan
-	// StealTimeout is how long a thief waits before declaring a remote
-	// steal round trip lost; it is also the base of the exponential
-	// backoff between retries. Defaults to 200µs.
-	StealTimeout time.Duration
 	// Recorder, when non-nil, receives per-worker scheduling events
 	// (activity start/end, spawns, steal attempts and outcomes, chunk
 	// arrivals, crashes) stamped in wall-clock nanoseconds since New.
@@ -90,14 +83,19 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.IdlePoll <= 0 {
-		c.IdlePoll = 200 * time.Microsecond
-	}
-	if c.StealTimeout <= 0 {
-		c.StealTimeout = 200 * time.Microsecond
-	}
 	return c
 }
+
+const (
+	// idlePoll is the longest an idle worker blocks between work-finding
+	// sweeps. A push wakes the idle workers it concerns, so this is the
+	// bound on a missed wake, not the way work is found.
+	idlePoll = 200 * time.Microsecond
+	// stealTimeout is how long a thief waits before declaring a remote
+	// steal round trip lost; it is also the base of the exponential
+	// backoff between retries.
+	stealTimeout = 200 * time.Microsecond
+)
 
 // Runtime is a running APGAS instance. Create with New, release with
 // Shutdown.
@@ -123,6 +121,14 @@ type Runtime struct {
 
 	// inj evaluates the injected fault plan (nil-safe when fault-free).
 	inj *fault.Injector
+	// life is the place half of the scheduler (§VI-B status, lifelines,
+	// crash/drain/join), shared with the simulator.
+	life sched.Places[*activity]
+
+	// idlePoll and stealTimeout are the constants of the same names; a
+	// test that needs a worker never to wake on its own, or a thief to
+	// give up sooner, builds the runtime with newRuntime.
+	idlePoll, stealTimeout time.Duration
 
 	// idlers counts the workers inside an idle stretch, runtime-wide: the
 	// one word a push loads to learn that nobody needs waking (see
@@ -135,10 +141,10 @@ type Runtime struct {
 	// exiting workers will never complete.
 	stopCh   chan struct{}
 	workerWG sync.WaitGroup
-
-	// timers fire the fault plan's wall-clock churn schedule (joins,
-	// drains, flap down/up cycles); Shutdown stops any still pending.
-	timers []*time.Timer
+	// walked is closed when the goroutine applying the fault plan's churn
+	// timeline (walk) has returned: at the end of the timeline or on
+	// Shutdown, which waits for it.
+	walked chan struct{}
 	// churnMu serializes worker restarts (join/heal) against Shutdown so
 	// workerWG.Add never races the final Wait.
 	churnMu sync.Mutex
@@ -154,21 +160,10 @@ func (rt *Runtime) nowNS() int64 { return time.Since(rt.started).Nanoseconds() }
 // stamp is nowNS for workerStats.idleSince, where 0 means "not idle".
 func (rt *Runtime) stamp() int64 { return max(1, rt.nowNS()) }
 
-// sleepUntil blocks until the runtime clock reaches atNS or the runtime
-// shuts down; it reports whether the caller should proceed.
-func (rt *Runtime) sleepUntil(atNS int64) bool {
-	if d := time.Duration(atNS) - time.Since(rt.started); d > 0 {
-		select {
-		case <-rt.stopCh:
-			return false
-		case <-time.After(d):
-		}
-	}
-	return !rt.shutdown.Load()
-}
-
 // New starts a runtime: all worker goroutines are live on return.
-func New(cfg Config) (*Runtime, error) {
+func New(cfg Config) (*Runtime, error) { return newRuntime(cfg, idlePoll, stealTimeout) }
+
+func newRuntime(cfg Config, idlePoll, stealTimeout time.Duration) (*Runtime, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Cluster.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -183,12 +178,15 @@ func New(cfg Config) (*Runtime, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	rt := &Runtime{
-		cfg:      cfg,
-		receiver: cfg.Deque == deque.KindRelaxed,
-		rec:      cfg.Recorder,
-		inj:      fault.NewInjector(cfg.Fault),
-		stopCh:   make(chan struct{}),
-		started:  time.Now(),
+		cfg:          cfg,
+		receiver:     cfg.Deque == deque.KindRelaxed,
+		rec:          cfg.Recorder,
+		inj:          fault.NewInjector(cfg.Fault),
+		idlePoll:     idlePoll,
+		stealTimeout: stealTimeout,
+		stopCh:       make(chan struct{}),
+		walked:       make(chan struct{}),
+		started:      time.Now(),
 	}
 	if rt.rec != nil {
 		rt.rec.Configure(cfg.Cluster.Places, cfg.Cluster.WorkersPerPlace,
@@ -201,59 +199,54 @@ func New(cfg Config) (*Runtime, error) {
 		}
 	}
 	rt.places = make([]*place, cfg.Cluster.Places)
+	rt.life = sched.Places[*activity]{
+		All:     make([]*sched.Place, cfg.Cluster.Places),
+		Policy:  cfg.Policy,
+		Workers: cfg.Cluster.WorkersPerPlace,
+		Ctrs:    &rt.counters,
+		Host:    host{rt},
+	}
 	for p := range rt.places {
 		rt.places[p] = newPlace(rt, p)
+		rt.life.All[p] = &rt.places[p].Place
 	}
-	// Late joiners from the fault plan start absent: no workers, excluded
-	// from homing and victim sweeps until their join instant.
-	joining := make(map[int]bool)
-	if cfg.Fault != nil {
-		for _, j := range cfg.Fault.Joins {
-			joining[j.Place] = true
-			rt.places[j.Place].dead.Store(true)
-		}
-	}
+	churn := cfg.Fault.Timeline()
+	rt.life.Init(churn) // late joiners start dead: no workers until their join
 	for _, p := range rt.places {
-		if !joining[p.id] {
+		if !p.Dead() {
 			p.startWorkers()
 		}
 	}
-	if cfg.Fault != nil {
-		for _, j := range cfg.Fault.Joins {
-			p := rt.places[j.Place]
-			rt.timers = append(rt.timers, time.AfterFunc(time.Duration(j.AtNS), func() {
-				rt.revive(p, false)
-			}))
+	go rt.walk(churn)
+	return rt, nil
+}
+
+// walk applies the churn timeline on the runtime's clock, each edge at its
+// instant, until the timeline ends or the runtime shuts down.
+func (rt *Runtime) walk(churn []fault.Edge) {
+	defer close(rt.walked)
+	for _, ed := range churn {
+		if d := time.Duration(ed.AtNS) - time.Since(rt.started); d > 0 {
+			select {
+			case <-rt.stopCh:
+				return
+			case <-time.After(d):
+			}
 		}
-		for _, d := range cfg.Fault.Drains {
-			p := d.Place
-			rt.timers = append(rt.timers, time.AfterFunc(time.Duration(d.AtNS), func() {
-				_ = rt.DrainPlace(p)
-			}))
+		if rt.shutdown.Load() {
+			return
 		}
-		for _, fl := range cfg.Fault.Flaps {
-			// One goroutine walks the whole down/up schedule so a late
-			// down edge can never land after its own heal (independent
-			// timers offer no ordering guarantee).
-			p := rt.places[fl.Place]
-			fl := fl
-			go func() {
-				period := fl.DownNS + fl.UpNS
-				for i := 0; i < fl.Cycles; i++ {
-					at := fl.AtNS + int64(i)*period
-					if !rt.sleepUntil(at) {
-						return
-					}
-					rt.crashPlace(p)
-					if !rt.sleepUntil(at + fl.DownNS) {
-						return
-					}
-					rt.revive(p, true)
-				}
-			}()
+		switch ed.Kind {
+		case fault.EdgeCrash:
+			rt.crashPlace(rt.places[ed.Place])
+		case fault.EdgeJoin, fault.EdgeRejoin:
+			rt.revive(rt.places[ed.Place], ed.Kind == fault.EdgeRejoin)
+		case fault.EdgeDrain:
+			_ = rt.DrainPlace(ed.Place) // refused only once p is down or the runtime shut down
+		default:
+			rt.life.Partition(ed)
 		}
 	}
-	return rt, nil
 }
 
 // Places returns the number of places.
@@ -328,9 +321,6 @@ func (rt *Runtime) ShutdownContext(ctx context.Context) error {
 	rt.churnMu.Unlock()
 	if first {
 		close(rt.stopCh)
-		for _, t := range rt.timers {
-			t.Stop()
-		}
 		for _, p := range rt.places {
 			p.wakeAll()
 		}
@@ -338,6 +328,7 @@ func (rt *Runtime) ShutdownContext(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		rt.workerWG.Wait()
+		<-rt.walked
 		close(done)
 	}()
 	select {
@@ -404,8 +395,8 @@ func (rt *Runtime) spawn(a *activity, from int, spawner *worker) {
 	} else {
 		rt.counters.TasksSpawned.Add(1)
 	}
-	if rt.down(a.home) {
-		a.home = sched.NextAlive(a.home, len(rt.places), rt.down)
+	if rt.life.Down(a.home) {
+		a.home = sched.NextAlive(a.home, len(rt.places), rt.life.Down)
 	}
 	home := rt.places[a.home]
 	rt.record(a.home, 0, obs.KindSpawn, -1, int32(from), 0)
@@ -414,12 +405,6 @@ func (rt *Runtime) spawn(a *activity, from int, spawner *worker) {
 		rt.counters.BytesTransferred.Add(int64(a.loc.MigrationBytes))
 	}
 	home.enqueue(a, home.mapTarget(a), spawner)
-}
-
-// down reports that place p is dead or draining: the view the re-homing
-// rule (sched.NextAlive) and thieves take of it.
-func (rt *Runtime) down(p int) bool {
-	return rt.places[p].dead.Load() || rt.places[p].draining.Load()
 }
 
 // mapClass resolves the class Algorithm 1 maps an activity by: the
@@ -439,31 +424,87 @@ func (rt *Runtime) mapClass(a *activity) task.Class {
 	return rt.ctrl.Classify(a.kind)
 }
 
-// crashPlace fail-stops p: its workers exit after the activity they are
-// currently running, and every activity queued in its shared or private
-// deques is re-homed to surviving places and re-executed there. The
-// ordering (mark dead, then drain) together with enqueue's dead re-check
-// guarantees no activity is stranded by a racing spawn.
+// crashPlace fail-stops p (sched.Places.Crash): its queued activities are
+// re-homed to survivors and re-executed there, and its workers exit after
+// the activity each is running. The ordering (mark dead, then take the
+// queues) together with assigned's re-check guarantees no activity is
+// stranded by a racing spawn.
 func (rt *Runtime) crashPlace(p *place) {
-	if p.dead.Swap(true) {
-		return
+	if rt.life.Crash(p.id) {
+		p.wakeAll() // idle workers notice the death and exit
 	}
-	rt.counters.PlacesLost.Add(1)
-	rt.record(p.id, 0, obs.KindCrash, -1, 0, 0)
-	p.wakeAll() // idle workers notice the death and exit
-	rt.rescue(p)
 }
 
-// rescue drains everything queued at the dead place p and re-enqueues it
-// at survivors. Idempotent: deque operations hand out each activity at
-// most once, so concurrent rescuers cannot duplicate work.
-func (rt *Runtime) rescue(p *place) { rt.rehomeQueued(p, true) }
+// revive starts fresh workers at a dead place (sched.Places.Revive): a late
+// joiner's arrival, or (rejoin) the up edge of a flap.
+func (rt *Runtime) revive(p *place, rejoin bool) {
+	rt.churnMu.Lock()
+	defer rt.churnMu.Unlock()
+	if rt.shutdown.Load() || !p.Dead() {
+		return
+	}
+	p.wg.Wait() // let any previous worker generation exit fully
+	if rt.life.Revive(p.id, rejoin) {
+		p.startWorkers()
+	}
+}
 
-// offload is rescue's graceful twin: the moved activities never started,
-// so they count as offloaded rather than re-executed.
-func (rt *Runtime) offload(p *place) { rt.rehomeQueued(p, false) }
+// DrainPlace gracefully removes place p from the runtime
+// (sched.Places.Drain): the place stops accepting new work (spawns
+// re-home, thieves exclude it), its queued-but-unstarted activities are
+// offloaded to survivors, and the call blocks until the activities already
+// running there have finished, at which point the place's workers exit.
+// Draining the last available place is refused.
+func (rt *Runtime) DrainPlace(pid int) error {
+	if rt.shutdown.Load() {
+		return ErrShutdown
+	}
+	if pid < 0 || pid >= len(rt.places) {
+		return fmt.Errorf("core: DrainPlace(%d) of %d places", pid, len(rt.places))
+	}
+	p := rt.places[pid]
+	if p.Dead() {
+		return fmt.Errorf("core: place %d is down", pid)
+	}
+	// Refuse before the flag is published: a spawn that saw draining set on
+	// the last available place would find nowhere to re-home.
+	if !p.Draining() && sched.NextAlive(pid+1, len(rt.places), rt.life.Down) == pid {
+		return fmt.Errorf("core: cannot drain place %d: no other place available", pid)
+	}
+	if !rt.life.Drain(pid) {
+		return nil // already draining, or a concurrent drain of p won the race
+	}
+	// Wait for in-flight activities to finish, then release the workers.
+	// Two consecutive idle observations close the window where a worker
+	// has dequeued an activity but not yet marked itself running.
+	for idle := 0; idle < 2; {
+		if rt.shutdown.Load() {
+			return ErrShutdown
+		}
+		if p.running() == 0 && p.queueLen() == 0 {
+			idle++
+		} else {
+			idle = 0
+			rt.life.Rehome(pid, false) // a racing spawn may have slipped in
+		}
+		time.Sleep(time.Millisecond)
+	}
+	p.Drained()
+	p.wakeAll()
+	return nil
+}
 
-func (rt *Runtime) rehomeQueued(p *place, reexec bool) {
+// host is the runtime as the sched.Host of its places' lifecycle.
+type host struct{ *Runtime }
+
+// Take empties every queue of place pid. Relaxed flexible queues may hand
+// an activity out twice under concurrent takes, so in receiver mode the
+// list is deduplicated: the claim check would still keep execution
+// exactly-once, but the re-homing counters should see each task once.
+// Deque operations hand out each activity at most once otherwise, so
+// concurrent takers cannot duplicate work.
+func (h host) Take(pid int, _ bool) []*activity {
+	p := h.places[pid]
 	var orphans []*activity
 	drain := func(take func() (*activity, bool)) {
 		for a, ok := take(); ok; a, ok = take() {
@@ -478,15 +519,7 @@ func (rt *Runtime) rehomeQueued(p *place, reexec bool) {
 			drain(w.flex.Steal)
 		}
 	}
-	if len(orphans) == 0 {
-		return
-	}
-	if rt.receiver {
-		// Relaxed flexible queues may hand an activity out twice under
-		// concurrent drains; dedup the orphan list so nothing is
-		// double-homed. (The claim check would still keep execution
-		// exactly-once, but the re-homing counters and queue accounting
-		// should see each task once.)
+	if h.receiver && len(orphans) > 1 {
 		seen := make(map[*activity]bool, len(orphans))
 		uniq := orphans[:0]
 		for _, a := range orphans {
@@ -497,94 +530,27 @@ func (rt *Runtime) rehomeQueued(p *place, reexec bool) {
 		}
 		orphans = uniq
 	}
-	for i, a := range orphans {
-		if reexec {
-			rt.counters.TasksReExecuted.Add(1)
-		} else {
-			rt.counters.TasksOffloaded.Add(1)
-		}
-		// Recovery ships the task once to its new home.
-		rt.counters.Messages.Add(1)
-		rt.counters.BytesTransferred.Add(int64(a.loc.MigrationBytes))
-		a.home = sched.NextAlive(p.id+1+i, len(rt.places), rt.down)
-		home := rt.places[a.home]
-		home.enqueue(a, home.mapTarget(a), nil)
-	}
+	return orphans
 }
 
-// revive starts fresh workers at a down place, which then acquire work
-// by stealing; spawns may be homed there from now on. It serves a late
-// joiner's arrival (rejoin false) and the up edge of a flap (rejoin true):
-// that outage was a crash — queued work was re-homed and re-executed — but
-// the place rejoins instead of staying evicted.
-func (rt *Runtime) revive(p *place, rejoin bool) {
-	rt.churnMu.Lock()
-	defer rt.churnMu.Unlock()
-	if rt.shutdown.Load() || !p.dead.Load() {
-		return
-	}
-	p.wg.Wait() // let any previous worker generation exit fully
-	p.draining.Store(false)
-	p.dead.Store(false)
-	if rejoin {
-		rt.counters.MembershipRejoins.Add(1)
-		rt.record(p.id, 0, obs.KindHeal, -1, int32(p.id), 0)
-	} else {
-		rt.counters.MembershipJoins.Add(1)
-		rt.record(p.id, 0, obs.KindJoin, -1, 1, 0)
-	}
-	p.startWorkers()
+func (h host) Ship(a *activity, to int) int {
+	a.home = to
+	home := h.places[to]
+	home.enqueue(a, home.mapTarget(a), nil)
+	return a.loc.MigrationBytes
 }
 
-// DrainPlace gracefully removes place p from the runtime: the place stops
-// accepting new work (spawns re-home, thieves exclude it), its
-// queued-but-unstarted activities are offloaded to survivors (counted as
-// TasksOffloaded — nothing is re-executed), and the call blocks until the
-// activities already running there have finished, at which point the
-// place's workers exit. Draining the last available place is refused.
-func (rt *Runtime) DrainPlace(pid int) error {
-	if rt.shutdown.Load() {
-		return ErrShutdown
+func (h host) Queued(pid int) int { return h.places[pid].shared.Len() }
+
+func (h host) Lend(from, to int) (int, bool) {
+	a, ok := h.places[from].shared.Poll()
+	if !ok {
+		return 0, false
 	}
-	if pid < 0 || pid >= len(rt.places) {
-		return fmt.Errorf("core: DrainPlace(%d) of %d places", pid, len(rt.places))
-	}
-	p := rt.places[pid]
-	if p.dead.Load() {
-		return fmt.Errorf("core: place %d is down", pid)
-	}
-	if p.draining.Load() {
-		return nil // already draining
-	}
-	// Refuse before the flag is published: a spawn that saw draining set on
-	// the last available place would find nowhere to re-home.
-	if sched.NextAlive(pid+1, len(rt.places), rt.down) == pid {
-		return fmt.Errorf("core: cannot drain place %d: no other place available", pid)
-	}
-	if p.draining.Swap(true) {
-		return nil // a concurrent drain of p won the race
-	}
-	// From here on spawns and steals avoid p and re-homing skips it, so
-	// nothing moved off its queues bounces back.
-	rt.counters.MembershipDrains.Add(1)
-	rt.record(pid, 0, obs.KindDrain, -1, int32(p.queueLen()), 0)
-	rt.offload(p)
-	// Wait for in-flight activities to finish, then release the workers.
-	// Two consecutive idle observations close the window where a worker
-	// has dequeued an activity but not yet marked itself running.
-	for idle := 0; idle < 2; {
-		if rt.shutdown.Load() {
-			return ErrShutdown
-		}
-		if p.running() == 0 && p.queueLen() == 0 {
-			idle++
-		} else {
-			idle = 0
-			rt.offload(p) // a racing spawn may have slipped in
-		}
-		time.Sleep(time.Millisecond)
-	}
-	p.dead.Store(true)
-	p.wakeAll()
-	return nil
+	h.places[to].enqueueStolen([]*activity{a})
+	return a.loc.MigrationBytes, true
+}
+
+func (h host) Trace(place, worker int, k obs.Kind, arg int32) {
+	h.record(place, worker, k, -1, arg, 0)
 }

@@ -31,12 +31,11 @@ const execDeadline = 30 * time.Second
 func newExecRuntime(tb testing.TB, places, workers int, kind deque.Kind, plan *fault.Plan) *core.Runtime {
 	tb.Helper()
 	rt, err := core.New(core.Config{
-		Cluster:  topology.Cluster{Places: places, WorkersPerPlace: workers},
-		Policy:   sched.DistWS,
-		Seed:     1,
-		IdlePoll: 50 * time.Microsecond,
-		Deque:    kind,
-		Fault:    plan,
+		Cluster: topology.Cluster{Places: places, WorkersPerPlace: workers},
+		Policy:  sched.DistWS,
+		Seed:    1,
+		Deque:   kind,
+		Fault:   plan,
 	})
 	if err != nil {
 		tb.Fatal(err)

@@ -1,9 +1,15 @@
 // Package fault provides the deterministic, seed-driven fault model the
 // runtime (internal/core), the transports (internal/comm) and the
 // discrete-event simulator (internal/sim) all consume. A Plan declares
-// what goes wrong — place crashes at a virtual time or task-count step,
-// per-link message loss, latency spikes — and an Injector turns the plan
-// into individual yes/no decisions.
+// what goes wrong — place crashes at an instant or task-count step,
+// per-link message loss, latency spikes, churn — an Injector turns the
+// plan into individual yes/no decisions, and Plan.Timeline lists its churn
+// as the edges an engine applies in time order.
+//
+// Every instant in a Plan is read on its consumer's clock: virtual
+// nanoseconds in the simulator and on a vtime.Net, wall nanoseconds since
+// start in the goroutine runtime and the TCP transports. One plan therefore
+// describes one schedule everywhere.
 //
 // Decisions are stateless hashes of (seed, link, decision index), so the
 // simulator, which asks in a fixed order, gets an identical fault schedule
@@ -13,8 +19,10 @@
 package fault
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -24,13 +32,11 @@ import (
 type Crash struct {
 	// Place is the place that fails.
 	Place int
-	// AtVirtualNS is the crash instant in simulator virtual time
-	// (consumed by internal/sim). Zero or negative means "not
-	// time-triggered".
-	AtVirtualNS int64
-	// AfterTasks crashes the place once it has executed this many tasks
-	// (consumed by internal/core, which has no virtual clock). Zero or
-	// negative means "not step-triggered".
+	// AtNS is the crash instant on the consumer's clock. Zero or negative
+	// means "not time-triggered".
+	AtNS int64
+	// AfterTasks crashes the place once it has executed this many tasks.
+	// Zero or negative means "not step-triggered".
 	AfterTasks int64
 }
 
@@ -50,10 +56,7 @@ type Link struct {
 
 // Partition splits the cluster into two sides for a time window:
 // messages crossing the cut are silently lost while the window is
-// active, then flow again after it heals. Time is interpreted in the
-// consumer's clock — virtual nanoseconds in the simulator, wall
-// nanoseconds since run start in the goroutine/TCP runtime — so the
-// same plan describes the same schedule in both.
+// active, then flow again after it heals.
 type Partition struct {
 	// GroupA lists the places on one side of the cut; every other place
 	// forms the other side.
@@ -89,22 +92,6 @@ type Flap struct {
 	UpNS int64
 	// Cycles is the number of outages (must be >= 1).
 	Cycles int
-}
-
-// DownAt reports whether the flapping place is inside one of its
-// scheduled outages at nowNS.
-func (f Flap) DownAt(nowNS int64) bool {
-	if nowNS < f.AtNS {
-		return false
-	}
-	period := f.DownNS + f.UpNS
-	for i := 0; i < f.Cycles; i++ {
-		start := f.AtNS + int64(i)*period
-		if nowNS >= start && nowNS < start+f.DownNS {
-			return true
-		}
-	}
-	return false
 }
 
 // Join schedules a place to be absent at startup and join the cluster
@@ -175,8 +162,8 @@ func (p *Plan) Validate(places int) error {
 		if c.Place < 0 || c.Place >= places {
 			return fmt.Errorf("fault: crash of invalid place %d (have %d places)", c.Place, places)
 		}
-		if c.AtVirtualNS <= 0 && c.AfterTasks <= 0 {
-			return fmt.Errorf("fault: crash of place %d has no trigger (set AtVirtualNS or AfterTasks)", c.Place)
+		if c.AtNS <= 0 && c.AfterTasks <= 0 {
+			return fmt.Errorf("fault: crash of place %d has no trigger (set AtNS or AfterTasks)", c.Place)
 		}
 		churned[c.Place] = true
 	}
@@ -285,6 +272,64 @@ func (p *Plan) CrashOf(place int) (Crash, bool) {
 	return Crash{}, false
 }
 
+// EdgeKind says what one edge of a plan's churn timeline does.
+type EdgeKind uint8
+
+const (
+	EdgeCrash  EdgeKind = iota // a timed crash or a flap's down edge: Place fail-stops
+	EdgeRejoin                 // a flap's up edge: Place recovers
+	EdgeJoin                   // Place, absent until now, joins
+	EdgeDrain                  // Place starts a graceful departure
+	EdgeCut                    // a partition opens; Place is the size of its GroupA
+	EdgeHeal                   // a partition heals; Place is -1
+)
+
+// Edge is one instant of a plan's churn.
+type Edge struct {
+	AtNS  int64
+	Kind  EdgeKind
+	Place int
+}
+
+// Timeline returns the plan's churn as edges in time order: each timed
+// crash, each flap's down and up edges, each late join and drain, each
+// partition's cut and heal. Edges at one instant keep the order crashes,
+// joins, drains, flaps, partitions, and within each the plan's. A
+// task-count crash trigger is not on it: that is a step, not an instant.
+// The partition cut itself is decided per message (PartitionedAt); its
+// edges are markers.
+func (p *Plan) Timeline() []Edge {
+	if p == nil {
+		return nil
+	}
+	var tl []Edge
+	for _, c := range p.Crashes {
+		if c.AtNS > 0 {
+			tl = append(tl, Edge{c.AtNS, EdgeCrash, c.Place})
+		}
+	}
+	for _, j := range p.Joins {
+		tl = append(tl, Edge{j.AtNS, EdgeJoin, j.Place})
+	}
+	for _, d := range p.Drains {
+		tl = append(tl, Edge{d.AtNS, EdgeDrain, d.Place})
+	}
+	for _, f := range p.Flaps {
+		for i := 0; i < f.Cycles; i++ {
+			at := f.AtNS + int64(i)*(f.DownNS+f.UpNS)
+			tl = append(tl, Edge{at, EdgeCrash, f.Place}, Edge{at + f.DownNS, EdgeRejoin, f.Place})
+		}
+	}
+	for _, part := range p.Partitions {
+		tl = append(tl, Edge{part.AtNS, EdgeCut, len(part.GroupA)})
+		if part.HealNS > 0 {
+			tl = append(tl, Edge{part.HealNS, EdgeHeal, -1})
+		}
+	}
+	slices.SortStableFunc(tl, func(a, b Edge) int { return cmp.Compare(a.AtNS, b.AtNS) })
+	return tl
+}
+
 // Injector evaluates a Plan one decision at a time. All methods are safe
 // for concurrent use and are no-ops on a nil receiver, so fault-free code
 // paths need no branching.
@@ -349,16 +394,16 @@ func (in *Injector) SpikeNS(from, to int) int64 {
 	return 0
 }
 
-// CrashAtNS returns the virtual-time crash instant of place, if any.
+// CrashAtNS returns the time-triggered crash instant of place, if any.
 func (in *Injector) CrashAtNS(place int) (int64, bool) {
 	if in == nil {
 		return 0, false
 	}
 	c, ok := in.plan.CrashOf(place)
-	if !ok || c.AtVirtualNS <= 0 {
+	if !ok || c.AtNS <= 0 {
 		return 0, false
 	}
-	return c.AtVirtualNS, true
+	return c.AtNS, true
 }
 
 // CrashAfterTasks returns the task-count crash trigger of place, if any.
@@ -421,20 +466,6 @@ func (in *Injector) GrayNS(from, to int, nowNS int64) int64 {
 		extra += g.ExtraNS
 	}
 	return extra
-}
-
-// FlapDownAt reports whether place is inside a scheduled flap outage at
-// nowNS.
-func (in *Injector) FlapDownAt(place int, nowNS int64) bool {
-	if in == nil {
-		return false
-	}
-	for _, f := range in.plan.Flaps {
-		if f.Place == place && f.DownAt(nowNS) {
-			return true
-		}
-	}
-	return false
 }
 
 // Duplicate decides whether the next message from→to is delivered twice.

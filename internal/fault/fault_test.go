@@ -1,6 +1,9 @@
 package fault
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestNilPlanAndInjectorAreNoFault(t *testing.T) {
 	var p *Plan
@@ -29,7 +32,7 @@ func TestValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"empty", Plan{}, true},
-		{"good crash", Plan{Crashes: []Crash{{Place: 1, AtVirtualNS: 5}}}, true},
+		{"good crash", Plan{Crashes: []Crash{{Place: 1, AtNS: 5}}}, true},
 		{"bad place", Plan{Crashes: []Crash{{Place: 9}}}, false},
 		{"negative place", Plan{Crashes: []Crash{{Place: -1}}}, false},
 		{"all places crash", Plan{Crashes: []Crash{{Place: 0}, {Place: 1}, {Place: 2}, {Place: 3}}}, false},
@@ -52,7 +55,7 @@ func TestValidate(t *testing.T) {
 		{"good drain", Plan{Drains: []Drain{{Place: 1, AtNS: 50}}}, true},
 		{"drain no trigger", Plan{Drains: []Drain{{Place: 1}}}, false},
 		{"crash+drain leaves none", Plan{
-			Crashes: []Crash{{Place: 0, AtVirtualNS: 5}, {Place: 1, AtVirtualNS: 5}},
+			Crashes: []Crash{{Place: 0, AtNS: 5}, {Place: 1, AtNS: 5}},
 			Drains:  []Drain{{Place: 2, AtNS: 9}, {Place: 3, AtNS: 9}},
 		}, false},
 		{"crash+join+flap leave one untouched", Plan{
@@ -83,7 +86,7 @@ func TestValidate(t *testing.T) {
 
 func TestCrashLookup(t *testing.T) {
 	p := &Plan{Crashes: []Crash{
-		{Place: 1, AtVirtualNS: 500},
+		{Place: 1, AtNS: 500},
 		{Place: 2, AfterTasks: 10},
 	}}
 	in := NewInjector(p)
@@ -219,31 +222,35 @@ func TestGrayWindow(t *testing.T) {
 
 func TestFlapSchedule(t *testing.T) {
 	f := Flap{Place: 2, AtNS: 100, DownNS: 50, UpNS: 30, Cycles: 2}
-	cases := []struct {
-		now  int64
-		down bool
-	}{
-		{0, false}, {99, false},
-		{100, true}, {149, true}, // first outage [100,150)
-		{150, false}, {179, false}, // recovered [150,180)
-		{180, true}, {229, true}, // second outage [180,230)
-		{230, false}, {1 << 40, false}, // cycles exhausted
+	// Outages [100,150) and [180,230): each a down edge and an up edge.
+	want := []Edge{{100, EdgeCrash, 2}, {150, EdgeRejoin, 2}, {180, EdgeCrash, 2}, {230, EdgeRejoin, 2}}
+	if got := (&Plan{Flaps: []Flap{f}}).Timeline(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Timeline = %v, want %v", got, want)
 	}
-	in := NewInjector(&Plan{Flaps: []Flap{f}})
-	for _, c := range cases {
-		if got := f.DownAt(c.now); got != c.down {
-			t.Errorf("DownAt(%d) = %v, want %v", c.now, got, c.down)
-		}
-		if got := in.FlapDownAt(2, c.now); got != c.down {
-			t.Errorf("FlapDownAt(2,%d) = %v, want %v", c.now, got, c.down)
-		}
-		if in.FlapDownAt(1, c.now) {
-			t.Errorf("place 1 never flaps")
-		}
+	var nilPlan *Plan
+	if nilPlan.Timeline() != nil {
+		t.Fatalf("nil plan has churn")
 	}
-	var nilInj *Injector
-	if nilInj.FlapDownAt(2, 120) {
-		t.Fatalf("nil injector flapped")
+}
+
+// TestTimelineOrder holds the timeline to time order, and edges at one
+// instant to the order crashes, joins, drains, flaps, partitions: the
+// simulator pushes them in that order, so equal-time edges pop in it.
+func TestTimelineOrder(t *testing.T) {
+	p := &Plan{
+		Crashes:    []Crash{{Place: 1, AtNS: 40}, {Place: 2, AfterTasks: 5}},
+		Joins:      []Join{{Place: 3, AtNS: 10}},
+		Drains:     []Drain{{Place: 4, AtNS: 40}},
+		Flaps:      []Flap{{Place: 5, AtNS: 10, DownNS: 30, Cycles: 1}},
+		Partitions: []Partition{{GroupA: []int{0, 6}, AtNS: 10, HealNS: 40}, {GroupA: []int{7}, AtNS: 50}},
+	}
+	want := []Edge{
+		{10, EdgeJoin, 3}, {10, EdgeCrash, 5}, {10, EdgeCut, 2},
+		{40, EdgeCrash, 1}, {40, EdgeDrain, 4}, {40, EdgeRejoin, 5}, {40, EdgeHeal, -1},
+		{50, EdgeCut, 1},
+	}
+	if got := p.Timeline(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Timeline =\n %v\nwant\n %v", got, want)
 	}
 }
 

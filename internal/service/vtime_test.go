@@ -585,7 +585,7 @@ func TestPartitionDownRejoin(t *testing.T) {
 // progressing, and the retry sweep quiet, until the detector declares the
 // crash. The window is then re-homed to executor 2.
 func crashWithAFullWindow(t *testing.T, name string, plan *fault.Plan, at time.Duration) *vrig {
-	plan.Crashes = []fault.Crash{{Place: 1, AtVirtualNS: at.Nanoseconds()}}
+	plan.Crashes = []fault.Crash{{Place: 1, AtNS: at.Nanoseconds()}}
 	r := newVrig(t, name, plan, 2, 4, vHeartbeat)
 	rng := rand.New(rand.NewSource(plan.Seed))
 	for i := 0; i < 12; i++ {

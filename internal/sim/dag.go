@@ -155,7 +155,7 @@ func (e *engine) dagHome(t int) int {
 	}
 	wpp := int64(e.cl.WorkersPerPlace)
 	for p, pl := range e.places {
-		if pl.dead || pl.draining {
+		if pl.Down() {
 			// Never placeable; handleSpawn re-homes if everything scores
 			// this badly.
 			ds.backlog[p] = 1 << 62

@@ -36,7 +36,7 @@ func deepGraph(t *testing.T, width, depth int, cost int64, flexible bool) *trace
 
 func TestCrashMidRunAllTasksStillExecute(t *testing.T) {
 	g := flatGraph(t, 120, 1_000_000, -1, 4, true)
-	plan := &fault.Plan{Seed: 9, Crashes: []fault.Crash{{Place: 1, AtVirtualNS: 2_000_000}}}
+	plan := &fault.Plan{Seed: 9, Crashes: []fault.Crash{{Place: 1, AtNS: 2_000_000}}}
 	r, err := Run(g, cluster(4, 2), sched.DistWS, Options{Seed: 7, Fault: plan})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -75,7 +75,7 @@ func TestCrashAfterTasksTrigger(t *testing.T) {
 // re-executed parents must not re-spawn already-scheduled children.
 func TestCrashWithSpawningTasks(t *testing.T) {
 	g := deepGraph(t, 8, 6, 800_000, true)
-	plan := &fault.Plan{Crashes: []fault.Crash{{Place: 0, AtVirtualNS: 1_500_000}}}
+	plan := &fault.Plan{Crashes: []fault.Crash{{Place: 0, AtNS: 1_500_000}}}
 	r, err := Run(g, cluster(4, 2), sched.DistWS, Options{Seed: 3, Fault: plan})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -93,7 +93,7 @@ func TestCrashUnderX10WS(t *testing.T) {
 	// X10WS cannot steal across places, but runtime-level recovery still
 	// re-homes a crashed place's queued tasks.
 	g := flatGraph(t, 100, 1_000_000, -1, 4, false)
-	plan := &fault.Plan{Crashes: []fault.Crash{{Place: 3, AtVirtualNS: 2_000_000}}}
+	plan := &fault.Plan{Crashes: []fault.Crash{{Place: 3, AtNS: 2_000_000}}}
 	r, err := Run(g, cluster(4, 2), sched.X10WS, Options{Seed: 7, Fault: plan})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -142,7 +142,7 @@ func TestFaultDeterminism(t *testing.T) {
 		DropProb:  0.1,
 		SpikeProb: 0.2,
 		SpikeNS:   50_000,
-		Crashes:   []fault.Crash{{Place: 1, AtVirtualNS: 1_200_000}},
+		Crashes:   []fault.Crash{{Place: 1, AtNS: 1_200_000}},
 	}
 	opts := Options{Seed: 7, Fault: plan}
 	a, err := Run(g, cluster(4, 2), sched.DistWS, opts)
@@ -160,7 +160,7 @@ func TestFaultDeterminism(t *testing.T) {
 
 func TestLifelineRehomingAfterCrash(t *testing.T) {
 	g := deepGraph(t, 12, 4, 900_000, true)
-	plan := &fault.Plan{Crashes: []fault.Crash{{Place: 1, AtVirtualNS: 1_000_000}}}
+	plan := &fault.Plan{Crashes: []fault.Crash{{Place: 1, AtNS: 1_000_000}}}
 	r, err := Run(g, cluster(4, 2), sched.LifelineWS, Options{Seed: 7, Fault: plan})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -172,12 +172,12 @@ func TestLifelineRehomingAfterCrash(t *testing.T) {
 
 func TestPlanValidatedAgainstCluster(t *testing.T) {
 	g := flatGraph(t, 10, 1_000_000, 0, 1, true)
-	bad := &fault.Plan{Crashes: []fault.Crash{{Place: 99, AtVirtualNS: 1}}}
+	bad := &fault.Plan{Crashes: []fault.Crash{{Place: 99, AtNS: 1}}}
 	if _, err := Run(g, cluster(4, 2), sched.DistWS, Options{Fault: bad}); err == nil {
 		t.Fatalf("crash of place 99 on a 4-place cluster should fail validation")
 	}
 	allDown := &fault.Plan{Crashes: []fault.Crash{
-		{Place: 0, AtVirtualNS: 1}, {Place: 1, AtVirtualNS: 1},
+		{Place: 0, AtNS: 1}, {Place: 1, AtNS: 1},
 	}}
 	if _, err := Run(g, cluster(2, 2), sched.DistWS, Options{Fault: allDown}); err == nil {
 		t.Fatalf("crashing every place should fail validation")

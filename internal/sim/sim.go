@@ -77,7 +77,7 @@ type Options struct {
 	Deque deque.Kind
 	// Fault is the injected fault plan: place crashes in virtual time (or
 	// after a task count), message loss and latency spikes on the steal
-	// path. Nil simulates a fault-free cluster. Crashed places stop
+	// path, churn. Nil simulates a fault-free cluster. Crashed places stop
 	// executing; their queued and running tasks are re-homed to survivors
 	// and re-executed, and thieves exclude them from victim sweeps.
 	Fault *fault.Plan
@@ -147,25 +147,21 @@ func (r *Result) Speedup() float64 {
 type evKind uint8
 
 const (
-	evSpawn     evKind = iota // a task becomes available
-	evWake                    // an idle worker re-checks for work
-	evDone                    // a worker finishes its task
-	evArrive                  // stolen/pushed tasks arrive at a place's shared deque
-	evCrash                   // a place fail-stops (fault injection)
-	evJoin                    // an absent place joins the cluster
-	evDrain                   // a place starts a graceful drain
-	evHeal                    // a flapped place recovers (place >= 0) or a partition heals (place -1)
-	evPartition               // an injected partition takes effect (place = smaller-side size)
+	evSpawn  evKind = iota // a task becomes available
+	evWake                 // an idle worker re-checks for work
+	evDone                 // a worker finishes its task
+	evArrive               // stolen/pushed tasks arrive at a place's shared deque
+	evChurn                // an edge of the fault plan's churn timeline
 )
 
 type event struct {
 	kind    evKind
 	worker  int   // evWake, evDone
-	taskID  int   // evSpawn, evDone
+	taskID  int   // evSpawn, evDone; evChurn: index into engine.churn
 	home    int   // evSpawn: resolved home place
 	from    int   // evSpawn: spawning place (-1 for roots)
 	fromW   int   // evSpawn: spawning worker id (-1 if none/remote)
-	place   int   // evArrive, evCrash
+	place   int   // evArrive
 	batch   []int // evArrive payload
 	requeue bool  // evSpawn: re-enqueue after a place failure, not a fresh spawn
 }
@@ -188,29 +184,20 @@ type simWorker struct {
 	busyNS int64
 }
 
+// simPlace is one modelled place; its §VI-B status, liveness and lifeline
+// waiters are the embedded sched.Place.
 type simPlace struct {
+	sched.Place
 	id           int
 	shared       deque.Ring[int]
 	workers      []*simWorker
 	running      int
 	queued       int
 	pendingWakes int // wakes scheduled but not yet handled
-	active       bool
-	failedSweeps int
 	spawnSeq     uint64
 	rr           int
-	// dead marks a crashed or not-yet-joined place: it executes nothing,
-	// answers no steals, and is excluded from victim sweeps, wakes, and
-	// task homing.
-	dead bool
-	// draining marks a place departing gracefully: it refuses new steals
-	// and starts no new work, but its in-flight tasks complete and their
-	// results count normally (no re-execution). Once the last one
-	// finishes, the place flips to dead.
-	draining bool
 	// executed counts tasks completed here, for AfterTasks crash triggers.
-	executed  int64
-	lifelines []bool // waiting places registered on this place
+	executed int64
 	// cache models the node's data cache: tasks executing at their home
 	// place find their blocks warm across repeated visits; migrated tasks
 	// start cold (their blocks are aliased per executing place).
@@ -239,8 +226,14 @@ type engine struct {
 	// (HomeInherit children are homed at their parent's executing place).
 	resolvedHome []int
 
-	// inj evaluates the injected fault plan (nil when fault-free).
-	inj *fault.Injector
+	// inj evaluates the injected fault plan (nil when fault-free); churn is
+	// its timeline, whose edges are evChurn events.
+	inj   *fault.Injector
+	churn []fault.Edge
+	// life is the place half of the scheduler (§VI-B status, lifelines,
+	// crash/drain/join), shared with the goroutine runtime, with the engine
+	// as its sched.Host.
+	life sched.Places[int]
 	// childSpawned marks tasks whose children have been scheduled, so a
 	// re-executed task does not spawn its subtree twice.
 	childSpawned []bool
@@ -377,15 +370,22 @@ func newEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Opti
 	workers := make([]simWorker, cl.Places*cl.WorkersPerPlace)
 	e.places = make([]*simPlace, len(places))
 	e.workers = make([]*simWorker, len(workers))
+	e.life = sched.Places[int]{
+		All:     make([]*sched.Place, cl.Places),
+		Policy:  policy,
+		Workers: cl.WorkersPerPlace,
+		Ctrs:    &e.ctrs,
+		Host:    e,
+	}
 	for p := range places {
 		pl := &places[p]
 		*pl = simPlace{
-			id:        p,
-			lifelines: make([]bool, cl.Places),
-			cache:     cachesim.New(cacheBlocks),
-			workers:   e.workers[p*cl.WorkersPerPlace : (p+1)*cl.WorkersPerPlace : (p+1)*cl.WorkersPerPlace],
+			id:      p,
+			cache:   cachesim.New(cacheBlocks),
+			workers: e.workers[p*cl.WorkersPerPlace : (p+1)*cl.WorkersPerPlace : (p+1)*cl.WorkersPerPlace],
 		}
 		e.places[p] = pl
+		e.life.All[p] = &pl.Place
 		for i := range pl.workers {
 			w := &workers[p*cl.WorkersPerPlace+i]
 			*w = simWorker{
@@ -400,39 +400,12 @@ func newEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Opti
 		}
 	}
 
-	// Schedule the plan's virtual-time crashes before any work exists so
-	// heap ordering alone decides what they interrupt.
-	for p := range e.places {
-		if at, ok := e.inj.CrashAtNS(p); ok {
-			e.events.Push(at, event{kind: evCrash, place: p})
-		}
-	}
-	// Churn schedule: late joiners start absent, drains and flap cycles
-	// are timed events, partitions get bracketing marker events so the
-	// trace shows when the cut opened and healed (the cut itself is
-	// evaluated per steal probe against the virtual clock).
-	if f := opts.Fault; f != nil {
-		for _, j := range f.Joins {
-			e.places[j.Place].dead = true
-			e.events.Push(j.AtNS, event{kind: evJoin, place: j.Place})
-		}
-		for _, d := range f.Drains {
-			e.events.Push(d.AtNS, event{kind: evDrain, place: d.Place})
-		}
-		for _, fl := range f.Flaps {
-			period := fl.DownNS + fl.UpNS
-			for i := 0; i < fl.Cycles; i++ {
-				at := fl.AtNS + int64(i)*period
-				e.events.Push(at, event{kind: evCrash, place: fl.Place})
-				e.events.Push(at+fl.DownNS, event{kind: evHeal, place: fl.Place})
-			}
-		}
-		for _, part := range f.Partitions {
-			e.events.Push(part.AtNS, event{kind: evPartition, place: len(part.GroupA)})
-			if part.HealNS > 0 {
-				e.events.Push(part.HealNS, event{kind: evHeal, place: -1})
-			}
-		}
+	// The plan's churn is scheduled before any work exists so heap
+	// ordering alone decides what it interrupts; late joiners start dead.
+	e.churn = opts.Fault.Timeline()
+	e.life.Init(e.churn)
+	for i, ed := range e.churn {
+		e.events.Push(ed.AtNS, event{kind: evChurn, taskID: i})
 	}
 
 	if ds != nil {
@@ -468,20 +441,8 @@ func (e *engine) run() (*Result, error) {
 			e.handleDone(ev)
 		case evArrive:
 			e.handleArrive(ev)
-		case evCrash:
-			e.crashPlace(e.places[ev.place])
-		case evJoin:
-			e.revive(e.places[ev.place], false)
-		case evDrain:
-			e.drainPlace(e.places[ev.place])
-		case evHeal:
-			if ev.place < 0 {
-				e.record(0, 0, obs.KindHeal, -1, -1, 0)
-			} else {
-				e.revive(e.places[ev.place], true)
-			}
-		case evPartition:
-			e.record(0, 0, obs.KindPartition, -1, int32(ev.place), 0)
+		case evChurn:
+			e.applyChurn(e.churn[ev.taskID])
 		}
 	}
 	if e.tasksDone < len(g.Tasks) {
@@ -540,7 +501,7 @@ func (e *engine) load(p *simPlace) sched.PlaceLoad {
 		spares = 0
 	}
 	return sched.PlaceLoad{
-		Active:     p.active,
+		Active:     p.Active(),
 		Spares:     spares,
 		Size:       p.running + p.queued,
 		MaxThreads: e.cl.WorkersPerPlace,
@@ -550,10 +511,10 @@ func (e *engine) load(p *simPlace) sched.PlaceLoad {
 // handleSpawn maps a newly available task per Algorithm 1 lines 1–8.
 func (e *engine) handleSpawn(ev event) {
 	t := &e.g.Tasks[ev.taskID]
-	if e.down(ev.home) {
+	if e.life.Down(ev.home) {
 		// The home place failed (or is departing) before the task arrived:
 		// the runtime re-homes it to a survivor.
-		ev.home = sched.NextAlive(ev.home, len(e.places), e.down)
+		ev.home = sched.NextAlive(ev.home, len(e.places), e.life.Down)
 	}
 	home := e.places[ev.home]
 	e.resolvedHome[ev.taskID] = ev.home
@@ -580,13 +541,10 @@ func (e *engine) handleSpawn(ev event) {
 	}
 	home.spawnSeq++
 	home.queued++
-	home.active = true
-	home.failedSweeps = 0
+	home.Assigned()
 	if target == sched.TargetShared {
 		home.shared.PushBack(ev.taskID)
-		if e.policy == sched.LifelineWS {
-			e.serveLifelines(home)
-		}
+		e.life.Serve(home.id)
 	} else {
 		// X10 help-first semantics: a task spawned by a co-located worker
 		// lands in that worker's own deque; tasks arriving from elsewhere
@@ -607,7 +565,7 @@ func (e *engine) handleSpawn(ev event) {
 // when the work is remotely stealable and p has no idle workers, one
 // dormant remote worker is woken to model a thief noticing the surplus.
 func (e *engine) wakeFor(p *simPlace, remotelyStealable bool) {
-	if p.dead || p.draining {
+	if p.Down() {
 		return
 	}
 	for _, w := range p.workers {
@@ -623,7 +581,7 @@ func (e *engine) wakeFor(p *simPlace, remotelyStealable bool) {
 	}
 	for off := 0; off < len(e.places); off++ {
 		q := e.places[(e.remoteRR+off)%len(e.places)]
-		if q == p || q.dead || q.draining {
+		if q == p || q.Down() {
 			continue
 		}
 		for _, w := range q.workers {
@@ -642,7 +600,7 @@ func (e *engine) handleWake(worker int) {
 	w := e.workers[worker]
 	w.wakePending = false
 	w.place.pendingWakes--
-	if w.busy || w.place.dead {
+	if w.busy || w.place.Dead() {
 		return
 	}
 	e.findWork(w)
@@ -650,7 +608,7 @@ func (e *engine) handleWake(worker int) {
 
 func (e *engine) handleDone(ev event) {
 	w := e.workers[ev.worker]
-	if w.place.dead || !w.busy || w.curTask != ev.taskID {
+	if w.place.Dead() || !w.busy || w.curTask != ev.taskID {
 		// Stale completion: the place crashed (and possibly healed) while
 		// this task was executing; the crash handler reset the worker and
 		// re-homed the task, so this event no longer names live work.
@@ -673,14 +631,14 @@ func (e *engine) handleDone(ev event) {
 		e.dagComplete(ev.taskID, w)
 	}
 	if n, ok := e.inj.CrashAfterTasks(w.place.id); ok && w.place.executed >= n {
-		e.crashPlace(w.place)
+		e.life.Crash(w.place.id)
 		return
 	}
-	if w.place.draining {
+	if w.place.Draining() {
 		// No new work for a departing place; once the last in-flight task
 		// has flushed, the place leaves the cluster for good.
 		if w.place.running == 0 {
-			w.place.dead = true
+			w.place.Drained()
 		}
 		return
 	}
@@ -691,73 +649,53 @@ func (e *engine) handleDone(ev event) {
 }
 
 func (e *engine) handleArrive(ev event) {
-	p := e.places[ev.place]
-	if p.dead || p.draining {
-		// Stolen tasks in flight toward a crashed or departing thief:
-		// re-home them so the work is not lost with the place. A crash
-		// counts as re-execution (state was lost); a drain merely offloads
-		// tasks that never started.
-		for _, id := range ev.batch {
-			if p.dead {
-				e.ctrs.TasksReExecuted.Add(1)
-			} else {
-				e.ctrs.TasksOffloaded.Add(1)
-			}
-			e.events.Push(e.now, event{kind: evSpawn, taskID: id,
-				home: sched.NextAlive(ev.place, len(e.places), e.down), from: -1, fromW: -1, requeue: true})
-		}
-		e.putBatch(ev.batch)
-		return
-	}
-	e.record(ev.place, 0, obs.KindArrive, -1, int32(len(ev.batch)), 0)
+	p, n := e.places[ev.place], len(ev.batch)
 	for _, id := range ev.batch {
 		p.queued++
 		p.shared.PushBack(id)
 	}
 	e.putBatch(ev.batch)
-	p.active = true
-	p.failedSweeps = 0
+	if p.Down() {
+		// Stolen tasks that reached a crashed or departing thief go on
+		// with its queue, as a push racing the crash or drain does in the
+		// goroutine runtime.
+		e.life.Rehome(p.id, p.Dead())
+		return
+	}
+	e.record(ev.place, 0, obs.KindArrive, -1, int32(n), 0)
+	p.Assigned()
 	e.wakeFor(p, true)
 }
 
-// down reports that place p is dead or draining: the view thieves and the
-// re-homing rule (sched.NextAlive) take of it.
-func (e *engine) down(p int) bool { return e.places[p].dead || e.places[p].draining }
-
-// crashPlace fail-stops p: every queued task (shared and private deques)
-// and every task running there at the instant of the crash is re-homed to
-// a surviving place and re-executed. Recovery ships each orphan's payload
-// once, mirroring a resilient-finish re-spawn.
-func (e *engine) crashPlace(p *simPlace) {
-	if p.dead {
-		return
-	}
-	p.dead = true
-	p.active = false
-	e.ctrs.PlacesLost.Add(1)
-
-	orphans := e.takeQueued(p)
-	for _, w := range p.workers {
-		if w.busy && w.curTask >= 0 {
-			orphans = append(orphans, w.curTask)
+// applyChurn carries out one edge of the fault plan's churn timeline at
+// e.now. A revived place has one worker woken so that it starts probing
+// for surplus instead of waiting for the next spawn to notice it; a
+// drained place with nothing running leaves at once, otherwise when its
+// last task completes (handleDone).
+func (e *engine) applyChurn(ed fault.Edge) {
+	switch ed.Kind {
+	case fault.EdgeCrash:
+		e.life.Crash(ed.Place)
+	case fault.EdgeJoin, fault.EdgeRejoin:
+		if e.life.Revive(ed.Place, ed.Kind == fault.EdgeRejoin) {
+			e.wakeFor(e.places[ed.Place], true)
 		}
-		// Reset worker state so a later heal restarts the place cleanly;
-		// the stale-completion guard in handleDone discards the in-flight
-		// evDone events these interrupted tasks left behind.
-		w.busy = false
-		w.curTask = -1
+	case fault.EdgeDrain:
+		if p := e.places[ed.Place]; e.life.Drain(ed.Place) && p.running == 0 {
+			p.Drained()
+		}
+	default:
+		e.life.Partition(ed)
 	}
-	p.running = 0
-
-	e.record(p.id, 0, obs.KindCrash, -1, int32(len(orphans)), 0)
-	e.ctrs.TasksReExecuted.Add(int64(len(orphans)))
-	e.rehome(p, orphans)
 }
 
-// takeQueued empties p's shared deque and then each worker's private one,
-// and returns the tasks in that order: what a crash orphans and a drain
-// offloads.
-func (e *engine) takeQueued(p *simPlace) []int {
+// Take is the sched.Host side of a crash or drain: it empties p's shared
+// deque and then each worker's private one, and after a crash adds every
+// task running there at that instant, resetting its worker so a later
+// revive restarts the place cleanly (handleDone discards the in-flight
+// evDone events these interrupted tasks left behind).
+func (e *engine) Take(place int, crashed bool) []int {
+	p := e.places[place]
 	var ids []int
 	for {
 		id, ok := p.shared.PopFront()
@@ -776,71 +714,53 @@ func (e *engine) takeQueued(p *simPlace) []int {
 		}
 	}
 	p.queued -= len(ids)
+	if crashed {
+		for _, w := range p.workers {
+			if w.busy && w.curTask >= 0 {
+				ids = append(ids, w.curTask)
+			}
+			w.busy = false
+			w.curTask = -1
+		}
+		p.running = 0
+	}
 	return ids
 }
 
-// rehome ships the tasks taken off p to the surviving places after it,
-// round robin; each is spawned again once its payload has been transferred.
-func (e *engine) rehome(p *simPlace, ids []int) {
-	for i, id := range ids {
-		delay := e.cl.Net.TransferNS(e.g.Tasks[id].MigBytes)
-		e.events.Push(e.now+delay, event{kind: evSpawn, taskID: id,
-			home: sched.NextAlive(p.id+1+i, len(e.places), e.down), from: -1, fromW: -1, requeue: true})
-	}
+// Ship spawns task id again at place to once its payload has crossed the
+// network.
+func (e *engine) Ship(id, to int) int {
+	bytes := e.g.Tasks[id].MigBytes
+	e.events.Push(e.now+e.cl.Net.TransferNS(bytes), event{kind: evSpawn, taskID: id,
+		home: to, from: -1, fromW: -1, requeue: true})
+	return bytes
 }
 
-// revive brings a down place into the cluster at e.now: an absent place
-// joining, or (rejoin) a flapped one recovering, whose outage re-homed its
-// work (that was a crash, with re-execution) but whose link is
-// re-established rather than evicted. Either way the place starts idle and
-// empty, its workers acquire work by stealing, and new spawns may be homed
-// there from this instant on.
-func (e *engine) revive(p *simPlace, rejoin bool) {
-	if !p.dead {
-		return
+func (e *engine) Queued(place int) int { return e.places[place].shared.Len() }
+
+// Lend sends the oldest task of from's shared deque to place to, where it
+// arrives once its payload has crossed the network.
+func (e *engine) Lend(from, to int) (int, bool) {
+	p := e.places[from]
+	id, ok := p.shared.PopFront()
+	if !ok {
+		return 0, false
 	}
-	p.dead = false
-	p.draining = false
-	p.active = false
-	p.failedSweeps = 0
-	if rejoin {
-		e.ctrs.MembershipRejoins.Add(1)
-		e.record(p.id, 0, obs.KindHeal, -1, int32(p.id), 0)
-	} else {
-		e.ctrs.MembershipJoins.Add(1)
-		e.record(p.id, 0, obs.KindJoin, -1, 1, 0)
-	}
-	// Wake one worker so the place starts probing for surplus instead of
-	// waiting for the next spawn to notice it.
-	e.wakeFor(p, true)
+	p.queued--
+	bytes := e.g.Tasks[id].MigBytes
+	e.events.Push(e.now+e.cl.Net.TransferNS(bytes), event{kind: evArrive, place: to, batch: append(e.getBatch(), id)})
+	return bytes, true
 }
 
-// drainPlace starts a graceful departure: every queued-but-unstarted task
-// is offloaded to survivors (counted as TasksOffloaded — the work never
-// ran, so nothing is re-executed), in-flight tasks finish and report
-// normally, and the place flips to dead once the last one completes.
-func (e *engine) drainPlace(p *simPlace) {
-	if p.dead || p.draining {
-		return
-	}
-	p.draining = true
-	p.active = false
-	e.ctrs.MembershipDrains.Add(1)
-
-	moved := e.takeQueued(p)
-	e.record(p.id, 0, obs.KindDrain, -1, int32(len(moved)), 0)
-	e.ctrs.TasksOffloaded.Add(int64(len(moved)))
-	e.rehome(p, moved)
-	if p.running == 0 {
-		p.dead = true
-	}
+func (e *engine) Trace(place, worker int, k obs.Kind, arg int32) {
+	e.record(place, worker, k, -1, arg, 0)
 }
 
 // findWork performs one Algorithm-1 sweep for w at e.now. On failure the
 // worker goes dormant until the next wake.
 func (e *engine) findWork(w *simWorker) {
 	p := w.place
-	if p.dead || p.draining {
+	if p.Down() {
 		return
 	}
 	over := e.cl.Over
@@ -873,16 +793,8 @@ func (e *engine) findWork(w *simWorker) {
 	if sched.RemoteStealing(e.policy) && e.stealRemote(w) {
 		return
 	}
-	// Nothing found: note the failed sweep and go dormant.
-	e.ctrs.FailedSteals.Add(1)
-	e.record(p.id, w.local, obs.KindStealFail, -1, 0, 0)
-	p.failedSweeps++
-	if p.failedSweeps >= sched.FailedStealQuiesceThreshold(e.cl.WorkersPerPlace) {
-		p.active = false
-	}
-	if e.policy == sched.LifelineWS {
-		e.registerLifelines(p)
-	}
+	// Nothing found: the failed sweep's tail, then dormancy.
+	e.life.FailedSweep(p.id, w.local)
 }
 
 // stealRemote is w's distributed steal at e.now: one sched.Thief.Sweep,
@@ -897,7 +809,7 @@ func (e *engine) stealRemote(w *simWorker) bool {
 // Skip is what a modelled thief sees of a victim without a message: whether
 // it is down, nothing of its queue (under either protocol, which is the
 // contention exhibit's model: every live victim costs a probe).
-func (e *engine) Skip(victim int) bool { return e.down(victim) }
+func (e *engine) Skip(victim int) bool { return e.life.Down(victim) }
 
 // Now and Wait keep the sweeping thief's clock: virtual time plus the
 // delay its sweep has accumulated. Events are stamped at e.now, when the
@@ -1041,46 +953,6 @@ func (e *engine) stealDequeExtraNS(victim *simPlace) int64 {
 // stream, so runs stay reproducible.
 const relaxedDupOneIn = 64
 
-// registerLifelines marks p on its lifeline neighbours (LifelineWS,
-// sched.EachLifeline) so they push surplus work there.
-func (e *engine) registerLifelines(p *simPlace) {
-	sched.EachLifeline(p.id, len(e.places), e.down, func(q int) {
-		neighbour := e.places[q]
-		if !neighbour.lifelines[p.id] {
-			neighbour.lifelines[p.id] = true
-			e.ctrs.Messages.Add(1)
-		}
-		e.serveLifelines(neighbour)
-	})
-}
-
-// serveLifelines pushes surplus work from p to registered waiters.
-func (e *engine) serveLifelines(p *simPlace) {
-	for q := range p.lifelines {
-		if p.shared.Len() <= 1 {
-			return
-		}
-		if !p.lifelines[q] {
-			continue
-		}
-		if e.places[q].dead || e.places[q].draining {
-			// A waiter that crashed or is departing: drop the edge.
-			p.lifelines[q] = false
-			continue
-		}
-		p.lifelines[q] = false
-		if id, ok := p.shared.PopFront(); ok {
-			p.queued--
-			t := &e.g.Tasks[id]
-			e.ctrs.Messages.Add(1)
-			e.ctrs.BytesTransferred.Add(int64(t.MigBytes))
-			e.ctrs.RemoteSteals.Add(1)
-			arrive := e.now + e.cl.Net.TransferNS(t.MigBytes)
-			e.events.Push(arrive, event{kind: evArrive, place: q, batch: append(e.getBatch(), id)})
-		}
-	}
-}
-
 // start begins executing task id on w after startDelay of acquisition
 // latency, charging migration, cache, and communication costs.
 func (e *engine) start(w *simWorker, id int, startDelay int64) {
@@ -1089,8 +961,7 @@ func (e *engine) start(w *simWorker, id int, startDelay int64) {
 	w.busy = true
 	w.curTask = id
 	p.running++
-	p.active = true
-	p.failedSweeps = 0
+	p.Assigned()
 	e.record(p.id, w.local, obs.KindTaskStart, int32(id), int32(e.resolvedHome[id]), 0)
 
 	service := startDelay

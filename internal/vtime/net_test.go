@@ -100,7 +100,7 @@ func TestNetFaults(t *testing.T) {
 		n := NewNet(3, 100, fault.NewInjector(&fault.Plan{
 			Seed: seed, DropProb: 0.2, DupProb: 0.2, SpikeProb: 0.3, SpikeNS: 1000,
 			Partitions: []fault.Partition{{GroupA: []int{2}, AtNS: 5000, HealNS: 6000}},
-			Crashes:    []fault.Crash{{Place: 1, AtVirtualNS: 8000}},
+			Crashes:    []fault.Crash{{Place: 1, AtNS: 8000}},
 		}))
 		log := record(n)
 		for i := 0; i < 100; i++ {
