@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-smoke rt-profile deque-stress fuzz-smoke dag-parity exhibit-golden chaos soak serve-soak loc coverage-ledger
+.PHONY: all build test race vet check bench bench-smoke rt-profile deque-stress dag-crash fuzz-smoke dag-parity exhibit-golden chaos soak serve-soak loc coverage-ledger
 
 all: check
 
@@ -53,6 +53,13 @@ rt-profile:
 deque-stress:
 	GOGC=off GOMEMLIMIT=256MiB $(GO) test -count=200 -run '^TestConformance$$' ./internal/deque
 
+# dag.Execute through a mid-run place crash, 500 times over (~8 s): the
+# test once missed its crash about one run in 600 (a task quota that
+# data-aware placement left unmet), so a regression needs this many runs
+# to show.
+dag-crash:
+	$(GO) test -count=500 -run '^TestExecuteSurvivesPlaceCrash$$' ./internal/dag
+
 # Dataflow determinism gate: the dag exhibit replays virtual time, so its
 # output must be byte-identical whatever -workers parallelism renders it.
 # A diff means host scheduling leaked into the DAG results.
@@ -100,7 +107,7 @@ fuzz-smoke:
 # The gate a change must pass before merging. The two soaks block: what
 # they add to `race` is the socket soak, the membership-codec fuzz shake
 # and the distws-load -sim -verify byte-identity run.
-check: build vet test race bench-smoke deque-stress dag-parity exhibit-golden fuzz-smoke soak serve-soak
+check: build vet test race bench-smoke deque-stress dag-crash dag-parity exhibit-golden fuzz-smoke soak serve-soak
 
 # Full measurement: refreshes the machine-readable perf baseline
 # (BENCH_sim.json), appends the run's headline numbers as one line to the

@@ -285,6 +285,7 @@ func runDAGSim(app linalg.App, cl topology.Cluster, k sched.Kind, pol dag.Policy
 	fmt.Fprintf(w, "sequential (virtual)\t%.2f ms\n", float64(res.SequentialNS)/1e6)
 	fmt.Fprintf(w, "makespan (virtual)\t%.2f ms\n", float64(res.MakespanNS)/1e6)
 	fmt.Fprintf(w, "speedup\t%.2f on %d workers\n", res.Speedup(), cl.Workers())
+	printDataflow(w, res.DAG)
 	printCounters(w, res.Counters)
 	fmt.Fprintf(w, "utilization\t%s\n", metrics.FormatSeries(res.Utilization))
 	fmt.Fprintf(w, "host time\tgraph %v, sim %v\n", genTime.Round(time.Millisecond), simTime.Round(time.Millisecond))
@@ -322,9 +323,7 @@ func runDAGRuntime(app linalg.App, cl topology.Cluster, k sched.Kind, dk deque.K
 	}
 	fmt.Fprintf(w, "result checksum\t%x\t%s\n", got, status)
 	fmt.Fprintf(w, "wall time\t%v\n", elapsed.Round(time.Millisecond))
-	fmt.Fprintf(w, "dataflow\t%d released, %d resident hits, %d misses (%.1f%% hit), %d bytes fetched\n",
-		stats.Released, stats.ResidentHits, stats.ResidentMisses,
-		stats.ResidencyRate(), stats.FetchedBytes)
+	printDataflow(w, stats)
 	printCounters(w, rt.Metrics())
 	if err := w.Flush(); err != nil {
 		return err
@@ -333,6 +332,12 @@ func runDAGRuntime(app linalg.App, cl topology.Cluster, k sched.Kind, dk deque.K
 		return fmt.Errorf("checksum mismatch")
 	}
 	return nil
+}
+
+// printDataflow prints a DAG run's release and input-residency account.
+func printDataflow(w *tabwriter.Writer, s dag.ExecStats) {
+	fmt.Fprintf(w, "dataflow\t%d released, %d resident hits, %d misses (%.1f%% hit), %d bytes fetched\n",
+		s.Released, s.ResidentHits, s.ResidentMisses, s.ResidencyRate(), s.FetchedBytes)
 }
 
 // totalInputBytes sums every task's input payload for the run header.
@@ -496,10 +501,5 @@ func printCounters(w *tabwriter.Writer, s metrics.Snapshot) {
 		fmt.Fprintf(w, "membership\t%d joins, %d drains, %d rejoins, %d tasks offloaded, %d duplicated messages\n",
 			s.MembershipJoins, s.MembershipDrains, s.MembershipRejoins,
 			s.TasksOffloaded, s.DuplicatedMessages)
-	}
-	if s.DAGTasksReleased > 0 {
-		fmt.Fprintf(w, "dag\t%d released, %d resident hits, %d misses (%.1f%% hit), %d bytes fetched\n",
-			s.DAGTasksReleased, s.DAGResidentHits, s.DAGResidentMisses,
-			s.DAGResidencyRate(), s.DAGFetchedBytes)
 	}
 }

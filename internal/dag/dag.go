@@ -8,12 +8,13 @@
 // order — plus any explicit control edges. A per-run Tracker releases a
 // task into the scheduler only when its last dependency completes, and a
 // block Directory records which places hold each block after its
-// producer runs, so placement and stealing can weigh resident-input
-// bytes against migration cost (see Policy and BestPlace).
+// producer runs, so placement can weigh resident-input bytes against
+// migration cost (see Policy and BestPlace).
 //
-// The package is runtime-agnostic: internal/sim replays a Graph in
-// virtual time with the exact topology.Network.TransferNS cost model,
-// and Execute (exec.go) drives the real goroutine runtime
+// The package is runtime-agnostic. A run's release, placement and
+// residency are one Flow, which two engines drive: internal/sim replays a
+// Graph in virtual time with the exact topology.Network.TransferNS cost
+// model, and Execute (exec.go) drives the real goroutine runtime
 // (internal/core) using measured payload sizes.
 package dag
 
@@ -275,9 +276,8 @@ func NewSchedule(g *Graph) *Schedule {
 }
 
 // Tracker is the per-run readiness state: a mutable in-degree vector
-// over a shared Schedule. Not safe for concurrent use; each run owns
-// one (the simulator's event loop is single-threaded, and Execute's
-// completing workers call it under the run's lock).
+// over a shared Schedule. Not safe for concurrent use; each run's Flow
+// owns one.
 type Tracker struct {
 	s      *Schedule
 	indeg  []int

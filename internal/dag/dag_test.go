@@ -216,7 +216,7 @@ func TestDirectorySeedWraps(t *testing.T) {
 	}
 }
 
-func TestFetchAndResidentBytes(t *testing.T) {
+func TestFetchBytes(t *testing.T) {
 	g := chain()
 	d := NewDirectory(2)
 	d.Produce(1, 0)
@@ -228,14 +228,88 @@ func TestFetchAndResidentBytes(t *testing.T) {
 	if got := d.FetchBytes(g, 2, 0); got != 200 {
 		t.Fatalf("FetchBytes away = %d", got)
 	}
-	if got := d.ResidentBytes(g, 2, 1); got != 200 {
-		t.Fatalf("ResidentBytes = %d", got)
-	}
 	// Blocks resident nowhere cost nothing to fetch.
 	g.Tasks[2].Inputs = append(g.Tasks[2].Inputs, 1)
 	d2 := NewDirectory(2)
 	if got := d2.FetchBytes(g, 2, 0); got != 0 {
 		t.Fatalf("FetchBytes of unmaterialized blocks = %d", got)
+	}
+}
+
+// bytesCost prices placement in bytes moved, with no backlog anywhere.
+type bytesCost struct{}
+
+func (bytesCost) Backlog(int) int64        { return 0 }
+func (bytesCost) Transfer(bytes int) int64 { return int64(bytes) }
+
+// TestFlow runs a three-task graph on two places through a Flow by hand,
+// under both policies: where each task is placed, what its inputs hit,
+// miss and replicate, where its outputs end up, and what each completion
+// releases.
+func TestFlow(t *testing.T) {
+	// Blocks 1 and 2 are seeded at places 1 and 0. t0 reads 1 and writes
+	// 3, t1 reads 2 and writes 4, t2 reads 3 and 4 and overwrites 1. Every
+	// home is declared as place 2, which wraps to 0.
+	g := &Graph{
+		Tasks: []Task{
+			{ID: 0, Home: 2, Inputs: []uint64{1}, Outputs: []uint64{3}},
+			{ID: 1, Home: 2, Inputs: []uint64{2}, Outputs: []uint64{4}},
+			{ID: 2, Home: 2, Inputs: []uint64{3, 4}, Outputs: []uint64{1}},
+		},
+		BlockBytes: map[uint64]int{1: 100, 2: 100, 3: 300, 4: 50},
+		Seed:       map[uint64]int{1: 1, 2: 0},
+	}
+	for _, tc := range []struct {
+		policy Policy
+		homes  []int
+		stats  ExecStats
+		// where lists each block's places after the run.
+		where map[uint64][]int
+	}{
+		// Blind: everything at the wrapped home 0. t0 fetches block 1 (a
+		// replica stays at 0), t1 and t2 find their inputs there, and
+		// t2's write leaves 0 the only copy of block 1.
+		{PolicyBlind, []int{0, 0, 0}, ExecStats{Released: 3, ResidentHits: 3, ResidentMisses: 1, FetchedBytes: 100},
+			map[uint64][]int{1: {0}, 2: {0}, 3: {0}, 4: {0}}},
+		// Data-aware: t0 follows block 1 to place 1, t1 stays with block 2
+		// at 0, and t2 runs at 1, where moving block 4 (50 B) beats moving
+		// block 3 (300 B) and block 1 already lives.
+		{PolicyDataAware, []int{1, 0, 1}, ExecStats{Released: 3, ResidentHits: 3, ResidentMisses: 1, FetchedBytes: 50},
+			map[uint64][]int{1: {1}, 2: {0}, 3: {1}, 4: {0, 1}}},
+	} {
+		f := NewFlow(g, NewSchedule(g), 2, tc.policy)
+		var released [][]int
+		run := func(ids []int) {
+			for _, id := range ids {
+				if got := f.Place(id, bytesCost{}); got != tc.homes[id] {
+					t.Fatalf("%v: task %d placed at %d, want %d", tc.policy, id, got, tc.homes[id])
+				}
+			}
+			for _, id := range ids {
+				f.Fetch(id, tc.homes[id], bytesCost{})
+				released = append(released, f.Complete(id, tc.homes[id], nil))
+			}
+		}
+		ready := f.Ready(nil)
+		run(ready)
+		run(released[1])
+		if want := [][]int{nil, {2}, nil}; !reflect.DeepEqual(released, want) || !reflect.DeepEqual(ready, []int{0, 1}) {
+			t.Fatalf("%v: ready %v, releases %v, want [0 1] then %v", tc.policy, ready, released, want)
+		}
+		if !f.Done() || f.Stats != tc.stats {
+			t.Fatalf("%v: done %v, stats %+v, want %+v", tc.policy, f.Done(), f.Stats, tc.stats)
+		}
+		for b, want := range tc.where {
+			var got []int
+			for p := 0; p < 2; p++ {
+				if f.dir.Resident(b, p) {
+					got = append(got, p)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v: block %d at %v, want %v", tc.policy, b, got, want)
+			}
+		}
 	}
 }
 

@@ -8,9 +8,8 @@ import (
 // Directory records which places hold a current copy of each block. A
 // producer completing at a place makes that place the block's sole
 // resident (earlier copies are stale); a consumer fetching the block to
-// another place adds a replica. Not safe for concurrent use, like Tracker:
-// the simulator's event loop owns its own, Execute guards its under the
-// run's lock.
+// another place adds a replica. Not safe for concurrent use, like Tracker;
+// each run's Flow owns one.
 type Directory struct {
 	places int
 	words  int
@@ -30,11 +29,10 @@ func NewDirectory(places int) *Directory {
 }
 
 // SeedFrom installs the graph's initial block residency, wrapping
-// declared owners into the cluster (a graph built for 16 places still
-// seeds correctly on 4).
+// declared owners into the cluster.
 func (d *Directory) SeedFrom(g *Graph) {
 	for b, p := range g.Seed {
-		d.Produce(b, ((p%d.places)+d.places)%d.places)
+		d.Produce(b, wrap(p, d.places))
 	}
 }
 
@@ -85,21 +83,9 @@ func (d *Directory) Anywhere(b uint64) bool {
 	return false
 }
 
-// ResidentBytes returns how many of task t's input bytes are already
-// resident at place, and FetchBytes the complement that would have to
-// move there — only counting blocks that exist somewhere (a block with
-// no copy anywhere costs nothing to "fetch"; it has no source).
-func (d *Directory) ResidentBytes(g *Graph, t, place int) int {
-	var sum int
-	for _, b := range g.Tasks[t].Inputs {
-		if d.Resident(b, place) {
-			sum += g.BlockBytes[b]
-		}
-	}
-	return sum
-}
-
-// FetchBytes returns the input bytes task t would have to pull to place.
+// FetchBytes returns the input bytes task t would have to pull to place:
+// those of the blocks not resident there but somewhere (a block with no
+// copy anywhere costs nothing to "fetch"; it has no source).
 func (d *Directory) FetchBytes(g *Graph, t, place int) int {
 	var sum int
 	for _, b := range g.Tasks[t].Inputs {
@@ -131,17 +117,16 @@ func (d *Directory) MoveBytes(g *Graph, t, place int) int {
 	return sum
 }
 
-// Policy selects how the scheduler places and steals DAG tasks.
+// Policy selects where the scheduler places released DAG tasks. Thieves
+// take the oldest queued task under either.
 type Policy uint8
 
 const (
 	// PolicyBlind ignores the directory: tasks run at their declared
-	// (owner-computes) home and thieves take the oldest queued task —
-	// the locality-oblivious baseline.
+	// (owner-computes) home — the locality-oblivious baseline.
 	PolicyBlind Policy = iota
-	// PolicyDataAware scores candidate places by resident-input bytes
-	// versus migration cost and queue backlog, and thieves prefer the
-	// queued task whose inputs are already resident at the thief.
+	// PolicyDataAware scores candidate places by the bytes that would
+	// have to move there against queue backlog (BestPlace).
 	PolicyDataAware
 	numPolicies
 )
@@ -186,21 +171,11 @@ func ParsePolicy(s string) (Policy, error) {
 // output blocks; see MoveBytes) to p plus the caller's estimate of how
 // long p's queue delays a new task. transfer is the runtime's migration
 // cost model (the simulator passes topology.Network.TransferNS; Execute
-// passes a measured-bytes proxy). The declared home wins ties, then the
-// lowest place id; the scan order is fixed, so the choice is
-// deterministic.
+// passes a measured-bytes proxy). The declared home, wrapped into the
+// len(backlogNS) places, wins ties, then the lowest place id; the scan
+// order is fixed, so the choice is deterministic.
 func BestPlace(g *Graph, d *Directory, t int, backlogNS []int64, transfer func(bytes int) int64) int {
-	return bestPlace(g, d, t, g.Tasks[t].Home, backlogNS, transfer)
-}
-
-// bestPlace is BestPlace with the incumbent home passed in, for a caller
-// whose cluster is smaller than the one the graph's declared homes were
-// built for: Execute scores against the wrapped home without writing it
-// back into the (shared, read-only) graph.
-func bestPlace(g *Graph, d *Directory, t, home int, backlogNS []int64, transfer func(bytes int) int64) int {
-	if home < 0 || home >= len(backlogNS) {
-		home = 0
-	}
+	home := wrap(g.Tasks[t].Home, len(backlogNS))
 	best := home
 	bestScore := transfer(d.MoveBytes(g, t, home)) + backlogNS[home]
 	for p := range backlogNS {

@@ -19,34 +19,16 @@ type ExecOptions struct {
 	Kernel func(t *Task)
 }
 
-// ExecStats reports the data-movement accounting of one Execute run,
-// mirroring the simulator's DAG counters with measured payload sizes.
-type ExecStats struct {
-	Released       int64 // tasks released into the scheduler
-	ResidentHits   int64 // input blocks resident at the executing place
-	ResidentMisses int64 // input blocks fetched from another place
-	FetchedBytes   int64 // bytes moved by those fetches
-}
-
-// ResidencyRate returns the hit fraction in percent (0 when nothing ran).
-func (s ExecStats) ResidencyRate() float64 {
-	total := s.ResidentHits + s.ResidentMisses
-	if total == 0 {
-		return 0
-	}
-	return 100 * float64(s.ResidentHits) / float64(total)
-}
-
 // Execute runs dataflow graph g on the real goroutine runtime. Nothing
 // waits for completions: the Finish body launches the initially ready
 // tasks and returns, so Finish's help-first wait makes the root's worker
 // a kernel worker like any other, and each task's activity, once its
 // Kernel returns, releases its own dependents — under the run's lock it
-// accounts its inputs' residency at the place it actually executed,
-// records its outputs there, completes itself in the Tracker and picks a
-// home for every task that releases; then, outside the lock, it spawns
-// those tasks into the same finish scope. The lock covers only that
-// bookkeeping, never a Kernel or a spawn.
+// accounts its inputs' residency at the place it actually executed and
+// completes itself in the run's Flow, which records its outputs there
+// and releases and places its dependents; then, outside the lock, it
+// spawns those tasks into the same finish scope. The lock covers only
+// that bookkeeping, never a Kernel or a spawn.
 //
 // Kernels need no locking of their own. A task is released by whichever
 // predecessor completes last, and every predecessor completed inside the
@@ -76,15 +58,12 @@ func Execute(rt *core.Runtime, g *Graph, opts ExecOptions) (ExecStats, error) {
 	x := &execution{
 		g:           g,
 		opts:        opts,
-		tr:          NewTracker(sch),
-		dir:         NewDirectory(places),
+		flow:        NewFlow(g, sch, places, opts.Policy),
 		inputBytes:  make([]int, len(g.Tasks)),
 		meanBytes:   1,
 		home:        make([]int, len(g.Tasks)),
 		outstanding: make([]int64, places),
-		backlog:     make([]int64, places),
 	}
-	x.dir.SeedFrom(g)
 	if n := len(g.Tasks); n > 0 {
 		var total int64
 		for i := range g.Tasks {
@@ -99,7 +78,7 @@ func Execute(rt *core.Runtime, g *Graph, opts ExecOptions) (ExecStats, error) {
 	err = rt.Run(func(c *core.Ctx) {
 		c.Finish(func(fx *core.Ctx) {
 			x.mu.Lock()
-			ready := x.place(x.tr.Ready(nil))
+			ready := x.place(x.flow.Ready(nil))
 			x.mu.Unlock()
 			x.spawn(fx, ready)
 		})
@@ -107,7 +86,7 @@ func Execute(rt *core.Runtime, g *Graph, opts ExecOptions) (ExecStats, error) {
 	// Run can return (shutdown) while straggler activities are still
 	// completing, so even the final read takes the lock.
 	x.mu.Lock()
-	stats, done := x.stats, x.tr.Done()
+	stats, done := x.flow.Stats, x.flow.Done()
 	x.mu.Unlock()
 	if err != nil {
 		return stats, fmt.Errorf("dag: executing %q: %w", g.Name, err)
@@ -127,40 +106,26 @@ type execution struct {
 	meanBytes  int64 // mean of inputBytes, at least 1: the backlog unit
 
 	mu          sync.Mutex
-	tr          *Tracker
-	dir         *Directory
-	stats       ExecStats
+	flow        *Flow
 	outstanding []int64 // released, not yet completed, per chosen home
-	backlog     []int64 // placement scratch
 	// home[t] is the place t was released to. Written under mu by the
 	// worker that releases t, which then spawns t from it; every later
 	// reader is ordered after that spawn.
 	home []int
 }
 
-// byteCost is Execute's transfer model for bestPlace: measured bytes
-// stand in for the simulator's modelled transfer time.
-func byteCost(bytes int) int64 { return int64(bytes) }
+// Backlog and Transfer are Execute's placement Cost, called under mu: a
+// place's outstanding tasks at the mean input payload each, and measured
+// bytes standing in for the simulator's modelled transfer time.
+func (x *execution) Backlog(p int) int64      { return x.outstanding[p] * x.meanBytes }
+func (x *execution) Transfer(bytes int) int64 { return int64(bytes) }
 
 // place homes the released tasks ids and returns them. Caller holds mu.
 func (x *execution) place(ids []int) []int {
-	places := len(x.outstanding)
 	for _, t := range ids {
-		// The graph's declared home may exceed the runtime's place count;
-		// the wrapped one is the incumbent, so it is always placeable.
-		h := x.g.Tasks[t].Home % places
-		if h < 0 {
-			h += places
-		}
-		if x.opts.Policy == PolicyDataAware {
-			for p := range x.backlog {
-				x.backlog[p] = x.outstanding[p] * x.meanBytes
-			}
-			h = bestPlace(x.g, x.dir, t, h, x.backlog, byteCost)
-		}
+		h := x.flow.Place(t, x)
 		x.home[t] = h
 		x.outstanding[h]++
-		x.stats.Released++
 	}
 	return ids
 }
@@ -185,28 +150,12 @@ func (x *execution) spawn(c *core.Ctx, ids []int) {
 }
 
 // complete is what a task's own worker does when its Kernel returns at
-// place: account the inputs' residency there, make the outputs resident
-// there, and release and home the dependents, which it returns.
+// place: account the inputs' residency there, complete the task in the
+// flow, and home the dependents that releases, which it returns.
 func (x *execution) complete(id, place int) []int {
-	t := &x.g.Tasks[id]
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	x.outstanding[x.home[id]]--
-	for _, b := range t.Inputs {
-		switch {
-		case x.dir.Resident(b, place):
-			x.stats.ResidentHits++
-		case x.dir.Anywhere(b):
-			x.stats.ResidentMisses++
-			x.stats.FetchedBytes += int64(x.g.BlockBytes[b])
-			x.dir.Replicate(b, place)
-		default:
-			// Never materialized anywhere: created in place.
-			x.stats.ResidentHits++
-		}
-	}
-	for _, b := range t.Outputs {
-		x.dir.Produce(b, place)
-	}
-	return x.place(x.tr.Complete(id, nil))
+	x.flow.Fetch(id, place, x)
+	return x.place(x.flow.Complete(id, place, nil))
 }

@@ -240,6 +240,10 @@ func TestExecuteRandomGraphs(t *testing.T) {
 						if got, want := stats.ResidentHits+stats.ResidentMisses, totalInputs(g); got != want {
 							t.Errorf("seed %d: %d residency lookups for %d inputs", seed, got, want)
 						}
+						if m := stats.ResidentMisses; stats.FetchedBytes < 64*m || stats.FetchedBytes > 2048*m {
+							t.Errorf("seed %d: %d misses moved %d bytes, not one 64-2048 B block each",
+								seed, m, stats.FetchedBytes)
+						}
 						if sh.places == 1 && (stats.ResidentMisses != 0 || stats.FetchedBytes != 0) {
 							t.Errorf("seed %d: one place fetched %d blocks (%d bytes)",
 								seed, stats.ResidentMisses, stats.FetchedBytes)
@@ -356,19 +360,28 @@ func TestExecuteConcurrentOnOneGraph(t *testing.T) {
 	}
 }
 
-// TestExecuteSurvivesPlaceCrash: a place fail-stops twenty tasks in —
-// the root's own place included — and its queued tasks are re-homed.
-// Every kernel must still run exactly once and the result must equal
-// the sequential replay.
+// TestExecuteSurvivesPlaceCrash: a place fail-stops mid-run — the root's
+// own place included — and its queued tasks are re-homed. Every kernel
+// must still run exactly once and the result must equal the sequential
+// replay. The crash is timed, 250 µs after the runtime starts, and
+// task 20's kernel holds its worker until it has fired, so the run cannot
+// finish first. (A task quota, AfterTasks, could go unmet: data-aware
+// placement may give the place fewer tasks than any quota.)
 func TestExecuteSurvivesPlaceCrash(t *testing.T) {
+	const holder = 20
 	for _, p := range []int{0, 1, 3} {
 		for _, pol := range execPolicies {
 			t.Run(fmt.Sprintf("place%d/%v", p, pol), func(t *testing.T) {
-				plan := &fault.Plan{Crashes: []fault.Crash{{Place: p, AfterTasks: 20}}}
-				rt := newExecRuntime(t, 4, 2, deque.KindMutex, plan)
 				g := randomGraph(8, 600)
+				plan := &fault.Plan{Crashes: []fault.Crash{{Place: p, AtNS: int64(250 * time.Microsecond)}}}
+				rt := newExecRuntime(t, 4, 2, deque.KindMutex, plan)
 				o := newObserved(g)
-				stats, err := executeWatched(t, rt, g, dag.ExecOptions{Policy: pol, Kernel: o.kernel})
+				stats, err := executeWatched(t, rt, g, dag.ExecOptions{Policy: pol, Kernel: func(tk *dag.Task) {
+					for tk.ID == holder && rt.Metrics().PlacesLost == 0 {
+						time.Sleep(20 * time.Microsecond)
+					}
+					o.kernel(tk)
+				}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -377,7 +390,7 @@ func TestExecuteSurvivesPlaceCrash(t *testing.T) {
 					t.Errorf("released %d of %d tasks", stats.Released, g.NumTasks())
 				}
 				if lost := rt.Metrics().PlacesLost; lost != 1 {
-					t.Errorf("PlacesLost = %d: the crash never fired, the test checked nothing", lost)
+					t.Errorf("PlacesLost = %d, want 1", lost)
 				}
 			})
 		}

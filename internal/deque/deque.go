@@ -32,8 +32,8 @@ import "sync"
 
 // Ring is the growable circular buffer under both queue flavours, and the
 // queue itself where a single goroutine owns it (the simulator's event
-// loop): every algorithm — push, the two pops, the chunked and the scored
-// steal — is implemented here once, and Private and Shared are this type
+// loop): every algorithm — push, the two pops, the chunked steal — is
+// implemented here once, and Private and Shared are this type
 // behind a mutex. Capacity is always a power of two (grow doubles from 8),
 // so index wrap is a mask instead of a division. The zero value is an
 // empty ring. Not safe for concurrent use.
@@ -106,39 +106,6 @@ func (r *Ring[T]) StealChunkAppend(dst []T, k int) []T {
 	}
 	for i := 0; i < k; i++ {
 		v, _ := r.PopFront()
-		dst = append(dst, v)
-	}
-	return dst
-}
-
-// StealBestAppend removes up to k elements chosen by score — highest
-// first, ties broken oldest-first — and appends them to dst, returning
-// the extended slice. It is the data-aware variant of StealChunkAppend:
-// a thief that knows which queued tasks' inputs are already resident
-// locally passes a score favouring them (e.g. negated fetch bytes).
-// Elements not taken keep their relative order, so with a constant
-// score the result is exactly StealChunkAppend.
-func (r *Ring[T]) StealBestAppend(dst []T, k int, score func(T) int64) []T {
-	if k > r.n {
-		k = r.n
-	}
-	for i := 0; i < k; i++ {
-		mask := len(r.buf) - 1
-		bestAt := 0
-		bestScore := score(r.buf[r.head])
-		for j := 1; j < r.n; j++ {
-			if s := score(r.buf[(r.head+j)&mask]); s > bestScore {
-				bestAt, bestScore = j, s
-			}
-		}
-		v := r.buf[(r.head+bestAt)&mask]
-		// Close the gap: shift the elements older than the chosen one back
-		// by a slot, then drop the now-duplicated front. Order among the
-		// remaining elements is preserved.
-		for j := bestAt; j > 0; j-- {
-			r.buf[(r.head+j)&mask] = r.buf[(r.head+j-1)&mask]
-		}
-		r.PopFront()
 		dst = append(dst, v)
 	}
 	return dst

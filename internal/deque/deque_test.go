@@ -110,43 +110,6 @@ func TestSharedStealChunkNonPositive(t *testing.T) {
 	}
 }
 
-func TestSharedStealBest(t *testing.T) {
-	var d Ring[int]
-	for _, v := range []int{10, 30, 20, 30} {
-		d.PushBack(v)
-	}
-	// Highest score first; the tied 30s come out oldest-first.
-	got := d.StealBestAppend(nil, 3, func(v int) int64 { return int64(v) })
-	if len(got) != 3 || got[0] != 30 || got[1] != 30 || got[2] != 20 {
-		t.Fatalf("StealBestAppend = %v, want [30 30 20]", got)
-	}
-	// The untaken remainder keeps FIFO order.
-	if v, ok := d.PopFront(); !ok || v != 10 {
-		t.Fatalf("PopFront after StealBestAppend = %v, %v", v, ok)
-	}
-	if got := d.StealBestAppend(nil, 2, func(int) int64 { return 0 }); len(got) != 0 {
-		t.Fatalf("StealBestAppend on empty = %v", got)
-	}
-}
-
-func TestSharedStealBestConstantScoreIsFIFO(t *testing.T) {
-	var a, b Ring[int]
-	for i := 0; i < 9; i++ {
-		a.PushBack(i)
-		b.PushBack(i)
-	}
-	fifo := a.StealChunkAppend(nil, 4)
-	best := b.StealBestAppend(nil, 4, func(int) int64 { return 7 })
-	for i := range fifo {
-		if fifo[i] != best[i] {
-			t.Fatalf("constant score diverged from FIFO: %v vs %v", fifo, best)
-		}
-	}
-	if got := b.StealBestAppend(nil, -1, func(int) int64 { return 0 }); got != nil {
-		t.Fatalf("StealBestAppend(-1) = %v, want nil", got)
-	}
-}
-
 func TestRingGrowthWrapAround(t *testing.T) {
 	var d Shared[int]
 	// Interleave pushes and polls to force head to wrap before growth.
@@ -246,17 +209,15 @@ func TestPrivateConservationProperty(t *testing.T) {
 
 // Property: Ring, and Private and Shared wrapping it, are one queue. Any
 // op sequence gives the same answers on the bare ring, on the locked type,
-// and on a plain slice model; and a scored steal with a constant score is
-// the chunked steal.
+// and on a plain slice model.
 func TestRingPrivateSharedAgree(t *testing.T) {
-	constant := func(int) int64 { return 7 }
 	f := func(ops []uint8) bool {
 		var (
-			ringP, ringS, ringBest Ring[int]
-			priv                   Private[int]
-			shared                 Shared[int]
-			modelP, modelS         []int // oldest first
-			next                   int
+			ringP, ringS   Ring[int]
+			priv           Private[int]
+			shared         Shared[int]
+			modelP, modelS []int // oldest first
+			next           int
 		)
 		for _, op := range ops {
 			switch k := int(op >> 2); op % 4 {
@@ -266,7 +227,6 @@ func TestRingPrivateSharedAgree(t *testing.T) {
 				priv.Push(next)
 				modelP = append(modelP, next)
 				ringS.PushBack(next)
-				ringBest.PushBack(next)
 				shared.Push(next)
 				modelS = append(modelS, next)
 			case 2: // deque ends: LIFO pop on even k, FIFO steal on odd
@@ -289,13 +249,12 @@ func TestRingPrivateSharedAgree(t *testing.T) {
 				if okA != wantOK || okB != wantOK || a != want || b != want {
 					return false
 				}
-			case 3: // chunked steal of k%5-1 (so -1 and 0 occur), all three ways
+			case 3: // chunked steal of k%5-1 (so -1 and 0 occur), both ways
 				k = k%5 - 1
 				want := modelS[:max(0, min(k, len(modelS)))]
 				modelS = modelS[len(want):]
 				for _, got := range [][]int{
 					ringS.StealChunkAppend(nil, k),
-					ringBest.StealBestAppend(nil, k, constant),
 					shared.StealChunkAppend(nil, k),
 				} {
 					if !slices.Equal(got, want) {
@@ -304,8 +263,7 @@ func TestRingPrivateSharedAgree(t *testing.T) {
 				}
 			}
 			if ringP.Len() != len(modelP) || priv.Len() != len(modelP) ||
-				ringS.Len() != len(modelS) || ringBest.Len() != len(modelS) ||
-				shared.Len() != len(modelS) {
+				ringS.Len() != len(modelS) || shared.Len() != len(modelS) {
 				return false
 			}
 		}

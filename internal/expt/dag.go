@@ -22,7 +22,7 @@ type DAGCell struct {
 	// ResidencyRate is the percent of input-block lookups served by a
 	// locally resident copy.
 	ResidencyRate float64
-	Hits, Misses  int64
+	Misses        int64
 	RemoteSteals  int64
 }
 
@@ -77,15 +77,13 @@ func (r *Runner) DAGStudy() ([]DAGRow, error) {
 		if err != nil {
 			return fmt.Errorf("expt: dag %s/%v: %w", rows[ai].App, pol, err)
 		}
-		c := res.Counters
 		rows[ai].Cells[pi] = DAGCell{
 			Policy:        pol,
 			MakespanMS:    float64(res.MakespanNS) / 1e6,
-			MigratedBytes: c.DAGFetchedBytes,
-			ResidencyRate: c.DAGResidencyRate(),
-			Hits:          c.DAGResidentHits,
-			Misses:        c.DAGResidentMisses,
-			RemoteSteals:  c.RemoteSteals,
+			MigratedBytes: res.DAG.FetchedBytes,
+			ResidencyRate: res.DAG.ResidencyRate(),
+			Misses:        res.DAG.ResidentMisses,
+			RemoteSteals:  res.Counters.RemoteSteals,
 		}
 		return nil
 	})

@@ -47,10 +47,6 @@ var expoFields = []struct {
 	{"distws_duplicate_takes_total", "Relaxed-deque takes discarded by dispatch-level dedup.", func(s Snapshot) int64 { return s.DuplicateTakes }},
 	{"distws_donations_total", "Steal-half donations served to a requesting worker.", func(s Snapshot) int64 { return s.Donations }},
 	{"distws_steal_requests_total", "Receiver-initiated steal requests posted to mailboxes.", func(s Snapshot) int64 { return s.StealRequests }},
-	{"distws_dag_tasks_released_total", "DAG tasks released by their last dependency completing.", func(s Snapshot) int64 { return s.DAGTasksReleased }},
-	{"distws_dag_resident_hits_total", "DAG input blocks already resident at the executing place.", func(s Snapshot) int64 { return s.DAGResidentHits }},
-	{"distws_dag_resident_misses_total", "DAG input blocks fetched from another place.", func(s Snapshot) int64 { return s.DAGResidentMisses }},
-	{"distws_dag_fetched_bytes_total", "Bytes moved by DAG resident misses.", func(s Snapshot) int64 { return s.DAGFetchedBytes }},
 }
 
 // WritePrometheus writes the snapshot in the Prometheus text exposition

@@ -56,10 +56,6 @@ func TestPrometheusGolden(t *testing.T) {
 		"distws_duplicate_takes_total",
 		"distws_donations_total",
 		"distws_steal_requests_total",
-		"distws_dag_tasks_released_total",
-		"distws_dag_resident_hits_total",
-		"distws_dag_resident_misses_total",
-		"distws_dag_fetched_bytes_total",
 	}
 	if len(names) != len(want) {
 		t.Fatalf("exposition has %d samples, want %d:\n%v", len(names), len(want), names)

@@ -79,15 +79,6 @@ type Counters struct {
 	DuplicateTakes atomic.Int64 // takes discarded by dispatch-level dedup
 	Donations      atomic.Int64 // steal-half donations served to a requester
 	StealRequests  atomic.Int64 // receiver-initiated requests posted to mailboxes
-
-	// Dataflow-DAG counters (internal/dag): the data-aware scheduler's
-	// effectiveness is exactly the hit/miss split on input-block
-	// residency, so both sides — and the bytes the misses moved — are
-	// first-class observables.
-	DAGTasksReleased  atomic.Int64 // tasks released by their last dependency completing
-	DAGResidentHits   atomic.Int64 // input blocks already resident at the executing place
-	DAGResidentMisses atomic.Int64 // input blocks fetched from another place
-	DAGFetchedBytes   atomic.Int64 // bytes moved by resident misses
 }
 
 // Snapshot is an immutable copy of a Counters at one instant.
@@ -127,11 +118,6 @@ type Snapshot struct {
 	DuplicateTakes int64
 	Donations      int64
 	StealRequests  int64
-
-	DAGTasksReleased  int64
-	DAGResidentHits   int64
-	DAGResidentMisses int64
-	DAGFetchedBytes   int64
 }
 
 // Snapshot returns a consistent-enough point-in-time copy of the counters.
@@ -174,22 +160,7 @@ func (c *Counters) Snapshot() Snapshot {
 		DuplicateTakes: c.DuplicateTakes.Load(),
 		Donations:      c.Donations.Load(),
 		StealRequests:  c.StealRequests.Load(),
-
-		DAGTasksReleased:  c.DAGTasksReleased.Load(),
-		DAGResidentHits:   c.DAGResidentHits.Load(),
-		DAGResidentMisses: c.DAGResidentMisses.Load(),
-		DAGFetchedBytes:   c.DAGFetchedBytes.Load(),
 	}
-}
-
-// DAGResidencyRate returns the fraction of DAG input-block lookups that
-// found the block already resident, in percent. Zero when no DAG ran.
-func (s Snapshot) DAGResidencyRate() float64 {
-	total := s.DAGResidentHits + s.DAGResidentMisses
-	if total == 0 {
-		return 0
-	}
-	return 100 * float64(s.DAGResidentHits) / float64(total)
 }
 
 // Steals returns the total number of successful steal operations.
@@ -230,10 +201,6 @@ func (s Snapshot) String() string {
 	if s.StealRequests > 0 || s.Donations > 0 || s.DuplicateTakes > 0 {
 		base += fmt.Sprintf(" receiver(requests=%d donations=%d dupTakes=%d)",
 			s.StealRequests, s.Donations, s.DuplicateTakes)
-	}
-	if s.DAGTasksReleased > 0 {
-		base += fmt.Sprintf(" dag(released=%d hits=%d misses=%d fetchedBytes=%d)",
-			s.DAGTasksReleased, s.DAGResidentHits, s.DAGResidentMisses, s.DAGFetchedBytes)
 	}
 	if s.JobsSubmitted > 0 {
 		base += fmt.Sprintf(" jobs(submitted=%d admitted=%d rejected=%d completed=%d)",

@@ -51,15 +51,20 @@ func TestRunDAGCompletes(t *testing.T) {
 	}
 	n := int64(g.NumTasks())
 	c := res.Counters
-	if c.TasksExecuted != n || c.TasksSpawned != n || c.DAGTasksReleased != n {
+	if c.TasksExecuted != n || c.TasksSpawned != n || res.DAG.Released != n {
 		t.Fatalf("executed=%d spawned=%d released=%d, want all %d",
-			c.TasksExecuted, c.TasksSpawned, c.DAGTasksReleased, n)
+			c.TasksExecuted, c.TasksSpawned, res.DAG.Released, n)
 	}
 	if res.MakespanNS <= 0 || res.SequentialNS != g.Sequential() {
 		t.Fatalf("makespan=%d sequential=%d", res.MakespanNS, res.SequentialNS)
 	}
-	if c.DAGResidentHits+c.DAGResidentMisses == 0 {
-		t.Fatal("no residency lookups recorded")
+	// Fault-free, each task's inputs are accounted once: hit or miss.
+	var inputs int64
+	for i := range g.Tasks {
+		inputs += int64(len(g.Tasks[i].Inputs))
+	}
+	if got := res.DAG.ResidentHits + res.DAG.ResidentMisses; got != inputs {
+		t.Fatalf("%d residency lookups for %d inputs", got, inputs)
 	}
 }
 
@@ -75,7 +80,7 @@ func TestRunDAGDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.MakespanNS != b.MakespanNS || a.Counters != b.Counters {
+		if a.MakespanNS != b.MakespanNS || a.Counters != b.Counters || a.DAG != b.DAG {
 			t.Fatalf("%v: runs diverged: %v vs %v", pol, a, b)
 		}
 	}
@@ -92,9 +97,9 @@ func TestRunDAGDataAwareMovesFewerBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if aware.Counters.DAGFetchedBytes >= blind.Counters.DAGFetchedBytes {
+	if aware.DAG.FetchedBytes >= blind.DAG.FetchedBytes {
 		t.Fatalf("data-aware fetched %d bytes, blind %d — expected a reduction",
-			aware.Counters.DAGFetchedBytes, blind.Counters.DAGFetchedBytes)
+			aware.DAG.FetchedBytes, blind.DAG.FetchedBytes)
 	}
 	if aware.MakespanNS > blind.MakespanNS {
 		t.Fatalf("data-aware makespan %d > blind %d on a fetch-bound pipeline",
@@ -159,7 +164,7 @@ func TestRunDAGDequeKindParity(t *testing.T) {
 			base = res
 			continue
 		}
-		if res.MakespanNS != base.MakespanNS || res.Counters != base.Counters {
+		if res.MakespanNS != base.MakespanNS || res.Counters != base.Counters || res.DAG != base.DAG {
 			t.Fatalf("deque kind %d diverged: %v vs %v", k, res, base)
 		}
 	}

@@ -126,6 +126,9 @@ type Result struct {
 	MakespanNS   int64
 	SequentialNS int64
 	Counters     metrics.Snapshot
+	// DAG is a RunDAG run's release and input-residency account (zero
+	// for Run).
+	DAG dag.ExecStats
 	// Events is the number of discrete events the engine processed — the
 	// denominator for events/sec throughput reporting.
 	Events int64
@@ -411,7 +414,7 @@ func newEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Opti
 	if ds != nil {
 		// Dataflow mode: the initially ready tasks (in-degree zero) are
 		// the roots; each is homed by the run's placement policy.
-		e.dagRelease(ds.tracker.Ready(ds.relBuf[:0]), -1, -1)
+		e.dagRelease(ds.flow.Ready(ds.relBuf[:0]), -1, -1)
 	} else {
 		for _, r := range g.Roots {
 			home := g.Tasks[r].Home
@@ -459,6 +462,9 @@ func (e *engine) run() (*Result, error) {
 		Counters:     e.ctrs.Snapshot(),
 		Events:       e.eventsHandled,
 		PlaceBusyNS:  make([]int64, cl.Places),
+	}
+	if e.dag != nil {
+		res.DAG = e.dag.flow.Stats
 	}
 	for _, w := range e.workers {
 		res.PlaceBusyNS[w.place.id] += w.busyNS
@@ -821,11 +827,11 @@ func (e *engine) Record(k obs.Kind, victim int, dur int64) {
 }
 
 // Steal is the hand-over and the landing of one delivered request: the
-// probe round trip, a chunk off the victim's shared deque (steal-half and
-// the multiplicity model under the receiver-initiated protocol, the best
-// data fit under the data-aware DAG policy), the wait for the victim's
-// deque lock and the payload transfer all delay the first task's start on
-// the thief; the rest arrive at its place's shared deque at the same time.
+// probe round trip, the oldest chunk off the victim's shared deque
+// (steal-half and the multiplicity model under the receiver-initiated
+// protocol), the wait for the victim's deque lock and the payload transfer
+// all delay the first task's start on the thief; the rest arrive at its
+// place's shared deque at the same time.
 func (e *engine) Steal(v, chunkSize int) (got, left int) {
 	w := e.sweeper
 	victim := e.places[v]
@@ -839,15 +845,7 @@ func (e *engine) Steal(v, chunkSize int) (got, left int) {
 		// half its queue at its next task boundary.
 		chunkSize = sched.StealHalf(victim.shared.Len())
 	}
-	var chunk []int
-	if e.dag != nil && e.dag.pol == dag.PolicyDataAware && !e.thief.Receiver {
-		// Data-aware steal: take the queued tasks whose inputs are
-		// already resident at the thief (fewest fetch bytes first,
-		// ties oldest-first) instead of blindly taking the oldest.
-		chunk = victim.shared.StealBestAppend(e.stealBuf[:0], chunkSize, e.dagStealScore(w.place.id))
-	} else {
-		chunk = victim.shared.StealChunkAppend(e.stealBuf[:0], chunkSize)
-	}
+	chunk := victim.shared.StealChunkAppend(e.stealBuf[:0], chunkSize)
 	e.stealBuf = chunk[:0]
 	if e.thief.Receiver && len(chunk) > 0 {
 		e.ctrs.Donations.Add(1)
