@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-smoke rt-profile deque-stress dag-crash fuzz-smoke dag-parity exhibit-golden chaos soak serve-soak loc coverage-ledger
+.PHONY: all build test race vet check bench bench-smoke rt-profile deque-stress dag-crash core-crash fuzz-smoke dag-parity exhibit-golden docs-check chaos soak serve-soak loc coverage-ledger
 
 all: check
 
@@ -60,6 +60,12 @@ deque-stress:
 dag-crash:
 	$(GO) test -count=500 -run '^TestExecuteSurvivesPlaceCrash$$' ./internal/dag
 
+# core's two AfterTasks crash tests, 300 times over under -race (~9 s):
+# when the crash could fire with the crashed place's queues still empty,
+# each failed a few runs in 200, so a regression needs this many to show.
+core-crash:
+	$(GO) test -race -count=300 -run '^(TestCrashedPlaceWorkIsReExecuted|TestCrashUnderX10WSStillCompletes)$$' ./internal/core
+
 # Dataflow determinism gate: the dag exhibit replays virtual time, so its
 # output must be byte-identical whatever -workers parallelism renders it.
 # A diff means host scheduling leaked into the DAG results.
@@ -94,6 +100,12 @@ exhibit-golden: build
 		echo "exhibit golden OK: seed-1 exhibits byte-identical to $(GOLDEN)"; \
 	fi
 
+# Every backticked `make <target>` and every cmd/, internal/ and examples/
+# path that README.md, DESIGN.md, EXPERIMENTS.md and the verify skill name
+# must resolve in the tree (TestDocsResolve, also part of `test`).
+docs-check:
+	$(GO) test -count=1 -run '^TestDocsResolve$$' .
+
 # 30-second coverage-guided shakes of the binary wire codecs: the TCP
 # transport frame, the service job/reply frames, and the task envelope
 # (DAG dataflow fields included) all face untrusted bytes, so malformed
@@ -107,18 +119,19 @@ fuzz-smoke:
 # The gate a change must pass before merging. The two soaks block: what
 # they add to `race` is the socket soak, the membership-codec fuzz shake
 # and the distws-load -sim -verify byte-identity run.
-check: build vet test race bench-smoke deque-stress dag-crash dag-parity exhibit-golden fuzz-smoke soak serve-soak
+check: build vet test race bench-smoke deque-stress dag-crash core-crash dag-parity exhibit-golden fuzz-smoke soak serve-soak
 
-# Full measurement: refreshes the machine-readable perf baseline
-# (BENCH_sim.json), appends the run's headline numbers as one line to the
-# append-only BENCH_history.jsonl (commit both: the overwritten file alone
-# cannot show a slow drift), and prints the per-exhibit Go benchmarks,
-# including the wire-codec-vs-gob microbenchmarks and dag.Execute's
-# empty-kernel ns/task.
+# Full measurement: the workloads BENCHMARK.json declares, end to end and
+# layer by layer (`go run ./benchmark`, ~2.5 min; it writes only the
+# ignored .bench_out/), then the checked-in Go benchmarks at a 1 s
+# benchtime, five counts each for spread: every exhibit's regeneration,
+# the simulator hot path (events/sec) and its tracing and adaptive off/on
+# pairs, the wire codec against gob, and dag.Execute's empty-kernel
+# ns/task. ~6 min in all on 2 vCPUs.
 bench:
-	$(GO) run ./cmd/distws-bench -out BENCH_sim.json
-	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem . ./internal/comm
-	$(GO) test -run='^$$' -bench=BenchmarkExecuteOverhead -benchtime=200x ./internal/dag
+	$(GO) run ./benchmark
+	$(GO) test -run='^$$' -bench=. -benchtime=1s -count=5 -benchmem . ./internal/comm
+	$(GO) test -run='^$$' -bench=BenchmarkExecuteOverhead -benchtime=1s -count=5 ./internal/dag
 
 # Churn soak: dynamic-membership endurance under the race detector —
 # concurrent joins, graceful drains, a healing partition, and a flapping

@@ -286,8 +286,8 @@ func BenchmarkSimulatorTracing(b *testing.B) {
 // costs the simulator hot path: "off" is the annotated DistWS baseline,
 // "on" runs the same trace under the adaptive policy, where every task
 // completion feeds ObserveExec, every remote probe feeds ObserveSteal,
-// and victim order and chunk size come from the controller. The delta is
-// recorded as adaptive_overhead_pct in BENCH_sim.json (make bench).
+// and victim order and chunk size come from the controller. The delta
+// between the two is the controller's overhead (make bench prints both).
 func BenchmarkAdaptiveOverhead(b *testing.B) {
 	r := runner()
 	app, err := suite.ByName("dmg", suite.Small, 1)

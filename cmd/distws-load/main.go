@@ -99,9 +99,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if tr == comm.TransportInproc {
-		return fmt.Errorf("inproc runs in one process — use the service package directly; pick tcp-hub or tcp-mesh here")
-	}
 	total := *seats
 	if total == 0 {
 		total = *places + 4

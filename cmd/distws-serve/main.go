@@ -118,9 +118,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if tr == comm.TransportInproc {
-		return fmt.Errorf("inproc runs in one process — use the service package directly; pick tcp-hub or tcp-mesh here")
-	}
 	if *places < 2 {
 		return fmt.Errorf("-places %d: the service needs a front door and at least one executor", *places)
 	}

@@ -41,19 +41,6 @@
 // steal chunk size, and biases victim selection toward low-latency
 // places.
 //
-// # Transports
-//
-// A Runtime hosts every place in one process and has no transport to
-// choose: its places exchange work through shared memory. The Transport
-// constants name the message layers comm.Open connects processes with —
-// TransportInproc (in-process channels), TransportTCPHub (star topology,
-// place 0 routes) and TransportTCPMesh (peer-to-peer, lazily dialed
-// links, write coalescing) — which the job service drives, one process per
-// place. See cmd/distws-serve and cmd/distws-load and their -transport
-// flag.
-// ParseTransport resolves the flag spellings "inproc", "tcp-hub", and
-// "tcp-mesh".
-//
 // # Cancellation
 //
 // RunContext bounds a run by a context: on cancellation it returns
@@ -61,14 +48,11 @@
 // draining on the worker pool in the background — a cancelled run's side
 // effects may therefore still complete. ShutdownContext bounds the wait
 // for worker exit the same way; the stop signal itself is always
-// delivered. Errors surface typed: ErrShutdown from a run on a shut-down
-// runtime, ErrPlaceDown (carrying the place id via PlaceDownError) from
-// sends to a failed place, ErrBackpressure from shed steal traffic. All
-// match with errors.Is.
+// delivered. A run on a shut-down runtime returns ErrShutdown; match it
+// with errors.Is.
 package distws
 
 import (
-	"distws/internal/comm"
 	"distws/internal/core"
 	"distws/internal/deque"
 	"distws/internal/fault"
@@ -123,29 +107,8 @@ type (
 	TraceRecorder = obs.Recorder
 	// TraceRecorderOptions tunes a TraceRecorder (ring capacity).
 	TraceRecorderOptions = obs.RecorderOptions
-	// Transport names an inter-place message layer for comm.Open.
-	Transport = comm.Transport
 	// DequeKind selects the worker-queue implementation (Config.Deque).
 	DequeKind = deque.Kind
-	// PlaceDownError is the concrete error behind ErrPlaceDown; it carries
-	// the id of the failed place.
-	PlaceDownError = comm.PlaceDownError
-	// BackpressureError is the concrete error behind ErrBackpressure; it
-	// carries the id of the congested place.
-	BackpressureError = comm.BackpressureError
-)
-
-// Transports for comm.Open.
-const (
-	// TransportInproc connects places through in-process channels — the
-	// zero value.
-	TransportInproc = comm.TransportInproc
-	// TransportTCPHub is the star topology: one process per place, place 0
-	// routes all spoke-to-spoke traffic (two hops).
-	TransportTCPHub = comm.TransportTCPHub
-	// TransportTCPMesh is the peer-to-peer topology: one process per
-	// place, direct lazily-dialed links, one hop.
-	TransportTCPMesh = comm.TransportTCPMesh
 )
 
 // Worker-queue kinds for Config.Deque.
@@ -165,18 +128,9 @@ const (
 	DequeRelaxed = deque.KindRelaxed
 )
 
-// Typed error surface. Match with errors.Is; see the package comment's
-// Cancellation section for semantics.
-var (
-	// ErrShutdown is returned by Run/RunContext on a shut-down runtime.
-	ErrShutdown = core.ErrShutdown
-	// ErrPlaceDown reports routing to a place whose link has failed; the
-	// concrete error is a *PlaceDownError.
-	ErrPlaceDown = comm.ErrPlaceDown
-	// ErrBackpressure reports a steal message shed at a full queue; the
-	// concrete error is a *BackpressureError.
-	ErrBackpressure = comm.ErrBackpressure
-)
+// ErrShutdown is returned by Run/RunContext on a shut-down runtime. Match
+// with errors.Is; see the package comment's Cancellation section.
+var ErrShutdown = core.ErrShutdown
 
 // Scheduling policies.
 const (
@@ -219,10 +173,6 @@ func NewTraceRecorder(opts TraceRecorderOptions) *TraceRecorder { return obs.New
 // ParsePolicy resolves a case-insensitive policy name such as "distws",
 // "x10ws", "distws-ns", "random", "lifeline", or "adaptive".
 func ParsePolicy(s string) (Policy, error) { return sched.Parse(s) }
-
-// ParseTransport resolves a case-insensitive transport name: "inproc",
-// "tcp-hub", or "tcp-mesh".
-func ParseTransport(s string) (Transport, error) { return comm.ParseTransport(s) }
 
 // ParseDequeKind resolves a case-insensitive worker-queue kind name:
 // "mutex", "chaselev", or "relaxed".

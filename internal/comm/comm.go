@@ -1,11 +1,11 @@
 // Package comm provides the inter-place message layer of the runtime.
-// Three interchangeable transports implement the same Endpoint interface,
-// selected by a Transport value (ParseTransport resolves flag strings):
+// Three interchangeable transports implement the same Endpoint interface.
+// Mesh (NewMesh) is in-process channels, for places that live in one OS
+// process; messages still flow through explicit envelopes so that the
+// message and byte counters of Table III are meaningful. The two that
+// connect processes are selected by a Transport value (ParseTransport
+// resolves flag strings):
 //
-//   - TransportInproc (Mesh): in-process channels, used when all places
-//     live in one OS process (the common library configuration). Messages
-//     still flow through explicit envelopes so that the message and byte
-//     counters of Table III are meaningful.
 //   - TransportTCPHub (Hub/Spoke): a star-topology transport (place 0 is
 //     the hub) where spoke-to-spoke traffic transits the hub — two hops.
 //   - TransportTCPMesh (TCPMesh): a peer-to-peer transport where every

@@ -8,18 +8,15 @@ import (
 	"distws/internal/metrics"
 )
 
-// Transport selects how places exchange messages. The zero value is
-// TransportInproc, which keeps existing single-process configurations
-// working unchanged.
+// Transport selects how processes exchange messages through Open. The
+// zero value is no transport: Open rejects it. In-process places share a
+// Mesh from NewMesh instead.
 type Transport int
 
 const (
-	// TransportInproc connects places through in-process channels (Mesh).
-	// It is the only transport core.Runtime accepts directly.
-	TransportInproc Transport = iota
 	// TransportTCPHub is the star topology: place 0 listens, every other
 	// place dials it, and spoke-to-spoke traffic transits the hub (2 hops).
-	TransportTCPHub
+	TransportTCPHub Transport = iota + 1
 	// TransportTCPMesh is the peer-to-peer topology: every place listens,
 	// links are dialed lazily per ordered pair, and all traffic is 1 hop.
 	TransportTCPMesh
@@ -29,8 +26,6 @@ const (
 // ParseTransport).
 func (t Transport) String() string {
 	switch t {
-	case TransportInproc:
-		return "inproc"
 	case TransportTCPHub:
 		return "tcp-hub"
 	case TransportTCPMesh:
@@ -39,24 +34,21 @@ func (t Transport) String() string {
 	return fmt.Sprintf("Transport(%d)", int(t))
 }
 
-// ParseTransport resolves a flag string ("inproc", "tcp-hub", "tcp-mesh",
+// ParseTransport resolves a flag string ("tcp-hub" or "tcp-mesh",
 // case-insensitive) to a Transport.
 func ParseTransport(s string) (Transport, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "inproc":
-		return TransportInproc, nil
 	case "tcp-hub":
 		return TransportTCPHub, nil
 	case "tcp-mesh":
 		return TransportTCPMesh, nil
 	}
-	return 0, fmt.Errorf("comm: unknown transport %q (want inproc, tcp-hub, or tcp-mesh)", s)
+	return 0, fmt.Errorf("comm: unknown transport %q (want tcp-hub or tcp-mesh)", s)
 }
 
 // NodeConfig describes one process's seat in a distributed cluster.
 type NodeConfig struct {
-	// Transport picks the topology. TransportInproc is rejected by Open —
-	// in-process meshes are built with NewMesh and shared directly.
+	// Transport picks the topology.
 	Transport Transport
 	// Place is this process's place id in [0, Places).
 	Place int
@@ -91,8 +83,6 @@ func Open(cfg NodeConfig) (Endpoint, error) {
 		return nil, fmt.Errorf("comm: Open place %d of %d", cfg.Place, cfg.Places)
 	}
 	switch cfg.Transport {
-	case TransportInproc:
-		return nil, fmt.Errorf("comm: Open does not build in-process transports; use NewMesh and share its endpoints")
 	case TransportTCPHub:
 		if cfg.Addr == "" {
 			return nil, fmt.Errorf("comm: tcp-hub needs Addr")

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
@@ -11,7 +12,6 @@ func TestParseTransport(t *testing.T) {
 		in   string
 		want Transport
 	}{
-		{"inproc", TransportInproc},
 		{"tcp-hub", TransportTCPHub},
 		{"tcp-mesh", TransportTCPMesh},
 		{" TCP-Mesh ", TransportTCPMesh},
@@ -26,8 +26,12 @@ func TestParseTransport(t *testing.T) {
 			t.Fatalf("round trip of %v via %q failed: %v, %v", c.want, c.want.String(), rt, err)
 		}
 	}
-	if _, err := ParseTransport("carrier-pigeon"); err == nil {
-		t.Fatalf("unknown transport should error")
+	// In-process places share a Mesh; no flag spelling names one.
+	for _, in := range []string{"inproc", "carrier-pigeon"} {
+		_, err := ParseTransport(in)
+		if err == nil || !strings.Contains(err.Error(), "tcp-hub or tcp-mesh") {
+			t.Fatalf("ParseTransport(%q) = %v, want an error naming tcp-hub and tcp-mesh", in, err)
+		}
 	}
 	if s := Transport(42).String(); s == "" {
 		t.Fatalf("out-of-range transport should still print")
@@ -39,7 +43,7 @@ func TestOpenValidation(t *testing.T) {
 		{Transport: TransportTCPHub, Place: 0, Places: 1, Addr: "x"},          // too small
 		{Transport: TransportTCPHub, Place: 5, Places: 2, Addr: "x"},          // place out of range
 		{Transport: TransportTCPHub, Place: 0, Places: 2},                     // no addr
-		{Transport: TransportInproc, Place: 0, Places: 2},                     // inproc not Open-able
+		{Place: 0, Places: 2, Addr: "x"},                                      // no transport
 		{Transport: TransportTCPMesh, Place: 0, Places: 3, Addrs: []string{}}, // addrs mismatch
 		{Transport: Transport(9), Place: 0, Places: 2, Addr: "x"},             // unknown
 	}

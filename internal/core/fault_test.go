@@ -16,10 +16,28 @@ import (
 // checks that every one of them executed exactly once — the recovery
 // invariant: a crash may move work, never lose or duplicate it.
 func chaosSum(t *testing.T, cfg Config, n int) *Runtime {
+	return gatedChaosSum(t, cfg, n, false)
+}
+
+// heldChaosSum is chaosSum with every activity parked until the root has
+// spawned all n, so an AfterTasks crash fires with the crashed place's
+// queues full. Ungated, the spawn loop could lag that place's first tasks
+// (or its idle workers finish three stolen ones) and the crash fire with
+// its queues empty; the spawns after it are then re-homed at spawn time,
+// which is not re-execution.
+func heldChaosSum(t *testing.T, cfg Config, n int) *Runtime {
+	return gatedChaosSum(t, cfg, n, true)
+}
+
+func gatedChaosSum(t *testing.T, cfg Config, n int, held bool) *Runtime {
 	t.Helper()
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
+	}
+	gate := make(chan struct{})
+	if !held {
+		close(gate)
 	}
 	var sum atomic.Int64
 	var count atomic.Int64
@@ -33,10 +51,14 @@ func chaosSum(t *testing.T, cfg Config, n int) *Runtime {
 					spawn = c.Async
 				}
 				spawn(home, func(*Ctx) {
+					<-gate
 					time.Sleep(20 * time.Microsecond)
 					sum.Add(int64(i))
 					count.Add(1)
 				})
+			}
+			if held {
+				close(gate)
 			}
 		})
 	})
@@ -96,7 +118,7 @@ func eachDequeKind(t *testing.T, body func(t *testing.T, k deque.Kind)) {
 }
 
 func TestCrashedPlaceWorkIsReExecuted(t *testing.T) {
-	rt := chaosSum(t, Config{
+	rt := heldChaosSum(t, Config{
 		Cluster: chaosCluster(),
 		Policy:  sched.DistWS,
 		Seed:    7,
@@ -156,7 +178,7 @@ func TestCrashCompletesOnEveryKind(t *testing.T) {
 func TestCrashUnderX10WSStillCompletes(t *testing.T) {
 	// X10WS never migrates tasks in steady state, but fail-stop recovery
 	// must still re-home a crashed place's queues.
-	rt := chaosSum(t, Config{
+	rt := heldChaosSum(t, Config{
 		Cluster: chaosCluster(),
 		Policy:  sched.X10WS,
 		Seed:    7,
