@@ -139,11 +139,11 @@ bench:
 # mesh (the root TestChurn*), and on the goroutine runtime (internal/core);
 # the service's control plane through join, drain, partition and crash on
 # virtual time, over seed sweeps (internal/service/vtime_test.go), with the
-# net they run on; the executor's half of a drain and a join, and on
-# tcp-hub a gray failure only the detector sees and retries racing three
-# crashes (internal/node) — plus a short shake of the membership wire
-# codec. The simulator and virtual-time halves are deterministic (fixed
-# seeds).
+# net they run on; the executor's half of a drain and a join, and on a
+# loopback TCP mesh a gray failure only the detector sees and retries
+# racing three crashes (internal/node) — plus a short shake of the
+# membership wire codec. The simulator and virtual-time halves are
+# deterministic (fixed seeds).
 soak:
 	$(GO) test -race -count=1 -v -run 'TestChurn' -timeout 10m .
 	$(GO) test -race -count=1 -run 'Churn|Drain|Join|Flap|Partition|Gray|Heartbeat|Rejoin|Member|Detector|Crash|TestNet' \
@@ -182,9 +182,9 @@ loc:
 # by the program" is what coverage-instrumented builds of the commands and
 # the benchmark execute on the exhibit run, the benchmark's smoke run, the
 # serve-soak simulation, one real loopback service (a distws-serve front
-# door and executor on tcp-hub, with a distws-load client started before
-# the executor) and distws-run's other faces (each micro kernel
-# and the relaxed kind on the goroutine runtime; a crash and lossy steals
+# door and executor on a three-seat TCP mesh, with a distws-load client
+# started before the executor) and distws-run's other faces (each micro
+# kernel and the relaxed kind on the goroutine runtime; a crash and lossy steals
 # in the simulator, traced, with distws-trace rendering the trace in every
 # format; the same faults under lifelines on the runtime, on turingring,
 # whose ring visits every place, so the crashed one reaches its task count
@@ -211,11 +211,12 @@ coverage-ledger:
 	"$$dir/bin/distws-experiments" -seed 1 > /dev/null; \
 	"$$dir/bin/benchmark" -quick -seconds 0.3 -out "" > /dev/null; \
 	"$$dir/bin/distws-load" $(LOAD_SIM) > /dev/null; \
-	addr=127.0.0.1:$$((40000 + $$$$ % 20000)); \
-	"$$dir/bin/distws-serve" -place 0 -places 2 -seats 3 -addr $$addr -tenants 1:w=1 > /dev/null & front=$$!; pids="$$front"; \
+	port=$$((40000 + $$$$ % 20000)); \
+	addrs=127.0.0.1:$$port,127.0.0.1:$$((port + 1)),127.0.0.1:$$((port + 2)); \
+	"$$dir/bin/distws-serve" -addrs $$addrs -places 2 -place 0 -tenants 1:w=1 > /dev/null & front=$$!; pids="$$front"; \
+	"$$dir/bin/distws-load" -addrs $$addrs -places 2 -seat 2 -spec "1:clients=2,jobs=40,task=svc.echo" > /dev/null & load=$$!; pids="$$pids $$load"; \
 	sleep 0.3; \
-	"$$dir/bin/distws-load" -seat 2 -seats 3 -places 2 -addr $$addr -spec "1:clients=2,jobs=40,task=svc.echo" > /dev/null & load=$$!; \
-	"$$dir/bin/distws-serve" -place 1 -places 2 -seats 3 -addr $$addr > /dev/null & exec1=$$!; pids="$$pids $$load $$exec1"; \
+	"$$dir/bin/distws-serve" -addrs $$addrs -places 2 -place 1 > /dev/null & exec1=$$!; pids="$$pids $$exec1"; \
 	wait $$load; kill -TERM $$front; wait $$front $$exec1; pids=; \
 	for app in $(LEDGER_MICRO); do \
 		"$$dir/bin/distws-run" -mode runtime -app $$app -places 2 -workers 2 > /dev/null; \

@@ -5,9 +5,11 @@
 //
 // The traffic mix is one -spec clause per tenant:
 //
-//	distws-load -seat 3 -seats 5 -addr 127.0.0.1:4242 \
-//	    -spec "1:w=1,clients=2,jobs=200,task=svc.sleep;2:w=3,clients=2,jobs=200,task=svc.sleep" \
-//	    -sleep 5ms
+//	distws-load -addrs $A -places 3 -seat 3 -sleep 5ms \
+//	    -spec "1:w=1,clients=2,jobs=200,task=svc.sleep;2:w=3,clients=2,jobs=200,task=svc.sleep"
+//
+// where $A is the cluster's -addrs list (see distws-serve) and -seat one
+// of its client seats.
 //
 // Clause keys: w (fair-share weight, report only), clients (closed-loop
 // concurrency), jobs (submission budget, 0 = until -duration), open
@@ -55,22 +57,19 @@ func main() {
 
 func run() error {
 	var (
-		transport = flag.String("transport", "tcp-hub", "cluster transport: tcp-hub or tcp-mesh")
-		seat      = flag.Int("seat", 3, "this client's transport seat (>= the cluster's -places)")
-		seats     = flag.Int("seats", 0, "total transport seats, matching the cluster (tcp-hub; default places+4)")
-		places    = flag.Int("places", 3, "the cluster's compute places (seat validation)")
-		addr      = flag.String("addr", "127.0.0.1:4242", "front-door address (tcp-hub)")
-		addrs     = flag.String("addrs", "", "comma-separated per-seat listen addresses (tcp-mesh)")
-		spec      = flag.String("spec", "", "per-tenant traffic clauses (see package doc)")
-		sleepArg  = flag.Duration("sleep", 5*time.Millisecond, "argument sent with svc.sleep jobs")
-		duration  = flag.Duration("duration", 0, "stop submitting after this long (0 = when budgets are spent); sim horizon")
-		timeout   = flag.Duration("timeout", 30*time.Second, "per-call reply timeout")
-		seed      = flag.Int64("seed", 1, "seed for open-loop arrivals and the simulator")
-		sim       = flag.Bool("sim", false, "simulate on virtual time instead of contacting a cluster")
-		slots     = flag.Int("slots", 4, "executor capacity in sim mode (concurrent jobs)")
-		quantum   = flag.Int("quantum", 1, "fair-share credit per scheduler visit (sim)")
-		churn     = flag.String("churn", "", `sim capacity churn, e.g. "500ms:-2;1s:+2"`)
-		verify    = flag.Bool("verify", false, "sim only: run twice and fail unless reports are byte-identical")
+		seat     = flag.Int("seat", 3, "this client's seat in -addrs (>= the cluster's -places)")
+		places   = flag.Int("places", 3, "the cluster's compute places (seat validation)")
+		addrs    = flag.String("addrs", "", "the cluster's comma-separated per-seat listen addresses")
+		spec     = flag.String("spec", "", "per-tenant traffic clauses (see package doc)")
+		sleepArg = flag.Duration("sleep", 5*time.Millisecond, "argument sent with svc.sleep jobs")
+		duration = flag.Duration("duration", 0, "stop submitting after this long (0 = when budgets are spent); sim horizon")
+		timeout  = flag.Duration("timeout", 30*time.Second, "per-call reply timeout")
+		seed     = flag.Int64("seed", 1, "seed for open-loop arrivals and the simulator")
+		sim      = flag.Bool("sim", false, "simulate on virtual time instead of contacting a cluster")
+		slots    = flag.Int("slots", 4, "executor capacity in sim mode (concurrent jobs)")
+		quantum  = flag.Int("quantum", 1, "fair-share credit per scheduler visit (sim)")
+		churn    = flag.String("churn", "", `sim capacity churn, e.g. "500ms:-2;1s:+2"`)
+		verify   = flag.Bool("verify", false, "sim only: run twice and fail unless reports are byte-identical")
 	)
 	diag := cliutil.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -95,30 +94,17 @@ func run() error {
 	}
 	defer diag.Stop()
 
-	tr, err := comm.ParseTransport(*transport)
-	if err != nil {
-		return err
+	if *addrs == "" {
+		return fmt.Errorf("need -addrs (comma-separated, one per seat)")
 	}
-	total := *seats
-	if total == 0 {
-		total = *places + 4
-	}
-	cfg := comm.NodeConfig{Transport: tr, Place: *seat, Places: total, Addr: *addr}
-	if tr == comm.TransportTCPMesh {
-		if *addrs == "" {
-			return fmt.Errorf("tcp-mesh needs -addrs (comma-separated, one per seat)")
-		}
-		cfg.Addrs = strings.Split(*addrs, ",")
-		cfg.Places = len(cfg.Addrs)
-	}
-	if *seat < *places || *seat >= cfg.Places {
-		return fmt.Errorf("-seat %d: client seats are %d..%d", *seat, *places, cfg.Places-1)
+	seats := strings.Split(*addrs, ",")
+	if *seat < *places || *seat >= len(seats) {
+		return fmt.Errorf("-seat %d: client seats are %d..%d", *seat, *places, len(seats)-1)
 	}
 	var ctrs metrics.Counters
 	diag.Server().SetMetricsSource(ctrs.Snapshot)
-	cfg.Counters = &ctrs
 
-	n, err := comm.Open(cfg)
+	n, err := comm.ListenMeshTCP(seats, *seat, comm.MeshOptions{Counters: &ctrs})
 	if err != nil {
 		return err
 	}
@@ -142,7 +128,7 @@ func run() error {
 		ctx, cancel = context.WithTimeout(ctx, *duration)
 		defer cancel()
 	}
-	fmt.Printf("load: %d tenant(s) against %s seat %d\n", len(lcfg.Tenants), tr, *seat)
+	fmt.Printf("load: %d tenant(s) against tcp-mesh seat %d\n", len(lcfg.Tenants), *seat)
 	report, err := service.RunLoad(ctx, service.NewClient(n, 0), lcfg)
 	if err != nil {
 		return err

@@ -10,26 +10,19 @@
 //   - places 1..places-1 are executors: each runs the service task set
 //     ("svc.echo", "svc.sleep") with -workers concurrent jobs.
 //
-// Transport seats at or beyond -places are client seats, reserved for
-// distws-load (or any submitter speaking the job wire protocol).
-//
-// Start a 3-place service with 2 client seats on the hub transport:
-//
-//	distws-serve -place 0 -places 3 -seats 5 -addr 127.0.0.1:4242 \
-//	    -tenants "1:w=1,inflight=8;2:w=3,inflight=8" &
-//	distws-serve -place 1 -places 3 -seats 5 -addr 127.0.0.1:4242 &
-//	distws-serve -place 2 -places 3 -seats 5 -addr 127.0.0.1:4242 &
-//	distws-load -seat 3 -seats 5 -addr 127.0.0.1:4242 \
-//	    -spec "1:w=1,clients=2,jobs=200,task=svc.sleep;2:w=3,clients=2,jobs=200,task=svc.sleep"
-//
-// Or as a peer-to-peer mesh (one listen address per seat, compute
-// places first):
+// Places talk over a peer-to-peer TCP mesh (internal/comm's TCPMesh):
+// -addrs lists one listen address per seat, compute places first, and the
+// seats at or beyond -places are client seats, reserved for distws-load
+// (or any submitter speaking the job wire protocol). Processes may start
+// in any order: a seat retries its dial to place 0 for about 0.75 s. A
+// 3-place service with one client seat:
 //
 //	A=127.0.0.1:4242,127.0.0.1:4243,127.0.0.1:4244,127.0.0.1:4245
-//	distws-serve -transport tcp-mesh -addrs $A -places 3 -place 0 -tenants "1:w=1" &
-//	distws-serve -transport tcp-mesh -addrs $A -places 3 -place 1 &
-//	distws-serve -transport tcp-mesh -addrs $A -places 3 -place 2 &
-//	distws-load  -transport tcp-mesh -addrs $A -places 3 -seat 3 -spec "1:clients=4,jobs=100"
+//	distws-serve -addrs $A -places 3 -place 0 -tenants "1:w=1,inflight=8;2:w=3,inflight=8" &
+//	distws-serve -addrs $A -places 3 -place 1 &
+//	distws-serve -addrs $A -places 3 -place 2 &
+//	distws-load  -addrs $A -places 3 -seat 3 \
+//	    -spec "1:w=1,clients=2,jobs=200,task=svc.sleep;2:w=3,clients=2,jobs=200,task=svc.sleep"
 //
 // SIGTERM (or SIGINT) drains gracefully in both roles: the front door
 // nacks new submissions with NackDraining and finishes every admitted
@@ -89,12 +82,9 @@ func main() {
 
 func run() error {
 	var (
-		transport = flag.String("transport", "tcp-hub", "cluster transport: tcp-hub or tcp-mesh")
 		place     = flag.Int("place", 0, "this process's place id (0 = service front door)")
 		places    = flag.Int("places", 3, "compute places: front door + executors")
-		seats     = flag.Int("seats", 0, "total transport seats including clients (tcp-hub; default places+4)")
-		addr      = flag.String("addr", "127.0.0.1:4242", "front-door address (tcp-hub)")
-		addrs     = flag.String("addrs", "", "comma-separated per-seat listen addresses (tcp-mesh; compute places first)")
+		addrs     = flag.String("addrs", "", "comma-separated per-seat listen addresses, compute places first")
 		tenants   = flag.String("tenants", "", `tenant admission spec, e.g. "1:w=1,rate=100,burst=10,inflight=8;2:w=3" (front door)`)
 		workers   = flag.Int("workers", 2, "concurrent jobs per executor")
 		window    = flag.Int("window", 8, "outstanding jobs per executor (front door)")
@@ -114,28 +104,15 @@ func run() error {
 		return nil
 	}
 
-	tr, err := comm.ParseTransport(*transport)
-	if err != nil {
-		return err
-	}
 	if *places < 2 {
 		return fmt.Errorf("-places %d: the service needs a front door and at least one executor", *places)
 	}
-	total := *seats
-	if total == 0 {
-		total = *places + 4
+	if *addrs == "" {
+		return fmt.Errorf("need -addrs (comma-separated, one per seat)")
 	}
-	cfg := comm.NodeConfig{Transport: tr, Place: *place, Places: total, Addr: *addr,
-		Incarnation: uint32(*incarn)}
-	if tr == comm.TransportTCPMesh {
-		if *addrs == "" {
-			return fmt.Errorf("tcp-mesh needs -addrs (comma-separated, one per seat)")
-		}
-		cfg.Addrs = strings.Split(*addrs, ",")
-		cfg.Places = len(cfg.Addrs)
-	}
-	if cfg.Places < *places {
-		return fmt.Errorf("%d transport seats cannot hold %d compute places", cfg.Places, *places)
+	seats := strings.Split(*addrs, ",")
+	if len(seats) < *places {
+		return fmt.Errorf("%d seats in -addrs cannot hold %d compute places", len(seats), *places)
 	}
 	if *place >= *places {
 		return fmt.Errorf("-place %d is a client seat (compute places are 0..%d); clients run distws-load", *place, *places-1)
@@ -148,9 +125,8 @@ func run() error {
 
 	var ctrs metrics.Counters
 	diag.Server().SetMetricsSource(ctrs.Snapshot)
-	cfg.Counters = &ctrs
 
-	n, err := comm.Open(cfg)
+	n, err := comm.ListenMeshTCP(seats, *place, comm.MeshOptions{Counters: &ctrs, Incarnation: uint32(*incarn)})
 	if err != nil {
 		return err
 	}
@@ -174,7 +150,7 @@ func run() error {
 }
 
 // serveFrontDoor runs place 0: the admission + fair-share event loop.
-func serveFrontDoor(n comm.Endpoint, diag *cliutil.Diagnostics, ctrs *metrics.Counters,
+func serveFrontDoor(n *comm.TCPMesh, diag *cliutil.Diagnostics, ctrs *metrics.Counters,
 	sigs chan os.Signal, places int, tenantSpec string, window, quantum int,
 	retry, joinWait, heartbeat time.Duration, absent string) error {
 	if tenantSpec == "" {
@@ -197,13 +173,7 @@ func serveFrontDoor(n comm.Endpoint, diag *cliutil.Diagnostics, ctrs *metrics.Co
 			waitFor = append(waitFor, p)
 		}
 	}
-	switch t := n.(type) {
-	case *comm.Hub:
-		err = t.AwaitPeers(waitFor, joinWait)
-	case *comm.TCPMesh:
-		err = t.AwaitPeers(waitFor, joinWait)
-	}
-	if err != nil {
+	if err := n.AwaitPeers(waitFor, joinWait); err != nil {
 		return err
 	}
 	stats := service.NewStats()

@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// resolvedDocs are the documents whose make targets and tree paths must
-// resolve.
+// resolvedDocs are the documents whose make targets, tree paths and
+// command flags must resolve.
 var resolvedDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
 
 var (
@@ -21,13 +21,25 @@ var (
 	// A cmd/, internal/ or examples/ path, not the tail of a longer one
 	// (distws/internal/... is an import path) but possibly after "./".
 	treePath = regexp.MustCompile(`(?:^|[^\w/.-]|\./)((?:cmd|internal|examples)/[\w./-]*)`)
+
+	// A distws-<name> command; a flag after it, once quoted arguments are
+	// blanked and the line is cut at the first shell operator; and a flag
+	// a command's main.go registers.
+	docCommand  = regexp.MustCompile(`distws-([a-z]+)`)
+	docQuoted   = regexp.MustCompile(`"[^"]*"|'[^']*'`)
+	docFlag     = regexp.MustCompile(`(?:^|\s)--?([a-z][a-z0-9-]*)`)
+	flagDefined = regexp.MustCompile(`flag\.\w+\("([^"]+)"`)
+	// sharedFlags are the flags every command gets from cliutil.
+	sharedFlags = []string{"cpuprofile", "memprofile", "listen", "version"}
 )
 
 // TestDocsResolve fails on a backticked `make <target>` (or a fenced
 // `make <target>` line) that the Makefile does not define, and on a cmd/,
 // internal/ or examples/ path that is not in the tree, in each of
-// resolvedDocs: a deleted command, package or target cannot linger in
-// the prose that tells a reader how to run things.
+// resolvedDocs, and on a -flag after a distws-<name> command (on a fenced
+// line or in a backticked span) that cmd/distws-<name> does not register:
+// a deleted command, package, target or flag cannot linger in the prose
+// that tells a reader how to run things.
 func TestDocsResolve(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -36,6 +48,23 @@ func TestDocsResolve(t *testing.T) {
 	targets := map[string]bool{}
 	for _, m := range makefileRule.FindAllStringSubmatch(string(makefile), -1) {
 		targets[m[1]] = true
+	}
+	flags := map[string]map[string]bool{} // by command name, read on first use
+	commandFlags := func(name string) map[string]bool {
+		if f, ok := flags[name]; ok {
+			return f
+		}
+		f := map[string]bool{}
+		for _, s := range sharedFlags {
+			f[s] = true
+		}
+		// A command that is not in the tree registers nothing.
+		src, _ := os.ReadFile(filepath.Join("cmd", "distws-"+name, "main.go"))
+		for _, m := range flagDefined.FindAllSubmatch(src, -1) {
+			f[string(m[1])] = true
+		}
+		flags[name] = f
+		return f
 	}
 	for _, doc := range resolvedDocs {
 		data, err := os.ReadFile(filepath.FromSlash(doc))
@@ -49,14 +78,42 @@ func TestDocsResolve(t *testing.T) {
 				t.Errorf("%s:%d: make %s: no such Makefile target", doc, line(at), name)
 			}
 		}
+		// checkFlags checks the flags after each distws-<name> command of
+		// s, which starts at offset at of text, up to the end of its line
+		// or the next command.
+		checkFlags := func(s string, at int) {
+			cmds := docCommand.FindAllStringSubmatchIndex(s, -1)
+			for i, m := range cmds {
+				rest := s[m[1]:]
+				if i+1 < len(cmds) {
+					rest = s[m[1]:cmds[i+1][0]]
+				}
+				if nl := strings.IndexByte(rest, '\n'); nl >= 0 {
+					rest = rest[:nl]
+				}
+				rest = docQuoted.ReplaceAllString(rest, `""`)
+				if op := strings.IndexAny(rest, "|&;<>)#"); op >= 0 {
+					rest = rest[:op]
+				}
+				name := s[m[2]:m[3]]
+				for _, f := range docFlag.FindAllStringSubmatch(rest, -1) {
+					if !commandFlags(name)[f[1]] {
+						t.Errorf("%s:%d: distws-%s -%s: no such flag", doc, line(at+m[0]), name, f[1])
+					}
+				}
+			}
+		}
 
 		// Spans are matched in the prose alone, the fenced blocks blanked
 		// out (offsets kept), so a fence's backticks cannot pair with one.
+		// A fenced line that ends in a backslash continues on the next.
 		prose := []byte(text)
 		for _, f := range docFence.FindAllStringIndex(text, -1) {
-			for _, m := range fenceMake.FindAllStringSubmatchIndex(text[f[0]:f[1]], -1) {
-				checkTarget(text[f[0]+m[2]:f[0]+m[3]], f[0]+m[2])
+			fence := text[f[0]:f[1]]
+			for _, m := range fenceMake.FindAllStringSubmatchIndex(fence, -1) {
+				checkTarget(fence[m[2]:m[3]], f[0]+m[2])
 			}
+			checkFlags(strings.ReplaceAll(fence, "\\\n", "  "), f[0])
 			for i := f[0]; i < f[1]; i++ {
 				if prose[i] != '\n' {
 					prose[i] = ' '
@@ -64,9 +121,11 @@ func TestDocsResolve(t *testing.T) {
 			}
 		}
 		for _, s := range docSpan.FindAllSubmatchIndex(prose, -1) {
-			for _, m := range spanMake.FindAllStringSubmatchIndex(text[s[2]:s[3]], -1) {
-				checkTarget(text[s[2]+m[2]:s[2]+m[3]], s[2]+m[2])
+			span := text[s[2]:s[3]]
+			for _, m := range spanMake.FindAllStringSubmatchIndex(span, -1) {
+				checkTarget(span[m[2]:m[3]], s[2]+m[2])
 			}
+			checkFlags(strings.ReplaceAll(span, "\n", " "), s[2])
 		}
 
 		for _, m := range treePath.FindAllStringSubmatchIndex(text, -1) {

@@ -26,7 +26,7 @@
 // From these it (a) reclassifies kinds online between the shared FIFO
 // deque and private LIFO deques with hysteresis so classifications
 // converge instead of oscillating, (b) adapts each place's remote steal
-// chunk size within [MinChunk, MaxChunk], and (c) orders victim sweeps
+// chunk size within [minChunk, maxChunk], and (c) orders victim sweeps
 // by observed acquisition latency, with unobserved victims tried first
 // (optimism drives exploration) and ties broken by the caller's RNG so
 // the ordering degenerates to DistWS's randomized sweep until latencies
@@ -54,51 +54,55 @@ import (
 	"distws/internal/task"
 )
 
-// Config parameterizes a Controller. The zero value of every field picks
-// the default documented on it.
+// The controller's tunables. Every run uses these values.
+const (
+	// pinRatio: a kind whose migrated service-time EWMA exceeds pinRatio ×
+	// its home EWMA is pinned Sensitive — high enough that a migrated
+	// flexible task's one cold cache pass does not pin it, low enough that
+	// per-pass remote-reference bursts do.
+	pinRatio = 1.5
+	// unpinRatio: a pinned kind whose ratio falls below unpinRatio is
+	// released back to Flexible. The gap between the two ratios is the
+	// hysteresis band that prevents flip oscillation.
+	unpinRatio = 1.2
+	// pinPenaltyFrac is the second, sharper pin criterion: a kind whose
+	// migrated data-locality penalty (remote-reference round trips plus
+	// cache-miss stalls, the penaltyNS input of ObserveExec) exceeds this
+	// fraction of its home service time is pinned Sensitive even when the
+	// total-service ratio stays under pinRatio. Coarse tasks bury a large
+	// absolute migration penalty in an even larger compute time; the
+	// penalty fraction resolves what the ratio cannot.
+	pinPenaltyFrac = 0.05
+	// unpinPenaltyFrac releases a pinned kind when its migrated penalty
+	// falls below this fraction of home service; with unpinRatio it forms
+	// the hysteresis band.
+	unpinPenaltyFrac = pinPenaltyFrac / 2
+	// minSamples is how many home AND migrated observations a kind needs
+	// before it may be reclassified.
+	minSamples = 3
+	// alpha is the EWMA weight of a new service-time or latency sample.
+	alpha = 0.25
+	// minChunk and maxChunk bound the adapted remote steal chunk size,
+	// bracketing the paper's fixed 2.
+	minChunk, maxChunk = 1, 4
+	// chunkWindow is how many successful steals a place accumulates
+	// before reconsidering its chunk size.
+	chunkWindow = 16
+	// latencyShift quantizes victim latency EWMAs for ordering into
+	// buckets of 1<<latencyShift = 8192 ns: victims within one bucket are
+	// considered equally attractive and keep their randomized relative
+	// order. Under the default network model a clean probe round trip is
+	// ≈10 µs and a timeout ≥ 4× that, so healthy victims share a bucket
+	// and flaky ones fall behind. A shift, not a division: latency EWMAs
+	// are non-negative, so it is exact and spares AppendVictimOrder a
+	// 64-bit division per victim per sweep.
+	latencyShift = 13
+)
+
+// Config parameterizes a Controller.
 type Config struct {
 	// Places is the cluster's place count (required, >= 1).
 	Places int
-	// PinRatio: a kind whose migrated service-time EWMA exceeds
-	// PinRatio × its home EWMA is pinned Sensitive. Default 1.5 — high
-	// enough that a migrated flexible task's one cold cache pass does not
-	// pin it, low enough that per-pass remote-reference bursts do.
-	PinRatio float64
-	// UnpinRatio: a pinned kind whose ratio falls below UnpinRatio is
-	// released back to Flexible. The gap between the two ratios is the
-	// hysteresis band that prevents flip oscillation. Default 1.2.
-	UnpinRatio float64
-	// PinPenaltyFrac is the second, sharper pin criterion: a kind whose
-	// migrated data-locality penalty (remote-reference round trips plus
-	// cache-miss stalls, the penaltyNS input of ObserveExec) exceeds
-	// this fraction of its home service time is pinned Sensitive even
-	// when the total-service ratio stays under PinRatio. Coarse tasks
-	// bury a large absolute migration penalty in an even larger compute
-	// time; the penalty fraction resolves what the ratio cannot.
-	// Default 0.05.
-	PinPenaltyFrac float64
-	// UnpinPenaltyFrac releases a pinned kind when its migrated penalty
-	// falls below this fraction of home service; with UnpinRatio it forms
-	// the hysteresis band. Default half of PinPenaltyFrac.
-	UnpinPenaltyFrac float64
-	// MinSamples is how many home AND migrated observations a kind needs
-	// before it may be reclassified. Default 3.
-	MinSamples int
-	// Alpha is the EWMA weight of a new service-time sample. Default 0.25.
-	Alpha float64
-	// MinChunk/MaxChunk bound the adapted remote steal chunk size.
-	// Defaults 1 and 4, bracketing the paper's fixed 2.
-	MinChunk, MaxChunk int
-	// ChunkWindow is how many successful steals a place accumulates
-	// before reconsidering its chunk size. Default 16.
-	ChunkWindow int
-	// LatencyBucketNS quantizes victim latency EWMAs for ordering:
-	// victims within one bucket are considered equally attractive and
-	// keep their randomized relative order. Default 8192ns (under the
-	// default network model a clean probe round trip is ≈10µs and a
-	// timeout ≥4× that, so healthy victims share a bucket and flaky ones
-	// fall behind).
-	LatencyBucketNS int64
 
 	// Unsynchronized skips the controller's internal mutex: the caller
 	// guarantees every method call happens from a single goroutine. The
@@ -108,40 +112,6 @@ type Config struct {
 	// a visible slice of the adaptive policy's profile. The runtime's
 	// shared controllers must leave it false.
 	Unsynchronized bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.PinRatio == 0 {
-		c.PinRatio = 1.5
-	}
-	if c.UnpinRatio == 0 {
-		c.UnpinRatio = 1.2
-	}
-	if c.PinPenaltyFrac == 0 {
-		c.PinPenaltyFrac = 0.05
-	}
-	if c.UnpinPenaltyFrac == 0 {
-		c.UnpinPenaltyFrac = c.PinPenaltyFrac / 2
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = 3
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 0.25
-	}
-	if c.MinChunk == 0 {
-		c.MinChunk = 1
-	}
-	if c.MaxChunk == 0 {
-		c.MaxChunk = 4
-	}
-	if c.ChunkWindow == 0 {
-		c.ChunkWindow = 16
-	}
-	if c.LatencyBucketNS == 0 {
-		c.LatencyBucketNS = 8192
-	}
-	return c
 }
 
 // Signature buckets a task's observable attributes into a kind key: the
@@ -204,12 +174,6 @@ type Controller struct {
 	links  []victimStat // [thief*Places + victim]
 	scores []int64      // AppendVictimOrder scratch (guarded by mu)
 
-	// latShift is log2(LatencyBucketNS) when the bucket is a power of
-	// two (the default is), else -1. Latency EWMAs are non-negative, so
-	// quantizing with a shift is exact and spares AppendVictimOrder a
-	// 64-bit division per victim per sweep.
-	latShift int
-
 	// Lock-free snapshots of the two values the scheduler reads on its
 	// hot path. Classify runs once per spawn and Chunk once per steal
 	// sweep; taking the controller mutex for a single read there is the
@@ -223,7 +187,6 @@ type Controller struct {
 
 // New returns a Controller for a cluster of cfg.Places places.
 func New(cfg Config) *Controller {
-	cfg = cfg.withDefaults()
 	if cfg.Places < 1 {
 		panic(fmt.Sprintf("adapt: Config.Places = %d, want >= 1", cfg.Places))
 	}
@@ -233,10 +196,6 @@ func New(cfg Config) *Controller {
 		chunks:   make([]chunkState, cfg.Places),
 		links:    make([]victimStat, cfg.Places*cfg.Places),
 		chunkNow: make([]atomic.Int32, cfg.Places),
-		latShift: -1,
-	}
-	if b := cfg.LatencyBucketNS; b > 0 && b&(b-1) == 0 {
-		c.latShift = bits.TrailingZeros64(uint64(b))
 	}
 	for p := range c.chunks {
 		c.chunks[p].chunk = 2 // the paper's §V-B3 starting point
@@ -334,20 +293,20 @@ func (c *Controller) ObserveExec(kind int32, migrated bool, serviceNS, penaltyNS
 		if k.awayN == 0 {
 			k.awayEW, k.awayPenEW = s, pen
 		} else {
-			k.awayEW += c.cfg.Alpha * (s - k.awayEW)
-			k.awayPenEW += c.cfg.Alpha * (pen - k.awayPenEW)
+			k.awayEW += alpha * (s - k.awayEW)
+			k.awayPenEW += alpha * (pen - k.awayPenEW)
 		}
 		k.awayN++
 	} else {
 		if k.homeN == 0 {
 			k.homeEW, k.homePenEW = s, pen
 		} else {
-			k.homeEW += c.cfg.Alpha * (s - k.homeEW)
-			k.homePenEW += c.cfg.Alpha * (pen - k.homePenEW)
+			k.homeEW += alpha * (s - k.homeEW)
+			k.homePenEW += alpha * (pen - k.homePenEW)
 		}
 		k.homeN++
 	}
-	if k.homeN < c.cfg.MinSamples || k.awayN < c.cfg.MinSamples || k.homeEW <= 0 {
+	if k.homeN < minSamples || k.awayN < minSamples || k.homeEW <= 0 {
 		return false, k.class
 	}
 	// Two pin criteria, with the unpin thresholds of both forming one
@@ -360,10 +319,10 @@ func (c *Controller) ObserveExec(kind int32, migrated bool, serviceNS, penaltyNS
 	penFrac := (k.awayPenEW - k.homePenEW) / k.homeEW
 	switch {
 	case k.class == task.Flexible &&
-		(ratio > c.cfg.PinRatio || penFrac > c.cfg.PinPenaltyFrac):
+		(ratio > pinRatio || penFrac > pinPenaltyFrac):
 		k.class = task.Sensitive
 	case k.class == task.Sensitive &&
-		ratio < c.cfg.UnpinRatio && penFrac < c.cfg.UnpinPenaltyFrac:
+		ratio < unpinRatio && penFrac < unpinPenaltyFrac:
 		k.class = task.Flexible
 	default:
 		return false, k.class
@@ -427,7 +386,7 @@ func (c *Controller) latObserveLocked(thief, victim int, latencyNS int64) {
 	if l.n == 0 {
 		l.latEW = float64(latencyNS)
 	} else {
-		l.latEW += c.cfg.Alpha * (float64(latencyNS) - l.latEW)
+		l.latEW += alpha * (float64(latencyNS) - l.latEW)
 	}
 	l.n++
 }
@@ -440,7 +399,7 @@ func (c *Controller) chunkObserveLocked(thief, victimLeft int) {
 	} else if victimLeft >= cs.chunk {
 		cs.rich++
 	}
-	if cs.steals < c.cfg.ChunkWindow {
+	if cs.steals < chunkWindow {
 		return
 	}
 	// Window full: if most chunks drained their victim, the chunk is
@@ -451,11 +410,11 @@ func (c *Controller) chunkObserveLocked(thief, victimLeft int) {
 	} else if cs.rich*4 > cs.steals*3 {
 		cs.chunk++
 	}
-	if cs.chunk < c.cfg.MinChunk {
-		cs.chunk = c.cfg.MinChunk
+	if cs.chunk < minChunk {
+		cs.chunk = minChunk
 	}
-	if cs.chunk > c.cfg.MaxChunk {
-		cs.chunk = c.cfg.MaxChunk
+	if cs.chunk > maxChunk {
+		cs.chunk = maxChunk
 	}
 	c.chunkNow[thief].Store(int32(cs.chunk))
 	cs.steals, cs.emptied, cs.rich = 0, 0, 0
@@ -491,16 +450,11 @@ func (c *Controller) AppendVictimOrder(dst []int, thief int, rng *rand.Rand) []i
 		c.scores = make([]int64, len(order))
 	}
 	scores := c.scores[:len(order)]
-	shift, bucket := c.latShift, c.cfg.LatencyBucketNS
 	for i, v := range order {
-		l := &c.links[base+v]
-		switch {
-		case l.n == 0:
+		if l := &c.links[base+v]; l.n == 0 {
 			scores[i] = 0 // unobserved: optimistic exploration, sorts first
-		case shift >= 0:
-			scores[i] = 1 + int64(l.latEW)>>shift
-		default:
-			scores[i] = 1 + int64(l.latEW)/bucket
+		} else {
+			scores[i] = 1 + int64(l.latEW)>>latencyShift
 		}
 	}
 	// Stable insertion sort: allocation-free (this runs once per steal

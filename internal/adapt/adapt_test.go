@@ -92,7 +92,7 @@ func TestFlexibleKindStaysFlexible(t *testing.T) {
 	k := c.Intern(Signature(1_000_000, 64, 0, 65536))
 	for i := 0; i < 20; i++ {
 		c.ObserveExec(k, false, 1_000_000, 0)
-		c.ObserveExec(k, true, 1_040_000, 0) // +4%: cold pass, well under PinRatio
+		c.ObserveExec(k, true, 1_040_000, 0) // +4%: cold pass, well under pinRatio
 	}
 	if got := c.Classify(k); got != task.Flexible {
 		t.Fatalf("near-par kind classified %v, want Flexible", got)
@@ -102,10 +102,10 @@ func TestFlexibleKindStaysFlexible(t *testing.T) {
 	}
 }
 
-// The hysteresis band: a ratio between UnpinRatio and PinRatio never
+// The hysteresis band: a ratio between unpinRatio and pinRatio never
 // flips in either direction, so borderline kinds cannot oscillate.
 func TestHysteresisBand(t *testing.T) {
-	c := New(Config{Places: 4, PinRatio: 1.5, UnpinRatio: 1.2})
+	c := New(Config{Places: 4})
 	k := c.Intern(Signature(10_000, 0, 0, 0))
 	for i := 0; i < 50; i++ {
 		c.ObserveExec(k, false, 10_000, 0)
@@ -125,8 +125,8 @@ func TestPinOnPenaltyFraction(t *testing.T) {
 	k := c.Intern(Signature(1_000_000, 32, 20, 1024))
 	var flips int
 	for i := 0; i < 10; i++ {
-		// Ratio 1.08 — far below PinRatio 1.5. Penalty share of home
-		// service: home 0, away 8% — above PinPenaltyFrac 5%.
+		// Ratio 1.08 — far below pinRatio 1.5. Penalty share of home
+		// service: home 0, away 8% — above pinPenaltyFrac 5%.
 		if f, _ := c.ObserveExec(k, false, 1_000_000, 0); f {
 			flips++
 		}
@@ -182,7 +182,7 @@ func TestUnpinRequiresBothCriteriaClear(t *testing.T) {
 		c.ObserveExec(k, true, 10_500, 1_000)
 	}
 	if c.Classify(k) != task.Sensitive {
-		t.Fatalf("unpinned while penalty share was above UnpinPenaltyFrac")
+		t.Fatalf("unpinned while penalty share was above unpinPenaltyFrac")
 	}
 	// Penalty gone too: now it may unpin.
 	for i := 0; i < 40; i++ {
@@ -195,7 +195,7 @@ func TestUnpinRequiresBothCriteriaClear(t *testing.T) {
 }
 
 func TestMinSamplesGate(t *testing.T) {
-	c := New(Config{Places: 4, MinSamples: 3})
+	c := New(Config{Places: 4})
 	k := c.Intern(Signature(10_000, 0, 0, 0))
 	// Two wildly slow remote runs but only two home samples: no flip yet.
 	c.ObserveExec(k, false, 10_000, 0)
@@ -204,7 +204,7 @@ func TestMinSamplesGate(t *testing.T) {
 	c.ObserveExec(k, true, 500_000, 0)
 	c.ObserveExec(k, true, 500_000, 0)
 	if c.Flips() != 0 {
-		t.Fatalf("flipped before MinSamples home observations")
+		t.Fatalf("flipped before minSamples home observations")
 	}
 	if f, _ := c.ObserveExec(k, false, 10_000, 0); !f {
 		t.Fatalf("third home sample should complete the evidence and pin")
@@ -212,33 +212,42 @@ func TestMinSamplesGate(t *testing.T) {
 }
 
 func TestChunkAdaptsDownWhenVictimsDrain(t *testing.T) {
-	c := New(Config{Places: 4, ChunkWindow: 8})
+	c := New(Config{Places: 4})
 	if c.Chunk(0) != 2 {
 		t.Fatalf("initial chunk = %d, want the paper's 2", c.Chunk(0))
 	}
-	// Every steal empties its victim: fine surplus, chunk must shrink to 1.
-	for i := 0; i < 16; i++ {
+	// One window in which every steal empties its victim: fine surplus,
+	// the chunk must shrink to 1.
+	for i := 0; i < chunkWindow; i++ {
 		c.ObserveSteal(0, 1, 10_000, 2, 0)
 	}
 	if got := c.Chunk(0); got != 1 {
 		t.Fatalf("chunk after draining steals = %d, want 1", got)
 	}
-	// And never below MinChunk.
-	for i := 0; i < 64; i++ {
+	// And never below minChunk.
+	for i := 0; i < 4*chunkWindow; i++ {
 		c.ObserveSteal(0, 1, 10_000, 1, 0)
 	}
-	if got := c.Chunk(0); got != 1 {
-		t.Fatalf("chunk fell below MinChunk: %d", got)
+	if got := c.Chunk(0); got != minChunk {
+		t.Fatalf("chunk fell below minChunk: %d", got)
 	}
 }
 
 func TestChunkAdaptsUpWhenVictimsStayRich(t *testing.T) {
-	c := New(Config{Places: 4, ChunkWindow: 8})
-	for i := 0; i < 64; i++ {
+	c := New(Config{Places: 4})
+	// Rich victims grow the chunk by one per window: two windows take it
+	// from 2 to maxChunk, and two more leave it there.
+	for i := 0; i < 2*chunkWindow; i++ {
 		c.ObserveSteal(0, 1, 10_000, 2, 50)
 	}
-	if got := c.Chunk(0); got != 4 {
-		t.Fatalf("chunk under rich victims = %d, want MaxChunk 4", got)
+	if got := c.Chunk(0); got != maxChunk {
+		t.Fatalf("chunk under rich victims = %d, want maxChunk %d", got, maxChunk)
+	}
+	for i := 0; i < 2*chunkWindow; i++ {
+		c.ObserveSteal(0, 1, 10_000, 2, 50)
+	}
+	if got := c.Chunk(0); got != maxChunk {
+		t.Fatalf("chunk rose past maxChunk: %d", got)
 	}
 	// Other places' controllers are independent.
 	if got := c.Chunk(1); got != 2 {

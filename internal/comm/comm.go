@@ -1,22 +1,21 @@
 // Package comm provides the inter-place message layer of the runtime.
-// Three interchangeable transports implement the same Endpoint interface.
-// Mesh (NewMesh) is in-process channels, for places that live in one OS
-// process; messages still flow through explicit envelopes so that the
-// message and byte counters of Table III are meaningful. The two that
-// connect processes are selected by a Transport value (ParseTransport
-// resolves flag strings):
+// Three transports implement the same Endpoint interface:
 //
-//   - TransportTCPHub (Hub/Spoke): a star-topology transport (place 0 is
-//     the hub) where spoke-to-spoke traffic transits the hub — two hops.
-//   - TransportTCPMesh (TCPMesh): a peer-to-peer transport where every
-//     place listens and links are dialed lazily on first send — one hop,
-//     with per-link write coalescing under load.
+//   - Mesh (NewMesh): in-process channels, for places that live in one OS
+//     process; messages still flow through explicit envelopes so that the
+//     message and byte counters of Table III are meaningful.
+//   - TCPMesh (ListenMeshTCP): the one transport between processes, a
+//     peer-to-peer mesh where every place listens and links are dialed
+//     lazily on first send — one hop, with per-link write coalescing
+//     under load. cmd/distws-serve and cmd/distws-load run on it, one
+//     process per seat.
+//   - Hub/Spoke (ListenHub, DialSpoke): a star (place 0 is the hub) where
+//     spoke-to-spoke traffic transits the hub — two hops. No command runs
+//     on it; it is the baseline of the benchmark's round-trip probe.
 //
 // Both TCP transports frame messages with the length-prefixed binary
 // codec in wire.go; gob survives only inside user task payloads, which
-// this package treats as opaque bytes. Open builds the distributed
-// transports from a NodeConfig; cmd/distws-serve and cmd/distws-load are
-// its users, one process per seat.
+// this package treats as opaque bytes.
 //
 // Every send increments the shared metrics.Counters: one message plus the
 // payload bytes. This is the accounting source for the paper's Table III —

@@ -183,7 +183,9 @@ func TestTCPStarRoundTrip(t *testing.T) {
 		t.Fatalf("DialSpoke(2): %v", err)
 	}
 	defer s2.Close()
-	hub.Await()
+	if err := hub.AwaitTimeout(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	// Spoke -> hub.
 	if err := s1.Send(Message{Kind: KindSpawn, To: 0, Payload: []byte("to-hub")}); err != nil {
@@ -297,7 +299,9 @@ func TestSpokeSendAfterHubClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub.Await()
+	if err := hub.AwaitTimeout(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 	hub.Close()
 	// The send may succeed into the OS buffer or fail; it must not hang,
 	// and the spoke's inbox must close.

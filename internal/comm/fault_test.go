@@ -122,7 +122,9 @@ func TestEvictedPlaceCannotRejoin(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DialSpoke: %v", err)
 	}
-	hub.Await()
+	if err := hub.AwaitTimeout(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 	s1.Close()
 	if got := recvTimeout(t, hub.Inbox()); got.Kind != KindPlaceDown {
 		t.Fatalf("expected place-down, got %+v", got)

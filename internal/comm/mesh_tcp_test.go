@@ -443,3 +443,43 @@ func TestTCPMeshWindowedFaults(t *testing.T) {
 		t.Fatalf("DuplicatedMessages = %d, want 1", got)
 	}
 }
+
+// TestAwaitPeersNamesPlaces is the front door's start-up wait: compute
+// places 0..2 and client seat 3, with the client and executor 1 up, the
+// client first, and executor 2 not started. A wait that counted
+// handshaked seats let the client stand in for executor 2 and returned
+// with it missing; the wait names the places it needs.
+func TestAwaitPeersNamesPlaces(t *testing.T) {
+	const seats = 4
+	need := []int{1, 2}
+	t.Run("tcp-mesh", func(t *testing.T) {
+		lns := make([]net.Listener, seats)
+		addrs := make([]string, seats)
+		for i := range lns {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			lns[i] = ln
+			addrs[i] = ln.Addr().String()
+		}
+		start := func(seat int) *TCPMesh {
+			m, err := ListenMeshTCP(addrs, seat, MeshOptions{Listener: lns[seat]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { m.Close() })
+			return m
+		}
+		front := start(0)
+		start(3)
+		start(1)
+		if err := front.AwaitPeers(need, 500*time.Millisecond); err == nil {
+			t.Fatal("AwaitPeers returned with executor 2 missing")
+		}
+		start(2)
+		if err := front.AwaitPeers(need, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

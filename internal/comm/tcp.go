@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"slices"
 	"sync"
 	"time"
 
@@ -60,7 +59,8 @@ func (c *tcpConn) read() (Message, error) {
 // Hub is place 0's endpoint in a star-topology TCP transport. Spokes dial
 // the hub; the hub routes spoke-to-spoke traffic. Routing through the hub
 // doubles the hop count for spoke pairs, which the message counters record
-// faithfully.
+// faithfully. No command runs on it: processes talk over TCPMesh, and the
+// hub is the two-hop baseline of the benchmark's round-trip probe.
 type Hub struct {
 	ln       net.Listener
 	places   int
@@ -78,8 +78,8 @@ type Hub struct {
 }
 
 // ListenHub starts a hub for a cluster of places places (including the
-// hub itself) on addr. It returns immediately; Await blocks until all
-// places-1 spokes have completed the handshake.
+// hub itself) on addr. It returns immediately; AwaitTimeout waits for all
+// places-1 spokes to complete the handshake.
 func ListenHub(addr string, places int, counters *metrics.Counters) (*Hub, error) {
 	if places < 1 {
 		return nil, fmt.Errorf("comm: ListenHub places=%d", places)
@@ -105,10 +105,6 @@ func ListenHub(addr string, places int, counters *metrics.Counters) (*Hub, error
 // Addr returns the hub's listening address (useful with ":0").
 func (h *Hub) Addr() string { return h.ln.Addr().String() }
 
-// Await blocks until every spoke has joined. Prefer AwaitTimeout: if a
-// spoke never dials (crashed before the handshake), Await blocks forever.
-func (h *Hub) Await() { <-h.ready }
-
 // AwaitTimeout waits up to d for every spoke to join, reporting how many
 // made it if the deadline passes.
 func (h *Hub) AwaitTimeout(d time.Duration) error {
@@ -120,31 +116,6 @@ func (h *Hub) AwaitTimeout(d time.Duration) error {
 		joined := len(h.conns)
 		h.mu.Unlock()
 		return fmt.Errorf("comm: %d of %d spokes joined within %v", joined, h.places-1, d)
-	}
-}
-
-// AwaitPeers waits until each of places is connected, for clusters whose
-// seat count exceeds the places expected at start (client seats, late
-// joiners). It names the places rather than counting spokes: a client
-// that dials first must not stand in for a missing one. AwaitTimeout is
-// the full-assembly special case.
-func (h *Hub) AwaitPeers(places []int, d time.Duration) error {
-	deadline := time.Now().Add(d)
-	for {
-		h.mu.Lock()
-		missing := slices.DeleteFunc(slices.Clone(places), func(p int) bool { return h.conns[p] != nil })
-		closed := h.closed
-		h.mu.Unlock()
-		if len(missing) == 0 {
-			return nil
-		}
-		if closed {
-			return ErrClosed
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("comm: hub places %v not joined within %v", missing, d)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 

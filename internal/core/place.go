@@ -353,6 +353,10 @@ type worker struct {
 	// CASes a request in; the owner answers at its next task-spawn or
 	// task-completion boundary. At most one request parks at a time.
 	mail atomic.Pointer[donateReq]
+	// idleTimer bounds loop's idle block (idlePoll); one per worker, made
+	// on first use and re-armed by idleWait, so an idle block allocates
+	// nothing.
+	idleTimer *time.Timer
 
 	stats workerStats
 }
@@ -505,10 +509,29 @@ func (w *worker) loop(fin *finish) {
 		case <-p.wake:
 		case <-done:
 		case <-rt.stopCh:
-		case <-time.After(rt.idlePoll):
+		case <-w.idleWait(rt.idlePoll):
 		}
 	}
 	w.endIdle()
+}
+
+// idleWait arms the worker's idle timer for d and returns its channel. A
+// timer that fired unread since its last arming is drained first, so the
+// channel never delivers a stale tick. Only the worker's goroutine calls
+// it (loop nests inside Finish on that same goroutine).
+func (w *worker) idleWait(d time.Duration) <-chan time.Time {
+	if w.idleTimer == nil {
+		w.idleTimer = time.NewTimer(d)
+		return w.idleTimer.C
+	}
+	if !w.idleTimer.Stop() {
+		select {
+		case <-w.idleTimer.C:
+		default:
+		}
+	}
+	w.idleTimer.Reset(d)
+	return w.idleTimer.C
 }
 
 // stealKind says how a task was obtained, for accounting.

@@ -67,7 +67,7 @@ func KindNames() []string {
 }
 
 // ParseKind resolves a case-insensitive queue-kind name ("mutex",
-// "chaselev", "relaxed"), mirroring comm.ParseTransport.
+// "chaselev", "relaxed").
 func ParseKind(s string) (Kind, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "mutex", "lock", "locked":

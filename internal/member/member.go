@@ -24,8 +24,8 @@
 //
 // Like the adapt policy's per-victim latency EWMA, the detector keeps a
 // per-peer EWMA of heartbeat inter-arrival gaps and derives its
-// timeouts from it: suspect after SuspectMult×gap, down after
-// DownMult×gap, floored at MinTimeout. A peer on a slow or gray link
+// timeouts from it: suspect after 4×gap, down after 8×gap, the gap
+// floored at the table's minimum timeout. A peer on a slow or gray link
 // earns a proportionally longer grace period instead of being declared
 // down by a fixed global constant.
 //
@@ -91,34 +91,14 @@ type Transition struct {
 	AtNS        int64
 }
 
-// Config tunes the failure detector. The zero value disables timeouts
-// entirely (no Tick-driven transitions), which is the legacy fail-stop
-// behaviour.
-type Config struct {
-	// MinTimeoutNS floors both adaptive timeouts, guarding against a
-	// burst of fast heartbeats shrinking the gap EWMA to nothing.
-	MinTimeoutNS int64
-	// SuspectMult: silence longer than SuspectMult×gapEWMA moves an
-	// alive peer to suspect. Zero picks 4.
-	SuspectMult int64
-	// DownMult: silence longer than DownMult×gapEWMA moves a suspect
-	// peer to down. Zero picks 8. Must exceed SuspectMult.
-	DownMult int64
-}
-
-func (c Config) suspectMult() int64 {
-	if c.SuspectMult <= 0 {
-		return 4
-	}
-	return c.SuspectMult
-}
-
-func (c Config) downMult() int64 {
-	if c.DownMult <= 0 {
-		return 8
-	}
-	return c.DownMult
-}
+// The detector's timeouts, in multiples of a peer's heartbeat gap EWMA
+// (floored at the table's minimum timeout). Silence longer than
+// suspectMult gaps moves an alive peer to suspect; longer than downMult
+// gaps moves a suspect peer to down.
+const (
+	suspectMult = 4
+	downMult    = 8
+)
 
 // gapAlpha is the EWMA smoothing factor for heartbeat inter-arrival
 // gaps, matching the adapt controller's latency EWMA.
@@ -141,20 +121,23 @@ type row struct {
 // use. Every state change bumps the table epoch, so "has anything
 // changed" is one comparison.
 type Table struct {
-	mu    sync.Mutex
-	cfg   Config
-	self  int
-	epoch uint64
-	rows  []row
+	mu           sync.Mutex
+	minTimeoutNS int64 // floors the heartbeat gap; see NewTable
+	self         int
+	epoch        uint64
+	rows         []row
 }
 
 // NewTable provisions a table for places seats, with self alive and
 // every other seat unknown until it joins or is seeded with SeedAlive.
-func NewTable(places, self int, cfg Config) *Table {
+// minTimeoutNS floors the heartbeat gap both timeouts multiply, so a
+// burst of fast heartbeats cannot shrink them to nothing. Zero, with
+// peers that never beat, disables timeouts: the fail-stop behaviour.
+func NewTable(places, self int, minTimeoutNS int64) *Table {
 	if places <= 0 || self < 0 || self >= places {
 		panic(fmt.Sprintf("member: NewTable(%d, %d)", places, self))
 	}
-	t := &Table{cfg: cfg, self: self, rows: make([]row, places)}
+	t := &Table{minTimeoutNS: minTimeoutNS, self: self, rows: make([]row, places)}
 	t.rows[self] = row{state: Alive, incarnation: 1}
 	return t
 }
@@ -321,8 +304,8 @@ func (t *Table) MarkDown(place int, nowNS int64) (Transition, bool) {
 // Tick sweeps the table at nowNS, applying the adaptive timeouts:
 // silent alive peers become suspect, silent suspect peers become down.
 // The self seat never times out. Returns every transition, in place
-// order. With a zero Config (no MinTimeoutNS and no observed gaps) the
-// sweep is a no-op.
+// order. With no minimum timeout and no observed gaps the sweep is a
+// no-op.
 func (t *Table) Tick(nowNS int64) []Transition {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -335,19 +318,16 @@ func (t *Table) Tick(nowNS int64) []Transition {
 		if r.state != Alive && r.state != Suspect {
 			continue
 		}
-		gap := r.gapEWMA
-		if float64(t.cfg.MinTimeoutNS) > gap {
-			gap = float64(t.cfg.MinTimeoutNS)
-		}
+		gap := max(r.gapEWMA, float64(t.minTimeoutNS))
 		if gap <= 0 {
 			continue
 		}
 		silence := float64(nowNS - r.lastHeardNS)
 		var to State
 		switch {
-		case r.state == Alive && silence > gap*float64(t.cfg.suspectMult()):
+		case r.state == Alive && silence > gap*suspectMult:
 			to = Suspect
-		case r.state == Suspect && silence > gap*float64(t.cfg.downMult()):
+		case r.state == Suspect && silence > gap*downMult:
 			to = Down
 		default:
 			continue

@@ -27,7 +27,7 @@ func TestStateString(t *testing.T) {
 // TestLifecycle walks the full state machine of the package doc:
 // unknown → alive → suspect → down → alive (rejoin, bumped incarnation).
 func TestLifecycle(t *testing.T) {
-	tab := NewTable(3, 0, Config{MinTimeoutNS: ms(10)})
+	tab := NewTable(3, 0, ms(10))
 	if tab.State(1) != Unknown || tab.State(0) != Alive {
 		t.Fatalf("fresh table: self alive, others unknown")
 	}
@@ -87,7 +87,7 @@ func TestLifecycle(t *testing.T) {
 }
 
 func TestDrainLifecycle(t *testing.T) {
-	tab := NewTable(3, 0, Config{MinTimeoutNS: ms(10)})
+	tab := NewTable(3, 0, ms(10))
 	tab.SeedAlive(1, 0)
 	tab.SeedAlive(2, 0)
 	if tab.AliveCount() != 3 {
@@ -125,7 +125,7 @@ func TestDrainLifecycle(t *testing.T) {
 }
 
 func TestMarkDownAndUnknownTickInert(t *testing.T) {
-	tab := NewTable(4, 0, Config{MinTimeoutNS: ms(10)})
+	tab := NewTable(4, 0, ms(10))
 	tab.SeedAlive(1, 0)
 	tr, ok := tab.MarkDown(1, ms(1))
 	if !ok || tr.To != Down {
@@ -144,7 +144,7 @@ func TestMarkDownAndUnknownTickInert(t *testing.T) {
 // heartbeat cadence: a slow-but-steady peer outlives a fixed-timeout
 // detector's patience.
 func TestAdaptiveTimeout(t *testing.T) {
-	tab := NewTable(2, 0, Config{MinTimeoutNS: ms(1)})
+	tab := NewTable(2, 0, ms(1))
 	tab.SeedAlive(1, 0)
 	// 100ms cadence → gap EWMA converges to 100ms.
 	for i := int64(1); i <= 20; i++ {
@@ -164,7 +164,7 @@ func TestAdaptiveTimeout(t *testing.T) {
 // silent from 0 on: the detector must give up on it like on any other, not
 // read the 0 stamp as "no stamp".
 func TestSeededAtZeroThenSilent(t *testing.T) {
-	tab := NewTable(2, 0, Config{MinTimeoutNS: ms(10)})
+	tab := NewTable(2, 0, ms(10))
 	tab.SeedAlive(1, 0)
 	if trs := tab.Tick(ms(30)); len(trs) != 0 {
 		t.Fatalf("30ms of silence is within 4×10ms: %v", trs)

@@ -1,5 +1,5 @@
-// Front-door churn over the star transport: the heartbeat detector catching
-// a gray failure the transport cannot see, and retries racing the
+// Front-door churn over a loopback TCP mesh: the heartbeat detector
+// catching a gray failure the transport cannot see, and retries racing the
 // concurrent loss of several places. The front door is service.Server,
 // which imports this package, so these tests sit outside it.
 package node_test
@@ -8,6 +8,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -18,34 +19,41 @@ import (
 	"distws/internal/task"
 )
 
-// hubRig is a tcp-hub with places compute seats and one client seat after
-// them, every spoke dialled, and a registry with one echo task.
-type hubRig struct {
-	hub    *comm.Hub
-	spokes []*comm.Spoke // by seat; seat 0 is the hub
-	reg    *task.Registry
-	ctrs   metrics.Counters
+// meshRig is a loopback TCP mesh with places compute seats and one client
+// seat after them, every seat joined to the front door, and a registry
+// with one echo task. The front door's counters are ctrs.
+type meshRig struct {
+	nodes []*comm.TCPMesh // by seat; seat 0 is the front door
+	reg   *task.Registry
+	ctrs  metrics.Counters
 }
 
-func newHubRig(t *testing.T, places int) *hubRig {
+func newMeshRig(t *testing.T, places int) *meshRig {
 	t.Helper()
-	r := &hubRig{reg: task.NewRegistry(), spokes: make([]*comm.Spoke, places+1)}
+	r := &meshRig{reg: task.NewRegistry(), nodes: make([]*comm.TCPMesh, places+1)}
 	r.reg.Register("test.echo", func([]byte) error { return nil })
-	hub, err := comm.ListenHub("127.0.0.1:0", places+1, &r.ctrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { hub.Close() })
-	r.hub = hub
-	for seat := 1; seat <= places; seat++ {
-		s, err := comm.DialSpoke(hub.Addr(), seat, nil)
+	lns := make([]net.Listener, places+1)
+	addrs := make([]string, places+1)
+	for seat := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.spokes[seat] = s
-		t.Cleanup(func() { s.Close() })
+		lns[seat], addrs[seat] = ln, ln.Addr().String()
 	}
-	if err := hub.AwaitTimeout(5 * time.Second); err != nil {
+	for seat := range r.nodes {
+		opts := comm.MeshOptions{Listener: lns[seat]}
+		if seat == 0 {
+			opts.Counters = &r.ctrs
+		}
+		m, err := comm.ListenMeshTCP(addrs, seat, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.nodes[seat] = m
+		t.Cleanup(func() { m.Close() })
+	}
+	if err := r.nodes[0].AwaitTimeout(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	return r
@@ -63,17 +71,18 @@ func echoRun(delay time.Duration) func(string, []byte) ([]byte, error) {
 	}
 }
 
-// serveJobs runs srv at the hub, submits jobs from the client seat, and
-// checks the exactly-once contract: every job answered once with its
-// result, and completed once at the front door. It then drains srv.
-func serveJobs(t *testing.T, r *hubRig, srv *service.Server, jobs int) {
+// serveJobs runs srv at the front door, submits jobs from the client
+// seat, and checks the exactly-once contract: every job answered once
+// with its result, and completed once at the front door. It then drains
+// srv.
+func serveJobs(t *testing.T, r *meshRig, srv *service.Server, jobs int) {
 	t.Helper()
-	srv.Node, srv.Registry, srv.Counters = r.hub, r.reg, &r.ctrs
+	srv.Node, srv.Registry, srv.Counters = r.nodes[0], r.reg, &r.ctrs
 	srv.Tenants = map[uint32]service.TenantConfig{1: {}}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(context.Background()) }()
 
-	c := service.NewClient(r.spokes[srv.Places], 0)
+	c := service.NewClient(r.nodes[srv.Places], 0)
 	replies := make([]<-chan service.Reply, jobs)
 	for i := range replies {
 		arg := make([]byte, 8)
@@ -113,11 +122,11 @@ func serveJobs(t *testing.T, r *hubRig, srv *service.Server, jobs int) {
 // no KindPlaceDown ever fires. Only the heartbeat detector notices the
 // silence, declares the place down, and re-dispatches its work.
 func TestHeartbeatDetectorGrayFailure(t *testing.T) {
-	r := newHubRig(t, 3)
+	r := newMeshRig(t, 3)
 
 	exDone := make(chan error, 2)
 	go func() {
-		ex := &node.Executor{Node: r.spokes[1], Place: 1, Registry: r.reg,
+		ex := &node.Executor{Node: r.nodes[1], Place: 1, Registry: r.reg,
 			Run: echoRun(time.Millisecond), Heartbeat: 15 * time.Millisecond}
 		_, err := ex.Serve()
 		exDone <- err
@@ -126,7 +135,7 @@ func TestHeartbeatDetectorGrayFailure(t *testing.T) {
 		// Gray failure, driven through the executor's step API: beat until
 		// the first job arrives (the detector has a last-heard baseline),
 		// burn 60ms on it, then go silent with the connection still open.
-		ex := &node.Executor{Node: r.spokes[2], Place: 2, Registry: r.reg,
+		ex := &node.Executor{Node: r.nodes[2], Place: 2, Registry: r.reg,
 			Run: echoRun(60 * time.Millisecond)}
 		if err := ex.Start(); err != nil {
 			exDone <- err
@@ -138,7 +147,7 @@ func TestHeartbeatDetectorGrayFailure(t *testing.T) {
 			select {
 			case <-beat.C:
 				ex.Beat()
-			case m := <-r.spokes[2].Inbox():
+			case m := <-r.nodes[2].Inbox():
 				_, err := ex.Handle(m)
 				if err != nil || m.Kind == comm.KindSpawn {
 					exDone <- err
@@ -179,20 +188,20 @@ var errCrashed = errors.New("fail-stop")
 // -race.
 func TestRetryRacesConcurrentCrashes(t *testing.T) {
 	const places = 5
-	r := newHubRig(t, places)
+	r := newMeshRig(t, places)
 
 	exDone := make(chan error, places-1)
 	for p := 1; p < places; p++ {
 		go func(p int) {
 			run := echoRun(time.Millisecond)
-			ex := &node.Executor{Node: r.spokes[p], Place: p, Registry: r.reg, Run: run}
+			ex := &node.Executor{Node: r.nodes[p], Place: p, Registry: r.reg, Run: run}
 			if p < places-1 {
 				// Fail-stop on the (p+2)th job: the process dies and takes
 				// its link along, with that job and its window unanswered.
 				ran := 0
 				ex.Run = func(name string, arg []byte) ([]byte, error) {
 					if ran++; ran > p+1 {
-						r.spokes[p].Close()
+						r.nodes[p].Close()
 						return nil, errCrashed
 					}
 					return run(name, arg)

@@ -3,8 +3,8 @@
 // runs them and replies under the dispatch id, and speaks the membership
 // protocol (joins, drains, heartbeats, rejoins) that lets the front door
 // account each job exactly once. It speaks through a comm.Endpoint, so the
-// same loop runs over the star (tcp-hub) and peer-to-peer (tcp-mesh)
-// topologies and on virtual time, and payloads stay opaque bytes end to
+// same loop runs over the TCP mesh between processes, over in-process
+// channels and on virtual time, and payloads stay opaque bytes end to
 // end. The front door itself is service.Server.
 //
 // The loop is a step and a driver. Start, Handle and Beat hold all the
@@ -132,13 +132,20 @@ func (e *Executor) Beat() {
 }
 
 // Handle processes one message and reports whether the executor is over:
-// released by KindShutdown, or failed. It is the whole of the serve loop's
+// released by KindShutdown, cut off from the front door, or failed. It is the whole of the serve loop's
 // logic; what waits for the next message is a driver, Serve on the
 // transport's inbox or service.Simulate on virtual time.
 func (e *Executor) Handle(m comm.Message) (stop bool, err error) {
 	switch m.Kind {
 	case comm.KindShutdown:
 		return e.released()
+	case comm.KindPlaceDown:
+		// The transport lost its link to the front door: nothing will
+		// dispatch here again, and the KindShutdown a front door sends
+		// just before it closes may have been lost with the link.
+		if m.From == 0 {
+			return e.released()
+		}
 	case comm.KindHeartbeat:
 		// The front door's ack carries its view of us.
 		p, err := member.DecodePayload(m.Payload)
@@ -222,8 +229,9 @@ func (e *Executor) run(seq uint64, env *task.Envelope) error {
 }
 
 // Serve drives Handle from the transport's inbox, and Beat from a ticker,
-// until a KindShutdown arrives, the inbox closes, or a spawn fails. It
-// returns the number of spawns executed.
+// until a KindShutdown arrives, the transport reports the front door
+// down, the inbox closes, or a spawn fails. It returns the number of
+// spawns executed.
 func (e *Executor) Serve() (int, error) {
 	if err := e.Start(); err != nil {
 		return 0, err

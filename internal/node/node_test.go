@@ -6,7 +6,6 @@ import (
 
 	"distws/internal/comm"
 	"distws/internal/member"
-	"distws/internal/metrics"
 	"distws/internal/task"
 )
 
@@ -123,6 +122,27 @@ func TestExecutorJoinAbsent(t *testing.T) {
 	}
 }
 
+// TestExecutorStopsWhenFrontDoorIsLost: a TCP mesh reports the end of its
+// link to the front door as a KindPlaceDown from place 0, not by closing
+// the inbox, and a front door that closes right after its drain can take
+// the KindShutdown it queued down with the link. The executor must end
+// there instead of serving a front door that is gone.
+func TestExecutorStopsWhenFrontDoorIsLost(t *testing.T) {
+	ex := &Executor{Run: func(_ string, arg []byte) ([]byte, error) { return arg, nil }}
+	front, ran := serve(ex)
+	if err := front.Send(comm.Message{Kind: comm.KindPlaceDown, To: 1}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case n := <-ran:
+		if n != 0 {
+			t.Fatalf("Serve returned %d, want 0 spawns run and no error", n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("executor kept serving after its front door was reported down")
+	}
+}
+
 func TestExecutorValidation(t *testing.T) {
 	if _, err := (&Executor{}).Serve(); err == nil {
 		t.Fatalf("empty executor should be rejected")
@@ -131,30 +151,17 @@ func TestExecutorValidation(t *testing.T) {
 
 func TestExecutorUnknownTask(t *testing.T) {
 	reg := task.NewRegistry()
-	var ctrs metrics.Counters
-	hub, err := comm.ListenHub("127.0.0.1:0", 2, &ctrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
-	spoke, err := comm.DialSpoke(hub.Addr(), 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer spoke.Close()
-	if err := hub.AwaitTimeout(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	m := comm.NewMesh(2, 64, nil)
 	env := &task.Envelope{Name: "not.registered", Origin: 0, Home: 1, Class: task.Flexible}
 	payload, err := env.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := hub.Send(comm.Message{Kind: comm.KindSpawn, To: 1, Seq: 1, Payload: payload}); err != nil {
+	if err := m.Endpoint(0).Send(comm.Message{Kind: comm.KindSpawn, To: 1, Seq: 1, Payload: payload}); err != nil {
 		t.Fatal(err)
 	}
 	ex := &Executor{
-		Node:     spoke,
+		Node:     m.Endpoint(1),
 		Place:    1,
 		Registry: reg,
 		Run:      func(string, []byte) ([]byte, error) { return nil, nil },

@@ -50,7 +50,7 @@ type entry struct {
 func newDispatcher(s *Server) *dispatcher {
 	d := &dispatcher{
 		s:       s,
-		members: member.NewTable(s.Places, 0, member.Config{MinTimeoutNS: s.Heartbeat.Nanoseconds()}),
+		members: member.NewTable(s.Places, 0, s.Heartbeat.Nanoseconds()),
 		live:    make(map[uint64]*entry),
 		load:    make([]int, s.Places),
 		shed:    make([]bool, s.Places),

@@ -8,6 +8,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -100,38 +101,43 @@ func TestDrainConcurrent(t *testing.T) {
 	awaitEnd(t, done, r.exDone)
 }
 
-// TestServerExecutorHub runs the front door over the star transport, the
-// default of distws-serve and distws-load: the client spoke dials before
-// the executor's, every job is answered once with its result, and the
-// drain's KindShutdown releases the executor across the hub.
-func TestServerExecutorHub(t *testing.T) {
+// TestServerExecutorMesh runs the front door over a loopback TCP mesh, as
+// distws-serve and distws-load do: the client seat joins before the
+// executor, every job is answered once with its result, and the drain's
+// KindShutdown releases the executor.
+func TestServerExecutorMesh(t *testing.T) {
 	const places, jobs = 2, 10
 	reg := task.NewRegistry()
 	reg.Register("svc.double", func([]byte) error { return nil })
 	var ctrs metrics.Counters
-	hub, err := comm.ListenHub("127.0.0.1:0", places+1, &ctrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
-	spoke := func(seat int) *comm.Spoke {
-		s, err := comm.DialSpoke(hub.Addr(), seat, nil)
+	lns := make([]net.Listener, places+1)
+	addrs := make([]string, places+1)
+	for seat := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { s.Close() })
-		return s
+		lns[seat], addrs[seat] = ln, ln.Addr().String()
 	}
-	c := NewClient(spoke(places), 0)
-	ex := &node.Executor{Node: spoke(1), Place: 1, Registry: reg,
+	join := func(seat int, ctrs *metrics.Counters) *comm.TCPMesh {
+		m, err := comm.ListenMeshTCP(addrs, seat, comm.MeshOptions{Listener: lns[seat], Counters: ctrs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { m.Close() })
+		return m
+	}
+	front := join(0, &ctrs)
+	c := NewClient(join(places, nil), 0)
+	ex := &node.Executor{Node: join(1, nil), Place: 1, Registry: reg,
 		Run: func(_ string, arg []byte) ([]byte, error) { return u64(binary.BigEndian.Uint64(arg) * 2), nil }}
 	exDone := make(chan error, 1)
 	go func() { _, err := ex.Serve(); exDone <- err }()
-	if err := hub.AwaitPeers([]int{1}, 5*time.Second); err != nil {
+	if err := front.AwaitPeers([]int{1}, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 
-	srv := &Server{Node: hub, Places: places, Tenants: map[uint32]TenantConfig{1: {}}, Registry: reg,
+	srv := &Server{Node: front, Places: places, Tenants: map[uint32]TenantConfig{1: {}}, Registry: reg,
 		Counters: &ctrs, RetryAfter: 2 * time.Second}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(context.Background()) }()
