@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-smoke rt-profile deque-stress dag-crash core-crash fuzz-smoke dag-parity exhibit-golden docs-check chaos soak serve-soak loc coverage-ledger
+.PHONY: all build fmt-check test race vet check bench bench-smoke rt-profile deque-stress dag-crash core-crash fuzz-smoke dag-parity exhibit-golden docs-check chaos soak serve-soak loc coverage-ledger
 
 all: check
 
@@ -15,6 +15,10 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file as gofmt prints it: the target lists any that are not.
+fmt-check:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
 
 # -race covers the parallel experiment harness (internal/expt fans
 # simulation cells across a worker pool; its determinism tests run the
@@ -108,18 +112,17 @@ docs-check:
 
 # 30-second coverage-guided shakes of the binary wire codecs: the TCP
 # transport frame, the service job/reply frames, and the task envelope
-# (DAG dataflow fields included) all face untrusted bytes, so malformed
-# input must only ever produce typed errors, never a panic or an
-# over-allocation.
+# all face untrusted bytes, so malformed input must only ever produce
+# typed errors, never a panic or an over-allocation.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzWireFrame -fuzztime=30s ./internal/comm
 	$(GO) test -run='^$$' -fuzz=FuzzServiceFrame -fuzztime=30s ./internal/service
-	$(GO) test -run='^$$' -fuzz=FuzzDAGEnvelope -fuzztime=30s ./internal/task
+	$(GO) test -run='^$$' -fuzz=FuzzEnvelope -fuzztime=30s ./internal/task
 
 # The gate a change must pass before merging. The two soaks block: what
 # they add to `race` is the socket soak, the membership-codec fuzz shake
 # and the distws-load -sim -verify byte-identity run.
-check: build vet test race bench-smoke deque-stress dag-crash core-crash dag-parity exhibit-golden fuzz-smoke soak serve-soak
+check: build fmt-check vet test race bench-smoke deque-stress dag-crash core-crash dag-parity exhibit-golden fuzz-smoke soak serve-soak
 
 # Full measurement: the workloads BENCHMARK.json declares, end to end and
 # layer by layer (`go run ./benchmark`, ~2.5 min; it writes only the

@@ -55,30 +55,19 @@ func New(n int, seed int64) *App {
 // Name implements apps.App.
 func (a *App) Name() string { return "agglom" }
 
-func mix(a, b uint64) uint64 {
-	x := a*0x9e3779b97f4a7c15 + b
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func unit(h uint64) float64 { return float64(h>>11) / float64(1<<53) }
-
 // gen produces clustered points (dense and sparse blobs).
 func (a *App) gen() []Cluster {
 	out := make([]Cluster, a.N)
 	for i := range out {
-		h := mix(uint64(a.Seed), uint64(i))
+		h := apps.Mix(uint64(a.Seed), uint64(i))
 		var x, y float64
 		switch h % 8 {
 		case 0, 1, 2, 3: // heavy blob left
-			x, y = 0.2+0.1*unit(mix(h, 1)), 0.3+0.1*unit(mix(h, 2))
+			x, y = 0.2+0.1*apps.Unit(apps.Mix(h, 1)), 0.3+0.1*apps.Unit(apps.Mix(h, 2))
 		case 4, 5: // medium blob right
-			x, y = 0.75+0.08*unit(mix(h, 3)), 0.6+0.08*unit(mix(h, 4))
+			x, y = 0.75+0.08*apps.Unit(apps.Mix(h, 3)), 0.6+0.08*apps.Unit(apps.Mix(h, 4))
 		default: // scattered
-			x, y = unit(mix(h, 5)), unit(mix(h, 6))
+			x, y = apps.Unit(apps.Mix(h, 5)), apps.Unit(apps.Mix(h, 6))
 		}
 		out[i] = Cluster{X: x, Y: y, Size: 1}
 	}
@@ -147,26 +136,13 @@ func mergeMutual(act []Cluster, nn []int, h *apps.Fnv1a) ([]Cluster, int) {
 	return next, merges
 }
 
-// chunksOf returns chunk boundaries over m clusters.
-func (a *App) chunksOf(m int) [][2]int {
-	var out [][2]int
-	for lo := 0; lo < m; lo += a.ChunkSize {
-		hi := lo + a.ChunkSize
-		if hi > m {
-			hi = m
-		}
-		out = append(out, [2]int{lo, hi})
-	}
-	return out
-}
-
 // run executes the clustering with a pluggable per-round chunk executor.
 func (a *App) run(eachRound func(act []Cluster, nn []int, chunks [][2]int)) uint64 {
 	act := a.gen()
 	h := apps.NewFnv()
 	for round := 0; len(act) > 1 && round < a.MaxRounds; round++ {
 		nn := make([]int, len(act))
-		eachRound(act, nn, a.chunksOf(len(act)))
+		eachRound(act, nn, apps.Chunks(len(act), a.ChunkSize))
 		var merges int
 		act, merges = mergeMutual(act, nn, &h)
 		if merges == 0 {
@@ -186,18 +162,6 @@ func (a *App) Sequential() uint64 {
 	})
 }
 
-// clusterPlace maps a chunk to a place by its first centroid's x-stripe.
-func clusterPlace(act []Cluster, lo, places int) int {
-	p := int(act[lo].X * float64(places))
-	if p < 0 {
-		p = 0
-	}
-	if p >= places {
-		p = places - 1
-	}
-	return p
-}
-
 // Parallel implements apps.App.
 func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 	places := rt.Places()
@@ -212,7 +176,7 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 						MigrationBytes: 24 * (ch[1] - ch[0]),
 						Blocks:         []uint64{uint64(ch[0])},
 					}
-					c.AsyncLoc(clusterPlace(act, ch[0], places), loc, func(*core.Ctx) {
+					c.AsyncLoc(apps.Stripe(act[ch[0]].X, places), loc, func(*core.Ctx) {
 						nnChunk(act, nn, ch[0], ch[1])
 					})
 				}
@@ -235,7 +199,7 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 	prevMerge := -1
 	for round := 0; len(act) > 1 && round < a.MaxRounds; round++ {
 		nn := make([]int, len(act))
-		chunks := a.chunksOf(len(act))
+		chunks := apps.Chunks(len(act), a.ChunkSize)
 		// The merge/coordination task for this round.
 		mt := trace.Task{
 			HomeMode:  trace.HomeFixed,
@@ -257,7 +221,7 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 			sz := ch[1] - ch[0]
 			b.Child(mid, trace.Task{
 				HomeMode:  trace.HomeFixed,
-				Home:      clusterPlace(act, ch[0], places),
+				Home:      apps.Stripe(act[ch[0]].X, places),
 				CostNS:    int64(work + sz),
 				Flexible:  true,
 				MigBytes:  24 * sz,
@@ -278,15 +242,7 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("agglom: %w", err)
 	}
-	for i := range g.Tasks {
-		if n := len(g.Tasks[i].Children); n > 0 {
-			fr := make([]float64, n)
-			for j := range fr {
-				fr[j] = 1
-			}
-			g.Tasks[i].SpawnFrac = fr
-		}
-	}
+	apps.SpawnAtEnd(g)
 	if _, err := apps.CalibrateFlexibleGranularity(g, a.GranularityNS); err != nil {
 		return nil, fmt.Errorf("agglom: %w", err)
 	}

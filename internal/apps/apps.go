@@ -75,6 +75,69 @@ func (h *Fnv1a) AddFloat(f float64) {
 // Sum returns the hash value.
 func (h Fnv1a) Sum() uint64 { return uint64(h) }
 
+// Mix is the splitmix64 finalizer of a·φ + b (φ the 64-bit golden
+// ratio): the deterministic hash every app derives its inputs from, O(1)
+// per element with no generator state to share.
+func Mix(a, b uint64) uint64 {
+	x := a*0x9e3779b97f4a7c15 + b
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// Unit maps a hash to [0, 1).
+func Unit(h uint64) float64 { return float64(h>>11) / float64(1<<53) }
+
+// Stripe returns which of n equal x-stripes of the unit square holds x,
+// clamped to [0, n): the spatial apps home a chunk at the place owning
+// its first element's stripe, so clustered inputs give places very
+// different loads — the static imbalance the paper's scheduler repairs.
+func Stripe(x float64, n int) int {
+	return min(max(int(x*float64(n)), 0), n-1)
+}
+
+// Chunks returns the [lo, hi) boundaries that cut n elements into
+// chunks of size (the last one shorter).
+func Chunks(n, size int) [][2]int {
+	var out [][2]int
+	for lo := 0; lo < n; lo += size {
+		out = append(out, [2]int{lo, min(lo+size, n)})
+	}
+	return out
+}
+
+// SpawnAtEnd makes every task of g spawn its children when it finishes,
+// which chains iterations (and a task's inner children) in order.
+func SpawnAtEnd(g *trace.Graph) {
+	for i := range g.Tasks {
+		if n := len(g.Tasks[i].Children); n > 0 {
+			fr := make([]float64, n)
+			for j := range fr {
+				fr[j] = 1
+			}
+			g.Tasks[i].SpawnFrac = fr
+		}
+	}
+}
+
+// flexibleCost sums the cost of g's flexible tasks and counts them — or
+// of all tasks when none are flexible.
+func flexibleCost(g *trace.Graph) (sum, n int64) {
+	for i := range g.Tasks {
+		if g.Tasks[i].Flexible {
+			sum += g.Tasks[i].CostNS
+			n++
+		}
+	}
+	if n == 0 {
+		sum = g.TotalWorkNS()
+		n = int64(len(g.Tasks))
+	}
+	return sum, n
+}
+
 // CalibrateFlexibleGranularity rescales every task cost in g by a common
 // factor so the mean cost of flexible tasks equals targetNS (the paper's
 // Table I granularity for the app). Graphs with no flexible tasks are
@@ -83,20 +146,7 @@ func CalibrateFlexibleGranularity(g *trace.Graph, targetNS int64) (float64, erro
 	if targetNS <= 0 {
 		return 0, fmt.Errorf("apps: target granularity %d, want > 0", targetNS)
 	}
-	var sum int64
-	var n int64
-	for i := range g.Tasks {
-		if g.Tasks[i].Flexible {
-			sum += g.Tasks[i].CostNS
-			n++
-		}
-	}
-	if n == 0 {
-		for i := range g.Tasks {
-			sum += g.Tasks[i].CostNS
-			n++
-		}
-	}
+	sum, n := flexibleCost(g)
 	if n == 0 || sum == 0 {
 		return 0, fmt.Errorf("apps: graph %q has no costed tasks to calibrate", g.Name)
 	}
@@ -113,20 +163,7 @@ func CalibrateFlexibleGranularity(g *trace.Graph, targetNS int64) (float64, erro
 // MeanFlexibleCostNS returns the mean cost of flexible tasks (or of all
 // tasks when none are flexible) — the measured Table I granularity.
 func MeanFlexibleCostNS(g *trace.Graph) int64 {
-	var sum int64
-	var n int64
-	for i := range g.Tasks {
-		if g.Tasks[i].Flexible {
-			sum += g.Tasks[i].CostNS
-			n++
-		}
-	}
-	if n == 0 {
-		for i := range g.Tasks {
-			sum += g.Tasks[i].CostNS
-			n++
-		}
-	}
+	sum, n := flexibleCost(g)
 	if n == 0 {
 		return 0
 	}

@@ -65,32 +65,21 @@ func New(n int, seed int64) *App {
 // Name implements apps.App.
 func (a *App) Name() string { return "dmg" }
 
-func mix(a, b uint64) uint64 {
-	x := a*0x9e3779b97f4a7c15 + b
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func unit(h uint64) float64 { return float64(h>>11) / float64(1<<53) }
-
 // gen produces clustered points in the unit square.
 func (a *App) gen() []geom.Point {
 	pts := make([]geom.Point, a.N)
 	for i := range pts {
-		h := mix(uint64(a.Seed), uint64(i))
+		h := apps.Mix(uint64(a.Seed), uint64(i))
 		var x, y float64
 		switch h % 8 {
 		case 0, 1, 2, 3: // dense cluster
-			x = 0.1 + 0.25*unit(mix(h, 1))
-			y = 0.55 + 0.3*unit(mix(h, 2))
+			x = 0.1 + 0.25*apps.Unit(apps.Mix(h, 1))
+			y = 0.55 + 0.3*apps.Unit(apps.Mix(h, 2))
 		case 4, 5: // medium band
-			x = 0.5 + 0.45*unit(mix(h, 3))
-			y = 0.05 + 0.35*unit(mix(h, 4))
+			x = 0.5 + 0.45*apps.Unit(apps.Mix(h, 3))
+			y = 0.05 + 0.35*apps.Unit(apps.Mix(h, 4))
 		default: // background
-			x, y = unit(mix(h, 5)), unit(mix(h, 6))
+			x, y = apps.Unit(apps.Mix(h, 5)), apps.Unit(apps.Mix(h, 6))
 		}
 		pts[i] = geom.Point{X: x, Y: y}
 	}
@@ -108,13 +97,7 @@ func (a *App) rootRegions(pts []geom.Point) []region {
 		}
 	}
 	for _, p := range pts {
-		i := int(p.X * float64(a.RootGrid))
-		if i < 0 {
-			i = 0
-		}
-		if i >= a.RootGrid {
-			i = a.RootGrid - 1
-		}
+		i := apps.Stripe(p.X, a.RootGrid)
 		regs[i].pts = append(regs[i].pts, p)
 	}
 	return regs

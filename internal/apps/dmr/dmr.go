@@ -57,49 +57,26 @@ func New(n int, seed int64) *App {
 // Name implements apps.App.
 func (a *App) Name() string { return "dmr" }
 
-func mix(a, b uint64) uint64 {
-	x := a*0x9e3779b97f4a7c15 + b
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func unit(h uint64) float64 { return float64(h>>11) / float64(1<<53) }
-
 // gen produces clustered seed points (clusters produce skinny triangles
 // at their borders — plenty of refinement work, unevenly distributed).
 func (a *App) gen() []geom.Point {
 	pts := make([]geom.Point, a.N)
 	for i := range pts {
-		h := mix(uint64(a.Seed), uint64(i))
+		h := apps.Mix(uint64(a.Seed), uint64(i))
 		var x, y float64
 		switch h % 8 {
 		case 0, 1, 2, 3:
-			x = 0.05 + 0.3*unit(mix(h, 1))
-			y = 0.1 + 0.25*unit(mix(h, 2))
+			x = 0.05 + 0.3*apps.Unit(apps.Mix(h, 1))
+			y = 0.1 + 0.25*apps.Unit(apps.Mix(h, 2))
 		case 4, 5:
-			x = 0.6 + 0.35*unit(mix(h, 3))
-			y = 0.55 + 0.4*unit(mix(h, 4))
+			x = 0.6 + 0.35*apps.Unit(apps.Mix(h, 3))
+			y = 0.55 + 0.4*apps.Unit(apps.Mix(h, 4))
 		default:
-			x, y = unit(mix(h, 5)), unit(mix(h, 6))
+			x, y = apps.Unit(apps.Mix(h, 5)), apps.Unit(apps.Mix(h, 6))
 		}
 		pts[i] = geom.Point{X: x, Y: y}
 	}
 	return pts
-}
-
-// regionOf assigns a point to a column stripe.
-func (a *App) regionOf(p geom.Point) int {
-	i := int(p.X * float64(a.RootGrid))
-	if i < 0 {
-		i = 0
-	}
-	if i >= a.RootGrid {
-		i = a.RootGrid - 1
-	}
-	return i
 }
 
 // regionBounds returns stripe i's box.
@@ -184,7 +161,7 @@ func (a *App) refineRegion(ri int, pts []geom.Point) refineStats {
 func (a *App) partition(pts []geom.Point) [][]geom.Point {
 	regs := make([][]geom.Point, a.RootGrid)
 	for _, p := range pts {
-		i := a.regionOf(p)
+		i := apps.Stripe(p.X, a.RootGrid)
 		regs[i] = append(regs[i], p)
 	}
 	return regs
@@ -326,15 +303,7 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dmr: %w", err)
 	}
-	for i := range g.Tasks {
-		if n := len(g.Tasks[i].Children); n > 0 {
-			fr := make([]float64, n)
-			for j := range fr {
-				fr[j] = 1
-			}
-			g.Tasks[i].SpawnFrac = fr
-		}
-	}
+	apps.SpawnAtEnd(g)
 	if _, err := apps.CalibrateFlexibleGranularity(g, a.GranularityNS); err != nil {
 		return nil, fmt.Errorf("dmr: %w", err)
 	}

@@ -10,8 +10,10 @@
 package kmeans
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"distws/internal/apps"
 	"distws/internal/core"
@@ -57,18 +59,6 @@ func New(n, iters int, seed int64) *App {
 // Name implements apps.App.
 func (a *App) Name() string { return "kmeans" }
 
-func mix(a, b uint64) uint64 {
-	x := a*0x9e3779b97f4a7c15 + b
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// unit maps a hash to [0,1).
-func unit(h uint64) float64 { return float64(h>>11) / float64(1<<53) }
-
 // gen produces clustered points: several Gaussian-ish blobs of very
 // different sizes, sorted by x so that stripe distribution over places is
 // skewed.
@@ -89,7 +79,7 @@ func (a *App) gen() []Point {
 	}
 	i := 0
 	for len(pts) < a.N {
-		h := mix(uint64(a.Seed), uint64(i))
+		h := apps.Mix(uint64(a.Seed), uint64(i))
 		i++
 		w := int(h % uint64(totalW))
 		var blob int
@@ -102,49 +92,14 @@ func (a *App) gen() []Point {
 		}
 		bl := blobs[blob]
 		// Two hashes give a rough 2-D Gaussian via sum of uniforms.
-		u1 := unit(mix(h, 1)) + unit(mix(h, 2)) - 1
-		u2 := unit(mix(h, 3)) + unit(mix(h, 4)) - 1
+		u1 := apps.Unit(apps.Mix(h, 1)) + apps.Unit(apps.Mix(h, 2)) - 1
+		u2 := apps.Unit(apps.Mix(h, 3)) + apps.Unit(apps.Mix(h, 4)) - 1
 		pts = append(pts, Point{bl.cx + bl.r*u1, bl.cy + bl.r*u2})
 	}
-	// Sort by x (deterministic) so stripes over places carry skewed counts.
-	sortPointsByX(pts)
+	// Sort by x (stable, so deterministic) so stripes over places carry
+	// skewed counts.
+	slices.SortStableFunc(pts, func(p, q Point) int { return cmp.Compare(p.X, q.X) })
 	return pts
-}
-
-func sortPointsByX(p []Point) {
-	// Insertion-free deterministic sort: simple mergesort to avoid pulling
-	// in sort.Slice's unstable ordering on ties (full determinism).
-	if len(p) < 2 {
-		return
-	}
-	mid := len(p) / 2
-	left := append([]Point(nil), p[:mid]...)
-	right := append([]Point(nil), p[mid:]...)
-	sortPointsByX(left)
-	sortPointsByX(right)
-	i, j := 0, 0
-	for k := range p {
-		if i < len(left) && (j >= len(right) || left[i].X <= right[j].X) {
-			p[k] = left[i]
-			i++
-		} else {
-			p[k] = right[j]
-			j++
-		}
-	}
-}
-
-// chunks returns the [lo,hi) chunk boundaries over n points.
-func (a *App) chunks() [][2]int {
-	var out [][2]int
-	for lo := 0; lo < a.N; lo += a.ChunkSize {
-		hi := lo + a.ChunkSize
-		if hi > a.N {
-			hi = a.N
-		}
-		out = append(out, [2]int{lo, hi})
-	}
-	return out
 }
 
 // partial accumulates one chunk's contribution to the new centroids.
@@ -222,7 +177,7 @@ func (a *App) checksum(cents []Point, counts []int64) uint64 {
 func (a *App) run(eachIter func(pts, cents []Point, chunks [][2]int, parts []*partial)) uint64 {
 	pts := a.gen()
 	cents := a.initialCentroids(pts)
-	chunks := a.chunks()
+	chunks := apps.Chunks(a.N, a.ChunkSize)
 	var lastCounts []int64
 	for iter := 0; iter < a.Iters; iter++ {
 		parts := make([]*partial, len(chunks))
@@ -247,22 +202,6 @@ func (a *App) Sequential() uint64 {
 	})
 }
 
-// chunkPlace maps a chunk to the place owning its spatial region: the
-// domain [0,1) is cut into equal x-stripes, one per place. Clustered
-// inputs therefore give places very different chunk counts — the static
-// imbalance the paper's scheduler repairs.
-func chunkPlace(pts []Point, lo, places int) int {
-	x := pts[lo].X
-	p := int(x * float64(places))
-	if p < 0 {
-		p = 0
-	}
-	if p >= places {
-		p = places - 1
-	}
-	return p
-}
-
 // Parallel implements apps.App.
 func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 	places := rt.Places()
@@ -272,7 +211,7 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 			ctx.Finish(func(c *core.Ctx) {
 				for ci, ch := range chunks {
 					ci, ch := ci, ch
-					home := chunkPlace(pts, ch[0], places)
+					home := apps.Stripe(pts[ch[0]].X, places)
 					loc := task.Locality{
 						Class:          task.Flexible,
 						MigrationBytes: 16 * (ch[1] - ch[0]),
@@ -298,7 +237,7 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 func (a *App) Trace(places int) (*trace.Graph, error) {
 	b := trace.NewBuilder(a.Name())
 	pts := a.gen()
-	chunks := a.chunks()
+	chunks := apps.Chunks(a.N, a.ChunkSize)
 	prev := make([]int, len(chunks))
 	prevReduce := -1
 	for iter := 0; iter < a.Iters; iter++ {
@@ -306,7 +245,7 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 			sz := ch[1] - ch[0]
 			t := trace.Task{
 				HomeMode: trace.HomeFixed,
-				Home:     chunkPlace(pts, ch[0], places),
+				Home:     apps.Stripe(pts[ch[0]].X, places),
 				CostNS:   int64(sz * a.K),
 				Flexible: true,
 				MigBytes: 16 * sz,
@@ -345,16 +284,7 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kmeans: %w", err)
 	}
-	// Iteration ordering: children spawn at their parent's end.
-	for i := range g.Tasks {
-		if n := len(g.Tasks[i].Children); n > 0 {
-			fr := make([]float64, n)
-			for j := range fr {
-				fr[j] = 1
-			}
-			g.Tasks[i].SpawnFrac = fr
-		}
-	}
+	apps.SpawnAtEnd(g)
 	if _, err := apps.CalibrateFlexibleGranularity(g, a.GranularityNS); err != nil {
 		return nil, fmt.Errorf("kmeans: %w", err)
 	}

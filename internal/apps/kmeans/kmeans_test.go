@@ -34,8 +34,8 @@ func TestSpatialPlacementIsSkewed(t *testing.T) {
 	a := small()
 	pts := a.gen()
 	counts := make([]int, 4)
-	for _, ch := range a.chunks() {
-		counts[chunkPlace(pts, ch[0], 4)]++
+	for _, ch := range apps.Chunks(a.N, a.ChunkSize) {
+		counts[apps.Stripe(pts[ch[0]].X, 4)]++
 	}
 	minC, maxC := counts[0], counts[0]
 	for _, c := range counts {
@@ -103,7 +103,7 @@ func TestTraceValidAndCalibrated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nChunks := len(a.chunks())
+	nChunks := len(apps.Chunks(a.N, a.ChunkSize))
 	want := (nChunks + 1) * a.Iters // chunk tasks + reduce task per iter
 	if g.NumTasks() != want {
 		t.Fatalf("NumTasks = %d, want %d", g.NumTasks(), want)

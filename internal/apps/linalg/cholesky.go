@@ -4,43 +4,36 @@ import (
 	"fmt"
 	"math"
 
-	"distws/internal/core"
 	"distws/internal/dag"
 )
 
-// Cholesky is the tiled right-looking Cholesky factorization A = L·Lᵀ of
+// cholesky is the tiled right-looking Cholesky factorization A = L·Lᵀ of
 // a symmetric positive-definite matrix: the canonical dataflow
 // linear-algebra workload. Per elimination step k: POTRF factors the
 // diagonal tile, TRSM applies it down the panel, and SYRK/GEMM update
 // the trailing submatrix — each kernel a task whose dependencies follow
 // from the tiles it reads and writes.
-type Cholesky struct {
+type cholesky struct {
 	n, b int
 	seed int64
 }
 
 // NewCholesky returns the workload for an n×n matrix in b×b tiles
 // (b must divide n).
-func NewCholesky(n, b int, seed int64) *Cholesky {
+func NewCholesky(n, b int, seed int64) App {
 	if n <= 0 || b <= 0 || n%b != 0 {
 		panic(fmt.Sprintf("linalg: Cholesky n=%d b=%d, want b | n", n, b))
 	}
-	return &Cholesky{n: n, b: b, seed: seed}
+	return dataflow{"cholesky", &cholesky{n: n, b: b, seed: seed}}
 }
 
-// Name implements App.
-func (a *Cholesky) Name() string { return "cholesky" }
-
-func (a *Cholesky) tiles() int { return a.n / a.b }
-
-// tileID names tile (i, j) in the graph's block namespace.
-func tileID(i, j int) uint64 { return uint64(i+1)<<20 | uint64(j+1) }
+func (a *cholesky) tiles() int { return a.n / a.b }
 
 // generate materializes the lower tiles of a symmetric strictly
 // diagonally dominant matrix (off-diagonal entries in [0,1), diagonal
 // raised by n), which is positive definite, so the factorization never
 // hits a non-positive pivot.
-func (a *Cholesky) generate() [][]float64 {
+func (a *cholesky) generate() [][]float64 {
 	T, b := a.tiles(), a.b
 	tiles := make([][]float64, T*T)
 	for ti := 0; ti < T; ti++ {
@@ -126,107 +119,34 @@ func gemmNT(a, bt, c []float64, b int) {
 	}
 }
 
-// build emits the task graph in right-looking program order; when tiles
-// is non-nil it also binds one kernel closure per task. The initial
-// tiles are distributed 2D block-cyclic (gridOwner) — the standard
-// physical layout — while declared task homes are round-robin in spawn
-// order: the placement a data-oblivious scheduler uses to spread load.
-// PolicyBlind runs exactly that; PolicyDataAware must rediscover the
-// tile locality from the block directory.
-func (a *Cholesky) build(places int, tiles [][]float64) (*dag.Graph, []func()) {
+// build emits the task graph in right-looking program order over the
+// lower tiles (see tiledGraph for seeds and homes).
+func (a *cholesky) build(places int, tiles [][]float64) (*dag.Graph, []func()) {
 	T, b := a.tiles(), a.b
 	b3 := int64(b) * int64(b) * int64(b)
-	owner := gridOwner(places)
-	g := &dag.Graph{
-		Name:       "cholesky",
-		BlockBytes: make(map[uint64]int, T*T),
-		Seed:       make(map[uint64]int, T*T),
-	}
-	for i := 0; i < T; i++ {
-		for j := 0; j <= i; j++ {
-			g.BlockBytes[tileID(i, j)] = b * b * 8
-			g.Seed[tileID(i, j)] = owner(i, j)
-		}
-	}
-	var ops []func()
-	add := func(label string, cost int64, in []uint64, out uint64, op func()) {
-		g.Tasks = append(g.Tasks, dag.Task{
-			ID:      len(g.Tasks),
-			Label:   label,
-			CostNS:  flopNS(cost),
-			Home:    len(g.Tasks) % places,
-			Inputs:  in,
-			Outputs: []uint64{out},
-		})
-		if tiles != nil {
-			ops = append(ops, op)
-		}
-	}
-	at := func(i, j int) []float64 {
-		if tiles == nil {
-			return nil
-		}
-		return tiles[i*T+j]
-	}
+	t := newTiledGraph("cholesky", T, b, places, tiles, true)
 	for k := 0; k < T; k++ {
-		k := k
-		add(fmt.Sprintf("potrf(%d)", k), b3/3,
+		t.add(fmt.Sprintf("potrf(%d)", k), b3/3,
 			[]uint64{tileID(k, k)}, tileID(k, k),
-			func() { potrf(at(k, k), b) })
+			func() { potrf(t.at(k, k), b) })
 		for i := k + 1; i < T; i++ {
-			i := i
-			add(fmt.Sprintf("trsm(%d,%d)", i, k), b3,
+			t.add(fmt.Sprintf("trsm(%d,%d)", i, k), b3,
 				[]uint64{tileID(k, k), tileID(i, k)}, tileID(i, k),
-				func() { trsmRT(at(k, k), at(i, k), b) })
+				func() { trsmRT(t.at(k, k), t.at(i, k), b) })
 		}
 		for i := k + 1; i < T; i++ {
-			i := i
 			for j := k + 1; j <= i; j++ {
-				j := j
 				if i == j {
-					add(fmt.Sprintf("syrk(%d,%d)", i, k), b3,
+					t.add(fmt.Sprintf("syrk(%d,%d)", i, k), b3,
 						[]uint64{tileID(i, k), tileID(i, i)}, tileID(i, i),
-						func() { syrkL(at(i, k), at(i, i), b) })
+						func() { syrkL(t.at(i, k), t.at(i, i), b) })
 				} else {
-					add(fmt.Sprintf("gemm(%d,%d,%d)", i, j, k), 2*b3,
+					t.add(fmt.Sprintf("gemm(%d,%d,%d)", i, j, k), 2*b3,
 						[]uint64{tileID(i, k), tileID(j, k), tileID(i, j)}, tileID(i, j),
-						func() { gemmNT(at(i, k), at(j, k), at(i, j), b) })
+						func() { gemmNT(t.at(i, k), t.at(j, k), t.at(i, j), b) })
 				}
 			}
 		}
 	}
-	return g, ops
-}
-
-// Graph implements App.
-func (a *Cholesky) Graph(places int) (*dag.Graph, error) {
-	g, _ := a.build(places, nil)
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// Sequential implements App: the same kernels in program order.
-func (a *Cholesky) Sequential() uint64 {
-	tiles := a.generate()
-	_, ops := a.build(1, tiles)
-	for _, op := range ops {
-		op()
-	}
-	return checksum(tiles)
-}
-
-// Parallel implements App.
-func (a *Cholesky) Parallel(rt *core.Runtime, pol dag.Policy) (uint64, dag.ExecStats, error) {
-	tiles := a.generate()
-	g, ops := a.build(rt.Places(), tiles)
-	stats, err := dag.Execute(rt, g, dag.ExecOptions{
-		Policy: pol,
-		Kernel: func(t *dag.Task) { ops[t.ID]() },
-	})
-	if err != nil {
-		return 0, stats, err
-	}
-	return checksum(tiles), stats, nil
+	return t.g, t.ops
 }

@@ -64,6 +64,56 @@ func ByName(name string, seed int64) (App, error) {
 // Names lists the suite's app names.
 func Names() []string { return []string{"cholesky", "lu", "pipeline"} }
 
+// kernels is what a dataflow workload supplies: its initial data, and a
+// builder that emits the task graph for places places and, when data is
+// non-nil, one kernel closure per task bound to it.
+type kernels interface {
+	generate() [][]float64
+	build(places int, data [][]float64) (*dag.Graph, []func())
+}
+
+// dataflow implements App once over any workload's kernels.
+type dataflow struct {
+	name string
+	kernels
+}
+
+// Name implements App.
+func (a dataflow) Name() string { return a.name }
+
+// Graph implements App.
+func (a dataflow) Graph(places int) (*dag.Graph, error) {
+	g, _ := a.build(places, nil)
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// Sequential implements App: the same kernels in program order.
+func (a dataflow) Sequential() uint64 {
+	data := a.generate()
+	_, ops := a.build(1, data)
+	for _, op := range ops {
+		op()
+	}
+	return checksum(data)
+}
+
+// Parallel implements App.
+func (a dataflow) Parallel(rt *core.Runtime, pol dag.Policy) (uint64, dag.ExecStats, error) {
+	data := a.generate()
+	g, ops := a.build(rt.Places(), data)
+	stats, err := dag.Execute(rt, g, dag.ExecOptions{
+		Policy: pol,
+		Kernel: func(t *dag.Task) { ops[t.ID]() },
+	})
+	if err != nil {
+		return 0, stats, err
+	}
+	return checksum(data), stats, nil
+}
+
 // hash01 returns a deterministic pseudo-random value in [0, 1) from
 // (seed, i, j) — a splitmix64-style finalizer, so matrix generation is
 // O(1) per entry with no rng state to share.
@@ -90,6 +140,60 @@ func checksum(tiles [][]float64) uint64 {
 	}
 	return h.Sum()
 }
+
+// tileID names tile (i, j) in the graph's block namespace.
+func tileID(i, j int) uint64 { return uint64(i+1)<<20 | uint64(j+1) }
+
+// tiledGraph is the graph builder Cholesky and LU share: a T×T tile grid
+// seeded 2D block-cyclic (gridOwner) — the standard physical layout —
+// with declared task homes round-robin in spawn order, the placement a
+// data-oblivious scheduler uses to spread load. PolicyBlind runs exactly
+// that; PolicyDataAware must rediscover the tile locality from the block
+// directory.
+type tiledGraph struct {
+	g         *dag.Graph
+	ops       []func()
+	tiles     [][]float64
+	T, places int
+}
+
+// newTiledGraph sizes and seeds the graph's tiles: the lower triangle
+// only when lower is set, else all of them.
+func newTiledGraph(name string, T, b, places int, tiles [][]float64, lower bool) *tiledGraph {
+	owner := gridOwner(places)
+	g := &dag.Graph{
+		Name:       name,
+		BlockBytes: make(map[uint64]int, T*T),
+		Seed:       make(map[uint64]int, T*T),
+	}
+	for i := 0; i < T; i++ {
+		for j := 0; j < T && (!lower || j <= i); j++ {
+			g.BlockBytes[tileID(i, j)] = b * b * 8
+			g.Seed[tileID(i, j)] = owner(i, j)
+		}
+	}
+	return &tiledGraph{g: g, tiles: tiles, T: T, places: places}
+}
+
+// add appends one kernel task of cost flops that reads in and writes out;
+// op runs it when the graph is bound to tiles.
+func (t *tiledGraph) add(label string, flops int64, in []uint64, out uint64, op func()) {
+	t.g.Tasks = append(t.g.Tasks, dag.Task{
+		ID:      len(t.g.Tasks),
+		Label:   label,
+		CostNS:  flopNS(flops),
+		Home:    len(t.g.Tasks) % t.places,
+		Inputs:  in,
+		Outputs: []uint64{out},
+	})
+	if t.tiles != nil {
+		t.ops = append(t.ops, op)
+	}
+}
+
+// at returns tile (i, j) of the bound data; kernels call it only when
+// they run, which is only when the graph is bound.
+func (t *tiledGraph) at(i, j int) []float64 { return t.tiles[i*t.T+j] }
 
 // gridOwner returns the 2D block-cyclic owner map over places — the
 // ScaLAPACK-standard decomposition: tile (i, j) belongs to place

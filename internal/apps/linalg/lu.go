@@ -3,36 +3,32 @@ package linalg
 import (
 	"fmt"
 
-	"distws/internal/core"
 	"distws/internal/dag"
 )
 
-// LU is the tiled right-looking LU factorization A = L·U without
+// lu is the tiled right-looking LU factorization A = L·U without
 // pivoting. Per elimination step k: GETRF factors the diagonal tile,
 // TRSM solves the row panel against L(k,k) and the column panel against
 // U(k,k), and GEMM updates the trailing submatrix. The generated matrix
 // is strictly diagonally dominant, which stays diagonally dominant
 // through elimination, so no pivot ever vanishes.
-type LU struct {
+type lu struct {
 	n, b int
 	seed int64
 }
 
 // NewLU returns the workload for an n×n matrix in b×b tiles (b must
 // divide n).
-func NewLU(n, b int, seed int64) *LU {
+func NewLU(n, b int, seed int64) App {
 	if n <= 0 || b <= 0 || n%b != 0 {
 		panic(fmt.Sprintf("linalg: LU n=%d b=%d, want b | n", n, b))
 	}
-	return &LU{n: n, b: b, seed: seed}
+	return dataflow{"lu", &lu{n: n, b: b, seed: seed}}
 }
 
-// Name implements App.
-func (a *LU) Name() string { return "lu" }
+func (a *lu) tiles() int { return a.n / a.b }
 
-func (a *LU) tiles() int { return a.n / a.b }
-
-func (a *LU) generate() [][]float64 {
+func (a *lu) generate() [][]float64 {
 	T, b := a.tiles(), a.b
 	tiles := make([][]float64, T*T)
 	for ti := 0; ti < T; ti++ {
@@ -109,103 +105,33 @@ func gemmNN(a, bm, c []float64, b int) {
 	}
 }
 
-// build emits the task graph in right-looking program order; see
-// (*Cholesky).build for the shared conventions (block-cyclic seeds,
-// round-robin data-oblivious homes).
-func (a *LU) build(places int, tiles [][]float64) (*dag.Graph, []func()) {
+// build emits the task graph in right-looking program order over every
+// tile (see tiledGraph for seeds and homes).
+func (a *lu) build(places int, tiles [][]float64) (*dag.Graph, []func()) {
 	T, b := a.tiles(), a.b
 	b3 := int64(b) * int64(b) * int64(b)
-	owner := gridOwner(places)
-	g := &dag.Graph{
-		Name:       "lu",
-		BlockBytes: make(map[uint64]int, T*T),
-		Seed:       make(map[uint64]int, T*T),
-	}
-	for i := 0; i < T; i++ {
-		for j := 0; j < T; j++ {
-			g.BlockBytes[tileID(i, j)] = b * b * 8
-			g.Seed[tileID(i, j)] = owner(i, j)
-		}
-	}
-	var ops []func()
-	add := func(label string, cost int64, in []uint64, out uint64, op func()) {
-		g.Tasks = append(g.Tasks, dag.Task{
-			ID:      len(g.Tasks),
-			Label:   label,
-			CostNS:  flopNS(cost),
-			Home:    len(g.Tasks) % places,
-			Inputs:  in,
-			Outputs: []uint64{out},
-		})
-		if tiles != nil {
-			ops = append(ops, op)
-		}
-	}
-	at := func(i, j int) []float64 {
-		if tiles == nil {
-			return nil
-		}
-		return tiles[i*T+j]
-	}
+	t := newTiledGraph("lu", T, b, places, tiles, false)
 	for k := 0; k < T; k++ {
-		k := k
-		add(fmt.Sprintf("getrf(%d)", k), 2*b3/3,
+		t.add(fmt.Sprintf("getrf(%d)", k), 2*b3/3,
 			[]uint64{tileID(k, k)}, tileID(k, k),
-			func() { getrf(at(k, k), b) })
+			func() { getrf(t.at(k, k), b) })
 		for j := k + 1; j < T; j++ {
-			j := j
-			add(fmt.Sprintf("trsmL(%d,%d)", k, j), b3,
+			t.add(fmt.Sprintf("trsmL(%d,%d)", k, j), b3,
 				[]uint64{tileID(k, k), tileID(k, j)}, tileID(k, j),
-				func() { trsmLL(at(k, k), at(k, j), b) })
+				func() { trsmLL(t.at(k, k), t.at(k, j), b) })
 		}
 		for i := k + 1; i < T; i++ {
-			i := i
-			add(fmt.Sprintf("trsmU(%d,%d)", i, k), b3,
+			t.add(fmt.Sprintf("trsmU(%d,%d)", i, k), b3,
 				[]uint64{tileID(k, k), tileID(i, k)}, tileID(i, k),
-				func() { trsmRU(at(k, k), at(i, k), b) })
+				func() { trsmRU(t.at(k, k), t.at(i, k), b) })
 		}
 		for i := k + 1; i < T; i++ {
-			i := i
 			for j := k + 1; j < T; j++ {
-				j := j
-				add(fmt.Sprintf("gemm(%d,%d,%d)", i, j, k), 2*b3,
+				t.add(fmt.Sprintf("gemm(%d,%d,%d)", i, j, k), 2*b3,
 					[]uint64{tileID(i, k), tileID(k, j), tileID(i, j)}, tileID(i, j),
-					func() { gemmNN(at(i, k), at(k, j), at(i, j), b) })
+					func() { gemmNN(t.at(i, k), t.at(k, j), t.at(i, j), b) })
 			}
 		}
 	}
-	return g, ops
-}
-
-// Graph implements App.
-func (a *LU) Graph(places int) (*dag.Graph, error) {
-	g, _ := a.build(places, nil)
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// Sequential implements App: the same kernels in program order.
-func (a *LU) Sequential() uint64 {
-	tiles := a.generate()
-	_, ops := a.build(1, tiles)
-	for _, op := range ops {
-		op()
-	}
-	return checksum(tiles)
-}
-
-// Parallel implements App.
-func (a *LU) Parallel(rt *core.Runtime, pol dag.Policy) (uint64, dag.ExecStats, error) {
-	tiles := a.generate()
-	g, ops := a.build(rt.Places(), tiles)
-	stats, err := dag.Execute(rt, g, dag.ExecOptions{
-		Policy: pol,
-		Kernel: func(t *dag.Task) { ops[t.ID]() },
-	})
-	if err != nil {
-		return 0, stats, err
-	}
-	return checksum(tiles), stats, nil
+	return t.g, t.ops
 }

@@ -3,32 +3,28 @@ package linalg
 import (
 	"fmt"
 
-	"distws/internal/core"
 	"distws/internal/dag"
 )
 
-// Pipeline is a multi-stage streaming graph: items independent chains of
+// pipeline is a multi-stage streaming graph: items independent chains of
 // stages tasks each, task (i, s) reading the item's stage-s block and
 // writing the stage-s+1 block. The blind decomposition is systolic —
 // stage s of item i is homed at place (i+s) mod places — which balances
 // load perfectly but moves every item's buffer at every stage; the
 // data-aware policy instead keeps an item where its buffer already is.
-type Pipeline struct {
+type pipeline struct {
 	items, stages, width int
 	seed                 int64
 }
 
 // NewPipeline returns a pipeline of items chains × stages stages over
 // blocks of width float64 values.
-func NewPipeline(items, stages, width int, seed int64) *Pipeline {
+func NewPipeline(items, stages, width int, seed int64) App {
 	if items <= 0 || stages <= 0 || width <= 0 {
 		panic(fmt.Sprintf("linalg: Pipeline items=%d stages=%d width=%d", items, stages, width))
 	}
-	return &Pipeline{items: items, stages: stages, width: width, seed: seed}
+	return dataflow{"pipeline", &pipeline{items: items, stages: stages, width: width, seed: seed}}
 }
-
-// Name implements App.
-func (a *Pipeline) Name() string { return "pipeline" }
 
 // stageReps is how many sweeps each stage makes over its block, sizing
 // task cost against the block's transfer time.
@@ -36,7 +32,7 @@ const stageReps = 8
 
 func blkID(i, s int) uint64 { return uint64(i+1)<<20 | uint64(s) }
 
-func (a *Pipeline) generate() [][]float64 {
+func (a *pipeline) generate() [][]float64 {
 	bufs := make([][]float64, a.items)
 	for i := range bufs {
 		b := make([]float64, a.width)
@@ -62,7 +58,7 @@ func stage(buf []float64, seed int64, s int) {
 
 // build emits the graph stage-by-stage; each item owns one physical
 // buffer, with the per-stage blocks naming its successive versions.
-func (a *Pipeline) build(places int, bufs [][]float64) (*dag.Graph, []func()) {
+func (a *pipeline) build(places int, bufs [][]float64) (*dag.Graph, []func()) {
 	g := &dag.Graph{
 		Name:       "pipeline",
 		BlockBytes: make(map[uint64]int, a.items*(a.stages+1)),
@@ -77,9 +73,7 @@ func (a *Pipeline) build(places int, bufs [][]float64) (*dag.Graph, []func()) {
 	cost := flopNS(2 * int64(stageReps) * int64(a.width))
 	var ops []func()
 	for s := 0; s < a.stages; s++ {
-		s := s
 		for i := 0; i < a.items; i++ {
-			i := i
 			g.Tasks = append(g.Tasks, dag.Task{
 				ID:      len(g.Tasks),
 				Label:   fmt.Sprintf("stage(%d,%d)", i, s),
@@ -94,37 +88,4 @@ func (a *Pipeline) build(places int, bufs [][]float64) (*dag.Graph, []func()) {
 		}
 	}
 	return g, ops
-}
-
-// Graph implements App.
-func (a *Pipeline) Graph(places int) (*dag.Graph, error) {
-	g, _ := a.build(places, nil)
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// Sequential implements App: the same kernels in program order.
-func (a *Pipeline) Sequential() uint64 {
-	bufs := a.generate()
-	_, ops := a.build(1, bufs)
-	for _, op := range ops {
-		op()
-	}
-	return checksum(bufs)
-}
-
-// Parallel implements App.
-func (a *Pipeline) Parallel(rt *core.Runtime, pol dag.Policy) (uint64, dag.ExecStats, error) {
-	bufs := a.generate()
-	g, ops := a.build(rt.Places(), bufs)
-	stats, err := dag.Execute(rt, g, dag.ExecOptions{
-		Policy: pol,
-		Kernel: func(t *dag.Task) { ops[t.ID]() },
-	})
-	if err != nil {
-		return 0, stats, err
-	}
-	return checksum(bufs), stats, nil
 }

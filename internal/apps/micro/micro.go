@@ -21,17 +21,6 @@ import (
 	"distws/internal/trace"
 )
 
-func mixU(a, b uint64) uint64 {
-	x := a*0x9e3779b97f4a7c15 + b
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func unitF(h uint64) float64 { return float64(h>>11) / float64(1<<53) }
-
 // flatTrace builds a flat graph of nTasks flexible tasks with the given
 // granularity, distributed evenly over the places: the micro apps are
 // regular workloads, so there is essentially no imbalance for DistWS to
@@ -83,7 +72,7 @@ func (m *MergeSort) Name() string { return m.nameStr }
 func (m *MergeSort) gen() []int32 {
 	out := make([]int32, m.N)
 	for i := range out {
-		out[i] = int32(mixU(uint64(m.Seed), uint64(i)))
+		out[i] = int32(apps.Mix(uint64(m.Seed), uint64(i)))
 	}
 	return out
 }
@@ -220,7 +209,7 @@ func (s *Skyline) gen() []float64 {
 	for i := 0; i < s.N; i++ {
 		lo, hi := s.bandOf(i)
 		for j := lo; j < hi; j++ {
-			a[i*s.N+j] = unitF(mixU(uint64(s.Seed), uint64(i*s.N+j)))
+			a[i*s.N+j] = apps.Unit(apps.Mix(uint64(s.Seed), uint64(i*s.N+j)))
 		}
 	}
 	return a
@@ -327,9 +316,9 @@ func (m *MonteCarloPi) inside(batch int) int {
 	n := 0
 	base := uint64(batch) * uint64(m.Batch)
 	for i := 0; i < m.Batch; i++ {
-		h := mixU(uint64(m.Seed), base+uint64(i))
-		x := unitF(h)
-		y := unitF(mixU(h, 77))
+		h := apps.Mix(uint64(m.Seed), base+uint64(i))
+		x := apps.Unit(h)
+		y := apps.Unit(apps.Mix(h, 77))
 		if x*x+y*y <= 1 {
 			n++
 		}
@@ -400,7 +389,7 @@ func (m *MatChain) Name() string { return "matchain" }
 func (m *MatChain) dims() []int64 {
 	d := make([]int64, m.N+1)
 	for i := range d {
-		d[i] = 5 + int64(mixU(uint64(m.Seed), uint64(i))%95)
+		d[i] = 5 + int64(apps.Mix(uint64(m.Seed), uint64(i))%95)
 	}
 	return d
 }
@@ -497,15 +486,7 @@ func (m *MatChain) Trace(places int) (*trace.Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("matchain: %w", err)
 	}
-	for i := range g.Tasks {
-		if n := len(g.Tasks[i].Children); n > 0 {
-			fr := make([]float64, n)
-			for j := range fr {
-				fr[j] = 1
-			}
-			g.Tasks[i].SpawnFrac = fr
-		}
-	}
+	apps.SpawnAtEnd(g)
 	if _, err := apps.CalibrateFlexibleGranularity(g, m.GranNS); err != nil {
 		return nil, err
 	}
@@ -536,7 +517,7 @@ func (r *RandomAccess) Name() string { return "randomaccess" }
 func (r *RandomAccess) apply(table []uint64, b int) {
 	base := uint64(b) * uint64(r.Batch)
 	for i := 0; i < r.Batch && int(base)+i < r.Updates; i++ {
-		h := mixU(uint64(r.Seed), base+uint64(i))
+		h := apps.Mix(uint64(r.Seed), base+uint64(i))
 		table[h%uint64(r.TableSize)] ^= h
 	}
 }

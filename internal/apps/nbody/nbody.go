@@ -12,8 +12,10 @@
 package nbody
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"distws/internal/apps"
 	"distws/internal/core"
@@ -61,58 +63,26 @@ func New(n, steps int, seed int64) *App {
 // Name implements apps.App.
 func (a *App) Name() string { return "nbody" }
 
-func mix(a, b uint64) uint64 {
-	x := a*0x9e3779b97f4a7c15 + b
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func unit(h uint64) float64 { return float64(h>>11) / float64(1<<53) }
-
 // gen produces a clustered body distribution: a dense core plus a sparse
 // halo, sorted by x so index chunks map to spatial stripes.
 func (a *App) gen() []Body {
 	bodies := make([]Body, a.N)
 	for i := range bodies {
-		h := mix(uint64(a.Seed), uint64(i))
+		h := apps.Mix(uint64(a.Seed), uint64(i))
 		var x, y float64
 		if h%10 < 7 {
 			// Dense core around (0.3, 0.3).
-			r := 0.08 * math.Sqrt(unit(mix(h, 1)))
-			th := 2 * math.Pi * unit(mix(h, 2))
+			r := 0.08 * math.Sqrt(apps.Unit(apps.Mix(h, 1)))
+			th := 2 * math.Pi * apps.Unit(apps.Mix(h, 2))
 			x, y = 0.3+r*math.Cos(th), 0.3+r*math.Sin(th)
 		} else {
 			// Sparse halo over the whole domain.
-			x, y = unit(mix(h, 3)), unit(mix(h, 4))
+			x, y = apps.Unit(apps.Mix(h, 3)), apps.Unit(apps.Mix(h, 4))
 		}
-		bodies[i] = Body{X: x, Y: y, M: 0.5 + unit(mix(h, 5))}
+		bodies[i] = Body{X: x, Y: y, M: 0.5 + apps.Unit(apps.Mix(h, 5))}
 	}
-	sortBodiesByX(bodies)
+	slices.SortStableFunc(bodies, func(p, q Body) int { return cmp.Compare(p.X, q.X) })
 	return bodies
-}
-
-func sortBodiesByX(b []Body) {
-	if len(b) < 2 {
-		return
-	}
-	mid := len(b) / 2
-	left := append([]Body(nil), b[:mid]...)
-	right := append([]Body(nil), b[mid:]...)
-	sortBodiesByX(left)
-	sortBodiesByX(right)
-	i, j := 0, 0
-	for k := range b {
-		if i < len(left) && (j >= len(right) || left[i].X <= right[j].X) {
-			b[k] = left[i]
-			i++
-		} else {
-			b[k] = right[j]
-			j++
-		}
-	}
 }
 
 // node is a quadtree node.
@@ -272,19 +242,6 @@ func (t *tree) force(bodies []Body, bi int, theta float64) (float64, float64, in
 	return ax, ay, inter
 }
 
-// chunks returns the chunk boundaries.
-func (a *App) chunks() [][2]int {
-	var out [][2]int
-	for lo := 0; lo < a.N; lo += a.ChunkSize {
-		hi := lo + a.ChunkSize
-		if hi > a.N {
-			hi = a.N
-		}
-		out = append(out, [2]int{lo, hi})
-	}
-	return out
-}
-
 // forceChunk computes accelerations for bodies[lo:hi), returning the
 // total interaction count (the chunk's work units).
 func (a *App) forceChunk(t *tree, bodies []Body, ax, ay []float64, lo, hi int) int {
@@ -335,7 +292,7 @@ func (a *App) run(eachStep func(t *tree, bodies []Body, ax, ay []float64, chunks
 	bodies := a.gen()
 	ax := make([]float64, a.N)
 	ay := make([]float64, a.N)
-	chunks := a.chunks()
+	chunks := apps.Chunks(a.N, a.ChunkSize)
 	for s := 0; s < a.Steps; s++ {
 		t := build(bodies)
 		eachStep(t, bodies, ax, ay, chunks)
@@ -353,18 +310,6 @@ func (a *App) Sequential() uint64 {
 	})
 }
 
-// chunkPlace assigns a chunk to the place owning its spatial stripe.
-func chunkPlace(bodies []Body, lo, places int) int {
-	p := int(bodies[lo].X * float64(places))
-	if p < 0 {
-		p = 0
-	}
-	if p >= places {
-		p = places - 1
-	}
-	return p
-}
-
 // Parallel implements apps.App.
 func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 	places := rt.Places()
@@ -374,7 +319,7 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 			ctx.Finish(func(c *core.Ctx) {
 				for _, ch := range chunks {
 					ch := ch
-					home := chunkPlace(bodies, ch[0], places)
+					home := apps.Stripe(bodies[ch[0]].X, places)
 					loc := task.Locality{
 						Class:          task.Flexible,
 						MigrationBytes: 40 * (ch[1] - ch[0]),
@@ -402,7 +347,7 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 	bodies := a.gen()
 	ax := make([]float64, a.N)
 	ay := make([]float64, a.N)
-	chunks := a.chunks()
+	chunks := apps.Chunks(a.N, a.ChunkSize)
 	prevBuild := -1
 	for s := 0; s < a.Steps; s++ {
 		t := build(bodies)
@@ -427,7 +372,7 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 			sz := ch[1] - ch[0]
 			fc := b.Child(bt, trace.Task{
 				HomeMode: trace.HomeFixed,
-				Home:     chunkPlace(bodies, ch[0], places),
+				Home:     apps.Stripe(bodies[ch[0]].X, places),
 				CostNS:   int64(inter + sz),
 				Flexible: true,
 				MigBytes: 40 * sz,
@@ -460,15 +405,7 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 	}
 	// Chunks of step s spawn at the end of the build task; the next build
 	// spawns after this one's chunks are modelled via its own SpawnFrac 1.
-	for i := range g.Tasks {
-		if n := len(g.Tasks[i].Children); n > 0 {
-			fr := make([]float64, n)
-			for j := range fr {
-				fr[j] = 1
-			}
-			g.Tasks[i].SpawnFrac = fr
-		}
-	}
+	apps.SpawnAtEnd(g)
 	if _, err := apps.CalibrateFlexibleGranularity(g, a.GranularityNS); err != nil {
 		return nil, fmt.Errorf("nbody: %w", err)
 	}

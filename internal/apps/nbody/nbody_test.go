@@ -89,7 +89,7 @@ func TestDenseChunksCostMore(t *testing.T) {
 	ax := make([]float64, a.N)
 	ay := make([]float64, a.N)
 	minI, maxI := math.MaxInt, 0
-	for _, ch := range a.chunks() {
+	for _, ch := range apps.Chunks(a.N, a.ChunkSize) {
 		inter := a.forceChunk(tr, bodies, ax, ay, ch[0], ch[1])
 		if inter < minI {
 			minI = inter
@@ -147,7 +147,7 @@ func TestTraceValidAndCalibrated(t *testing.T) {
 	}
 	// Per step: one build task, one force task and one integrate task per
 	// chunk.
-	want := a.Steps * (2*len(a.chunks()) + 1)
+	want := a.Steps * (2*len(apps.Chunks(a.N, a.ChunkSize)) + 1)
 	if g.NumTasks() != want {
 		t.Fatalf("NumTasks = %d, want %d", g.NumTasks(), want)
 	}

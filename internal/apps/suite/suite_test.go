@@ -1,9 +1,12 @@
 package suite
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"distws/internal/apps"
+	"distws/internal/apps/linalg"
 	"distws/internal/core"
 	"distws/internal/sched"
 	"distws/internal/topology"
@@ -98,6 +101,51 @@ func TestParallelMatchesReference(t *testing.T) {
 			}
 			if want := apps.ParallelReference(app); got != want {
 				t.Fatalf("parallel %x != reference %x", got, want)
+			}
+		})
+	}
+}
+
+// TestTracesArePure is what lets expt's Runner generate two place counts
+// of one app at once: a trace (or dataflow graph) generator may not write
+// to its receiver. Each runs at two place counts concurrently, twice, from
+// one receiver; under -race a receiver write is a reported race, and the
+// twin results must be deep-equal.
+func TestTracesArePure(t *testing.T) {
+	type generator struct {
+		name  string
+		graph func(places int) (any, error)
+	}
+	var gens []generator
+	for _, a := range append(append(Paper(Small, 1), Micro(1)...), UTS(1)) {
+		gens = append(gens, generator{a.Name(), func(p int) (any, error) { return a.Trace(p) }})
+	}
+	for _, a := range linalg.Suite(1) {
+		gens = append(gens, generator{a.Name(), func(p int) (any, error) { return a.Graph(p) }})
+	}
+	places := [2]int{4, 16}
+	for _, g := range gens {
+		t.Run(g.name, func(t *testing.T) {
+			var out [4]any
+			var errs [4]error
+			var wg sync.WaitGroup
+			for i := range out {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					out[i], errs[i] = g.graph(places[i%2])
+				}()
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("at %d places: %v", places[i%2], err)
+				}
+			}
+			for i, p := range places {
+				if !reflect.DeepEqual(out[i], out[i+2]) {
+					t.Fatalf("two concurrent generations at %d places differ", p)
+				}
 			}
 		})
 	}

@@ -18,7 +18,6 @@ import (
 
 	"distws/internal/apps"
 	"distws/internal/core"
-	"distws/internal/dist"
 	"distws/internal/task"
 	"distws/internal/trace"
 )
@@ -38,9 +37,6 @@ type App struct {
 	Seed int64
 	// GranularityNS is the Table I calibration target (1.86 ms).
 	GranularityNS int64
-	// WorkPerBody controls how much real arithmetic each body costs in
-	// the runnable implementations (kept tiny so tests stay fast).
-	WorkPerBody int
 }
 
 // New returns a Turing Ring over cells cells for iters iterations.
@@ -50,7 +46,6 @@ func New(cells, iters int, seed int64) *App {
 		Iters:         iters,
 		Seed:          seed,
 		GranularityNS: 1_860_000, // Table I: 1.86 ms
-		WorkPerBody:   1,
 	}
 }
 
@@ -62,7 +57,7 @@ func (a *App) Name() string { return "turingring" }
 func (a *App) initial() []Cell {
 	cells := make([]Cell, a.Cells)
 	for i := range cells {
-		h := mix(uint64(a.Seed), uint64(i))
+		h := apps.Mix(uint64(a.Seed), uint64(i))
 		cells[i].Prey = 20 + float64(h%50)
 		cells[i].Pred = 5 + float64((h>>8)%10)
 	}
@@ -72,16 +67,6 @@ func (a *App) initial() []Cell {
 		cells[i].Pred += 200
 	}
 	return cells
-}
-
-// mix is a deterministic 64-bit hash (splitmix64 finalizer).
-func mix(a, b uint64) uint64 {
-	x := a*0x9e3779b97f4a7c15 + b
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // grow applies one step of the predator–prey dynamics to a single cell.
@@ -108,7 +93,7 @@ func grow(c Cell) Cell {
 // paper's two-orders-of-magnitude load shifts — dump 90% of a bloom onto
 // one neighbour.
 func (a *App) outflow(i, iter int, c Cell) (preyOut, predOut float64, dir int) {
-	h := mix(uint64(a.Seed)^uint64(iter)*1315423911, uint64(i))
+	h := apps.Mix(uint64(a.Seed)^uint64(iter)*1315423911, uint64(i))
 	dir = 1
 	if h&1 == 0 {
 		dir = -1
@@ -123,8 +108,8 @@ func (a *App) outflow(i, iter int, c Cell) (preyOut, predOut float64, dir int) {
 	return preyFrac * c.Prey, predFrac * c.Pred, dir
 }
 
-// step computes iteration iter: next[i] from cur (pure function of cur,
-// so per-cell tasks parallelize without races).
+// stepCell computes iteration iter: next[i] from cur (pure function of
+// cur, so per-cell tasks parallelize without races).
 func (a *App) stepCell(cur []Cell, i, iter int) Cell {
 	n := len(cur)
 	g := grow(cur[i])
@@ -140,17 +125,21 @@ func (a *App) stepCell(cur []Cell, i, iter int) Cell {
 			next.Pred += dj
 		}
 	}
-	// Burn real per-body work so the runnable versions have genuine
-	// granularity proportional to the cell's population.
-	bodies := int(next.Prey+next.Pred) * a.WorkPerBody
+	return next
+}
+
+// burn spends one multiply-add per body of c, so the runnable versions
+// have genuine granularity proportional to the cell's population; the
+// trace models that cost instead of paying it.
+func burn(c Cell) Cell {
 	acc := 1.0
-	for k := 0; k < bodies; k++ {
+	for k, n := 0, bodies(c); k < n; k++ {
 		acc += acc * 1e-9
 	}
 	if acc < 0 { // never true; defeats dead-code elimination
-		next.Prey += acc
+		c.Prey += acc
 	}
-	return next
+	return c
 }
 
 // bodies returns the body count of a cell (its task cost unit).
@@ -172,7 +161,7 @@ func (a *App) Sequential() uint64 {
 	next := make([]Cell, len(cur))
 	for iter := 0; iter < a.Iters; iter++ {
 		for i := range cur {
-			next[i] = a.stepCell(cur, i, iter)
+			next[i] = burn(a.stepCell(cur, i, iter))
 		}
 		cur, next = next, cur
 	}
@@ -193,7 +182,7 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 			ctx.Finish(func(c *core.Ctx) {
 				for i := range cur {
 					cell := i
-					home := dist.PlaceOf(cell, a.Cells, places)
+					home := placeOf(cell, a.Cells, places)
 					loc := task.Locality{
 						Class:          task.Flexible,
 						MigrationBytes: 16 * (bodies(cur[cell]) + 1),
@@ -202,7 +191,7 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 					c.AsyncLoc(home, loc, func(cc *core.Ctx) {
 						// Outer task: full cell update (predators,
 						// migration bookkeeping) ...
-						res := a.stepCell(cur, cell, it)
+						res := burn(a.stepCell(cur, cell, it))
 						// ... with the prey refinement as an inner
 						// sensitive task at the executing place, as in
 						// Fig. 1 line 6.
@@ -231,9 +220,6 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 	b := trace.NewBuilder(a.Name())
 	cur := a.initial()
 	next := make([]Cell, len(cur))
-	saveWork := a.WorkPerBody
-	a.WorkPerBody = 0 // trace generation skips the artificial flop burn
-	defer func() { a.WorkPerBody = saveWork }()
 
 	prevIter := -1
 	for iter := 0; iter < a.Iters; iter++ {
@@ -254,7 +240,7 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 		prevIter = cid
 		for i := range cur {
 			nb := bodies(cur[i])
-			id := b.Child(cid, a.outerTask(places, i, nb, dist.PlaceOf(i, a.Cells, places)))
+			id := b.Child(cid, a.outerTask(places, i, nb, placeOf(i, a.Cells, places)))
 			// Inner sensitive prey update, local to wherever the outer ran.
 			b.Child(id, trace.Task{
 				HomeMode: trace.HomeInherit,
@@ -277,15 +263,7 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 	}
 	// Children (the inner task and the next iteration's outer task) spawn
 	// at the end of their parent, preserving per-cell iteration order.
-	for i := range g.Tasks {
-		if n := len(g.Tasks[i].Children); n > 0 {
-			fr := make([]float64, n)
-			for j := range fr {
-				fr[j] = 1.0
-			}
-			g.Tasks[i].SpawnFrac = fr
-		}
-	}
+	apps.SpawnAtEnd(g)
 	if _, err := apps.CalibrateFlexibleGranularity(g, a.GranularityNS); err != nil {
 		return nil, fmt.Errorf("turingring: %w", err)
 	}
@@ -309,15 +287,37 @@ func (a *App) outerTask(places, cell, nb, home int) trace.Task {
 	n := a.Cells
 	left := (cell - 1 + n) % n
 	right := (cell + 1) % n
-	if dist.PlaceOf(left, n, places) != home {
+	if placeOf(left, n, places) != home {
 		t.BaseMsgs++
 		t.BaseBytes += 32
 	}
-	if dist.PlaceOf(right, n, places) != home {
+	if placeOf(right, n, places) != home {
 		t.BaseMsgs++
 		t.BaseBytes += 32
 	}
 	return t
+}
+
+// placeOf returns the place owning cell i of the ring block-distributed
+// over places places — the DistArray of the paper's §IV-B pseudo-code:
+// place p owns the contiguous range [p·n/P, (p+1)·n/P).
+func placeOf(i, n, places int) int {
+	if places <= 0 {
+		panic(fmt.Sprintf("turingring: placeOf places=%d", places))
+	}
+	if i < 0 || i >= n {
+		panic(fmt.Sprintf("turingring: cell %d out of range [0,%d)", i, n))
+	}
+	// Inverse of the block bounds, guarded against rounding at block
+	// boundaries.
+	p := i * places / n
+	for p > 0 && i < p*n/places {
+		p--
+	}
+	for p < places-1 && i >= (p+1)*n/places {
+		p++
+	}
+	return p
 }
 
 // cellBlocks derives a cell's footprint: one block per 32 bodies.

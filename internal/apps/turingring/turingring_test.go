@@ -1,7 +1,9 @@
 package turingring
 
 import (
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"distws/internal/apps"
 	"distws/internal/core"
@@ -138,12 +140,86 @@ func TestTraceRunsInSimulatorAllPolicies(t *testing.T) {
 	}
 }
 
-func TestWorkPerBodyRestoredAfterTrace(t *testing.T) {
-	a := small()
-	if _, err := a.Trace(2); err != nil {
+// blockRange is the specification placeOf inverts: place p owns [lo, hi).
+func blockRange(p, n, places int) (lo, hi int) {
+	return p * n / places, (p + 1) * n / places
+}
+
+func TestPlaceOfBlockDistribution(t *testing.T) {
+	// 100 over 4 places: 25 each.
+	for p := 0; p < 4; p++ {
+		lo, hi := blockRange(p, 100, 4)
+		if hi-lo != 25 {
+			t.Fatalf("place %d owns %d elements, want 25", p, hi-lo)
+		}
+		for i := lo; i < hi; i++ {
+			if got := placeOf(i, 100, 4); got != p {
+				t.Fatalf("placeOf(%d) = %d, want %d", i, got, p)
+			}
+		}
+	}
+}
+
+func TestPlaceOfUnevenDistribution(t *testing.T) {
+	owned := make([]int, 3)
+	for i := 0; i < 10; i++ {
+		owned[placeOf(i, 10, 3)]++
+	}
+	for p, n := range owned {
+		if n != 3 && n != 4 {
+			t.Fatalf("place %d owns %d of 10 elements over 3 places, want 3 or 4", p, n)
+		}
+	}
+}
+
+func TestPlaceOfPanics(t *testing.T) {
+	for _, c := range [][3]int{{4, 4, 2}, {-1, 4, 2}, {0, -1, 2}, {0, 4, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("placeOf%v: expected panic", c)
+				}
+			}()
+			placeOf(c[0], c[1], c[2])
+		}()
+	}
+}
+
+// Property: every index belongs to exactly the place whose block range
+// contains it, and the ranges partition [0, n).
+func TestPlaceOfPartitionProperty(t *testing.T) {
+	f := func(nRaw, pRaw uint8) bool {
+		n := int(nRaw)%200 + 1
+		places := int(pRaw)%16 + 1
+		covered := 0
+		for p := 0; p < places; p++ {
+			lo, hi := blockRange(p, n, places)
+			covered += hi - lo
+			for i := lo; i < hi; i++ {
+				if placeOf(i, n, places) != p {
+					return false
+				}
+			}
+		}
+		return covered == n
+	}
+	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-	if a.WorkPerBody != 1 {
-		t.Fatalf("WorkPerBody = %d after Trace, want restored 1", a.WorkPerBody)
+}
+
+// Property: block sizes differ by at most one element.
+func TestPlaceOfBalanceProperty(t *testing.T) {
+	f := func(nRaw, pRaw uint8) bool {
+		n := int(nRaw)%500 + 1
+		places := int(pRaw)%16 + 1
+		owned := make([]int, places)
+		for i := 0; i < n; i++ {
+			owned[placeOf(i, n, places)]++
+		}
+		return slices.Max(owned)-slices.Min(owned) <= 1
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }

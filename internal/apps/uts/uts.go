@@ -46,18 +46,9 @@ func New(rootKids, warmup, maxNodes int, seed int64) *App {
 // Name implements apps.App.
 func (a *App) Name() string { return "uts" }
 
-func mix(a, b uint64) uint64 {
-	x := a*0x9e3779b97f4a7c15 + b
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // kids returns the number of children of node id at the given depth.
 func (a *App) kids(id uint64, depth int) int {
-	h := mix(uint64(a.Seed), id)
+	h := apps.Mix(uint64(a.Seed), id)
 	if depth == 0 {
 		return a.RootKids
 	}
@@ -68,13 +59,13 @@ func (a *App) kids(id uint64, depth int) int {
 }
 
 // childID derives child i's id from its parent's.
-func childID(id uint64, i int) uint64 { return mix(id, uint64(i)+1) }
+func childID(id uint64, i int) uint64 { return apps.Mix(id, uint64(i)+1) }
 
 // nodeWork hashes the node — the "work" each UTS visit performs.
 func nodeWork(id uint64) uint64 {
 	h := id
 	for i := 0; i < 16; i++ {
-		h = mix(h, uint64(i))
+		h = apps.Mix(h, uint64(i))
 	}
 	return h
 }

@@ -70,11 +70,11 @@ func KindNames() []string {
 // "chaselev", "relaxed").
 func ParseKind(s string) (Kind, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "mutex", "lock", "locked":
+	case "mutex":
 		return KindMutex, nil
-	case "chaselev", "chase-lev", "lockfree", "lock-free":
+	case "chaselev":
 		return KindChaseLev, nil
-	case "relaxed", "fencefree", "fence-free":
+	case "relaxed":
 		return KindRelaxed, nil
 	default:
 		return 0, fmt.Errorf("deque: unknown queue kind %q (want %s)",

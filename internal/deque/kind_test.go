@@ -12,13 +12,9 @@ func TestParseKind(t *testing.T) {
 		want Kind
 	}{
 		{"mutex", KindMutex},
-		{"lock", KindMutex},
 		{" Mutex ", KindMutex},
 		{"chaselev", KindChaseLev},
-		{"chase-lev", KindChaseLev},
-		{"lockfree", KindChaseLev},
 		{"relaxed", KindRelaxed},
-		{"fence-free", KindRelaxed},
 	}
 	for _, c := range cases {
 		got, err := ParseKind(c.in)

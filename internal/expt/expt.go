@@ -38,11 +38,6 @@ type Runner struct {
 
 	mu    sync.Mutex
 	cache map[string]*traceEntry
-	// appLocks serializes trace generation per application: App.Trace
-	// implementations may use receiver fields as scratch state (e.g.
-	// turingring zeroes its flop-burn knob during generation), so two
-	// place counts of the same app must not generate concurrently.
-	appLocks map[string]*sync.Mutex
 }
 
 // traceEntry is a singleflight slot: concurrent requests for the same
@@ -58,11 +53,10 @@ type traceEntry struct {
 // paper's 16×8 cluster.
 func New(scale suite.Scale, seed int64) *Runner {
 	return &Runner{
-		Seed:     seed,
-		Cluster:  topology.Paper(),
-		Apps:     suite.Paper(scale, seed),
-		cache:    make(map[string]*traceEntry),
-		appLocks: make(map[string]*sync.Mutex),
+		Seed:    seed,
+		Cluster: topology.Paper(),
+		Apps:    suite.Paper(scale, seed),
+		cache:   make(map[string]*traceEntry),
 	}
 }
 
@@ -70,7 +64,9 @@ func New(scale suite.Scale, seed int64) *Runner {
 // places. The graph is generated exactly once per (app, places) key — even
 // under concurrent callers — and shared read-only across every policy run
 // that replays it (the simulator never mutates a graph; see
-// TestPoliciesDoNotMutateSharedGraph).
+// TestPoliciesDoNotMutateSharedGraph). App.Trace is pure (see
+// suite.TestTracesArePure), so two place counts of one app may generate
+// concurrently.
 func (r *Runner) Trace(a apps.App, places int) (*trace.Graph, error) {
 	key := fmt.Sprintf("%s/%d", a.Name(), places)
 	r.mu.Lock()
@@ -79,17 +75,8 @@ func (r *Runner) Trace(a apps.App, places int) (*trace.Graph, error) {
 		e = &traceEntry{}
 		r.cache[key] = e
 	}
-	lk, ok := r.appLocks[a.Name()]
-	if !ok {
-		lk = new(sync.Mutex)
-		r.appLocks[a.Name()] = lk
-	}
 	r.mu.Unlock()
-	e.once.Do(func() {
-		lk.Lock()
-		defer lk.Unlock()
-		e.g, e.err = a.Trace(places)
-	})
+	e.once.Do(func() { e.g, e.err = a.Trace(places) })
 	return e.g, e.err
 }
 

@@ -77,21 +77,22 @@ func Kinds() []Kind {
 	return []Kind{X10WS, DistWS, DistWSNS, RandomWS, LifelineWS, Adaptive}
 }
 
-// Parse resolves a case-insensitive policy name ("distws", "x10ws",
-// "distws-ns", "nonselective", "random", "lifeline", "adaptive").
+// Parse resolves a case-insensitive policy name ("x10ws", "distws",
+// "distws-ns", "random", "lifeline", "adaptive"; "randomws" and
+// "lifelinews" are the String spellings).
 func Parse(s string) (Kind, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "x10ws", "x10":
+	case "x10ws":
 		return X10WS, nil
-	case "distws", "dist":
+	case "distws":
 		return DistWS, nil
-	case "distws-ns", "distwsns", "ns", "nonselective":
+	case "distws-ns":
 		return DistWSNS, nil
 	case "randomws", "random":
 		return RandomWS, nil
 	case "lifelinews", "lifeline":
 		return LifelineWS, nil
-	case "adaptive", "adapt":
+	case "adaptive":
 		return Adaptive, nil
 	default:
 		return 0, fmt.Errorf("sched: unknown policy %q (want x10ws, distws, distws-ns, random, lifeline, or adaptive)", s)

@@ -240,9 +240,8 @@ func TestLifelinesSymmetryProperty(t *testing.T) {
 func TestParse(t *testing.T) {
 	cases := map[string]Kind{
 		"x10ws": X10WS, "X10WS": X10WS, "distws": DistWS,
-		"DistWS-NS": DistWSNS, "nonselective": DistWSNS,
-		"random": RandomWS, "lifeline": LifelineWS,
-		"adaptive": Adaptive, "Adapt": Adaptive,
+		"DistWS-NS": DistWSNS, "random": RandomWS, "lifeline": LifelineWS,
+		"Adaptive": Adaptive,
 	}
 	for in, want := range cases {
 		got, err := Parse(in)

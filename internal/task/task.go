@@ -9,8 +9,6 @@
 package task
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sync"
 )
@@ -52,8 +50,7 @@ type Locality struct {
 	// task touches. Used by the L1d cache model (Table II).
 	Blocks []uint64
 	// MigrationBytes estimates the payload copied to a thief node when the
-	// task migrates (Table III byte accounting). Zero means "measure with
-	// gob if accounting is enabled".
+	// task migrates (Table III byte accounting).
 	MigrationBytes int
 	// RemoteRefs is the number of remote data references the task performs
 	// per execution when it runs away from its home place. Flexible tasks
@@ -131,27 +128,9 @@ type Envelope struct {
 	Home   int   // destination place
 	Origin int   // spawning place
 	Class  Class // locality classification
-	Blocks []uint64
 	// Tenant tags the task's provenance in a multi-tenant service
 	// (internal/service): every task a job spawns carries its tenant id,
 	// so concurrent tenants' work stays attributable end to end. Zero for
 	// single-tenant batch runs.
 	Tenant uint32
-	// Inputs and Outputs are the dataflow block ids a DAG task
-	// (internal/dag) reads and writes, so a remotely spawned dataflow
-	// task carries its dependency footprint with it. Empty for fork-join
-	// tasks.
-	Inputs  []uint64
-	Outputs []uint64
-}
-
-// GobSize returns the number of bytes v occupies when gob-encoded, used to
-// account migration payload sizes (Table III). It returns 0 and an error
-// for unencodable values.
-func GobSize(v any) (int, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return 0, fmt.Errorf("task: sizing value: %w", err)
-	}
-	return buf.Len(), nil
 }

@@ -69,15 +69,12 @@ func assertPanics(t *testing.T, f func()) {
 
 func TestEnvelopeRoundTrip(t *testing.T) {
 	in := &Envelope{
-		Name:    "apps.kmeans.assign",
-		Arg:     []byte{1, 2, 3, 4},
-		Home:    3,
-		Origin:  0,
-		Class:   Flexible,
-		Blocks:  []uint64{10, 11, 12},
-		Tenant:  7,
-		Inputs:  []uint64{1 << 40, 2},
-		Outputs: []uint64{3},
+		Name:   "apps.kmeans.assign",
+		Arg:    []byte{1, 2, 3, 4},
+		Home:   3,
+		Origin: 0,
+		Class:  Flexible,
+		Tenant: 7,
 	}
 	p, err := in.Encode()
 	if err != nil {
@@ -88,10 +85,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		t.Fatalf("DecodeEnvelope: %v", err)
 	}
 	if out.Name != in.Name || out.Home != in.Home || out.Origin != in.Origin ||
-		out.Class != in.Class || out.Tenant != in.Tenant ||
-		len(out.Arg) != 4 || len(out.Blocks) != 3 ||
-		len(out.Inputs) != 2 || out.Inputs[0] != 1<<40 ||
-		len(out.Outputs) != 1 || out.Outputs[0] != 3 {
+		out.Class != in.Class || out.Tenant != in.Tenant || len(out.Arg) != 4 {
 		t.Fatalf("round-trip mismatch: %+v vs %+v", out, in)
 	}
 }
@@ -136,35 +130,5 @@ func TestEnvelopeRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestGobSize(t *testing.T) {
-	n, err := GobSize([]float64{1, 2, 3})
-	if err != nil || n <= 0 {
-		t.Fatalf("GobSize = %d, %v", n, err)
-	}
-	big, err := GobSize(make([]float64, 1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big <= n {
-		t.Fatalf("larger value should gob-encode larger: %d vs %d", big, n)
-	}
-}
-
-func TestGobSizeUnencodable(t *testing.T) {
-	if _, err := GobSize(func() {}); err == nil {
-		t.Fatalf("GobSize of a func should error")
-	}
-}
-
-func TestGobSizeError(t *testing.T) {
-	_, err := GobSize(make(chan int))
-	if err == nil {
-		t.Fatalf("GobSize of a channel should error")
-	}
-	if !strings.Contains(err.Error(), "task: sizing value") {
-		t.Fatalf("error should carry the package prefix, got %q", err)
 	}
 }

@@ -15,35 +15,27 @@ import (
 //
 //	offset  size  field
 //	0       1     magic 0xE7
-//	1       1     format version (1)
+//	1       1     format version (2)
 //	2       1     Class
 //	3       4     Tenant (uint32, big endian)
 //	7       4     Home (int32, big endian)
 //	11      4     Origin (int32, big endian)
 //	15      2     len(Name) (uint16) followed by the name bytes
 //	...     4     len(Arg) (uint32) followed by the arg bytes
-//	...     4     len(Blocks) (uint32) followed by 8-byte block ids
-//	...     4     len(Inputs), same shape
-//	...     4     len(Outputs), same shape
 //
 // The magic byte is the whole format check: a payload that does not open
 // with it is rejected with ErrEnvelopeMagic before any length field is
 // read, so every byte sequence that decodes has passed the bounds below.
 const (
 	envMagic   = 0xE7
-	envVersion = 1
+	envVersion = 2
 	envFixed   = 15 // magic through Origin
 )
 
-// Envelope payload bounds, mirroring comm.MaxFramePayload's role: a
-// corrupt length field must not drive allocation.
-const (
-	// MaxEnvelopeArg bounds the encoded argument payload.
-	MaxEnvelopeArg = 16 << 20
-	// MaxEnvelopeBlocks bounds each block-id list (Blocks, Inputs,
-	// Outputs).
-	MaxEnvelopeBlocks = 1 << 20
-)
+// MaxEnvelopeArg bounds the encoded argument payload, mirroring
+// comm.MaxFramePayload's role: a corrupt length field must not drive
+// allocation.
+const MaxEnvelopeArg = 16 << 20
 
 // Envelope-codec error surface. Match with errors.Is.
 var (
@@ -63,12 +55,7 @@ var (
 
 // EncodedLen returns the exact size Encode produces for e.
 func (e *Envelope) EncodedLen() int {
-	return envFixed +
-		2 + len(e.Name) +
-		4 + len(e.Arg) +
-		4 + 8*len(e.Blocks) +
-		4 + 8*len(e.Inputs) +
-		4 + 8*len(e.Outputs)
+	return envFixed + 2 + len(e.Name) + 4 + len(e.Arg)
 }
 
 // Encode serializes the envelope in the binary format above.
@@ -78,11 +65,6 @@ func (e *Envelope) Encode() ([]byte, error) {
 		return nil, fmt.Errorf("%w: name %d bytes", ErrEnvelopeTooLarge, len(e.Name))
 	case len(e.Arg) > MaxEnvelopeArg:
 		return nil, fmt.Errorf("%w: arg %d bytes", ErrEnvelopeTooLarge, len(e.Arg))
-	case len(e.Blocks) > MaxEnvelopeBlocks,
-		len(e.Inputs) > MaxEnvelopeBlocks,
-		len(e.Outputs) > MaxEnvelopeBlocks:
-		return nil, fmt.Errorf("%w: %d+%d+%d block ids",
-			ErrEnvelopeTooLarge, len(e.Blocks), len(e.Inputs), len(e.Outputs))
 	}
 	out := make([]byte, 0, e.EncodedLen())
 	out = append(out, envMagic, envVersion, byte(e.Class))
@@ -93,12 +75,6 @@ func (e *Envelope) Encode() ([]byte, error) {
 	out = append(out, e.Name...)
 	out = binary.BigEndian.AppendUint32(out, uint32(len(e.Arg)))
 	out = append(out, e.Arg...)
-	for _, ids := range [][]uint64{e.Blocks, e.Inputs, e.Outputs} {
-		out = binary.BigEndian.AppendUint32(out, uint32(len(ids)))
-		for _, id := range ids {
-			out = binary.BigEndian.AppendUint64(out, id)
-		}
-	}
 	return out, nil
 }
 
@@ -156,27 +132,6 @@ func DecodeEnvelope(p []byte) (*Envelope, error) {
 	}
 	if argLen > 0 {
 		e.Arg = append([]byte(nil), b...) // do not alias the caller's buffer
-	}
-
-	for _, dst := range []*[]uint64{&e.Blocks, &e.Inputs, &e.Outputs} {
-		if b, err = take(4, "block count"); err != nil {
-			return nil, err
-		}
-		n := int(binary.BigEndian.Uint32(b))
-		if n > MaxEnvelopeBlocks {
-			return nil, fmt.Errorf("%w: declared %d block ids", ErrEnvelopeTooLarge, n)
-		}
-		if n == 0 {
-			continue
-		}
-		if b, err = take(8*n, "block ids"); err != nil {
-			return nil, err
-		}
-		ids := make([]uint64, n)
-		for i := range ids {
-			ids[i] = binary.BigEndian.Uint64(b[8*i:])
-		}
-		*dst = ids
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("task: envelope has %d trailing bytes", len(rest))

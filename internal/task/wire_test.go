@@ -8,40 +8,21 @@ import (
 )
 
 // wireEnvelope is a fully-populated envelope exercising every section of
-// the binary format, DAG fields included.
+// the binary format.
 func wireEnvelope() *Envelope {
 	return &Envelope{
-		Name:    "dag.cholesky.gemm",
-		Arg:     []byte{0xde, 0xad, 0xbe, 0xef},
-		Home:    5,
-		Origin:  2,
-		Class:   Flexible,
-		Tenant:  3,
-		Blocks:  []uint64{1, 2, 3},
-		Inputs:  []uint64{1<<20 | 1, 2<<20 | 2},
-		Outputs: []uint64{3<<20 | 3},
+		Name:   "svc.echo",
+		Arg:    []byte{0xde, 0xad, 0xbe, 0xef},
+		Home:   5,
+		Origin: 2,
+		Class:  Flexible,
+		Tenant: 3,
 	}
 }
 
 func sameEnvelope(a, b *Envelope) bool {
-	if a.Name != b.Name || a.Home != b.Home || a.Origin != b.Origin ||
-		a.Class != b.Class || a.Tenant != b.Tenant {
-		return false
-	}
-	if !bytes.Equal(a.Arg, b.Arg) {
-		return false
-	}
-	for _, pair := range [][2][]uint64{{a.Blocks, b.Blocks}, {a.Inputs, b.Inputs}, {a.Outputs, b.Outputs}} {
-		if len(pair[0]) != len(pair[1]) {
-			return false
-		}
-		for i := range pair[0] {
-			if pair[0][i] != pair[1][i] {
-				return false
-			}
-		}
-	}
-	return true
+	return a.Name == b.Name && a.Home == b.Home && a.Origin == b.Origin &&
+		a.Class == b.Class && a.Tenant == b.Tenant && bytes.Equal(a.Arg, b.Arg)
 }
 
 func TestEncodedLenMatchesEncode(t *testing.T) {
@@ -75,9 +56,6 @@ func TestEncodeBounds(t *testing.T) {
 	}{
 		{"name", Envelope{Name: strings.Repeat("n", 0x10000)}},
 		{"arg", Envelope{Arg: make([]byte, MaxEnvelopeArg+1)}},
-		{"blocks", Envelope{Blocks: make([]uint64, MaxEnvelopeBlocks+1)}},
-		{"inputs", Envelope{Inputs: make([]uint64, MaxEnvelopeBlocks+1)}},
-		{"outputs", Envelope{Outputs: make([]uint64, MaxEnvelopeBlocks+1)}},
 	}
 	for _, tc := range cases {
 		if _, err := tc.e.Encode(); !errors.Is(err, ErrEnvelopeTooLarge) {
