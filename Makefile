@@ -32,12 +32,14 @@ race:
 # shared-queue contention study (which asserts the relaxed deque's >= 2x
 # steal-throughput bound at 512 workers inline): catches the hot path
 # regressing to a non-compiling, panicking, racy, or slow-queue state
-# without paying for a full measurement. The dag.Execute overhead
+# without paying for a full measurement. One UTS tree on the goroutine
+# runtime runs too, so a bag (core.Bag) that deadlocks or stops completing
+# fails here in seconds. The dag.Execute overhead
 # benchmark runs once under its watchdog, so an executor that deadlocks
 # again fails here in seconds with a goroutine dump, not at the CI
 # timeout.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='BenchmarkSimulator128Workers|BenchmarkContentionStudy' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='BenchmarkSimulator128Workers|BenchmarkContentionStudy|BenchmarkUTSRuntime' -benchtime=1x .
 	$(GO) test -run='^$$' -bench=BenchmarkExecuteOverhead -benchtime=1x ./internal/dag
 
 # Where the goroutine runtime's per-task time goes: a CPU profile of the
@@ -64,11 +66,13 @@ deque-stress:
 dag-crash:
 	$(GO) test -count=500 -run '^TestExecuteSurvivesPlaceCrash$$' ./internal/dag
 
-# core's two AfterTasks crash tests, 300 times over under -race (~9 s):
+# core's three AfterTasks crash tests, 300 times over under -race (~12 s):
 # when the crash could fire with the crashed place's queues still empty,
-# each failed a few runs in 200, so a regression needs this many to show.
+# each failed a few runs in 200, and when thieves could empty the crashing
+# place's queue first, one in ~300 on a loaded host, so a regression needs
+# this many to show. The third crashes a place holding bags (core.Bag).
 core-crash:
-	$(GO) test -race -count=300 -run '^(TestCrashedPlaceWorkIsReExecuted|TestCrashUnderX10WSStillCompletes)$$' ./internal/core
+	$(GO) test -race -count=300 -run '^(TestCrashedPlaceWorkIsReExecuted|TestCrashUnderX10WSStillCompletes|TestBagSurvivesPlaceCrash)$$' ./internal/core
 
 # Dataflow determinism gate: the dag exhibit replays virtual time, so its
 # output must be byte-identical whatever -workers parallelism renders it.

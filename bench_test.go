@@ -15,12 +15,16 @@ package distws_test
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"distws"
 	"distws/internal/apps/suite"
+	"distws/internal/apps/uts"
+	"distws/internal/core"
 	"distws/internal/expt"
 	"distws/internal/sched"
 	"distws/internal/sim"
+	"distws/internal/topology"
 )
 
 var (
@@ -384,4 +388,50 @@ func BenchmarkRuntimeFanout(b *testing.B) {
 			}
 		})
 	}
+}
+
+// utsSink keeps BenchmarkUTSRuntime's sequential reference from being
+// optimised away.
+var utsSink uint64
+
+// BenchmarkUTSRuntime runs one UTS tree of 16 876 nodes on the goroutine
+// runtime at 2 places x 1 worker under DistWS: the fine-grained tree
+// rt-fine spends most of its time on, where a node's work (~75 ns) is
+// smaller than a task's runtime cost, so the tree must be stolen as
+// halves of a bag. It reports ns/node and x-seq, the parallel time over
+// the sequential walk's (below 1 is faster than sequential), and fails on
+// a wrong checksum; bench-smoke runs it once, so a bag that deadlocks or
+// stops completing fails there in seconds.
+func BenchmarkUTSRuntime(b *testing.B) {
+	a := uts.New(44, 8, 400_000, 1)
+	nodes, want := a.Count(), a.ChecksumXOR()
+	var seq time.Duration
+	for i := 0; i < 5; i++ {
+		start := time.Now()
+		utsSink = a.Sequential()
+		if d := time.Since(start); i == 0 || d < seq {
+			seq = d
+		}
+	}
+	rt, err := core.New(core.Config{
+		Cluster: topology.Cluster{Places: 2, WorkersPerPlace: 1},
+		Policy:  sched.DistWS,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rt.Shutdown()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := a.Parallel(rt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got != want {
+			b.Fatalf("checksum %x, want %x", got, want)
+		}
+	}
+	per := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	b.ReportMetric(per/float64(nodes), "ns/node")
+	b.ReportMetric(per/float64(seq.Nanoseconds()), "x-seq")
 }

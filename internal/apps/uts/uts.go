@@ -61,6 +61,13 @@ func (a *App) kids(id uint64, depth int) int {
 // childID derives child i's id from its parent's.
 func childID(id uint64, i int) uint64 { return apps.Mix(id, uint64(i)+1) }
 
+// node is one tree node: a stack frame of the walks below and, in
+// Parallel, a bag item of 16 bytes.
+type node struct {
+	id    uint64
+	depth int
+}
+
 // nodeWork hashes the node — the "work" each UTS visit performs.
 func nodeWork(id uint64) uint64 {
 	h := id
@@ -72,11 +79,7 @@ func nodeWork(id uint64) uint64 {
 
 // Sequential implements apps.App: iterative DFS counting nodes.
 func (a *App) Sequential() uint64 {
-	type frame struct {
-		id    uint64
-		depth int
-	}
-	stack := []frame{{1, 0}}
+	stack := []node{{1, 0}}
 	count := 0
 	h := apps.NewFnv()
 	for len(stack) > 0 && count < a.MaxNodes {
@@ -85,7 +88,7 @@ func (a *App) Sequential() uint64 {
 		count++
 		h.Add(nodeWork(f.id))
 		for i := 0; i < a.kids(f.id, f.depth); i++ {
-			stack = append(stack, frame{childID(f.id, i), f.depth + 1})
+			stack = append(stack, node{childID(f.id, i), f.depth + 1})
 		}
 	}
 	h.Add(uint64(count))
@@ -94,28 +97,33 @@ func (a *App) Sequential() uint64 {
 
 // Count returns just the number of tree nodes (bounded by MaxNodes).
 func (a *App) Count() int {
-	type frame struct {
-		id    uint64
-		depth int
-	}
-	stack := []frame{{1, 0}}
+	stack := []node{{1, 0}}
 	count := 0
 	for len(stack) > 0 && count < a.MaxNodes {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		count++
 		for i := 0; i < a.kids(f.id, f.depth); i++ {
-			stack = append(stack, frame{childID(f.id, i), f.depth + 1})
+			stack = append(stack, node{childID(f.id, i), f.depth + 1})
 		}
 	}
 	return count
 }
 
-// Parallel implements apps.App: every node is a flexible task spawned at
-// the executing place; the scheduler spreads the tree. The checksum is
-// order-independent (XOR) so it matches Sequential's set of nodes when
-// the node cap is not hit (the cap makes visit *sets* order-dependent, so
-// Parallel requires MaxNodes to exceed the tree size; New's defaults do).
+// sums is one bag run's share of the checksum: its node count and the XOR
+// of its nodes' work.
+type sums struct {
+	n int64
+	x uint64
+}
+
+// Parallel implements apps.App: the root visits the root node and seeds
+// one core.Bag with its children; the runtime splits the bag between
+// workers as they go idle. Every node still counts as one task. The
+// checksum is order-independent (XOR) so it matches Sequential's set of
+// nodes when the node cap is not hit (the cap makes visit *sets*
+// order-dependent, so Parallel requires MaxNodes to exceed the tree size;
+// New's defaults do).
 func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 	total := a.Count()
 	if total >= a.MaxNodes {
@@ -123,25 +131,30 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 	}
 	var count atomic.Int64
 	var hash atomic.Uint64
-	var visit func(c *core.Ctx, id uint64, depth int)
-	visit = func(c *core.Ctx, id uint64, depth int) {
-		count.Add(1)
-		w := nodeWork(id)
+	step := func(_ *core.Ctx, nd node, bag []node, s *sums) []node {
+		s.n++
+		s.x ^= nodeWork(nd.id)
+		for i, k := 0, a.kids(nd.id, nd.depth); i < k; i++ {
+			bag = append(bag, node{childID(nd.id, i), nd.depth + 1})
+		}
+		return bag
+	}
+	flush := func(s sums) {
+		count.Add(s.n)
 		for {
 			old := hash.Load()
-			if hash.CompareAndSwap(old, old^w) {
+			if hash.CompareAndSwap(old, old^s.x) {
 				break
 			}
 		}
-		k := a.kids(id, depth)
-		for i := 0; i < k; i++ {
-			ci := childID(id, i)
-			di := depth + 1
-			c.AsyncAny(c.Place(), func(cc *core.Ctx) { visit(cc, ci, di) })
-		}
 	}
 	err := rt.Run(func(ctx *core.Ctx) {
-		ctx.Finish(func(c *core.Ctx) { visit(c, 1, 0) })
+		ctx.Finish(func(c *core.Ctx) {
+			var root sums
+			kids := step(c, node{1, 0}, nil, &root)
+			flush(root)
+			core.Bag(c, c.Place(), kids, step, flush)
+		})
 	})
 	if err != nil {
 		return 0, fmt.Errorf("uts: %w", err)
@@ -159,11 +172,7 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 // ChecksumXOR is the order-independent checksum Parallel produces; use it
 // (not Sequential) as the reference for parallel runs.
 func (a *App) ChecksumXOR() uint64 {
-	type frame struct {
-		id    uint64
-		depth int
-	}
-	stack := []frame{{1, 0}}
+	stack := []node{{1, 0}}
 	count := 0
 	var x uint64
 	for len(stack) > 0 && count < a.MaxNodes {
@@ -172,7 +181,7 @@ func (a *App) ChecksumXOR() uint64 {
 		count++
 		x ^= nodeWork(f.id)
 		for i := 0; i < a.kids(f.id, f.depth); i++ {
-			stack = append(stack, frame{childID(f.id, i), f.depth + 1})
+			stack = append(stack, node{childID(f.id, i), f.depth + 1})
 		}
 	}
 	h := apps.NewFnv()

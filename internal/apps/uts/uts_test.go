@@ -62,26 +62,68 @@ func TestTreeIsUnbalanced(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesChecksumXOR runs one small tree under each baseline
+// policy at 2x2, and eight tree shapes (seeds 1-8) at the benchmark's two
+// shapes, 2x1 and 1x2, where the tree moves between workers only as halves
+// of a bag.
 func TestParallelMatchesChecksumXOR(t *testing.T) {
-	a := New(4, 6, 100_000, 5) // keep the runtime run small
-	want := a.ChecksumXOR()
-	for _, policy := range []sched.Kind{sched.DistWS, sched.RandomWS, sched.LifelineWS} {
-		rt, err := core.New(core.Config{
-			Cluster: topology.Cluster{Places: 2, WorkersPerPlace: 2},
-			Policy:  policy,
-			Seed:    1,
-		})
+	small := []*App{New(4, 6, 100_000, 5)} // keep the runtime run small
+	var seeds []*App
+	for seed := int64(1); seed <= 8; seed++ {
+		seeds = append(seeds, New(16, 8, 100_000, seed))
+	}
+	for _, c := range []struct {
+		cl     topology.Cluster
+		policy sched.Kind
+		trees  []*App
+	}{
+		{topology.Cluster{Places: 2, WorkersPerPlace: 2}, sched.DistWS, small},
+		{topology.Cluster{Places: 2, WorkersPerPlace: 2}, sched.RandomWS, small},
+		{topology.Cluster{Places: 2, WorkersPerPlace: 2}, sched.LifelineWS, small},
+		{topology.Cluster{Places: 2, WorkersPerPlace: 1}, sched.DistWS, seeds},
+		{topology.Cluster{Places: 1, WorkersPerPlace: 2}, sched.DistWS, seeds},
+	} {
+		rt, err := core.New(core.Config{Cluster: c.cl, Policy: c.policy, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := a.Parallel(rt)
+		for _, a := range c.trees {
+			got, err := a.Parallel(rt)
+			if err != nil {
+				t.Fatalf("%dx%d %v seed %d: %v", c.cl.Places, c.cl.WorkersPerPlace, c.policy, a.Seed, err)
+			}
+			if want := a.ChecksumXOR(); got != want {
+				t.Fatalf("%dx%d %v seed %d: parallel %x != reference %x",
+					c.cl.Places, c.cl.WorkersPerPlace, c.policy, a.Seed, got, want)
+			}
+		}
 		rt.Shutdown()
-		if err != nil {
-			t.Fatalf("%v: %v", policy, err)
-		}
-		if got != want {
-			t.Fatalf("%v: parallel %x != reference %x", policy, got, want)
-		}
+	}
+}
+
+// TestParallelCountsOneTaskPerNode pins the task count the benchmark's
+// work_per_s divides by: a node visited inside a bag still counts as one
+// executed task, the root's included (the root activity visits it).
+func TestParallelCountsOneTaskPerNode(t *testing.T) {
+	a := New(16, 8, 100_000, 1)
+	rt, err := core.New(core.Config{
+		Cluster: topology.Cluster{Places: 2, WorkersPerPlace: 1},
+		Policy:  sched.DistWS,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown()
+	before := rt.Metrics()
+	if _, err := a.Parallel(rt); err != nil {
+		t.Fatal(err)
+	}
+	after := rt.Metrics()
+	if got, want := after.TasksExecuted-before.TasksExecuted, int64(a.Count()); got != want {
+		t.Fatalf("one Parallel call executed %d tasks, want %d (one per node)", got, want)
+	}
+	if got, want := after.TasksSpawned-before.TasksSpawned, int64(a.Count()); got != want {
+		t.Fatalf("one Parallel call spawned %d tasks, want %d (one per node)", got, want)
 	}
 }
 

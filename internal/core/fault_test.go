@@ -20,11 +20,14 @@ func chaosSum(t *testing.T, cfg Config, n int) *Runtime {
 }
 
 // heldChaosSum is chaosSum with every activity parked until the root has
-// spawned all n, so an AfterTasks crash fires with the crashed place's
-// queues full. Ungated, the spawn loop could lag that place's first tasks
-// (or its idle workers finish three stolen ones) and the crash fire with
-// its queues empty; the spawns after it are then re-homed at spawn time,
-// which is not re-execution.
+// spawned all n, so the plan's one AfterTasks crash fires with the crashed
+// place's queues full. Ungated, the spawn loop could lag that place's
+// first tasks (or its idle workers finish three stolen ones) and the crash
+// fire with its queues empty; the spawns after it are then re-homed at
+// spawn time, which is not re-execution. Activities running anywhere but
+// the crashing place also wait for the crash: otherwise, on a loaded host,
+// the other places' thieves can empty its shared deque while its own
+// workers sit descheduled, and it never runs its quota.
 func heldChaosSum(t *testing.T, cfg Config, n int) *Runtime {
 	return gatedChaosSum(t, cfg, n, true)
 }
@@ -36,7 +39,10 @@ func gatedChaosSum(t *testing.T, cfg Config, n int, held bool) *Runtime {
 		t.Fatalf("New: %v", err)
 	}
 	gate := make(chan struct{})
-	if !held {
+	victim := -1
+	if held {
+		victim = cfg.Fault.Crashes[0].Place
+	} else {
 		close(gate)
 	}
 	var sum atomic.Int64
@@ -50,8 +56,11 @@ func gatedChaosSum(t *testing.T, cfg Config, n int, held bool) *Runtime {
 				if cfg.Policy == sched.X10WS {
 					spawn = c.Async
 				}
-				spawn(home, func(*Ctx) {
+				spawn(home, func(c *Ctx) {
 					<-gate
+					for victim >= 0 && c.Place() != victim && !rt.places[victim].Dead() {
+						time.Sleep(20 * time.Microsecond)
+					}
 					time.Sleep(20 * time.Microsecond)
 					sum.Add(int64(i))
 					count.Add(1)
@@ -129,7 +138,7 @@ func TestCrashedPlaceWorkIsReExecuted(t *testing.T) {
 	defer rt.Shutdown()
 	s := rt.Metrics()
 	if s.PlacesLost != 1 {
-		t.Fatalf("PlacesLost = %d, want 1", s.PlacesLost)
+		t.Fatalf("PlacesLost = %d, want 1 (place 1 executed %d)", s.PlacesLost, rt.places[1].executed.Load())
 	}
 	if s.TasksReExecuted == 0 {
 		t.Fatalf("a loaded place crashed; queued tasks should be re-executed")

@@ -22,6 +22,9 @@ type activity struct {
 	// locality signature (adaptive policy only; see Runtime.mapClass).
 	kind     int32
 	interned bool
+	// bag marks a Bag run (see Bag): its items, not the activity, count
+	// as spawned and executed tasks.
+	bag bool
 	// claimed is the dispatch-level dedup for the relaxed flexible queues
 	// (multiplicity semantics): whichever taker wins this flag runs the
 	// activity; every other take of the same activity is discarded.
@@ -809,8 +812,16 @@ func (w *worker) run(a *activity, how stealKind) {
 				elapsed = time.Since(start).Nanoseconds()
 			}
 			rt.record(p.id, w.local, obs.KindTaskEnd, -1, 0, elapsed)
-			w.stats.executed.Add(1)
+			if !a.bag {
+				w.stats.executed.Add(1)
+			}
 			w.stats.depth.Add(-1)
+			// Fault plan: fail-stop this place once it has executed its
+			// quota, before the finish is released, so a Run that waited
+			// for the quota's last task returns with the crash fired.
+			if n, ok := rt.inj.CrashAfterTasks(p.id); ok && p.executed.Add(1) >= n {
+				rt.crashPlace(p)
+			}
 			a.fin.done()
 		}()
 		a.body(&a.ctx)
@@ -825,10 +836,5 @@ func (w *worker) run(a *activity, how stealKind) {
 			rt.counters.Reclassifications.Add(1)
 			rt.record(p.id, w.local, obs.KindReclassify, -1, int32(cls), 0)
 		}
-	}
-
-	// Fault plan: fail-stop this place once it has executed its quota.
-	if n, ok := rt.inj.CrashAfterTasks(p.id); ok && p.executed.Add(1) >= n {
-		rt.crashPlace(p)
 	}
 }

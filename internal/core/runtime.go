@@ -390,9 +390,11 @@ func (rt *Runtime) RunContext(ctx context.Context, body func(*Ctx)) error {
 // message carrying the task payload. A spawn addressed to a crashed place
 // is re-homed to the next surviving place.
 func (rt *Runtime) spawn(a *activity, from int, spawner *worker) {
-	if spawner != nil {
+	switch {
+	case a.bag: // its items are counted as they run (runBag)
+	case spawner != nil:
 		spawner.stats.spawned.Add(1)
-	} else {
+	default:
 		rt.counters.TasksSpawned.Add(1)
 	}
 	if rt.life.Down(a.home) {
