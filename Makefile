@@ -39,7 +39,7 @@ race:
 # again fails here in seconds with a goroutine dump, not at the CI
 # timeout.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='BenchmarkSimulator128Workers|BenchmarkContentionStudy|BenchmarkUTSRuntime' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='BenchmarkSimulator128Workers|BenchmarkContentionStudy|BenchmarkUTSRuntime|BenchmarkNestedFinish|BenchmarkXSort' -benchtime=1x .
 	$(GO) test -run='^$$' -bench=BenchmarkExecuteOverhead -benchtime=1x ./internal/dag
 
 # Where the goroutine runtime's per-task time goes: a CPU profile of the

@@ -13,11 +13,15 @@
 package distws_test
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"distws"
+	"distws/internal/apps"
+	"distws/internal/apps/kmeans"
 	"distws/internal/apps/suite"
 	"distws/internal/apps/uts"
 	"distws/internal/core"
@@ -434,4 +438,66 @@ func BenchmarkUTSRuntime(b *testing.B) {
 	per := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	b.ReportMetric(per/float64(nodes), "ns/node")
 	b.ReportMetric(per/float64(seq.Nanoseconds()), "x-seq")
+}
+
+// BenchmarkNestedFinish times one nested Finish on a worker, inside one
+// long Run, so neither Run's hand-offs nor a pool wake-up are in the
+// figure: an empty scope, and a scope with one Async the worker runs
+// itself while it helps. Its allocs/op is the scope's heap cost.
+func BenchmarkNestedFinish(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		body func(*distws.Ctx)
+	}{
+		{"empty", func(*distws.Ctx) {}},
+		{"one-child", func(c *distws.Ctx) { c.Async(c.Place(), func(*distws.Ctx) {}) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			rt, err := distws.New(distws.Config{
+				Cluster: distws.Cluster{Places: 1, WorkersPerPlace: 1},
+				Policy:  distws.DistWS,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer rt.Shutdown()
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := rt.Run(func(c *distws.Ctx) {
+				for i := 0; i < b.N; i++ {
+					c.Finish(bc.body)
+				}
+			}); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkXSort sorts 8 000 points by x, the size kmeans's input has at
+// the suite's small scale: apps.SortX, and the slices.SortStableFunc
+// order it reproduces.
+func BenchmarkXSort(b *testing.B) {
+	in := make([]kmeans.Point, 8_000)
+	for i := range in {
+		in[i] = kmeans.Point{X: apps.Unit(apps.Mix(1, uint64(i))), Y: apps.Unit(apps.Mix(2, uint64(i)))}
+	}
+	pts := make([]kmeans.Point, len(in))
+	for _, bc := range []struct {
+		name string
+		sort func([]kmeans.Point)
+	}{
+		{"radix", func(s []kmeans.Point) { apps.SortX(s, func(p *kmeans.Point) float64 { return p.X }) }},
+		{"stable-func", func(s []kmeans.Point) {
+			slices.SortStableFunc(s, func(p, q kmeans.Point) int { return cmp.Compare(p.X, q.X) })
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(pts, in)
+				bc.sort(pts)
+			}
+		})
+	}
 }

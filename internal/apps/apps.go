@@ -16,6 +16,7 @@ package apps
 
 import (
 	"fmt"
+	"math"
 
 	"distws/internal/core"
 	"distws/internal/trace"
@@ -98,12 +99,82 @@ func Stripe(x float64, n int) int {
 	return min(max(int(x*float64(n)), 0), n-1)
 }
 
+// SortX sorts s by x ascending, stably: it leaves exactly the order of
+// slices.SortStableFunc(s, func(p, q T) int { return cmp.Compare(x(&p), x(&q)) })
+// in O(n) instead of that merge's O(n log² n). It is an LSD radix sort
+// over xKey with 8-bit digits and one scratch slice, and it skips the
+// pass of any digit every element shares. Like cmp.Compare, it treats −0
+// as equal to +0 and sorts every NaN first, ties in input order.
+func SortX[T any](s []T, x func(*T) float64) {
+	n := len(s)
+	if n < 2 {
+		return
+	}
+	var count [8][256]int
+	for i := range s {
+		k := xKey(x(&s[i]))
+		for d := range count {
+			count[d][byte(k>>(8*d))]++
+		}
+	}
+	src, dst := s, make([]T, n)
+	for d := range count {
+		c, shift := &count[d], 8*d
+		if c[byte(xKey(x(&src[0]))>>shift)] == n {
+			continue // every element has this digit
+		}
+		sum := 0
+		for b, m := range c {
+			c[b], sum = sum, sum+m
+		}
+		for i := range src {
+			b := byte(xKey(x(&src[i])) >> shift)
+			dst[c[b]] = src[i]
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &s[0] {
+		copy(s, src)
+	}
+}
+
+// xKey maps x to a uint64 whose unsigned order is cmp.Compare's order on
+// float64: the IEEE bits with the sign bit set for x > 0 and every bit
+// flipped for x < 0. −0 keys as +0, and every NaN keys as 0, below −Inf.
+func xKey(x float64) uint64 {
+	switch {
+	case x != x:
+		return 0
+	case x == 0:
+		return 1 << 63
+	}
+	b := math.Float64bits(x)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
 // Chunks returns the [lo, hi) boundaries that cut n elements into
 // chunks of size (the last one shorter).
 func Chunks(n, size int) [][2]int {
 	var out [][2]int
 	for lo := 0; lo < n; lo += size {
 		out = append(out, [2]int{lo, min(lo+size, n)})
+	}
+	return out
+}
+
+// UnitBlocks returns the footprints {0}, {1}, ..., {n-1}, one block
+// each, on one shared backing array: an app whose task i touches block i
+// builds them once per run instead of once per task.
+func UnitBlocks(n int) [][]uint64 {
+	ids := make([]uint64, n)
+	out := make([][]uint64, n)
+	for i := range ids {
+		ids[i] = uint64(i)
+		out[i] = ids[i : i+1 : i+1]
 	}
 	return out
 }

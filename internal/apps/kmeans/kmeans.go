@@ -10,10 +10,8 @@
 package kmeans
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"distws/internal/apps"
 	"distws/internal/core"
@@ -98,7 +96,7 @@ func (a *App) gen() []Point {
 	}
 	// Sort by x (stable, so deterministic) so stripes over places carry
 	// skewed counts.
-	slices.SortStableFunc(pts, func(p, q Point) int { return cmp.Compare(p.X, q.X) })
+	apps.SortX(pts, func(p *Point) float64 { return p.X })
 	return pts
 }
 
@@ -205,6 +203,7 @@ func (a *App) Sequential() uint64 {
 // Parallel implements apps.App.
 func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 	places := rt.Places()
+	blocks := apps.UnitBlocks(len(apps.Chunks(a.N, a.ChunkSize)))
 	var sum uint64
 	err := rt.Run(func(ctx *core.Ctx) {
 		sum = a.run(func(pts, cents []Point, chunks [][2]int, parts []*partial) {
@@ -215,7 +214,7 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 					loc := task.Locality{
 						Class:          task.Flexible,
 						MigrationBytes: 16 * (ch[1] - ch[0]),
-						Blocks:         []uint64{uint64(ci)},
+						Blocks:         blocks[ci],
 					}
 					c.AsyncLoc(home, loc, func(*core.Ctx) {
 						parts[ci] = a.assignChunk(pts, cents, ch[0], ch[1])

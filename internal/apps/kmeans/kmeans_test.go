@@ -18,6 +18,17 @@ func TestSequentialDeterministic(t *testing.T) {
 	}
 }
 
+// TestSequentialChecksumIsPinned pins the suite's small-scale checksums
+// at two seeds: the x-sort in gen must leave the input, and so every
+// centroid, bit-identical.
+func TestSequentialChecksumIsPinned(t *testing.T) {
+	for seed, want := range map[int64]uint64{1: 0x238adf4a9d86d8c, 2: 0x41892219b9277882} {
+		if got := New(8_000, 5, seed).Sequential(); got != want {
+			t.Errorf("seed %d: checksum %#x, want %#x", seed, got, want)
+		}
+	}
+}
+
 func TestGenIsClusteredAndSorted(t *testing.T) {
 	pts := small().gen()
 	if len(pts) != 4_000 {

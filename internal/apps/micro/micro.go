@@ -11,7 +11,7 @@ package micro
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -79,7 +79,7 @@ func (m *MergeSort) gen() []int32 {
 
 func msort(d []int32, cutoff int) {
 	if len(d) <= cutoff {
-		sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
+		slices.Sort(d)
 		return
 	}
 	mid := len(d) / 2
@@ -132,7 +132,7 @@ func (m *MergeSort) Parallel(rt *core.Runtime) (uint64, error) {
 	var rec func(c *core.Ctx, seg []int32)
 	rec = func(c *core.Ctx, seg []int32) {
 		if len(seg) <= m.Cutoff {
-			sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
+			slices.Sort(seg)
 			return
 		}
 		mid := len(seg) / 2

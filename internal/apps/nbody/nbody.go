@@ -12,10 +12,8 @@
 package nbody
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"distws/internal/apps"
 	"distws/internal/core"
@@ -81,7 +79,7 @@ func (a *App) gen() []Body {
 		}
 		bodies[i] = Body{X: x, Y: y, M: 0.5 + apps.Unit(apps.Mix(h, 5))}
 	}
-	slices.SortStableFunc(bodies, func(p, q Body) int { return cmp.Compare(p.X, q.X) })
+	apps.SortX(bodies, func(b *Body) float64 { return b.X })
 	return bodies
 }
 

@@ -11,7 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"distws/internal/apps"
@@ -71,16 +71,18 @@ func (a *App) gen() []int64 {
 // holds values in [p, p+1)·2^62/places), preserving input order within a
 // bucket. Concatenating the sorted buckets yields the sorted array.
 func buckets(data []int64, places int) [][]int64 {
-	out := make([][]int64, places)
 	width := (int64(1) << 62) / int64(places)
+	bucket := func(v int64) int { return min(max(int(v/width), 0), places-1) }
+	sizes := make([]int, places)
 	for _, v := range data {
-		p := int(v / width)
-		if p < 0 {
-			p = 0
-		}
-		if p >= places {
-			p = places - 1
-		}
+		sizes[bucket(v)]++
+	}
+	out := make([][]int64, places)
+	for p, n := range sizes {
+		out[p] = make([]int64, 0, n)
+	}
+	for _, v := range data {
+		p := bucket(v)
 		out[p] = append(out[p], v)
 	}
 	return out
@@ -153,7 +155,7 @@ func (a *App) seqSort(d []int64) {
 			d = l
 		}
 	}
-	sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
+	slices.Sort(d)
 }
 
 // Sequential implements apps.App.
@@ -199,12 +201,12 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 func (a *App) sortTask(ctx *core.Ctx, seg []int64, count *atomic.Int64) {
 	count.Add(1)
 	if len(seg) <= a.SeqCutoff {
-		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
+		slices.Sort(seg)
 		return
 	}
 	l, r := partition(seg)
 	if len(l) == len(seg) || len(r) == len(seg) {
-		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
+		slices.Sort(seg)
 		return
 	}
 	ctx.Finish(func(c *core.Ctx) {
@@ -257,12 +259,12 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 // child tasks.
 func (a *App) traceRec(b *trace.Builder, parent int, seg []int64, region int) {
 	if len(seg) <= a.SeqCutoff {
-		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
+		slices.Sort(seg)
 		return
 	}
 	l, r := partition(seg)
 	if len(l) == len(seg) || len(r) == len(seg) {
-		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
+		slices.Sort(seg)
 		return
 	}
 	lt := b.Child(parent, a.traceTask(len(l), 0, region, trace.HomeInherit))

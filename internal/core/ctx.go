@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"distws/internal/metrics"
@@ -10,47 +9,74 @@ import (
 )
 
 // finish tracks the X10 finish construct: a counter of outstanding
-// activities in the scope, with parent chaining for nested finishes.
-// Panics raised by activities in the scope are collected and re-thrown at
-// the finish point, mirroring X10's rooted exception model.
+// activities in the scope, and the Ctx its body runs with, so a nested
+// Finish is one allocation. It is 64 bytes, one size-class slot and one
+// cache line: pending, which every worker completing an activity in the
+// scope writes, shares its line with no other object.
+// The first panic raised by an activity in the scope is kept and
+// re-thrown at the finish point, mirroring X10's rooted exception model.
+//
+// The done channel is made only by a waiter about to block (wait): most
+// nested scopes complete while their worker helps and never need one.
+// Whichever of the waiter and the last done comes second closes it.
 type finish struct {
-	parent  *finish
 	pending atomic.Int64
-	doneCh  chan struct{}
-	closed  atomic.Bool
+	state   atomic.Uint32 // finWaiting | finDone
+	doneCh  chan struct{} // written by the waiter before it sets finWaiting
+	ctx     Ctx
 
-	errMu sync.Mutex
-	errs  []any
+	err atomic.Pointer[any] // the first panic; later ones are dropped
 }
 
-func newFinish(parent *finish) *finish {
-	return &finish{parent: parent, doneCh: make(chan struct{})}
-}
+const (
+	finWaiting = 1 << iota
+	finDone
+)
 
 func (f *finish) add(n int64) { f.pending.Add(n) }
 
 func (f *finish) done() {
 	if f.pending.Add(-1) == 0 {
-		if !f.closed.Swap(true) {
-			close(f.doneCh)
+		f.mark(finDone)
+	}
+}
+
+// mark sets bit in state, once; the second of the two bits to be set
+// closes doneCh.
+func (f *finish) mark(bit uint32) {
+	for {
+		s := f.state.Load()
+		if s&bit != 0 {
+			return
+		}
+		if f.state.CompareAndSwap(s, s|bit) {
+			if s != 0 {
+				close(f.doneCh)
+			}
+			return
 		}
 	}
 }
 
-func (f *finish) fail(v any) {
-	f.errMu.Lock()
-	f.errs = append(f.errs, v)
-	f.errMu.Unlock()
+// wait returns a channel closed once the scope completes, making it on
+// the first call. Only the scope's one waiter calls it: RunContext, a
+// worker-less Finish, or the helping worker before it parks.
+func (f *finish) wait() <-chan struct{} {
+	if f.doneCh == nil {
+		f.doneCh = make(chan struct{})
+		f.mark(finWaiting)
+	}
+	return f.doneCh
 }
+
+func (f *finish) fail(v any) { f.err.CompareAndSwap(nil, &v) }
 
 // firstErr returns the first collected panic value, or nil.
 func (f *finish) firstErr() any {
-	f.errMu.Lock()
-	defer f.errMu.Unlock()
-	if len(f.errs) == 0 {
-		return nil
+	if p := f.err.Load(); p != nil {
+		return *p
 	}
-	return f.errs[0]
+	return nil
 }
 
 func (f *finish) isDone() bool { return f.pending.Load() == 0 }
@@ -109,9 +135,9 @@ func (c *Ctx) AsyncLoc(p int, loc task.Locality, body func(*Ctx)) {
 // until the scope completes), so nested finishes never deadlock the pool.
 // A runtime shutdown releases the wait.
 func (c *Ctx) Finish(body func(*Ctx)) {
-	inner := newFinish(c.fin)
+	inner := &finish{}
 	inner.add(1) // the body itself
-	child := &Ctx{rt: c.rt, placeID: c.placeID, worker: c.worker, fin: inner}
+	inner.ctx = Ctx{rt: c.rt, placeID: c.placeID, worker: c.worker, fin: inner}
 	func() {
 		defer inner.done()
 		defer func() {
@@ -119,13 +145,13 @@ func (c *Ctx) Finish(body func(*Ctx)) {
 				inner.fail(v)
 			}
 		}()
-		body(child)
+		body(&inner.ctx)
 	}()
 	if c.worker != nil {
 		c.worker.loop(inner) // help until the scope completes
 	} else {
 		select {
-		case <-inner.doneCh:
+		case <-inner.wait():
 		case <-c.rt.stopCh:
 		}
 	}

@@ -35,7 +35,7 @@ func (rt *Runtime) oneSweep() (before, after metrics.Snapshot) {
 	for rt.counters.FailedSteals.Load() < int64(2*len(rt.places)) {
 		time.Sleep(100 * time.Microsecond)
 	}
-	a := &activity{loc: task.FlexibleLocality, fin: newFinish(nil)}
+	a := &activity{loc: task.FlexibleLocality, fin: &finish{}}
 	if victim := rt.places[0]; rt.receiver {
 		victim.workers[0].flex.Push(a)
 	} else {

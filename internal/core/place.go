@@ -491,9 +491,6 @@ func (w *worker) serveMail() {
 func (w *worker) loop(fin *finish) {
 	p, rt := w.place, w.place.rt
 	var done <-chan struct{}
-	if fin != nil {
-		done = fin.doneCh
-	}
 	for !rt.shutdown.Load() {
 		if fin == nil && p.Dead() || fin != nil && fin.isDone() {
 			break
@@ -507,6 +504,9 @@ func (w *worker) loop(fin *finish) {
 		if !w.idle() {
 			w.beginIdle()
 			continue
+		}
+		if fin != nil {
+			done = fin.wait()
 		}
 		select {
 		case <-p.wake:

@@ -363,7 +363,7 @@ func (rt *Runtime) RunContext(ctx context.Context, body func(*Ctx)) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	fin := newFinish(nil)
+	fin := &finish{}
 	fin.add(1)
 	rt.spawn(&activity{
 		body: body,
@@ -372,7 +372,7 @@ func (rt *Runtime) RunContext(ctx context.Context, body func(*Ctx)) error {
 		fin:  fin,
 	}, -1, nil)
 	select {
-	case <-fin.doneCh:
+	case <-fin.wait():
 	case <-rt.stopCh:
 		return ErrShutdown
 	case <-ctx.Done():

@@ -114,7 +114,7 @@ func TestPlaceMatchesTheSimulator(t *testing.T) {
 		b := rt.Metrics()
 		c.run(&rt.life, func(place, n int) {
 			for i := 0; i < n; i++ {
-				rt.places[place].shared.Push(&activity{loc: task.Locality{MigrationBytes: 64}, fin: newFinish(nil)})
+				rt.places[place].shared.Push(&activity{loc: task.Locality{MigrationBytes: 64}, fin: &finish{}})
 			}
 		})
 		a := rt.Metrics()
