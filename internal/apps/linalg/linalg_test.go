@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"runtime"
 	"testing"
 
 	"distws/internal/core"
@@ -62,6 +63,38 @@ func TestParallelMatchesSequential(t *testing.T) {
 					t.Fatal("no residency lookups recorded")
 				}
 			})
+		}
+	}
+}
+
+// TestSequentialChecksumIsPinned pins every Sequential checksum, at suite
+// and test scale and two seeds: a tile kernel must keep each output's
+// exact floating-point sequence, so any rewrite of one leaves these
+// bit-identical. The values are amd64's; the compiler may fuse a
+// multiply-subtract into one rounding on other architectures.
+func TestSequentialChecksumIsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("checksums pinned on amd64, where no multiply-subtract is fused")
+	}
+	// want[seed][scale][app]: scale 0 is Suite, 1 is small.
+	want := map[int64][2][3]uint64{
+		1: {
+			{0x8651a364072d40cd, 0xad6ff5b1704194fe, 0x5aa3ba7d3654b8b3},
+			{0x20c8ba5ad197eb9c, 0x8f0d9b6c52941b6a, 0xc45cb1b88fd22fee},
+		},
+		2: {
+			{0x8618217633b2b647, 0x43b11ab1b837c78c, 0x827a048e45306114},
+			{0x38632b740d9fd561, 0xd7148f49a1420bdb, 0x50996079c4037329},
+		},
+	}
+	for seed, w := range want {
+		for scale, suite := range [][]App{Suite(seed), small(seed)} {
+			for i, app := range suite {
+				if got := app.Sequential(); got != w[scale][i] {
+					t.Errorf("%s seed %d %s scale: checksum %#x, want %#x",
+						app.Name(), seed, []string{"suite", "test"}[scale], got, w[scale][i])
+				}
+			}
 		}
 	}
 }
