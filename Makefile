@@ -37,10 +37,12 @@ race:
 # fails here in seconds. The dag.Execute overhead
 # benchmark runs once under its watchdog, so an executor that deadlocks
 # again fails here in seconds with a goroutine dump, not at the CI
-# timeout.
+# timeout. Each linalg tile kernel, naive and blocked, runs once too, so a
+# blocked kernel that panics on a remainder path fails here.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkSimulator128Workers|BenchmarkContentionStudy|BenchmarkUTSRuntime|BenchmarkNestedFinish|BenchmarkXSort' -benchtime=1x .
 	$(GO) test -run='^$$' -bench=BenchmarkExecuteOverhead -benchtime=1x ./internal/dag
+	$(GO) test -run='^$$' -bench=BenchmarkTileKernels -benchtime=1x ./internal/apps/linalg
 
 # Where the goroutine runtime's per-task time goes: a CPU profile of the
 # empty-body fan-out (spawn, push, take, run, join and nothing else),
@@ -139,6 +141,7 @@ bench:
 	$(GO) run ./benchmark
 	$(GO) test -run='^$$' -bench=. -benchtime=1s -count=5 -benchmem . ./internal/comm
 	$(GO) test -run='^$$' -bench=BenchmarkExecuteOverhead -benchtime=1s -count=5 ./internal/dag
+	$(GO) test -run='^$$' -bench=BenchmarkTileKernels -benchtime=1s -count=5 ./internal/apps/linalg
 
 # Churn soak: dynamic-membership endurance under the race detector —
 # concurrent joins, graceful drains, a healing partition, and a flapping

@@ -49,8 +49,9 @@ func ParallelReference(a App) uint64 {
 	return a.Sequential()
 }
 
-// Fnv1a implements the FNV-1a hash over a stream of uint64 words; apps use
-// it for order-independent-free (sequential) checksums.
+// Fnv1a implements the FNV-1a hash over a stream of uint64 words, a byte
+// at a time; apps use it for order-dependent checksums, which fold their
+// results in one fixed (sequential) order.
 type Fnv1a uint64
 
 // NewFnv returns the FNV-1a offset basis.

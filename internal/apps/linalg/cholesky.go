@@ -2,7 +2,6 @@ package linalg
 
 import (
 	"fmt"
-	"math"
 
 	"distws/internal/dag"
 )
@@ -57,66 +56,6 @@ func (a *cholesky) generate() [][]float64 {
 		}
 	}
 	return tiles
-}
-
-// potrf factors tile a in place: lower-triangular L with a[r][c] for
-// r >= c; the strictly-upper entries are left untouched.
-func potrf(a []float64, b int) {
-	for c := 0; c < b; c++ {
-		d := a[c*b+c]
-		for k := 0; k < c; k++ {
-			d -= a[c*b+k] * a[c*b+k]
-		}
-		d = math.Sqrt(d)
-		a[c*b+c] = d
-		for r := c + 1; r < b; r++ {
-			x := a[r*b+c]
-			for k := 0; k < c; k++ {
-				x -= a[r*b+k] * a[c*b+k]
-			}
-			a[r*b+c] = x / d
-		}
-	}
-}
-
-// trsmRT solves X·Lᵀ = A in place (A := A·L⁻ᵀ) against the lower
-// factor l.
-func trsmRT(l, a []float64, b int) {
-	for r := 0; r < b; r++ {
-		for c := 0; c < b; c++ {
-			x := a[r*b+c]
-			for m := 0; m < c; m++ {
-				x -= a[r*b+m] * l[c*b+m]
-			}
-			a[r*b+c] = x / l[c*b+c]
-		}
-	}
-}
-
-// syrkL updates the lower triangle of c with -a·aᵀ.
-func syrkL(a, c []float64, b int) {
-	for r := 0; r < b; r++ {
-		for s := 0; s <= r; s++ {
-			x := c[r*b+s]
-			for k := 0; k < b; k++ {
-				x -= a[r*b+k] * a[s*b+k]
-			}
-			c[r*b+s] = x
-		}
-	}
-}
-
-// gemmNT updates c with -a·btᵀ.
-func gemmNT(a, bt, c []float64, b int) {
-	for r := 0; r < b; r++ {
-		for s := 0; s < b; s++ {
-			x := c[r*b+s]
-			for k := 0; k < b; k++ {
-				x -= a[r*b+k] * bt[s*b+k]
-			}
-			c[r*b+s] = x
-		}
-	}
 }
 
 // build emits the task graph in right-looking program order over the

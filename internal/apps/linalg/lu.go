@@ -50,61 +50,6 @@ func (a *lu) generate() [][]float64 {
 	return tiles
 }
 
-// getrf factors tile a in place into unit-lower L and upper U.
-func getrf(a []float64, b int) {
-	for k := 0; k < b; k++ {
-		piv := a[k*b+k]
-		for r := k + 1; r < b; r++ {
-			l := a[r*b+k] / piv
-			a[r*b+k] = l
-			for s := k + 1; s < b; s++ {
-				a[r*b+s] -= l * a[k*b+s]
-			}
-		}
-	}
-}
-
-// trsmLL solves L·X = A in place (A := L⁻¹·A) against the unit-lower
-// factor packed in lu.
-func trsmLL(lu, a []float64, b int) {
-	for c := 0; c < b; c++ {
-		for r := 0; r < b; r++ {
-			x := a[r*b+c]
-			for m := 0; m < r; m++ {
-				x -= lu[r*b+m] * a[m*b+c]
-			}
-			a[r*b+c] = x
-		}
-	}
-}
-
-// trsmRU solves X·U = A in place (A := A·U⁻¹) against the upper factor
-// packed in lu.
-func trsmRU(lu, a []float64, b int) {
-	for r := 0; r < b; r++ {
-		for c := 0; c < b; c++ {
-			x := a[r*b+c]
-			for m := 0; m < c; m++ {
-				x -= a[r*b+m] * lu[m*b+c]
-			}
-			a[r*b+c] = x / lu[c*b+c]
-		}
-	}
-}
-
-// gemmNN updates c with -a·bm.
-func gemmNN(a, bm, c []float64, b int) {
-	for r := 0; r < b; r++ {
-		for s := 0; s < b; s++ {
-			x := c[r*b+s]
-			for k := 0; k < b; k++ {
-				x -= a[r*b+k] * bm[k*b+s]
-			}
-			c[r*b+s] = x
-		}
-	}
-}
-
 // build emits the task graph in right-looking program order over every
 // tile (see tiledGraph for seeds and homes).
 func (a *lu) build(places int, tiles [][]float64) (*dag.Graph, []func()) {
