@@ -128,7 +128,7 @@ fuzz-smoke:
 # The gate a change must pass before merging. The two soaks block: what
 # they add to `race` is the socket soak, the membership-codec fuzz shake
 # and the distws-load -sim -verify byte-identity run.
-check: build fmt-check vet test race bench-smoke deque-stress dag-crash core-crash dag-parity exhibit-golden fuzz-smoke soak serve-soak
+check: build fmt-check vet test race bench-smoke deque-stress dag-crash core-crash dag-parity exhibit-golden fuzz-smoke soak serve-soak coverage-ledger
 
 # Full measurement: the workloads BENCHMARK.json declares, end to end and
 # layer by layer (`go run ./benchmark`, ~2.5 min; it writes only the
@@ -193,8 +193,8 @@ loc:
 # the benchmark execute on the exhibit run, the benchmark's smoke run, the
 # serve-soak simulation, one real loopback service (a distws-serve front
 # door and executor on a three-seat TCP mesh, with a distws-load client
-# started before the executor) and distws-run's other faces (each micro
-# kernel and the relaxed kind on the goroutine runtime; a crash and lossy steals
+# started before the executor) and distws-run's other faces (the relaxed
+# kind on the goroutine runtime; a crash and lossy steals
 # in the simulator, traced, with distws-trace rendering the trace in every
 # format; the same faults under lifelines on the runtime, on turingring,
 # whose ring visits every place, so the crashed one reaches its task count
@@ -206,11 +206,11 @@ loc:
 # why: the target fails on a function nothing reaches that the file does
 # not name (delete it, test it, or add it with its reason) and on a line of
 # the file that is now reached (remove it). List (2) is where to ask whether
-# the test or the program is missing something. Not part of `check`: it
-# takes ~50 s and a timing-dependent path may flip a row; needs go >= 1.20
-# for `go build -cover`, runs offline.
+# the test or the program is missing something. Part of `check` (~50 s):
+# timing-dependent paths flip rows of list (2) from run to run, which the
+# target does not compare, while list (1) held on three runs in a row; needs
+# go >= 1.20 for `go build -cover`, runs offline.
 LEDGER_KEPT := testdata/ledger_kept.txt
-LEDGER_MICRO := mergesort skyline montecarlo-pi matchain randomaccess
 LEDGER_CHURN := -join-place 3 -join-at 300us -partition 0,1 -partition-at 200us -partition-heal 1ms \
 	-flap-place 2 -flap-at 500us -flap-down 500us -flap-up 500us -drain-place 1 -drain-at 1200us
 coverage-ledger:
@@ -228,9 +228,6 @@ coverage-ledger:
 	sleep 0.3; \
 	"$$dir/bin/distws-serve" -addrs $$addrs -places 2 -place 1 > /dev/null & exec1=$$!; pids="$$pids $$exec1"; \
 	wait $$load; kill -TERM $$front; wait $$front $$exec1; pids=; \
-	for app in $(LEDGER_MICRO); do \
-		"$$dir/bin/distws-run" -mode runtime -app $$app -places 2 -workers 2 > /dev/null; \
-	done; \
 	"$$dir/bin/distws-run" -mode runtime -app quicksort -places 2 -workers 2 -deque relaxed > /dev/null; \
 	"$$dir/bin/distws-run" -mode sim -app quicksort -places 4 -workers 2 \
 		-crash-place 1 -crash-at 1ms -drop 0.05 -trace "$$dir/run.events" > /dev/null; \

@@ -14,6 +14,7 @@ package distws_test
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -391,6 +392,60 @@ func BenchmarkRuntimeFanout(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkOneVictim is the many-thieves-one-victim probe: on one place
+// of 2, 8 or 32 workers (oversubscribed past the host's cores), a root
+// spawns 4 096 flexible tasks of about 1 µs each inside one Finish, so
+// every thief is co-located with the one victim, the root's worker. It
+// is where a relaxed queue's receiver-initiated stealing could beat the
+// mutex and Chase–Lev deques, and reports ns/task and, for relaxed, the
+// duplicate takes deduplicated per pass.
+func BenchmarkOneVictim(b *testing.B) {
+	const tasks = 4096
+	for _, kind := range []struct {
+		name string
+		kind distws.DequeKind
+	}{
+		{"mutex", distws.DequeMutex},
+		{"chaselev", distws.DequeChaseLev},
+		{"relaxed", distws.DequeRelaxed},
+	} {
+		for _, workers := range []int{2, 8, 32} {
+			b.Run(fmt.Sprintf("%s/1x%d", kind.name, workers), func(b *testing.B) {
+				rt, err := distws.New(distws.Config{
+					Cluster: distws.Cluster{Places: 1, WorkersPerPlace: workers},
+					Policy:  distws.DistWS,
+					Deque:   kind.kind,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer rt.Shutdown()
+				dup := rt.Metrics().DuplicateTakes
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					err := rt.Run(func(ctx *distws.Ctx) {
+						ctx.Finish(func(c *distws.Ctx) {
+							for j := 0; j < tasks; j++ {
+								c.AsyncAny(0, func(*distws.Ctx) {
+									for start := time.Now(); time.Since(start) < time.Microsecond; {
+									}
+								})
+							}
+						})
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tasks), "ns/task")
+				if kind.kind == distws.DequeRelaxed {
+					b.ReportMetric(float64(rt.Metrics().DuplicateTakes-dup)/float64(b.N), "dup-takes/pass")
+				}
+			})
+		}
 	}
 }
 

@@ -48,7 +48,7 @@ func main() {
 
 func run() error {
 	var (
-		appName = flag.String("app", "dmg", "application (quicksort, turingring, kmeans, agglom, dmg, dmr, nbody, uts, a micro app, or a dataflow app: cholesky, lu, pipeline)")
+		appName = flag.String("app", "dmg", "application (quicksort, turingring, kmeans, agglom, dmg, dmr, nbody, uts, or a dataflow app: cholesky, lu, pipeline)")
 		policy  = flag.String("policy", "distws", "scheduler: x10ws, distws, distws-ns, random, lifeline, adaptive")
 		dagPol  = flag.String("dag-policy", "blind", "dataflow placement for dag apps: "+strings.Join(dag.PolicyNames(), ", "))
 		dq      = flag.String("deque", "mutex", "worker-queue kind of -mode runtime: "+strings.Join(deque.KindNames(), ", "))
@@ -96,7 +96,6 @@ func run() error {
 
 	if *list {
 		fmt.Println("paper suite:", strings.Join(suite.Names(), " "))
-		fmt.Println("micro suite:", strings.Join(microNames(), " "))
 		fmt.Println("dataflow suite:", strings.Join(linalg.Names(), " "))
 		fmt.Println("uts")
 		fmt.Println("policies:", strings.Join(policyNames(), " "))
@@ -124,7 +123,7 @@ func run() error {
 		dagApp, err = linalg.ByName(*appName, *seed)
 		if err != nil {
 			return fmt.Errorf("-app %q: valid applications are: %s uts %s",
-				*appName, strings.Join(append(suite.Names(), microNames()...), " "),
+				*appName, strings.Join(suite.Names(), " "),
 				strings.Join(linalg.Names(), " "))
 		}
 	}
@@ -461,16 +460,6 @@ func policyNames() []string {
 	out := make([]string, len(kinds))
 	for i, k := range kinds {
 		out[i] = strings.ToLower(k.String())
-	}
-	return out
-}
-
-// microNames lists the micro-suite application names from the registry.
-func microNames() []string {
-	micro := suite.Micro(1)
-	out := make([]string, len(micro))
-	for i, a := range micro {
-		out[i] = a.Name()
 	}
 	return out
 }

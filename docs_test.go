@@ -1,6 +1,7 @@
 package distws
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -31,6 +32,10 @@ var (
 	flagDefined = regexp.MustCompile(`flag\.\w+\("([^"]+)"`)
 	// sharedFlags are the flags every command gets from cliutil.
 	sharedFlags = []string{"cpuprofile", "memprofile", "listen", "version"}
+	// A span shaped like a BENCHMARK.json metric row: lowercase and
+	// dotted; it names one when it also holds a '_' and its first
+	// component is a row's.
+	metricRow = regexp.MustCompile(`^([a-z][a-z0-9_]*)(?:\.[a-z0-9_]+)+$`)
 )
 
 // TestDocsResolve fails on a backticked `make <target>` (or a fenced
@@ -39,7 +44,9 @@ var (
 // resolvedDocs, and on a -flag after a distws-<name> command (on a fenced
 // line or in a backticked span) that cmd/distws-<name> does not register:
 // a deleted command, package, target or flag cannot linger in the prose
-// that tells a reader how to run things.
+// that tells a reader how to run things. A backticked span that names a
+// benchmark metric row (see metricRow) must be a row of BENCHMARK.json,
+// so a renamed or retired row cannot linger in the prose that quotes it.
 func TestDocsResolve(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -49,6 +56,7 @@ func TestDocsResolve(t *testing.T) {
 	for _, m := range makefileRule.FindAllStringSubmatch(string(makefile), -1) {
 		targets[m[1]] = true
 	}
+	rows, rowPrefixes := benchmarkRows(t)
 	flags := map[string]map[string]bool{} // by command name, read on first use
 	commandFlags := func(name string) map[string]bool {
 		if f, ok := flags[name]; ok {
@@ -126,6 +134,10 @@ func TestDocsResolve(t *testing.T) {
 				checkTarget(span[m[2]:m[3]], s[2]+m[2])
 			}
 			checkFlags(strings.ReplaceAll(span, "\n", " "), s[2])
+			if m := metricRow.FindStringSubmatch(span); m != nil && strings.Contains(span, "_") &&
+				rowPrefixes[m[1]] && !rows[span] {
+				t.Errorf("%s:%d: %s: no such BENCHMARK.json row", doc, line(s[2]), span)
+			}
 		}
 
 		for _, m := range treePath.FindAllStringSubmatchIndex(text, -1) {
@@ -135,6 +147,31 @@ func TestDocsResolve(t *testing.T) {
 			}
 		}
 	}
+}
+
+// benchmarkRows reads the metric row names BENCHMARK.json declares, and
+// the first dotted components of those names.
+func benchmarkRows(t *testing.T) (rows, prefixes map[string]bool) {
+	data, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type row struct{ Name string }
+	var spec struct {
+		EndToEnd []row `json:"end_to_end"`
+		PerLayer []row `json:"per_layer"`
+	}
+	if err := json.Unmarshal(data, &spec); err != nil {
+		t.Fatal(err)
+	}
+	rows, prefixes = map[string]bool{}, map[string]bool{}
+	for _, r := range append(spec.EndToEnd, spec.PerLayer...) {
+		rows[r.Name] = true
+		if first, _, dotted := strings.Cut(r.Name, "."); dotted {
+			prefixes[first] = true
+		}
+	}
+	return rows, prefixes
 }
 
 // pathResolves reports whether path exists, or names an identifier of an

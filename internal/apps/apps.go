@@ -5,13 +5,12 @@
 // fine-grained micro-applications of the granularity study (§VIII-Q2) and
 // Unbalanced Tree Search (§X).
 //
-// Every application provides three things:
-//
-//   - a reference sequential implementation (checksummed),
-//   - a parallel implementation against the real runtime (internal/core)
-//     whose result must match the sequential checksum, and
-//   - a trace generator that runs the real algorithm instrumented at task
-//     boundaries and emits a trace.Graph for the cluster simulator.
+// Every application is a Model: a trace generator that emits its task
+// graph (a trace.Graph) for the cluster simulator. An App adds what the
+// real runtime (internal/core) runs: a reference sequential implementation
+// (checksummed) and a parallel implementation whose result must match it;
+// its trace runs the real algorithm instrumented at task boundaries. The
+// micro apps are models only.
 package apps
 
 import (
@@ -22,20 +21,25 @@ import (
 	"distws/internal/trace"
 )
 
-// App is one benchmark application.
-type App interface {
+// Model is one application as the experiments and the simulator see it.
+type Model interface {
 	// Name returns the short name used in tables ("quicksort", "dmg", ...).
 	Name() string
+	// Trace generates the simulator task graph for a cluster of places
+	// places. The graph reflects the real algorithm's task structure and
+	// work distribution at the app's configured scale.
+	Trace(places int) (*trace.Graph, error)
+}
+
+// App is one benchmark application that also runs on the real runtime.
+type App interface {
+	Model
 	// Sequential runs the reference implementation and returns its result
 	// checksum.
 	Sequential() uint64
 	// Parallel runs the application on rt and returns the result checksum,
 	// which must equal ParallelReference of the app for the same parameters.
 	Parallel(rt *core.Runtime) (uint64, error)
-	// Trace generates the simulator task graph for a cluster of places
-	// places. The graph reflects the real algorithm's task structure and
-	// work distribution at the app's configured scale.
-	Trace(places int) (*trace.Graph, error)
 }
 
 // ParallelReference returns the checksum a.Parallel must produce:

@@ -51,22 +51,16 @@ func Paper(scale Scale, seed int64) []apps.App {
 	}
 }
 
-// Micro returns the five fine-grained apps of the granularity study
-// (§VIII-Q2).
-func Micro(seed int64) []apps.App { return micro.Suite(seed) }
+// Micro returns the task-graph models of the five fine-grained apps of
+// the granularity study (§VIII-Q2).
+func Micro() []apps.Model { return micro.Suite() }
 
 // UTS returns the Unbalanced Tree Search instance for the §X comparison.
 func UTS(seed int64) *uts.App { return uts.New(4, 11, 400_000, seed) }
 
-// ByName resolves an application by its table name, including the micro
-// apps and UTS.
+// ByName resolves a paper-suite application or UTS by its table name.
 func ByName(name string, scale Scale, seed int64) (apps.App, error) {
 	for _, a := range Paper(scale, seed) {
-		if a.Name() == name {
-			return a, nil
-		}
-	}
-	for _, a := range Micro(seed) {
 		if a.Name() == name {
 			return a, nil
 		}

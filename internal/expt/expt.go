@@ -64,10 +64,10 @@ func New(scale suite.Scale, seed int64) *Runner {
 // places. The graph is generated exactly once per (app, places) key — even
 // under concurrent callers — and shared read-only across every policy run
 // that replays it (the simulator never mutates a graph; see
-// TestPoliciesDoNotMutateSharedGraph). App.Trace is pure (see
+// TestPoliciesDoNotMutateSharedGraph). Model.Trace is pure (see
 // suite.TestTracesArePure), so two place counts of one app may generate
 // concurrently.
-func (r *Runner) Trace(a apps.App, places int) (*trace.Graph, error) {
+func (r *Runner) Trace(a apps.Model, places int) (*trace.Graph, error) {
 	key := fmt.Sprintf("%s/%d", a.Name(), places)
 	r.mu.Lock()
 	e, ok := r.cache[key]
@@ -129,7 +129,7 @@ func (r *Runner) forEach(n int, job func(i int) error) error {
 	return nil
 }
 
-func (r *Runner) simulate(a apps.App, places int, policy sched.Kind) (*sim.Result, error) {
+func (r *Runner) simulate(a apps.Model, places int, policy sched.Kind) (*sim.Result, error) {
 	g, err := r.Trace(a, places)
 	if err != nil {
 		return nil, fmt.Errorf("expt: trace %s: %w", a.Name(), err)
@@ -149,7 +149,7 @@ var threePolicies = [3]sched.Kind{sched.X10WS, sched.DistWSNS, sched.DistWS}
 // perAppPolicy runs one simulation per (app, policy) cell at the full
 // cluster, fanning the |apps|×|policies| grid across the worker pool, and
 // returns results indexed [app][policy].
-func (r *Runner) perAppPolicy(appList []apps.App, policies []sched.Kind) ([][]*sim.Result, error) {
+func perAppPolicy[A apps.Model](r *Runner, appList []A, policies []sched.Kind) ([][]*sim.Result, error) {
 	out := make([][]*sim.Result, len(appList))
 	for i := range out {
 		out[i] = make([]*sim.Result, len(policies))
@@ -419,7 +419,7 @@ type Table2Row struct {
 // Table2 runs the three schedulers at 128 workers and reports modelled
 // L1d miss rates.
 func (r *Runner) Table2() ([]Table2Row, error) {
-	results, err := r.perAppPolicy(r.Apps, threePolicies[:])
+	results, err := perAppPolicy(r, r.Apps, threePolicies[:])
 	if err != nil {
 		return nil, err
 	}
@@ -462,7 +462,7 @@ type Table3Row struct {
 // Table3 runs the three schedulers at 128 workers and reports messages
 // transmitted across nodes.
 func (r *Runner) Table3() ([]Table3Row, error) {
-	results, err := r.perAppPolicy(r.Apps, threePolicies[:])
+	results, err := perAppPolicy(r, r.Apps, threePolicies[:])
 	if err != nil {
 		return nil, err
 	}
@@ -503,7 +503,7 @@ type Fig6Row struct {
 
 // Fig6 compares the three schedulers at 128 workers.
 func (r *Runner) Fig6() ([]Fig6Row, error) {
-	results, err := r.perAppPolicy(r.Apps, threePolicies[:])
+	results, err := perAppPolicy(r, r.Apps, threePolicies[:])
 	if err != nil {
 		return nil, err
 	}
@@ -546,7 +546,7 @@ type Fig7Row struct {
 // Fig7 reports per-place utilization for every app under the three
 // schedulers.
 func (r *Runner) Fig7() ([]Fig7Row, error) {
-	results, err := r.perAppPolicy(r.Apps, threePolicies[:])
+	results, err := perAppPolicy(r, r.Apps, threePolicies[:])
 	if err != nil {
 		return nil, err
 	}
@@ -594,8 +594,8 @@ type GranRow struct {
 
 // GranularityStudy runs the five fine-grained apps at the full cluster.
 func (r *Runner) GranularityStudy() ([]GranRow, error) {
-	microApps := suite.Micro(r.Seed)
-	results, err := r.perAppPolicy(microApps, []sched.Kind{sched.X10WS, sched.DistWS})
+	microApps := suite.Micro()
+	results, err := perAppPolicy(r, microApps, []sched.Kind{sched.X10WS, sched.DistWS})
 	if err != nil {
 		return nil, err
 	}
@@ -708,7 +708,7 @@ type AdaptiveRow struct {
 // strictly beating both locality-oblivious baselines.
 func (r *Runner) AdaptiveStudy() ([]AdaptiveRow, error) {
 	policies := []sched.Kind{sched.DistWS, sched.DistWSNS, sched.RandomWS, sched.Adaptive}
-	results, err := r.perAppPolicy(r.Apps, policies)
+	results, err := perAppPolicy(r, r.Apps, policies)
 	if err != nil {
 		return nil, err
 	}

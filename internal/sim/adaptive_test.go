@@ -25,7 +25,7 @@ func classesOf(c *adapt.Controller) []task.Class {
 // moves nothing.
 func TestAdaptiveConvergesOnMicroApps(t *testing.T) {
 	cl := cluster(4, 2)
-	for _, app := range suite.Micro(1) {
+	for _, app := range suite.Micro() {
 		app := app
 		t.Run(app.Name(), func(t *testing.T) {
 			g, err := app.Trace(cl.Places)
