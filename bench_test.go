@@ -176,7 +176,7 @@ func BenchmarkUTSComparison(b *testing.B) {
 }
 
 // BenchmarkContentionStudy regenerates the shared-queue contention study
-// (mutex vs Chase–Lev vs relaxed receiver-initiated at 128–1024 virtual
+// (mutex vs Chase–Lev vs relaxed steal-half at 128–1024 virtual
 // workers with the lock simulated) and asserts the PR's acceptance bound
 // inline, so the bench-smoke gate catches both a harness breakage and a
 // throughput regression below 2x in one iteration.
@@ -357,8 +357,8 @@ func BenchmarkEvaluationHarness(b *testing.B) {
 // BenchmarkRuntimeFanout measures the real goroutine runtime: spawning
 // and executing a fan-out of flexible tasks across 4 places, under each
 // worker-queue kind — mutex-guarded (default), lock-free Chase–Lev (§V's
-// steal-interruption trade-off), and fence-free relaxed queues with
-// receiver-initiated stealing.
+// steal-interruption trade-off), and fence-free relaxed queues that
+// remote thieves take steal-half from.
 func BenchmarkRuntimeFanout(b *testing.B) {
 	for _, mode := range []struct {
 		name string
@@ -399,8 +399,8 @@ func BenchmarkRuntimeFanout(b *testing.B) {
 // of 2, 8 or 32 workers (oversubscribed past the host's cores), a root
 // spawns 4 096 flexible tasks of about 1 µs each inside one Finish, so
 // every thief is co-located with the one victim, the root's worker. It
-// is where a relaxed queue's receiver-initiated stealing could beat the
-// mutex and Chase–Lev deques, and reports ns/task and, for relaxed, the
+// is where the relaxed kind's per-worker flexible queues could beat the
+// mutex and Chase–Lev kinds' one shared deque, and reports ns/task and, for relaxed, the
 // duplicate takes deduplicated per pass.
 func BenchmarkOneVictim(b *testing.B) {
 	const tasks = 4096

@@ -471,9 +471,8 @@ func printCounters(w *tabwriter.Writer, s metrics.Snapshot) {
 	fmt.Fprintf(w, "steals-to-task ratio\t%.2e\n", s.StealsToTaskRatio())
 	fmt.Fprintf(w, "messages\t%d (%d bytes)\n", s.Messages, s.BytesTransferred)
 	fmt.Fprintf(w, "migrated tasks\t%d (remote refs %d)\n", s.TasksMigrated, s.RemoteDataAccess)
-	if s.StealRequests > 0 || s.Donations > 0 || s.DuplicateTakes > 0 {
-		fmt.Fprintf(w, "receiver-initiated\t%d requests, %d donations, %d duplicate takes deduped\n",
-			s.StealRequests, s.Donations, s.DuplicateTakes)
+	if s.DuplicateTakes > 0 {
+		fmt.Fprintf(w, "duplicate takes\t%d deduped\n", s.DuplicateTakes)
 	}
 	if s.Reclassifications > 0 {
 		fmt.Fprintf(w, "online reclassifications\t%d\n", s.Reclassifications)

@@ -122,9 +122,8 @@ const (
 	// DequeRelaxed gives each worker a Chase–Lev private deque and a
 	// fence-free FIFO queue of flexible tasks with multiplicity semantics
 	// (a task may rarely be handed out twice; the runtime dedups at
-	// dispatch), and switches remote stealing to the receiver-initiated
-	// protocol: thieves post requests into per-worker mailboxes and busy
-	// owners donate half their flexible queue at task boundaries.
+	// dispatch); a remote thief takes the older half of one victim
+	// worker's flexible queue.
 	DequeRelaxed = deque.KindRelaxed
 )
 

@@ -2,6 +2,10 @@ package distws
 
 import (
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -36,6 +40,9 @@ var (
 	// dotted; it names one when it also holds a '_' and its first
 	// component is a row's.
 	metricRow = regexp.MustCompile(`^([a-z][a-z0-9_]*)(?:\.[a-z0-9_]+)+$`)
+	// A span that is one qualified Go identifier: pkg.Name or
+	// pkg.Type.Member, Name exported, possibly called or instantiated.
+	goIdent = regexp.MustCompile(`^([a-z]\w*)\.([A-Z]\w*)(?:\.(\w+))?(?:\(.*\)|\[.*\])?$`)
 )
 
 // TestDocsResolve fails on a backticked `make <target>` (or a fenced
@@ -46,7 +53,9 @@ var (
 // a deleted command, package, target or flag cannot linger in the prose
 // that tells a reader how to run things. A backticked span that names a
 // benchmark metric row (see metricRow) must be a row of BENCHMARK.json,
-// so a renamed or retired row cannot linger in the prose that quotes it.
+// so a renamed or retired row cannot linger in the prose that quotes it,
+// and a span that is a qualified Go identifier (see goIdent) whose package
+// is distws or a directory under internal/ must name a declaration there.
 func TestDocsResolve(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -57,6 +66,7 @@ func TestDocsResolve(t *testing.T) {
 		targets[m[1]] = true
 	}
 	rows, rowPrefixes := benchmarkRows(t)
+	decls := newGoDecls(t)
 	flags := map[string]map[string]bool{} // by command name, read on first use
 	commandFlags := func(name string) map[string]bool {
 		if f, ok := flags[name]; ok {
@@ -138,6 +148,9 @@ func TestDocsResolve(t *testing.T) {
 				rowPrefixes[m[1]] && !rows[span] {
 				t.Errorf("%s:%d: %s: no such BENCHMARK.json row", doc, line(s[2]), span)
 			}
+			if m := goIdent.FindStringSubmatch(span); m != nil && decls.dirs[m[1]] != "" && !decls.resolves(m[1], m[2], m[3]) {
+				t.Errorf("%s:%d: %s: no such Go declaration", doc, line(s[2]), span)
+			}
 		}
 
 		for _, m := range treePath.FindAllStringSubmatchIndex(text, -1) {
@@ -187,4 +200,161 @@ func pathResolves(path string) bool {
 	}
 	info, err := os.Stat(filepath.FromSlash(dir + pkg))
 	return err == nil && info.IsDir()
+}
+
+// goDecls indexes the declarations of the module's packages by package
+// name: distws for the root, the base name for a directory under
+// internal/. A package is parsed on first use, its test files included.
+type goDecls struct {
+	t    *testing.T
+	dirs map[string]string
+	pkgs map[string]*pkgDecls
+}
+
+// pkgDecls is one package's index: its package-level names, each type's
+// methods and fields (interface methods included), and the types whose
+// members a type also has: the ones it embeds, or the one it aliases.
+type pkgDecls struct {
+	top     map[string]bool
+	members map[string]map[string]bool
+	follow  map[string][]ast.Expr
+}
+
+func newGoDecls(t *testing.T) *goDecls {
+	d := &goDecls{t: t, dirs: map[string]string{"distws": "."}, pkgs: map[string]*pkgDecls{}}
+	err := filepath.WalkDir("internal", func(path string, e fs.DirEntry, err error) error {
+		if err == nil && !e.IsDir() && strings.HasSuffix(path, ".go") {
+			dir := filepath.Dir(path)
+			d.dirs[filepath.Base(dir)] = dir
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// resolves reports whether pkg declares name, and, when member is not
+// empty, whether the type name has that member.
+func (d *goDecls) resolves(pkg, name, member string) bool {
+	if p := d.load(pkg); p == nil || !p.top[name] {
+		return false
+	}
+	return member == "" || d.hasMember(pkg, name, member, 0)
+}
+
+func (d *goDecls) hasMember(pkg, typ, member string, depth int) bool {
+	p := d.load(pkg)
+	if p == nil || depth > 8 {
+		return false
+	}
+	if p.members[typ][member] {
+		return true
+	}
+	for _, e := range p.follow[typ] {
+		if q, name := typeName(pkg, e); name != "" && d.hasMember(q, name, member, depth+1) {
+			return true
+		}
+	}
+	return false
+}
+
+func (d *goDecls) load(pkg string) *pkgDecls {
+	if p, ok := d.pkgs[pkg]; ok {
+		return p
+	}
+	dir, ok := d.dirs[pkg]
+	if !ok {
+		return nil
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	p := &pkgDecls{top: map[string]bool{}, members: map[string]map[string]bool{}, follow: map[string][]ast.Expr{}}
+	add := func(typ, member string) {
+		if p.members[typ] == nil {
+			p.members[typ] = map[string]bool{}
+		}
+		p.members[typ][member] = true
+	}
+	addFields := func(typ string, fields *ast.FieldList) {
+		for _, f := range fields.List {
+			for _, n := range f.Names {
+				add(typ, n.Name)
+			}
+			if len(f.Names) == 0 { // embedded: its name is a member, its members too
+				if _, name := typeName(pkg, f.Type); name != "" {
+					add(typ, name)
+				}
+				p.follow[typ] = append(p.follow[typ], f.Type)
+			}
+		}
+	}
+	fset := token.NewFileSet()
+	for _, file := range files {
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			d.t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv == nil {
+					p.top[decl.Name.Name] = true
+				} else if _, recv := typeName(pkg, decl.Recv.List[0].Type); recv != "" {
+					add(recv, decl.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							p.top[n.Name] = true
+						}
+					case *ast.TypeSpec:
+						name := spec.Name.Name
+						p.top[name] = true
+						switch ty := spec.Type.(type) {
+						case *ast.StructType:
+							addFields(name, ty.Fields)
+						case *ast.InterfaceType:
+							addFields(name, ty.Methods)
+						default:
+							if spec.Assign.IsValid() {
+								p.follow[name] = append(p.follow[name], ty)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	d.pkgs[pkg] = p
+	return p
+}
+
+// typeName returns the package and name of the type e names, declared in
+// pkg when unqualified, and an empty name for a type literal.
+func typeName(pkg string, e ast.Expr) (string, string) {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return pkg, x.Name
+		case *ast.SelectorExpr:
+			if id, ok := x.X.(*ast.Ident); ok {
+				return id.Name, x.Sel.Name
+			}
+			return "", ""
+		default:
+			return "", ""
+		}
+	}
 }

@@ -57,7 +57,7 @@ func runBag[T, A any](c *Ctx, items []T, step func(*Ctx, T, []T, *A) []T, flush 
 		w.stats.executed.Add(n)
 	}()
 	for len(items) > 0 {
-		if len(items) >= 2 && rt.idlers.Load() != 0 && w.priv.Len() == 0 && w.place.donatable() == 0 {
+		if len(items) >= 2 && rt.idlers.Load() != 0 && w.priv.Len() == 0 && w.place.offered() == 0 {
 			half := len(items) / 2
 			c.fin.add(1)
 			rt.spawn(newBag(c.fin, c.placeID, append([]T(nil), items[:half]...), step, flush), c.placeID, w)

@@ -518,17 +518,16 @@ func TestDequeKindsRunCorrectly(t *testing.T) {
 	}
 }
 
-// TestReceiverInitiatedStealing grows a recursive flexible fan-out from
-// place 0 under the relaxed deques. Spawning from inside running tasks
-// keeps the place saturated (Algorithm 1 maps flexible spawns to the
-// stealable queues only when no worker is spare), so the surplus lands
-// in the spawners' fence-free flexible queues — which remote places can
-// only acquire through the receiver-initiated protocol: post a mailbox
-// request, receive a steal-half donation. A one-shot burst from the root
-// would not do: the root outruns its sibling worker, every load sample
-// sees a spare, and all work stays private. Completion plus the protocol
-// counters prove the request/donate round trip delivers work.
-func TestReceiverInitiatedStealing(t *testing.T) {
+// TestRelaxedFlexibleWorkIsStolenRemotely grows a recursive flexible
+// fan-out from place 0 under the relaxed deques. Spawning from inside
+// running tasks keeps the place saturated (Algorithm 1 maps flexible
+// spawns to the stealable queues only when no worker is spare), so the
+// surplus lands in the spawners' fence-free flexible queues, which remote
+// thieves take steal-half from. A one-shot burst from the root would not
+// do: the root outruns its sibling worker, every load sample sees a spare,
+// and all work stays private. Completion plus the remote-steal count
+// prove the remote take delivers work.
+func TestRelaxedFlexibleWorkIsStolenRemotely(t *testing.T) {
 	cfg := testConfig(sched.DistWS, 4, 2)
 	cfg.Deque = deque.KindRelaxed
 	rt := mustNew(t, cfg)
@@ -558,11 +557,82 @@ func TestReceiverInitiatedStealing(t *testing.T) {
 	if m.TasksExecuted != 1023 {
 		t.Fatalf("TasksExecuted = %d, want 1023 (dedup must absorb duplicate takes)", m.TasksExecuted)
 	}
-	if m.StealRequests == 0 {
-		t.Fatal("no receiver-initiated steal requests were posted")
+	if m.RemoteSteals == 0 {
+		t.Fatal("no flexible work was stolen remotely")
 	}
-	if m.Donations == 0 || m.RemoteSteals == 0 {
-		t.Fatalf("no donations served (donations=%d remoteSteals=%d)", m.Donations, m.RemoteSteals)
+}
+
+// TestRemoteThiefTakesHalfOfAnyFlexibleQueue puts n flexible tasks in one
+// victim worker's flexible queue, worker i's of two for each i, and runs
+// one remote sweep: the thief takes StealHalf(n) of them whichever worker
+// holds them. Every worker is held inside a task meanwhile, so nothing
+// else takes from a queue and the sweep runs on the calling goroutine
+// without racing its worker's own; released, the thief's worker runs the
+// loot and each task runs exactly once.
+func TestRemoteThiefTakesHalfOfAnyFlexibleQueue(t *testing.T) {
+	const n = 5
+	for i := 0; i < 2; i++ {
+		rt := mustNew(t, Config{
+			Cluster: topology.Cluster{Places: 2, WorkersPerPlace: 2},
+			Policy:  sched.DistWS,
+			Seed:    7,
+			Deque:   deque.KindRelaxed,
+		})
+		held := make(chan *worker)
+		release := make(map[*worker]chan *activity)
+		for _, p := range rt.places {
+			for _, w := range p.workers {
+				release[w] = make(chan *activity, 1)
+			}
+		}
+		hold := &finish{}
+		hold.add(4)
+		for k := 0; k < 4; k++ {
+			rt.spawn(&activity{body: func(c *Ctx) {
+				held <- c.worker
+				if a := <-release[c.worker]; a != nil {
+					c.worker.run(a, tookRemote)
+				}
+			}, loc: task.SensitiveLocality, home: k % 2, fin: hold}, -1, nil)
+		}
+		var thief *worker
+		for k := 0; k < 4; k++ {
+			if w := <-held; thief == nil && w.place.id == 1 {
+				thief = w
+			}
+		}
+
+		var runs [n]atomic.Int32
+		fin := &finish{}
+		fin.add(n)
+		for j := range runs {
+			rt.places[0].workers[i].flex.Push(&activity{body: func(*Ctx) { runs[j].Add(1) }, loc: task.FlexibleLocality, fin: fin})
+		}
+		before := rt.Metrics().RemoteSteals
+		loot := thief.stealRemote()
+		stolen := rt.Metrics().RemoteSteals - before
+		for w, ch := range release {
+			if w == thief {
+				ch <- loot
+			} else {
+				ch <- nil
+			}
+		}
+		if want := int64(sched.StealHalf(n)); loot == nil || stolen != want {
+			t.Fatalf("worker %d holds %d flexible tasks: one sweep stole %d, want %d", i, n, stolen, want)
+		}
+		for _, f := range []*finish{hold, fin} {
+			select {
+			case <-f.wait():
+			case <-time.After(10 * time.Second):
+				t.Fatalf("worker %d: tasks still pending after 10s", i)
+			}
+		}
+		for j := range runs {
+			if r := runs[j].Load(); r != 1 {
+				t.Fatalf("worker %d: task %d ran %d times, want 1", i, j, r)
+			}
+		}
 	}
 }
 

@@ -36,7 +36,7 @@ func (rt *Runtime) oneSweep() (before, after metrics.Snapshot) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	a := &activity{loc: task.FlexibleLocality, fin: &finish{}}
-	if victim := rt.places[0]; rt.receiver {
+	if victim := rt.places[0]; rt.relaxed {
 		victim.workers[0].flex.Push(a)
 	} else {
 		victim.shared.Push(a)

@@ -79,14 +79,13 @@ func newPlace(rt *Runtime, id int) *place {
 			Self:      id,
 			Places:    rt.cfg.Cluster.Places,
 			Rng:       rand.New(rand.NewSource(rt.cfg.Seed + int64(id*1000+i))),
-			Receiver:  rt.receiver,
 			TimeoutNS: rt.stealTimeout.Nanoseconds(),
 			Ctrl:      rt.ctrl,
 			Inj:       rt.inj,
 			Ctrs:      &rt.counters,
 		}
-		if rt.receiver {
-			// Receiver-initiated mode is Fig. 2 per worker: a strict LIFO
+		if rt.relaxed {
+			// The relaxed kind is Fig. 2 per worker: a strict LIFO
 			// private deque (the relaxed queue is FIFO at both ends, and
 			// sensitive spawns must run depth-first) beside a fence-free
 			// FIFO queue of flexible tasks; the place's shared deque
@@ -118,12 +117,11 @@ func (p *place) queueLen() int {
 	return n
 }
 
-// donatable reports how much queued work the place could hand a remote
-// thief: the shared deque under the sender-initiated protocol, the
-// workers' flexible queues under the receiver-initiated one (where the
-// shared deque is only the cold-path inbox for arrivals).
-func (p *place) donatable() int {
-	if !p.rt.receiver {
+// offered reports how much queued work the place offers a remote thief:
+// the shared deque, or under the relaxed kind the workers' flexible queues
+// (the shared deque is then only the cold-path inbox for arrivals).
+func (p *place) offered() int {
+	if !p.rt.relaxed {
 		return p.shared.Len()
 	}
 	n := 0
@@ -208,18 +206,16 @@ func readsLoad(policy sched.Kind, class task.Class) bool {
 func (p *place) enqueue(a *activity, target sched.Target, spawner *worker) {
 	stealable := false // pushed where a remote thief may take it from
 	if target == sched.TargetShared {
-		if w := spawner; p.rt.receiver && w != nil && w.place == p {
-			// Receiver-initiated mode, spawn boundary: the spawning owner
-			// keeps flexible work in its own fence-free queue and serves
-			// any parked steal request — this is the only point where a
-			// busy owner communicates with thieves.
+		if w := spawner; p.rt.relaxed && w != nil && w.place == p {
+			// The relaxed kind: the spawning owner keeps flexible work in
+			// its own fence-free queue, where co-located and remote
+			// thieves alike take it.
 			w.flex.Push(a)
-			w.serveMail()
 			stealable = true
 		} else {
 			p.shared.Push(a)
 			p.rt.life.Serve(p.id)
-			stealable = !p.rt.receiver
+			stealable = !p.rt.relaxed
 		}
 	} else if w := spawner; w != nil && w.place == p {
 		// The spawning worker pushes onto its own private deque — the
@@ -246,15 +242,15 @@ func (p *place) enqueueStolen(chunk []*activity) {
 	for _, a := range chunk {
 		p.shared.Push(a)
 	}
-	p.assigned(!p.rt.receiver)
+	p.assigned(!p.rt.relaxed)
 }
 
 // assigned follows every push into one of the place's queues: assigning
 // work (re)activates the place (§VI-B) and wakes idle workers. stealable
 // says the push went where a remote thief may take it from (the shared
-// deque, or a flexible queue in receiver mode). On the common path, with
-// every worker busy, it writes nothing: the status words are stored only
-// on change and the wake is gated on the runtime-wide count of idle
+// deque, or a flexible queue under the relaxed kind). On the common path,
+// with every worker busy, it writes nothing: the status words are stored
+// only on change and the wake is gated on the runtime-wide count of idle
 // workers.
 //
 // A push racing the place's crash or drain may land after the respective
@@ -312,13 +308,6 @@ func (p *place) wakeAll() {
 	}
 }
 
-// donateReq is one receiver-initiated steal request parked in a victim
-// worker's mailbox. The reply channel is buffered so the donor's send
-// never blocks; an empty donation tells the thief to move on.
-type donateReq struct {
-	reply chan []*activity
-}
-
 // worker is one scheduling thread within a place. priv is the
 // private-deque discipline it schedules from — owner LIFO push/pop plus a
 // FIFO-end steal for co-located thieves, each task handed out exactly
@@ -346,16 +335,12 @@ type worker struct {
 	sweepStart int64
 
 	// flex is this worker's fence-free queue of locality-flexible tasks
-	// (receiver-initiated mode only, nil otherwise): the owner pushes its
-	// flexible spawns here instead of the place's shared deque, and owner,
-	// co-located thieves and donations to remote thieves all take its
-	// oldest task first, as Poll does from the shared deque. It is the
-	// only queue that can hand a task out twice.
+	// (relaxed kind only, nil otherwise): the owner pushes its flexible
+	// spawns here instead of the place's shared deque, and owner,
+	// co-located and remote thieves all take its oldest task first, as
+	// Poll does from the shared deque. It is the only queue that can hand
+	// a task out twice.
 	flex *deque.Relaxed[*activity]
-	// mail is the worker's steal-request mailbox: an idle remote thief
-	// CASes a request in; the owner answers at its next task-spawn or
-	// task-completion boundary. At most one request parks at a time.
-	mail atomic.Pointer[donateReq]
 	// idleTimer bounds loop's idle block (idlePoll); one per worker, made
 	// on first use and re-armed by idleWait, so an idle block allocates
 	// nothing.
@@ -426,14 +411,14 @@ func (w *worker) closeIdleStamp() {
 func (w *worker) idle() bool { return w.stats.idleSince.Load() != 0 }
 
 // claim marks a as dispatched exactly once. A relaxed flexible queue may
-// hand a task out twice (multiplicity semantics), and a donation or a
-// re-homing can carry the second copy into a shared deque or an inbox;
-// the loser of the claim discards its copy. Private deques are strict and
-// are never claim-checked, and outside receiver mode every queue is, so the
-// check short-circuits to true.
+// hand a task out twice (multiplicity semantics), and a remote steal or a
+// re-homing can carry the second copy into a flexible queue, a shared
+// deque or an inbox; the loser of the claim discards its copy. Private
+// deques are strict and are never claim-checked, and under the strict
+// kinds every queue is, so the check short-circuits to true.
 func (w *worker) claim(a *activity) bool {
 	rt := w.place.rt
-	if !rt.receiver {
+	if !rt.relaxed {
 		return true
 	}
 	if a.claimed.CompareAndSwap(false, true) {
@@ -442,36 +427,6 @@ func (w *worker) claim(a *activity) bool {
 	rt.counters.DuplicateTakes.Add(1)
 	rt.record(w.place.id, w.local, obs.KindDupTake, -1, int32(w.place.id), 0)
 	return false
-}
-
-// serveMail answers a parked steal request by donating half of this
-// worker's flexible queue (WSPDR-style steal-half). It runs at the
-// receiver-initiated protocol's communication points — task-spawn and
-// task-completion boundaries — so a busy owner is never interrupted
-// mid-task. An owner with nothing to give replies with an empty donation
-// so the thief moves on instead of waiting out its timeout.
-func (w *worker) serveMail() {
-	if w.mail.Load() == nil {
-		return // hot path: one atomic load when no request is parked
-	}
-	req := w.mail.Swap(nil)
-	if req == nil {
-		return
-	}
-	rt := w.place.rt
-	var chunk []*activity
-	for n := sched.StealHalf(w.flex.Len()); n > 0; n-- {
-		a, ok := w.flex.Steal()
-		if !ok {
-			break
-		}
-		chunk = append(chunk, a)
-	}
-	if len(chunk) > 0 {
-		rt.counters.Donations.Add(1)
-		rt.record(w.place.id, w.local, obs.KindDonate, -1, int32(len(chunk)), 0)
-	}
-	req.reply <- chunk
 }
 
 // loop is Algorithm 1 lines 9–29 for one worker. At the top of the
@@ -557,19 +512,14 @@ func (w *worker) findWork() (*activity, stealKind) {
 	if p.Down() {
 		return nil, tookOwn
 	}
-	rcv := p.rt.receiver
-	if rcv {
-		// Task-completion boundary: serve a parked steal request before
-		// looking for own work.
-		w.serveMail()
-	}
+	relaxed := p.rt.relaxed
 	// 1. Own private deque (line 9): strict on every kind, newest first.
 	if a, ok := w.priv.Pop(); ok {
 		return a, tookOwn
 	}
 	// 1a. Own inbox: foreign affinitized arrivals (FIFO — oldest first).
 	// This and the other take loops skip claim-losing duplicates that
-	// came out of a relaxed flexible queue; outside receiver mode claim is
+	// came out of a relaxed flexible queue; under the strict kinds claim is
 	// always true and each loop runs at most one full iteration.
 	for {
 		a, ok := w.inbox.Steal()
@@ -580,8 +530,8 @@ func (w *worker) findWork() (*activity, stealKind) {
 			return a, tookOwn
 		}
 	}
-	// 1b. Own flexible queue (receiver-initiated mode), oldest first.
-	if rcv {
+	// 1b. Own flexible queue (relaxed kind), oldest first.
+	if relaxed {
 		for {
 			a, ok := w.flex.Steal()
 			if !ok {
@@ -592,8 +542,8 @@ func (w *worker) findWork() (*activity, stealKind) {
 			}
 		}
 	}
-	// 2. Steal from co-located workers' private deques, inboxes and, in
-	// receiver mode, flexible queues (line 12). Affinity is place-level,
+	// 2. Steal from co-located workers' private deques, inboxes and, under
+	// the relaxed kind, flexible queues (line 12). Affinity is place-level,
 	// so a peer's inbox is fair game for a co-located thief.
 	for off := 1; off < len(p.workers); off++ {
 		peer := p.workers[(w.local+off)%len(p.workers)]
@@ -605,14 +555,14 @@ func (w *worker) findWork() (*activity, stealKind) {
 			p.rt.record(p.id, w.local, obs.KindStealLocal, -1, int32(peer.local), 0)
 			return a, tookLocalSteal
 		}
-		if rcv {
+		if relaxed {
 			if a, ok := peer.flex.Steal(); ok && w.claim(a) {
 				p.rt.record(p.id, w.local, obs.KindStealLocal, -1, int32(peer.local), 0)
 				return a, tookLocalSteal
 			}
 		}
 	}
-	// 3. Local shared deque (line 13) — in receiver mode the cold-path
+	// 3. Local shared deque (line 13) — under the relaxed kind the cold-path
 	// inbox holding cross-place arrivals.
 	for {
 		a, ok := p.shared.Poll()
@@ -636,12 +586,6 @@ func (w *worker) findWork() (*activity, stealKind) {
 // sched.Thief.Sweep, with this worker as its sched.Engine. It returns the
 // task to run now, if the sweep found one; the rest of what was stolen is
 // already queued at the thief's place.
-//
-// Sender-initiated stealing (the paper's protocol: the thief takes a chunk
-// from the victim's shared deque) and receiver-initiated stealing
-// (deque.KindRelaxed: the thief posts a request and a victim worker
-// donates half its flexible queue at its next task boundary) share the
-// sweep; they differ only where rt.receiver is tested.
 func (w *worker) stealRemote() *activity {
 	if w.place.rt.rec != nil {
 		w.sweepStart = w.Now()
@@ -652,14 +596,12 @@ func (w *worker) stealRemote() *activity {
 }
 
 // Skip is what a thief sees of a victim without a message: its liveness
-// (and the runtime's own), and under the receiver-initiated protocol how
-// much it could donate, because a request parked at a worker with nothing
-// to give holds its one-slot mailbox for a whole timeout. A sender-
-// initiated thief cannot see the victim's queue without the probe, so it
-// pays the message pair (the paper's Table III counts them).
+// (and the runtime's own). A thief cannot see the victim's queues without
+// the probe, so it pays the message pair (the paper's Table III counts
+// them).
 func (w *worker) Skip(victim int) bool {
 	rt := w.place.rt
-	return rt.life.Down(victim) || rt.shutdown.Load() || rt.receiver && rt.places[victim].donatable() == 0
+	return rt.life.Down(victim) || rt.shutdown.Load()
 }
 
 func (w *worker) Now() int64    { return w.place.rt.nowNS() }
@@ -669,17 +611,17 @@ func (w *worker) Record(k obs.Kind, victim int, dur int64) {
 }
 
 // Steal is the hand-over and the landing of one delivered request: take a
-// chunk from the victim's shared deque, or ask one of its workers for a
-// donation; keep the first claimable task in w.loot to run now and queue
-// the rest where co-located workers can take them without a distributed
-// steal of their own (§V-B3).
+// chunk from the victim's shared deque, or under the relaxed kind half of
+// one of its workers' flexible queues; keep the first claimable task in
+// w.loot to run now and queue the rest where co-located workers can take
+// them without a distributed steal of their own (§V-B3).
 func (w *worker) Steal(victim, chunkSize int) (got, left int) {
 	p := w.place
 	rt := p.rt
 	from := rt.places[victim]
 	var chunk []*activity
-	if rt.receiver {
-		chunk = w.requestDonation(from)
+	if rt.relaxed {
+		chunk = from.stealFlex()
 	} else {
 		chunk = from.shared.StealChunk(chunkSize)
 	}
@@ -687,8 +629,8 @@ func (w *worker) Steal(victim, chunkSize int) (got, left int) {
 	for _, a := range chunk {
 		bytes += int64(a.loc.MigrationBytes)
 	}
-	// chunk[0] under the strict kinds, while a relaxed donation may lead
-	// with duplicates; one made only of them is no loot at all.
+	// chunk[0] under the strict kinds, while a relaxed take may lead with
+	// duplicates; one made only of them is no loot at all.
 	for w.loot == nil && len(chunk) > 0 {
 		if w.claim(chunk[0]) {
 			w.loot = chunk[0]
@@ -704,7 +646,7 @@ func (w *worker) Steal(victim, chunkSize int) (got, left int) {
 	}
 	switch {
 	case len(chunk) == 0:
-	case rt.receiver:
+	case rt.relaxed:
 		// The thief's own flexible queue: an owner push, no shared
 		// structure involved.
 		for _, a := range chunk {
@@ -716,51 +658,33 @@ func (w *worker) Steal(victim, chunkSize int) (got, left int) {
 		p.enqueueStolen(chunk)
 	}
 	if rt.ctrl != nil {
-		left = from.donatable() // read for the chunk controller only
+		left = from.offered() // read for the chunk controller only
 	}
 	return 1 + len(chunk), left
 }
 
-// requestDonation is the receiver-initiated hand-over: CAS a request into
-// one victim worker's mailbox, wake the victim's idle workers, and wait
-// for that owner to donate at its next task boundary (serveMail), so the
-// victim's hot path never takes a lock on the thief's behalf. A mailbox
-// already occupied by another thief counts as a failed probe; requests
-// never queue. A request the owner has not answered within the steal
-// timeout is withdrawn, unless the owner claimed it concurrently, in which
-// case the donation is already in flight on the buffered reply channel.
-func (w *worker) requestDonation(victim *place) []*activity {
-	rt := w.place.rt
-	target := victim.workers[int(victim.rrWorker.Add(1))%len(victim.workers)]
-	req := &donateReq{reply: make(chan []*activity, 1)}
-	if !target.mail.CompareAndSwap(nil, req) {
-		return nil // another thief's request is parked there
+// stealFlex is a remote thief's take under the relaxed kind: steal-half
+// (sched.StealHalf) of the first non-empty flexible queue, starting at the
+// place's round-robin worker, with the same Relaxed.Steal a co-located
+// thief makes. A take racing the owner or another thief may return a task
+// that is taken twice; the claim check discards the loser's copy.
+func (p *place) stealFlex() []*activity {
+	var chunk []*activity
+	start := int(p.rrWorker.Add(1))
+	for i := range p.workers {
+		w := p.workers[(start+i)%len(p.workers)]
+		for n := sched.StealHalf(w.flex.Len()); n > 0; n-- {
+			a, ok := w.flex.Steal()
+			if !ok {
+				break
+			}
+			chunk = append(chunk, a)
+		}
+		if len(chunk) > 0 {
+			break
+		}
 	}
-	victim.wakeAll() // idle victim workers answer promptly
-	select {
-	case chunk := <-req.reply:
-		return chunk
-	case <-time.After(rt.stealTimeout):
-		if target.mail.CompareAndSwap(req, nil) {
-			// Withdrawn: the owner never reached a communication
-			// boundary in time.
-			rt.counters.StealTimeouts.Add(1)
-			rt.record(w.place.id, w.local, obs.KindTimeout, -1, int32(victim.id), 0)
-			return nil
-		}
-		return <-req.reply
-	case <-rt.stopCh:
-		if target.mail.CompareAndSwap(req, nil) {
-			return nil
-		}
-		// The owner claimed the request before we could withdraw it: a
-		// donation is in flight on the buffered reply. Drain it and
-		// re-home the tasks rather than dropping them on the floor.
-		if chunk := <-req.reply; len(chunk) > 0 {
-			w.place.enqueueStolen(chunk)
-		}
-		return nil
-	}
+	return chunk
 }
 
 // run executes one activity and performs the paper's accounting:

@@ -50,12 +50,10 @@ type Config struct {
 	// deque; deque.KindChaseLev swaps in lock-free Chase–Lev private
 	// deques; deque.KindRelaxed gives every worker the paper's Fig. 2
 	// pair, a Chase–Lev private deque (LIFO, exactly-once) and a
-	// fence-free FIFO multiplicity queue of flexible tasks, AND switches
-	// remote stealing to the receiver-initiated protocol — thieves post
-	// steal requests into per-worker mailboxes and busy owners donate
-	// the older half of their flexible queue at task-spawn boundaries, so
-	// no remote thief ever touches a shared structure on the victim's hot
-	// path.
+	// fence-free FIFO multiplicity queue of flexible tasks. A remote
+	// thief then takes the older half of one victim worker's flexible
+	// queue (steal-half) instead of a chunk of the place's shared deque,
+	// so no thief, local or remote, takes a lock on the victim's hot path.
 	Deque deque.Kind
 	// Fault injects failures: place crashes at an instant (wall time since
 	// New) or after a task count, message loss and latency spikes on the
@@ -113,11 +111,11 @@ type Runtime struct {
 	// in place of the annotation, the per-place steal chunk size, and
 	// the latency-biased victim order.
 	ctrl *adapt.Controller
-	// receiver is true under deque.KindRelaxed: remote stealing runs the
-	// receiver-initiated protocol, and every take that is not from a
-	// private deque is claim-checked because the relaxed flexible queues
-	// may hand a task out twice.
-	receiver bool
+	// relaxed is true under deque.KindRelaxed: flexible work lives in the
+	// workers' flexible queues, remote thieves take steal-half from them,
+	// and every take that is not from a private deque is claim-checked
+	// because those queues may hand a task out twice.
+	relaxed bool
 
 	// inj evaluates the injected fault plan (nil-safe when fault-free).
 	inj *fault.Injector
@@ -179,7 +177,7 @@ func newRuntime(cfg Config, idlePoll, stealTimeout time.Duration) (*Runtime, err
 	}
 	rt := &Runtime{
 		cfg:          cfg,
-		receiver:     cfg.Deque == deque.KindRelaxed,
+		relaxed:      cfg.Deque == deque.KindRelaxed,
 		rec:          cfg.Recorder,
 		inj:          fault.NewInjector(cfg.Fault),
 		idlePoll:     idlePoll,
@@ -500,11 +498,14 @@ func (rt *Runtime) DrainPlace(pid int) error {
 type host struct{ *Runtime }
 
 // Take empties every queue of place pid. Relaxed flexible queues may hand
-// an activity out twice under concurrent takes, so in receiver mode the
-// list is deduplicated: the claim check would still keep execution
-// exactly-once, but the re-homing counters should see each task once.
-// Deque operations hand out each activity at most once otherwise, so
-// concurrent takers cannot duplicate work.
+// an activity out twice under concurrent takes, so under that kind an
+// activity in the list may also be listed twice, or queued or running
+// elsewhere. Take claims each one: a lost claim is such a copy and is
+// dropped, and a won one is re-homed as a fresh activity, because Ship
+// writes what it ships and stale copies of the original may still sit in
+// other queues (their takers' claims now fail). Deque operations hand out
+// each activity at most once otherwise, so concurrent takers cannot
+// duplicate work.
 func (h host) Take(pid int, _ bool) []*activity {
 	p := h.places[pid]
 	var orphans []*activity
@@ -521,16 +522,15 @@ func (h host) Take(pid int, _ bool) []*activity {
 			drain(w.flex.Steal)
 		}
 	}
-	if h.receiver && len(orphans) > 1 {
-		seen := make(map[*activity]bool, len(orphans))
-		uniq := orphans[:0]
+	if h.relaxed {
+		fresh := orphans[:0]
 		for _, a := range orphans {
-			if !seen[a] {
-				seen[a] = true
-				uniq = append(uniq, a)
+			if a.claimed.CompareAndSwap(false, true) {
+				fresh = append(fresh, &activity{body: a.body, loc: a.loc, home: a.home, fin: a.fin,
+					kind: a.kind, interned: a.interned, bag: a.bag})
 			}
 		}
-		orphans = uniq
+		orphans = fresh
 	}
 	return orphans
 }

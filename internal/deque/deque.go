@@ -23,8 +23,8 @@
 // Kind selects among Private (mutex), ChaseLev (lock-free, CAS steals) and
 // Relaxed (fence-free FIFO with multiplicity: the Shared discipline, not
 // the Private one) behind the common WorkQueue interface — see kind.go.
-// Selecting Relaxed also flips the runtime to receiver-initiated stealing,
-// removing the Shared structure from the hot path entirely.
+// Selecting Relaxed also moves the runtime's flexible work, and its remote
+// steals, from the Shared structure to per-worker Relaxed queues.
 // TestConformance is the concurrent contract all three are held to.
 package deque
 

@@ -27,10 +27,10 @@ const (
 	// element. The relaxation: under a race a task may be taken twice,
 	// and the scheduler dedups at dispatch (the runtime claims each task
 	// once). Selecting this kind gives each runtime worker such a queue
-	// for its flexible tasks beside a ChaseLev private deque, and
-	// switches remote stealing to the receiver-initiated protocol (see
-	// internal/core): the lock-guarded per-place shared structure
-	// disappears from the hot path entirely.
+	// for its flexible tasks beside a ChaseLev private deque, and remote
+	// thieves take steal-half from those queues (see internal/core): the
+	// lock-guarded per-place shared structure disappears from the hot
+	// path entirely.
 	KindRelaxed
 	numKinds
 )

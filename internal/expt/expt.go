@@ -808,8 +808,6 @@ type ContentionCell struct {
 	// pure synchronization cost.
 	StealThroughput float64
 	RemoteSteals    int64
-	StealRequests   int64
-	Donations       int64
 	DuplicateTakes  int64
 }
 
@@ -871,8 +869,6 @@ func (r *Runner) ContentionStudy() ([]ContentionRow, error) {
 			Kind:           kinds[ki],
 			MakespanMS:     float64(res.MakespanNS) / 1e6,
 			RemoteSteals:   res.Counters.RemoteSteals,
-			StealRequests:  res.Counters.StealRequests,
-			Donations:      res.Counters.Donations,
 			DuplicateTakes: res.Counters.DuplicateTakes,
 		}
 		if res.MakespanNS > 0 {
@@ -899,13 +895,13 @@ func (r *Runner) ContentionStudy() ([]ContentionRow, error) {
 func RenderContention(rows []ContentionRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Contention — steal throughput under a hammered shared queue (tasks/s acquired by thieves; relaxed target ≥2x mutex at 512 workers)\n")
-	fmt.Fprintf(&b, "%8s %9s %14s %14s %10s %10s %10s %8s\n",
-		"Workers", "Kind", "Makespan(ms)", "StealThru/s", "RemSteals", "Requests", "Donations", "DupTakes")
+	fmt.Fprintf(&b, "%8s %9s %14s %14s %10s %8s\n",
+		"Workers", "Kind", "Makespan(ms)", "StealThru/s", "RemSteals", "DupTakes")
 	for _, row := range rows {
 		for _, c := range row.Cells {
-			fmt.Fprintf(&b, "%8d %9s %14.2f %14.0f %10d %10d %10d %8d\n",
+			fmt.Fprintf(&b, "%8d %9s %14.2f %14.0f %10d %8d\n",
 				row.Workers, c.Kind.String(), c.MakespanMS, c.StealThroughput,
-				c.RemoteSteals, c.StealRequests, c.Donations, c.DuplicateTakes)
+				c.RemoteSteals, c.DuplicateTakes)
 		}
 		fmt.Fprintf(&b, "%8d %9s %14s relaxed/mutex = %.2fx\n", row.Workers, "", "", row.RelaxedOverMutex)
 	}

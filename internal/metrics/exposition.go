@@ -45,8 +45,6 @@ var expoFields = []struct {
 	{"distws_jobs_rejected_total", "Job submissions nacked by admission control.", func(s Snapshot) int64 { return s.JobsRejected }},
 	{"distws_jobs_completed_total", "Admitted jobs completed and acknowledged to a client.", func(s Snapshot) int64 { return s.JobsCompleted }},
 	{"distws_duplicate_takes_total", "Relaxed-deque takes discarded by dispatch-level dedup.", func(s Snapshot) int64 { return s.DuplicateTakes }},
-	{"distws_donations_total", "Steal-half donations served to a requesting worker.", func(s Snapshot) int64 { return s.Donations }},
-	{"distws_steal_requests_total", "Receiver-initiated steal requests posted to mailboxes.", func(s Snapshot) int64 { return s.StealRequests }},
 }
 
 // WritePrometheus writes the snapshot in the Prometheus text exposition

@@ -54,8 +54,6 @@ func TestPrometheusGolden(t *testing.T) {
 		"distws_jobs_rejected_total",
 		"distws_jobs_completed_total",
 		"distws_duplicate_takes_total",
-		"distws_donations_total",
-		"distws_steal_requests_total",
 	}
 	if len(names) != len(want) {
 		t.Fatalf("exposition has %d samples, want %d:\n%v", len(names), len(want), names)

@@ -72,13 +72,9 @@ type Counters struct {
 	JobsRejected  atomic.Int64 // submissions nacked (rate, quota, draining, ...)
 	JobsCompleted atomic.Int64 // admitted jobs completed and acked to a client
 
-	// Relaxed-deque counters (deque.KindRelaxed + receiver-initiated
-	// stealing): multiplicity makes duplicate takes legal, so their rate
-	// must be observable, as must the donation traffic that replaces
-	// shared-deque polling.
+	// Relaxed-deque counter (deque.KindRelaxed): multiplicity makes
+	// duplicate takes legal, so their rate must be observable.
 	DuplicateTakes atomic.Int64 // takes discarded by dispatch-level dedup
-	Donations      atomic.Int64 // steal-half donations served to a requester
-	StealRequests  atomic.Int64 // receiver-initiated requests posted to mailboxes
 }
 
 // Snapshot is an immutable copy of a Counters at one instant.
@@ -116,8 +112,6 @@ type Snapshot struct {
 	JobsCompleted int64
 
 	DuplicateTakes int64
-	Donations      int64
-	StealRequests  int64
 }
 
 // Snapshot returns a consistent-enough point-in-time copy of the counters.
@@ -158,8 +152,6 @@ func (c *Counters) Snapshot() Snapshot {
 		JobsCompleted: c.JobsCompleted.Load(),
 
 		DuplicateTakes: c.DuplicateTakes.Load(),
-		Donations:      c.Donations.Load(),
-		StealRequests:  c.StealRequests.Load(),
 	}
 }
 
@@ -198,9 +190,8 @@ func (s Snapshot) String() string {
 	if s.Backpressure > 0 {
 		base += fmt.Sprintf(" backpressure=%d", s.Backpressure)
 	}
-	if s.StealRequests > 0 || s.Donations > 0 || s.DuplicateTakes > 0 {
-		base += fmt.Sprintf(" receiver(requests=%d donations=%d dupTakes=%d)",
-			s.StealRequests, s.Donations, s.DuplicateTakes)
+	if s.DuplicateTakes > 0 {
+		base += fmt.Sprintf(" dupTakes=%d", s.DuplicateTakes)
 	}
 	if s.JobsSubmitted > 0 {
 		base += fmt.Sprintf(" jobs(submitted=%d admitted=%d rejected=%d completed=%d)",

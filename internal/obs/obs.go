@@ -127,9 +127,6 @@ const (
 	// KindJobDone marks a service job completing and its result being
 	// acked to the submitting client. Arg = the tenant id.
 	KindJobDone
-	// KindDonate marks a busy owner serving a receiver-initiated steal
-	// request by donating half its deque. Arg = number of tasks donated.
-	KindDonate
 	// KindDupTake marks a relaxed-deque duplicate take being discarded
 	// by dispatch-level dedup. Task = the task id (-1 in the real
 	// runtime), Arg = the place that observed the duplicate.
@@ -167,7 +164,6 @@ var kindNames = [...]string{
 	KindJobAdmit:        "job_admit",
 	KindJobReject:       "job_reject",
 	KindJobDone:         "job_done",
-	KindDonate:          "donate",
 	KindDupTake:         "dup_take",
 	KindDAGRelease:      "dag_release",
 	KindDAGResidentHit:  "dag_hit",

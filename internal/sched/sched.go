@@ -182,12 +182,12 @@ func RemoteChunk(k Kind) int {
 	}
 }
 
-// StealHalf returns how many tasks a donor hands over from a queue of n
-// under the receiver-initiated protocol's steal-half chunking (WSPDR
-// style): half the queue rounded up, so a donor with any flexible work
-// always donates at least one task and the two sides end up balanced.
-// Unlike RemoteChunk's fixed sizes, the donation scales with the victim's
-// actual surplus — deep queues split in one round trip.
+// StealHalf returns how many tasks a remote thief takes from a flexible
+// queue of n under the relaxed kind's steal-half chunking (WSPDR style):
+// half the queue rounded up, so a victim with any flexible work gives at
+// least one task and the two sides end up balanced. Unlike RemoteChunk's
+// fixed sizes, the take scales with the victim's actual surplus — deep
+// queues split in one round trip.
 func StealHalf(n int) int {
 	if n <= 0 {
 		return 0

@@ -15,7 +15,8 @@ import (
 // modelled queues. Everything else about a remote steal is Thief.Sweep.
 type Engine interface {
 	// Skip reports that asking victim is pointless as far as the thief can
-	// see without a message: it is down, or visibly has nothing to give.
+	// see without a message: the victim is down, or the thief's own engine
+	// is stopping. A thief cannot see a victim's queues without the probe.
 	Skip(victim int) bool
 	// Now reads the thief's clock in nanoseconds and Wait spends ns on it:
 	// fault windows are evaluated against that clock, and a steal's
@@ -44,7 +45,6 @@ type Thief struct {
 	Self      int               // the thief's place
 	Places    int               // in the cluster
 	Rng       *rand.Rand        // victim order, then backoff jitter
-	Receiver  bool              // receiver-initiated protocol: a request is also a StealRequest
 	TimeoutNS int64             // wait for a reply before calling it lost; the backoff's base
 	Ctrl      *adapt.Controller // chunk size, victim bias and feedback (Adaptive only)
 	Inj       *fault.Injector   // nil when fault-free
@@ -124,9 +124,6 @@ func (t *Thief) Sweep(e Engine) bool {
 	c := t.Ctrs
 	c.RemoteProbes.Add(requests)
 	c.Messages.Add(2*requests + duplicated)
-	if t.Receiver {
-		c.StealRequests.Add(requests)
-	}
 	if lost+duplicated > 0 { // the fault plan touched this sweep
 		c.DroppedMessages.Add(lost)
 		c.StealTimeouts.Add(lost)

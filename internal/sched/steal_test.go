@@ -59,21 +59,20 @@ func (e *scriptEngine) Steal(victim, chunk int) (got, left int) {
 // recorded KindTimeout with duration 0 and the simulator with the unjittered
 // timeout<<attempt, where both now carry the backoff that follows (0 after
 // the last attempt); the simulator also charged that wait after the last
-// attempt, and counted StealRequests per delivered visit, not per request.
+// attempt.
 func TestSweepOracle(t *testing.T) {
 	const timeout = 1000
 	probe, lost := obs.KindProbe, obs.KindTimeout
 	cases := []struct {
-		name     string
-		places   int
-		receiver bool
-		plan     *fault.Plan
-		eng      scriptEngine
-		found    bool
-		want     metrics.Snapshot
-		events   []obs.Kind // all against victim 1 unless places > 2
-		steals   int
-		late     int64 // injected lateness slept besides the backoffs
+		name   string
+		places int
+		plan   *fault.Plan
+		eng    scriptEngine
+		found  bool
+		want   metrics.Snapshot
+		events []obs.Kind // all against victim 1 unless places > 2
+		steals int
+		late   int64 // injected lateness slept besides the backoffs
 	}{
 		{
 			name: "delivered first try", places: 2, eng: scriptEngine{loot: 2}, found: true,
@@ -81,8 +80,8 @@ func TestSweepOracle(t *testing.T) {
 			events: []obs.Kind{probe}, steals: 1,
 		},
 		{
-			name: "delivered, nothing there", places: 2, receiver: true,
-			want:   metrics.Snapshot{RemoteProbes: 1, StealRequests: 1, Messages: 2},
+			name: "delivered, nothing there", places: 2,
+			want:   metrics.Snapshot{RemoteProbes: 1, Messages: 2},
 			events: []obs.Kind{probe}, steals: 1,
 		},
 		{
@@ -95,9 +94,9 @@ func TestSweepOracle(t *testing.T) {
 			events: []obs.Kind{probe, lost, probe}, steals: 1,
 		},
 		{
-			name: "lost every time", places: 2, receiver: true, eng: scriptEngine{loot: 1},
+			name: "lost every time", places: 2, eng: scriptEngine{loot: 1},
 			plan: &fault.Plan{DropProb: 1},
-			want: metrics.Snapshot{RemoteProbes: stealMaxAttempts, StealRequests: stealMaxAttempts,
+			want: metrics.Snapshot{RemoteProbes: stealMaxAttempts,
 				Messages: 2 * stealMaxAttempts, DroppedMessages: stealMaxAttempts,
 				StealTimeouts: stealMaxAttempts, Retries: stealMaxAttempts - 1},
 			events: []obs.Kind{probe, lost, probe, lost, probe, lost},
@@ -123,7 +122,7 @@ func TestSweepOracle(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			var ctrs metrics.Counters
 			th := Thief{Policy: DistWS, Self: 0, Places: c.places, Rng: rand.New(rand.NewSource(1)),
-				Receiver: c.receiver, TimeoutNS: timeout, Inj: fault.NewInjector(c.plan), Ctrs: &ctrs}
+				TimeoutNS: timeout, Inj: fault.NewInjector(c.plan), Ctrs: &ctrs}
 			e := c.eng
 			if found := th.Sweep(&e); found != c.found {
 				t.Errorf("Sweep = %v, want %v", found, c.found)

@@ -68,12 +68,12 @@ type Options struct {
 	//   - deque.KindChaseLev: lock-free Chase–Lev — owner-side dequeues
 	//     pay only a fence, steals serialize through a CAS window a
 	//     quarter the lock's width.
-	//   - deque.KindRelaxed: fence-free queues with receiver-initiated
-	//     stealing — no serialization at all; thieves post a request and
-	//     receive a steal-half donation, and the multiplicity relaxation
-	//     occasionally (deterministically, from the thief's rng stream)
-	//     hands a task out twice; the duplicate is paid for in transfer
-	//     and then discarded by dedup, never executed twice.
+	//   - deque.KindRelaxed: fence-free queues — no serialization at
+	//     all; a remote thief takes half the victim's flexible work
+	//     (steal-half), and the multiplicity relaxation occasionally
+	//     (deterministically, from the thief's rng stream) hands a task
+	//     out twice; the duplicate is paid for in transfer and then
+	//     discarded by dedup, never executed twice.
 	Deque deque.Kind
 	// Fault is the injected fault plan: place crashes in virtual time (or
 	// after a task count), message loss and latency spikes on the steal
@@ -361,7 +361,6 @@ func newEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Opti
 	e.thief = sched.Thief{
 		Policy:    policy,
 		Places:    cl.Places,
-		Receiver:  opts.LockContention && opts.Deque == deque.KindRelaxed,
 		TimeoutNS: stealTimeoutRTTs * e.probeRTT,
 		Ctrl:      e.ctrl,
 		Inj:       e.inj,
@@ -813,8 +812,8 @@ func (e *engine) stealRemote(w *simWorker) bool {
 }
 
 // Skip is what a modelled thief sees of a victim without a message: whether
-// it is down, nothing of its queue (under either protocol, which is the
-// contention exhibit's model: every live victim costs a probe).
+// it is down, nothing of its queue (on every kind, which is the contention
+// exhibit's model: every live victim costs a probe).
 func (e *engine) Skip(victim int) bool { return e.life.Down(victim) }
 
 // Now and Wait keep the sweeping thief's clock: virtual time plus the
@@ -828,10 +827,10 @@ func (e *engine) Record(k obs.Kind, victim int, dur int64) {
 
 // Steal is the hand-over and the landing of one delivered request: the
 // probe round trip, the oldest chunk off the victim's shared deque
-// (steal-half and the multiplicity model under the receiver-initiated
-// protocol), the wait for the victim's deque lock and the payload transfer
-// all delay the first task's start on the thief; the rest arrive at its
-// place's shared deque at the same time.
+// (steal-half and the multiplicity model under the relaxed kind), the
+// wait for the victim's deque lock and the payload transfer all delay the
+// first task's start on the thief; the rest arrive at its place's shared
+// deque at the same time.
 func (e *engine) Steal(v, chunkSize int) (got, left int) {
 	w := e.sweeper
 	victim := e.places[v]
@@ -839,30 +838,24 @@ func (e *engine) Steal(v, chunkSize int) (got, left int) {
 	if e.opts.ChunkOverride > 0 {
 		chunkSize = e.opts.ChunkOverride
 	}
-	if e.thief.Receiver {
-		// The round trip above is the request/donate exchange: the thief
-		// posts into a victim worker's mailbox and the owner answers with
-		// half its queue at its next task boundary.
+	relaxed := e.opts.LockContention && e.opts.Deque == deque.KindRelaxed
+	if relaxed {
 		chunkSize = sched.StealHalf(victim.shared.Len())
 	}
 	chunk := victim.shared.StealChunkAppend(e.stealBuf[:0], chunkSize)
 	e.stealBuf = chunk[:0]
-	if e.thief.Receiver && len(chunk) > 0 {
-		e.ctrs.Donations.Add(1)
-		if w.rng.Intn(relaxedDupOneIn) == 0 {
-			// Multiplicity: the donation's last task was concurrently
-			// retaken at the victim — the thief's copy is a duplicate.
-			// Dedup discards it on arrival (it is never executed
-			// twice), but its transfer was paid for; the real task
-			// stays with the victim.
-			dup := chunk[len(chunk)-1]
-			chunk = chunk[:len(chunk)-1]
-			victim.shared.PushBack(dup)
-			e.ctrs.DuplicateTakes.Add(1)
-			bytes := e.g.Tasks[dup].MigBytes
-			e.ctrs.BytesTransferred.Add(int64(bytes))
-			e.sweepDelay += e.cl.Net.TransferNS(bytes)
-		}
+	if relaxed && len(chunk) > 0 && w.rng.Intn(relaxedDupOneIn) == 0 {
+		// Multiplicity: the take's last task was concurrently retaken at
+		// the victim — the thief's copy is a duplicate. Dedup discards it
+		// on arrival (it is never executed twice), but its transfer was
+		// paid for; the real task stays with the victim.
+		dup := chunk[len(chunk)-1]
+		chunk = chunk[:len(chunk)-1]
+		victim.shared.PushBack(dup)
+		e.ctrs.DuplicateTakes.Add(1)
+		bytes := e.g.Tasks[dup].MigBytes
+		e.ctrs.BytesTransferred.Add(int64(bytes))
+		e.sweepDelay += e.cl.Net.TransferNS(bytes)
 	}
 	if len(chunk) == 0 {
 		return 0, 0
@@ -946,7 +939,7 @@ func (e *engine) stealDequeExtraNS(victim *simPlace) int64 {
 }
 
 // relaxedDupOneIn is the modelled odds of a multiplicity duplicate per
-// donation under the relaxed deques: one donated chunk in 64 hands its
+// remote take under the relaxed deques: one stolen chunk in 64 hands its
 // last task out twice. The draw comes from the thief's deterministic rng
 // stream, so runs stay reproducible.
 const relaxedDupOneIn = 64

@@ -483,15 +483,14 @@ func TestInvalidDequeKindRejected(t *testing.T) {
 	}
 }
 
-// TestRelaxedReceiverBeatsMutexUnderContention is the unit-scale version
-// of the contention study: fine-grained flexible work homed at one place,
-// many remote thieves, the shared-queue lock serialized. The lock-free
-// kinds must shorten the makespan monotonically (mutex ≥ chaselev ≥
-// relaxed), and the relaxed run must show the receiver-initiated
-// protocol's counters: requests posted, donations served, and the
-// occasional deterministic duplicate take absorbed by dedup (executed
-// exactly once regardless).
-func TestRelaxedReceiverBeatsMutexUnderContention(t *testing.T) {
+// TestRelaxedBeatsMutexUnderContention is the unit-scale version of the
+// contention study: fine-grained flexible work homed at one place, many
+// remote thieves, the shared-queue lock serialized. The lock-free kinds
+// must shorten the makespan monotonically (mutex ≥ chaselev ≥ relaxed),
+// and the relaxed run must show remote steals and the occasional
+// deterministic duplicate take absorbed by dedup (executed exactly once
+// regardless).
+func TestRelaxedBeatsMutexUnderContention(t *testing.T) {
 	g := flatGraph(t, 8192, 2_000, 0, 1, true)
 	cl := cluster(8, 8)
 	run := func(k deque.Kind) *Result {
@@ -515,9 +514,8 @@ func TestRelaxedReceiverBeatsMutexUnderContention(t *testing.T) {
 		t.Errorf("relaxed should beat mutex under contention: %d vs %d",
 			relaxed.MakespanNS, mutex.MakespanNS)
 	}
-	if relaxed.Counters.StealRequests == 0 || relaxed.Counters.Donations == 0 {
-		t.Errorf("receiver-initiated counters missing: requests=%d donations=%d",
-			relaxed.Counters.StealRequests, relaxed.Counters.Donations)
+	if relaxed.Counters.RemoteSteals == 0 {
+		t.Error("relaxed recorded no remote steals")
 	}
 	if mutex.Counters.DuplicateTakes != 0 || chaselev.Counters.DuplicateTakes != 0 {
 		t.Errorf("only the relaxed kind may take duplicates: mutex=%d chaselev=%d",

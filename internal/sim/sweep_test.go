@@ -16,7 +16,7 @@ import (
 // test of the two sched.Thief drivers; internal/core's test of the same name
 // is the other. Each runs one sweep of one thief against one victim holding
 // one stealable task, under a plan that loses every message and one that
-// duplicates every reply, sender- and receiver-initiated, and renders the
+// duplicates every reply, on the mutex and the relaxed kind, and renders the
 // counter deltas the sweep owns; both must equal the one golden file, and so
 // each other. (A run-level identity could not say this: a shutdown cuts a
 // runtime thief's visit short.)
@@ -26,11 +26,11 @@ func TestOneSweepMatchesTheRuntime(t *testing.T) {
 		name string
 		plan fault.Plan
 	}{{"drop", fault.Plan{DropProb: 1}}, {"dup", fault.Plan{DupProb: 1}}} {
-		for _, receiver := range []bool{false, true} {
+		for _, relaxed := range []bool{false, true} {
 			opts := Options{Seed: 7, Fault: &plan.plan}
-			name := plan.name + " sender"
-			if receiver {
-				name = plan.name + " receiver"
+			name := plan.name + " mutex"
+			if relaxed {
+				name = plan.name + " relaxed"
 				opts.LockContention, opts.Deque = true, deque.KindRelaxed
 			}
 			// Built, not run: the thief is place 1's only worker and task 0
@@ -40,8 +40,8 @@ func TestOneSweepMatchesTheRuntime(t *testing.T) {
 			e.places[0].queued++
 			e.stealRemote(e.workers[1])
 			d := e.ctrs.Snapshot()
-			fmt.Fprintf(&got, "%s: probes=%d requests=%d messages=%d dropped=%d timeouts=%d retries=%d duplicated=%d stolen=%d\n",
-				name, d.RemoteProbes, d.StealRequests, d.Messages, d.DroppedMessages, d.StealTimeouts,
+			fmt.Fprintf(&got, "%s: probes=%d messages=%d dropped=%d timeouts=%d retries=%d duplicated=%d stolen=%d\n",
+				name, d.RemoteProbes, d.Messages, d.DroppedMessages, d.StealTimeouts,
 				d.Retries, d.DuplicatedMessages, d.RemoteSteals)
 		}
 	}
