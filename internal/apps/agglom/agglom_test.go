@@ -1,6 +1,7 @@
 package agglom
 
 import (
+	"runtime"
 	"testing"
 
 	"distws/internal/apps"
@@ -15,6 +16,29 @@ func small() *App { return New(600, 13) }
 func TestSequentialDeterministic(t *testing.T) {
 	if small().Sequential() != small().Sequential() {
 		t.Fatalf("sequential checksum not deterministic")
+	}
+}
+
+// TestSequentialChecksumIsPinned pins the Sequential checksum at test and
+// suite.Medium scale (1_200 * 4 points) and two seeds: a rewrite of the
+// nearest-neighbour scan must pick the same neighbour every round, and so
+// leave every merge, and the checksum, bit-identical. The values are
+// amd64's; another architecture may fuse a multiply-add into one rounding.
+func TestSequentialChecksumIsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("checksums pinned on amd64, where no multiply-add is fused")
+	}
+	// want[seed]: test scale, then suite.Medium.
+	want := map[int64][2]uint64{
+		1: {0x7c55ce0f4bed83af, 0xea0796e0ab9d095e},
+		2: {0x7552da56beea2af6, 0xfd85a40b6a5e12a7},
+	}
+	for seed, w := range want {
+		for i, n := range []int{small().N, 1_200 * 4} {
+			if got := New(n, seed).Sequential(); got != w[i] {
+				t.Errorf("seed %d, %d points: checksum %#x, want %#x", seed, n, got, w[i])
+			}
+		}
 	}
 }
 

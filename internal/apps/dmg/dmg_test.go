@@ -1,6 +1,7 @@
 package dmg
 
 import (
+	"runtime"
 	"testing"
 
 	"distws/internal/apps"
@@ -15,6 +16,29 @@ func small() *App { return New(1_200, 17) }
 func TestSequentialDeterministic(t *testing.T) {
 	if small().Sequential() != small().Sequential() {
 		t.Fatalf("sequential checksum not deterministic")
+	}
+}
+
+// TestSequentialChecksumIsPinned pins the Sequential checksum at test and
+// suite.Medium scale (5_000 * 4 points) and two seeds: a mesh-kernel
+// rewrite must leave every leaf's triangle count, and so every checksum,
+// bit-identical. The values are amd64's; another architecture may fuse a
+// multiply-add into one rounding.
+func TestSequentialChecksumIsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("checksums pinned on amd64, where no multiply-add is fused")
+	}
+	// want[seed]: test scale, then suite.Medium.
+	want := map[int64][2]uint64{
+		1: {0x2e04de0280c0d2fb, 0x50dff4f635a34fac},
+		2: {0x337db7603163db2d, 0xfd286c280f4d91e3},
+	}
+	for seed, w := range want {
+		for i, n := range []int{small().N, 5_000 * 4} {
+			if got := New(n, seed).Sequential(); got != w[i] {
+				t.Errorf("seed %d, %d points: checksum %#x, want %#x", seed, n, got, w[i])
+			}
+		}
 	}
 }
 

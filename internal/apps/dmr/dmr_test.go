@@ -1,6 +1,7 @@
 package dmr
 
 import (
+	"runtime"
 	"testing"
 
 	"distws/internal/apps"
@@ -16,6 +17,29 @@ func small() *App { return New(900, 23) }
 func TestSequentialDeterministic(t *testing.T) {
 	if small().Sequential() != small().Sequential() {
 		t.Fatalf("sequential checksum not deterministic")
+	}
+}
+
+// TestSequentialChecksumIsPinned pins the Sequential checksum at test and
+// suite.Medium scale (2_000 * 4 points) and two seeds: a mesh-kernel
+// rewrite must leave every insert, cavity and triangle count, and so every
+// checksum, bit-identical. The values are amd64's; another architecture
+// may fuse a multiply-add into one rounding.
+func TestSequentialChecksumIsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("checksums pinned on amd64, where no multiply-add is fused")
+	}
+	// want[seed]: test scale, then suite.Medium.
+	want := map[int64][2]uint64{
+		1: {0x646654cc1a4187d6, 0x4712c2c6171c8e22},
+		2: {0x14d59860f5ac9895, 0xb47dc8d89e9e1fe1},
+	}
+	for seed, w := range want {
+		for i, n := range []int{small().N, 2_000 * 4} {
+			if got := New(n, seed).Sequential(); got != w[i] {
+				t.Errorf("seed %d, %d points: checksum %#x, want %#x", seed, n, got, w[i])
+			}
+		}
 	}
 }
 
