@@ -38,11 +38,15 @@ race:
 # benchmark runs once under its watchdog, so an executor that deadlocks
 # again fails here in seconds with a goroutine dump, not at the CI
 # timeout. Each linalg tile kernel, naive and blocked, runs once too, so a
-# blocked kernel that panics on a remainder path fails here.
+# blocked kernel that panics on a remainder path fails here; so do the
+# mesh insert (map-based oracle and scratch-reusing Insert, with their
+# allocations) and agglom's nearest-neighbour scan (naive and hoisted).
 bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkSimulator128Workers|BenchmarkContentionStudy|BenchmarkUTSRuntime|BenchmarkNestedFinish|BenchmarkXSort' -benchtime=1x .
 	$(GO) test -run='^$$' -bench=BenchmarkExecuteOverhead -benchtime=1x ./internal/dag
 	$(GO) test -run='^$$' -bench=BenchmarkTileKernels -benchtime=1x ./internal/apps/linalg
+	$(GO) test -run='^$$' -bench=BenchmarkInsert -benchtime=1x -benchmem ./internal/geom
+	$(GO) test -run='^$$' -bench=BenchmarkNNChunk -benchtime=1x ./internal/apps/agglom
 
 # Where the goroutine runtime's per-task time goes: a CPU profile of the
 # empty-body fan-out (spawn, push, take, run, join and nothing else),
@@ -137,13 +141,17 @@ check: build fmt-check vet test race bench-smoke deque-stress dag-crash core-cra
 # ignored .bench_out/), then the checked-in Go benchmarks at a 1 s
 # benchtime, five counts each for spread: every exhibit's regeneration,
 # the simulator hot path (events/sec) and its tracing and adaptive off/on
-# pairs, the wire codec against gob, and dag.Execute's empty-kernel
-# ns/task. ~6 min in all on 2 vCPUs.
+# pairs, the wire codec against gob, dag.Execute's empty-kernel ns/task,
+# and the kernels kept beside their naive references: linalg's tiles, the
+# mesh insert (ns, B and allocs per insert) and agglom's
+# nearest-neighbour scan. ~6 min in all on 2 vCPUs.
 bench:
 	$(GO) run ./benchmark
 	$(GO) test -run='^$$' -bench=. -benchtime=1s -count=5 -benchmem . ./internal/comm
 	$(GO) test -run='^$$' -bench=BenchmarkExecuteOverhead -benchtime=1s -count=5 ./internal/dag
 	$(GO) test -run='^$$' -bench=BenchmarkTileKernels -benchtime=1s -count=5 ./internal/apps/linalg
+	$(GO) test -run='^$$' -bench=BenchmarkInsert -benchtime=1s -count=5 -benchmem ./internal/geom
+	$(GO) test -run='^$$' -bench=BenchmarkNNChunk -benchtime=1s -count=5 ./internal/apps/agglom
 
 # Churn soak: dynamic-membership endurance under the race detector —
 # concurrent joins, graceful drains, a healing partition, and a flapping

@@ -75,26 +75,24 @@ func (a *App) gen() []Cluster {
 }
 
 // nnChunk finds, for each cluster in [lo,hi), the nearest other active
-// cluster (ties broken by lower index), writing into nn. It returns the
+// cluster (ties broken by lower index: j ascends and only a strictly
+// nearer cluster replaces the best), writing into nn. It returns the
 // number of distance evaluations (the chunk's work units).
 func nnChunk(act []Cluster, nn []int, lo, hi int) int {
-	work := 0
 	for i := lo; i < hi; i++ {
+		x, y := act[i].X, act[i].Y
 		best, bestD := -1, math.MaxFloat64
-		for j := range act {
-			if j == i {
-				continue
-			}
-			dx, dy := act[i].X-act[j].X, act[i].Y-act[j].Y
-			d := dx*dx + dy*dy
-			work++
-			if d < bestD || (d == bestD && j < best) {
-				best, bestD = j, d
+		for _, js := range [2][2]int{{0, i}, {i + 1, len(act)}} {
+			for j := js[0]; j < js[1]; j++ {
+				dx, dy := x-act[j].X, y-act[j].Y
+				if d := dx*dx + dy*dy; d < bestD {
+					best, bestD = j, d
+				}
 			}
 		}
 		nn[i] = best
 	}
-	return work
+	return (hi - lo) * (len(act) - 1)
 }
 
 // mergeMutual merges mutual nearest-neighbour pairs (i<j, nn[i]=j,

@@ -1,7 +1,9 @@
 package agglom
 
 import (
+	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"distws/internal/apps"
@@ -51,6 +53,79 @@ func TestNNChunkFindsNearest(t *testing.T) {
 	}
 	if work != 6 {
 		t.Fatalf("work = %d, want 6 distance evaluations", work)
+	}
+}
+
+// nnChunkNaive is the scan nnChunk replaced, kept as its reference.
+func nnChunkNaive(act []Cluster, nn []int, lo, hi int) int {
+	work := 0
+	for i := lo; i < hi; i++ {
+		best, bestD := -1, math.MaxFloat64
+		for j := range act {
+			if j == i {
+				continue
+			}
+			dx, dy := act[i].X-act[j].X, act[i].Y-act[j].Y
+			d := dx*dx + dy*dy
+			work++
+			if d < bestD || (d == bestD && j < best) {
+				best, bestD = j, d
+			}
+		}
+		nn[i] = best
+	}
+	return work
+}
+
+// TestNNChunkMatchesNaive runs whole clusterings at two seeds, and a
+// round of coincident clusters (all ties), checking that every chunk's nn
+// and work count equal the naive scan's.
+func TestNNChunkMatchesNaive(t *testing.T) {
+	tied := make([]Cluster, 50)
+	for i := range tied {
+		tied[i] = Cluster{X: float64(i % 3), Y: 0.5, Size: 1}
+	}
+	rounds := [][]Cluster{tied}
+	for _, seed := range []int64{1, 2} {
+		act := New(600, seed).gen()
+		for len(act) > 1 {
+			rounds = append(rounds, act)
+			nn := make([]int, len(act))
+			nnChunkNaive(act, nn, 0, len(act))
+			var merges int
+			if act, merges = mergeMutual(act, nn, nil); merges == 0 {
+				break
+			}
+		}
+	}
+	for r, act := range rounds {
+		got, want := make([]int, len(act)), make([]int, len(act))
+		for _, ch := range apps.Chunks(len(act), 16) {
+			gw, ww := nnChunk(act, got, ch[0], ch[1]), nnChunkNaive(act, want, ch[0], ch[1])
+			if gw != ww {
+				t.Fatalf("round %d chunk %v: work %d, naive %d", r, ch, gw, ww)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: nn %v, naive %v", r, got, want)
+		}
+	}
+}
+
+// BenchmarkNNChunk times one full nearest-neighbour round over the
+// suite.Medium input (4 800 clusters), naive scan against nnChunk.
+func BenchmarkNNChunk(b *testing.B) {
+	act := New(1_200*4, 1).gen()
+	nn := make([]int, len(act))
+	for _, k := range []struct {
+		name string
+		scan func([]Cluster, []int, int, int) int
+	}{{"naive", nnChunkNaive}, {"hoisted", nnChunk}} {
+		b.Run(k.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				k.scan(act, nn, 0, len(act))
+			}
+		})
 	}
 }
 

@@ -16,7 +16,6 @@ package dmg
 
 import (
 	"fmt"
-	"sync"
 
 	"distws/internal/apps"
 	"distws/internal/core"
@@ -140,15 +139,20 @@ func triangulate(r region) (alive, steps int) {
 
 // leafStat is the checksummable output of one leaf region.
 type leafStat struct {
-	npts, alive int
+	keyLen, npts, alive int
 }
 
-// checksum folds leaf statistics in deterministic (leaf-id) order.
-func checksum(stats map[string]leafStat, keys []string) uint64 {
+// leaf triangulates leaf region r.
+func leaf(r region) leafStat {
+	alive, _ := triangulate(r)
+	return leafStat{keyLen: len(leafKey(r)), npts: len(r.pts), alive: alive}
+}
+
+// checksum folds leaf statistics in decomposition order.
+func checksum(stats []leafStat) uint64 {
 	h := apps.NewFnv()
-	for _, k := range keys {
-		s := stats[k]
-		h.Add(uint64(len(k)))
+	for _, s := range stats {
+		h.Add(uint64(s.keyLen))
 		h.Add(uint64(s.npts))
 		h.Add(uint64(s.alive))
 	}
@@ -160,28 +164,25 @@ func leafKey(r region) string {
 	return fmt.Sprintf("%.6f:%.6f:%.6f:%.6f", r.minX, r.minY, r.maxX, r.maxY)
 }
 
-// seqRec triangulates r, splitting recursively, accumulating leaf stats.
-func (a *App) seqRec(r region, stats map[string]leafStat, keys *[]string) {
+// seqRec triangulates r, splitting recursively, appending leaf stats in
+// decomposition order.
+func (a *App) seqRec(r region, stats *[]leafStat) {
 	if len(r.pts) > a.Cutoff {
 		for _, q := range split(r) {
-			a.seqRec(q, stats, keys)
+			a.seqRec(q, stats)
 		}
 		return
 	}
-	alive, _ := triangulate(r)
-	k := leafKey(r)
-	stats[k] = leafStat{npts: len(r.pts), alive: alive}
-	*keys = append(*keys, k)
+	*stats = append(*stats, leaf(r))
 }
 
 // Sequential implements apps.App.
 func (a *App) Sequential() uint64 {
-	stats := make(map[string]leafStat)
-	var keys []string
+	var stats []leafStat
 	for _, r := range a.rootRegions(a.gen()) {
-		a.seqRec(r, stats, &keys)
+		a.seqRec(r, &stats)
 	}
-	return checksum(stats, keys)
+	return checksum(stats)
 }
 
 // regionPlace maps a root stripe to a place.
@@ -189,36 +190,51 @@ func (a *App) regionPlace(i, places int) int {
 	return i * places / a.RootGrid
 }
 
+// result is what one region task of Parallel leaves behind: a leaf's
+// stats, or its four quadrants' results, each written by its own task.
+type result struct {
+	leaf  leafStat
+	quads []result
+}
+
+// fold appends the leaf stats under res in decomposition order.
+func (res *result) fold(stats *[]leafStat) {
+	if res.quads == nil {
+		*stats = append(*stats, res.leaf)
+		return
+	}
+	for i := range res.quads {
+		res.quads[i].fold(stats)
+	}
+}
+
 // Parallel implements apps.App.
 func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 	places := rt.Places()
-	var mu sync.Mutex
-	stats := make(map[string]leafStat)
-	var parRec func(c *core.Ctx, r region)
-	parRec = func(c *core.Ctx, r region) {
+	var parRec func(c *core.Ctx, r region, res *result)
+	parRec = func(c *core.Ctx, r region, res *result) {
 		if len(r.pts) > a.Cutoff {
+			res.quads = make([]result, 4)
 			c.Finish(func(cc *core.Ctx) {
-				for _, q := range split(r) {
-					q := q
+				for i, q := range split(r) {
+					q, qres := q, &res.quads[i]
 					cc.AsyncLoc(cc.Place(), a.locality(len(q.pts)), func(c3 *core.Ctx) {
-						parRec(c3, q)
+						parRec(c3, q, qres)
 					})
 				}
 			})
 			return
 		}
-		alive, _ := triangulate(r)
-		mu.Lock()
-		stats[leafKey(r)] = leafStat{npts: len(r.pts), alive: alive}
-		mu.Unlock()
+		res.leaf = leaf(r)
 	}
 	roots := a.rootRegions(a.gen())
+	results := make([]result, len(roots))
 	err := rt.Run(func(ctx *core.Ctx) {
 		ctx.Finish(func(c *core.Ctx) {
 			for i, r := range roots {
 				i, r := i, r
 				c.AsyncLoc(a.regionPlace(i, places), a.locality(len(r.pts)), func(cc *core.Ctx) {
-					parRec(cc, r)
+					parRec(cc, r, &results[i])
 				})
 			}
 		})
@@ -226,25 +242,11 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("dmg: %w", err)
 	}
-	// Reconstruct the deterministic key order from a sequential walk of
-	// the same decomposition; the parallel run filled stats for exactly
-	// these leaves.
-	var keys []string
-	for _, r := range a.rootRegions(a.gen()) {
-		a.seqKeys(r, &keys)
+	var stats []leafStat
+	for i := range results {
+		results[i].fold(&stats)
 	}
-	return checksum(stats, keys), nil
-}
-
-// seqKeys walks the decomposition recording leaf keys only.
-func (a *App) seqKeys(r region, keys *[]string) {
-	if len(r.pts) > a.Cutoff {
-		for _, q := range split(r) {
-			a.seqKeys(q, keys)
-		}
-		return
-	}
-	*keys = append(*keys, leafKey(r))
+	return checksum(stats), nil
 }
 
 func (a *App) locality(npts int) task.Locality {

@@ -97,6 +97,23 @@ type Mesh struct {
 	// InsertSteps accumulates the number of cavity triangles processed
 	// across all inserts — the app layer uses it as a work-unit measure.
 	InsertSteps int
+
+	// Insert's scratch, reused across calls so an insert neither hashes
+	// nor allocates beyond its result. Slot t is in the current cavity
+	// exactly when mark[t] == epoch; epoch is never 0, and every stamp is
+	// cleared when it wraps, so a stale stamp never matches.
+	mark     []uint32
+	epoch    uint32
+	stack    []int
+	cavity   []int
+	boundary []bEdge
+}
+
+// bEdge is a directed cavity-boundary edge (a -> b) with the triangle
+// outside the cavity across it (-1 on the hull).
+type bEdge struct {
+	a, b    int
+	outside int
 }
 
 // NewMesh creates a mesh whose super-triangle comfortably encloses the
@@ -219,43 +236,50 @@ func (m *Mesh) Insert(p Point) ([]int, error) {
 		}
 	}
 
-	// Grow the cavity: BFS over triangles whose circumcircle contains p.
-	inCavity := map[int]bool{t0: true}
-	stack := []int{t0}
-	var cavity []int
+	m.epoch++
+	if m.epoch == 0 {
+		clear(m.mark)
+		m.epoch = 1
+	}
+	for len(m.mark) < len(m.Tris) {
+		m.mark = append(m.mark, 0)
+	}
+
+	// Grow the cavity: DFS over triangles whose circumcircle contains p.
+	m.mark[t0] = m.epoch
+	stack := append(m.stack[:0], t0)
+	cavity := m.cavity[:0]
 	for len(stack) > 0 {
 		t := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		cavity = append(cavity, t)
 		for _, n := range m.Tris[t].N {
-			if n < 0 || inCavity[n] {
+			if n < 0 || m.mark[n] == m.epoch {
 				continue
 			}
 			tri := &m.Tris[n]
 			if InCircumcircle(m.Pts[tri.V[0]], m.Pts[tri.V[1]], m.Pts[tri.V[2]], p) {
-				inCavity[n] = true
+				m.mark[n] = m.epoch
 				stack = append(stack, n)
 			}
 		}
 	}
+	m.stack, m.cavity = stack, cavity
 	m.InsertSteps += len(cavity)
 
 	// Collect the cavity boundary: directed edges (a -> b) whose opposite
 	// triangle is outside the cavity, with that outside neighbour.
-	type bEdge struct {
-		a, b    int
-		outside int
-	}
-	var boundary []bEdge
+	boundary := m.boundary[:0]
 	for _, t := range cavity {
 		tri := &m.Tris[t]
 		for i := 0; i < 3; i++ {
 			n := tri.N[i]
-			if n < 0 || !inCavity[n] {
+			if n < 0 || m.mark[n] != m.epoch {
 				boundary = append(boundary, bEdge{tri.V[i], tri.V[(i+1)%3], n})
 			}
 		}
 	}
+	m.boundary = boundary
 
 	// Kill cavity triangles, freeing their slots.
 	for _, t := range cavity {
@@ -267,9 +291,6 @@ func (m *Mesh) Insert(p Point) ([]int, error) {
 	pv := len(m.Pts)
 	m.Pts = append(m.Pts, p)
 	newTris := make([]int, 0, len(boundary))
-	// edgeOwner maps directed edge (x,y) of a *new* triangle to its index
-	// so adjacent fan triangles can be stitched together.
-	edgeOwner := make(map[[2]int]int, 3*len(boundary))
 	for _, e := range boundary {
 		nt := m.alloc(Tri{V: [3]int{e.a, e.b, pv}, N: [3]int{e.outside, -1, -1}, Alive: true})
 		// Hook the outside neighbour back to us across edge (a,b).
@@ -282,23 +303,20 @@ func (m *Mesh) Insert(p Point) ([]int, error) {
 				}
 			}
 		}
-		edgeOwner[[2]int{e.a, e.b}] = nt
 		newTris = append(newTris, nt)
 	}
 	// Stitch fan neighbours: new triangle (a,b,p) has edges (b,p) and
-	// (p,a); its neighbour across (b,p) is the new triangle starting with
-	// b — i.e. owner of directed boundary edge (b, x).
-	for _, nt := range newTris {
-		tri := &m.Tris[nt]
-		a, b := tri.V[0], tri.V[1]
-		for e, owner := range edgeOwner {
-			if e[0] == b { // neighbour across (b, p)
-				tri.N[1] = owner
+	// (p,a); its neighbour across (b,p) is the new triangle whose boundary
+	// edge starts at b, and across (p,a) the one whose edge ends at a.
+	for i, e := range boundary {
+		tri := &m.Tris[newTris[i]]
+		for j, f := range boundary {
+			if f.a == e.b {
+				tri.N[1] = newTris[j]
 			}
-			if e[1] == a { // neighbour across (p, a)
-				tri.N[2] = owner
+			if f.b == e.a {
+				tri.N[2] = newTris[j]
 			}
-			_ = e
 		}
 	}
 	m.hint = newTris[0]
