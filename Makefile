@@ -208,8 +208,12 @@ loc:
 # in the simulator, traced, with distws-trace rendering the trace in every
 # format; the same faults under lifelines on the runtime, on turingring,
 # whose ring visits every place, so the crashed one reaches its task count
-# whatever the schedule; a join, a partition, a flap and a drain, in both
-# modes, on dmg, whose ~20 ms runtime run outlasts the 1.2 ms timeline);
+# whatever the schedule; the same faults, traced, on the dataflow app
+# cholesky on the runtime, where the crash is timed, since dag.Execute's
+# tasks are all flexible and any place may run them: it fires on the wall
+# clock at 1 ms, whatever the schedule, inside a run of over 10 ms; a join,
+# a partition, a flap and a drain, in both modes, on dmg, whose ~20 ms
+# runtime run outlasts the 1.2 ms timeline);
 # "reached by tests" is the whole suite with
 # -coverpkg=./... . List (1) must equal $(LEDGER_KEPT), which names each
 # function kept on purpose (`file: Func reason`, in the ledger's order) and
@@ -243,6 +247,8 @@ coverage-ledger:
 		-crash-place 1 -crash-at 1ms -drop 0.05 -trace "$$dir/run.events" > /dev/null; \
 	"$$dir/bin/distws-run" -mode runtime -app turingring -policy lifeline -places 4 -workers 2 \
 		-crash-place 1 -crash-after-tasks 50 -drop 0.05 > /dev/null; \
+	"$$dir/bin/distws-run" -mode runtime -app cholesky -places 2 -workers 2 \
+		-crash-place 1 -crash-at 1ms -drop 0.05 -trace "$$dir/dag.events" > /dev/null; \
 	for mode in sim runtime; do \
 		"$$dir/bin/distws-run" -mode $$mode -app dmg -places 4 -workers 2 $(LEDGER_CHURN) > /dev/null; \
 	done; \

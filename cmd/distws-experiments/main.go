@@ -19,9 +19,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -31,24 +34,30 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "distws-experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("distws-experiments", flag.ContinueOnError)
 	var (
-		seed    = flag.Int64("seed", 1, "workload and scheduler seed")
-		scale   = flag.Int("scale", 1, "workload scale multiplier")
-		only    = flag.String("only", "", "comma-separated experiments to run: fig3, fig4, fig5, fig6, fig7, table1, table2, table3, granularity, uts, adaptive, contention, dag")
-		workers = flag.Int("workers", 0, "simulation cells run concurrently (0 = GOMAXPROCS, 1 = sequential)")
+		seed    = fs.Int64("seed", 1, "workload and scheduler seed")
+		scale   = fs.Int("scale", 1, "workload scale multiplier")
+		only    = fs.String("only", "", "comma-separated experiments to run: fig3, fig4, fig5, fig6, fig7, table1, table2, table3, granularity, uts, adaptive, contention, dag")
+		workers = fs.Int("workers", 0, "simulation cells run concurrently (0 = GOMAXPROCS, 1 = sequential)")
 	)
-	diag := cliutil.RegisterFlags(flag.CommandLine)
-	flag.Parse()
+	diag := cliutil.RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	if cliutil.VersionRequested() {
-		cliutil.PrintVersion(os.Stdout, "distws-experiments")
+		cliutil.PrintVersion(stdout, "distws-experiments")
 		return nil
 	}
 
@@ -88,35 +97,36 @@ func run() error {
 		{"dag", func() (string, error) { rows, err := r.DAGStudy(); return expt.RenderDAG(rows), err }},
 	}
 
-	selected := func(name string) bool {
-		if *only == "" {
-			return true
+	// Every -only name resolves before any experiment runs.
+	selected := make(map[string]bool)
+	if *only != "" {
+		names := make([]string, len(experiments))
+		for i, e := range experiments {
+			names[i] = e.name
 		}
 		for _, want := range strings.Split(*only, ",") {
-			if strings.EqualFold(strings.TrimSpace(want), name) {
-				return true
+			want = strings.ToLower(strings.TrimSpace(want))
+			if !slices.Contains(names, want) {
+				return fmt.Errorf("-only: unknown experiment %q (have %s)", want, strings.Join(names, ", "))
 			}
+			selected[want] = true
 		}
-		return false
 	}
 
 	start := time.Now()
 	ran := 0
 	for _, e := range experiments {
-		if !selected(e.name) {
+		if *only != "" && !selected[e.name] {
 			continue
 		}
 		out, err := e.run()
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.name, err)
 		}
-		fmt.Println(out)
+		fmt.Fprintln(stdout, out)
 		ran++
 	}
-	if ran == 0 {
-		return fmt.Errorf("unknown experiment %q", *only)
-	}
-	fmt.Printf("regenerated %d experiment(s) in %v (virtual cluster %s, scale %dx, seed %d)\n",
+	fmt.Fprintf(stdout, "regenerated %d experiment(s) in %v (virtual cluster %s, scale %dx, seed %d)\n",
 		ran, time.Since(start).Round(time.Millisecond), r.Cluster, *scale, *seed)
 	return diag.Stop()
 }

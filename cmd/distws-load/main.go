@@ -11,12 +11,14 @@
 // where $A is the cluster's -addrs list (see distws-serve) and -seat one
 // of its client seats.
 //
+// The clauses have distws-serve -tenants' grammar (service.ParseClauses).
 // Clause keys: w (fair-share weight, report only), clients (closed-loop
 // concurrency), jobs (submission budget, 0 = until -duration), open
 // (open-loop Poisson submission rate in Hz), task (registered task
 // name), prio (intra-tenant priority). Closed-loop tenants keep
 // `clients` calls in flight; open-loop tenants submit on a seeded
-// Poisson clock regardless of completions.
+// Poisson clock regardless of completions. A key the selected mode
+// does not read is refused.
 //
 // With -sim no cluster is contacted: internal/service.Simulate builds the
 // real front door and -slots real executors on an in-memory network and
@@ -81,12 +83,16 @@ func run() error {
 	if *spec == "" {
 		return fmt.Errorf("need -spec (per-tenant traffic clauses)")
 	}
-	clauses, err := parseLoadSpec(*spec)
+	if *sim {
+		tenants, err := parseSimSpec(*spec)
+		if err != nil {
+			return err
+		}
+		return runSim(tenants, *seed, *slots, *quantum, *duration, *churn, *verify)
+	}
+	loads, err := parseLoadSpec(*spec)
 	if err != nil {
 		return err
-	}
-	if *sim {
-		return runSim(clauses, *seed, *slots, *quantum, *duration, *churn, *verify)
 	}
 
 	if err := diag.Start(); err != nil {
@@ -111,8 +117,7 @@ func run() error {
 	defer n.Close()
 
 	lcfg := service.LoadConfig{Seed: *seed, CallTimeout: *timeout}
-	for _, cl := range clauses {
-		tl := cl.load
+	for _, tl := range loads {
 		if tl.Task == "" {
 			tl.Task = "svc.sleep"
 		}
@@ -138,7 +143,7 @@ func run() error {
 }
 
 // runSim runs the deterministic virtual-time service model.
-func runSim(clauses []loadClause, seed int64, slots, quantum int,
+func runSim(tenants []service.SimTenant, seed int64, slots, quantum int,
 	horizon time.Duration, churnSpec string, verify bool) error {
 	if horizon <= 0 {
 		horizon = 2 * time.Second
@@ -148,9 +153,7 @@ func runSim(clauses []loadClause, seed int64, slots, quantum int,
 		Slots:      slots,
 		Quantum:    quantum,
 		DurationNS: horizon.Nanoseconds(),
-	}
-	for _, cl := range clauses {
-		cfg.Tenants = append(cfg.Tenants, cl.sim)
+		Tenants:    tenants,
 	}
 	churn, err := parseChurn(churnSpec)
 	if err != nil {
@@ -176,94 +179,68 @@ func runSim(clauses []loadClause, seed int64, slots, quantum int,
 	return nil
 }
 
-// loadClause is one parsed -spec clause, usable by both modes.
-type loadClause struct {
-	load service.TenantLoad
-	sim  service.SimTenant
-}
-
-// parseLoadSpec parses the per-tenant traffic clauses. Each clause is
-// `id:` followed by comma-separated key=value pairs; keys unused by the
-// selected mode are ignored.
-func parseLoadSpec(spec string) ([]loadClause, error) {
-	var out []loadClause
-	seen := map[uint32]bool{}
-	for _, clause := range strings.Split(spec, ";") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
-			continue
-		}
-		id, rest, ok := strings.Cut(clause, ":")
-		if !ok {
-			return nil, fmt.Errorf("load clause %q, want id:k=v,...", clause)
-		}
-		var tenant uint32
-		if _, err := fmt.Sscanf(strings.TrimSpace(id), "%d", &tenant); err != nil {
-			return nil, fmt.Errorf("tenant id %q: %w", id, err)
-		}
-		if seen[tenant] {
-			return nil, fmt.Errorf("tenant %d appears twice", tenant)
-		}
-		seen[tenant] = true
-		cl := loadClause{
-			load: service.TenantLoad{Tenant: tenant, Weight: 1},
-			sim:  service.SimTenant{Tenant: tenant, Config: service.TenantConfig{Weight: 1}},
-		}
-		for _, kv := range strings.Split(rest, ",") {
-			kv = strings.TrimSpace(kv)
-			if kv == "" {
-				continue
-			}
-			k, v, ok := strings.Cut(kv, "=")
-			if !ok {
-				return nil, fmt.Errorf("tenant %d option %q, want k=v", tenant, kv)
-			}
-			var err error
+// parseLoadSpec parses the per-tenant traffic clauses against a live
+// cluster, in clause order.
+func parseLoadSpec(spec string) ([]service.TenantLoad, error) {
+	var out []service.TenantLoad
+	err := service.ParseClauses(spec, func(tenant uint32) func(key, value string) error {
+		out = append(out, service.TenantLoad{Tenant: tenant, Weight: 1})
+		tl := &out[len(out)-1] // no append until the clause's last key
+		return func(k, v string) (err error) {
 			switch k {
 			case "w":
-				if _, err = fmt.Sscanf(v, "%d", &cl.load.Weight); err == nil {
-					cl.sim.Config.Weight = cl.load.Weight
-				}
+				_, err = fmt.Sscanf(v, "%d", &tl.Weight)
 			case "clients":
-				_, err = fmt.Sscanf(v, "%d", &cl.load.Clients)
+				_, err = fmt.Sscanf(v, "%d", &tl.Clients)
 			case "jobs":
-				_, err = fmt.Sscanf(v, "%d", &cl.load.Jobs)
+				_, err = fmt.Sscanf(v, "%d", &tl.Jobs)
 			case "open":
-				_, err = fmt.Sscanf(v, "%g", &cl.load.RateHz)
+				_, err = fmt.Sscanf(v, "%g", &tl.RateHz)
 			case "task":
-				cl.load.Task = v
+				tl.Task = v
 			case "prio":
-				var p int
-				if _, err = fmt.Sscanf(v, "%d", &p); err == nil {
-					cl.load.Priority = uint8(p)
-					cl.sim.Priority = uint8(p)
-				}
+				_, err = fmt.Sscanf(v, "%d", &tl.Priority)
+			default:
+				err = fmt.Errorf("key %q is not read against a live cluster (keys: w, clients, jobs, open, task, prio)", k)
+			}
+			return err
+		}
+	})
+	return out, err
+}
+
+// parseSimSpec parses the per-tenant traffic clauses of -sim, in clause
+// order.
+func parseSimSpec(spec string) ([]service.SimTenant, error) {
+	var out []service.SimTenant
+	err := service.ParseClauses(spec, func(tenant uint32) func(key, value string) error {
+		out = append(out, service.SimTenant{Tenant: tenant, Config: service.TenantConfig{Weight: 1}})
+		st := &out[len(out)-1] // no append until the clause's last key
+		return func(k, v string) (err error) {
+			switch k {
+			case "w":
+				_, err = fmt.Sscanf(v, "%d", &st.Config.Weight)
+			case "rate":
+				_, err = fmt.Sscanf(v, "%g", &st.Config.Rate)
+			case "burst":
+				_, err = fmt.Sscanf(v, "%d", &st.Config.Burst)
+			case "inflight":
+				_, err = fmt.Sscanf(v, "%d", &st.Config.MaxInFlight)
 			case "arrival":
-				_, err = fmt.Sscanf(v, "%g", &cl.sim.ArrivalHz)
+				_, err = fmt.Sscanf(v, "%g", &st.ArrivalHz)
 			case "svc":
 				var d time.Duration
-				if d, err = time.ParseDuration(v); err == nil {
-					cl.sim.MeanServiceNS = d.Nanoseconds()
-				}
-			case "rate":
-				_, err = fmt.Sscanf(v, "%g", &cl.sim.Config.Rate)
-			case "burst":
-				_, err = fmt.Sscanf(v, "%d", &cl.sim.Config.Burst)
-			case "inflight":
-				_, err = fmt.Sscanf(v, "%d", &cl.sim.Config.MaxInFlight)
+				d, err = time.ParseDuration(v)
+				st.MeanServiceNS = d.Nanoseconds()
+			case "prio":
+				_, err = fmt.Sscanf(v, "%d", &st.Priority)
 			default:
-				err = fmt.Errorf("unknown key %q", k)
+				err = fmt.Errorf("key %q is not read by -sim (keys: w, rate, burst, inflight, arrival, svc, prio)", k)
 			}
-			if err != nil {
-				return nil, fmt.Errorf("tenant %d option %q: %w", tenant, kv, err)
-			}
+			return err
 		}
-		out = append(out, cl)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("load spec %q has no tenants", spec)
-	}
-	return out, nil
+	})
+	return out, err
 }
 
 // parseChurn parses "500ms:-2;1s:+2" into sim churn events.

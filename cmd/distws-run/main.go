@@ -1,13 +1,16 @@
 // Command distws-run executes one benchmark application under a chosen
 // scheduling policy, either on the real goroutine runtime (verifying the
 // result against the sequential reference) or on the virtual 128-worker
-// cluster simulator, and prints the run's scheduler metrics.
+// cluster simulator, and prints the run's scheduler metrics. Fork-join
+// and dataflow apps take the same path through either engine, with the
+// same fault plan, trace recorder and live endpoint.
 //
 // Examples:
 //
 //	distws-run -app dmg -policy distws -mode sim -places 16 -workers 8
 //	distws-run -app quicksort -policy x10ws -mode runtime -places 4 -workers 2
 //	distws-run -app uts -mode sim -places 4 -workers 2 -crash-place 1 -crash-at 2ms -drop 0.01
+//	distws-run -app cholesky -mode runtime -places 2 -workers 2 -crash-place 1 -crash-after-tasks 50
 //	distws-run -app dmg -mode sim -trace dmg.trace          # record scheduling events
 //	distws-run -app dmg -mode sim -trace t.json -trace-format chrome   # open in Perfetto
 //	distws-run -app uts -mode runtime -listen 127.0.0.1:8080           # live /metrics
@@ -19,7 +22,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -40,95 +45,99 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "distws-run:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// pathFlags are the flags only some runs read: -scale a fork-join app,
+// -dag-policy a dataflow app, -deque and -timeout -mode runtime. Every
+// other flag applies to every run.
+var pathFlags = []string{"scale", "dag-policy", "deque", "timeout"}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("distws-run", flag.ContinueOnError)
 	var (
-		appName = flag.String("app", "dmg", "application (quicksort, turingring, kmeans, agglom, dmg, dmr, nbody, uts, or a dataflow app: cholesky, lu, pipeline)")
-		policy  = flag.String("policy", "distws", "scheduler: x10ws, distws, distws-ns, random, lifeline, adaptive")
-		dagPol  = flag.String("dag-policy", "blind", "dataflow placement for dag apps: "+strings.Join(dag.PolicyNames(), ", "))
-		dq      = flag.String("deque", "mutex", "worker-queue kind of -mode runtime: "+strings.Join(deque.KindNames(), ", "))
-		mode    = flag.String("mode", "sim", "sim (virtual cluster) or runtime (real goroutine runtime)")
-		places  = flag.Int("places", 16, "number of places (nodes)")
-		workers = flag.Int("workers", 8, "workers per place")
-		seed    = flag.Int64("seed", 1, "workload and scheduler seed")
-		scale   = flag.Int("scale", 1, "workload scale multiplier")
-		timeout = flag.Duration("timeout", 0, "abort a runtime-mode run after this long (0 = no limit)")
-		list    = flag.Bool("list", false, "list available applications and policies and exit")
+		appName = fs.String("app", "dmg", "application: "+strings.Join(appNames(), ", "))
+		policy  = fs.String("policy", "distws", "scheduler: "+strings.Join(policyNames(), ", "))
+		dagPol  = fs.String("dag-policy", "blind", "placement of a dataflow app: "+strings.Join(dag.PolicyNames(), ", "))
+		dq      = fs.String("deque", "mutex", "worker-queue kind of -mode runtime: "+strings.Join(deque.KindNames(), ", "))
+		mode    = fs.String("mode", "sim", "sim (virtual cluster) or runtime (real goroutine runtime)")
+		places  = fs.Int("places", 16, "number of places (nodes)")
+		workers = fs.Int("workers", 8, "workers per place")
+		seed    = fs.Int64("seed", 1, "workload and scheduler seed")
+		scale   = fs.Int("scale", 1, "workload scale multiplier of a fork-join app")
+		timeout = fs.Duration("timeout", 0, "abort a runtime-mode run after this long (0 = no limit)")
+		list    = fs.Bool("list", false, "list available applications and policies and exit")
 
-		crashPlace = flag.Int("crash-place", -1, "place to crash mid-run (-1 = none)")
-		crashAt    = flag.Duration("crash-at", 0, "instant of the crash: virtual time in sim mode, wall time since start in runtime mode")
-		crashAfter = flag.Int64("crash-after-tasks", 0, "crash once the place has run this many tasks (either mode)")
-		dropProb   = flag.Float64("drop", 0, "steal message drop probability [0,1]")
-		dupProb    = flag.Float64("dup", 0, "steal reply duplication probability [0,1]")
-		faultSeed  = flag.Int64("fault-seed", 1, "seed of the fault injector")
+		crashPlace = fs.Int("crash-place", -1, "place to crash mid-run (-1 = none)")
+		crashAt    = fs.Duration("crash-at", 0, "instant of the crash: virtual time in sim mode, wall time since start in runtime mode")
+		crashAfter = fs.Int64("crash-after-tasks", 0, "crash once the place has run this many tasks (either mode)")
+		dropProb   = fs.Float64("drop", 0, "steal message drop probability [0,1]")
+		dupProb    = fs.Float64("dup", 0, "steal reply duplication probability [0,1]")
+		faultSeed  = fs.Int64("fault-seed", 1, "seed of the fault injector")
 
-		partGroup = flag.String("partition", "", "comma-separated places forming one side of a network cut (e.g. 0,1)")
-		partAt    = flag.Duration("partition-at", time.Millisecond, "when the partition takes effect")
-		partHeal  = flag.Duration("partition-heal", 0, "when the partition heals (0 = never)")
-		grayLink  = flag.String("gray", "", "gray-degraded link as from:to, * matching any place (e.g. 0:2, *:1)")
-		grayExtra = flag.Duration("gray-extra", time.Millisecond, "extra one-way latency on the gray link")
-		flapPlace = flag.Int("flap-place", -1, "place to flap down/up repeatedly (-1 = none)")
-		flapAt    = flag.Duration("flap-at", time.Millisecond, "first flap outage instant")
-		flapDown  = flag.Duration("flap-down", time.Millisecond, "length of each flap outage")
-		flapUp    = flag.Duration("flap-up", time.Millisecond, "recovered time between flap outages")
-		flapCount = flag.Int("flap-cycles", 1, "number of flap outages")
-		joinPlace = flag.Int("join-place", -1, "place absent at start that joins mid-run (-1 = none)")
-		joinAt    = flag.Duration("join-at", time.Millisecond, "when the absent place joins")
-		drainPl   = flag.Int("drain-place", -1, "place to drain gracefully mid-run (-1 = none)")
-		drainAt   = flag.Duration("drain-at", time.Millisecond, "when the graceful drain starts")
+		partGroup = fs.String("partition", "", "comma-separated places forming one side of a network cut (e.g. 0,1)")
+		partAt    = fs.Duration("partition-at", time.Millisecond, "when the partition takes effect")
+		partHeal  = fs.Duration("partition-heal", 0, "when the partition heals (0 = never)")
+		grayLink  = fs.String("gray", "", "gray-degraded link as from:to, * matching any place (e.g. 0:2, *:1)")
+		grayExtra = fs.Duration("gray-extra", time.Millisecond, "extra one-way latency on the gray link")
+		flapPlace = fs.Int("flap-place", -1, "place to flap down/up repeatedly (-1 = none)")
+		flapAt    = fs.Duration("flap-at", time.Millisecond, "first flap outage instant")
+		flapDown  = fs.Duration("flap-down", time.Millisecond, "length of each flap outage")
+		flapUp    = fs.Duration("flap-up", time.Millisecond, "recovered time between flap outages")
+		flapCount = fs.Int("flap-cycles", 1, "number of flap outages")
+		joinPlace = fs.Int("join-place", -1, "place absent at start that joins mid-run (-1 = none)")
+		joinAt    = fs.Duration("join-at", time.Millisecond, "when the absent place joins")
+		drainPl   = fs.Int("drain-place", -1, "place to drain gracefully mid-run (-1 = none)")
+		drainAt   = fs.Duration("drain-at", time.Millisecond, "when the graceful drain starts")
 
-		traceOut    = flag.String("trace", "", "record scheduling events and write them to `file`")
-		traceFormat = flag.String("trace-format", "events", "trace output format: events, chrome, csv, summary")
-		traceCap    = flag.Int("trace-cap", 0, "per-worker trace ring capacity in events (0 = default)")
+		traceOut    = fs.String("trace", "", "record scheduling events and write them to `file`")
+		traceFormat = fs.String("trace-format", "events", "trace output format: events, chrome, csv, summary")
+		traceCap    = fs.Int("trace-cap", 0, "per-worker trace ring capacity in events (0 = default)")
 	)
-	diag := cliutil.RegisterFlags(flag.CommandLine)
-	flag.Parse()
+	diag := cliutil.RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	if cliutil.VersionRequested() {
-		cliutil.PrintVersion(os.Stdout, "distws-run")
+		cliutil.PrintVersion(stdout, "distws-run")
 		return nil
 	}
 
 	if *list {
-		fmt.Println("paper suite:", strings.Join(suite.Names(), " "))
-		fmt.Println("dataflow suite:", strings.Join(linalg.Names(), " "))
-		fmt.Println("uts")
-		fmt.Println("policies:", strings.Join(policyNames(), " "))
-		fmt.Println("dag policies:", strings.Join(dag.PolicyNames(), " "))
+		fmt.Fprintln(stdout, "paper suite:", strings.Join(suite.Names(), " "))
+		fmt.Fprintln(stdout, "dataflow suite:", strings.Join(linalg.Names(), " "))
+		fmt.Fprintln(stdout, "uts")
+		fmt.Fprintln(stdout, "policies:", strings.Join(policyNames(), " "))
+		fmt.Fprintln(stdout, "dag policies:", strings.Join(dag.PolicyNames(), " "))
 		return nil
 	}
 
-	// Validate every registry-backed flag before any setup work so a typo
-	// fails immediately with the full set of valid spellings.
+	// Validate every flag before any setup work, so a typo or a flag this
+	// run would ignore fails at once with what is valid instead.
 	k, err := sched.Parse(*policy)
 	if err != nil {
 		return fmt.Errorf("-policy %q: valid policies are: %s", *policy, strings.Join(policyNames(), " "))
 	}
-	dk, err := deque.ParseKind(*dq)
-	if err != nil {
-		return fmt.Errorf("-deque %q: valid kinds are: %s", *dq, strings.Join(deque.KindNames(), " "))
+	if *mode != "sim" && *mode != "runtime" {
+		return fmt.Errorf("-mode %q: valid modes are: sim runtime", *mode)
 	}
-	pol, err := dag.ParsePolicy(*dagPol)
+	a, err := resolveApp(*appName, suite.Scale(*scale), *dagPol, *seed)
 	if err != nil {
 		return err
 	}
-	var dagApp linalg.App
-	app, err := suite.ByName(*appName, suite.Scale(*scale), *seed)
-	if err != nil {
-		dagApp, err = linalg.ByName(*appName, *seed)
-		if err != nil {
-			return fmt.Errorf("-app %q: valid applications are: %s uts %s",
-				*appName, strings.Join(suite.Names(), " "),
-				strings.Join(linalg.Names(), " "))
-		}
+	if err := refuseUnread(fs, a, *mode); err != nil {
+		return err
 	}
-	if *mode != "sim" && *mode != "runtime" {
-		return fmt.Errorf("-mode %q: valid modes are: sim runtime", *mode)
+	dk, err := deque.ParseKind(*dq)
+	if err != nil {
+		return fmt.Errorf("-deque %q: valid kinds are: %s", *dq, strings.Join(deque.KindNames(), " "))
 	}
 	cl := topology.Paper()
 	cl.Places, cl.WorkersPerPlace = *places, *workers
@@ -136,14 +145,40 @@ func run() error {
 		return err
 	}
 
-	plan, err := buildPlan(*faultSeed, *dropProb, *dupProb,
-		*crashPlace, *crashAt, *crashAfter,
-		*partGroup, *partAt, *partHeal,
-		*grayLink, *grayExtra,
-		*flapPlace, *flapAt, *flapDown, *flapUp, *flapCount,
-		*joinPlace, *joinAt, *drainPl, *drainAt)
-	if err != nil {
-		return err
+	// The fault schedule: times are virtual nanoseconds in sim mode and
+	// wall nanoseconds since the runtime started in runtime mode, so the
+	// same flags give the same schedule on both clocks.
+	var plan *fault.Plan
+	if *dropProb > 0 || *dupProb > 0 || *crashPlace >= 0 || *partGroup != "" ||
+		*grayLink != "" || *flapPlace >= 0 || *joinPlace >= 0 || *drainPl >= 0 {
+		plan = &fault.Plan{Seed: *faultSeed, DropProb: *dropProb, DupProb: *dupProb}
+	}
+	if *crashPlace >= 0 {
+		plan.Crashes = []fault.Crash{{Place: *crashPlace, AtNS: crashAt.Nanoseconds(), AfterTasks: *crashAfter}}
+	}
+	if *partGroup != "" {
+		group, err := parsePlaces(*partGroup)
+		if err != nil {
+			return fmt.Errorf("-partition %q: %w", *partGroup, err)
+		}
+		plan.Partitions = []fault.Partition{{GroupA: group, AtNS: partAt.Nanoseconds(), HealNS: partHeal.Nanoseconds()}}
+	}
+	if *grayLink != "" {
+		from, to, err := parseLink(*grayLink)
+		if err != nil {
+			return fmt.Errorf("-gray %q: %w", *grayLink, err)
+		}
+		plan.Grays = []fault.Gray{{From: from, To: to, ExtraNS: grayExtra.Nanoseconds()}}
+	}
+	if *flapPlace >= 0 {
+		plan.Flaps = []fault.Flap{{Place: *flapPlace, AtNS: flapAt.Nanoseconds(),
+			DownNS: flapDown.Nanoseconds(), UpNS: flapUp.Nanoseconds(), Cycles: *flapCount}}
+	}
+	if *joinPlace >= 0 {
+		plan.Joins = []fault.Join{{Place: *joinPlace, AtNS: joinAt.Nanoseconds()}}
+	}
+	if *drainPl >= 0 {
+		plan.Drains = []fault.Drain{{Place: *drainPl, AtNS: drainAt.Nanoseconds()}}
 	}
 
 	if err := diag.Start(); err != nil {
@@ -159,15 +194,11 @@ func run() error {
 		diag.Server().SetRecorder(rec)
 	}
 
-	switch {
-	case dagApp != nil && *mode == "sim":
-		err = runDAGSim(dagApp, cl, k, pol, *seed, plan, rec, diag.Server())
-	case dagApp != nil:
-		err = runDAGRuntime(dagApp, cl, k, dk, pol, *seed, *timeout)
-	case *mode == "sim":
-		err = runSim(app, cl, k, *seed, plan, rec, diag.Server())
-	default:
-		err = runRuntime(app, cl, k, dk, *seed, *timeout, plan, rec, diag.Server())
+	if *mode == "sim" {
+		err = runSim(stdout, a, cl, k, sim.Options{Seed: *seed, Fault: plan, Recorder: rec}, diag.Server())
+	} else {
+		cfg := core.Config{Cluster: cl, Policy: k, Deque: dk, Seed: *seed, Fault: plan, Recorder: rec}
+		err = runRuntime(stdout, a, cfg, *timeout, diag.Server())
 	}
 	if err != nil {
 		return err
@@ -176,48 +207,151 @@ func run() error {
 		if err := cliutil.WriteTraceFile(rec, *traceOut, *traceFormat, 0); err != nil {
 			return err
 		}
-		fmt.Printf("trace: wrote %s (%s, %d events dropped)\n", *traceOut, *traceFormat, rec.Dropped())
+		fmt.Fprintf(stdout, "trace: wrote %s (%s, %d events dropped)\n", *traceOut, *traceFormat, rec.Dropped())
 	}
 	return diag.Stop()
 }
 
-func runSim(app apps.App, cl topology.Cluster, k sched.Kind, seed int64, plan *fault.Plan, rec *obs.Recorder, srv *obs.Server) error {
+// app is one resolved -app: what each engine needs to run it. Whether it
+// is a fork-join or a dataflow app is settled by resolveApp, never inside
+// an engine's run path.
+type app struct {
+	name string
+	// reads is the path flag the app reads: -scale or -dag-policy.
+	reads string
+	// simulate builds the app's graph for cl and simulates it, returning
+	// the result and the report lines that describe the graph.
+	simulate func(cl topology.Cluster, k sched.Kind, opt sim.Options) (*sim.Result, string, error)
+	// reference returns the checksum parallel must return.
+	reference func() uint64
+	// parallel runs the app on rt, returning its checksum and the report
+	// lines the run adds.
+	parallel func(rt *core.Runtime) (uint64, string, error)
+}
+
+// resolveApp resolves -app against the fork-join suite, then the
+// dataflow one.
+func resolveApp(name string, scale suite.Scale, dagPolicy string, seed int64) (app, error) {
+	if a, err := suite.ByName(name, scale, seed); err == nil {
+		return forkJoinApp(a), nil
+	}
+	a, err := linalg.ByName(name, seed)
+	if err != nil {
+		return app{}, fmt.Errorf("-app %q: valid applications are: %s", name, strings.Join(appNames(), " "))
+	}
+	pol, err := dag.ParsePolicy(dagPolicy)
+	if err != nil {
+		return app{}, err
+	}
+	return dataflowApp(a, pol), nil
+}
+
+// forkJoinApp runs a through sim.Run and its own Parallel, checked
+// against apps.ParallelReference.
+func forkJoinApp(a apps.App) app {
+	return app{
+		name:  a.Name(),
+		reads: "scale",
+		simulate: func(cl topology.Cluster, k sched.Kind, opt sim.Options) (*sim.Result, string, error) {
+			g, err := a.Trace(cl.Places)
+			if err != nil {
+				return nil, "", err
+			}
+			res, err := sim.Run(g, cl, k, opt)
+			return res, fmt.Sprintf("tasks\t%d (%.0f%% locality-flexible)\nmean flexible granularity\t%.3f ms\n",
+				g.NumTasks(), 100*g.FlexibleFraction(), float64(apps.MeanFlexibleCostNS(g))/1e6), err
+		},
+		reference: func() uint64 { return apps.ParallelReference(a) },
+		parallel: func(rt *core.Runtime) (uint64, string, error) {
+			got, err := a.Parallel(rt)
+			return got, "", err
+		},
+	}
+}
+
+// dataflowApp runs a's graph under placement pol through sim.RunDAG and
+// dag.Execute, checked bit-exactly against its Sequential.
+func dataflowApp(a linalg.App, pol dag.Policy) app {
+	return app{
+		name:  a.Name(),
+		reads: "dag-policy",
+		simulate: func(cl topology.Cluster, k sched.Kind, opt sim.Options) (*sim.Result, string, error) {
+			g, err := a.Graph(cl.Places)
+			if err != nil {
+				return nil, "", err
+			}
+			res, err := sim.RunDAG(g, cl, k, pol, opt)
+			if err != nil {
+				return nil, "", err
+			}
+			var inputBytes int64
+			for i := range g.Tasks {
+				inputBytes += int64(g.InputBytes(i))
+			}
+			return res, fmt.Sprintf("tasks\t%d in %d blocks (%d input bytes total)\n", g.NumTasks(), len(g.BlockBytes), inputBytes) +
+				dataflowLine(pol, res.DAG), nil
+		},
+		reference: a.Sequential,
+		parallel: func(rt *core.Runtime) (uint64, string, error) {
+			got, stats, err := a.Parallel(rt, pol)
+			return got, dataflowLine(pol, stats), err
+		},
+	}
+}
+
+// dataflowLine reports a DAG run's placement and its release and
+// input-residency account.
+func dataflowLine(pol dag.Policy, s dag.ExecStats) string {
+	return fmt.Sprintf("dataflow\t%s placement: %d released, %d resident hits, %d misses (%.1f%% hit), %d bytes fetched\n",
+		pol, s.Released, s.ResidentHits, s.ResidentMisses, s.ResidencyRate(), s.FetchedBytes)
+}
+
+// refuseUnread fails on a path flag, explicitly set, that a's run in mode
+// does not read, naming the path flags it does read.
+func refuseUnread(fs *flag.FlagSet, a app, mode string) error {
+	reads := []string{a.reads}
+	if mode == "runtime" {
+		reads = append(reads, "deque", "timeout")
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && slices.Contains(pathFlags, f.Name) && !slices.Contains(reads, f.Name) {
+			err = fmt.Errorf("-%s does not apply to %s under -mode %s, which reads -%s beside the common flags",
+				f.Name, a.name, mode, strings.Join(reads, ", -"))
+		}
+	})
+	return err
+}
+
+func runSim(stdout io.Writer, a app, cl topology.Cluster, k sched.Kind, opt sim.Options, srv *obs.Server) error {
 	start := time.Now()
-	g, err := app.Trace(cl.Places)
+	res, header, err := a.simulate(cl, k, opt)
 	if err != nil {
 		return err
 	}
-	genTime := time.Since(start)
-	start = time.Now()
-	res, err := sim.Run(g, cl, k, sim.Options{Seed: seed, Fault: plan, Recorder: rec})
-	if err != nil {
-		return err
-	}
-	simTime := time.Since(start)
+	hostTime := time.Since(start)
 	// The sim is a single synchronous call: counters only exist once it
 	// returns, so a live endpoint serves the end-of-run snapshot.
 	srv.SetMetricsSource(func() metrics.Snapshot { return res.Counters })
 	srv.SetUtilizationSource(func() []float64 { return res.Utilization })
 
-	fmt.Printf("%s under %s on %s (simulated)\n\n", app.Name(), k, cl)
-	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "tasks\t%d (%.0f%% locality-flexible)\n", g.NumTasks(), 100*g.FlexibleFraction())
-	fmt.Fprintf(w, "mean flexible granularity\t%.3f ms\n", float64(apps.MeanFlexibleCostNS(g))/1e6)
+	fmt.Fprintf(stdout, "%s under %s on %s (simulated)\n\n", a.name, k, cl)
+	w := tabwriter.NewWriter(stdout, 0, 4, 2, ' ', 0)
+	fmt.Fprint(w, header)
 	fmt.Fprintf(w, "sequential (virtual)\t%.2f ms\n", float64(res.SequentialNS)/1e6)
 	fmt.Fprintf(w, "makespan (virtual)\t%.2f ms\n", float64(res.MakespanNS)/1e6)
 	fmt.Fprintf(w, "speedup\t%.2f on %d workers\n", res.Speedup(), cl.Workers())
-	printCounters(w, res.Counters)
-	fmt.Fprintf(w, "utilization\t%s\n", metrics.FormatSeries(res.Utilization))
-	sp := metrics.Summarize(res.Utilization)
-	fmt.Fprintf(w, "utilization spread\tmin %.1f%% max %.1f%% disparity %.1f%%\n", sp.Min, sp.Max, sp.Disparity)
-	fmt.Fprintf(w, "host time\ttrace %v, sim %v\n", genTime.Round(time.Millisecond), simTime.Round(time.Millisecond))
+	printRun(w, res.Counters, res.Utilization)
+	fmt.Fprintf(w, "host time\t%v (graph and simulation)\n", hostTime.Round(time.Millisecond))
 	return w.Flush()
 }
 
-func runRuntime(app apps.App, cl topology.Cluster, k sched.Kind, dk deque.Kind, seed int64, timeout time.Duration, plan *fault.Plan, rec *obs.Recorder, srv *obs.Server) error {
-	fmt.Printf("%s under %s on %s (real runtime; place count bounded by this host)\n\n", app.Name(), k, cl)
-	want := apps.ParallelReference(app)
-	rt, err := core.New(core.Config{Cluster: cl, Policy: k, Deque: dk, Seed: seed, Fault: plan, Recorder: rec})
+func runRuntime(stdout io.Writer, a app, cfg core.Config, timeout time.Duration, srv *obs.Server) error {
+	fmt.Fprintf(stdout, "%s under %s on %s (real runtime; place count bounded by this host)\n\n", a.name, cfg.Policy, cfg.Cluster)
+	// The reference is computed before New: a timed fault plan runs on the
+	// runtime's clock from New on.
+	want := a.reference()
+	rt, err := core.New(cfg)
 	if err != nil {
 		return err
 	}
@@ -233,7 +367,7 @@ func runRuntime(app apps.App, cl topology.Cluster, k sched.Kind, dk deque.Kind, 
 		defer timer.Stop()
 	}
 	start := time.Now()
-	got, err := app.Parallel(rt)
+	got, extra, err := a.parallel(rt)
 	elapsed := time.Since(start)
 	if err != nil {
 		if errors.Is(err, core.ErrShutdown) && timeout > 0 {
@@ -241,15 +375,15 @@ func runRuntime(app apps.App, cl topology.Cluster, k sched.Kind, dk deque.Kind, 
 		}
 		return err
 	}
-	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(stdout, 0, 4, 2, ' ', 0)
 	status := "OK (matches reference)"
 	if got != want {
 		status = fmt.Sprintf("MISMATCH: parallel %x vs reference %x", got, want)
 	}
 	fmt.Fprintf(w, "result checksum\t%x\t%s\n", got, status)
 	fmt.Fprintf(w, "wall time\t%v\n", elapsed.Round(time.Millisecond))
-	printCounters(w, rt.Metrics())
-	fmt.Fprintf(w, "utilization\t%s\n", metrics.FormatSeries(rt.Utilization()))
+	fmt.Fprint(w, extra)
+	printRun(w, rt.Metrics(), rt.Utilization())
 	if err := w.Flush(); err != nil {
 		return err
 	}
@@ -257,160 +391,6 @@ func runRuntime(app apps.App, cl topology.Cluster, k sched.Kind, dk deque.Kind, 
 		return fmt.Errorf("checksum mismatch")
 	}
 	return nil
-}
-
-// runDAGSim simulates a dataflow app: the graph's tasks are released by
-// the dependency tracker and placed by -dag-policy.
-func runDAGSim(app linalg.App, cl topology.Cluster, k sched.Kind, pol dag.Policy, seed int64, plan *fault.Plan, rec *obs.Recorder, srv *obs.Server) error {
-	start := time.Now()
-	g, err := app.Graph(cl.Places)
-	if err != nil {
-		return err
-	}
-	genTime := time.Since(start)
-	start = time.Now()
-	res, err := sim.RunDAG(g, cl, k, pol, sim.Options{Seed: seed, Fault: plan, Recorder: rec})
-	if err != nil {
-		return err
-	}
-	simTime := time.Since(start)
-	srv.SetMetricsSource(func() metrics.Snapshot { return res.Counters })
-	srv.SetUtilizationSource(func() []float64 { return res.Utilization })
-
-	fmt.Printf("%s under %s/%s on %s (simulated dataflow)\n\n", app.Name(), k, pol, cl)
-	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "tasks\t%d in %d blocks (%d input bytes total)\n",
-		g.NumTasks(), len(g.BlockBytes), totalInputBytes(g))
-	fmt.Fprintf(w, "sequential (virtual)\t%.2f ms\n", float64(res.SequentialNS)/1e6)
-	fmt.Fprintf(w, "makespan (virtual)\t%.2f ms\n", float64(res.MakespanNS)/1e6)
-	fmt.Fprintf(w, "speedup\t%.2f on %d workers\n", res.Speedup(), cl.Workers())
-	printDataflow(w, res.DAG)
-	printCounters(w, res.Counters)
-	fmt.Fprintf(w, "utilization\t%s\n", metrics.FormatSeries(res.Utilization))
-	fmt.Fprintf(w, "host time\tgraph %v, sim %v\n", genTime.Round(time.Millisecond), simTime.Round(time.Millisecond))
-	return w.Flush()
-}
-
-// runDAGRuntime runs a dataflow app on the real goroutine runtime via
-// dag.Execute, verifying the bit-exact checksum against the sequential
-// reference.
-func runDAGRuntime(app linalg.App, cl topology.Cluster, k sched.Kind, dk deque.Kind, pol dag.Policy, seed int64, timeout time.Duration) error {
-	fmt.Printf("%s under %s/%s on %s (real runtime dataflow)\n\n", app.Name(), k, pol, cl)
-	want := app.Sequential()
-	rt, err := core.New(core.Config{Cluster: cl, Policy: k, Deque: dk, Seed: seed})
-	if err != nil {
-		return err
-	}
-	defer rt.Shutdown()
-	if timeout > 0 {
-		timer := time.AfterFunc(timeout, func() { _ = rt.ShutdownContext(context.Background()) })
-		defer timer.Stop()
-	}
-	start := time.Now()
-	got, stats, err := app.Parallel(rt, pol)
-	elapsed := time.Since(start)
-	if err != nil {
-		if errors.Is(err, core.ErrShutdown) && timeout > 0 {
-			return fmt.Errorf("run exceeded -timeout %v: %w", timeout, err)
-		}
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
-	status := "OK (matches sequential reference bit-exactly)"
-	if got != want {
-		status = fmt.Sprintf("MISMATCH: parallel %x vs sequential %x", got, want)
-	}
-	fmt.Fprintf(w, "result checksum\t%x\t%s\n", got, status)
-	fmt.Fprintf(w, "wall time\t%v\n", elapsed.Round(time.Millisecond))
-	printDataflow(w, stats)
-	printCounters(w, rt.Metrics())
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	if got != want {
-		return fmt.Errorf("checksum mismatch")
-	}
-	return nil
-}
-
-// printDataflow prints a DAG run's release and input-residency account.
-func printDataflow(w *tabwriter.Writer, s dag.ExecStats) {
-	fmt.Fprintf(w, "dataflow\t%d released, %d resident hits, %d misses (%.1f%% hit), %d bytes fetched\n",
-		s.Released, s.ResidentHits, s.ResidentMisses, s.ResidencyRate(), s.FetchedBytes)
-}
-
-// totalInputBytes sums every task's input payload for the run header.
-func totalInputBytes(g *dag.Graph) int64 {
-	var sum int64
-	for i := range g.Tasks {
-		sum += int64(g.InputBytes(i))
-	}
-	return sum
-}
-
-// buildPlan assembles the declarative fault schedule from the chaos
-// flags. Times are virtual nanoseconds in sim mode and wall nanoseconds
-// since run start in runtime mode — same flags, same schedule, both
-// clocks. Returns nil when no fault flag is set.
-func buildPlan(seed int64, drop, dup float64,
-	crashPlace int, crashAt time.Duration, crashAfter int64,
-	partGroup string, partAt, partHeal time.Duration,
-	grayLink string, grayExtra time.Duration,
-	flapPlace int, flapAt, flapDown, flapUp time.Duration, flapCycles int,
-	joinPlace int, joinAt time.Duration,
-	drainPlace int, drainAt time.Duration) (*fault.Plan, error) {
-	plan := &fault.Plan{Seed: seed, DropProb: drop, DupProb: dup}
-	used := drop > 0 || dup > 0
-	if crashPlace >= 0 {
-		used = true
-		plan.Crashes = []fault.Crash{{
-			Place:      crashPlace,
-			AtNS:       crashAt.Nanoseconds(),
-			AfterTasks: crashAfter,
-		}}
-	}
-	if partGroup != "" {
-		used = true
-		group, err := parsePlaces(partGroup)
-		if err != nil {
-			return nil, fmt.Errorf("-partition %q: %w", partGroup, err)
-		}
-		plan.Partitions = []fault.Partition{{
-			GroupA: group,
-			AtNS:   partAt.Nanoseconds(),
-			HealNS: partHeal.Nanoseconds(),
-		}}
-	}
-	if grayLink != "" {
-		used = true
-		from, to, err := parseLink(grayLink)
-		if err != nil {
-			return nil, fmt.Errorf("-gray %q: %w", grayLink, err)
-		}
-		plan.Grays = []fault.Gray{{From: from, To: to, ExtraNS: grayExtra.Nanoseconds()}}
-	}
-	if flapPlace >= 0 {
-		used = true
-		plan.Flaps = []fault.Flap{{
-			Place:  flapPlace,
-			AtNS:   flapAt.Nanoseconds(),
-			DownNS: flapDown.Nanoseconds(),
-			UpNS:   flapUp.Nanoseconds(),
-			Cycles: flapCycles,
-		}}
-	}
-	if joinPlace >= 0 {
-		used = true
-		plan.Joins = []fault.Join{{Place: joinPlace, AtNS: joinAt.Nanoseconds()}}
-	}
-	if drainPlace >= 0 {
-		used = true
-		plan.Drains = []fault.Drain{{Place: drainPlace, AtNS: drainAt.Nanoseconds()}}
-	}
-	if !used {
-		return nil, nil
-	}
-	return plan, nil
 }
 
 // parsePlaces parses a comma-separated place list such as "0,1".
@@ -453,6 +433,11 @@ func parseLink(s string) (from, to int, err error) {
 	return from, to, nil
 }
 
+// appNames lists every -app spelling, from the suites' registries.
+func appNames() []string {
+	return slices.Concat(suite.Names(), []string{"uts"}, linalg.Names())
+}
+
 // policyNames lists the canonical -policy spellings, derived from the
 // scheduler registry so a new policy shows up here without CLI edits.
 func policyNames() []string {
@@ -464,7 +449,9 @@ func policyNames() []string {
 	return out
 }
 
-func printCounters(w *tabwriter.Writer, s metrics.Snapshot) {
+// printRun prints the report block both engines share: the run's counters
+// and its per-place utilization.
+func printRun(w io.Writer, s metrics.Snapshot, util []float64) {
 	fmt.Fprintf(w, "tasks executed\t%d\n", s.TasksExecuted)
 	fmt.Fprintf(w, "steals\tlocal %d, remote %d, failed sweeps %d\n",
 		s.LocalSteals, s.RemoteSteals, s.FailedSteals)
@@ -490,4 +477,7 @@ func printCounters(w *tabwriter.Writer, s metrics.Snapshot) {
 			s.MembershipJoins, s.MembershipDrains, s.MembershipRejoins,
 			s.TasksOffloaded, s.DuplicatedMessages)
 	}
+	fmt.Fprintf(w, "utilization\t%s\n", metrics.FormatSeries(util))
+	sp := metrics.Summarize(util)
+	fmt.Fprintf(w, "utilization spread\tmin %.1f%% max %.1f%% disparity %.1f%%\n", sp.Min, sp.Max, sp.Disparity)
 }

@@ -1,0 +1,62 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestFaultsAndTraceReachEveryApp runs a fork-join and a dataflow app on
+// both engines under one crash and one trace: each run must lose the
+// crashed place, verify its checksum on the runtime, and write the trace.
+// Place 1 is home to about half of either app's ~800 tasks, and its own
+// workers take those first, so it runs its 50th task long before the end.
+func TestFaultsAndTraceReachEveryApp(t *testing.T) {
+	for _, app := range []string{"quicksort", "cholesky"} {
+		for _, mode := range []string{"sim", "runtime"} {
+			t.Run(app+"/"+mode, func(t *testing.T) {
+				trace := filepath.Join(t.TempDir(), "run.events")
+				var out bytes.Buffer
+				err := run([]string{"-app", app, "-mode", mode, "-places", "2", "-workers", "2",
+					"-crash-place", "1", "-crash-after-tasks", "50", "-trace", trace}, &out)
+				if err != nil {
+					t.Fatalf("%v\n%s", err, out.String())
+				}
+				if !strings.Contains(out.String(), " 1 places lost") {
+					t.Errorf("no place lost:\n%s", out.String())
+				}
+				if mode == "runtime" && !strings.Contains(out.String(), "OK (matches reference)") {
+					t.Errorf("no checksum OK line:\n%s", out.String())
+				}
+				if fi, err := os.Stat(trace); err != nil || fi.Size() == 0 {
+					t.Errorf("trace %s missing or empty (err %v)", trace, err)
+				}
+			})
+		}
+	}
+}
+
+// TestRefusesFlagsThePathDoesNotRead pins that a flag the run would
+// ignore fails before any work, naming what the run reads instead.
+func TestRefusesFlagsThePathDoesNotRead(t *testing.T) {
+	for _, tc := range []struct {
+		args  []string
+		reads string
+	}{
+		{[]string{"-app", "quicksort", "-dag-policy", "data-aware"}, "-scale"},
+		{[]string{"-app", "cholesky", "-scale", "2"}, "-dag-policy"},
+		{[]string{"-app", "dmg", "-mode", "sim", "-deque", "relaxed"}, "-scale"},
+		{[]string{"-app", "cholesky", "-mode", "sim", "-timeout", "1s"}, "-dag-policy"},
+	} {
+		var out bytes.Buffer
+		err := run(tc.args, &out)
+		if err == nil || !strings.Contains(err.Error(), "does not apply") || !strings.Contains(err.Error(), tc.reads) {
+			t.Errorf("run %q: err %v, want a refusal naming %s", tc.args, err, tc.reads)
+		}
+		if out.Len() != 0 {
+			t.Errorf("run %q printed before refusing:\n%s", tc.args, out.String())
+		}
+	}
+}

@@ -29,11 +29,12 @@ var (
 
 	// A distws-<name> command; a flag after it, once quoted arguments are
 	// blanked and the line is cut at the first shell operator; and a flag
-	// a command's main.go registers.
+	// a command's main.go registers, on flag.CommandLine or on its own
+	// FlagSet, named fs.
 	docCommand  = regexp.MustCompile(`distws-([a-z]+)`)
 	docQuoted   = regexp.MustCompile(`"[^"]*"|'[^']*'`)
 	docFlag     = regexp.MustCompile(`(?:^|\s)--?([a-z][a-z0-9-]*)`)
-	flagDefined = regexp.MustCompile(`flag\.\w+\("([^"]+)"`)
+	flagDefined = regexp.MustCompile(`\b(?:flag|fs)\.\w+\("([^"]+)"`)
 	// sharedFlags are the flags every command gets from cliutil.
 	sharedFlags = []string{"cpuprofile", "memprofile", "listen", "version"}
 	// A span shaped like a BENCHMARK.json metric row: lowercase and

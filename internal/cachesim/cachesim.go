@@ -1,30 +1,31 @@
-// Package cachesim models a per-worker L1 data cache as an LRU set of
-// application data-block identifiers. It exists to reproduce the mechanism
-// behind Table II of the paper: stealing a random task from a remote node
-// disrupts the victim's and the thief's working sets, so non-selective
-// distributed stealing (DistWS-NS) shows higher L1d miss rates than either
-// X10WS or selective DistWS.
+// Package cachesim models a data cache as an LRU set of application
+// data-block identifiers. The simulator gives each place one, shared by
+// the place's workers. It exists to reproduce the mechanism behind Table
+// II of the paper: stealing a random task from a remote node disrupts the
+// victim's and the thief's working sets, so non-selective distributed
+// stealing (DistWS-NS) shows higher L1d miss rates than either X10WS or
+// selective DistWS.
 //
 // The model deliberately abstracts away associativity and line size:
 // applications declare their working sets as abstract block IDs (one block
 // ≈ one cache-line-sized or page-sized chunk of the structure being
-// processed), and the cache tracks which blocks a worker has touched
+// processed), and the cache tracks which blocks its place has touched
 // recently. That is exactly the fidelity the paper's argument needs — a
-// migrated task whose blocks are absent from the thief's cache misses on
-// all of them, while a task re-run near its data hits.
+// migrated task whose blocks are absent from the thief's place's cache
+// misses on all of them, while a task re-run near its data hits.
 package cachesim
 
 import "math/bits"
 
 // Cache is a fixed-capacity LRU set of block IDs. Not safe for concurrent
-// use: each worker owns one cache, mirroring private L1s.
+// use: the simulator, one goroutine, owns one cache per place.
 //
 // Internally the LRU list is intrusive over a preallocated slab of nodes
 // indexed by int32, found through an open-addressed table of slab slots
 // (linear probing at load factor <= 1/2; the keys are the nodes' own block
 // IDs, so the table is 4 bytes per entry). Once the slab is full every
-// insertion reuses the evicted node in place, so steady-state operation —
-// including Reset — allocates nothing: Touch is on the simulator's per-task
+// insertion reuses the evicted node in place, so steady-state operation
+// allocates nothing: Touch is on the simulator's per-task
 // hot path, where a pointer-based list would create one garbage node per
 // miss and a built-in map spends more time hashing than the model does
 // scheduling.
@@ -36,8 +37,6 @@ type Cache struct {
 	head     int32 // most recently used, -1 when empty
 	tail     int32 // least recently used, -1 when empty
 	used     int32 // slab nodes in use; nodes [0, used) are live
-	refs     int64
-	miss     int64
 }
 
 type node struct {
@@ -115,13 +114,11 @@ func (c *Cache) remove(pos int) {
 // Touch references one block, returning true on a hit. On a miss the block
 // is installed, evicting the least recently used block if necessary.
 func (c *Cache) Touch(block uint64) bool {
-	c.refs++
 	pos, ok := c.find(block)
 	if ok {
 		c.moveToFront(c.table[pos] - 1)
 		return true
 	}
-	c.miss++
 	var i int32
 	if int(c.used) < c.capacity {
 		i = c.used
@@ -158,26 +155,6 @@ func (c *Cache) TouchAll(blocks []uint64) (hits, misses int) {
 func (c *Cache) Contains(block uint64) bool {
 	_, ok := c.find(block)
 	return ok
-}
-
-// Stats returns the cumulative references and misses.
-func (c *Cache) Stats() (refs, misses int64) { return c.refs, c.miss }
-
-// MissRate returns misses per reference in percent (0 when untouched).
-func (c *Cache) MissRate() float64 {
-	if c.refs == 0 {
-		return 0
-	}
-	return 100 * float64(c.miss) / float64(c.refs)
-}
-
-// Reset empties the cache and zeroes the statistics. It reuses the node
-// slab and the table's storage, so resetting between runs is garbage-free.
-func (c *Cache) Reset() {
-	clear(c.table)
-	c.head, c.tail = -1, -1
-	c.used = 0
-	c.refs, c.miss = 0, 0
 }
 
 func (c *Cache) pushFront(i int32) {

@@ -8,18 +8,20 @@ import (
 
 func TestColdMissThenHit(t *testing.T) {
 	c := New(4)
+	if c.Len() != 0 || c.Contains(1) {
+		t.Fatalf("new cache holds %d blocks", c.Len())
+	}
 	if c.Touch(1) {
 		t.Fatalf("first touch should miss")
 	}
 	if !c.Touch(1) {
 		t.Fatalf("second touch should hit")
 	}
-	refs, misses := c.Stats()
-	if refs != 2 || misses != 1 {
-		t.Fatalf("stats = %d refs %d misses, want 2/1", refs, misses)
+	if hits, misses := c.TouchAll([]uint64{1, 2}); hits != 1 || misses != 1 {
+		t.Fatalf("TouchAll = %d hits %d misses, want 1/1", hits, misses)
 	}
-	if got := c.MissRate(); got != 50 {
-		t.Fatalf("MissRate = %v, want 50", got)
+	if c.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", c.Len())
 	}
 }
 
@@ -63,22 +65,6 @@ func TestCapacityOne(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	c := New(4)
-	c.TouchAll([]uint64{1, 2, 3})
-	c.Reset()
-	if c.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", c.Len())
-	}
-	refs, misses := c.Stats()
-	if refs != 0 || misses != 0 {
-		t.Fatalf("stats after Reset = %d/%d", refs, misses)
-	}
-	if c.Touch(1) {
-		t.Fatalf("touch after reset should miss")
-	}
-}
-
 func TestNewPanicsOnBadCapacity(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -86,12 +72,6 @@ func TestNewPanicsOnBadCapacity(t *testing.T) {
 		}
 	}()
 	New(0)
-}
-
-func TestMissRateEmptyCache(t *testing.T) {
-	if got := New(4).MissRate(); got != 0 {
-		t.Fatalf("untouched cache MissRate = %v, want 0", got)
-	}
 }
 
 // Property: Len never exceeds capacity and Contains agrees with a model map

@@ -251,28 +251,35 @@ func openLoop(ctx context.Context, c *Client, tl TenantLoad, res *TenantResult,
 	}
 }
 
-// ParseTenantSpec parses a tenant-mix flag of the form
+// ParseClauses parses a per-tenant spec of the form
 //
-//	"1:w=1,rate=100,burst=10,inflight=8;2:w=3,inflight=16"
+//	"1:k=v,k=v;2:k=v"
 //
-// into service tenant configs: one clause per tenant, `id:` followed by
-// comma-separated key=value pairs (w, rate, burst, inflight).
-func ParseTenantSpec(spec string) (map[uint32]TenantConfig, error) {
-	out := make(map[uint32]TenantConfig)
-	for _, clause := range strings.Split(spec, ";") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
+// one clause per tenant, `id:` followed by comma-separated key=value
+// pairs. For each clause, in order, it calls clause with the tenant id
+// and hands each of the clause's pairs to the setter clause returns. A
+// malformed clause, a tenant named twice, an error from a setter or a
+// spec with no clause fails the parse.
+func ParseClauses(spec string, clause func(tenant uint32) func(key, value string) error) error {
+	seen := make(map[uint32]bool)
+	for _, c := range strings.Split(spec, ";") {
+		c = strings.TrimSpace(c)
+		if c == "" {
 			continue
 		}
-		id, rest, ok := strings.Cut(clause, ":")
+		id, rest, ok := strings.Cut(c, ":")
 		if !ok {
-			return nil, fmt.Errorf("service: tenant clause %q, want id:k=v,...", clause)
+			return fmt.Errorf("service: tenant clause %q, want id:k=v,...", c)
 		}
 		var tenant uint32
 		if _, err := fmt.Sscanf(strings.TrimSpace(id), "%d", &tenant); err != nil {
-			return nil, fmt.Errorf("service: tenant id %q: %w", id, err)
+			return fmt.Errorf("service: tenant id %q: %w", id, err)
 		}
-		var cfg TenantConfig
+		if seen[tenant] {
+			return fmt.Errorf("service: tenant %d appears twice", tenant)
+		}
+		seen[tenant] = true
+		set := clause(tenant)
 		for _, kv := range strings.Split(rest, ",") {
 			kv = strings.TrimSpace(kv)
 			if kv == "" {
@@ -280,9 +287,31 @@ func ParseTenantSpec(spec string) (map[uint32]TenantConfig, error) {
 			}
 			k, v, ok := strings.Cut(kv, "=")
 			if !ok {
-				return nil, fmt.Errorf("service: tenant %d option %q, want k=v", tenant, kv)
+				return fmt.Errorf("service: tenant %d option %q, want k=v", tenant, kv)
 			}
-			var err error
+			if err := set(k, v); err != nil {
+				return fmt.Errorf("service: tenant %d option %q: %w", tenant, kv, err)
+			}
+		}
+	}
+	if len(seen) == 0 {
+		return fmt.Errorf("service: tenant spec %q has no tenants", spec)
+	}
+	return nil
+}
+
+// ParseTenantSpec parses a tenant-mix flag of the form
+//
+//	"1:w=1,rate=100,burst=10,inflight=8;2:w=3,inflight=16"
+//
+// into service tenant configs, with ParseClauses's grammar and the keys
+// w, rate, burst and inflight.
+func ParseTenantSpec(spec string) (map[uint32]TenantConfig, error) {
+	cfgs := make(map[uint32]*TenantConfig)
+	err := ParseClauses(spec, func(tenant uint32) func(key, value string) error {
+		cfg := new(TenantConfig)
+		cfgs[tenant] = cfg
+		return func(k, v string) (err error) {
 			switch k {
 			case "w":
 				_, err = fmt.Sscanf(v, "%d", &cfg.Weight)
@@ -293,16 +322,17 @@ func ParseTenantSpec(spec string) (map[uint32]TenantConfig, error) {
 			case "inflight":
 				_, err = fmt.Sscanf(v, "%d", &cfg.MaxInFlight)
 			default:
-				err = fmt.Errorf("unknown key %q", k)
+				err = fmt.Errorf("unknown key %q (keys: w, rate, burst, inflight)", k)
 			}
-			if err != nil {
-				return nil, fmt.Errorf("service: tenant %d option %q: %w", tenant, kv, err)
-			}
+			return err
 		}
-		out[tenant] = cfg
+	})
+	if err != nil {
+		return nil, err
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("service: tenant spec %q has no tenants", spec)
+	out := make(map[uint32]TenantConfig, len(cfgs))
+	for tenant, cfg := range cfgs {
+		out[tenant] = *cfg
 	}
 	return out, nil
 }

@@ -99,8 +99,8 @@ type Options struct {
 // The cost model's fixed parameters. No exhibit, benchmark or test varies
 // them, so they are constants rather than options.
 const (
-	// cacheBlocks is the per-worker modelled L1d capacity in blocks: a
-	// 32 KiB cache of 64-byte lines.
+	// cacheBlocks is the modelled cache capacity of one place, shared by
+	// its workers, in blocks: a 32 KiB cache of 64-byte lines.
 	cacheBlocks = 512
 	// missPenaltyNS is the stall charged per modelled cache miss.
 	missPenaltyNS int64 = 150
