@@ -2,6 +2,7 @@ package nbody
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"distws/internal/apps"
@@ -19,13 +20,25 @@ func TestSequentialDeterministic(t *testing.T) {
 	}
 }
 
-// TestSequentialChecksumIsPinned pins the suite's small-scale checksums
-// at two seeds: the x-sort in gen must leave the bodies, and so every
-// force and step, bit-identical.
+// TestSequentialChecksumIsPinned pins the Sequential checksum at the
+// suite's small scale (4 000 bodies) and at suite.Medium (16 000) at two
+// seeds: the x-sort in gen and the tree build must leave the bodies, and
+// so every force and step, bit-identical. The suite.Medium values are
+// amd64's; another architecture may fuse a multiply-add into one rounding.
 func TestSequentialChecksumIsPinned(t *testing.T) {
-	for seed, want := range map[int64]uint64{1: 0x1c0b2ff9f1c53314, 2: 0x8d465321bc917e86} {
-		if got := New(4_000, 2, seed).Sequential(); got != want {
-			t.Errorf("seed %d: checksum %#x, want %#x", seed, got, want)
+	// want[seed]: small scale, then suite.Medium.
+	want := map[int64][2]uint64{
+		1: {0x1c0b2ff9f1c53314, 0xe525bf2f8237917a},
+		2: {0x8d465321bc917e86, 0xa54634649157efa3},
+	}
+	for seed, w := range want {
+		for i, n := range []int{4_000, 4_000 * 4} {
+			if i == 1 && runtime.GOARCH != "amd64" {
+				continue
+			}
+			if got := New(n, 2, seed).Sequential(); got != w[i] {
+				t.Errorf("seed %d, %d bodies: checksum %#x, want %#x", seed, n, got, w[i])
+			}
 		}
 	}
 }
