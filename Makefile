@@ -40,13 +40,16 @@ race:
 # timeout. Each linalg tile kernel, naive and blocked, runs once too, so a
 # blocked kernel that panics on a remainder path fails here; so do the
 # mesh insert (map-based oracle and scratch-reusing Insert, with their
-# allocations) and agglom's nearest-neighbour scan (naive and hoisted).
+# allocations), agglom's nearest-neighbour scan (all-pairs and the
+# x-sorted sweep, sort included) and nbody's tree build (recursive oracle
+# and the one-pass build, with their allocations).
 bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkSimulator128Workers|BenchmarkContentionStudy|BenchmarkUTSRuntime|BenchmarkNestedFinish|BenchmarkXSort' -benchtime=1x .
 	$(GO) test -run='^$$' -bench=BenchmarkExecuteOverhead -benchtime=1x ./internal/dag
 	$(GO) test -run='^$$' -bench=BenchmarkTileKernels -benchtime=1x ./internal/apps/linalg
 	$(GO) test -run='^$$' -bench=BenchmarkInsert -benchtime=1x -benchmem ./internal/geom
 	$(GO) test -run='^$$' -bench=BenchmarkNNChunk -benchtime=1x ./internal/apps/agglom
+	$(GO) test -run='^$$' -bench=BenchmarkBuild -benchtime=1x -benchmem ./internal/apps/nbody
 
 # Where the goroutine runtime's per-task time goes: a CPU profile of the
 # empty-body fan-out (spawn, push, take, run, join and nothing else),
@@ -143,8 +146,9 @@ check: build fmt-check vet test race bench-smoke deque-stress dag-crash core-cra
 # the simulator hot path (events/sec) and its tracing and adaptive off/on
 # pairs, the wire codec against gob, dag.Execute's empty-kernel ns/task,
 # and the kernels kept beside their naive references: linalg's tiles, the
-# mesh insert (ns, B and allocs per insert) and agglom's
-# nearest-neighbour scan. ~6 min in all on 2 vCPUs.
+# mesh insert (ns, B and allocs per insert), agglom's nearest-neighbour
+# scan and nbody's tree build (ns, B and allocs per build). ~6 min in all
+# on 2 vCPUs.
 bench:
 	$(GO) run ./benchmark
 	$(GO) test -run='^$$' -bench=. -benchtime=1s -count=5 -benchmem . ./internal/comm
@@ -152,6 +156,7 @@ bench:
 	$(GO) test -run='^$$' -bench=BenchmarkTileKernels -benchtime=1s -count=5 ./internal/apps/linalg
 	$(GO) test -run='^$$' -bench=BenchmarkInsert -benchtime=1s -count=5 -benchmem ./internal/geom
 	$(GO) test -run='^$$' -bench=BenchmarkNNChunk -benchtime=1s -count=5 ./internal/apps/agglom
+	$(GO) test -run='^$$' -bench=BenchmarkBuild -benchtime=1s -count=5 -benchmem ./internal/apps/nbody
 
 # Churn soak: dynamic-membership endurance under the race detector —
 # concurrent joins, graceful drains, a healing partition, and a flapping

@@ -5,11 +5,19 @@
 // (parallel, chunked) and mutual pairs merge (sequential, deterministic).
 // Rounds shrink geometrically, so chunk counts and costs vary across the
 // run, and clustered inputs give places skewed chunk loads.
+//
+// The runtime kernel finds neighbours by a sweep over the round's
+// clusters sorted by X, exact against the all-pairs scan (same neighbour,
+// same tie-break, same checksum). The trace keeps the all-pairs scan's
+// distance evaluations as each chunk's cost: that is the paper app's
+// cost model, so the modelled chunk costs and the kernel's differ.
 package agglom
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"distws/internal/apps"
 	"distws/internal/core"
@@ -74,18 +82,60 @@ func (a *App) gen() []Cluster {
 	return out
 }
 
+// round is one merge round's input to the nearest-neighbour scan: the
+// active clusters, their indices sorted by X (ties by index), and each
+// cluster's position in that order.
+type round struct {
+	act         []Cluster
+	order, rank []int32
+}
+
+// newRound sorts act's indices by X once, for every chunk of the round.
+func newRound(act []Cluster) round {
+	r := round{act: act, order: make([]int32, len(act)), rank: make([]int32, len(act))}
+	for i := range r.order {
+		r.order[i] = int32(i)
+	}
+	slices.SortFunc(r.order, func(a, b int32) int {
+		if c := cmp.Compare(act[a].X, act[b].X); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	for p, i := range r.order {
+		r.rank[i] = int32(p)
+	}
+	return r
+}
+
 // nnChunk finds, for each cluster in [lo,hi), the nearest other active
-// cluster (ties broken by lower index: j ascends and only a strictly
-// nearer cluster replaces the best), writing into nn. It returns the
-// number of distance evaluations (the chunk's work units).
-func nnChunk(act []Cluster, nn []int, lo, hi int) int {
+// cluster, ties broken by lower index, writing into nn. It sweeps out
+// from the cluster's place in the X order, right then left, and stops a
+// side at the first cluster with dx² > bestD: X is monotone along a
+// side, so dx² is too, and d = dx² + dy² ≥ dx² however it rounds, so no
+// cluster past the stop can be nearer or tied. The stop is strict, so a
+// tied cluster with dy = 0 is still reached and the lower index wins;
+// every nn[i] equals the all-pairs scan's. Each square is rounded on its
+// own (the conversions), so no fused multiply-add moves d on any
+// architecture or takes it below dx².
+//
+// It returns the all-pairs scan's distance evaluations, (hi-lo)·(n-1),
+// not the sweep's: Trace's cost model (see the package doc).
+func (r round) nnChunk(nn []int, lo, hi int) int {
+	act, order := r.act, r.order
 	for i := lo; i < hi; i++ {
 		x, y := act[i].X, act[i].Y
 		best, bestD := -1, math.MaxFloat64
-		for _, js := range [2][2]int{{0, i}, {i + 1, len(act)}} {
-			for j := js[0]; j < js[1]; j++ {
+		p := int(r.rank[i])
+		for _, step := range [2]int{1, -1} {
+			for s := p + step; s >= 0 && s < len(order); s += step {
+				j := int(order[s])
 				dx, dy := x-act[j].X, y-act[j].Y
-				if d := dx*dx + dy*dy; d < bestD {
+				dx2 := float64(dx * dx)
+				if dx2 > bestD {
+					break
+				}
+				if d := dx2 + float64(dy*dy); d < bestD || (d == bestD && j < best) {
 					best, bestD = j, d
 				}
 			}
@@ -135,12 +185,12 @@ func mergeMutual(act []Cluster, nn []int, h *apps.Fnv1a) ([]Cluster, int) {
 }
 
 // run executes the clustering with a pluggable per-round chunk executor.
-func (a *App) run(eachRound func(act []Cluster, nn []int, chunks [][2]int)) uint64 {
+func (a *App) run(eachRound func(r round, nn []int, chunks [][2]int)) uint64 {
 	act := a.gen()
 	h := apps.NewFnv()
-	for round := 0; len(act) > 1 && round < a.MaxRounds; round++ {
+	for rd := 0; len(act) > 1 && rd < a.MaxRounds; rd++ {
 		nn := make([]int, len(act))
-		eachRound(act, nn, apps.Chunks(len(act), a.ChunkSize))
+		eachRound(newRound(act), nn, apps.Chunks(len(act), a.ChunkSize))
 		var merges int
 		act, merges = mergeMutual(act, nn, &h)
 		if merges == 0 {
@@ -153,9 +203,9 @@ func (a *App) run(eachRound func(act []Cluster, nn []int, chunks [][2]int)) uint
 
 // Sequential implements apps.App.
 func (a *App) Sequential() uint64 {
-	return a.run(func(act []Cluster, nn []int, chunks [][2]int) {
+	return a.run(func(r round, nn []int, chunks [][2]int) {
 		for _, ch := range chunks {
-			nnChunk(act, nn, ch[0], ch[1])
+			r.nnChunk(nn, ch[0], ch[1])
 		}
 	})
 }
@@ -165,7 +215,7 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 	places := rt.Places()
 	var sum uint64
 	err := rt.Run(func(ctx *core.Ctx) {
-		sum = a.run(func(act []Cluster, nn []int, chunks [][2]int) {
+		sum = a.run(func(r round, nn []int, chunks [][2]int) {
 			ctx.Finish(func(c *core.Ctx) {
 				for _, ch := range chunks {
 					ch := ch
@@ -174,8 +224,8 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 						MigrationBytes: 24 * (ch[1] - ch[0]),
 						Blocks:         []uint64{uint64(ch[0])},
 					}
-					c.AsyncLoc(apps.Stripe(act[ch[0]].X, places), loc, func(*core.Ctx) {
-						nnChunk(act, nn, ch[0], ch[1])
+					c.AsyncLoc(apps.Stripe(r.act[ch[0]].X, places), loc, func(*core.Ctx) {
+						r.nnChunk(nn, ch[0], ch[1])
 					})
 				}
 			})
@@ -188,15 +238,16 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 }
 
 // Trace implements apps.App: the real rounds are replayed; each chunk's
-// nearest-neighbour scan is a flexible task whose cost is its measured
-// distance evaluations. A sequential merge task per round (sensitive,
+// nearest-neighbour scan is a flexible task whose cost is the all-pairs
+// scan's distance evaluations. A sequential merge task per round (sensitive,
 // place 0) parents the next round's chunks.
 func (a *App) Trace(places int) (*trace.Graph, error) {
 	b := trace.NewBuilder(a.Name())
 	act := a.gen()
 	prevMerge := -1
-	for round := 0; len(act) > 1 && round < a.MaxRounds; round++ {
+	for rd := 0; len(act) > 1 && rd < a.MaxRounds; rd++ {
 		nn := make([]int, len(act))
+		r := newRound(act)
 		chunks := apps.Chunks(len(act), a.ChunkSize)
 		// The merge/coordination task for this round.
 		mt := trace.Task{
@@ -215,7 +266,7 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 		}
 		prevMerge = mid
 		for _, ch := range chunks {
-			work := nnChunk(act, nn, ch[0], ch[1])
+			work := r.nnChunk(nn, ch[0], ch[1])
 			sz := ch[1] - ch[0]
 			b.Child(mid, trace.Task{
 				HomeMode:  trace.HomeFixed,

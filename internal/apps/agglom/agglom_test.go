@@ -1,6 +1,7 @@
 package agglom
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -47,7 +48,7 @@ func TestSequentialChecksumIsPinned(t *testing.T) {
 func TestNNChunkFindsNearest(t *testing.T) {
 	act := []Cluster{{X: 0, Y: 0, Size: 1}, {X: 1, Y: 0, Size: 1}, {X: 0.1, Y: 0, Size: 1}}
 	nn := make([]int, 3)
-	work := nnChunk(act, nn, 0, 3)
+	work := newRound(act).nnChunk(nn, 0, 3)
 	if nn[0] != 2 || nn[2] != 0 || nn[1] != 2 {
 		t.Fatalf("nn = %v, want [2 2 0]", nn)
 	}
@@ -56,7 +57,8 @@ func TestNNChunkFindsNearest(t *testing.T) {
 	}
 }
 
-// nnChunkNaive is the scan nnChunk replaced, kept as its reference.
+// nnChunkNaive is the all-pairs scan the sweep replaced, kept as its
+// reference: every pair, lowest index on a tie.
 func nnChunkNaive(act []Cluster, nn []int, lo, hi int) int {
 	work := 0
 	for i := lo; i < hi; i++ {
@@ -66,7 +68,7 @@ func nnChunkNaive(act []Cluster, nn []int, lo, hi int) int {
 				continue
 			}
 			dx, dy := act[i].X-act[j].X, act[i].Y-act[j].Y
-			d := dx*dx + dy*dy
+			d := float64(dx*dx) + float64(dy*dy)
 			work++
 			if d < bestD || (d == bestD && j < best) {
 				best, bestD = j, d
@@ -77,56 +79,86 @@ func nnChunkNaive(act []Cluster, nn []int, lo, hi int) int {
 	return work
 }
 
-// TestNNChunkMatchesNaive runs whole clusterings at two seeds, and a
-// round of coincident clusters (all ties), checking that every chunk's nn
-// and work count equal the naive scan's.
+// adversarialRounds are rounds built to break a sweep: every cluster on
+// one vertical line (all X tied, so no side ever stops), duplicate points,
+// and equidistant neighbours on either side of a cluster with the lower
+// index on one side and then on the other, so that whichever side the
+// sweep visits second holds the winner.
+func adversarialRounds() [][]Cluster {
+	line := make([]Cluster, 40)
+	for i := range line {
+		line[i] = Cluster{X: 0.5, Y: float64(i%7) / 8, Size: 1}
+	}
+	dups := make([]Cluster, 50)
+	for i := range dups {
+		dups[i] = Cluster{X: float64(i % 3), Y: 0.5, Size: 1}
+	}
+	c := func(x, y float64) Cluster { return Cluster{X: x, Y: y, Size: 1} }
+	return [][]Cluster{
+		line, dups,
+		{c(0, 0), c(2, 0), c(1, 0)}, // lower index left of 2
+		{c(2, 0), c(0, 0), c(1, 0)}, // lower index right of 2
+		{c(0.25, 0.5), c(0.75, 0.5), c(0.5, 0.5), c(0.5, 0.75), c(0.5, 0.25)},
+		{c(0.5, 0.5), c(0.5, 0.5), c(0.5, 0.5)}, // one point three times
+	}
+}
+
+// checkRound checks every chunk's nn and work count against the naive
+// scan, and returns the naive nn.
+func checkRound(t *testing.T, name string, act []Cluster, chunk int) []int {
+	t.Helper()
+	r := newRound(act)
+	got, want := make([]int, len(act)), make([]int, len(act))
+	for _, ch := range apps.Chunks(len(act), chunk) {
+		gw, ww := r.nnChunk(got, ch[0], ch[1]), nnChunkNaive(act, want, ch[0], ch[1])
+		if gw != ww {
+			t.Fatalf("%s chunk %v: work %d, naive %d", name, ch, gw, ww)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: nn %v, naive %v", name, got, want)
+	}
+	return want
+}
+
+// TestNNChunkMatchesNaive checks the sweep against the all-pairs scan
+// on the adversarial rounds and on every round of whole clusterings at
+// seeds 1-8, at 600 and at suite.Medium's 4 800 points.
 func TestNNChunkMatchesNaive(t *testing.T) {
-	tied := make([]Cluster, 50)
-	for i := range tied {
-		tied[i] = Cluster{X: float64(i % 3), Y: 0.5, Size: 1}
+	for r, act := range adversarialRounds() {
+		checkRound(t, fmt.Sprintf("adversarial round %d", r), act, 2)
 	}
-	rounds := [][]Cluster{tied}
-	for _, seed := range []int64{1, 2} {
-		act := New(600, seed).gen()
-		for len(act) > 1 {
-			rounds = append(rounds, act)
-			nn := make([]int, len(act))
-			nnChunkNaive(act, nn, 0, len(act))
-			var merges int
-			if act, merges = mergeMutual(act, nn, nil); merges == 0 {
-				break
+	for _, n := range []int{600, 1_200 * 4} {
+		for seed := int64(1); seed <= 8; seed++ {
+			a := New(n, seed)
+			act := a.gen()
+			for rd := 0; len(act) > 1; rd++ {
+				nn := checkRound(t, fmt.Sprintf("%d points, seed %d, round %d", n, seed, rd), act, a.ChunkSize)
+				var merges int
+				if act, merges = mergeMutual(act, nn, nil); merges == 0 {
+					break
+				}
 			}
-		}
-	}
-	for r, act := range rounds {
-		got, want := make([]int, len(act)), make([]int, len(act))
-		for _, ch := range apps.Chunks(len(act), 16) {
-			gw, ww := nnChunk(act, got, ch[0], ch[1]), nnChunkNaive(act, want, ch[0], ch[1])
-			if gw != ww {
-				t.Fatalf("round %d chunk %v: work %d, naive %d", r, ch, gw, ww)
-			}
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("round %d: nn %v, naive %v", r, got, want)
 		}
 	}
 }
 
 // BenchmarkNNChunk times one full nearest-neighbour round over the
-// suite.Medium input (4 800 clusters), naive scan against nnChunk.
+// suite.Medium input (4 800 clusters): the all-pairs scan against the
+// sweep, whose X sort is timed with it.
 func BenchmarkNNChunk(b *testing.B) {
 	act := New(1_200*4, 1).gen()
 	nn := make([]int, len(act))
-	for _, k := range []struct {
-		name string
-		scan func([]Cluster, []int, int, int) int
-	}{{"naive", nnChunkNaive}, {"hoisted", nnChunk}} {
-		b.Run(k.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				k.scan(act, nn, 0, len(act))
-			}
-		})
-	}
+	b.Run("naive", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			nnChunkNaive(act, nn, 0, len(act))
+		}
+	})
+	b.Run("sweep", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			newRound(act).nnChunk(nn, 0, len(act))
+		}
+	})
 }
 
 func TestMergeMutualPairs(t *testing.T) {
@@ -154,7 +186,7 @@ func TestClusteringConvergesToOne(t *testing.T) {
 	rounds := 0
 	for len(act) > 1 && rounds < a.MaxRounds {
 		nn := make([]int, len(act))
-		nnChunk(act, nn, 0, len(act))
+		newRound(act).nnChunk(nn, 0, len(act))
 		var merges int
 		act, merges = mergeMutual(act, nn, nil)
 		if merges == 0 {

@@ -103,12 +103,16 @@ func newNode(x, y, size float64) node {
 	return node{x: x, y: y, size: size, body: -1, kids: [4]int32{noKid, noKid, noKid, noKid}}
 }
 
-// build constructs the quadtree for the bodies.
+// build constructs the quadtree for the bodies. Each body is inserted
+// by one walk down from the root into a node slab preallocated at two
+// nodes per body, which generated inputs stay under (append grows it
+// past that). A body that meets a resident pushes the resident into a
+// new child first, then descends itself.
 func build(bodies []Body) *tree {
-	t := &tree{}
-	t.nodes = append(t.nodes, newNode(0, 0, 1))
-	for i := range bodies {
-		t.insert(0, bodies, i, 0)
+	t := &tree{nodes: make([]node, 1, 2*len(bodies)+1)}
+	t.nodes[0] = newNode(0, 0, 1)
+	for bi := range bodies {
+		t.insert(bodies, bi)
 	}
 	t.summarize(0, bodies)
 	return t
@@ -128,38 +132,37 @@ func (nd *node) quadrant(x, y float64) int {
 
 const maxDepth = 48
 
-// insert adds body bi under node ni.
-func (t *tree) insert(ni int, bodies []Body, bi, depth int) {
-	nd := &t.nodes[ni]
-	nd.n++
-	if nd.n == 1 {
-		nd.body = bi
-		return
+// insert adds body bi to the tree, walking down from the root.
+func (t *tree) insert(bodies []Body, bi int) {
+	b := &bodies[bi]
+	for ni, depth := 0, 0; ; depth++ {
+		nd := &t.nodes[ni]
+		nd.n++
+		if nd.n == 1 {
+			nd.body = bi
+			return
+		}
+		if depth >= maxDepth {
+			// Coincident points: keep the node as a multi-body leaf.
+			return
+		}
+		if old := nd.body; old >= 0 {
+			// Push the resident into a new child; it is alone there.
+			nd.body = -1
+			k := &t.nodes[t.child(ni, bodies[old].X, bodies[old].Y)]
+			k.n, k.body = 1, old
+		}
+		ni = t.child(ni, b.X, b.Y)
 	}
-	if depth >= maxDepth {
-		// Coincident points: keep the node as a multi-body leaf.
-		return
-	}
-	// Push any resident body down, then descend with the new one.
-	if nd.body >= 0 {
-		old := nd.body
-		nd.body = -1
-		t.child(ni, bodies[old].X, bodies[old].Y)
-		// t.nodes may have been reallocated; re-take the pointer.
-		ci := t.kid(ni, bodies[old].X, bodies[old].Y)
-		t.insert(int(ci), bodies, old, depth+1)
-	}
-	t.child(ni, bodies[bi].X, bodies[bi].Y)
-	ci := t.kid(ni, bodies[bi].X, bodies[bi].Y)
-	t.insert(int(ci), bodies, bi, depth+1)
 }
 
-// child ensures the child quadrant containing (x,y) exists.
-func (t *tree) child(ni int, x, y float64) {
+// child returns the child of ni whose quadrant contains (x, y),
+// appending it first if it does not exist.
+func (t *tree) child(ni int, x, y float64) int {
 	nd := &t.nodes[ni]
 	q := nd.quadrant(x, y)
-	if nd.kids[q] != noKid {
-		return
+	if k := nd.kids[q]; k != noKid {
+		return int(k)
 	}
 	half := nd.size / 2
 	cx, cy := nd.x, nd.y
@@ -170,13 +173,9 @@ func (t *tree) child(ni int, x, y float64) {
 		cy += half
 	}
 	t.nodes = append(t.nodes, newNode(cx, cy, half))
-	t.nodes[ni].kids[q] = int32(len(t.nodes) - 1)
-}
-
-// kid returns the child of ni containing (x,y).
-func (t *tree) kid(ni int, x, y float64) int32 {
-	nd := &t.nodes[ni]
-	return nd.kids[nd.quadrant(x, y)]
+	k := len(t.nodes) - 1
+	t.nodes[ni].kids[q] = int32(k)
+	return k
 }
 
 // summarize computes centres of mass bottom-up.

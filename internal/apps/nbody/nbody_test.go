@@ -1,8 +1,11 @@
 package nbody
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"distws/internal/apps"
@@ -40,6 +43,121 @@ func TestSequentialChecksumIsPinned(t *testing.T) {
 				t.Errorf("seed %d, %d bodies: checksum %#x, want %#x", seed, n, got, w[i])
 			}
 		}
+	}
+}
+
+// buildOracle is the recursive build that build replaced, kept as its
+// reference: the resident's child is appended before the newcomer's, so
+// the node slab must come out equal node for node.
+func buildOracle(bodies []Body) *tree {
+	t := &tree{}
+	t.nodes = append(t.nodes, newNode(0, 0, 1))
+	for i := range bodies {
+		oracleInsert(t, 0, bodies, i, 0)
+	}
+	t.summarize(0, bodies)
+	return t
+}
+
+func oracleInsert(t *tree, ni int, bodies []Body, bi, depth int) {
+	nd := &t.nodes[ni]
+	nd.n++
+	if nd.n == 1 {
+		nd.body = bi
+		return
+	}
+	if depth >= maxDepth {
+		return
+	}
+	if nd.body >= 0 {
+		old := nd.body
+		nd.body = -1
+		oracleInsert(t, oracleChild(t, ni, bodies[old]), bodies, old, depth+1)
+	}
+	oracleInsert(t, oracleChild(t, ni, bodies[bi]), bodies, bi, depth+1)
+}
+
+// oracleChild returns the child of ni holding b, appending it if missing.
+func oracleChild(t *tree, ni int, b Body) int {
+	q := t.nodes[ni].quadrant(b.X, b.Y)
+	if t.nodes[ni].kids[q] == noKid {
+		nd := t.nodes[ni]
+		half := nd.size / 2
+		t.nodes = append(t.nodes, newNode(nd.x+half*float64(q&1), nd.y+half*float64(q>>1), half))
+		t.nodes[ni].kids[q] = int32(len(t.nodes) - 1)
+	}
+	return int(t.nodes[ni].kids[q])
+}
+
+// nearCoincident returns n bodies within a few ulps of (0.3, 0.3), some
+// exactly coincident: their cells split down to maxDepth.
+func nearCoincident(n int) []Body {
+	bodies := make([]Body, n)
+	x := 0.3
+	for i := range bodies {
+		if i%3 != 0 {
+			x = math.Nextafter(x, 1)
+		}
+		bodies[i] = Body{X: x, Y: 0.3, M: 1 + float64(i)}
+	}
+	return bodies
+}
+
+// TestBuildMatchesOracle builds every step's tree of whole runs at 4 000
+// and 16 000 bodies, seeds 1-3, and a near-coincident cloud, and checks
+// that build's nodes equal the recursive oracle's one for one.
+func TestBuildMatchesOracle(t *testing.T) {
+	check := func(name string, bodies []Body) {
+		t.Helper()
+		got, want := build(bodies), buildOracle(bodies)
+		if !slices.Equal(got.nodes, want.nodes) {
+			t.Fatalf("%s: build's %d nodes differ from the oracle's %d", name, len(got.nodes), len(want.nodes))
+		}
+	}
+	cloud := nearCoincident(20)
+	check("near-coincident", cloud)
+	if !slices.ContainsFunc(build(cloud).nodes, func(nd node) bool { return nd.body >= 0 && nd.n > 1 }) {
+		t.Fatalf("near-coincident cloud reached no multi-body leaf at maxDepth")
+	}
+	for _, n := range []int{4_000, 16_000} {
+		for seed := int64(1); seed <= 3; seed++ {
+			a, step := New(n, 2, seed), 0
+			a.run(func(tr *tree, bodies []Body, ax, ay []float64, chunks [][2]int) {
+				check(fmt.Sprintf("%d bodies, seed %d, step %d", n, seed, step), bodies)
+				step++
+				for _, ch := range chunks {
+					a.forceChunk(tr, bodies, ax, ay, ch[0], ch[1])
+				}
+			})
+		}
+	}
+}
+
+// TestBuildAllocs bounds build's allocations: the tree and its node slab,
+// which the generated input never outgrows. The collector is off while it
+// counts, since a cycle during a call adds the runtime's own allocations.
+func TestBuildAllocs(t *testing.T) {
+	bodies := New(16_000, 1, 1).gen()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if got := testing.AllocsPerRun(5, func() { build(bodies) }); got > 2 {
+		t.Fatalf("build allocates %v times per call, want at most 2", got)
+	}
+}
+
+// BenchmarkBuild times one tree build over the suite.Medium input (16 000
+// bodies): the recursive oracle against build.
+func BenchmarkBuild(b *testing.B) {
+	bodies := New(16_000, 1, 1).gen()
+	for _, k := range []struct {
+		name  string
+		build func([]Body) *tree
+	}{{"oracle", buildOracle}, {"build", build}} {
+		b.Run(k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k.build(bodies)
+			}
+		})
 	}
 }
 
