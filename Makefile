@@ -107,7 +107,7 @@ dag-parity: build
 # with UPDATE=1 and commits the diff, which then shows exactly which
 # exhibit numbers it moved.
 GOLDEN := testdata/exhibits_seed1.golden
-GOLDEN_EXHIBITS := fig3,fig5,table1,table2,table3,fig6,fig7,granularity,uts,adaptive,contention,dag
+GOLDEN_EXHIBITS := fig3,fig5,table1,table2,table3,fig6,fig7,granularity,uts,contention,dag
 exhibit-golden: build
 	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
 	$(GO) run ./cmd/distws-experiments -seed 1 -only $(GOLDEN_EXHIBITS) \
@@ -143,8 +143,8 @@ check: build fmt-check vet test race bench-smoke deque-stress dag-crash core-cra
 # layer by layer (`go run ./benchmark`, ~2.5 min; it writes only the
 # ignored .bench_out/), then the checked-in Go benchmarks at a 1 s
 # benchtime, five counts each for spread: every exhibit's regeneration,
-# the simulator hot path (events/sec) and its tracing and adaptive off/on
-# pairs, the wire codec against gob, dag.Execute's empty-kernel ns/task,
+# the simulator hot path (events/sec) and its tracing off/on pair, the
+# wire codec against gob, dag.Execute's empty-kernel ns/task,
 # and the kernels kept beside their naive references: linalg's tiles, the
 # mesh insert (ns, B and allocs per insert), agglom's nearest-neighbour
 # scan and nbody's tree build (ns, B and allocs per build). ~6 min in all

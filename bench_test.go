@@ -291,40 +291,6 @@ func BenchmarkSimulatorTracing(b *testing.B) {
 	})
 }
 
-// BenchmarkAdaptiveOverhead measures what the adapt feedback controller
-// costs the simulator hot path: "off" is the annotated DistWS baseline,
-// "on" runs the same trace under the adaptive policy, where every task
-// completion feeds ObserveExec, every remote probe feeds ObserveSteal,
-// and victim order and chunk size come from the controller. The delta
-// between the two is the controller's overhead (make bench prints both).
-func BenchmarkAdaptiveOverhead(b *testing.B) {
-	r := runner()
-	app, err := suite.ByName("dmg", suite.Small, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := r.Trace(app, r.Cluster.Places)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("off", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.Run(g, r.Cluster, sched.DistWS, sim.Options{Seed: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("on", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.Run(g, r.Cluster, sched.Adaptive, sim.Options{Seed: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkEvaluationHarness regenerates the three-policy exhibits
 // (Tables II/III, Figs. 6/7 share one simulation grid) sequentially and on
 // the GOMAXPROCS worker pool, making the parallel harness speedup visible

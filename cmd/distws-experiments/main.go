@@ -33,6 +33,32 @@ import (
 	"distws/internal/expt"
 )
 
+// experiments is every exhibit in presentation order; -only selects from
+// it by name, and its help and its refusal list these names.
+var experiments = []struct {
+	name string
+	run  func(r *expt.Runner) (string, error)
+}{
+	{"fig3", func(r *expt.Runner) (string, error) { rows, err := r.Fig3(); return expt.RenderFig3(rows), err }},
+	{"fig4", func(r *expt.Runner) (string, error) { rows, err := r.Fig4(); return expt.RenderFig4(rows), err }},
+	{"fig5", func(r *expt.Runner) (string, error) { rows, err := r.Fig5(nil); return expt.RenderFig5(rows), err }},
+	{"table1", func(r *expt.Runner) (string, error) { rows, err := r.Table1(); return expt.RenderTable1(rows), err }},
+	{"table2", func(r *expt.Runner) (string, error) { rows, err := r.Table2(); return expt.RenderTable2(rows), err }},
+	{"table3", func(r *expt.Runner) (string, error) { rows, err := r.Table3(); return expt.RenderTable3(rows), err }},
+	{"fig6", func(r *expt.Runner) (string, error) { rows, err := r.Fig6(); return expt.RenderFig6(rows), err }},
+	{"fig7", func(r *expt.Runner) (string, error) { rows, err := r.Fig7(); return expt.RenderFig7(rows), err }},
+	{"granularity", func(r *expt.Runner) (string, error) {
+		rows, err := r.GranularityStudy()
+		return expt.RenderGranularity(rows), err
+	}},
+	{"uts", func(r *expt.Runner) (string, error) { rows, err := r.UTSStudy(); return expt.RenderUTS(rows), err }},
+	{"contention", func(r *expt.Runner) (string, error) {
+		rows, err := r.ContentionStudy()
+		return expt.RenderContention(rows), err
+	}},
+	{"dag", func(r *expt.Runner) (string, error) { rows, err := r.DAGStudy(); return expt.RenderDAG(rows), err }},
+}
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "distws-experiments:", err)
@@ -41,11 +67,15 @@ func main() {
 }
 
 func run(args []string, stdout io.Writer) error {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
 	fs := flag.NewFlagSet("distws-experiments", flag.ContinueOnError)
 	var (
 		seed    = fs.Int64("seed", 1, "workload and scheduler seed")
 		scale   = fs.Int("scale", 1, "workload scale multiplier")
-		only    = fs.String("only", "", "comma-separated experiments to run: fig3, fig4, fig5, fig6, fig7, table1, table2, table3, granularity, uts, adaptive, contention, dag")
+		only    = fs.String("only", "", "comma-separated experiments to run: "+strings.Join(names, ", "))
 		workers = fs.Int("workers", 0, "simulation cells run concurrently (0 = GOMAXPROCS, 1 = sequential)")
 	)
 	diag := cliutil.RegisterFlags(fs)
@@ -68,42 +98,10 @@ func run(args []string, stdout io.Writer) error {
 
 	r := expt.New(suite.Scale(*scale), *seed)
 	r.Workers = *workers
-	type ex struct {
-		name string
-		run  func() (string, error)
-	}
-	experiments := []ex{
-		{"fig3", func() (string, error) { rows, err := r.Fig3(); return expt.RenderFig3(rows), err }},
-		{"fig4", func() (string, error) { rows, err := r.Fig4(); return expt.RenderFig4(rows), err }},
-		{"fig5", func() (string, error) { rows, err := r.Fig5(nil); return expt.RenderFig5(rows), err }},
-		{"table1", func() (string, error) { rows, err := r.Table1(); return expt.RenderTable1(rows), err }},
-		{"table2", func() (string, error) { rows, err := r.Table2(); return expt.RenderTable2(rows), err }},
-		{"table3", func() (string, error) { rows, err := r.Table3(); return expt.RenderTable3(rows), err }},
-		{"fig6", func() (string, error) { rows, err := r.Fig6(); return expt.RenderFig6(rows), err }},
-		{"fig7", func() (string, error) { rows, err := r.Fig7(); return expt.RenderFig7(rows), err }},
-		{"granularity", func() (string, error) {
-			rows, err := r.GranularityStudy()
-			return expt.RenderGranularity(rows), err
-		}},
-		{"uts", func() (string, error) { rows, err := r.UTSStudy(); return expt.RenderUTS(rows), err }},
-		{"adaptive", func() (string, error) {
-			rows, err := r.AdaptiveStudy()
-			return expt.RenderAdaptive(rows), err
-		}},
-		{"contention", func() (string, error) {
-			rows, err := r.ContentionStudy()
-			return expt.RenderContention(rows), err
-		}},
-		{"dag", func() (string, error) { rows, err := r.DAGStudy(); return expt.RenderDAG(rows), err }},
-	}
 
 	// Every -only name resolves before any experiment runs.
 	selected := make(map[string]bool)
 	if *only != "" {
-		names := make([]string, len(experiments))
-		for i, e := range experiments {
-			names[i] = e.name
-		}
 		for _, want := range strings.Split(*only, ",") {
 			want = strings.ToLower(strings.TrimSpace(want))
 			if !slices.Contains(names, want) {
@@ -119,7 +117,7 @@ func run(args []string, stdout io.Writer) error {
 		if *only != "" && !selected[e.name] {
 			continue
 		}
-		out, err := e.run()
+		out, err := e.run(r)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.name, err)
 		}

@@ -461,9 +461,6 @@ func printRun(w io.Writer, s metrics.Snapshot, util []float64) {
 	if s.DuplicateTakes > 0 {
 		fmt.Fprintf(w, "duplicate takes\t%d deduped\n", s.DuplicateTakes)
 	}
-	if s.Reclassifications > 0 {
-		fmt.Fprintf(w, "online reclassifications\t%d\n", s.Reclassifications)
-	}
 	if s.CacheRefs > 0 {
 		fmt.Fprintf(w, "modelled L1d miss rate\t%.1f%%\n", s.CacheMissRate())
 	}

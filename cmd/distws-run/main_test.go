@@ -60,3 +60,20 @@ func TestRefusesFlagsThePathDoesNotRead(t *testing.T) {
 		}
 	}
 }
+
+// TestRefusesTheRemovedAdaptivePolicy pins that -policy adaptive fails
+// before any work and names the five policies of the paper's study.
+func TestRefusesTheRemovedAdaptivePolicy(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-app", "quicksort", "-policy", "adaptive"}, &out)
+	if err == nil {
+		t.Fatal("-policy adaptive ran")
+	}
+	if out.Len() != 0 {
+		t.Fatalf("printed before refusing:\n%s", out.String())
+	}
+	want := "valid policies are: x10ws distws distws-ns randomws lifelinews"
+	if !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("err %v, want it to end %q", err, want)
+	}
+}

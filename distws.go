@@ -35,11 +35,7 @@
 // Four baseline policies ship alongside DistWS for comparison: X10WS
 // (intra-place stealing only), DistWSNS (non-selective distributed
 // stealing), RandomWS and LifelineWS (the UTS baselines from the paper's
-// related-work study). A sixth policy, Adaptive, drops the annotation
-// requirement: an online feedback controller (internal/adapt) classifies
-// task kinds from observed home/away service times, adapts the remote
-// steal chunk size, and biases victim selection toward low-latency
-// places.
+// related-work study).
 //
 // # Cancellation
 //
@@ -145,12 +141,6 @@ const (
 	RandomWS = sched.RandomWS
 	// LifelineWS is lifeline-graph based global load balancing.
 	LifelineWS = sched.LifelineWS
-	// Adaptive is DistWS with the annotation replaced by an online
-	// classifier: task kinds are re-mapped between private and shared
-	// deques from observed behaviour, the steal chunk size self-tunes
-	// around the paper's fixed 2, and victims are probed lowest observed
-	// latency first.
-	Adaptive = sched.Adaptive
 )
 
 // Task classifications.
@@ -170,7 +160,7 @@ func New(cfg Config) (*Runtime, error) { return core.New(cfg) }
 func NewTraceRecorder(opts TraceRecorderOptions) *TraceRecorder { return obs.NewRecorder(opts) }
 
 // ParsePolicy resolves a case-insensitive policy name such as "distws",
-// "x10ws", "distws-ns", "random", "lifeline", or "adaptive".
+// "x10ws", "distws-ns", "random", or "lifeline".
 func ParsePolicy(s string) (Policy, error) { return sched.Parse(s) }
 
 // ParseDequeKind resolves a case-insensitive worker-queue kind name:

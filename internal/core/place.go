@@ -18,10 +18,6 @@ type activity struct {
 	loc  task.Locality
 	home int // programmer-specified place
 	fin  *finish
-	// kind is the adapt controller's interned id for this activity's
-	// locality signature (adaptive policy only; see Runtime.mapClass).
-	kind     int32
-	interned bool
 	// bag marks a Bag run (see Bag): its items, not the activity, count
 	// as spawned and executed tasks.
 	bag bool
@@ -80,7 +76,6 @@ func newPlace(rt *Runtime, id int) *place {
 			Places:    rt.cfg.Cluster.Places,
 			Rng:       rand.New(rand.NewSource(rt.cfg.Seed + int64(id*1000+i))),
 			TimeoutNS: rt.stealTimeout.Nanoseconds(),
-			Ctrl:      rt.ctrl,
 			Inj:       rt.inj,
 			Ctrs:      &rt.counters,
 		}
@@ -178,12 +173,12 @@ func (p *place) running() int {
 // mapTarget is the Algorithm-1 mapping of a at this place. Only what
 // sched.MapTask reads is gathered, because gathering is what costs: the
 // load (a read of every co-located worker's line) for a flexible task
-// under DistWS or Adaptive, the spawn counter (a shared RMW) under
+// under DistWS, the spawn counter (a shared RMW) under
 // DistWS-NS. TestMapTargetSkipsOnlyWhatMapTaskIgnores holds the two
 // conditions to sched.
 func (p *place) mapTarget(a *activity) sched.Target {
 	policy := p.rt.cfg.Policy
-	class := p.rt.mapClass(a)
+	class := a.loc.Class
 	var load sched.PlaceLoad
 	if readsLoad(policy, class) {
 		load = p.load()
@@ -196,7 +191,7 @@ func (p *place) mapTarget(a *activity) sched.Target {
 }
 
 func readsLoad(policy sched.Kind, class task.Class) bool {
-	return (policy == sched.DistWS || policy == sched.Adaptive) && class != task.Sensitive
+	return policy == sched.DistWS && class != task.Sensitive
 }
 
 // enqueue places a freshly mapped activity in the chosen deque flavour.
@@ -615,7 +610,7 @@ func (w *worker) Record(k obs.Kind, victim int, dur int64) {
 // one of its workers' flexible queues; keep the first claimable task in
 // w.loot to run now and queue the rest where co-located workers can take
 // them without a distributed steal of their own (§V-B3).
-func (w *worker) Steal(victim, chunkSize int) (got, left int) {
+func (w *worker) Steal(victim, chunkSize int) int {
 	p := w.place
 	rt := p.rt
 	from := rt.places[victim]
@@ -638,7 +633,7 @@ func (w *worker) Steal(victim, chunkSize int) (got, left int) {
 		chunk = chunk[1:]
 	}
 	if w.loot == nil {
-		return 0, 0
+		return 0
 	}
 	rt.counters.BytesTransferred.Add(bytes)
 	if rt.rec != nil {
@@ -657,10 +652,7 @@ func (w *worker) Steal(victim, chunkSize int) (got, left int) {
 	default:
 		p.enqueueStolen(chunk)
 	}
-	if rt.ctrl != nil {
-		left = from.offered() // read for the chunk controller only
-	}
-	return 1 + len(chunk), left
+	return 1 + len(chunk)
 }
 
 // stealFlex is a remote thief's take under the relaxed kind: steal-half
@@ -688,8 +680,8 @@ func (p *place) stealFlex() []*activity {
 }
 
 // run executes one activity and performs the paper's accounting:
-// migration effects for Tables II–III, and, for whoever reads it, the
-// service time. What it writes per task is the worker's own (stats, the
+// migration effects for Tables II–III, and, for the trace, the service
+// time. What it writes per task is the worker's own (stats, the
 // activity); the shared counters below move only when a task was stolen or
 // ran off-home.
 func (w *worker) run(a *activity, how stealKind) {
@@ -716,49 +708,35 @@ func (w *worker) run(a *activity, how stealKind) {
 	}
 
 	rt.record(p.id, w.local, obs.KindTaskStart, -1, int32(a.home), 0)
-	// The service time has two readers, the trace and the adapt
-	// controller; without either the clock is not read.
-	timed := rt.rec != nil || rt.ctrl != nil
+	// The service time's one reader is the trace; without it the clock
+	// is not read.
 	var start time.Time
-	if timed {
+	if rt.rec != nil {
 		start = time.Now()
 	}
 	a.ctx = Ctx{rt: rt, placeID: p.id, worker: w, fin: a.fin}
-	var elapsed int64
-	func() {
-		defer func() {
-			if v := recover(); v != nil {
-				a.fin.fail(v)
-			}
-			// Accounted before the finish is released: once Run returns,
-			// every activity it waited for reads as executed.
-			if timed {
-				elapsed = time.Since(start).Nanoseconds()
-			}
-			rt.record(p.id, w.local, obs.KindTaskEnd, -1, 0, elapsed)
-			if !a.bag {
-				w.stats.executed.Add(1)
-			}
-			w.stats.depth.Add(-1)
-			// Fault plan: fail-stop this place once it has executed its
-			// quota, before the finish is released, so a Run that waited
-			// for the quota's last task returns with the crash fired.
-			if n, ok := rt.inj.CrashAfterTasks(p.id); ok && p.executed.Add(1) >= n {
-				rt.crashPlace(p)
-			}
-			a.fin.done()
-		}()
-		a.body(&a.ctx)
-	}()
-
-	// Feed the measured service time back to the adapt controller. The
-	// in-process runtime has no instrumented data-locality penalty (no
-	// hardware counters), so it passes 0 and the controller falls back to
-	// the home/away service-time ratio alone.
-	if rt.ctrl != nil {
-		if flipped, cls := rt.ctrl.ObserveExec(a.kind, migrated, elapsed, 0); flipped {
-			rt.counters.Reclassifications.Add(1)
-			rt.record(p.id, w.local, obs.KindReclassify, -1, int32(cls), 0)
+	defer func() {
+		if v := recover(); v != nil {
+			a.fin.fail(v)
 		}
-	}
+		// Accounted before the finish is released: once Run returns,
+		// every activity it waited for reads as executed.
+		var elapsed int64
+		if rt.rec != nil {
+			elapsed = time.Since(start).Nanoseconds()
+		}
+		rt.record(p.id, w.local, obs.KindTaskEnd, -1, 0, elapsed)
+		if !a.bag {
+			w.stats.executed.Add(1)
+		}
+		w.stats.depth.Add(-1)
+		// Fault plan: fail-stop this place once it has executed its
+		// quota, before the finish is released, so a Run that waited
+		// for the quota's last task returns with the crash fired.
+		if n, ok := rt.inj.CrashAfterTasks(p.id); ok && p.executed.Add(1) >= n {
+			rt.crashPlace(p)
+		}
+		a.fin.done()
+	}()
+	a.body(&a.ctx)
 }

@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"distws/internal/adapt"
 	"distws/internal/deque"
 	"distws/internal/fault"
 	"distws/internal/metrics"
@@ -66,12 +65,6 @@ type Config struct {
 	// arrivals, crashes) stamped in wall-clock nanoseconds since New.
 	// Nil (the default) records nothing and costs one branch per event.
 	Recorder *obs.Recorder
-	// Adapt, when non-nil and Policy is sched.Adaptive, is the online
-	// classification controller driving the run; callers pass one to
-	// inspect its learned state after the run. Nil under sched.Adaptive
-	// creates a fresh controller with default thresholds. Ignored under
-	// other policies.
-	Adapt *adapt.Controller
 }
 
 func (c Config) withDefaults() Config {
@@ -106,11 +99,6 @@ type Runtime struct {
 	// here take only the spawns made from outside the pool.
 	counters metrics.Counters
 	rec      *obs.Recorder // scheduling-event recorder (nil = tracing off)
-	// ctrl is the adapt feedback controller (non-nil only under
-	// sched.Adaptive): it supplies each activity's online classification
-	// in place of the annotation, the per-place steal chunk size, and
-	// the latency-biased victim order.
-	ctrl *adapt.Controller
 	// relaxed is true under deque.KindRelaxed: flexible work lives in the
 	// workers' flexible queues, remote thieves take steal-half from them,
 	// and every take that is not from a private deque is claim-checked
@@ -189,12 +177,6 @@ func newRuntime(cfg Config, idlePoll, stealTimeout time.Duration) (*Runtime, err
 	if rt.rec != nil {
 		rt.rec.Configure(cfg.Cluster.Places, cfg.Cluster.WorkersPerPlace,
 			obs.WallClockSince(rt.started), obs.WallNS)
-	}
-	if cfg.Policy == sched.Adaptive {
-		rt.ctrl = cfg.Adapt
-		if rt.ctrl == nil {
-			rt.ctrl = adapt.New(adapt.Config{Places: cfg.Cluster.Places})
-		}
 	}
 	rt.places = make([]*place, cfg.Cluster.Places)
 	rt.life = sched.Places[*activity]{
@@ -407,23 +389,6 @@ func (rt *Runtime) spawn(a *activity, from int, spawner *worker) {
 	home.enqueue(a, home.mapTarget(a), spawner)
 }
 
-// mapClass resolves the class Algorithm 1 maps an activity by: the
-// programmer's annotation, or — under the adaptive policy — the
-// controller's learned classification of the activity's kind, interned
-// on first sight from observable locality attributes (footprint, remote
-// references, migration payload; cost is unknown up front in a real
-// runtime and enters the signature as zero).
-func (rt *Runtime) mapClass(a *activity) task.Class {
-	if rt.ctrl == nil {
-		return a.loc.Class
-	}
-	if !a.interned {
-		a.kind = rt.ctrl.Intern(adapt.Signature(0, len(a.loc.Blocks), a.loc.RemoteRefs, a.loc.MigrationBytes))
-		a.interned = true
-	}
-	return rt.ctrl.Classify(a.kind)
-}
-
 // crashPlace fail-stops p (sched.Places.Crash): its queued activities are
 // re-homed to survivors and re-executed there, and its workers exit after
 // the activity each is running. The ordering (mark dead, then take the
@@ -526,8 +491,7 @@ func (h host) Take(pid int, _ bool) []*activity {
 		fresh := orphans[:0]
 		for _, a := range orphans {
 			if a.claimed.CompareAndSwap(false, true) {
-				fresh = append(fresh, &activity{body: a.body, loc: a.loc, home: a.home, fin: a.fin,
-					kind: a.kind, interned: a.interned, bag: a.bag})
+				fresh = append(fresh, &activity{body: a.body, loc: a.loc, home: a.home, fin: a.fin, bag: a.bag})
 			}
 		}
 		orphans = fresh

@@ -2,7 +2,6 @@ package expt
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -684,87 +683,6 @@ func RenderUTS(rows []UTSRow) string {
 		fmt.Fprintf(&b, "%-12s %14.1f %10.1f %12d %10d\n",
 			row.Policy.String(), row.MakespanMS, row.Speedup, row.Messages, row.Steals)
 	}
-	return b.String()
-}
-
-// --------------------------------------------------------------------
-// Adaptive study — online classification vs annotated policies.
-
-// AdaptiveRow is one application's speedups in the adaptive comparison,
-// plus how many online classification flips the controller performed.
-type AdaptiveRow struct {
-	App                        string
-	DistWS, DistWSNS, RandomWS float64
-	Adaptive                   float64
-	GapPct                     float64 // Adaptive vs annotated DistWS; negative = adaptive slower
-	Reclass                    int64
-}
-
-// AdaptiveStudy compares the annotation-free adaptive policy against
-// annotated DistWS, non-selective DistWS-NS, and RandomWS across the
-// paper suite at the full cluster. The claim under test: the feedback
-// controller recovers the selective behaviour the paper obtains from
-// programmer annotations (within a few percent of DistWS) while
-// strictly beating both locality-oblivious baselines.
-func (r *Runner) AdaptiveStudy() ([]AdaptiveRow, error) {
-	policies := []sched.Kind{sched.DistWS, sched.DistWSNS, sched.RandomWS, sched.Adaptive}
-	results, err := perAppPolicy(r, r.Apps, policies)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]AdaptiveRow, len(r.Apps))
-	for i, a := range r.Apps {
-		row := AdaptiveRow{
-			App:      a.Name(),
-			DistWS:   results[i][0].Speedup(),
-			DistWSNS: results[i][1].Speedup(),
-			RandomWS: results[i][2].Speedup(),
-			Adaptive: results[i][3].Speedup(),
-			Reclass:  results[i][3].Counters.Reclassifications,
-		}
-		if row.DistWS > 0 {
-			row.GapPct = 100 * (row.Adaptive - row.DistWS) / row.DistWS
-		}
-		rows[i] = row
-	}
-	return rows, nil
-}
-
-// geomean returns the geometric mean of positive values (0 if any value
-// is non-positive or the slice is empty).
-func geomean(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	acc := 1.0
-	for _, v := range vals {
-		if v <= 0 {
-			return 0
-		}
-		acc *= v
-	}
-	return math.Pow(acc, 1/float64(len(vals)))
-}
-
-// RenderAdaptive formats the adaptive study with a geometric-mean
-// aggregate line.
-func RenderAdaptive(rows []AdaptiveRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Adaptive — online classification at 128 workers, zero annotations (target: within 5%% of DistWS, above DistWS-NS and Random)\n")
-	fmt.Fprintf(&b, "%-12s %10s %12s %10s %10s %8s %8s\n",
-		"App", "DistWS", "DistWS-NS", "Random", "Adaptive", "Gap%", "Reclass")
-	agg := make([][]float64, 4)
-	for _, row := range rows {
-		fmt.Fprintf(&b, "%-12s %10.1f %12.1f %10.1f %10.1f %8.1f %8d\n",
-			PaperName[row.App], row.DistWS, row.DistWSNS, row.RandomWS,
-			row.Adaptive, row.GapPct, row.Reclass)
-		agg[0] = append(agg[0], row.DistWS)
-		agg[1] = append(agg[1], row.DistWSNS)
-		agg[2] = append(agg[2], row.RandomWS)
-		agg[3] = append(agg[3], row.Adaptive)
-	}
-	fmt.Fprintf(&b, "%-12s %10.1f %12.1f %10.1f %10.1f\n",
-		"geomean", geomean(agg[0]), geomean(agg[1]), geomean(agg[2]), geomean(agg[3]))
 	return b.String()
 }
 

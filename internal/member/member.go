@@ -22,12 +22,12 @@
 //
 // # Adaptive timeouts
 //
-// Like the adapt policy's per-victim latency EWMA, the detector keeps a
-// per-peer EWMA of heartbeat inter-arrival gaps and derives its
-// timeouts from it: suspect after 4×gap, down after 8×gap, the gap
-// floored at the table's minimum timeout. A peer on a slow or gray link
-// earns a proportionally longer grace period instead of being declared
-// down by a fixed global constant.
+// The detector keeps a per-peer exponentially weighted moving average
+// (EWMA) of heartbeat inter-arrival gaps and derives its timeouts from
+// it: suspect after 4×gap, down after 8×gap, the gap floored at the
+// table's minimum timeout. A peer on a slow or gray link earns a
+// proportionally longer grace period instead of being declared down by a
+// fixed global constant.
 //
 // The table is clock-agnostic: callers pass nanosecond timestamps, so
 // the simulator can drive it with virtual time and the runtime with
@@ -101,7 +101,9 @@ const (
 )
 
 // gapAlpha is the EWMA smoothing factor for heartbeat inter-arrival
-// gaps, matching the adapt controller's latency EWMA.
+// gaps: each new gap carries a quarter of the weight, so the estimate
+// follows a link that slows within a few beats without jumping on one
+// late heartbeat.
 const gapAlpha = 0.25
 
 type row struct {

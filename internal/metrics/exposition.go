@@ -33,7 +33,6 @@ var expoFields = []struct {
 	{"distws_places_lost_total", "Places that crashed during the run.", func(s Snapshot) int64 { return s.PlacesLost }},
 	{"distws_tasks_reexecuted_total", "Tasks re-enqueued after a place failure.", func(s Snapshot) int64 { return s.TasksReExecuted }},
 	{"distws_backpressure_total", "Sends that found a full inbox or link queue.", func(s Snapshot) int64 { return s.Backpressure }},
-	{"distws_reclassifications_total", "Online task-kind classification flips (adaptive policy).", func(s Snapshot) int64 { return s.Reclassifications }},
 	{"distws_membership_joins_total", "Places that joined the cluster at runtime.", func(s Snapshot) int64 { return s.MembershipJoins }},
 	{"distws_membership_drains_total", "Places that departed via graceful drain.", func(s Snapshot) int64 { return s.MembershipDrains }},
 	{"distws_membership_rejoins_total", "Down places readmitted with a bumped incarnation.", func(s Snapshot) int64 { return s.MembershipRejoins }},

@@ -42,7 +42,6 @@ func TestPrometheusGolden(t *testing.T) {
 		"distws_places_lost_total",
 		"distws_tasks_reexecuted_total",
 		"distws_backpressure_total",
-		"distws_reclassifications_total",
 		"distws_membership_joins_total",
 		"distws_membership_drains_total",
 		"distws_membership_rejoins_total",

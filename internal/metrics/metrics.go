@@ -48,11 +48,6 @@ type Counters struct {
 	// here instead of disappearing silently.
 	Backpressure atomic.Int64
 
-	// Reclassifications counts online task-kind classification flips by
-	// the adapt controller (the `adaptive` policy). Zero under every
-	// annotated policy.
-	Reclassifications atomic.Int64
-
 	// Membership counters (internal/member): dynamic-membership events
 	// must be observable, both for the churn chaos harness's assertions
 	// and for operators of a long-lived daemon cluster.
@@ -79,25 +74,24 @@ type Counters struct {
 
 // Snapshot is an immutable copy of a Counters at one instant.
 type Snapshot struct {
-	TasksExecuted     int64
-	TasksSpawned      int64
-	LocalSteals       int64
-	RemoteSteals      int64
-	FailedSteals      int64
-	RemoteProbes      int64
-	Messages          int64
-	BytesTransferred  int64
-	CacheRefs         int64
-	CacheMisses       int64
-	RemoteDataAccess  int64
-	TasksMigrated     int64
-	StealTimeouts     int64
-	Retries           int64
-	DroppedMessages   int64
-	PlacesLost        int64
-	TasksReExecuted   int64
-	Backpressure      int64
-	Reclassifications int64
+	TasksExecuted    int64
+	TasksSpawned     int64
+	LocalSteals      int64
+	RemoteSteals     int64
+	FailedSteals     int64
+	RemoteProbes     int64
+	Messages         int64
+	BytesTransferred int64
+	CacheRefs        int64
+	CacheMisses      int64
+	RemoteDataAccess int64
+	TasksMigrated    int64
+	StealTimeouts    int64
+	Retries          int64
+	DroppedMessages  int64
+	PlacesLost       int64
+	TasksReExecuted  int64
+	Backpressure     int64
 
 	MembershipJoins    int64
 	MembershipDrains   int64
@@ -119,25 +113,24 @@ type Snapshot struct {
 // linearizable snapshot, which is fine for end-of-run reporting.
 func (c *Counters) Snapshot() Snapshot {
 	return Snapshot{
-		TasksExecuted:     c.TasksExecuted.Load(),
-		TasksSpawned:      c.TasksSpawned.Load(),
-		LocalSteals:       c.LocalSteals.Load(),
-		RemoteSteals:      c.RemoteSteals.Load(),
-		FailedSteals:      c.FailedSteals.Load(),
-		RemoteProbes:      c.RemoteProbes.Load(),
-		Messages:          c.Messages.Load(),
-		BytesTransferred:  c.BytesTransferred.Load(),
-		CacheRefs:         c.CacheRefs.Load(),
-		CacheMisses:       c.CacheMisses.Load(),
-		RemoteDataAccess:  c.RemoteDataAccess.Load(),
-		TasksMigrated:     c.TasksMigrated.Load(),
-		StealTimeouts:     c.StealTimeouts.Load(),
-		Retries:           c.Retries.Load(),
-		DroppedMessages:   c.DroppedMessages.Load(),
-		PlacesLost:        c.PlacesLost.Load(),
-		TasksReExecuted:   c.TasksReExecuted.Load(),
-		Backpressure:      c.Backpressure.Load(),
-		Reclassifications: c.Reclassifications.Load(),
+		TasksExecuted:    c.TasksExecuted.Load(),
+		TasksSpawned:     c.TasksSpawned.Load(),
+		LocalSteals:      c.LocalSteals.Load(),
+		RemoteSteals:     c.RemoteSteals.Load(),
+		FailedSteals:     c.FailedSteals.Load(),
+		RemoteProbes:     c.RemoteProbes.Load(),
+		Messages:         c.Messages.Load(),
+		BytesTransferred: c.BytesTransferred.Load(),
+		CacheRefs:        c.CacheRefs.Load(),
+		CacheMisses:      c.CacheMisses.Load(),
+		RemoteDataAccess: c.RemoteDataAccess.Load(),
+		TasksMigrated:    c.TasksMigrated.Load(),
+		StealTimeouts:    c.StealTimeouts.Load(),
+		Retries:          c.Retries.Load(),
+		DroppedMessages:  c.DroppedMessages.Load(),
+		PlacesLost:       c.PlacesLost.Load(),
+		TasksReExecuted:  c.TasksReExecuted.Load(),
+		Backpressure:     c.Backpressure.Load(),
 
 		MembershipJoins:    c.MembershipJoins.Load(),
 		MembershipDrains:   c.MembershipDrains.Load(),
@@ -184,9 +177,6 @@ func (s Snapshot) String() string {
 		s.TasksExecuted, s.TasksSpawned, s.LocalSteals, s.RemoteSteals,
 		s.FailedSteals, s.Messages, s.BytesTransferred, s.CacheMissRate(),
 		s.TasksMigrated)
-	if s.Reclassifications > 0 {
-		base += fmt.Sprintf(" reclass=%d", s.Reclassifications)
-	}
 	if s.Backpressure > 0 {
 		base += fmt.Sprintf(" backpressure=%d", s.Backpressure)
 	}

@@ -101,11 +101,6 @@ const (
 	// KindCrash marks a place fail-stopping. Arg = orphaned tasks
 	// re-homed to survivors.
 	KindCrash
-	// KindReclassify marks the adapt controller flipping a task kind's
-	// online classification (adaptive policy). Task = the task whose
-	// completion triggered the flip (-1 in the real runtime), Arg = the
-	// new class (0 sensitive, 1 flexible).
-	KindReclassify
 	// KindJoin marks a place joining the cluster at runtime.
 	// Arg = the joiner's incarnation.
 	KindJoin
@@ -156,7 +151,6 @@ var kindNames = [...]string{
 	KindTimeout:         "timeout",
 	KindArrive:          "arrive",
 	KindCrash:           "crash",
-	KindReclassify:      "reclassify",
 	KindJoin:            "join",
 	KindDrain:           "drain",
 	KindPartition:       "partition",

@@ -7,7 +7,7 @@
 // Keeping both in one place guarantees the simulator evaluates exactly the
 // policy, and counts exactly the steal attempts, the library ships.
 //
-// Six policies are provided:
+// Five policies are provided:
 //
 //   - X10WS: the baseline X10 scheduler — help-first work stealing strictly
 //     within a place; no distributed steals (paper §III).
@@ -23,12 +23,6 @@
 //   - LifelineWS: Saraswat-style lifeline-based global load balancing
 //     (§X) — random stealing first, then quiesce on a hypercube lifeline
 //     graph and wait for work to be pushed.
-//   - Adaptive: DistWS's mapping with the programmer's annotation replaced
-//     by an online classification from internal/adapt — the runtime
-//     observes per-kind remote slowdowns and pins kinds itself, and also
-//     tunes the steal chunk size and victim order from feedback. The
-//     decision functions here treat Adaptive exactly like DistWS; the
-//     class fed into MapTask is the controller's, not the programmer's.
 package sched
 
 import (
@@ -48,7 +42,6 @@ const (
 	DistWSNS
 	RandomWS
 	LifelineWS
-	Adaptive
 	numKinds
 )
 
@@ -58,7 +51,6 @@ var kindNames = [...]string{
 	DistWSNS:   "DistWS-NS",
 	RandomWS:   "RandomWS",
 	LifelineWS: "LifelineWS",
-	Adaptive:   "Adaptive",
 }
 
 // String returns the paper's name for the policy.
@@ -74,12 +66,12 @@ func Valid(k Kind) bool { return k < numKinds }
 
 // Kinds lists all policies in presentation order.
 func Kinds() []Kind {
-	return []Kind{X10WS, DistWS, DistWSNS, RandomWS, LifelineWS, Adaptive}
+	return []Kind{X10WS, DistWS, DistWSNS, RandomWS, LifelineWS}
 }
 
 // Parse resolves a case-insensitive policy name ("x10ws", "distws",
-// "distws-ns", "random", "lifeline", "adaptive"; "randomws" and
-// "lifelinews" are the String spellings).
+// "distws-ns", "random", "lifeline"; "randomws" and "lifelinews" are the
+// String spellings).
 func Parse(s string) (Kind, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "x10ws":
@@ -92,10 +84,12 @@ func Parse(s string) (Kind, error) {
 		return RandomWS, nil
 	case "lifelinews", "lifeline":
 		return LifelineWS, nil
-	case "adaptive":
-		return Adaptive, nil
 	default:
-		return 0, fmt.Errorf("sched: unknown policy %q (want x10ws, distws, distws-ns, random, lifeline, or adaptive)", s)
+		names := make([]string, 0, numKinds)
+		for _, k := range Kinds() {
+			names = append(names, strings.ToLower(k.String()))
+		}
+		return 0, fmt.Errorf("sched: unknown policy %q (want one of %s)", s, strings.Join(names, ", "))
 	}
 }
 
@@ -131,10 +125,7 @@ func MapTask(k Kind, class task.Class, load PlaceLoad, seq uint64) Target {
 		// Stock X10: every task goes to a private deque; there is no
 		// shared deque and no distributed stealing.
 		return TargetPrivate
-	case DistWS, Adaptive:
-		// Adaptive maps exactly like DistWS; the difference is upstream —
-		// class is the adapt controller's online classification rather
-		// than the programmer's annotation.
+	case DistWS:
 		if class == task.Sensitive {
 			return TargetPrivate
 		}
@@ -166,14 +157,12 @@ func RemoteStealing(k Kind) bool { return k != X10WS }
 
 // RemoteChunk returns how many tasks a distributed steal takes at once.
 // The paper's empirical sweet spot is 2 for both structured and bursty
-// task graphs (§V-B3); the UTS baselines steal single tasks. Adaptive
-// starts at the same 2 — its controller then moves each place's chunk
-// within [1, 4] from steal feedback, overriding this static value. An
+// task graphs (§V-B3); the UTS baselines steal single tasks. An
 // intra-place steal always takes one task, in both engines (§V-B3:
 // stealing several locally showed no improvement).
 func RemoteChunk(k Kind) int {
 	switch k {
-	case DistWS, DistWSNS, Adaptive:
+	case DistWS, DistWSNS:
 		return 2
 	case RandomWS, LifelineWS:
 		return 1

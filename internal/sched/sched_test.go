@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -72,26 +73,6 @@ func TestMapTaskDistWSNSRoundRobin(t *testing.T) {
 	}
 }
 
-// Adaptive maps identically to DistWS for any (class, load) pair: the
-// policy's novelty is who supplies the class, not the mapping itself.
-func TestMapTaskAdaptiveMatchesDistWS(t *testing.T) {
-	loads := []PlaceLoad{
-		busyLoad(),
-		{Active: false, Size: 8, MaxThreads: 8},
-		{Active: true, Spares: 2, Size: 8, MaxThreads: 8},
-		{Active: true, Spares: 0, Size: 3, MaxThreads: 8},
-	}
-	for _, class := range []task.Class{task.Sensitive, task.Flexible} {
-		for _, load := range loads {
-			a := MapTask(Adaptive, class, load, 0)
-			d := MapTask(DistWS, class, load, 0)
-			if a != d {
-				t.Fatalf("Adaptive maps (%v, %+v) to %v, DistWS to %v", class, load, a, d)
-			}
-		}
-	}
-}
-
 func TestMapTaskRandomAndLifelineShared(t *testing.T) {
 	for _, k := range []Kind{RandomWS, LifelineWS} {
 		for _, class := range []task.Class{task.Sensitive, task.Flexible} {
@@ -106,7 +87,7 @@ func TestRemoteStealing(t *testing.T) {
 	if RemoteStealing(X10WS) {
 		t.Fatalf("X10WS must not steal remotely")
 	}
-	for _, k := range []Kind{DistWS, DistWSNS, RandomWS, LifelineWS, Adaptive} {
+	for _, k := range []Kind{DistWS, DistWSNS, RandomWS, LifelineWS} {
 		if !RemoteStealing(k) {
 			t.Fatalf("%v should steal remotely", k)
 		}
@@ -122,9 +103,6 @@ func TestChunks(t *testing.T) {
 	}
 	if got := RemoteChunk(RandomWS); got != 1 {
 		t.Fatalf("RandomWS RemoteChunk = %d, want 1", got)
-	}
-	if got := RemoteChunk(Adaptive); got != 2 {
-		t.Fatalf("Adaptive RemoteChunk = %d, want the paper's 2 as starting point", got)
 	}
 	if got := RemoteChunk(X10WS); got != 0 {
 		t.Fatalf("X10WS RemoteChunk = %d, want 0", got)
@@ -241,7 +219,7 @@ func TestParse(t *testing.T) {
 	cases := map[string]Kind{
 		"x10ws": X10WS, "X10WS": X10WS, "distws": DistWS,
 		"DistWS-NS": DistWSNS, "random": RandomWS, "lifeline": LifelineWS,
-		"Adaptive": Adaptive,
+		"RandomWS": RandomWS, "lifelinews": LifelineWS,
 	}
 	for in, want := range cases {
 		got, err := Parse(in)
@@ -249,8 +227,19 @@ func TestParse(t *testing.T) {
 			t.Fatalf("Parse(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := Parse("bogus"); err == nil {
+	// The error names exactly the policies Kinds lists, so a removed one
+	// (the adaptive policy) is refused and named nowhere.
+	_, err := Parse("adaptive")
+	if err == nil {
 		t.Fatalf("Parse of unknown policy should error")
+	}
+	for _, k := range Kinds() {
+		if !strings.Contains(err.Error(), strings.ToLower(k.String())) {
+			t.Errorf("Parse error %q does not name %v", err, k)
+		}
+	}
+	if strings.Count(err.Error(), ",") != len(Kinds())-1 {
+		t.Errorf("Parse error %q names other than the %d policies", err, len(Kinds()))
 	}
 }
 

@@ -3,7 +3,6 @@ package sched
 import (
 	"math/rand"
 
-	"distws/internal/adapt"
 	"distws/internal/fault"
 	"distws/internal/metrics"
 	"distws/internal/obs"
@@ -19,8 +18,7 @@ type Engine interface {
 	// is stopping. A thief cannot see a victim's queues without the probe.
 	Skip(victim int) bool
 	// Now reads the thief's clock in nanoseconds and Wait spends ns on it:
-	// fault windows are evaluated against that clock, and a steal's
-	// latency is the difference of two readings.
+	// fault windows are evaluated against that clock.
 	Now() int64
 	Wait(ns int64)
 	// Record logs one steal-path event against victim for the trace.
@@ -28,8 +26,8 @@ type Engine interface {
 	// Steal completes a delivered request for up to chunk tasks: the
 	// hand-over at the victim and the landing at the thief, with what
 	// either costs spent on the clock. It returns how many tasks the thief
-	// came away with and how many the victim still has to give.
-	Steal(victim, chunk int) (got, left int)
+	// came away with.
+	Steal(victim, chunk int) int
 }
 
 // stealMaxAttempts bounds the requests a thief sends one victim in one
@@ -42,44 +40,33 @@ const stealMaxAttempts = 3
 // Self and Rng per sweep); two goroutines must not share one.
 type Thief struct {
 	Policy    Kind
-	Self      int               // the thief's place
-	Places    int               // in the cluster
-	Rng       *rand.Rand        // victim order, then backoff jitter
-	TimeoutNS int64             // wait for a reply before calling it lost; the backoff's base
-	Ctrl      *adapt.Controller // chunk size, victim bias and feedback (Adaptive only)
-	Inj       *fault.Injector   // nil when fault-free
+	Self      int             // the thief's place
+	Places    int             // in the cluster
+	Rng       *rand.Rand      // victim order, then backoff jitter
+	TimeoutNS int64           // wait for a reply before calling it lost; the backoff's base
+	Inj       *fault.Injector // nil when fault-free
 	Ctrs      *metrics.Counters
 
 	victims []int // sweep-order scratch, reused so a sweep does not allocate
 }
 
-// Sweep visits the other places in randomized order (latency-biased under
-// the adapt controller) and stops at the first that yields work, which
-// e.Steal has by then landed; it reports whether one did. Each victim the
-// thief sees no reason to skip is sent a request, a message pair whose
-// fate the fault plan decides: delivered, possibly late or with a
-// duplicated reply, or lost, which costs the thief a backoff wait and then
-// a retry, up to stealMaxAttempts requests, unless the victim went down
-// meanwhile. Counters are tallied locally and added once per sweep.
+// Sweep visits the other places in randomized order and stops at the
+// first that yields work, which e.Steal has by then landed; it reports
+// whether one did. Each victim the thief sees no reason to skip is sent a
+// request, a message pair whose fate the fault plan decides: delivered,
+// possibly late or with a duplicated reply, or lost, which costs the thief
+// a backoff wait and then a retry, up to stealMaxAttempts requests, unless
+// the victim went down meanwhile. Counters are tallied locally and added
+// once per sweep.
 func (t *Thief) Sweep(e Engine) bool {
 	chunk := RemoteChunk(t.Policy)
-	if t.Ctrl != nil {
-		chunk = t.Ctrl.Chunk(t.Self)
-		t.victims = t.Ctrl.AppendVictimOrder(t.victims[:0], t.Self, t.Rng)
-	} else {
-		t.victims = AppendVictimOrder(t.victims[:0], t.Policy, t.Self, t.Places, t.Rng)
-	}
+	t.victims = AppendVictimOrder(t.victims[:0], t.Policy, t.Self, t.Places, t.Rng)
 	var requests, lost, retries, duplicated int64
 	got := 0
 	for _, v := range t.victims {
 		if e.Skip(v) {
 			continue
 		}
-		var start int64
-		if t.Ctrl != nil {
-			start = e.Now()
-		}
-		left := 0
 		for sent := 1; ; sent++ {
 			requests++
 			e.Record(obs.KindProbe, v, 0)
@@ -95,7 +82,7 @@ func (t *Thief) Sweep(e Engine) bool {
 				if dup { // dedup absorbs the second reply, but it is real traffic
 					duplicated++
 				}
-				got, left = e.Steal(v, chunk)
+				got = e.Steal(v, chunk)
 				break
 			}
 			lost++
@@ -110,9 +97,6 @@ func (t *Thief) Sweep(e Engine) bool {
 				break
 			}
 			retries++
-		}
-		if t.Ctrl != nil {
-			t.Ctrl.ObserveSteal(t.Self, v, e.Now()-start, got, left)
 		}
 		if got > 0 {
 			break

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"distws/internal/adapt"
 	"distws/internal/cachesim"
 	"distws/internal/dag"
 	"distws/internal/deque"
@@ -88,12 +87,6 @@ type Options struct {
 	// export the trace with obs.Recorder.Snapshot after Run returns.
 	// Nil (the default) records nothing and costs one branch per event.
 	Recorder *obs.Recorder
-	// Adapt, when non-nil and the policy is sched.Adaptive, is the online
-	// classification controller driving the run; callers pass one to
-	// inspect its learned state (classifications, flips, chunk sizes)
-	// after Run returns. Nil under sched.Adaptive creates a fresh
-	// controller with default thresholds. Ignored under other policies.
-	Adapt *adapt.Controller
 }
 
 // The cost model's fixed parameters. No exhibit, benchmark or test varies
@@ -254,13 +247,6 @@ type engine struct {
 	eventsHandled int64
 	// rec receives scheduling events in virtual time (nil = tracing off).
 	rec *obs.Recorder
-	// ctrl is the adapt feedback controller (non-nil only under
-	// sched.Adaptive): it supplies each task's online classification in
-	// place of the trace annotation, the per-place steal chunk size, and
-	// the latency-biased victim order.
-	ctrl *adapt.Controller
-	// taskKind is each task's interned adapt kind id (sched.Adaptive only).
-	taskKind []int32
 
 	// Reused scratch storage for the hot path, so steady-state simulation
 	// performs no per-event heap allocations:
@@ -331,30 +317,6 @@ func newEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Opti
 	// tracing off.
 	e.rec.Configure(cl.Places, cl.WorkersPerPlace, nil, obs.VirtualNS)
 	e.inj = fault.NewInjector(opts.Fault)
-	if policy == sched.Adaptive {
-		e.ctrl = opts.Adapt
-		if e.ctrl == nil {
-			// The event loop is one goroutine, so its private controller
-			// can skip internal locking.
-			e.ctrl = adapt.New(adapt.Config{Places: cl.Places, Unsynchronized: true})
-		}
-		// Kinds are interned up front from observable task descriptors —
-		// never from the Flexible annotation, which the adaptive policy
-		// must not read. Signatures collapse to a handful of kinds, so a
-		// local memo keeps this loop off the controller mutex.
-		e.taskKind = make([]int32, len(g.Tasks))
-		memo := make(map[uint64]int32, 16)
-		for i := range g.Tasks {
-			t := &g.Tasks[i]
-			sig := adapt.Signature(t.CostNS, len(t.Blocks), t.MigMsgs, t.MigBytes)
-			id, ok := memo[sig]
-			if !ok {
-				id = e.ctrl.Intern(sig)
-				memo[sig] = id
-			}
-			e.taskKind[i] = id
-		}
-	}
 	e.resolvedHome = make([]int, len(g.Tasks))
 	e.childSpawned = make([]bool, len(g.Tasks))
 	e.probeRTT = cl.Net.RoundTripNS(32, 32)
@@ -362,7 +324,6 @@ func newEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Opti
 		Policy:    policy,
 		Places:    cl.Places,
 		TimeoutNS: stealTimeoutRTTs * e.probeRTT,
-		Ctrl:      e.ctrl,
 		Inj:       e.inj,
 		Ctrs:      &e.ctrs,
 	}
@@ -534,13 +495,7 @@ func (e *engine) handleSpawn(ev event) {
 		e.ctrs.BytesTransferred.Add(int64(t.MigBytes))
 	}
 
-	class := classOf(t)
-	if e.ctrl != nil {
-		// Adaptive: the controller's learned classification replaces the
-		// programmer's annotation; the mapping rule itself is Algorithm 1.
-		class = e.ctrl.Classify(e.taskKind[ev.taskID])
-	}
-	target := sched.MapTask(e.policy, class, e.load(home), home.spawnSeq)
+	target := sched.MapTask(e.policy, classOf(t), e.load(home), home.spawnSeq)
 	if e.opts.ForceSharedFlexible && t.Flexible && sched.RemoteStealing(e.policy) {
 		target = sched.TargetShared
 	}
@@ -831,7 +786,7 @@ func (e *engine) Record(k obs.Kind, victim int, dur int64) {
 // wait for the victim's deque lock and the payload transfer all delay the
 // first task's start on the thief; the rest arrive at its place's shared
 // deque at the same time.
-func (e *engine) Steal(v, chunkSize int) (got, left int) {
+func (e *engine) Steal(v, chunkSize int) int {
 	w := e.sweeper
 	victim := e.places[v]
 	e.sweepDelay += e.probeRTT
@@ -858,7 +813,7 @@ func (e *engine) Steal(v, chunkSize int) (got, left int) {
 		e.sweepDelay += e.cl.Net.TransferNS(bytes)
 	}
 	if len(chunk) == 0 {
-		return 0, 0
+		return 0
 	}
 	// Holding the victim's shared-deque lock (or CAS window) for the
 	// removal; the width already priced into the probe RTT is excluded.
@@ -876,7 +831,7 @@ func (e *engine) Steal(v, chunkSize int) (got, left int) {
 		e.events.Push(e.now+e.sweepDelay, event{kind: evArrive, place: w.place.id, batch: batch})
 	}
 	e.start(w, chunk[0], e.sweepDelay)
-	return len(chunk), victim.shared.Len()
+	return len(chunk)
 }
 
 // sharedDequeDelay returns the cost of one shared-deque operation at p:
@@ -956,7 +911,7 @@ func (e *engine) start(w *simWorker, id int, startDelay int64) {
 	e.record(p.id, w.local, obs.KindTaskStart, int32(id), int32(e.resolvedHome[id]), 0)
 
 	service := startDelay
-	if e.policy == sched.DistWS || e.policy == sched.DistWSNS || e.policy == sched.Adaptive {
+	if e.policy == sched.DistWS || e.policy == sched.DistWSNS {
 		// Bookkeeping for the dual-deque scheme and load exploration
 		// (the single-node overhead the paper reports).
 		service += e.cl.Over.MapDecisionNS
@@ -971,10 +926,6 @@ func (e *engine) start(w *simWorker, id int, startDelay int64) {
 	// resolved at spawn time (the victim's place for stolen tasks; the
 	// parent's executing place for HomeInherit children).
 	migrated := p.id != e.resolvedHome[id]
-	// penalty accumulates the data-locality share of the service time —
-	// remote-reference round trips and cache-miss stalls — which feeds
-	// the adapt classifier's penalty-fraction criterion.
-	var penalty int64
 	if migrated {
 		e.ctrs.TasksMigrated.Add(1)
 		if t.MigMsgs > 0 {
@@ -984,9 +935,7 @@ func (e *engine) start(w *simWorker, id int, startDelay int64) {
 			e.ctrs.Messages.Add(int64(t.MigMsgs))
 			e.ctrs.RemoteDataAccess.Add(int64(t.MigMsgs))
 			e.ctrs.BytesTransferred.Add(int64(t.MigMsgs * remoteRefBytes))
-			refNS := int64(t.MigMsgs) * e.cl.Net.RoundTripNS(32, remoteRefBytes)
-			service += refNS
-			penalty += refNS
+			service += int64(t.MigMsgs) * e.cl.Net.RoundTripNS(32, remoteRefBytes)
 		}
 	}
 	if t.BaseMsgs > 0 {
@@ -1009,7 +958,6 @@ func (e *engine) start(w *simWorker, id int, startDelay int64) {
 			e.ctrs.CacheRefs.Add(n)
 			e.ctrs.CacheMisses.Add(n)
 			service += n * missPenaltyNS
-			penalty += n * missPenaltyNS
 		default:
 			blocks := t.Blocks
 			if migrated {
@@ -1023,21 +971,11 @@ func (e *engine) start(w *simWorker, id int, startDelay int64) {
 				e.ctrs.CacheRefs.Add(int64(hits + misses))
 				e.ctrs.CacheMisses.Add(int64(misses))
 				service += int64(misses) * missPenaltyNS
-				penalty += int64(misses) * missPenaltyNS
 			}
 		}
 	}
 
 	service += t.CostNS
-	if e.ctrl != nil {
-		// Feed the controller the task's service time net of acquisition
-		// latency (isolating the execution-side cost) plus the measured
-		// data-locality penalty the classifier attributes to migration.
-		if flipped, cls := e.ctrl.ObserveExec(e.taskKind[id], migrated, service-startDelay, penalty); flipped {
-			e.ctrs.Reclassifications.Add(1)
-			e.record(p.id, w.local, obs.KindReclassify, int32(id), int32(cls), 0)
-		}
-	}
 	doneAt := e.now + service
 	w.busyNS += service
 	e.events.Push(doneAt, event{kind: evDone, worker: w.id, taskID: id})
