@@ -41,15 +41,18 @@ race:
 # blocked kernel that panics on a remainder path fails here; so do the
 # mesh insert (map-based oracle and scratch-reusing Insert, with their
 # allocations), agglom's nearest-neighbour scan (all-pairs and the
-# x-sorted sweep, sort included) and nbody's tree build (recursive oracle
-# and the one-pass build, with their allocations).
+# x-sorted sweep, sort included), nbody's tree build (recursive oracle
+# and the one-pass build, with their allocations) and force (recursive
+# oracle and the preorder walk, both steps at 16 000 bodies), and dmr's
+# bad-triangle test (MinAngleDeg's acos and the cosine filter).
 bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkSimulator128Workers|BenchmarkContentionStudy|BenchmarkUTSRuntime|BenchmarkNestedFinish|BenchmarkXSort' -benchtime=1x .
 	$(GO) test -run='^$$' -bench=BenchmarkExecuteOverhead -benchtime=1x ./internal/dag
 	$(GO) test -run='^$$' -bench=BenchmarkTileKernels -benchtime=1x ./internal/apps/linalg
 	$(GO) test -run='^$$' -bench=BenchmarkInsert -benchtime=1x -benchmem ./internal/geom
 	$(GO) test -run='^$$' -bench=BenchmarkNNChunk -benchtime=1x ./internal/apps/agglom
-	$(GO) test -run='^$$' -bench=BenchmarkBuild -benchtime=1x -benchmem ./internal/apps/nbody
+	$(GO) test -run='^$$' -bench='BenchmarkBuild|BenchmarkForce' -benchtime=1x -benchmem ./internal/apps/nbody
+	$(GO) test -run='^$$' -bench=BenchmarkIsBad -benchtime=1x ./internal/apps/dmr
 
 # Where the goroutine runtime's per-task time goes: a CPU profile of the
 # empty-body fan-out (spawn, push, take, run, join and nothing else),
@@ -147,8 +150,9 @@ check: build fmt-check vet test race bench-smoke deque-stress dag-crash core-cra
 # wire codec against gob, dag.Execute's empty-kernel ns/task,
 # and the kernels kept beside their naive references: linalg's tiles, the
 # mesh insert (ns, B and allocs per insert), agglom's nearest-neighbour
-# scan and nbody's tree build (ns, B and allocs per build). ~6 min in all
-# on 2 vCPUs.
+# scan, nbody's tree build (ns, B and allocs per build) and force walk,
+# and dmr's bad-triangle test (ns per triangle). ~7 min in all on 2
+# vCPUs.
 bench:
 	$(GO) run ./benchmark
 	$(GO) test -run='^$$' -bench=. -benchtime=1s -count=5 -benchmem . ./internal/comm
@@ -156,7 +160,8 @@ bench:
 	$(GO) test -run='^$$' -bench=BenchmarkTileKernels -benchtime=1s -count=5 ./internal/apps/linalg
 	$(GO) test -run='^$$' -bench=BenchmarkInsert -benchtime=1s -count=5 -benchmem ./internal/geom
 	$(GO) test -run='^$$' -bench=BenchmarkNNChunk -benchtime=1s -count=5 ./internal/apps/agglom
-	$(GO) test -run='^$$' -bench=BenchmarkBuild -benchtime=1s -count=5 -benchmem ./internal/apps/nbody
+	$(GO) test -run='^$$' -bench='BenchmarkBuild|BenchmarkForce' -benchtime=1s -count=5 -benchmem ./internal/apps/nbody
+	$(GO) test -run='^$$' -bench=BenchmarkIsBad -benchtime=1s -count=5 ./internal/apps/dmr
 
 # Churn soak: dynamic-membership endurance under the race detector —
 # concurrent joins, graceful drains, a healing partition, and a flapping

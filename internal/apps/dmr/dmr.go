@@ -13,6 +13,7 @@ package dmr
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"distws/internal/apps"
@@ -84,13 +85,54 @@ func (a *App) regionBounds(i int) (minX, minY, maxX, maxY float64) {
 	return float64(i) / float64(a.RootGrid), 0, float64(i+1) / float64(a.RootGrid), 1
 }
 
+// quality is the refinement bound as isBad applies it: the angle and a
+// guard band around its cosine.
+type quality struct {
+	minDeg, lo, hi float64
+}
+
+// guard is the half-width of the band around cos(minDeg) inside which
+// isBad defers to geom.MinAngleDeg. It is far wider than the few ulps by
+// which acos and the conversion to degrees can move an angle.
+const guard = 1e-9
+
+// quality returns the bound of a refinement run.
+func (a *App) quality() quality {
+	c := math.Cos(a.MinAngleDeg * math.Pi / 180)
+	return quality{minDeg: a.MinAngleDeg, lo: c - guard, hi: c + guard}
+}
+
 // isBad reports whether triangle t of m needs refinement.
-func (a *App) isBad(m *geom.Mesh, t int) bool {
+func (q quality) isBad(m *geom.Mesh, t int) bool {
 	if !m.Tris[t].Alive || m.HasSuperVertex(t) {
 		return false
 	}
 	v := m.Tris[t].V
-	return geom.MinAngleDeg(m.Pts[v[0]], m.Pts[v[1]], m.Pts[v[2]]) < a.MinAngleDeg
+	return q.bad(m.Pts[v[0]], m.Pts[v[1]], m.Pts[v[2]])
+}
+
+// bad reports whether the smallest angle of triangle (pa, pb, pc), as
+// geom.MinAngleDeg computes it, is below the bound. The smallest angle
+// has the largest cosine, so a cosine clear of the guard band settles it
+// without acos; inside the band, on a zero side or on a NaN (max
+// propagates it) the verdict is MinAngleDeg's.
+func (q quality) bad(pa, pb, pc geom.Point) bool {
+	la := math.Sqrt(pb.Dist2(pc)) // side opposite pa
+	lb := math.Sqrt(pa.Dist2(pc))
+	lc := math.Sqrt(pa.Dist2(pb))
+	if la != 0 && lb != 0 && lc != 0 {
+		// The cosines as MinAngleDeg computes them, before its clamp.
+		c := max((lb*lb+lc*lc-la*la)/(2*lb*lc),
+			(la*la+lc*lc-lb*lb)/(2*la*lc),
+			(la*la+lb*lb-lc*lc)/(2*la*lb))
+		if c > q.hi {
+			return true
+		}
+		if c < q.lo {
+			return false
+		}
+	}
+	return geom.MinAngleDeg(pa, pb, pc) < q.minDeg
 }
 
 // cavityRec records one refinement insert: the cavity size (work) and
@@ -112,6 +154,11 @@ type refineStats struct {
 
 // refineRegion builds and refines one region's mesh.
 func (a *App) refineRegion(ri int, pts []geom.Point) refineStats {
+	return a.refineWith(ri, pts, a.quality().isBad)
+}
+
+// refineWith is refineRegion with isBad as the test of a triangle.
+func (a *App) refineWith(ri int, pts []geom.Point, isBad func(m *geom.Mesh, t int) bool) refineStats {
 	minX, minY, maxX, maxY := a.regionBounds(ri)
 	m := geom.NewMesh(minX, minY, maxX, maxY)
 	for _, p := range pts {
@@ -124,7 +171,7 @@ func (a *App) refineRegion(ri int, pts []geom.Point) refineStats {
 	}
 	var queue []workItem
 	for t := range m.Tris {
-		if a.isBad(m, t) {
+		if isBad(m, t) {
 			queue = append(queue, workItem{t, 0})
 		}
 	}
@@ -132,7 +179,7 @@ func (a *App) refineRegion(ri int, pts []geom.Point) refineStats {
 	for len(queue) > 0 && st.inserts < cap {
 		it := queue[0]
 		queue = queue[1:]
-		if !a.isBad(m, it.tri) {
+		if !isBad(m, it.tri) {
 			continue // killed or fixed by an earlier cavity
 		}
 		v := m.Tris[it.tri].V
@@ -148,7 +195,7 @@ func (a *App) refineRegion(ri int, pts []geom.Point) refineStats {
 		st.inserts++
 		st.cavities = append(st.cavities, cavityRec{Size: m.InsertSteps - before, Gen: it.gen})
 		for _, nt := range created {
-			if a.isBad(m, nt) {
+			if isBad(m, nt) {
 				queue = append(queue, workItem{nt, it.gen + 1})
 			}
 		}

@@ -1,6 +1,8 @@
 package dmr
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -79,9 +81,10 @@ func TestRefineRegionBounded(t *testing.T) {
 
 func TestIsBad(t *testing.T) {
 	a := small()
+	q := a.quality()
 	m := geom.NewMesh(0, 0, 1, 1)
 	// The initial super-triangle is never "bad".
-	if a.isBad(m, 0) {
+	if q.isBad(m, 0) {
 		t.Fatalf("super-triangle flagged bad")
 	}
 	// A skinny interior triangle is bad.
@@ -90,12 +93,118 @@ func TestIsBad(t *testing.T) {
 	m.Insert(geom.Point{X: 0.51, Y: 0.9})
 	found := false
 	for ti := range m.Tris {
-		if m.Tris[ti].Alive && !m.HasSuperVertex(ti) && a.isBad(m, ti) {
+		if m.Tris[ti].Alive && !m.HasSuperVertex(ti) && q.isBad(m, ti) {
 			found = true
 		}
 	}
 	if !found {
 		t.Fatalf("skinny triangle not flagged bad")
+	}
+}
+
+// isBadOracle is the test isBad replaced, kept as its reference: every
+// verdict through acos.
+func isBadOracle(a *App, m *geom.Mesh, t int) bool {
+	if !m.Tris[t].Alive || m.HasSuperVertex(t) {
+		return false
+	}
+	v := m.Tris[t].V
+	return geom.MinAngleDeg(m.Pts[v[0]], m.Pts[v[1]], m.Pts[v[2]]) < a.MinAngleDeg
+}
+
+// triangleAt returns an isosceles triangle whose apex angle at the
+// origin is deg degrees and whose other two angles are larger.
+func triangleAt(deg float64) [3]geom.Point {
+	phi := deg * math.Pi / 180
+	return [3]geom.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: math.Cos(phi), Y: math.Sin(phi)}}
+}
+
+// TestIsBadMatchesMinAngleDeg checks the cosine filter's verdict against
+// MinAngleDeg's on every triangle refinement tests, over every region at
+// seeds 1-8, and on built triangles: apex angles swept across the guard
+// band around the bound and a few ulps either side of it, a triangle with
+// a zero side and a collinear one.
+func TestIsBadMatchesMinAngleDeg(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		a := New(2_000, seed)
+		q := a.quality()
+		tested := 0
+		for ri, pts := range a.partition(a.gen()) {
+			a.refineWith(ri, pts, func(m *geom.Mesh, tri int) bool {
+				got, want := q.isBad(m, tri), isBadOracle(a, m, tri)
+				if got != want {
+					v := m.Tris[tri].V
+					t.Fatalf("seed %d, region %d: triangle %v %v %v: filter says bad=%v, MinAngleDeg %v",
+						seed, ri, m.Pts[v[0]], m.Pts[v[1]], m.Pts[v[2]], got, want)
+				}
+				tested++
+				return want
+			})
+		}
+		if tested == 0 {
+			t.Fatalf("seed %d: refinement tested no triangle", seed)
+		}
+	}
+
+	q := small().quality()
+	check := func(name string, p [3]geom.Point) {
+		t.Helper()
+		want := geom.MinAngleDeg(p[0], p[1], p[2]) < q.minDeg
+		if got := q.bad(p[0], p[1], p[2]); got != want {
+			t.Fatalf("%s %v: filter says bad=%v, MinAngleDeg %v", name, p, got, want)
+		}
+	}
+	// The band is ±1e-9 in cosine, about ±1.3e-7 degrees at 26.
+	for k := -300; k <= 300; k++ {
+		deg := q.minDeg + float64(k)*1e-9
+		check(fmt.Sprintf("apex %.10f", deg), triangleAt(deg))
+	}
+	deg := q.minDeg
+	for k := 0; k < 8; k++ {
+		deg = math.Nextafter(deg, 0)
+	}
+	for k := 0; k <= 16; k++ {
+		check(fmt.Sprintf("apex 26%+d ulps", k-8), triangleAt(deg))
+		deg = math.Nextafter(deg, 90)
+	}
+	check("zero side", [3]geom.Point{{X: 0.2, Y: 0.2}, {X: 0.2, Y: 0.2}, {X: 0.7, Y: 0.4}})
+	check("collinear", [3]geom.Point{{X: 0.1, Y: 0.1}, {X: 0.4, Y: 0.1}, {X: 0.9, Y: 0.1}})
+	if !q.bad(geom.Point{X: 0.1, Y: 0.1}, geom.Point{X: 0.4, Y: 0.1}, geom.Point{X: 0.9, Y: 0.1}) {
+		t.Fatalf("collinear triangle not bad")
+	}
+}
+
+// BenchmarkIsBad times the bad-triangle verdict on the triangles one
+// suite.Medium refinement (8 000 points, seed 1) tests: MinAngleDeg's
+// acos on every triangle against the cosine filter.
+func BenchmarkIsBad(b *testing.B) {
+	a := New(2_000*4, 1)
+	q := a.quality()
+	var tris [][3]geom.Point
+	for ri, pts := range a.partition(a.gen()) {
+		a.refineWith(ri, pts, func(m *geom.Mesh, tri int) bool {
+			if m.Tris[tri].Alive && !m.HasSuperVertex(tri) {
+				v := m.Tris[tri].V
+				tris = append(tris, [3]geom.Point{m.Pts[v[0]], m.Pts[v[1]], m.Pts[v[2]]})
+			}
+			return q.isBad(m, tri)
+		})
+	}
+	for _, k := range []struct {
+		name string
+		bad  func(p [3]geom.Point) bool
+	}{
+		{"minangle", func(p [3]geom.Point) bool { return geom.MinAngleDeg(p[0], p[1], p[2]) < q.minDeg }},
+		{"filter", func(p [3]geom.Point) bool { return q.bad(p[0], p[1], p[2]) }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, p := range tris {
+					k.bad(p)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tris)), "ns/triangle")
+		})
 	}
 }
 

@@ -3,7 +3,10 @@
 // quadtree and computes forces per body with the θ-criterion; bodies in
 // dense regions traverse deeper subtrees, so equal-count body chunks have
 // very different interaction counts — the irregular parallelism the paper
-// highlights for this app.
+// highlights for this app. build inserts each body by one walk down a
+// preallocated node slab and lays the tree out once, in depth-first
+// preorder with a skip link per cell, so each body's force is one loop
+// over a flat array, with no recursion, in the recursion's order.
 //
 // Force chunks are locality-flexible: they carry their bodies (one copy)
 // and read the globally shared tree, matching the paper's observation
@@ -83,18 +86,35 @@ func (a *App) gen() []Body {
 	return bodies
 }
 
-// node is a quadtree node.
+// node is a quadtree node as the insert walk sees it.
 type node struct {
-	x, y, size     float64 // square cell: lower-left corner and side
-	cmx, cmy, mass float64 // centre of mass
-	body           int     // body index for leaves, -1 otherwise
-	kids           [4]int32
-	n              int // bodies under this node
+	x, y, size float64 // square cell: lower-left corner and side
+	body       int     // body index for leaves, -1 otherwise
+	kids       [4]int32
+	n          int // bodies under this node
 }
 
-// tree is a quadtree over the unit square.
+// cell is a node with mass as the force walk sees it. The walk array
+// holds the tree in depth-first preorder, children in quadrant order, so
+// a cell's subtree is the run walk[i:next].
+type cell struct {
+	cmx, cmy, mass float64 // centre of mass
+	size2          float64 // side squared
+	leaf           int32   // body index of a one-body leaf, else multiLeaf or inner
+	next           int32   // index just past this cell's subtree
+}
+
+// Leaf codes of a cell that is not a one-body leaf.
+const (
+	inner     = int32(-1) // has children
+	multiLeaf = int32(-2) // a maxDepth leaf holding coincident bodies
+)
+
+// tree is a quadtree over the unit square: the node slab the bodies are
+// inserted into and the walk array force reads.
 type tree struct {
 	nodes []node
+	walk  []cell
 }
 
 const noKid = int32(-1)
@@ -107,13 +127,16 @@ func newNode(x, y, size float64) node {
 // by one walk down from the root into a node slab preallocated at two
 // nodes per body, which generated inputs stay under (append grows it
 // past that). A body that meets a resident pushes the resident into a
-// new child first, then descends itself.
-func build(bodies []Body) *tree {
-	t := &tree{nodes: make([]node, 1, 2*len(bodies)+1)}
+// new child first, then descends itself. The walk array is sized once,
+// at one cell per node; the tree is returned by value, so the two slabs
+// are build's only allocations.
+func build(bodies []Body) tree {
+	t := tree{nodes: make([]node, 1, 2*len(bodies)+1)}
 	t.nodes[0] = newNode(0, 0, 1)
 	for bi := range bodies {
 		t.insert(bodies, bi)
 	}
+	t.walk = make([]cell, 0, len(t.nodes))
 	t.summarize(0, bodies)
 	return t
 }
@@ -178,64 +201,77 @@ func (t *tree) child(ni int, x, y float64) int {
 	return k
 }
 
-// summarize computes centres of mass bottom-up.
+// summarize computes centres of mass bottom-up and lays the subtree of
+// ni out at the end of t.walk in preorder. A subtree without mass is left
+// out: the walk would not enter it. It returns the subtree's mass and
+// mass-weighted position sums.
 func (t *tree) summarize(ni int, bodies []Body) (mass, mx, my float64) {
 	nd := &t.nodes[ni]
+	i := len(t.walk)
+	t.walk = append(t.walk, cell{size2: nd.size * nd.size, leaf: inner})
+	var cmx, cmy float64
 	if nd.body >= 0 {
-		b := bodies[nd.body]
-		nd.mass, nd.cmx, nd.cmy = b.M, b.X, b.Y
-		return nd.mass, nd.cmx * nd.mass, nd.cmy * nd.mass
-	}
-	var m, sx, sy float64
-	for _, k := range nd.kids {
-		if k == noKid {
-			continue
+		b := &bodies[nd.body]
+		t.walk[i].leaf = int32(nd.body)
+		if nd.n > 1 {
+			t.walk[i].leaf = multiLeaf
 		}
-		km, kx, ky := t.summarize(int(k), bodies)
-		m += km
-		sx += kx
-		sy += ky
+		mass, cmx, cmy = b.M, b.X, b.Y
+		mx, my = cmx*mass, cmy*mass
+	} else {
+		for _, k := range nd.kids {
+			if k == noKid {
+				continue
+			}
+			km, kx, ky := t.summarize(int(k), bodies)
+			mass += km
+			mx += kx
+			my += ky
+		}
+		if mass > 0 {
+			cmx, cmy = mx/mass, my/mass
+		}
 	}
-	nd.mass = m
-	if m > 0 {
-		nd.cmx, nd.cmy = sx/m, sy/m
+	if mass == 0 {
+		t.walk = t.walk[:i]
+		return mass, mx, my
 	}
-	return m, sx, sy
+	c := &t.walk[i]
+	c.cmx, c.cmy, c.mass = cmx, cmy, mass
+	c.next = int32(len(t.walk))
+	return mass, mx, my
 }
 
 // force computes the acceleration on body bi with the θ-criterion,
-// returning (ax, ay, interactions).
+// returning (ax, ay, interactions). It walks the preorder array: a cell
+// it accepts as a point mass, a leaf and bi itself are passed over by
+// jumping to next, an opened cell steps into its first child. The visit
+// order, and so every sum, is a depth-first recursion's.
 func (t *tree) force(bodies []Body, bi int, theta float64) (float64, float64, int) {
 	const soft = 1e-4
 	b := bodies[bi]
+	self, theta2 := int32(bi), theta*theta
 	var ax, ay float64
 	inter := 0
-	var rec func(ni int)
-	rec = func(ni int) {
-		nd := &t.nodes[ni]
-		if nd.n == 0 || nd.mass == 0 {
-			return
-		}
-		dx, dy := nd.cmx-b.X, nd.cmy-b.Y
+	w := t.walk
+	for i := 0; i < len(w); {
+		c := &w[i]
+		dx, dy := c.cmx-b.X, c.cmy-b.Y
 		d2 := dx*dx + dy*dy + soft
-		if nd.body == bi && nd.n == 1 {
-			return // self
+		if c.leaf == inner && !(c.size2 < theta2*d2) {
+			i++ // too close: open it
+			continue
 		}
-		if nd.body >= 0 || nd.size*nd.size < theta*theta*d2 {
-			// Leaf or far enough: treat as a point mass.
-			inv := 1 / (d2 * math.Sqrt(d2))
-			ax += nd.mass * dx * inv
-			ay += nd.mass * dy * inv
-			inter++
-			return
+		i = int(c.next)
+		if c.leaf == self {
+			continue
 		}
-		for _, k := range nd.kids {
-			if k != noKid {
-				rec(int(k))
-			}
-		}
+		// Leaf or far enough: treat as a point mass.
+		inv := 1 / (d2 * math.Sqrt(d2))
+		ax += c.mass * dx * inv
+		ay += c.mass * dy * inv
+		inter++
 	}
-	rec(0)
 	return ax, ay, inter
 }
 
@@ -292,7 +328,7 @@ func (a *App) run(eachStep func(t *tree, bodies []Body, ax, ay []float64, chunks
 	chunks := apps.Chunks(a.N, a.ChunkSize)
 	for s := 0; s < a.Steps; s++ {
 		t := build(bodies)
-		eachStep(t, bodies, ax, ay, chunks)
+		eachStep(&t, bodies, ax, ay, chunks)
 		integrate(bodies, ax, ay, 0, a.N)
 	}
 	return checksum(bodies)
@@ -365,7 +401,7 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 		}
 		prevBuild = bt
 		for ci, ch := range chunks {
-			inter := a.forceChunk(t, bodies, ax, ay, ch[0], ch[1])
+			inter := a.forceChunk(&t, bodies, ax, ay, ch[0], ch[1])
 			sz := ch[1] - ch[0]
 			fc := b.Child(bt, trace.Task{
 				HomeMode: trace.HomeFixed,

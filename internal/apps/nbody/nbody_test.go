@@ -49,12 +49,13 @@ func TestSequentialChecksumIsPinned(t *testing.T) {
 // buildOracle is the recursive build that build replaced, kept as its
 // reference: the resident's child is appended before the newcomer's, so
 // the node slab must come out equal node for node.
-func buildOracle(bodies []Body) *tree {
-	t := &tree{}
+func buildOracle(bodies []Body) tree {
+	t := tree{}
 	t.nodes = append(t.nodes, newNode(0, 0, 1))
 	for i := range bodies {
-		oracleInsert(t, 0, bodies, i, 0)
+		oracleInsert(&t, 0, bodies, i, 0)
 	}
+	t.walk = make([]cell, 0, len(t.nodes))
 	t.summarize(0, bodies)
 	return t
 }
@@ -150,12 +151,193 @@ func BenchmarkBuild(b *testing.B) {
 	bodies := New(16_000, 1, 1).gen()
 	for _, k := range []struct {
 		name  string
-		build func([]Body) *tree
+		build func([]Body) tree
 	}{{"oracle", buildOracle}, {"build", build}} {
 		b.Run(k.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				k.build(bodies)
+			}
+		})
+	}
+}
+
+// summary is a node's centre of mass as the recursive force read it.
+type summary struct {
+	cmx, cmy, mass float64
+}
+
+// summarizeOracle is the bottom-up pass that filled the centre-of-mass
+// fields of the node slab before the walk array replaced them, indexed
+// by node.
+func summarizeOracle(t *tree, bodies []Body) []summary {
+	sum := make([]summary, len(t.nodes))
+	var rec func(ni int) (mass, mx, my float64)
+	rec = func(ni int) (float64, float64, float64) {
+		nd, s := &t.nodes[ni], &sum[ni]
+		if nd.body >= 0 {
+			b := bodies[nd.body]
+			s.mass, s.cmx, s.cmy = b.M, b.X, b.Y
+			return s.mass, s.cmx * s.mass, s.cmy * s.mass
+		}
+		var m, sx, sy float64
+		for _, k := range nd.kids {
+			if k == noKid {
+				continue
+			}
+			km, kx, ky := rec(int(k))
+			m += km
+			sx += kx
+			sy += ky
+		}
+		s.mass = m
+		if m > 0 {
+			s.cmx, s.cmy = sx/m, sy/m
+		}
+		return m, sx, sy
+	}
+	rec(0)
+	return sum
+}
+
+// forceOracle is the recursive force that the preorder walk replaced,
+// kept as its reference: it recurses through a closure over the node
+// slab, children in quadrant order.
+func forceOracle(t *tree, sum []summary, bodies []Body, bi int, theta float64) (float64, float64, int) {
+	const soft = 1e-4
+	b := bodies[bi]
+	var ax, ay float64
+	inter := 0
+	var rec func(ni int)
+	rec = func(ni int) {
+		nd, s := &t.nodes[ni], &sum[ni]
+		if nd.n == 0 || s.mass == 0 {
+			return
+		}
+		dx, dy := s.cmx-b.X, s.cmy-b.Y
+		d2 := dx*dx + dy*dy + soft
+		if nd.body == bi && nd.n == 1 {
+			return // self
+		}
+		if nd.body >= 0 || nd.size*nd.size < theta*theta*d2 {
+			inv := 1 / (d2 * math.Sqrt(d2))
+			ax += s.mass * dx * inv
+			ay += s.mass * dy * inv
+			inter++
+			return
+		}
+		for _, k := range nd.kids {
+			if k != noKid {
+				rec(int(k))
+			}
+		}
+	}
+	rec(0)
+	return ax, ay, inter
+}
+
+// matchOracle checks that force and forceOracle agree bit for bit, and in
+// their interaction counts, for every body of bodies under tr.
+func matchOracle(t *testing.T, name string, tr *tree, bodies []Body, theta float64) {
+	t.Helper()
+	sum := summarizeOracle(tr, bodies)
+	for bi := range bodies {
+		gx, gy, gn := tr.force(bodies, bi, theta)
+		wx, wy, wn := forceOracle(tr, sum, bodies, bi, theta)
+		if math.Float64bits(gx) != math.Float64bits(wx) || math.Float64bits(gy) != math.Float64bits(wy) || gn != wn {
+			t.Fatalf("%s, body %d: walk (%v, %v, %d), recursion (%v, %v, %d)", name, bi, gx, gy, gn, wx, wy, wn)
+		}
+	}
+}
+
+// TestWalkMatchesRecursiveForce checks the preorder walk against the
+// recursive force: every step of whole runs at 4 000 and 16 000 bodies,
+// seeds 1-3; the near-coincident cloud, whose maxDepth leaf must not be
+// skipped as self; systems with zero-mass bodies, whose cells the walk
+// leaves out; and a θ that puts a cell exactly on the opening boundary,
+// where the test is strict.
+func TestWalkMatchesRecursiveForce(t *testing.T) {
+	for _, n := range []int{4_000, 16_000} {
+		for seed := int64(1); seed <= 3; seed++ {
+			a, step := New(n, 2, seed), 0
+			a.run(func(tr *tree, bodies []Body, ax, ay []float64, chunks [][2]int) {
+				matchOracle(t, fmt.Sprintf("%d bodies, seed %d, step %d", n, seed, step), tr, bodies, a.Theta)
+				step++
+				for _, ch := range chunks {
+					a.forceChunk(tr, bodies, ax, ay, ch[0], ch[1])
+				}
+			})
+		}
+	}
+	// At θ = 0.5 the softening accepts the cloud's cells long before its
+	// maxDepth leaf; θ = 0 opens every inner cell down to it.
+	cloud := nearCoincident(20)
+	tr := build(cloud)
+	matchOracle(t, "near-coincident", &tr, cloud, 0.5)
+	matchOracle(t, "near-coincident, θ = 0", &tr, cloud, 0)
+
+	bodies := New(4_000, 1, 1).gen()
+	bodies[1234].M = 0
+	tr = build(bodies)
+	matchOracle(t, "one zero-mass body", &tr, bodies, 0.5)
+	// Two zero-mass bodies alone in a quadrant: a massless inner cell.
+	few := []Body{{X: 0.1, Y: 0.1, M: 1}, {X: 0.7, Y: 0.7}, {X: 0.9, Y: 0.9}, {X: 0.1, Y: 0.9, M: 2}}
+	tr = build(few)
+	if len(tr.walk) != 3 {
+		t.Fatalf("massless quadrant: %d cells in the walk, want root and two leaves", len(tr.walk))
+	}
+	matchOracle(t, "massless quadrant", &tr, few, 0.5)
+
+	// Body 0 sees the inner cell over bodies 1 and 2 (node 2, side 0.5)
+	// at d2; a θ with θ²·d2 == side² sits on the boundary, where the cell
+	// must be opened.
+	three := []Body{{X: 0.1, Y: 0.1, M: 1}, {X: 0.6, Y: 0.6, M: 1}, {X: 0.9, Y: 0.9, M: 1.5}}
+	tr = build(three)
+	s := summarizeOracle(&tr, three)[2]
+	if nd := tr.nodes[2]; nd.body >= 0 || nd.size != 0.5 {
+		t.Fatalf("node 2 is not the inner cell of side 0.5: %+v", nd)
+	}
+	dx, dy := s.cmx-three[0].X, s.cmy-three[0].Y
+	d2 := dx*dx + dy*dy + 1e-4
+	theta := math.Sqrt(0.25 / d2)
+	for k := 0; theta*theta*d2 != 0.25; k++ {
+		if k == 1000 {
+			t.Fatalf("no θ near %v puts the cell on the boundary", math.Sqrt(0.25/d2))
+		}
+		theta = math.Nextafter(theta, 1)
+	}
+	matchOracle(t, "opening boundary", &tr, three, theta)
+}
+
+// BenchmarkForce times the force on every body of both steps' trees of a
+// suite.Medium run (16 000 bodies): the recursive oracle against the walk.
+func BenchmarkForce(b *testing.B) {
+	type step struct {
+		tr     *tree
+		bodies []Body
+		sum    []summary
+	}
+	var steps []step
+	a := New(16_000, 2, 1)
+	a.run(func(tr *tree, bodies []Body, ax, ay []float64, chunks [][2]int) {
+		steps = append(steps, step{tr, slices.Clone(bodies), summarizeOracle(tr, bodies)})
+		a.forceChunk(tr, bodies, ax, ay, 0, len(bodies))
+	})
+	for _, k := range []struct {
+		name  string
+		force func(s step, bi int) (float64, float64, int)
+	}{
+		{"oracle", func(s step, bi int) (float64, float64, int) { return forceOracle(s.tr, s.sum, s.bodies, bi, a.Theta) }},
+		{"walk", func(s step, bi int) (float64, float64, int) { return s.tr.force(s.bodies, bi, a.Theta) }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, s := range steps {
+					for bi := range s.bodies {
+						k.force(s, bi)
+					}
+				}
 			}
 		})
 	}
@@ -169,7 +351,7 @@ func TestTreeMassConservation(t *testing.T) {
 	for i := range bodies {
 		want += bodies[i].M
 	}
-	if got := tr.nodes[0].mass; math.Abs(got-want) > 1e-6*want {
+	if got := tr.walk[0].mass; math.Abs(got-want) > 1e-6*want {
 		t.Fatalf("root mass = %v, want %v", got, want)
 	}
 }
@@ -232,7 +414,7 @@ func TestDenseChunksCostMore(t *testing.T) {
 	ay := make([]float64, a.N)
 	minI, maxI := math.MaxInt, 0
 	for _, ch := range apps.Chunks(a.N, a.ChunkSize) {
-		inter := a.forceChunk(tr, bodies, ax, ay, ch[0], ch[1])
+		inter := a.forceChunk(&tr, bodies, ax, ay, ch[0], ch[1])
 		if inter < minI {
 			minI = inter
 		}
