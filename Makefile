@@ -213,7 +213,9 @@ loc:
 # the benchmark execute on the exhibit run, the benchmark's smoke run, the
 # serve-soak simulation, one real loopback service (a distws-serve front
 # door and executor on a three-seat TCP mesh, with a distws-load client
-# started before the executor) and distws-run's other faces (the relaxed
+# started before the executor: a closed-loop tenant, and an open-loop one
+# whose Poisson arrivals meet a token-bucket rate limit) and distws-run's
+# other faces (the relaxed
 # kind on the goroutine runtime; a crash and lossy steals
 # in the simulator, traced, with distws-trace rendering the trace in every
 # format; the same faults under lifelines on the runtime, on turingring,
@@ -247,8 +249,8 @@ coverage-ledger:
 	"$$dir/bin/distws-load" $(LOAD_SIM) > /dev/null; \
 	port=$$((40000 + $$$$ % 20000)); \
 	addrs=127.0.0.1:$$port,127.0.0.1:$$((port + 1)),127.0.0.1:$$((port + 2)); \
-	"$$dir/bin/distws-serve" -addrs $$addrs -places 2 -place 0 -tenants 1:w=1 > /dev/null & front=$$!; pids="$$front"; \
-	"$$dir/bin/distws-load" -addrs $$addrs -places 2 -seat 2 -spec "1:clients=2,jobs=40,task=svc.echo" > /dev/null & load=$$!; pids="$$pids $$load"; \
+	"$$dir/bin/distws-serve" -addrs $$addrs -places 2 -place 0 -tenants "1:w=1;2:w=1,rate=200,burst=4" > /dev/null & front=$$!; pids="$$front"; \
+	"$$dir/bin/distws-load" -addrs $$addrs -places 2 -seat 2 -spec "1:clients=2,jobs=40,task=svc.echo;2:open=500,jobs=20,task=svc.echo" > /dev/null & load=$$!; pids="$$pids $$load"; \
 	sleep 0.3; \
 	"$$dir/bin/distws-serve" -addrs $$addrs -places 2 -place 1 > /dev/null & exec1=$$!; pids="$$pids $$exec1"; \
 	wait $$load; kill -TERM $$front; wait $$front $$exec1; pids=; \

@@ -14,7 +14,6 @@ package dmr
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"distws/internal/apps"
 	"distws/internal/core"
@@ -242,7 +241,6 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 	places := rt.Places()
 	regs := a.partition(a.gen())
 	stats := make([]refineStats, a.RootGrid)
-	var mu sync.Mutex
 	err := rt.Run(func(ctx *core.Ctx) {
 		ctx.Finish(func(c *core.Ctx) {
 			for i, pts := range regs {
@@ -253,10 +251,7 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 					Blocks:         []uint64{uint64(i)},
 				}
 				c.AsyncLoc(a.regionPlace(i, places), loc, func(*core.Ctx) {
-					st := a.refineRegion(i, pts)
-					mu.Lock()
-					stats[i] = st
-					mu.Unlock()
+					stats[i] = a.refineRegion(i, pts) // own slot; Finish orders it before checksum
 				})
 			}
 		})

@@ -61,9 +61,6 @@ func New(capacity int) *Cache {
 	}
 }
 
-// Len returns the number of resident blocks.
-func (c *Cache) Len() int { return int(c.used) }
-
 // home is block's preferred table position (Fibonacci hashing: block IDs
 // are small integers plus a place alias in the top byte, which the
 // multiply spreads over the index bits).
@@ -149,12 +146,6 @@ func (c *Cache) TouchAll(blocks []uint64) (hits, misses int) {
 		}
 	}
 	return hits, misses
-}
-
-// Contains reports whether block is resident without touching it.
-func (c *Cache) Contains(block uint64) bool {
-	_, ok := c.find(block)
-	return ok
 }
 
 func (c *Cache) pushFront(i int32) {

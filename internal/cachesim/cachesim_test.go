@@ -8,8 +8,8 @@ import (
 
 func TestColdMissThenHit(t *testing.T) {
 	c := New(4)
-	if c.Len() != 0 || c.Contains(1) {
-		t.Fatalf("new cache holds %d blocks", c.Len())
+	if _, ok := c.find(1); c.used != 0 || ok {
+		t.Fatalf("new cache holds %d blocks", c.used)
 	}
 	if c.Touch(1) {
 		t.Fatalf("first touch should miss")
@@ -20,8 +20,8 @@ func TestColdMissThenHit(t *testing.T) {
 	if hits, misses := c.TouchAll([]uint64{1, 2}); hits != 1 || misses != 1 {
 		t.Fatalf("TouchAll = %d hits %d misses, want 1/1", hits, misses)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
+	if c.used != 2 {
+		t.Fatalf("%d blocks resident, want 2", c.used)
 	}
 }
 
@@ -31,17 +31,17 @@ func TestLRUEviction(t *testing.T) {
 	c.Touch(2)
 	c.Touch(1) // 1 is now MRU, 2 is LRU
 	c.Touch(3) // evicts 2
-	if !c.Contains(1) {
+	if _, ok := c.find(1); !ok {
 		t.Fatalf("block 1 should survive (was MRU)")
 	}
-	if c.Contains(2) {
+	if _, ok := c.find(2); ok {
 		t.Fatalf("block 2 should have been evicted (was LRU)")
 	}
-	if !c.Contains(3) {
+	if _, ok := c.find(3); !ok {
 		t.Fatalf("block 3 should be resident")
 	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
+	if c.used != 2 {
+		t.Fatalf("%d blocks resident, want 2", c.used)
 	}
 }
 
@@ -57,7 +57,9 @@ func TestCapacityOne(t *testing.T) {
 	c := New(1)
 	c.Touch(1)
 	c.Touch(2)
-	if c.Contains(1) || !c.Contains(2) {
+	_, has1 := c.find(1)
+	_, has2 := c.find(2)
+	if has1 || !has2 {
 		t.Fatalf("capacity-1 cache should hold only the last block")
 	}
 	if !c.Touch(2) {
@@ -74,8 +76,8 @@ func TestNewPanicsOnBadCapacity(t *testing.T) {
 	New(0)
 }
 
-// Property: Len never exceeds capacity and Contains agrees with a model map
-// maintained under the same LRU discipline.
+// Property: the resident count never exceeds capacity and residency agrees
+// with a model map maintained under the same LRU discipline.
 func TestLRUModelEquivalence(t *testing.T) {
 	f := func(blocks []uint8, capRaw uint8) bool {
 		capacity := int(capRaw%16) + 1
@@ -106,13 +108,13 @@ func TestLRUModelEquivalence(t *testing.T) {
 			if gotHit != wantHit {
 				return false
 			}
-			if c.Len() > capacity || c.Len() != len(model) {
+			if int(c.used) > capacity || int(c.used) != len(model) {
 				return false
 			}
 		}
 		for b := uint64(0); b < 32; b++ {
 			for _, k := range []uint64{b, b | 1<<56} {
-				if c.Contains(k) != slices.Contains(model, k) {
+				if _, ok := c.find(k); ok != slices.Contains(model, k) {
 					return false
 				}
 			}

@@ -1,5 +1,5 @@
 // Package comm provides the inter-place message layer of the runtime.
-// Three transports implement the same Endpoint interface:
+// Three transports carry messages between Endpoints:
 //
 //   - Mesh (NewMesh): in-process channels, for places that live in one OS
 //     process; messages still flow through explicit envelopes so that the
@@ -9,9 +9,10 @@
 //     lazily on first send — one hop, with per-link write coalescing
 //     under load. cmd/distws-serve and cmd/distws-load run on it, one
 //     process per seat.
-//   - Hub/Spoke (ListenHub, DialSpoke): a star (place 0 is the hub) where
-//     spoke-to-spoke traffic transits the hub — two hops. No command runs
-//     on it; it is the baseline of the benchmark's round-trip probe.
+//   - Hub/Spoke (ListenHub, DialSpoke): a star whose spokes are the
+//     Endpoints and whose hub only relays, so spoke-to-spoke traffic takes
+//     two hops. No command runs on it; it is the baseline of the
+//     benchmark's round-trip probe.
 //
 // Both TCP transports frame messages with the length-prefixed binary
 // codec in wire.go; gob survives only inside user task payloads, which

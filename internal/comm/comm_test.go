@@ -187,35 +187,17 @@ func TestTCPStarRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Spoke -> hub.
-	if err := s1.Send(Message{Kind: KindSpawn, To: 0, Payload: []byte("to-hub")}); err != nil {
-		t.Fatalf("spoke send: %v", err)
-	}
-	got := recvTimeout(t, hub.Inbox())
-	if got.From != 1 || string(got.Payload) != "to-hub" {
-		t.Fatalf("hub received %+v", got)
-	}
-
-	// Hub -> spoke.
-	if err := hub.Send(Message{Kind: KindData, To: 2, Payload: []byte("to-spoke")}); err != nil {
-		t.Fatalf("hub send: %v", err)
-	}
-	got = recvTimeout(t, s2.Inbox())
-	if got.From != 0 || string(got.Payload) != "to-spoke" {
-		t.Fatalf("spoke2 received %+v", got)
-	}
-
-	// Spoke -> spoke, routed through the hub.
+	// Spoke -> spoke, relayed by the hub: the sender's hop and the hub's
+	// forward each count once.
 	if err := s1.Send(Message{Kind: KindData, To: 2, Payload: []byte("peer")}); err != nil {
 		t.Fatalf("spoke-to-spoke send: %v", err)
 	}
-	got = recvTimeout(t, s2.Inbox())
+	got := recvTimeout(t, s2.Inbox())
 	if got.From != 1 || string(got.Payload) != "peer" {
 		t.Fatalf("spoke2 received %+v", got)
 	}
-
-	if msgs := ctrs.Snapshot().Messages; msgs < 4 {
-		t.Fatalf("expected at least 4 counted messages (incl. forwarded hop), got %d", msgs)
+	if msgs := ctrs.Snapshot().Messages; msgs != 2 {
+		t.Fatalf("counted %d messages for one relayed send, want 2", msgs)
 	}
 }
 
@@ -234,14 +216,41 @@ func TestHubRejectsBadPlaces(t *testing.T) {
 	}
 }
 
+// TestHubNoRouteError checks that the hub drops, uncounted, a frame for
+// place 0 (the hub is not a place) and one for a place with no spoke,
+// and goes on relaying.
 func TestHubNoRouteError(t *testing.T) {
-	hub, err := ListenHub("127.0.0.1:0", 4, nil)
+	var ctrs metrics.Counters
+	hub, err := ListenHub("127.0.0.1:0", 3, &ctrs)
 	if err != nil {
 		t.Fatalf("ListenHub: %v", err)
 	}
 	defer hub.Close()
-	if err := hub.Send(Message{To: 3}); err == nil {
-		t.Fatalf("send to never-joined spoke should error")
+	s1, err := DialSpoke(hub.Addr(), 1, &ctrs)
+	if err != nil {
+		t.Fatalf("DialSpoke(1): %v", err)
+	}
+	defer s1.Close()
+	s2, err := DialSpoke(hub.Addr(), 2, &ctrs)
+	if err != nil {
+		t.Fatalf("DialSpoke(2): %v", err)
+	}
+	defer s2.Close()
+	if err := hub.AwaitTimeout(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, to := range []int{0, 7, 2} {
+		if err := s1.Send(Message{Kind: KindData, To: to, Payload: []byte{byte(to)}}); err != nil {
+			t.Fatalf("send to %d: %v", to, err)
+		}
+	}
+	// The hub handles one spoke's frames in order, so the relayed frame
+	// arriving means the two before it were dropped.
+	if got := recvTimeout(t, s2.Inbox()); got.To != 2 || got.Payload[0] != 2 {
+		t.Fatalf("spoke2 received %+v, want the frame addressed to it", got)
+	}
+	if msgs := ctrs.Snapshot().Messages; msgs != 4 {
+		t.Fatalf("counted %d messages for three sends and one relay, want 4", msgs)
 	}
 }
 
@@ -257,7 +266,7 @@ func recvTimeout(t *testing.T, ch <-chan Message) Message {
 }
 
 func TestHubRejectsDuplicatePlace(t *testing.T) {
-	hub, err := ListenHub("127.0.0.1:0", 3, nil)
+	hub, err := ListenHub("127.0.0.1:0", 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,10 +279,9 @@ func TestHubRejectsDuplicatePlace(t *testing.T) {
 	// Make sure the first spoke's handshake is fully processed before the
 	// duplicate dials (otherwise the hub could register the duplicate and
 	// drop the original instead).
-	if err := s1.Send(Message{Kind: KindData, To: 0}); err != nil {
+	if err := hub.AwaitTimeout(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	recvTimeout(t, hub.Inbox())
 	// A second hello for place 1: the hub must drop the connection, which
 	// surfaces as the duplicate spoke's inbox closing.
 	dup, err := DialSpoke(hub.Addr(), 1, nil)

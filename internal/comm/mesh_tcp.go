@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"slices"
@@ -18,6 +19,53 @@ const (
 	defaultDialBackoff  = 50 * time.Millisecond
 	defaultLinkQueue    = 1024
 )
+
+// KindHello is the handshake message a dialer sends first on every
+// connection; From carries its place id and, on the mesh, Seq its
+// incarnation.
+const KindHello Kind = 200
+
+// KindPlaceDown is a synthetic message a TCPMesh posts to its own inbox
+// when a peer's link fails; From carries the dead place's id. It never
+// travels on the wire.
+const KindPlaceDown Kind = 201
+
+// tcpConn wraps a net.Conn with binary wire framing (see wire.go) and a
+// write lock. Read and write each reuse one scratch buffer, so steady-state
+// messaging allocates nothing on either side.
+type tcpConn struct {
+	conn net.Conn
+	br   *bufio.Reader
+	rbuf []byte
+	wmu  sync.Mutex
+	wbuf []byte
+}
+
+func newTCPConn(c net.Conn) *tcpConn {
+	return &tcpConn{conn: c, br: bufio.NewReader(c)}
+}
+
+func (c *tcpConn) write(m Message) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.wbuf = AppendFrame(c.wbuf[:0], m)
+	_, err := c.conn.Write(c.wbuf)
+	return err
+}
+
+func (c *tcpConn) read() (Message, error) {
+	m, buf, err := ReadFrame(c.br, c.rbuf)
+	c.rbuf = buf
+	if err != nil {
+		return Message{}, err
+	}
+	// The payload aliases the read buffer, which the next read overwrites;
+	// hand the consumer a stable copy.
+	if len(m.Payload) > 0 {
+		m.Payload = append([]byte(nil), m.Payload...)
+	}
+	return m, nil
+}
 
 // MeshOptions tunes a TCPMesh node. The zero value is usable.
 type MeshOptions struct {

@@ -41,9 +41,6 @@ var (
 	ErrTruncatedFrame = errors.New("comm: truncated frame")
 )
 
-// FrameLen returns the encoded size of m, including the length prefix.
-func FrameLen(m Message) int { return wirePrefixLen + wireHeaderLen + len(m.Payload) }
-
 // AppendFrame appends the wire encoding of m to dst and returns the
 // extended slice. It allocates only when dst lacks capacity, so senders
 // reuse one scratch buffer across messages (and coalesce many frames into

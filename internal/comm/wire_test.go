@@ -31,8 +31,8 @@ func sameMessage(a, b Message) bool {
 func TestWireRoundTripAllKinds(t *testing.T) {
 	for _, m := range wireSamples() {
 		frame := AppendFrame(nil, m)
-		if len(frame) != FrameLen(m) {
-			t.Errorf("%v: frame is %d bytes, FrameLen says %d", m.Kind, len(frame), FrameLen(m))
+		if want := wirePrefixLen + wireHeaderLen + len(m.Payload); len(frame) != want {
+			t.Errorf("%v: frame is %d bytes, want %d", m.Kind, len(frame), want)
 		}
 		got, n, err := DecodeFrame(frame)
 		if err != nil {

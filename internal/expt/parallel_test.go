@@ -105,6 +105,7 @@ func TestParallelHarnessDeterminism(t *testing.T) {
 // TestPoliciesDoNotMutateSharedGraph proves the graph-reuse contract: the
 // trace cache hands the same *trace.Graph to every policy run (including
 // concurrent ones), so the simulator must treat it as strictly read-only.
+// Traces are deterministic, so a second generation is the reference copy.
 func TestPoliciesDoNotMutateSharedGraph(t *testing.T) {
 	r := New(suite.Small, 1)
 	for _, a := range []string{"dmg", "uts"} {
@@ -116,7 +117,10 @@ func TestPoliciesDoNotMutateSharedGraph(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := g.Clone()
+		want, err := app.Trace(r.Cluster.Places)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, k := range sched.Kinds() {
 			if _, err := sim.Run(g, r.Cluster, k, sim.Options{Seed: 1}); err != nil {
 				t.Fatalf("%s/%v: %v", a, k, err)

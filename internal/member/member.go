@@ -78,10 +78,6 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", uint8(s))
 }
 
-// Eligible reports whether a member in this state may be handed new
-// work.
-func (s State) Eligible() bool { return s == Alive }
-
 // Transition is one observed state change, returned so callers can
 // count and log membership churn.
 type Transition struct {
@@ -366,17 +362,4 @@ func (t *Table) Epoch() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.epoch
-}
-
-// AliveCount returns how many seats (including self) are alive.
-func (t *Table) AliveCount() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for i := range t.rows {
-		if t.rows[i].state == Alive {
-			n++
-		}
-	}
-	return n
 }

@@ -168,42 +168,6 @@ func (s Snapshot) CacheMissRate() float64 {
 	return 100 * float64(s.CacheMisses) / float64(s.CacheRefs)
 }
 
-// String renders the snapshot as a single human-readable line. Fault
-// counters are appended only when the run actually saw failures, keeping
-// fault-free output identical to the original format.
-func (s Snapshot) String() string {
-	base := fmt.Sprintf(
-		"tasks=%d spawned=%d steals(local=%d remote=%d failed=%d) msgs=%d bytes=%d missRate=%.2f%% migrated=%d",
-		s.TasksExecuted, s.TasksSpawned, s.LocalSteals, s.RemoteSteals,
-		s.FailedSteals, s.Messages, s.BytesTransferred, s.CacheMissRate(),
-		s.TasksMigrated)
-	if s.Backpressure > 0 {
-		base += fmt.Sprintf(" backpressure=%d", s.Backpressure)
-	}
-	if s.DuplicateTakes > 0 {
-		base += fmt.Sprintf(" dupTakes=%d", s.DuplicateTakes)
-	}
-	if s.JobsSubmitted > 0 {
-		base += fmt.Sprintf(" jobs(submitted=%d admitted=%d rejected=%d completed=%d)",
-			s.JobsSubmitted, s.JobsAdmitted, s.JobsRejected, s.JobsCompleted)
-	}
-	if s.MembershipJoins > 0 || s.MembershipDrains > 0 || s.MembershipRejoins > 0 ||
-		s.HeartbeatMisses > 0 || s.TasksOffloaded > 0 {
-		base += fmt.Sprintf(
-			" membership(joins=%d drains=%d rejoins=%d hbMisses=%d offloaded=%d)",
-			s.MembershipJoins, s.MembershipDrains, s.MembershipRejoins,
-			s.HeartbeatMisses, s.TasksOffloaded)
-	}
-	if s.StealTimeouts == 0 && s.Retries == 0 && s.DroppedMessages == 0 &&
-		s.PlacesLost == 0 && s.TasksReExecuted == 0 && s.DuplicatedMessages == 0 {
-		return base
-	}
-	return base + fmt.Sprintf(
-		" faults(timeouts=%d retries=%d dropped=%d duplicated=%d placesLost=%d reExecuted=%d)",
-		s.StealTimeouts, s.Retries, s.DroppedMessages, s.DuplicatedMessages,
-		s.PlacesLost, s.TasksReExecuted)
-}
-
 // Spread summarizes a utilization series: min, max, mean, and the
 // max-min disparity the paper quotes (≈35 % for X10WS, ≈13 % for DistWS).
 type Spread struct {

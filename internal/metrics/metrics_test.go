@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -142,28 +141,5 @@ func TestFormatSeries(t *testing.T) {
 	s := FormatSeries([]float64{10.05, 20})
 	if s != "p0=10.1% p1=20.0%" && s != "p0=10.0% p1=20.0%" {
 		t.Fatalf("FormatSeries = %q", s)
-	}
-}
-
-func TestSnapshotString(t *testing.T) {
-	var c Counters
-	c.TasksExecuted.Add(1)
-	if got := c.Snapshot().String(); got == "" {
-		t.Fatalf("String() should be non-empty")
-	}
-}
-
-func TestSnapshotStringFaultSuffix(t *testing.T) {
-	var c Counters
-	c.TasksExecuted.Add(1)
-	clean := c.Snapshot().String()
-	if strings.Contains(clean, "faults(") {
-		t.Fatalf("fault-free snapshot should omit the fault suffix: %q", clean)
-	}
-	c.StealTimeouts.Add(3)
-	c.TasksReExecuted.Add(2)
-	faulty := c.Snapshot().String()
-	if !strings.Contains(faulty, "faults(timeouts=3") || !strings.Contains(faulty, "reExecuted=2") {
-		t.Fatalf("fault suffix missing: %q", faulty)
 	}
 }

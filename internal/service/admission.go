@@ -146,11 +146,3 @@ func (a *Admission) Complete(tenant uint32) {
 		st.inflight--
 	}
 }
-
-// InFlight returns the tenant's admitted-but-uncompleted job count.
-func (a *Admission) InFlight(tenant uint32) int {
-	if st, ok := a.tenants[tenant]; ok {
-		return st.inflight
-	}
-	return 0
-}

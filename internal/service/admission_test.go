@@ -34,8 +34,8 @@ func TestAdmissionQuota(t *testing.T) {
 	if err := a.Admit(1, 0); !errors.As(err, &ae) || ae.Code != NackQuota {
 		t.Fatalf("admit over quota: %v, want NackQuota", err)
 	}
-	if got := a.InFlight(1); got != 2 {
-		t.Fatalf("InFlight = %d, want 2", got)
+	if got := a.tenants[1].inflight; got != 2 {
+		t.Fatalf("in flight = %d, want 2", got)
 	}
 	a.Complete(1)
 	if err := a.Admit(1, 0); err != nil {

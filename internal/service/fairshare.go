@@ -41,7 +41,6 @@ type FairShare struct {
 	queues  map[uint32]*tenantQueue
 	ring    []uint32 // tenants with queued work, service order
 	cursor  int
-	queued  int
 }
 
 // NewFairShare builds a scheduler with the given per-tenant weights.
@@ -84,15 +83,11 @@ func (f *FairShare) Push(tenant uint32, it Item) {
 	q.items = append(q.items, Item{})
 	copy(q.items[pos+1:], q.items[pos:])
 	q.items[pos] = it
-	f.queued++
 	if !q.active {
 		q.active = true
 		f.ring = append(f.ring, tenant)
 	}
 }
-
-// Len returns the total queued job count across tenants.
-func (f *FairShare) Len() int { return f.queued }
 
 // Pop removes and returns the next job under the DRR discipline. The
 // second result is false when nothing is queued.
@@ -121,7 +116,6 @@ func (f *FairShare) Pop() (Item, bool) {
 		q.deficit--
 		it := q.items[0]
 		q.items = q.items[1:]
-		f.queued--
 		if len(q.items) == 0 {
 			q.active = false
 			q.deficit = 0
@@ -155,6 +149,5 @@ func (f *FairShare) DrainAll() []Item {
 	}
 	f.ring = f.ring[:0]
 	f.cursor = 0
-	f.queued = 0
 	return out
 }

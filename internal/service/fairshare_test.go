@@ -123,8 +123,10 @@ func TestFairShareDrainAll(t *testing.T) {
 			t.Fatalf("drain not tenant-ordered: %v then %v", out[i-1].Job.Tenant, out[i].Job.Tenant)
 		}
 	}
-	if f.Len() != 0 {
-		t.Fatalf("Len = %d after DrainAll, want 0", f.Len())
+	for id, q := range f.queues {
+		if len(q.items) != 0 {
+			t.Fatalf("tenant %d holds %d items after DrainAll", id, len(q.items))
+		}
 	}
 	if _, ok := f.Pop(); ok {
 		t.Fatalf("Pop succeeded after DrainAll")

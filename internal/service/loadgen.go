@@ -66,7 +66,8 @@ type LoadReport struct {
 	// Jain is Jain's fairness index over completed-per-weight shares: 1.0
 	// means the cluster split exactly along the configured weights.
 	Jain float64
-	// Errors counts transport-level submission failures (not nacks).
+	// Errors counts calls that got no reply (not nacks): a failed
+	// submission, a reply past CallTimeout, or a client closed first.
 	Errors int64
 }
 
@@ -245,7 +246,9 @@ func openLoop(ctx context.Context, c *Client, tl TenantLoad, res *TenantResult,
 			case r := <-ch:
 				account(res, r, time.Since(t0).Nanoseconds())
 			case <-time.After(timeout):
+				errs.Add(1)
 			case <-c.Done():
+				errs.Add(1)
 			}
 		}()
 	}

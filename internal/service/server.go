@@ -23,7 +23,7 @@ import (
 // server, 1..Places-1 executors running node.Executor); every transport
 // seat >= Places is a client, allowed only to submit jobs and receive
 // replies. The same comm transports carry both roles, so a client is
-// just another mesh peer or hub spoke.
+// just another mesh peer.
 type Server struct {
 	// Node is the transport attachment at place 0.
 	Node comm.Endpoint

@@ -442,7 +442,7 @@ func TestServiceHardStopBouncesQueuedJobs(t *testing.T) {
 	if got := stats.Tenant(1).Rejected.Load(); got != queued {
 		t.Errorf("Rejected = %d, want the %d queued jobs", got, queued)
 	}
-	if got := srv.adm.InFlight(1); got != 1 {
+	if got := srv.adm.tenants[1].inflight; got != 1 {
 		t.Errorf("%d admission slot(s) held after the hard stop, want the running job's 1", got)
 	}
 	select {
@@ -534,6 +534,77 @@ func TestRunLoadMesh(t *testing.T) {
 	}
 	<-ex1
 	<-ex2
+}
+
+// TestRunLoadOpenLoopCountsEveryAttempt checks the open-loop generator's
+// accounting: a reply that outlives CallTimeout, and a call still waiting
+// when the client closes, each count as an error, so every attempt is
+// completed, rejected or an error.
+func TestRunLoadOpenLoopCountsEveryAttempt(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration // CallTimeout; svc.slow runs 20 ms
+		close   bool          // close the client once all four jobs are admitted
+	}{
+		{name: "timeout", timeout: 5 * time.Millisecond},
+		{name: "client closed", close: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const places = 2
+			m := comm.NewMesh(places+1, 64, nil)
+			reg := task.NewRegistry()
+			reg.Register("svc.slow", func([]byte) error { return nil })
+			_, ex := startExecutor(m, 1, reg, 1, false)
+			stats := NewStats()
+			srv := &Server{
+				Node:       m.Endpoint(0),
+				Places:     places,
+				Tenants:    map[uint32]TenantConfig{1: {Weight: 1}},
+				Registry:   reg,
+				Stats:      stats,
+				RetryAfter: 2 * time.Second,
+			}
+			srvDone := make(chan error, 1)
+			go func() { srvDone <- srv.Serve(context.Background()) }()
+
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			client := m.Endpoint(places)
+			if tc.close {
+				go func() {
+					for stats.Tenant(1).Admitted.Load() < 4 && ctx.Err() == nil {
+						time.Sleep(time.Millisecond)
+					}
+					client.Close()
+				}()
+			}
+			report, err := RunLoad(ctx, NewClient(client, 0), LoadConfig{
+				Seed:        1,
+				CallTimeout: tc.timeout,
+				Tenants:     []TenantLoad{{Tenant: 1, Weight: 1, RateHz: 1000, Jobs: 4, Task: "svc.slow", Arg: u64(1)}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := &report.Tenants[0]
+			if tr.Attempted != 4 {
+				t.Fatalf("attempted %d jobs, want 4", tr.Attempted)
+			}
+			if tr.Completed+tr.Rejected+report.Errors != tr.Attempted {
+				t.Errorf("completed %d + rejected %d + errors %d != attempted %d",
+					tr.Completed, tr.Rejected, report.Errors, tr.Attempted)
+			}
+			if report.Errors == 0 {
+				t.Errorf("no call counted as an error:\n%s", report.Format())
+			}
+
+			srv.Drain()
+			if err := <-srvDone; !errors.Is(err, ErrServerClosed) {
+				t.Fatalf("Serve returned %v, want ErrServerClosed", err)
+			}
+			<-ex
+		})
+	}
 }
 
 // TestParseTenantSpec pins the tenant-mix flag grammar.

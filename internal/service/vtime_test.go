@@ -269,7 +269,11 @@ func (r *vrig) run() {
 		// Live counts queued and outstanding items; the queue may also hold
 		// finished twins, so the difference never overstates what is
 		// outstanding at an executor.
-		if r.srv.d.Live() > r.srv.fs.Len() && now-progressAt > retryNS {
+		queued := 0
+		for _, q := range r.srv.fs.queues {
+			queued += len(q.items)
+		}
+		if r.srv.d.Live() > queued && now-progressAt > retryNS {
 			t.Fatalf("%s: at %v an item has been outstanding with no dispatch progress and no sweep since %v (RetryAfter %v)",
 				name, time.Duration(now), time.Duration(progressAt), vRetryAfter)
 		}
@@ -293,7 +297,7 @@ func (r *vrig) run() {
 			t.Errorf("%s: job %d reached the server %d time(s) and was answered %d time(s)", name, id, r.submits[id], answers)
 		}
 	}
-	if got := r.srv.adm.InFlight(1); got != 0 {
+	if got := r.srv.adm.tenants[1].inflight; got != 0 {
 		t.Errorf("%s: %d admission slot(s) still held at quiescence", name, got)
 	}
 	for _, p := range r.drained {
@@ -311,7 +315,7 @@ func (r *vrig) run() {
 
 // Format renders everything a run did; equal runs render equal strings.
 func (r *vrig) Format() string {
-	b := fmt.Appendf(nil, "%s: end=%v ran=%v\n%s\n", r.name, time.Duration(r.endNS), r.ran, r.ctrs.Snapshot())
+	b := fmt.Appendf(nil, "%s: end=%v ran=%v\n%+v\n", r.name, time.Duration(r.endNS), r.ran, r.ctrs.Snapshot())
 	for _, f := range r.tap.log {
 		b = strconv.AppendInt(b, f.at, 10)
 		b = append(append(b, ' '), f.kind.String()...)

@@ -111,14 +111,6 @@ func (r *Registry) Lookup(name string) (Func, bool) {
 	return fn, ok
 }
 
-// Len returns the number of registered functions (for diagnostics).
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	n := len(r.fns)
-	r.mu.RUnlock()
-	return n
-}
-
 // Envelope is the wire representation of a task spawned across a process
 // boundary: the registered function name, its encoded argument, and the
 // scheduling metadata the destination needs to map it (Algorithm 1).

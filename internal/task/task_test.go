@@ -36,8 +36,8 @@ func TestRegistryRegisterLookup(t *testing.T) {
 	if _, ok := r.Lookup("missing"); ok {
 		t.Fatalf("Lookup of unregistered name should fail")
 	}
-	if r.Len() != 1 {
-		t.Fatalf("Len() = %d, want 1", r.Len())
+	if len(r.fns) != 1 {
+		t.Fatalf("%d functions registered, want 1", len(r.fns))
 	}
 }
 

@@ -79,28 +79,6 @@ type Graph struct {
 // NumTasks returns the task count.
 func (g *Graph) NumTasks() int { return len(g.Tasks) }
 
-// Clone returns a deep copy of g: mutating the copy (or the original)
-// cannot be observed through the other. Traces are deterministic per
-// (app, seed) and expensive to generate, so callers share one Graph
-// read-only across concurrent simulations; Clone exists for the cases that
-// need a private mutable copy — and for tests that pin down that the
-// simulator really does treat shared graphs as immutable.
-func (g *Graph) Clone() *Graph {
-	out := &Graph{
-		Name:  g.Name,
-		Tasks: make([]Task, len(g.Tasks)),
-		Roots: append([]int(nil), g.Roots...),
-		SeqNS: g.SeqNS,
-	}
-	for i, t := range g.Tasks {
-		t.Children = append([]int(nil), t.Children...)
-		t.SpawnFrac = append([]float64(nil), t.SpawnFrac...)
-		t.Blocks = append([]uint64(nil), t.Blocks...)
-		out.Tasks[i] = t
-	}
-	return out
-}
-
 // TotalWorkNS sums all task costs — the critical quantity for speedup
 // baselines when SeqNS is not set.
 func (g *Graph) TotalWorkNS() int64 {
