@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 
-	"distws/internal/apps"
 	"distws/internal/core"
 	"distws/internal/dag"
 )
@@ -91,13 +90,16 @@ func (a dataflow) Graph(places int) (*dag.Graph, error) {
 }
 
 // Sequential implements App: the same kernels in program order.
-func (a dataflow) Sequential() uint64 {
+func (a dataflow) Sequential() uint64 { return checksum(a.final()) }
+
+// final runs the kernels in program order and returns the final tiles.
+func (a dataflow) final() [][]float64 {
 	data := a.generate()
 	_, ops := a.build(1, data)
 	for _, op := range ops {
 		op()
 	}
-	return checksum(data)
+	return data
 }
 
 // Parallel implements App.
@@ -130,15 +132,21 @@ func hash01(seed int64, i, j int) float64 {
 // checksum folds the exact bit patterns of every value in every tile:
 // dataflow ordering makes parallel results bit-identical to sequential
 // ones, so no quantization is needed (or wanted — it would mask
-// scheduler-induced reorderings).
+// scheduler-induced reorderings). It takes one word per step from the
+// FNV offset basis: an FNV multiply, whose carries only move bits up,
+// then a fold of the high half down, so the next word's bits meet every
+// bit of the last. One multiply sits on the dependency chain where
+// FNV-1a's byte fold (apps.Fnv1a) has eight; the plain word fold
+// (h ^ w) * P, without the mix, lets two adjacent sign flips cancel.
 func checksum(tiles [][]float64) uint64 {
-	h := apps.NewFnv()
+	h := uint64(0xcbf29ce484222325)
 	for _, t := range tiles {
 		for _, v := range t {
-			h.Add(math.Float64bits(v))
+			h = (h ^ math.Float64bits(v)) * 0x100000001b3
+			h ^= h >> 32
 		}
 	}
-	return h.Sum()
+	return h
 }
 
 // tileID names tile (i, j) in the graph's block namespace.

@@ -1,9 +1,12 @@
 package linalg
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
+	"distws/internal/apps"
 	"distws/internal/core"
 	"distws/internal/dag"
 	"distws/internal/sched"
@@ -71,13 +74,26 @@ func TestParallelMatchesSequential(t *testing.T) {
 // and test scale and two seeds: a tile kernel must keep each output's
 // exact floating-point sequence, so any rewrite of one leaves these
 // bit-identical. The values are amd64's; the compiler may fuse a
-// multiply-subtract into one rounding on other architectures.
+// multiply-subtract into one rounding on other architectures. The final
+// tiles' byte-wise FNV-1a (byteFold) is pinned beside each checksum: those
+// are the values pinned before checksum became a word fold, so they still
+// show that the fold's change moved no kernel output.
 func TestSequentialChecksumIsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("checksums pinned on amd64, where no multiply-subtract is fused")
 	}
 	// want[seed][scale][app]: scale 0 is Suite, 1 is small.
 	want := map[int64][2][3]uint64{
+		1: {
+			{0x7a983dc486fa20a3, 0xe088e0a3fcd5414b, 0x9d9563785421b1d6},
+			{0x92f3eda82aa3c211, 0xdf7c49b2b7afb557, 0x976f9e1e93015f72},
+		},
+		2: {
+			{0x0cf50276ce2aa789, 0xfac8a9d8f7292bbe, 0xf19b2b20b56bb189},
+			{0x155d5c41fd5166f8, 0x41f72c337259f7c0, 0xccb28e4434291491},
+		},
+	}
+	wantBytes := map[int64][2][3]uint64{
 		1: {
 			{0x8651a364072d40cd, 0xad6ff5b1704194fe, 0x5aa3ba7d3654b8b3},
 			{0x20c8ba5ad197eb9c, 0x8f0d9b6c52941b6a, 0xc45cb1b88fd22fee},
@@ -90,13 +106,28 @@ func TestSequentialChecksumIsPinned(t *testing.T) {
 	for seed, w := range want {
 		for scale, suite := range [][]App{Suite(seed), small(seed)} {
 			for i, app := range suite {
+				where := fmt.Sprintf("%s seed %d %s scale", app.Name(), seed, []string{"suite", "test"}[scale])
 				if got := app.Sequential(); got != w[scale][i] {
-					t.Errorf("%s seed %d %s scale: checksum %#x, want %#x",
-						app.Name(), seed, []string{"suite", "test"}[scale], got, w[scale][i])
+					t.Errorf("%s: checksum %#x, want %#x", where, got, w[scale][i])
+				}
+				if got, want := byteFold(app.(dataflow).final()), wantBytes[seed][scale][i]; got != want {
+					t.Errorf("%s: byte fold %#x, want %#x", where, got, want)
 				}
 			}
 		}
 	}
+}
+
+// byteFold is the byte-wise FNV-1a checksum over the exact bit patterns
+// of every value, the fold checksum used before its word fold.
+func byteFold(tiles [][]float64) uint64 {
+	h := apps.NewFnv()
+	for _, t := range tiles {
+		for _, v := range t {
+			h.Add(math.Float64bits(v))
+		}
+	}
+	return h.Sum()
 }
 
 // TestGraphsValidate checks the benchmark-scale graphs are well-formed
