@@ -38,7 +38,9 @@ race:
 # benchmark runs once under its watchdog, so an executor that deadlocks
 # again fails here in seconds with a goroutine dump, not at the CI
 # timeout. Each linalg tile kernel, naive and blocked, runs once too, so a
-# blocked kernel that panics on a remainder path fails here; so do the
+# blocked kernel that panics on a remainder path fails here, and so does
+# linalg's checksum (BenchmarkChecksum: the byte-wise FNV-1a fold against
+# the word fold, over the suite's final tiles); so do the
 # mesh insert (map-based oracle and scratch-reusing Insert, with their
 # allocations), agglom's nearest-neighbour scan (all-pairs and the
 # x-sorted sweep, sort included), nbody's tree build (recursive oracle
@@ -48,7 +50,7 @@ race:
 bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkSimulator128Workers|BenchmarkContentionStudy|BenchmarkUTSRuntime|BenchmarkNestedFinish|BenchmarkXSort' -benchtime=1x .
 	$(GO) test -run='^$$' -bench=BenchmarkExecuteOverhead -benchtime=1x ./internal/dag
-	$(GO) test -run='^$$' -bench=BenchmarkTileKernels -benchtime=1x ./internal/apps/linalg
+	$(GO) test -run='^$$' -bench='BenchmarkTileKernels|BenchmarkChecksum' -benchtime=1x ./internal/apps/linalg
 	$(GO) test -run='^$$' -bench=BenchmarkInsert -benchtime=1x -benchmem ./internal/geom
 	$(GO) test -run='^$$' -bench=BenchmarkNNChunk -benchtime=1x ./internal/apps/agglom
 	$(GO) test -run='^$$' -bench='BenchmarkBuild|BenchmarkForce' -benchtime=1x -benchmem ./internal/apps/nbody
@@ -157,7 +159,7 @@ bench:
 	$(GO) run ./benchmark
 	$(GO) test -run='^$$' -bench=. -benchtime=1s -count=5 -benchmem . ./internal/comm
 	$(GO) test -run='^$$' -bench=BenchmarkExecuteOverhead -benchtime=1s -count=5 ./internal/dag
-	$(GO) test -run='^$$' -bench=BenchmarkTileKernels -benchtime=1s -count=5 ./internal/apps/linalg
+	$(GO) test -run='^$$' -bench='BenchmarkTileKernels|BenchmarkChecksum' -benchtime=1s -count=5 ./internal/apps/linalg
 	$(GO) test -run='^$$' -bench=BenchmarkInsert -benchtime=1s -count=5 -benchmem ./internal/geom
 	$(GO) test -run='^$$' -bench=BenchmarkNNChunk -benchtime=1s -count=5 ./internal/apps/agglom
 	$(GO) test -run='^$$' -bench='BenchmarkBuild|BenchmarkForce' -benchtime=1s -count=5 -benchmem ./internal/apps/nbody

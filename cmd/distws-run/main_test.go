@@ -13,6 +13,9 @@ import (
 // crashed place, verify its checksum on the runtime, and write the trace.
 // Place 1 is home to about half of either app's ~800 tasks, and its own
 // workers take those first, so it runs its 50th task long before the end.
+// On the runtime, cholesky's place 1 first generates the 64 tiles seeded
+// there, one task each, so its crash lands among those; dag.Execute's own
+// crash is TestExecuteSurvivesPlaceCrash's.
 func TestFaultsAndTraceReachEveryApp(t *testing.T) {
 	for _, app := range []string{"quicksort", "cholesky"} {
 		for _, mode := range []string{"sim", "runtime"} {

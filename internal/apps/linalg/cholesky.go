@@ -12,10 +12,7 @@ import (
 // diagonal tile, TRSM applies it down the panel, and SYRK/GEMM update
 // the trailing submatrix — each kernel a task whose dependencies follow
 // from the tiles it reads and writes.
-type cholesky struct {
-	n, b int
-	seed int64
-}
+type cholesky struct{ grid }
 
 // NewCholesky returns the workload for an n×n matrix in b×b tiles
 // (b must divide n).
@@ -23,39 +20,27 @@ func NewCholesky(n, b int, seed int64) App {
 	if n <= 0 || b <= 0 || n%b != 0 {
 		panic(fmt.Sprintf("linalg: Cholesky n=%d b=%d, want b | n", n, b))
 	}
-	return dataflow{"cholesky", &cholesky{n: n, b: b, seed: seed}}
+	return dataflow{"cholesky", &cholesky{grid{n: n, b: b, seed: seed}}}
 }
 
-func (a *cholesky) tiles() int { return a.n / a.b }
-
-// generate materializes the lower tiles of a symmetric strictly
-// diagonally dominant matrix (off-diagonal entries in [0,1), diagonal
-// raised by n), which is positive definite, so the factorization never
-// hits a non-positive pivot.
-func (a *cholesky) generate() [][]float64 {
+// tile materializes lower tile k of a symmetric strictly diagonally
+// dominant matrix (off-diagonal entries in [0,1), diagonal raised by n),
+// which is positive definite, so the factorization never hits a
+// non-positive pivot.
+func (a *cholesky) tile(k int) []float64 {
 	T, b := a.tiles(), a.b
-	tiles := make([][]float64, T*T)
-	for ti := 0; ti < T; ti++ {
-		for tj := 0; tj <= ti; tj++ {
-			t := make([]float64, b*b)
-			for r := 0; r < b; r++ {
-				for c := 0; c < b; c++ {
-					gi, gj := ti*b+r, tj*b+c
-					lo, hi := gi, gj
-					if lo > hi {
-						lo, hi = hi, lo
-					}
-					v := hash01(a.seed, lo, hi)
-					if gi == gj {
-						v += float64(a.n)
-					}
-					t[r*b+c] = v
-				}
+	t := make([]float64, b*b)
+	for r := 0; r < b; r++ {
+		for c := 0; c < b; c++ {
+			gi, gj := k/T*b+r, k%T*b+c
+			v := hash01(a.seed, min(gi, gj), max(gi, gj))
+			if gi == gj {
+				v += float64(a.n)
 			}
-			tiles[ti*T+tj] = t
+			t[r*b+c] = v
 		}
 	}
-	return tiles
+	return t
 }
 
 // build emits the task graph in right-looking program order over the

@@ -63,11 +63,16 @@ func ByName(name string, seed int64) (App, error) {
 // Names lists the suite's app names.
 func Names() []string { return []string{"cholesky", "lu", "pipeline"} }
 
-// kernels is what a dataflow workload supplies: its initial data, and a
-// builder that emits the task graph for places places and, when data is
-// non-nil, one kernel closure per task bound to it.
+// kernels is what a dataflow workload supplies: its initial data, one
+// tile at a time, and a builder that emits the task graph for places
+// places and, when data is non-nil, one kernel closure per task bound to
+// it. data holds size() tiles; tile k is the graph's block block(k), and
+// is generated only when the graph seeds that block (Cholesky's upper
+// tiles stay nil).
 type kernels interface {
-	generate() [][]float64
+	size() int
+	block(k int) uint64
+	tile(k int) []float64
 	build(places int, data [][]float64) (*dag.Graph, []func())
 }
 
@@ -94,8 +99,9 @@ func (a dataflow) Sequential() uint64 { return checksum(a.final()) }
 
 // final runs the kernels in program order and returns the final tiles.
 func (a dataflow) final() [][]float64 {
-	data := a.generate()
-	_, ops := a.build(1, data)
+	data := make([][]float64, a.size())
+	g, ops := a.build(1, data)
+	a.generate(g, data)
 	for _, op := range ops {
 		op()
 	}
@@ -104,8 +110,11 @@ func (a dataflow) final() [][]float64 {
 
 // Parallel implements App.
 func (a dataflow) Parallel(rt *core.Runtime, pol dag.Policy) (uint64, dag.ExecStats, error) {
-	data := a.generate()
+	data := make([][]float64, a.size())
 	g, ops := a.build(rt.Places(), data)
+	if err := a.generateAt(rt, g, data); err != nil {
+		return 0, dag.ExecStats{}, fmt.Errorf("linalg: generating %s: %w", a.name, err)
+	}
 	stats, err := dag.Execute(rt, g, dag.ExecOptions{
 		Policy: pol,
 		Kernel: func(t *dag.Task) { ops[t.ID]() },
@@ -114,6 +123,28 @@ func (a dataflow) Parallel(rt *core.Runtime, pol dag.Policy) (uint64, dag.ExecSt
 		return 0, stats, err
 	}
 	return checksum(data), stats, nil
+}
+
+// generate fills data with every tile g seeds, in index order.
+func (a dataflow) generate(g *dag.Graph, data [][]float64) {
+	for k := range data {
+		if _, ok := g.Seed[a.block(k)]; ok {
+			data[k] = a.tile(k)
+		}
+	}
+}
+
+// generateAt fills data as generate does, one task per tile under Run's
+// finish, each pinned to the place g seeds the tile at: the place the
+// block directory starts a tile at is the place that first writes it.
+func (a dataflow) generateAt(rt *core.Runtime, g *dag.Graph, data [][]float64) error {
+	return rt.Run(func(c *core.Ctx) {
+		for k := range data {
+			if p, ok := g.Seed[a.block(k)]; ok {
+				c.Async(p, func(*core.Ctx) { data[k] = a.tile(k) })
+			}
+		}
+	})
 }
 
 // hash01 returns a deterministic pseudo-random value in [0, 1) from
@@ -151,6 +182,19 @@ func checksum(tiles [][]float64) uint64 {
 
 // tileID names tile (i, j) in the graph's block namespace.
 func tileID(i, j int) uint64 { return uint64(i+1)<<20 | uint64(j+1) }
+
+// grid is the shape Cholesky and LU share: an n×n matrix in b×b tiles
+// generated from seed, data slot k holding tile (k/T, k%T).
+type grid struct {
+	n, b int
+	seed int64
+}
+
+func (a grid) tiles() int { return a.n / a.b }
+
+func (a grid) size() int { return a.tiles() * a.tiles() }
+
+func (a grid) block(k int) uint64 { return tileID(k/a.tiles(), k%a.tiles()) }
 
 // tiledGraph is the graph builder Cholesky and LU share: a T×T tile grid
 // seeded 2D block-cyclic (gridOwner) — the standard physical layout —

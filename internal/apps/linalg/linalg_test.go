@@ -200,3 +200,139 @@ func TestSequentialDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateAtMatchesGenerate checks that per-place generation, one
+// pinned task per seeded tile, writes the tiles Sequential's in-order
+// generate does, bit for bit, and leaves the same slots (Cholesky's upper
+// tiles) nil.
+func TestGenerateAtMatchesGenerate(t *testing.T) {
+	for _, places := range []int{1, 2, 3, 4, 7} {
+		t.Run(fmt.Sprintf("%dplaces", places), func(t *testing.T) {
+			rt, err := core.New(core.Config{
+				Cluster: topology.Cluster{Places: places, WorkersPerPlace: 1},
+				Policy:  sched.DistWS,
+				Seed:    1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Shutdown()
+			for _, app := range small(1) {
+				a := app.(dataflow)
+				want := make([][]float64, a.size())
+				g, _ := a.build(1, want)
+				a.generate(g, want)
+				got := make([][]float64, a.size())
+				g, _ = a.build(places, got)
+				if err := a.generateAt(rt, g, got); err != nil {
+					t.Fatalf("%s: %v", a.name, err)
+				}
+				nils := 0
+				for k := range want {
+					if want[k] == nil {
+						nils++
+					}
+					if !sameBits(got[k], want[k]) {
+						t.Fatalf("%s: tile %d differs from generate's", a.name, k)
+					}
+				}
+				if a.name == "cholesky" && nils != 6 {
+					t.Fatalf("cholesky T=4: %d nil tiles, want the 6 upper ones", nils)
+				}
+			}
+		})
+	}
+}
+
+// sameBits reports whether x and y hold the same values bit for bit; a
+// nil tile equals only a nil tile.
+func sameBits(x, y []float64) bool {
+	if (x == nil) != (y == nil) || len(x) != len(y) {
+		return false
+	}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestChecksumSensitivity checks that checksum moves on each small
+// corruption a wrong schedule could leave in the final tiles: any one
+// bit of the first, a middle or the last value, the signs of two
+// adjacent values (which cancel in a word fold without the mixing
+// step), and two tiles swapped.
+func TestChecksumSensitivity(t *testing.T) {
+	for _, app := range small(1) {
+		a := app.(dataflow)
+		tiles := a.final()
+		base := checksum(tiles)
+		// vals addresses every value in fold order.
+		var vals []*float64
+		var full []int // indices of non-nil tiles
+		for k, tile := range tiles {
+			if tile != nil {
+				full = append(full, k)
+			}
+			for i := range tile {
+				vals = append(vals, &tile[i])
+			}
+		}
+		flip := func(v *float64, mask uint64) { *v = math.Float64frombits(math.Float64bits(*v) ^ mask) }
+		for _, i := range []int{0, len(vals) / 2, len(vals) - 1} {
+			for bit := 0; bit < 64; bit++ {
+				flip(vals[i], 1<<bit)
+				if checksum(tiles) == base {
+					t.Errorf("%s: flipping bit %d of value %d leaves the checksum", a.name, bit, i)
+				}
+				flip(vals[i], 1<<bit)
+			}
+		}
+		for _, i := range []int{0, len(vals) / 2, len(vals) - 2} {
+			flip(vals[i], 1<<63)
+			flip(vals[i+1], 1<<63)
+			if checksum(tiles) == base {
+				t.Errorf("%s: flipping the signs of values %d and %d leaves the checksum", a.name, i, i+1)
+			}
+			flip(vals[i], 1<<63)
+			flip(vals[i+1], 1<<63)
+		}
+		x, y := full[0], full[len(full)-1]
+		tiles[x], tiles[y] = tiles[y], tiles[x]
+		if checksum(tiles) == base {
+			t.Errorf("%s: swapping tiles %d and %d leaves the checksum", a.name, x, y)
+		}
+		tiles[x], tiles[y] = tiles[y], tiles[x]
+		if checksum(tiles) != base {
+			t.Fatalf("%s: checksum not restored after undoing every change", a.name)
+		}
+	}
+}
+
+// checksumSink keeps BenchmarkChecksum's folds from being optimized away.
+var checksumSink uint64
+
+// BenchmarkChecksum times the byte-wise FNV-1a fold (byteFold) against
+// checksum's word fold over each of Suite(1)'s final tiles, in ns per
+// folded value.
+func BenchmarkChecksum(b *testing.B) {
+	for _, app := range Suite(1) {
+		tiles := app.(dataflow).final()
+		n := 0
+		for _, t := range tiles {
+			n += len(t)
+		}
+		for _, f := range []struct {
+			name string
+			fold func([][]float64) uint64
+		}{{"bytes", byteFold}, {"words", checksum}} {
+			b.Run(app.Name()+"/"+f.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					checksumSink = f.fold(tiles)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/value")
+			})
+		}
+	}
+}

@@ -12,10 +12,7 @@ import (
 // U(k,k), and GEMM updates the trailing submatrix. The generated matrix
 // is strictly diagonally dominant, which stays diagonally dominant
 // through elimination, so no pivot ever vanishes.
-type lu struct {
-	n, b int
-	seed int64
-}
+type lu struct{ grid }
 
 // NewLU returns the workload for an n×n matrix in b×b tiles (b must
 // divide n).
@@ -23,31 +20,23 @@ func NewLU(n, b int, seed int64) App {
 	if n <= 0 || b <= 0 || n%b != 0 {
 		panic(fmt.Sprintf("linalg: LU n=%d b=%d, want b | n", n, b))
 	}
-	return dataflow{"lu", &lu{n: n, b: b, seed: seed}}
+	return dataflow{"lu", &lu{grid{n: n, b: b, seed: seed}}}
 }
 
-func (a *lu) tiles() int { return a.n / a.b }
-
-func (a *lu) generate() [][]float64 {
+func (a *lu) tile(k int) []float64 {
 	T, b := a.tiles(), a.b
-	tiles := make([][]float64, T*T)
-	for ti := 0; ti < T; ti++ {
-		for tj := 0; tj < T; tj++ {
-			t := make([]float64, b*b)
-			for r := 0; r < b; r++ {
-				for c := 0; c < b; c++ {
-					gi, gj := ti*b+r, tj*b+c
-					v := hash01(a.seed, gi, gj)
-					if gi == gj {
-						v += float64(a.n)
-					}
-					t[r*b+c] = v
-				}
+	t := make([]float64, b*b)
+	for r := 0; r < b; r++ {
+		for c := 0; c < b; c++ {
+			gi, gj := k/T*b+r, k%T*b+c
+			v := hash01(a.seed, gi, gj)
+			if gi == gj {
+				v += float64(a.n)
 			}
-			tiles[ti*T+tj] = t
+			t[r*b+c] = v
 		}
 	}
-	return tiles
+	return t
 }
 
 // build emits the task graph in right-looking program order over every

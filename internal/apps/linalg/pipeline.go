@@ -32,16 +32,17 @@ const stageReps = 8
 
 func blkID(i, s int) uint64 { return uint64(i+1)<<20 | uint64(s) }
 
-func (a *pipeline) generate() [][]float64 {
-	bufs := make([][]float64, a.items)
-	for i := range bufs {
-		b := make([]float64, a.width)
-		for e := range b {
-			b[e] = hash01(a.seed, i, e)
-		}
-		bufs[i] = b
+func (a *pipeline) size() int { return a.items }
+
+func (a *pipeline) block(i int) uint64 { return blkID(i, 0) }
+
+// tile is item i's buffer before its first stage.
+func (a *pipeline) tile(i int) []float64 {
+	b := make([]float64, a.width)
+	for e := range b {
+		b[e] = hash01(a.seed, i, e)
 	}
-	return bufs
+	return b
 }
 
 // stage advances buf by one sweep family: stageReps passes of a

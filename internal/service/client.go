@@ -62,6 +62,13 @@ func (c *Client) recv() {
 // The job's ID field is assigned here (client-scoped). The returned
 // channel receives exactly one Reply — a completion (Code OK) or a nack.
 func (c *Client) Submit(j Job) (<-chan Reply, error) {
+	_, ch, err := c.submit(j)
+	return ch, err
+}
+
+// submit is Submit returning the job's ID too, for a caller that stops
+// waiting before the reply and must forget the ID.
+func (c *Client) submit(j Job) (uint64, chan Reply, error) {
 	ch := make(chan Reply, 1)
 	c.mu.Lock()
 	c.nextID++
@@ -75,19 +82,25 @@ func (c *Client) Submit(j Job) (<-chan Reply, error) {
 		Payload: AppendJob(nil, j),
 	})
 	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, j.ID)
-		c.mu.Unlock()
-		return nil, fmt.Errorf("service: submit job %d: %w", j.ID, err)
+		c.forget(j.ID)
+		return 0, nil, fmt.Errorf("service: submit job %d: %w", j.ID, err)
 	}
-	return ch, nil
+	return j.ID, ch, nil
+}
+
+// forget drops job id's reply channel: its caller stopped waiting, and a
+// reply that never comes must not hold the entry for the client's life.
+func (c *Client) forget(id uint64) {
+	c.mu.Lock()
+	delete(c.pending, id)
+	c.mu.Unlock()
 }
 
 // Call submits a job and blocks for its reply (RPC convenience over
 // Submit). A nack is returned as a Reply, not an error; err is reserved
 // for transport failures and ctx expiry.
 func (c *Client) Call(ctx context.Context, j Job) (Reply, error) {
-	ch, err := c.Submit(j)
+	id, ch, err := c.submit(j)
 	if err != nil {
 		return Reply{}, err
 	}
@@ -95,8 +108,10 @@ func (c *Client) Call(ctx context.Context, j Job) (Reply, error) {
 	case r := <-ch:
 		return r, nil
 	case <-c.done:
+		c.forget(id)
 		return Reply{}, fmt.Errorf("service: connection closed awaiting job reply")
 	case <-ctx.Done():
+		c.forget(id)
 		return Reply{}, ctx.Err()
 	}
 }

@@ -234,7 +234,7 @@ func openLoop(ctx context.Context, c *Client, tl TenantLoad, res *TenantResult,
 		}
 		atomic.AddInt64(&res.Attempted, 1)
 		t0 := time.Now()
-		ch, err := c.Submit(Job{Tenant: tl.Tenant, Priority: tl.Priority, Name: tl.Task, Arg: tl.Arg})
+		id, ch, err := c.submit(Job{Tenant: tl.Tenant, Priority: tl.Priority, Name: tl.Task, Arg: tl.Arg})
 		if err != nil {
 			errs.Add(1)
 			continue
@@ -246,8 +246,10 @@ func openLoop(ctx context.Context, c *Client, tl TenantLoad, res *TenantResult,
 			case r := <-ch:
 				account(res, r, time.Since(t0).Nanoseconds())
 			case <-time.After(timeout):
+				c.forget(id)
 				errs.Add(1)
 			case <-c.Done():
+				c.forget(id)
 				errs.Add(1)
 			}
 		}()

@@ -607,6 +607,55 @@ func TestRunLoadOpenLoopCountsEveryAttempt(t *testing.T) {
 	}
 }
 
+// pendingLen is how many jobs c still holds a reply channel for.
+func pendingLen(c *Client) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.pending)
+}
+
+// TestCallForgetsAnUnansweredJob checks that a Call that gives up on its
+// deadline drops the job's reply channel: with no server reading the
+// seat, three 5 ms calls must leave the client holding nothing.
+func TestCallForgetsAnUnansweredJob(t *testing.T) {
+	seat := comm.NewMesh(2, 64, nil).Endpoint(1)
+	defer seat.Close()
+	c := NewClient(seat, 0)
+	for i := 0; i < 3; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+		_, err := c.Call(ctx, Job{Tenant: 1, Name: "svc.none"})
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("call %d returned %v, want the deadline", i, err)
+		}
+	}
+	if n := pendingLen(c); n != 0 {
+		t.Fatalf("%d jobs still pending after every call gave up", n)
+	}
+}
+
+// TestOpenLoopForgetsAnUnansweredJob is the same for an open-loop
+// tenant, whose collectors give up on CallTimeout.
+func TestOpenLoopForgetsAnUnansweredJob(t *testing.T) {
+	seat := comm.NewMesh(2, 64, nil).Endpoint(1)
+	defer seat.Close()
+	c := NewClient(seat, 0)
+	report, err := RunLoad(context.Background(), c, LoadConfig{
+		Seed:        1,
+		CallTimeout: 5 * time.Millisecond,
+		Tenants:     []TenantLoad{{Tenant: 1, Weight: 1, RateHz: 1000, Jobs: 3, Task: "svc.none"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Errors != 3 {
+		t.Fatalf("%d calls counted as errors, want all 3:\n%s", report.Errors, report.Format())
+	}
+	if n := pendingLen(c); n != 0 {
+		t.Fatalf("%d jobs still pending after every collector gave up", n)
+	}
+}
+
 // TestParseTenantSpec pins the tenant-mix flag grammar.
 func TestParseTenantSpec(t *testing.T) {
 	cfg, err := ParseTenantSpec("1:w=1,rate=100,burst=10,inflight=8; 2:w=3")
