@@ -29,10 +29,11 @@ func NewCholesky(n, b int, seed int64) App {
 // non-positive pivot.
 func (a *cholesky) tile(k int) []float64 {
 	T, b := a.tiles(), a.b
+	i0, j0 := k/T*b, k%T*b
 	t := make([]float64, b*b)
 	for r := 0; r < b; r++ {
 		for c := 0; c < b; c++ {
-			gi, gj := k/T*b+r, k%T*b+c
+			gi, gj := i0+r, j0+c
 			v := hash01(a.seed, min(gi, gj), max(gi, gj))
 			if gi == gj {
 				v += float64(a.n)

@@ -25,10 +25,11 @@ func NewLU(n, b int, seed int64) App {
 
 func (a *lu) tile(k int) []float64 {
 	T, b := a.tiles(), a.b
+	i0, j0 := k/T*b, k%T*b
 	t := make([]float64, b*b)
 	for r := 0; r < b; r++ {
 		for c := 0; c < b; c++ {
-			gi, gj := k/T*b+r, k%T*b+c
+			gi, gj := i0+r, j0+c
 			v := hash01(a.seed, gi, gj)
 			if gi == gj {
 				v += float64(a.n)
