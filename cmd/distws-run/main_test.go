@@ -12,10 +12,9 @@ import (
 // both engines under one crash and one trace: each run must lose the
 // crashed place, verify its checksum on the runtime, and write the trace.
 // Place 1 is home to about half of either app's ~800 tasks, and its own
-// workers take those first, so it runs its 50th task long before the end.
-// On the runtime, cholesky's place 1 first generates the 64 tiles seeded
-// there, one task each, so its crash lands among those; dag.Execute's own
-// crash is TestExecuteSurvivesPlaceCrash's.
+// workers take those first, so it runs its 100th task long before the
+// end. On the runtime, cholesky's place 1 first generates the 64 tiles
+// seeded there, one task each, so its 100th task is inside dag.Execute.
 func TestFaultsAndTraceReachEveryApp(t *testing.T) {
 	for _, app := range []string{"quicksort", "cholesky"} {
 		for _, mode := range []string{"sim", "runtime"} {
@@ -23,7 +22,7 @@ func TestFaultsAndTraceReachEveryApp(t *testing.T) {
 				trace := filepath.Join(t.TempDir(), "run.events")
 				var out bytes.Buffer
 				err := run([]string{"-app", app, "-mode", mode, "-places", "2", "-workers", "2",
-					"-crash-place", "1", "-crash-after-tasks", "50", "-trace", trace}, &out)
+					"-crash-place", "1", "-crash-after-tasks", "100", "-trace", trace}, &out)
 				if err != nil {
 					t.Fatalf("%v\n%s", err, out.String())
 				}

@@ -13,6 +13,12 @@
 // edges totally order all writes to each tile, so the floating-point
 // result is identical regardless of schedule — which makes the checksum
 // a scheduler-correctness test, not just a smoke test.
+//
+// Each workload generates its data one tile at a time. The sequential
+// reference runs the generator in tile order; the parallel run, before
+// dag.Execute, runs it as one task per tile pinned to the place the
+// graph seeds that tile at, so the data starts where the block directory
+// says it is, and no worker idles through a serial set-up.
 package linalg
 
 import (
