@@ -28,7 +28,9 @@ race:
 	$(GO) test -race -shuffle=on \
 		-skip '^(TestServeMeshSoak|TestChurnMeshSoak|TestHeartbeatDetectorGrayFailure|TestRetryRacesConcurrentCrashes)$$' ./...
 
-# One-iteration run of the simulator hot-path benchmark plus the
+# One-iteration run of the simulator hot-path benchmarks (fork-join,
+# BenchmarkSimulator128Workers, and dataflow, BenchmarkSimDAG: cholesky
+# and lu through sim.RunDAG, blind and data-aware) plus the
 # shared-queue contention study (which asserts the relaxed deque's >= 2x
 # steal-throughput bound at 512 workers inline): catches the hot path
 # regressing to a non-compiling, panicking, racy, or slow-queue state
@@ -48,7 +50,7 @@ race:
 # oracle and the preorder walk, both steps at 16 000 bodies), and dmr's
 # bad-triangle test (MinAngleDeg's acos and the cosine filter).
 bench-smoke:
-	$(GO) test -run='^$$' -bench='BenchmarkSimulator128Workers|BenchmarkContentionStudy|BenchmarkUTSRuntime|BenchmarkNestedFinish|BenchmarkXSort' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='BenchmarkSimulator128Workers|BenchmarkSimDAG|BenchmarkContentionStudy|BenchmarkUTSRuntime|BenchmarkNestedFinish|BenchmarkXSort' -benchtime=1x .
 	$(GO) test -run='^$$' -bench=BenchmarkExecuteOverhead -benchtime=1x ./internal/dag
 	$(GO) test -run='^$$' -bench='BenchmarkTileKernels|BenchmarkChecksum' -benchtime=1x ./internal/apps/linalg
 	$(GO) test -run='^$$' -bench=BenchmarkInsert -benchtime=1x -benchmem ./internal/geom
@@ -148,8 +150,9 @@ check: build fmt-check vet test race bench-smoke deque-stress dag-crash core-cra
 # layer by layer (`go run ./benchmark`, ~2.5 min; it writes only the
 # ignored .bench_out/), then the checked-in Go benchmarks at a 1 s
 # benchtime, five counts each for spread: every exhibit's regeneration,
-# the simulator hot path (events/sec) and its tracing off/on pair, the
-# wire codec against gob, dag.Execute's empty-kernel ns/task,
+# the simulator hot path (events/sec) on a fork-join trace and, in
+# BenchmarkSimDAG, on the cholesky and lu graphs, its tracing off/on
+# pair, the wire codec against gob, dag.Execute's empty-kernel ns/task,
 # and the kernels kept beside their naive references: linalg's tiles, the
 # mesh insert (ns, B and allocs per insert), agglom's nearest-neighbour
 # scan, nbody's tree build (ns, B and allocs per build) and force walk,

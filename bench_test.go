@@ -23,9 +23,11 @@ import (
 	"distws"
 	"distws/internal/apps"
 	"distws/internal/apps/kmeans"
+	"distws/internal/apps/linalg"
 	"distws/internal/apps/suite"
 	"distws/internal/apps/uts"
 	"distws/internal/core"
+	"distws/internal/dag"
 	"distws/internal/expt"
 	"distws/internal/sched"
 	"distws/internal/sim"
@@ -228,29 +230,85 @@ func BenchmarkSimulator128Workers(b *testing.B) {
 }
 
 // TestSimulatorAllocCeiling pins the allocation count of one simulated run
-// — the DMG trace on the 16×8 cluster under DistWS, the same run
-// BenchmarkSimulator128Workers times — so per-event or per-worker
-// allocations cannot creep back into the engine unnoticed. The count is
-// deterministic (the engine is); the ceiling is the measured 391 plus ~10%.
+// per engine mode, so per-event or per-worker allocations cannot creep back
+// into the engine unnoticed. The counts are deterministic (the engine is).
+//   - dmg: the DMG trace on the 16×8 cluster under DistWS, the run
+//     BenchmarkSimulator128Workers times; ceiling the measured 377 plus
+//     under 10 %.
+//   - cholesky-dag: sim.RunDAG of the suite's cholesky graph, data-aware,
+//     one of the runs BenchmarkSimDAG times. Most of its measured 5 467
+//     is the run's schedule and block directory; the ceiling sits 33
+//     above it, less than the 48 allocations of 16 caches, so caches made
+//     for places that never touch one would fail it.
 func TestSimulatorAllocCeiling(t *testing.T) {
-	const ceiling = 430
 	r := runner()
 	app, err := suite.ByName("dmg", suite.Small, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := r.Trace(app, r.Cluster.Places)
+	tr, err := r.Trace(app, r.Cluster.Places)
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := sim.Run(g, r.Cluster, sched.DistWS, sim.Options{Seed: 1}); err != nil {
-			t.Fatal(err)
+	g, err := linalg.NewCholesky(512, 32, 1).Graph(r.Cluster.Places)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		ceiling float64
+		run     func() error
+	}{
+		{"dmg", 410, func() error {
+			_, err := sim.Run(tr, r.Cluster, sched.DistWS, sim.Options{Seed: 1})
+			return err
+		}},
+		{"cholesky-dag", 5500, func() error {
+			_, err := sim.RunDAG(g, r.Cluster, sched.DistWS, dag.PolicyDataAware, sim.Options{Seed: 1})
+			return err
+		}},
+	} {
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocations per 16×8 run (ceiling %.0f)", c.name, allocs, c.ceiling)
+		if allocs > c.ceiling {
+			t.Errorf("%s: %.0f allocations per run, ceiling %.0f: something on the simulator's hot path allocates again", c.name, allocs, c.ceiling)
 		}
-	})
-	t.Logf("%.0f allocations per 16×8 DistWS run of %s (ceiling %d)", allocs, g.Name, ceiling)
-	if allocs > ceiling {
-		t.Fatalf("%.0f allocations per run, ceiling %d: something on the simulator's hot path allocates again", allocs, ceiling)
+	}
+}
+
+// BenchmarkSimDAG measures the simulator's dataflow path, sim.RunDAG on
+// the 16×8 cluster: the suite's cholesky and lu graphs (built once, as
+// the exhibits share them), blind and data-aware, so the flow's release,
+// BestPlace's scoring and the block directory are timed. Events/sec and
+// allocations per run are reported, as BenchmarkSimulator128Workers
+// reports them for fork-join traces.
+func BenchmarkSimDAG(b *testing.B) {
+	cl := topology.Paper()
+	for _, a := range linalg.Suite(1)[:2] {
+		g, err := a.Graph(cl.Places)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, pol := range []dag.Policy{dag.PolicyBlind, dag.PolicyDataAware} {
+			b.Run(a.Name()+"/"+pol.String(), func(b *testing.B) {
+				b.ReportAllocs()
+				var events int64
+				for i := 0; i < b.N; i++ {
+					res, err := sim.RunDAG(g, cl, sched.DistWS, pol, sim.Options{Seed: 1})
+					if err != nil {
+						b.Fatal(err)
+					}
+					events += res.Events
+				}
+				if secs := b.Elapsed().Seconds(); secs > 0 {
+					b.ReportMetric(float64(events)/secs, "events/sec")
+				}
+			})
+		}
 	}
 }
 

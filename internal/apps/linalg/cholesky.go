@@ -51,22 +51,22 @@ func (a *cholesky) build(places int, tiles [][]float64) (*dag.Graph, []func()) {
 	b3 := int64(b) * int64(b) * int64(b)
 	t := newTiledGraph("cholesky", T, b, places, tiles, true)
 	for k := 0; k < T; k++ {
-		t.add(fmt.Sprintf("potrf(%d)", k), b3/3,
+		t.add(label("potrf", k), b3/3,
 			[]uint64{tileID(k, k)}, tileID(k, k),
 			func() { potrf(t.at(k, k), b) })
 		for i := k + 1; i < T; i++ {
-			t.add(fmt.Sprintf("trsm(%d,%d)", i, k), b3,
+			t.add(label("trsm", i, k), b3,
 				[]uint64{tileID(k, k), tileID(i, k)}, tileID(i, k),
 				func() { trsmRT(t.at(k, k), t.at(i, k), b) })
 		}
 		for i := k + 1; i < T; i++ {
 			for j := k + 1; j <= i; j++ {
 				if i == j {
-					t.add(fmt.Sprintf("syrk(%d,%d)", i, k), b3,
+					t.add(label("syrk", i, k), b3,
 						[]uint64{tileID(i, k), tileID(i, i)}, tileID(i, i),
 						func() { syrkL(t.at(i, k), t.at(i, i), b) })
 				} else {
-					t.add(fmt.Sprintf("gemm(%d,%d,%d)", i, j, k), 2*b3,
+					t.add(label("gemm", i, j, k), 2*b3,
 						[]uint64{tileID(i, k), tileID(j, k), tileID(i, j)}, tileID(i, j),
 						func() { gemmNT(t.at(i, k), t.at(j, k), t.at(i, j), b) })
 				}

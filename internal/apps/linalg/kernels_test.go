@@ -130,6 +130,37 @@ func randTiles(rng *rand.Rand, b int) (in, out []float64) {
 // TestTileKernelsMatchNaive runs every blocked kernel against its naive
 // loop on random tiles, at sizes that take every remainder path, and
 // compares each output bit for bit.
+// naiveStage is the pipeline's stage as a one-element loop.
+func naiveStage(buf []float64, seed int64, s int) {
+	for rep := 0; rep < stageReps; rep++ {
+		c := 1 + hash01(seed, 1<<20+s, rep)/(1<<10)
+		d := hash01(seed, 2<<20+s, rep)
+		for e := range buf {
+			buf[e] = buf[e]*c + d
+		}
+	}
+}
+
+// The four-element stage against the one-element loop, bit for bit, at
+// every remainder of the width.
+func TestStageMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for width := 0; width <= 9; width++ {
+		got := make([]float64, width)
+		for i := range got {
+			got[i] = rng.Float64()
+		}
+		want := append([]float64(nil), got...)
+		stage(got, 3, width)
+		naiveStage(want, 3, width)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("width %d: element %d = %v, naive %v", width, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestTileKernelsMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, k := range tileKernels {

@@ -24,6 +24,7 @@ package linalg
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"distws/internal/core"
 	"distws/internal/dag"
@@ -247,6 +248,21 @@ func (t *tiledGraph) add(label string, flops int64, in []uint64, out uint64, op 
 	if t.tiles != nil {
 		t.ops = append(t.ops, op)
 	}
+}
+
+// label returns a task's label, name(i,j,...), the string
+// fmt.Sprintf("%s(%d,%d,...)") gives, built without fmt: a graph of
+// thousands of tasks spent most of its build formatting them.
+func label(name string, idx ...int) string {
+	var buf [40]byte
+	b := append(append(buf[:0], name...), '(')
+	for n, i := range idx {
+		if n > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(i), 10)
+	}
+	return string(append(b, ')'))
 }
 
 // at returns tile (i, j) of the bound data; kernels call it only when

@@ -336,3 +336,73 @@ func BenchmarkChecksum(b *testing.B) {
 		}
 	}
 }
+
+// fmtLabels is the label sequence of a's graph as the builds formatted it
+// with fmt.Sprintf, in program order: the oracle label is held to.
+func fmtLabels(a App) []string {
+	var want []string
+	add := func(format string, args ...any) { want = append(want, fmt.Sprintf(format, args...)) }
+	switch k := a.(dataflow).kernels.(type) {
+	case *cholesky:
+		T := k.tiles()
+		for c := 0; c < T; c++ {
+			add("potrf(%d)", c)
+			for i := c + 1; i < T; i++ {
+				add("trsm(%d,%d)", i, c)
+			}
+			for i := c + 1; i < T; i++ {
+				for j := c + 1; j <= i; j++ {
+					if i == j {
+						add("syrk(%d,%d)", i, c)
+					} else {
+						add("gemm(%d,%d,%d)", i, j, c)
+					}
+				}
+			}
+		}
+	case *lu:
+		T := k.tiles()
+		for c := 0; c < T; c++ {
+			add("getrf(%d)", c)
+			for j := c + 1; j < T; j++ {
+				add("trsmL(%d,%d)", c, j)
+			}
+			for i := c + 1; i < T; i++ {
+				add("trsmU(%d,%d)", i, c)
+			}
+			for i := c + 1; i < T; i++ {
+				for j := c + 1; j < T; j++ {
+					add("gemm(%d,%d,%d)", i, j, c)
+				}
+			}
+		}
+	case *pipeline:
+		for s := 0; s < k.stages; s++ {
+			for i := 0; i < k.items; i++ {
+				add("stage(%d,%d)", i, s)
+			}
+		}
+	}
+	return want
+}
+
+// Every task label of the suite and of the benchmark's quick sizes is
+// the string fmt.Sprintf made before label replaced it.
+func TestLabelsMatchFmt(t *testing.T) {
+	apps := append(Suite(1), NewCholesky(64, 16, 1), NewLU(64, 16, 1), NewPipeline(8, 4, 256, 1))
+	for _, a := range apps {
+		g, err := a.Graph(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmtLabels(a)
+		if len(want) != len(g.Tasks) {
+			t.Fatalf("%s: %d tasks, the oracle formats %d labels", a.Name(), len(g.Tasks), len(want))
+		}
+		for i, task := range g.Tasks {
+			if task.Label != want[i] {
+				t.Fatalf("%s: task %d labelled %q, want %q", a.Name(), i, task.Label, want[i])
+			}
+		}
+	}
+}

@@ -47,22 +47,22 @@ func (a *lu) build(places int, tiles [][]float64) (*dag.Graph, []func()) {
 	b3 := int64(b) * int64(b) * int64(b)
 	t := newTiledGraph("lu", T, b, places, tiles, false)
 	for k := 0; k < T; k++ {
-		t.add(fmt.Sprintf("getrf(%d)", k), 2*b3/3,
+		t.add(label("getrf", k), 2*b3/3,
 			[]uint64{tileID(k, k)}, tileID(k, k),
 			func() { getrf(t.at(k, k), b) })
 		for j := k + 1; j < T; j++ {
-			t.add(fmt.Sprintf("trsmL(%d,%d)", k, j), b3,
+			t.add(label("trsmL", k, j), b3,
 				[]uint64{tileID(k, k), tileID(k, j)}, tileID(k, j),
 				func() { trsmLL(t.at(k, k), t.at(k, j), b) })
 		}
 		for i := k + 1; i < T; i++ {
-			t.add(fmt.Sprintf("trsmU(%d,%d)", i, k), b3,
+			t.add(label("trsmU", i, k), b3,
 				[]uint64{tileID(k, k), tileID(i, k)}, tileID(i, k),
 				func() { trsmRU(t.at(k, k), t.at(i, k), b) })
 		}
 		for i := k + 1; i < T; i++ {
 			for j := k + 1; j < T; j++ {
-				t.add(fmt.Sprintf("gemm(%d,%d,%d)", i, j, k), 2*b3,
+				t.add(label("gemm", i, j, k), 2*b3,
 					[]uint64{tileID(i, k), tileID(k, j), tileID(i, j)}, tileID(i, j),
 					func() { gemmNN(t.at(i, k), t.at(k, j), t.at(i, j), b) })
 			}

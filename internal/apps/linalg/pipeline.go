@@ -46,12 +46,23 @@ func (a *pipeline) tile(i int) []float64 {
 }
 
 // stage advances buf by one sweep family: stageReps passes of a
-// multiply-accumulate with stage-specific constants.
+// multiply-accumulate with stage-specific constants. The sweep takes four
+// elements a step: a one-element loop ran twice as slow at one of the two
+// offsets mod 64 bytes the linker can give the function, and which one it
+// gets is decided by unrelated code placed ahead of it.
 func stage(buf []float64, seed int64, s int) {
 	for rep := 0; rep < stageReps; rep++ {
 		c := 1 + hash01(seed, 1<<20+s, rep)/(1<<10)
 		d := hash01(seed, 2<<20+s, rep)
-		for e := range buf {
+		e := 0
+		for ; e+4 <= len(buf); e += 4 {
+			q := buf[e : e+4 : e+4]
+			q[0] = q[0]*c + d
+			q[1] = q[1]*c + d
+			q[2] = q[2]*c + d
+			q[3] = q[3]*c + d
+		}
+		for ; e < len(buf); e++ {
 			buf[e] = buf[e]*c + d
 		}
 	}
@@ -77,7 +88,7 @@ func (a *pipeline) build(places int, bufs [][]float64) (*dag.Graph, []func()) {
 		for i := 0; i < a.items; i++ {
 			g.Tasks = append(g.Tasks, dag.Task{
 				ID:      len(g.Tasks),
-				Label:   fmt.Sprintf("stage(%d,%d)", i, s),
+				Label:   label("stage", i, s),
 				CostNS:  cost,
 				Home:    (i + s) % places,
 				Inputs:  []uint64{blkID(i, s)},

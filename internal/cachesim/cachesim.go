@@ -13,6 +13,16 @@
 // recently. That is exactly the fidelity the paper's argument needs — a
 // migrated task whose blocks are absent from the thief's place's cache
 // misses on all of them, while a task re-run near its data hits.
+//
+// A task references its footprint several times over (TouchAll's
+// passes). When the footprint has at most capacity entries, only the
+// first pass is replayed: afterwards every block of it is resident,
+// ordered by last touch ahead of every other block, and each later pass
+// hits every entry and leaves exactly that order (no insertion, no
+// eviction, the same splices to the front). So passes p add (p−1)·len
+// hits to the first pass's counts and leave the cache as p replays would.
+// A longer footprint can evict its own blocks and is replayed pass by
+// pass.
 package cachesim
 
 import "math/bits"
@@ -135,14 +145,22 @@ func (c *Cache) Touch(block uint64) bool {
 	return false
 }
 
-// TouchAll references every block in blocks, returning the number of hits
-// and misses.
-func (c *Cache) TouchAll(blocks []uint64) (hits, misses int) {
-	for _, b := range blocks {
-		if c.Touch(b) {
-			hits++
-		} else {
-			misses++
+// TouchAll references every block in blocks, in order, passes times over,
+// returning the number of hits and misses. A footprint of at most
+// capacity entries is replayed once and its later passes counted as hits
+// (the package doc's pass rule); the cache ends as if every pass ran.
+func (c *Cache) TouchAll(blocks []uint64, passes int) (hits, misses int) {
+	if passes > 1 && len(blocks) <= c.capacity {
+		hits = (passes - 1) * len(blocks)
+		passes = 1
+	}
+	for ; passes > 0; passes-- {
+		for _, b := range blocks {
+			if c.Touch(b) {
+				hits++
+			} else {
+				misses++
+			}
 		}
 	}
 	return hits, misses

@@ -1,6 +1,8 @@
 package cachesim
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -17,7 +19,7 @@ func TestColdMissThenHit(t *testing.T) {
 	if !c.Touch(1) {
 		t.Fatalf("second touch should hit")
 	}
-	if hits, misses := c.TouchAll([]uint64{1, 2}); hits != 1 || misses != 1 {
+	if hits, misses := c.TouchAll([]uint64{1, 2}, 1); hits != 1 || misses != 1 {
 		t.Fatalf("TouchAll = %d hits %d misses, want 1/1", hits, misses)
 	}
 	if c.used != 2 {
@@ -47,7 +49,7 @@ func TestLRUEviction(t *testing.T) {
 
 func TestTouchAll(t *testing.T) {
 	c := New(8)
-	hits, misses := c.TouchAll([]uint64{1, 2, 3, 1})
+	hits, misses := c.TouchAll([]uint64{1, 2, 3, 1}, 1)
 	if hits != 1 || misses != 3 {
 		t.Fatalf("TouchAll = %d hits %d misses, want 1/3", hits, misses)
 	}
@@ -134,11 +136,84 @@ func TestResidentWorkingSetHits(t *testing.T) {
 	for i := range ws {
 		ws[i] = uint64(i)
 	}
-	c.TouchAll(ws) // cold pass
+	c.TouchAll(ws, 1) // cold pass
 	for pass := 0; pass < 3; pass++ {
-		hits, misses := c.TouchAll(ws)
+		hits, misses := c.TouchAll(ws, 1)
 		if misses != 0 || hits != len(ws) {
 			t.Fatalf("pass %d: %d hits %d misses, want all hits", pass, hits, misses)
+		}
+	}
+}
+
+// lru lists the resident blocks from most to least recently used.
+func (c *Cache) lru() []uint64 {
+	var order []uint64
+	for i := c.head; i >= 0; i = c.slab[i].next {
+		order = append(order, c.slab[i].block)
+	}
+	return order
+}
+
+// TouchAll's pass rule against its oracle, the same passes replayed one
+// block at a time: hits, misses and the whole LRU order afterwards must
+// agree for footprints either side of the capacity (512), with and
+// without duplicates, over cold, warm and full caches.
+func TestTouchAllPassRuleMatchesReplay(t *testing.T) {
+	const capacity = 512
+	rng := rand.New(rand.NewSource(7))
+	// id draws one of ids block IDs, half of them carrying the
+	// simulator's place alias in the top byte.
+	id := func(ids int) uint64 {
+		v := uint64(rng.Intn(ids))
+		return v>>1 | (v&1)*uint64(1+rng.Intn(3))<<56
+	}
+	footprint := func(n int, dups bool) []uint64 {
+		blocks := make([]uint64, 0, n)
+		if dups {
+			for range n {
+				blocks = append(blocks, id(n/2+1))
+			}
+			return blocks
+		}
+		// n distinct IDs, every other one aliased, in a shuffled order.
+		for i := range n {
+			blocks = append(blocks, uint64(i/2)|uint64(i&1)<<56)
+		}
+		rng.Shuffle(n, func(i, j int) { blocks[i], blocks[j] = blocks[j], blocks[i] })
+		return blocks
+	}
+	prefill := map[string]int{"cold": 0, "warm": 300, "full": 1500}
+	for _, n := range []int{0, 1, 511, 512, 513, 1000} {
+		for _, dups := range []bool{false, true} {
+			for _, state := range []string{"cold", "warm", "full"} {
+				for passes := 1; passes <= 6; passes++ {
+					blocks := footprint(n, dups)
+					got, want := New(capacity), New(capacity)
+					for range prefill[state] {
+						b := id(2 * capacity)
+						got.Touch(b)
+						want.Touch(b)
+					}
+					gh, gm := got.TouchAll(blocks, passes)
+					var wh, wm int
+					for range passes {
+						for _, b := range blocks {
+							if want.Touch(b) {
+								wh++
+							} else {
+								wm++
+							}
+						}
+					}
+					where := fmt.Sprintf("%d blocks (dups %v), %s cache, %d passes", n, dups, state, passes)
+					if gh != wh || gm != wm {
+						t.Fatalf("%s: %d hits %d misses, replay %d/%d", where, gh, gm, wh, wm)
+					}
+					if !slices.Equal(got.lru(), want.lru()) || got.used != want.used {
+						t.Fatalf("%s: LRU order differs from the replay's", where)
+					}
+				}
+			}
 		}
 	}
 }

@@ -2,7 +2,9 @@ package dag
 
 import (
 	"errors"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -335,6 +337,85 @@ func TestBestPlace(t *testing.T) {
 	g.Tasks[0].Home = 2
 	if got := BestPlace(g, d, 0, []int64{0, 0, 0}, transfer); got != 2 {
 		t.Fatalf("BestPlace no-input = %d, want home 2", got)
+	}
+}
+
+// bestPlaceOracle is BestPlace scoring each place with its own MoveBytes
+// walk, the oracle the one-read BestPlace is held to.
+func bestPlaceOracle(g *Graph, d *Directory, t int, backlogNS []int64, transfer func(bytes int) int64) int {
+	home := wrap(g.Tasks[t].Home, len(backlogNS))
+	best := home
+	bestScore := transfer(d.MoveBytes(g, t, home)) + backlogNS[home]
+	for p := range backlogNS {
+		if p == home {
+			continue
+		}
+		score := transfer(d.MoveBytes(g, t, p)) + backlogNS[p]
+		if score < bestScore {
+			best, bestScore = p, score
+		}
+	}
+	return best
+}
+
+// BestPlace against its oracle on random graphs and directories: the
+// same place, and the same transfer argument, MoveBytes, for every place
+// in scan order. 65 places take two residency words; odd block sizes
+// make the outputs' half weight truncate.
+func TestBestPlaceMatchesMoveBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const blocks = 24
+	for _, places := range []int{1, 2, 3, 16, 64, 65} {
+		for round := 0; round < 100; round++ {
+			g := &Graph{BlockBytes: map[uint64]int{}}
+			d := NewDirectory(places)
+			for b := uint64(0); b < blocks; b++ {
+				g.BlockBytes[b] = 1 + rng.Intn(999)
+				if rng.Intn(4) == 0 {
+					continue // resident nowhere
+				}
+				d.Produce(b, rng.Intn(places))
+				for k := rng.Intn(4); k > 0; k-- {
+					d.Replicate(b, rng.Intn(places))
+				}
+				if rng.Intn(4) == 0 {
+					d.Replicate(b, places-1) // the last word's top place
+				}
+			}
+			pick := func(k int) []uint64 {
+				var bs []uint64
+				for ; k > 0; k-- {
+					bs = append(bs, uint64(rng.Intn(blocks)))
+				}
+				return bs
+			}
+			for i := 0; i < 8; i++ {
+				task := Task{ID: i, Home: rng.Intn(3*places) - places, Inputs: pick(rng.Intn(6)), Outputs: pick(rng.Intn(3))}
+				if len(task.Inputs) > 0 && rng.Intn(3) == 0 {
+					task.Inputs = append(task.Inputs, task.Inputs[0]) // a repeated input
+				}
+				if len(task.Inputs) > 0 && rng.Intn(3) == 0 {
+					task.Outputs = append(task.Outputs, task.Inputs[len(task.Inputs)-1]) // read-modify-write
+				}
+				g.Tasks = append(g.Tasks, task)
+			}
+			backlog := make([]int64, places)
+			for r := 0; r < 3; r++ {
+				for p := range backlog {
+					backlog[p] = rng.Int63n(4) * 250 // ties are common
+				}
+				unit := int64(1 + rng.Intn(2)*499) // per byte, or coarse enough to tie
+				for i := range g.Tasks {
+					var got, want []int
+					gotP := BestPlace(g, d, i, backlog, func(b int) int64 { got = append(got, b); return int64(b) / unit })
+					wantP := bestPlaceOracle(g, d, i, backlog, func(b int) int64 { want = append(want, b); return int64(b) / unit })
+					if gotP != wantP || !slices.Equal(got, want) {
+						t.Fatalf("%d places, round %d, task %+v: BestPlace %d scoring %v, oracle %d scoring %v",
+							places, round, g.Tasks[i], gotP, got, wantP, want)
+					}
+				}
+			}
+		}
 	}
 }
 

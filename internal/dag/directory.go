@@ -2,6 +2,7 @@ package dag
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -14,6 +15,7 @@ type Directory struct {
 	places int
 	words  int
 	bits   map[uint64][]uint64
+	held   []int // BestPlace's scratch: resident bytes per place
 }
 
 // NewDirectory returns an empty directory for a cluster of places.
@@ -74,8 +76,11 @@ func (d *Directory) Resident(b uint64, place int) bool {
 
 // Anywhere reports whether any place holds b (false for blocks never
 // produced nor seeded — e.g. constants materialized wherever needed).
-func (d *Directory) Anywhere(b uint64) bool {
-	for _, word := range d.bits[b] {
+func (d *Directory) Anywhere(b uint64) bool { return anywhereIn(d.bits[b]) }
+
+// anywhereIn is Anywhere over a block's residency words.
+func anywhereIn(w []uint64) bool {
+	for _, word := range w {
 		if word != 0 {
 			return true
 		}
@@ -174,18 +179,54 @@ func ParsePolicy(s string) (Policy, error) {
 // passes a measured-bytes proxy). The declared home, wrapped into the
 // len(backlogNS) places, wins ties, then the lowest place id; the scan
 // order is fixed, so the choice is deterministic.
+//
+// Each block's residency words are read once, not once per place: the
+// bytes of the blocks held somewhere are summed, each block's bytes are
+// credited to the places holding it, and MoveBytes(t, p) is that sum
+// less p's credit.
 func BestPlace(g *Graph, d *Directory, t int, backlogNS []int64, transfer func(bytes int) int64) int {
+	if cap(d.held) < len(backlogNS) {
+		d.held = make([]int, len(backlogNS))
+	}
+	held := d.held[:len(backlogNS)]
+	clear(held)
+	var total int
+	for _, b := range g.Tasks[t].Inputs {
+		total += d.credit(held, b, g.BlockBytes, 1)
+	}
+	for _, b := range g.Tasks[t].Outputs {
+		total += d.credit(held, b, g.BlockBytes, 2)
+	}
 	home := wrap(g.Tasks[t].Home, len(backlogNS))
 	best := home
-	bestScore := transfer(d.MoveBytes(g, t, home)) + backlogNS[home]
+	bestScore := transfer(total-held[home]) + backlogNS[home]
 	for p := range backlogNS {
 		if p == home {
 			continue
 		}
-		score := transfer(d.MoveBytes(g, t, p)) + backlogNS[p]
+		score := transfer(total-held[p]) + backlogNS[p]
 		if score < bestScore {
 			best, bestScore = p, score
 		}
 	}
 	return best
+}
+
+// credit adds b's weight, its bytes over div, to held[p] for every place
+// p < len(held) holding b, and returns the weight, or 0 when no place
+// holds b.
+func (d *Directory) credit(held []int, b uint64, sizes map[uint64]int, div int) int {
+	w := d.bits[b]
+	if !anywhereIn(w) {
+		return 0
+	}
+	weight := sizes[b] / div
+	for i, word := range w {
+		for ; word != 0; word &= word - 1 {
+			if p := i<<6 + bits.TrailingZeros64(word); p < len(held) {
+				held[p] += weight
+			}
+		}
+	}
+	return weight
 }

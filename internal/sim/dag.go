@@ -127,8 +127,8 @@ func (e *engine) dagFetch(id int, w *simWorker) int64 {
 		e.record(p.id, w.local, obs.KindDAGResidentHit, int32(id), hits, 0)
 	}
 	if misses > 0 {
-		e.ctrs.Messages.Add(int64(misses))
-		e.ctrs.BytesTransferred.Add(bytes)
+		e.tally.Messages += int64(misses)
+		e.tally.BytesTransferred += bytes
 		e.record(p.id, w.local, obs.KindDAGResidentMiss, int32(id), misses, fetchNS)
 	}
 	return fetchNS

@@ -196,7 +196,9 @@ type simPlace struct {
 	executed int64
 	// cache models the node's data cache: tasks executing at their home
 	// place find their blocks warm across repeated visits; migrated tasks
-	// start cold (their blocks are aliased per executing place).
+	// start cold (their blocks are aliased per executing place). It is
+	// made on the place's first footprint (nil until then: a RunDAG
+	// task has none).
 	cache *cachesim.Cache
 	// lockFreeAt is when the shared deque's lock next becomes available
 	// (LockContention only).
@@ -204,11 +206,15 @@ type simPlace struct {
 }
 
 type engine struct {
-	g       *trace.Graph
-	cl      topology.Cluster
-	policy  sched.Kind
-	opts    Options
+	g      *trace.Graph
+	cl     topology.Cluster
+	policy sched.Kind
+	opts   Options
+	// ctrs takes the per-sweep counts of sched.Thief and sched.Places;
+	// tally is the engine's own per-task counts, plain adds on the event
+	// loop's one goroutine. Run's result is their sum (counters).
 	ctrs    metrics.Counters
+	tally   metrics.Snapshot
 	events  vtime.Heap[event]
 	now     int64
 	places  []*simPlace
@@ -344,7 +350,6 @@ func newEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Opti
 		pl := &places[p]
 		*pl = simPlace{
 			id:      p,
-			cache:   cachesim.New(cacheBlocks),
 			workers: e.workers[p*cl.WorkersPerPlace : (p+1)*cl.WorkersPerPlace : (p+1)*cl.WorkersPerPlace],
 		}
 		e.places[p] = pl
@@ -419,7 +424,7 @@ func (e *engine) run() (*Result, error) {
 		Cluster:      cl,
 		MakespanNS:   e.lastDone,
 		SequentialNS: g.Sequential(),
-		Counters:     e.ctrs.Snapshot(),
+		Counters:     e.counters(),
 		Events:       e.eventsHandled,
 		PlaceBusyNS:  make([]int64, cl.Places),
 	}
@@ -440,6 +445,24 @@ func (e *engine) run() (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// counters returns the run's counts: the scheduler halves' counters plus
+// the engine's tally (the fields start, handleSpawn, handleDone, findWork,
+// Steal and dagFetch add to).
+func (e *engine) counters() metrics.Snapshot {
+	s, t := e.ctrs.Snapshot(), &e.tally
+	s.TasksSpawned += t.TasksSpawned
+	s.TasksExecuted += t.TasksExecuted
+	s.LocalSteals += t.LocalSteals
+	s.TasksMigrated += t.TasksMigrated
+	s.Messages += t.Messages
+	s.BytesTransferred += t.BytesTransferred
+	s.RemoteDataAccess += t.RemoteDataAccess
+	s.CacheRefs += t.CacheRefs
+	s.CacheMisses += t.CacheMisses
+	s.DuplicateTakes += t.DuplicateTakes
+	return s
 }
 
 // record logs one scheduling event at the current virtual time when
@@ -485,14 +508,14 @@ func (e *engine) handleSpawn(ev event) {
 	home := e.places[ev.home]
 	e.resolvedHome[ev.taskID] = ev.home
 	if !ev.requeue {
-		e.ctrs.TasksSpawned.Add(1)
+		e.tally.TasksSpawned++
 	}
 	e.record(ev.home, 0, obs.KindSpawn, int32(ev.taskID), int32(ev.from), 0)
 
 	if ev.from >= 0 && ev.from != ev.home {
 		// Cross-place async: ship the task and its payload.
-		e.ctrs.Messages.Add(1)
-		e.ctrs.BytesTransferred.Add(int64(t.MigBytes))
+		e.tally.Messages++
+		e.tally.BytesTransferred += int64(t.MigBytes)
 	}
 
 	target := sched.MapTask(e.policy, classOf(t), e.load(home), home.spawnSeq)
@@ -579,7 +602,7 @@ func (e *engine) handleDone(ev event) {
 	w.place.running--
 	w.place.executed++
 	e.tasksDone++
-	e.ctrs.TasksExecuted.Add(1)
+	e.tally.TasksExecuted++
 	e.record(w.place.id, w.local, obs.KindTaskEnd, int32(ev.taskID), 0, 0)
 	if e.now > e.lastDone {
 		e.lastDone = e.now
@@ -736,7 +759,7 @@ func (e *engine) findWork(w *simWorker) {
 		peer := p.workers[(w.local+off)%len(p.workers)]
 		if id, ok := peer.priv.PopFront(); ok {
 			p.queued--
-			e.ctrs.LocalSteals.Add(1)
+			e.tally.LocalSteals++
 			e.record(p.id, w.local, obs.KindStealLocal, int32(id), int32(peer.local), 0)
 			e.start(w, id, over.LocalStealNS)
 			return
@@ -807,9 +830,9 @@ func (e *engine) Steal(v, chunkSize int) int {
 		dup := chunk[len(chunk)-1]
 		chunk = chunk[:len(chunk)-1]
 		victim.shared.PushBack(dup)
-		e.ctrs.DuplicateTakes.Add(1)
+		e.tally.DuplicateTakes++
 		bytes := e.g.Tasks[dup].MigBytes
-		e.ctrs.BytesTransferred.Add(int64(bytes))
+		e.tally.BytesTransferred += int64(bytes)
 		e.sweepDelay += e.cl.Net.TransferNS(bytes)
 	}
 	if len(chunk) == 0 {
@@ -824,7 +847,7 @@ func (e *engine) Steal(v, chunkSize int) int {
 		bytes += e.g.Tasks[id].MigBytes
 	}
 	e.sweepDelay += e.cl.Net.TransferNS(bytes)
-	e.ctrs.BytesTransferred.Add(int64(bytes))
+	e.tally.BytesTransferred += int64(bytes)
 	e.record(w.place.id, w.local, obs.KindStealRemote, int32(chunk[0]), int32(v), e.sweepDelay)
 	if len(chunk) > 1 {
 		batch := append(e.getBatch(), chunk[1:]...)
@@ -927,20 +950,20 @@ func (e *engine) start(w *simWorker, id int, startDelay int64) {
 	// parent's executing place for HomeInherit children).
 	migrated := p.id != e.resolvedHome[id]
 	if migrated {
-		e.ctrs.TasksMigrated.Add(1)
+		e.tally.TasksMigrated++
 		if t.MigMsgs > 0 {
 			// Each remote reference is a round trip for cache-line-sized
 			// payload; this is the dominant cost non-selective stealing
 			// pays on locality-sensitive tasks.
-			e.ctrs.Messages.Add(int64(t.MigMsgs))
-			e.ctrs.RemoteDataAccess.Add(int64(t.MigMsgs))
-			e.ctrs.BytesTransferred.Add(int64(t.MigMsgs * remoteRefBytes))
+			e.tally.Messages += int64(t.MigMsgs)
+			e.tally.RemoteDataAccess += int64(t.MigMsgs)
+			e.tally.BytesTransferred += int64(t.MigMsgs * remoteRefBytes)
 			service += int64(t.MigMsgs) * e.cl.Net.RoundTripNS(32, remoteRefBytes)
 		}
 	}
 	if t.BaseMsgs > 0 {
-		e.ctrs.Messages.Add(int64(t.BaseMsgs))
-		e.ctrs.BytesTransferred.Add(int64(t.BaseBytes))
+		e.tally.Messages += int64(t.BaseMsgs)
+		e.tally.BytesTransferred += int64(t.BaseBytes)
 	}
 	if len(t.Blocks) > 0 {
 		reps := t.BlockReps
@@ -955,8 +978,8 @@ func (e *engine) start(w *simWorker, id int, startDelay int64) {
 			// reference burst the paper attributes to non-selective
 			// stealing (§VIII-Q3).
 			n := int64(len(t.Blocks)) * int64(reps)
-			e.ctrs.CacheRefs.Add(n)
-			e.ctrs.CacheMisses.Add(n)
+			e.tally.CacheRefs += n
+			e.tally.CacheMisses += n
 			service += n * missPenaltyNS
 		default:
 			blocks := t.Blocks
@@ -966,12 +989,13 @@ func (e *engine) start(w *simWorker, id int, startDelay int64) {
 				blocks = appendAliasBlocks(e.aliasBuf[:0], t.Blocks, uint64(p.id))
 				e.aliasBuf = blocks[:0]
 			}
-			for rep := 0; rep < reps; rep++ {
-				hits, misses := p.cache.TouchAll(blocks)
-				e.ctrs.CacheRefs.Add(int64(hits + misses))
-				e.ctrs.CacheMisses.Add(int64(misses))
-				service += int64(misses) * missPenaltyNS
+			if p.cache == nil {
+				p.cache = cachesim.New(cacheBlocks)
 			}
+			hits, misses := p.cache.TouchAll(blocks, reps)
+			e.tally.CacheRefs += int64(hits + misses)
+			e.tally.CacheMisses += int64(misses)
+			service += int64(misses) * missPenaltyNS
 		}
 	}
 

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"distws/internal/deque"
+	"distws/internal/metrics"
 	"distws/internal/sched"
 	"distws/internal/topology"
 	"distws/internal/trace"
@@ -529,5 +531,53 @@ func TestRelaxedBeatsMutexUnderContention(t *testing.T) {
 	if again.MakespanNS != relaxed.MakespanNS || again.Counters != relaxed.Counters {
 		t.Fatalf("relaxed contention run not deterministic:\n got %+v\nwant %+v",
 			again.Counters, relaxed.Counters)
+	}
+}
+
+// The engine's plain tallies reach the result: Run's counters are the
+// atomic counters plus every field of the tally, whichever fields a run
+// happens to move. The runs below move nine of the ten the engine keeps
+// (footprints, remote references, base traffic, local steals, remote
+// steals' bytes, migrations); duplicate takes are one remote take in
+// thousands, which the contention exhibit's golden counts.
+func TestCountersAddEveryTally(t *testing.T) {
+	b := trace.NewBuilder("tallies")
+	task := func(i int) trace.Task {
+		return trace.Task{CostNS: int64(100_000 * (1 + i%7)), Home: i % 2, HomeMode: trace.HomeInherit,
+			Flexible: i%3 != 0, Blocks: []uint64{uint64(i % 40), uint64(i%40 + 1)}, BlockReps: 3,
+			MigBytes: 64, MigMsgs: i % 4, BaseMsgs: i % 2, BaseBytes: 32}
+	}
+	for i := 0; i < 40; i++ {
+		r := b.Root(task(i))
+		for c := 1; c <= 10; c++ {
+			b.Child(r, task(i+c))
+		}
+	}
+	g, err := b.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var moved metrics.Snapshot
+	for _, opts := range []Options{{Seed: 3}, {Seed: 3, LockContention: true, Deque: deque.KindRelaxed}} {
+		e := newEngine(g, cluster(4, 2), sched.DistWSNS, opts, nil)
+		res, err := e.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := e.ctrs.Snapshot()
+		wv, tv, mv := reflect.ValueOf(&want).Elem(), reflect.ValueOf(e.tally), reflect.ValueOf(&moved).Elem()
+		for i := 0; i < wv.NumField(); i++ {
+			wv.Field(i).SetInt(wv.Field(i).Int() + tv.Field(i).Int())
+			mv.Field(i).SetInt(mv.Field(i).Int() + tv.Field(i).Int())
+		}
+		if res.Counters != want {
+			t.Fatalf("%+v: counters %+v, want the atomic counters plus the tally, %+v", opts, res.Counters, want)
+		}
+	}
+	for _, f := range []int64{moved.TasksSpawned, moved.TasksExecuted, moved.LocalSteals, moved.TasksMigrated,
+		moved.Messages, moved.BytesTransferred, moved.RemoteDataAccess, moved.CacheRefs, moved.CacheMisses} {
+		if f == 0 {
+			t.Fatalf("a tallied field stayed zero over every run: %+v", moved)
+		}
 	}
 }

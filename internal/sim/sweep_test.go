@@ -39,7 +39,7 @@ func TestOneSweepMatchesTheRuntime(t *testing.T) {
 			e.places[0].shared.PushBack(0)
 			e.places[0].queued++
 			e.stealRemote(e.workers[1])
-			d := e.ctrs.Snapshot()
+			d := e.counters()
 			fmt.Fprintf(&got, "%s: probes=%d messages=%d dropped=%d timeouts=%d retries=%d duplicated=%d stolen=%d\n",
 				name, d.RemoteProbes, d.Messages, d.DroppedMessages, d.StealTimeouts,
 				d.Retries, d.DuplicatedMessages, d.RemoteSteals)
@@ -110,14 +110,14 @@ func TestPlaceMatchesTheRuntime(t *testing.T) {
 		for _, w := range e.workers {
 			e.findWork(w)
 		}
-		before := e.ctrs.Snapshot()
+		before := e.counters()
 		c.run(&e.life, func(place, n int) {
 			for id := 0; id < n; id++ {
 				e.places[place].shared.PushBack(id)
 				e.places[place].queued++
 			}
 		})
-		a, p := e.ctrs.Snapshot(), e.places[c.place]
+		a, p := e.counters(), e.places[c.place]
 		fmt.Fprintf(&got, "%s: lost=%d reexec=%d offloaded=%d joins=%d drains=%d rejoins=%d failed=%d lent=%d messages=%d bytes=%d place%d=%s%s%s\n",
 			c.name, a.PlacesLost-before.PlacesLost, a.TasksReExecuted-before.TasksReExecuted, a.TasksOffloaded-before.TasksOffloaded,
 			a.MembershipJoins-before.MembershipJoins, a.MembershipDrains-before.MembershipDrains, a.MembershipRejoins-before.MembershipRejoins,

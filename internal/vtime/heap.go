@@ -6,6 +6,8 @@
 // clock the caller controls and faults a seed decides.
 package vtime
 
+import "math/bits"
+
 // Heap is a pending-event set: an inlined 4-ary min-heap of 24-byte
 // (at, seq, slot) keys over a slab of event bodies E. It replaces
 // container/heap, whose interface-based API boxes every pushed event into
@@ -26,7 +28,20 @@ type Heap[E any] struct {
 	slab []E
 	free []int32 // vacant slab slots
 	seq  uint64  // next push's sequence number
+	// last is the time of the last pop. lane holds, in push order, up to
+	// laneCap keys pushed at exactly that time since (a ring from
+	// laneHead, laneLen long): they are in (at, seq) order already, so
+	// they skip the sifts, and Pop takes the lane's head when it is less
+	// than the heap's root.
+	last     int64
+	lane     [laneCap]heapKey
+	laneHead int
+	laneLen  int
 }
+
+// laneCap bounds the same-time lane; a push that finds it full goes to
+// the heap, which orders it just as well.
+const laneCap = 32
 
 type heapKey struct {
 	at   int64
@@ -34,18 +49,23 @@ type heapKey struct {
 	slot int32
 }
 
-func (a *heapKey) less(b *heapKey) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+func (a *heapKey) less(b *heapKey) bool { return a.before(b) != 0 }
+
+// before is less as 1 or 0: the borrow out of the 128-bit subtraction
+// (at, seq) − (b.at, b.seq), at's sign bit flipped to order it unsigned.
+// It has no branch to mispredict, and siftDown selects with it by mask.
+func (a *heapKey) before(b *heapKey) int {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at)^1<<63, uint64(b.at)^1<<63, borrow)
+	return int(borrow)
 }
 
 // Len returns the number of pending events.
-func (h *Heap[E]) Len() int { return len(h.keys) }
+func (h *Heap[E]) Len() int { return len(h.keys) + h.laneLen }
 
-// Push inserts e to fire at virtual time at, sifting its key up toward
-// the root.
+// Push inserts e to fire at virtual time at: its key joins the lane when
+// at is the last pop's time and the lane has room, else it sifts up
+// toward the root.
 func (h *Heap[E]) Push(at int64, e E) {
 	var slot int32
 	if n := len(h.free); n > 0 {
@@ -58,6 +78,11 @@ func (h *Heap[E]) Push(at int64, e E) {
 	}
 	k := heapKey{at: at, seq: h.seq, slot: slot}
 	h.seq++
+	if at == h.last && h.laneLen < laneCap && (h.laneLen == 0 || h.lane[h.laneHead].at == at) {
+		h.lane[(h.laneHead+h.laneLen)%laneCap] = k
+		h.laneLen++
+		return
+	}
 	h.keys = append(h.keys, k)
 	i := len(h.keys) - 1
 	for i > 0 {
@@ -74,24 +99,34 @@ func (h *Heap[E]) Push(at int64, e E) {
 // Pop removes and returns the earliest event and its time. The heap must
 // not be empty.
 func (h *Heap[E]) Pop() (at int64, e E) {
-	at, slot := h.keys[0].at, h.keys[0].slot
+	var slot int32
+	if h.laneLen > 0 && (len(h.keys) == 0 || h.lane[h.laneHead].less(&h.keys[0])) {
+		at, slot = h.lane[h.laneHead].at, h.lane[h.laneHead].slot
+		h.laneHead = (h.laneHead + 1) % laneCap
+		h.laneLen--
+	} else {
+		at, slot = h.keys[0].at, h.keys[0].slot
+		n := len(h.keys) - 1
+		last := h.keys[n]
+		h.keys = h.keys[:n]
+		if n > 0 {
+			h.siftDown(last)
+		}
+	}
+	h.last = at
 	e = h.slab[slot]
 	var zero E
 	h.slab[slot] = zero
 	h.free = append(h.free, slot)
-
-	n := len(h.keys) - 1
-	last := h.keys[n]
-	h.keys = h.keys[:n]
-	if n > 0 {
-		h.siftDown(last)
-	}
 	return at, e
 }
 
-// siftDown places k, starting from the vacated root.
+// siftDown places k, starting from the vacated root. The smallest of a
+// node's children is selected by mask (before), not by branch: which
+// child wins is data-dependent, so a branch there mispredicts often.
 func (h *Heap[E]) siftDown(k heapKey) {
-	n := len(h.keys)
+	keys := h.keys
+	n := len(keys)
 	i := 0
 	for {
 		first := 4*i + 1
@@ -104,15 +139,13 @@ func (h *Heap[E]) siftDown(k heapKey) {
 			last = n
 		}
 		for c := first + 1; c < last; c++ {
-			if h.keys[c].less(&h.keys[min]) {
-				min = c
-			}
+			min ^= (min ^ c) & -keys[c].before(&keys[min])
 		}
-		if !h.keys[min].less(&k) {
+		if !keys[min].less(&k) {
 			break
 		}
-		h.keys[i] = h.keys[min]
+		keys[i] = keys[min]
 		i = min
 	}
-	h.keys[i] = k
+	keys[i] = k
 }

@@ -7,7 +7,9 @@ import (
 
 // Random interleavings of pushes and pops — so slab slots are freed and
 // reused many times over — must pop in (at, push order) order, and a
-// freed slot must not keep its event's batch alive.
+// freed slot must not keep its event's batch alive. Bursts of pushes at
+// the last pop's time, some longer than the same-time lane, go through
+// the lane; pushes earlier than the last pop must still come out first.
 func TestEventHeapOrderAndSlotReuse(t *testing.T) {
 	type event struct {
 		at    int64
@@ -31,15 +33,28 @@ func TestEventHeapOrderAndSlotReuse(t *testing.T) {
 			return e
 		}
 		peak := 0
+		push := func(at int64) {
+			e := event{at: at, id: pushed, batch: []int{pushed}}
+			pushed++
+			h.Push(e.at, e)
+			pending = append(pending, e)
+			peak = max(peak, len(pending))
+		}
+		var last int64 // the last pop's time
 		for op := 0; op < 400; op++ {
-			if len(pending) == 0 || rng.Intn(5) < 3 {
+			switch r := rng.Intn(10); {
+			case len(pending) == 0 || r < 5:
 				// Few distinct timestamps: ties are the common case.
-				e := event{at: int64(rng.Intn(8)), id: pushed, batch: []int{pushed}}
-				pushed++
-				h.Push(e.at, e)
-				pending = append(pending, e)
-			} else {
+				push(int64(rng.Intn(8)))
+			case r == 5:
+				for n := 1 + rng.Intn(2*laneCap); n > 0; n-- {
+					push(last)
+				}
+			case r == 6:
+				push(last - 1 - int64(rng.Intn(3)))
+			default:
 				at, got := h.Pop()
+				last = at
 				want := popMin()
 				if at != want.at || got.id != want.id {
 					t.Fatalf("round %d op %d: popped (at %d, #%d), want (at %d, #%d)",
@@ -51,9 +66,6 @@ func TestEventHeapOrderAndSlotReuse(t *testing.T) {
 			}
 			if h.Len() != len(pending) {
 				t.Fatalf("round %d op %d: len = %d, want %d", round, op, h.Len(), len(pending))
-			}
-			if len(pending) > peak {
-				peak = len(pending)
 			}
 		}
 		for len(pending) > 0 {
