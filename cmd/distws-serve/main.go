@@ -53,8 +53,9 @@ import (
 )
 
 func init() {
-	// The service task set: registered in the front door (name
-	// validation at admission) and the executors (execution).
+	// The service task set: registered in the front door (name and
+	// argument checks at admission) and the executors (name resolution);
+	// runTask is what an executor runs.
 	task.DefaultRegistry.Register("svc.echo", func([]byte) error { return nil })
 	task.DefaultRegistry.Register("svc.sleep", func(arg []byte) error {
 		if len(arg) != 8 {

@@ -1,4 +1,4 @@
-// Cluster-simulator walkthrough: compare all six scheduling policies on
+// Cluster-simulator walkthrough: compare all five scheduling policies on
 // one irregular workload at the paper's 16×8 = 128-worker scale, without
 // needing 16 machines. This is how the repository regenerates the paper's
 // figures; see cmd/distws-experiments for the full evaluation.

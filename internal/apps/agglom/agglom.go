@@ -222,7 +222,6 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 					loc := task.Locality{
 						Class:          task.Flexible,
 						MigrationBytes: 24 * (ch[1] - ch[0]),
-						Blocks:         []uint64{uint64(ch[0])},
 					}
 					c.AsyncLoc(apps.Stripe(r.act[ch[0]].X, places), loc, func(*core.Ctx) {
 						r.nnChunk(nn, ch[0], ch[1])

@@ -171,19 +171,6 @@ func Chunks(n, size int) [][2]int {
 	return out
 }
 
-// UnitBlocks returns the footprints {0}, {1}, ..., {n-1}, one block
-// each, on one shared backing array: an app whose task i touches block i
-// builds them once per run instead of once per task.
-func UnitBlocks(n int) [][]uint64 {
-	ids := make([]uint64, n)
-	out := make([][]uint64, n)
-	for i := range ids {
-		ids[i] = uint64(i)
-		out[i] = ids[i : i+1 : i+1]
-	}
-	return out
-}
-
 // SpawnAtEnd makes every task of g spawn its children when it finishes,
 // which chains iterations (and a task's inner children) in order.
 func SpawnAtEnd(g *trace.Graph) {

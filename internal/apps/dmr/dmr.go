@@ -248,7 +248,6 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 				loc := task.Locality{
 					Class:          task.Flexible,
 					MigrationBytes: 16*len(pts) + 128,
-					Blocks:         []uint64{uint64(i)},
 				}
 				c.AsyncLoc(a.regionPlace(i, places), loc, func(*core.Ctx) {
 					stats[i] = a.refineRegion(i, pts) // own slot; Finish orders it before checksum

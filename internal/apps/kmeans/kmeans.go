@@ -203,7 +203,6 @@ func (a *App) Sequential() uint64 {
 // Parallel implements apps.App.
 func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 	places := rt.Places()
-	blocks := apps.UnitBlocks(len(apps.Chunks(a.N, a.ChunkSize)))
 	var sum uint64
 	err := rt.Run(func(ctx *core.Ctx) {
 		sum = a.run(func(pts, cents []Point, chunks [][2]int, parts []*partial) {
@@ -214,7 +213,6 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 					loc := task.Locality{
 						Class:          task.Flexible,
 						MigrationBytes: 16 * (ch[1] - ch[0]),
-						Blocks:         blocks[ci],
 					}
 					c.AsyncLoc(home, loc, func(*core.Ctx) {
 						parts[ci] = a.assignChunk(pts, cents, ch[0], ch[1])

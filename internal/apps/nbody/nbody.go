@@ -356,7 +356,6 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 					loc := task.Locality{
 						Class:          task.Flexible,
 						MigrationBytes: 40 * (ch[1] - ch[0]),
-						Blocks:         []uint64{uint64(ch[0])},
 					}
 					c.AsyncLoc(home, loc, func(*core.Ctx) {
 						a.forceChunk(t, bodies, ax, ay, ch[0], ch[1])

@@ -176,7 +176,6 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 	cur := a.initial()
 	next := make([]Cell, len(cur))
 	places := rt.Places()
-	blocks := apps.UnitBlocks(len(cur))
 	err := rt.Run(func(ctx *core.Ctx) {
 		for iter := 0; iter < a.Iters; iter++ {
 			it := iter
@@ -187,7 +186,6 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 					loc := task.Locality{
 						Class:          task.Flexible,
 						MigrationBytes: 16 * (bodies(cur[cell]) + 1),
-						Blocks:         blocks[cell],
 					}
 					c.AsyncLoc(home, loc, func(cc *core.Ctx) {
 						// Outer task: full cell update (predators,

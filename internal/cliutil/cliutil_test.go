@@ -86,7 +86,7 @@ func TestWriteTraceFile(t *testing.T) {
 	}
 
 	rec := obs.NewRecorder(obs.RecorderOptions{})
-	rec.Configure(1, 1, obs.ClockFunc(func() int64 { return 5 }), obs.VirtualNS)
+	rec.Configure(1, 1, func() int64 { return 5 }, obs.VirtualNS)
 	rec.Record(0, 0, obs.KindSpawn, 1, 0, 0)
 	path := filepath.Join(t.TempDir(), "run.trace")
 	if err := WriteTraceFile(rec, path, "events", 0); err != nil {

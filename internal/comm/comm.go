@@ -40,14 +40,16 @@ type Kind uint8
 const (
 	// KindSpawn carries a task envelope to execute at the destination.
 	KindSpawn Kind = iota
-	// KindSpawnDone acknowledges completion of a remotely spawned task
-	// (used for distributed finish accounting).
+	// KindSpawnDone is an executor's reply to a KindSpawn: the job's
+	// result, under the spawn's Seq (the front door's dispatch id).
 	KindSpawnDone
-	// KindStealReq asks the destination for surplus work.
+	// KindStealReq asks the destination for surplus work (no program
+	// sends it yet).
 	KindStealReq
-	// KindStealResp answers a steal request (payload empty on failure).
+	// KindStealResp answers a steal request (no program sends it yet).
 	KindStealResp
-	// KindData is an application-level remote data access (at() traffic).
+	// KindData is an opaque payload delivered reliably, as the benchmark's
+	// transport probes send it (Ctx.At sends no message).
 	KindData
 	// KindLifeline registers the sender on the destination's lifeline.
 	KindLifeline
@@ -156,9 +158,9 @@ func (e *PlaceDownError) Error() string { return fmt.Sprintf("comm: place %d dow
 func (e *PlaceDownError) Is(target error) bool { return target == ErrPlaceDown }
 
 // ErrBackpressure is the sentinel for a lossy send shed because the
-// destination inbox (Mesh) or link queue (TCPMesh) was full. Only steal
-// traffic is ever shed — the thief's timeout-and-retry machinery absorbs
-// the loss; reliable kinds block instead. Match with errors.Is; the
+// destination inbox (Mesh) or link queue (TCPMesh) was full. Only lossy
+// kinds are ever shed — in practice heartbeats, which the next beat
+// supersedes; reliable kinds block instead. Match with errors.Is; the
 // concrete error is a *BackpressureError carrying the congested place.
 var ErrBackpressure = errors.New("comm: destination queue full")
 
@@ -172,11 +174,12 @@ func (e *BackpressureError) Error() string {
 // Is makes errors.Is(err, ErrBackpressure) match.
 func (e *BackpressureError) Is(target error) bool { return target == ErrBackpressure }
 
-// lossy reports whether injected message loss may apply to k. The steal
-// protocol tolerates silent loss (the thief times out and retries), and
-// so do heartbeats (the next beat supersedes a lost one); spawn,
-// completion, membership announcements, and control traffic must be
-// delivered for finish accounting to terminate.
+// lossy reports whether injected message loss and backpressure shedding
+// may apply to k. Heartbeats tolerate silent loss (the next beat
+// supersedes a lost one), and so would the steal kinds, which no program
+// sends yet (a thief would time out and retry); spawns, replies,
+// membership announcements and control traffic must be delivered for
+// every job to be accounted.
 func lossy(k Kind) bool {
 	return k == KindStealReq || k == KindStealResp || k == KindHeartbeat
 }
@@ -186,8 +189,8 @@ type Endpoint interface {
 	// Place returns the place id this endpoint serves.
 	Place() int
 	// Send routes m (by m.To) to the destination endpoint. When the
-	// destination queue is full, lossy steal traffic is shed with a typed
-	// ErrBackpressure (the thief's retry machinery recovers) and reliable
+	// destination queue is full, lossy traffic (heartbeats) is shed with a
+	// typed ErrBackpressure (the next beat supersedes it) and reliable
 	// traffic may block until space frees up; either case increments the
 	// Backpressure counter. Sends to a failed place return ErrPlaceDown.
 	Send(m Message) error
@@ -236,7 +239,7 @@ func (m *Mesh) Endpoint(p int) Endpoint {
 	return &meshEndpoint{mesh: m, place: p}
 }
 
-// InjectFaults arms the mesh with a fault injector: steal messages may be
+// InjectFaults arms the mesh with a fault injector: lossy messages may be
 // silently dropped (the sender's timeout recovers) and any message may be
 // delayed by a latency spike. Call before traffic starts; nil disarms.
 func (m *Mesh) InjectFaults(inj *fault.Injector) { m.inj = inj }
@@ -281,10 +284,9 @@ func (m *Mesh) send(msg Message) (err error) {
 		return nil
 	default:
 	}
-	// Inbox full. Historically this blocked for every kind, which silently
-	// turned a congested steal victim into a stalled thief; now congestion
-	// is counted, lossy traffic is shed with a typed error, and only
-	// traffic that must be delivered (spawn, completion, control) blocks.
+	// Inbox full. Congestion is counted, lossy traffic is shed with a typed
+	// error, and only traffic that must be delivered (spawn, completion,
+	// control) blocks.
 	if m.counters != nil {
 		m.counters.Backpressure.Add(1)
 	}

@@ -208,7 +208,7 @@ func (t *TCPMesh) Addr() string { return t.ln.Addr().String() }
 // Place implements Endpoint.
 func (t *TCPMesh) Place() int { return t.place }
 
-// InjectFaults arms sends and dials with a fault injector: steal messages
+// InjectFaults arms sends and dials with a fault injector: lossy messages
 // may be dropped, any message may suffer a latency spike, and dial
 // attempts on a lossy link may fail (exercising the backoff path). Safe
 // to call while links are live; nil disarms.

@@ -175,8 +175,7 @@ func newRuntime(cfg Config, idlePoll, stealTimeout time.Duration) (*Runtime, err
 		started:      time.Now(),
 	}
 	if rt.rec != nil {
-		rt.rec.Configure(cfg.Cluster.Places, cfg.Cluster.WorkersPerPlace,
-			obs.WallClockSince(rt.started), obs.WallNS)
+		rt.rec.Configure(cfg.Cluster.Places, cfg.Cluster.WorkersPerPlace, rt.nowNS, obs.WallNS)
 	}
 	rt.places = make([]*place, cfg.Cluster.Places)
 	rt.life = sched.Places[*activity]{

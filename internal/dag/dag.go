@@ -2,8 +2,7 @@
 // dependency DAGs with dataflow-aware scheduling, following John,
 // Milthorpe & Strazdins' distributed work stealing in a task-based
 // dataflow runtime (arXiv:2211.00838). Tasks declare the data blocks
-// they read and write (the same block-id namespace as
-// task.Locality.Blocks); dependencies are derived from the dataflow —
+// they read and write; dependencies are derived from the dataflow —
 // read-after-write, write-after-write and write-after-read in program
 // order — plus any explicit control edges. A per-run Tracker releases a
 // task into the scheduler only when its last dependency completes, and a

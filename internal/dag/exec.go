@@ -138,7 +138,6 @@ func (x *execution) spawn(c *core.Ctx, ids []int) {
 		t := &x.g.Tasks[id]
 		c.AsyncLoc(x.home[id], task.Locality{
 			Class:          task.Flexible,
-			Blocks:         t.Inputs,
 			MigrationBytes: x.inputBytes[id],
 		}, func(ac *core.Ctx) {
 			if x.opts.Kernel != nil {

@@ -537,7 +537,6 @@ func RenderFig6(rows []Fig6Row) string {
 type Fig7Row struct {
 	App      string
 	Policy   sched.Kind
-	Util     []float64
 	Spread   metrics.Spread
 	Variance float64
 }
@@ -556,7 +555,6 @@ func (r *Runner) Fig7() ([]Fig7Row, error) {
 			rows = append(rows, Fig7Row{
 				App:      a.Name(),
 				Policy:   k,
-				Util:     res.Utilization,
 				Spread:   metrics.Summarize(res.Utilization),
 				Variance: metrics.Variance(res.Utilization),
 			})

@@ -1,6 +1,6 @@
-// Package member is the dynamic-membership layer: an epoch/incarnation
+// Package member is the dynamic-membership layer: an incarnation-numbered
 // membership table with a heartbeat-based failure detector, usable over
-// any transport. The job service's dispatcher (internal/service) keeps the
+// any transport. The job service's front door (internal/service) keeps the
 // one Table of a cluster; node.Executor speaks the Payload codec in its
 // beats, joins and drains.
 //
@@ -84,7 +84,6 @@ type Transition struct {
 	Place       int
 	From, To    State
 	Incarnation uint32
-	AtNS        int64
 }
 
 // The detector's timeouts, in multiples of a peer's heartbeat gap EWMA
@@ -116,13 +115,11 @@ type row struct {
 
 // Table is the membership table one front door (or peer) maintains
 // over a fixed address space of provisioned seats. Safe for concurrent
-// use. Every state change bumps the table epoch, so "has anything
-// changed" is one comparison.
+// use.
 type Table struct {
 	mu           sync.Mutex
 	minTimeoutNS int64 // floors the heartbeat gap; see NewTable
 	self         int
-	epoch        uint64
 	rows         []row
 }
 
@@ -149,7 +146,6 @@ func (t *Table) SeedAlive(place int, nowNS int64) {
 	if r.state == Alive {
 		return
 	}
-	t.epoch++
 	r.state = Alive
 	if r.incarnation == 0 {
 		r.incarnation = 1
@@ -185,8 +181,7 @@ func (t *Table) Join(place int, inc uint32, nowNS int64) (Transition, bool) {
 		}
 		// The process restarted faster than we noticed it die.
 	}
-	tr := Transition{Place: place, From: r.state, To: Alive, Incarnation: inc, AtNS: nowNS}
-	t.epoch++
+	tr := Transition{Place: place, From: r.state, To: Alive, Incarnation: inc}
 	r.state = Alive
 	r.incarnation = inc
 	r.lastHeardNS = nowNS
@@ -225,8 +220,7 @@ func (t *Table) Heartbeat(place int, inc uint32, nowNS int64) (Transition, bool)
 		if inc < r.incarnation {
 			return Transition{}, false
 		}
-		tr := Transition{Place: place, From: Suspect, To: Alive, Incarnation: inc, AtNS: nowNS}
-		t.epoch++
+		tr := Transition{Place: place, From: Suspect, To: Alive, Incarnation: inc}
 		r.state = Alive
 		r.incarnation = inc
 		r.lastHeardNS = nowNS
@@ -235,8 +229,7 @@ func (t *Table) Heartbeat(place int, inc uint32, nowNS int64) (Transition, bool)
 		if r.state != Unknown && inc <= r.incarnation {
 			return Transition{}, false // echo of the failed process
 		}
-		tr := Transition{Place: place, From: r.state, To: Alive, Incarnation: inc, AtNS: nowNS}
-		t.epoch++
+		tr := Transition{Place: place, From: r.state, To: Alive, Incarnation: inc}
 		r.state = Alive
 		r.incarnation = inc
 		r.lastHeardNS = nowNS
@@ -258,8 +251,7 @@ func (t *Table) Drain(place int, nowNS int64) (Transition, bool) {
 	if r.state != Alive && r.state != Suspect {
 		return Transition{}, false
 	}
-	tr := Transition{Place: place, From: r.state, To: Draining, Incarnation: r.incarnation, AtNS: nowNS}
-	t.epoch++
+	tr := Transition{Place: place, From: r.state, To: Draining, Incarnation: r.incarnation}
 	r.state = Draining
 	r.lastHeardNS = nowNS
 	return tr, true
@@ -267,15 +259,14 @@ func (t *Table) Drain(place int, nowNS int64) (Transition, bool) {
 
 // Left completes a graceful departure. Returns false unless the place
 // was draining.
-func (t *Table) Left(place int, nowNS int64) (Transition, bool) {
+func (t *Table) Left(place int) (Transition, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if place < 0 || place >= len(t.rows) || t.rows[place].state != Draining {
 		return Transition{}, false
 	}
 	r := &t.rows[place]
-	tr := Transition{Place: place, From: Draining, To: Left, Incarnation: r.incarnation, AtNS: nowNS}
-	t.epoch++
+	tr := Transition{Place: place, From: Draining, To: Left, Incarnation: r.incarnation}
 	r.state = Left
 	return tr, true
 }
@@ -283,7 +274,7 @@ func (t *Table) Left(place int, nowNS int64) (Transition, bool) {
 // MarkDown force-declares place down, bypassing the detector — the path
 // for transport-level failure notices (connection reset, handshake
 // loss). Returns false if the place was already down, left, or unknown.
-func (t *Table) MarkDown(place int, nowNS int64) (Transition, bool) {
+func (t *Table) MarkDown(place int) (Transition, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if place < 0 || place >= len(t.rows) {
@@ -293,8 +284,7 @@ func (t *Table) MarkDown(place int, nowNS int64) (Transition, bool) {
 	if r.state != Alive && r.state != Suspect && r.state != Draining {
 		return Transition{}, false
 	}
-	tr := Transition{Place: place, From: r.state, To: Down, Incarnation: r.incarnation, AtNS: nowNS}
-	t.epoch++
+	tr := Transition{Place: place, From: r.state, To: Down, Incarnation: r.incarnation}
 	r.state = Down
 	return tr, true
 }
@@ -330,8 +320,7 @@ func (t *Table) Tick(nowNS int64) []Transition {
 		default:
 			continue
 		}
-		out = append(out, Transition{Place: p, From: r.state, To: to, Incarnation: r.incarnation, AtNS: nowNS})
-		t.epoch++
+		out = append(out, Transition{Place: p, From: r.state, To: to, Incarnation: r.incarnation})
 		r.state = to
 	}
 	return out
@@ -355,11 +344,4 @@ func (t *Table) Incarnation(place int) uint32 {
 		return 0
 	}
 	return t.rows[place].incarnation
-}
-
-// Epoch returns the table epoch, bumped by every state change.
-func (t *Table) Epoch() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.epoch
 }

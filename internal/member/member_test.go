@@ -28,14 +28,9 @@ func TestLifecycle(t *testing.T) {
 	if tab.State(1) != Unknown || tab.State(0) != Alive {
 		t.Fatalf("fresh table: self alive, others unknown")
 	}
-	epoch0 := tab.Epoch()
-
 	tr, ok := tab.Join(1, 1, ms(1))
 	if !ok || tr.From != Unknown || tr.To != Alive {
 		t.Fatalf("join: %+v ok=%v", tr, ok)
-	}
-	if tab.Epoch() == epoch0 {
-		t.Fatalf("join must bump the epoch")
 	}
 
 	// Heartbeats keep it alive...
@@ -107,11 +102,11 @@ func TestDrainLifecycle(t *testing.T) {
 	if tab.State(1) != Draining {
 		t.Fatalf("heartbeat must not cancel a drain")
 	}
-	tr, ok = tab.Left(1, ms(9))
+	tr, ok = tab.Left(1)
 	if !ok || tr.To != Left {
 		t.Fatalf("left: %+v ok=%v", tr, ok)
 	}
-	if _, ok := tab.Left(2, ms(9)); ok {
+	if _, ok := tab.Left(2); ok {
 		t.Fatalf("non-draining place cannot leave")
 	}
 	// A left place can come back as a new process.
@@ -126,11 +121,11 @@ func TestDrainLifecycle(t *testing.T) {
 func TestMarkDownAndUnknownTickInert(t *testing.T) {
 	tab := NewTable(4, 0, ms(10))
 	tab.SeedAlive(1, 0)
-	tr, ok := tab.MarkDown(1, ms(1))
+	tr, ok := tab.MarkDown(1)
 	if !ok || tr.To != Down {
 		t.Fatalf("MarkDown: %+v ok=%v", tr, ok)
 	}
-	if _, ok := tab.MarkDown(1, ms(2)); ok {
+	if _, ok := tab.MarkDown(1); ok {
 		t.Fatalf("double MarkDown should report false")
 	}
 	// Seats that never joined and the self seat never time out.
@@ -177,7 +172,7 @@ func TestSeededAtZeroThenSilent(t *testing.T) {
 }
 
 func TestPayloadRoundTrip(t *testing.T) {
-	in := Payload{Incarnation: 7, Epoch: 1 << 40, State: Suspect}
+	in := Payload{Incarnation: 7, State: Suspect}
 	b := AppendPayload(nil, in)
 	if len(b) != PayloadSize {
 		t.Fatalf("encoded %d bytes, want %d", len(b), PayloadSize)

@@ -13,13 +13,9 @@ import (
 //	offset 0: version (1 byte, payloadVersion)
 //	offset 1: state   (1 byte, the sender's view of the subject place)
 //	offset 2: incarnation (4 bytes, big-endian)
-//	offset 6: epoch       (8 bytes, big-endian)
 type Payload struct {
 	// Incarnation is the subject place's incarnation number.
 	Incarnation uint32
-	// Epoch is the sender's membership-table epoch (0 when the sender
-	// keeps no table, e.g. a plain executor heartbeat).
-	Epoch uint64
 	// State is the sender's view of the subject place. In a heartbeat
 	// ack it tells the executor what the front door thinks of it —
 	// seeing Down here is how a partitioned executor learns it must
@@ -28,9 +24,9 @@ type Payload struct {
 }
 
 const (
-	payloadVersion = 1
+	payloadVersion = 2
 	// PayloadSize is the encoded size of a Payload in bytes.
-	PayloadSize = 14
+	PayloadSize = 6
 )
 
 // ErrBadPayload is wrapped by every DecodePayload failure, so callers
@@ -44,7 +40,6 @@ func AppendPayload(dst []byte, p Payload) []byte {
 	buf[0] = payloadVersion
 	buf[1] = byte(p.State)
 	binary.BigEndian.PutUint32(buf[2:6], p.Incarnation)
-	binary.BigEndian.PutUint64(buf[6:14], p.Epoch)
 	return append(dst, buf[:]...)
 }
 
@@ -62,6 +57,5 @@ func DecodePayload(b []byte) (Payload, error) {
 	return Payload{
 		State:       State(b[1]),
 		Incarnation: binary.BigEndian.Uint32(b[2:6]),
-		Epoch:       binary.BigEndian.Uint64(b[6:14]),
 	}, nil
 }

@@ -12,7 +12,7 @@ import (
 func FuzzMemberPayload(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendPayload(nil, Payload{Incarnation: 1}))
-	f.Add(AppendPayload(nil, Payload{Incarnation: 1 << 31, Epoch: 1 << 60, State: Left}))
+	f.Add(AppendPayload(nil, Payload{Incarnation: 1 << 31, State: Left}))
 	f.Add(bytes.Repeat([]byte{0xff}, PayloadSize))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := DecodePayload(data)

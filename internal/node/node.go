@@ -132,10 +132,15 @@ func (e *Executor) Beat() {
 }
 
 // Handle processes one message and reports whether the executor is over:
-// released by KindShutdown, cut off from the front door, or failed. It is the whole of the serve loop's
-// logic; what waits for the next message is a driver, Serve on the
-// transport's inbox or service.Simulate on virtual time.
+// released by KindShutdown, cut off from the front door, or failed. It is
+// the whole of the serve loop's logic; what waits for the next message is
+// a driver, Serve on the transport's inbox or service.Simulate on virtual
+// time. Only the front door (place 0) is heeded: a client seat's spawn
+// would skip admission, and its shutdown would stop a serving executor.
 func (e *Executor) Handle(m comm.Message) (stop bool, err error) {
+	if m.From != 0 {
+		return false, nil
+	}
 	switch m.Kind {
 	case comm.KindShutdown:
 		return e.released()
@@ -143,9 +148,7 @@ func (e *Executor) Handle(m comm.Message) (stop bool, err error) {
 		// The transport lost its link to the front door: nothing will
 		// dispatch here again, and the KindShutdown a front door sends
 		// just before it closes may have been lost with the link.
-		if m.From == 0 {
-			return e.released()
-		}
+		return e.released()
 	case comm.KindHeartbeat:
 		// The front door's ack carries its view of us.
 		p, err := member.DecodePayload(m.Payload)

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -90,6 +91,31 @@ func TestExecutorDrainGraceful(t *testing.T) {
 	}
 	if n := <-ran; n != 1 {
 		t.Fatalf("Serve returned %d spawn(s) run, want the 1 that started before the drain", n)
+	}
+}
+
+// TestExecutorHeedsOnlyTheFrontDoor pins that a client seat can neither
+// spawn on an executor, skipping admission and its argument check, nor
+// shut it down: only place 0 is heeded.
+func TestExecutorHeedsOnlyTheFrontDoor(t *testing.T) {
+	var ran []byte
+	reg := task.NewRegistry()
+	reg.Register("test.echo", func([]byte) error { return nil })
+	ex := &Executor{Node: comm.NewMesh(3, 64, nil).Endpoint(1), Place: 1, Registry: reg,
+		Run: func(_ string, arg []byte) ([]byte, error) { ran = append(ran, arg...); return arg, nil }}
+	if err := ex.Start(); err != nil {
+		t.Fatal(err)
+	}
+	fromClient := spawn(t, 1)
+	fromClient.From = 2
+	if stop, err := ex.Handle(fromClient); stop || err != nil || len(ran) != 0 {
+		t.Fatalf("a client seat's spawn: stop %v, err %v, ran %v; want nothing run", stop, err, ran)
+	}
+	if stop, err := ex.Handle(comm.Message{Kind: comm.KindShutdown, From: 2, To: 1}); stop || err != nil {
+		t.Fatalf("a client seat's shutdown: stop %v, err %v; want it ignored", stop, err)
+	}
+	if stop, err := ex.Handle(spawn(t, 2)); stop || err != nil || !bytes.Equal(ran, []byte{2}) {
+		t.Fatalf("the front door's spawn: stop %v, err %v, ran %v; want it run", stop, err, ran)
 	}
 }
 

@@ -24,36 +24,16 @@
 // allocations, and when a ring fills the oldest events are overwritten
 // while a dropped counter keeps the loss observable.
 //
-// Timestamps come from a Clock: the simulator drives the recorder with
-// virtual nanoseconds, the goroutine runtime with wall-clock nanoseconds
-// since runtime start. Exporters carry the unit through so a trace file
-// is self-describing.
+// Timestamps come from the clock the driving runtime configures: the
+// simulator stamps events with virtual nanoseconds, the goroutine runtime
+// with wall-clock nanoseconds since runtime start. Exporters carry the
+// unit through so a trace file is self-describing.
 package obs
 
 import (
 	"fmt"
 	"sync"
-	"time"
 )
-
-// Clock supplies event timestamps in nanoseconds. Implementations:
-// virtual time (internal/sim drives the recorder with its event-loop
-// clock) or wall time (WallClockSince, used by internal/core).
-type Clock interface {
-	Now() int64
-}
-
-// ClockFunc adapts a function to the Clock interface.
-type ClockFunc func() int64
-
-// Now implements Clock.
-func (f ClockFunc) Now() int64 { return f() }
-
-// WallClockSince returns a wall Clock reporting nanoseconds elapsed
-// since start, using the monotonic reading embedded in start.
-func WallClockSince(start time.Time) Clock {
-	return ClockFunc(func() int64 { return time.Since(start).Nanoseconds() })
-}
 
 // ClockUnit names the time base of a trace.
 type ClockUnit string
@@ -113,15 +93,6 @@ const (
 	// KindHeal marks a partition healing or a flapped place recovering.
 	// Arg = the recovering place (-1 for a partition-wide heal).
 	KindHeal
-	// KindJobAdmit marks a service job passing admission control.
-	// Arg = the tenant id.
-	KindJobAdmit
-	// KindJobReject marks a service job nacked by admission control.
-	// Arg = the tenant id.
-	KindJobReject
-	// KindJobDone marks a service job completing and its result being
-	// acked to the submitting client. Arg = the tenant id.
-	KindJobDone
 	// KindDupTake marks a relaxed-deque duplicate take being discarded
 	// by dispatch-level dedup. Task = the task id (-1 in the real
 	// runtime), Arg = the place that observed the duplicate.
@@ -155,9 +126,6 @@ var kindNames = [...]string{
 	KindDrain:           "drain",
 	KindPartition:       "partition",
 	KindHeal:            "heal",
-	KindJobAdmit:        "job_admit",
-	KindJobReject:       "job_reject",
-	KindJobDone:         "job_done",
 	KindDupTake:         "dup_take",
 	KindDAGRelease:      "dag_release",
 	KindDAGResidentHit:  "dag_hit",
@@ -259,7 +227,7 @@ type RecorderOptions struct {
 // configuration are silently discarded.
 type Recorder struct {
 	trackCap        int
-	clock           Clock
+	clock           func() int64
 	unit            ClockUnit
 	places          int
 	workersPerPlace int
@@ -276,11 +244,13 @@ func NewRecorder(opts RecorderOptions) *Recorder {
 }
 
 // Configure shapes the recorder for a places×workersPerPlace run and
-// installs the clock driving timestamps. The driving runtime calls this
-// once before recording; reconfiguring resets all tracks, reusing the
-// rings when the shape is unchanged (so a recorder driven across
-// repeated same-shape runs allocates its rings once). Nil-safe.
-func (r *Recorder) Configure(places, workersPerPlace int, clock Clock, unit ClockUnit) {
+// installs the clock driving Record's timestamps, in nanoseconds (nil
+// stamps 0: the simulator passes nil and stamps with RecordAt). The
+// driving runtime calls this once before recording; reconfiguring resets
+// all tracks, reusing the rings when the shape is unchanged (so a recorder
+// driven across repeated same-shape runs allocates its rings once).
+// Nil-safe.
+func (r *Recorder) Configure(places, workersPerPlace int, clock func() int64, unit ClockUnit) {
 	if r == nil {
 		return
 	}
@@ -319,14 +289,14 @@ func (r *Recorder) Record(place, worker int, kind Kind, taskID, arg int32, dur i
 	}
 	var ts int64
 	if r.clock != nil {
-		ts = r.clock.Now()
+		ts = r.clock()
 	}
 	r.RecordAt(ts, place, worker, kind, taskID, arg, dur)
 }
 
 // RecordAt is Record with a caller-supplied timestamp, for producers
 // that already hold the current time. The simulator uses it with its
-// virtual clock: a Clock closure over the engine would force the whole
+// virtual clock: a clock closure over the engine would force the whole
 // engine to escape to the heap even with tracing off, so the engine
 // passes its event-loop time explicitly instead.
 func (r *Recorder) RecordAt(ts int64, place, worker int, kind Kind, taskID, arg int32, dur int64) {

@@ -41,7 +41,7 @@ func TestUnconfiguredRecorderDiscards(t *testing.T) {
 
 func TestRecordOutOfRangeTrackIsIgnored(t *testing.T) {
 	r := NewRecorder(RecorderOptions{TrackCapacity: 8})
-	r.Configure(2, 2, &manualClock{}, VirtualNS)
+	r.Configure(2, 2, (&manualClock{}).Now, VirtualNS)
 	r.Record(5, 0, KindSpawn, 0, 0, 0)  // place out of range
 	r.Record(-1, 0, KindSpawn, 0, 0, 0) // negative index
 	if n := len(r.Snapshot().Events); n != 0 {
@@ -52,7 +52,7 @@ func TestRecordOutOfRangeTrackIsIgnored(t *testing.T) {
 func TestRingDropsOldestAndCounts(t *testing.T) {
 	clk := &manualClock{}
 	r := NewRecorder(RecorderOptions{TrackCapacity: 4})
-	r.Configure(1, 1, clk, VirtualNS)
+	r.Configure(1, 1, clk.Now, VirtualNS)
 	for i := 0; i < 7; i++ {
 		clk.now = int64(i)
 		r.Record(0, 0, KindSpawn, int32(i), 0, 0)
@@ -78,7 +78,7 @@ func TestRingDropsOldestAndCounts(t *testing.T) {
 func TestConfigureReusesAndResetsRings(t *testing.T) {
 	clk := &manualClock{}
 	r := NewRecorder(RecorderOptions{TrackCapacity: 4})
-	r.Configure(1, 2, clk, VirtualNS)
+	r.Configure(1, 2, clk.Now, VirtualNS)
 	for i := 0; i < 6; i++ {
 		r.Record(0, 0, KindSpawn, int32(i), 0, 0)
 	}
@@ -86,7 +86,7 @@ func TestConfigureReusesAndResetsRings(t *testing.T) {
 		t.Fatalf("Dropped = %d, want 2", r.Dropped())
 	}
 	// Same shape: rings are kept but fully reset.
-	r.Configure(1, 2, clk, VirtualNS)
+	r.Configure(1, 2, clk.Now, VirtualNS)
 	if r.Dropped() != 0 {
 		t.Fatalf("Dropped after reconfigure = %d, want 0", r.Dropped())
 	}
@@ -98,7 +98,7 @@ func TestConfigureReusesAndResetsRings(t *testing.T) {
 		t.Fatalf("recorder unusable after reuse: %d events", n)
 	}
 	// Different shape: tracks are rebuilt at the new dimensions.
-	r.Configure(2, 3, clk, VirtualNS)
+	r.Configure(2, 3, clk.Now, VirtualNS)
 	r.Record(1, 2, KindSpawn, 1, 0, 0)
 	td := r.Snapshot()
 	if td.Places != 2 || td.WorkersPerPlace != 3 || len(td.Events) != 1 {
@@ -109,7 +109,7 @@ func TestConfigureReusesAndResetsRings(t *testing.T) {
 func TestSnapshotSortsAcrossTracks(t *testing.T) {
 	clk := &manualClock{}
 	r := NewRecorder(RecorderOptions{TrackCapacity: 8})
-	r.Configure(2, 2, clk, VirtualNS)
+	r.Configure(2, 2, clk.Now, VirtualNS)
 	// Record out of timestamp order across tracks.
 	clk.now = 30
 	r.Record(1, 1, KindSpawn, 3, 0, 0)
@@ -152,7 +152,7 @@ func TestKindNamesRoundTrip(t *testing.T) {
 func synthetic() *TraceData {
 	clk := &manualClock{}
 	r := NewRecorder(RecorderOptions{})
-	r.Configure(2, 1, clk, VirtualNS)
+	r.Configure(2, 1, clk.Now, VirtualNS)
 	clk.now = 0
 	r.Record(0, 0, KindTaskStart, 1, 0, 0)
 	clk.now = 50
@@ -180,7 +180,7 @@ func TestBusyFractionsFromEvents(t *testing.T) {
 func TestTaskIntervalOrphanedEndUsesDur(t *testing.T) {
 	clk := &manualClock{now: 80}
 	r := NewRecorder(RecorderOptions{})
-	r.Configure(1, 1, clk, VirtualNS)
+	r.Configure(1, 1, clk.Now, VirtualNS)
 	// End without a start (as after ring wraparound) carrying its own Dur.
 	r.Record(0, 0, KindTaskEnd, 7, 0, 30)
 	td := r.Snapshot()
@@ -303,7 +303,7 @@ func TestWriteFormatUnknown(t *testing.T) {
 func TestRecorderConcurrentRecordAndSnapshot(t *testing.T) {
 	clk := &manualClock{}
 	r := NewRecorder(RecorderOptions{TrackCapacity: 64})
-	r.Configure(2, 2, clk, WallNS)
+	r.Configure(2, 2, clk.Now, WallNS)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

@@ -74,7 +74,7 @@ func TestServerTraceEndpoint(t *testing.T) {
 
 	clk := &manualClock{}
 	rec := NewRecorder(RecorderOptions{})
-	rec.Configure(2, 1, clk, VirtualNS)
+	rec.Configure(2, 1, clk.Now, VirtualNS)
 	rec.Record(0, 0, KindTaskStart, 1, 0, 0)
 	clk.now = 100
 	rec.Record(0, 0, KindTaskEnd, 1, 0, 0)

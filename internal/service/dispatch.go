@@ -13,30 +13,19 @@ import (
 	"distws/internal/task"
 )
 
-// dispatcher is the front door's dispatch loop: it tracks executor
-// membership, keeps at most Window jobs outstanding at each executor,
-// re-homes the jobs of an executor that dies, drains or nacks, re-sends
-// after a silent period, and accepts each job's completion exactly once.
-// Its settings are the Server's own fields.
+// The front door's dispatch loop: it tracks executor membership, keeps at
+// most Window jobs outstanding at each executor, re-homes the jobs of an
+// executor that dies, drains or nacks, re-sends after a silent period, and
+// accepts each job's completion exactly once.
 //
-// A job is live from Add until its first accepted completion (or Drop),
-// and while live it is in exactly one place: the fair-share queue, or
-// registered at the executor it was last sent to. Re-sends reuse the
-// dispatch id, so the first KindSpawnDone for a live id wins whichever
-// executor it comes from — a job that outlasts RetryAfter is finished by
-// its first copy instead of being re-sent forever — and every later twin
-// is dropped. Not safe for concurrent use.
-type dispatcher struct {
-	s *Server
-
-	members *member.Table     // the only record of who is alive, suspect, draining
-	live    map[uint64]*entry // every live job by dispatch id
-	load    []int             // jobs registered at each place
-	shed    []bool            // places that refused a send during this pump
-	cursor  int               // where the next slot search starts
-	rearm   bool              // dispatch progressed during this Step
-	start   time.Time
-}
+// A job is live from admission until its first accepted completion (or
+// until the server gives up on it), and while live it is in exactly one
+// place: the fair-share queue, or registered at the executor it was last
+// sent to. Re-sends reuse the dispatch id, so the first KindSpawnDone for
+// a live id wins whichever executor it comes from — a job that outlasts
+// RetryAfter is finished by its first copy instead of being re-sent
+// forever — and every later twin is dropped. None of it is safe for
+// concurrent use: one driver steps it.
 
 // entry is one live job; place is the executor it is registered at, 0
 // while it waits in the fair-share queue.
@@ -45,60 +34,24 @@ type entry struct {
 	place int
 }
 
-// newDispatcher seeds the membership table of s's cluster: every executor
-// not listed in Absent starts alive.
-func newDispatcher(s *Server) *dispatcher {
-	d := &dispatcher{
-		s:       s,
-		members: member.NewTable(s.Places, 0, s.Heartbeat.Nanoseconds()),
-		live:    make(map[uint64]*entry),
-		load:    make([]int, s.Places),
-		shed:    make([]bool, s.Places),
-		cursor:  1,
-		start:   time.Now(),
+// now is the clock the membership table and admission run on.
+func (s *Server) now() int64 {
+	if s.Clock != nil {
+		return s.Clock()
 	}
-	// Absent places stay Unknown in the table so their eventual KindJoin
-	// is a first contact, not a stale rejoin.
-	for p := 1; p < s.Places; p++ {
-		if !slices.Contains(s.Absent, p) {
-			d.members.SeedAlive(p, 0)
-		}
-	}
-	return d
+	return time.Since(s.began).Nanoseconds()
 }
-
-// Now is the clock the membership table and admission run on.
-func (d *dispatcher) Now() int64 {
-	if d.s.Clock != nil {
-		return d.s.Clock()
-	}
-	return time.Since(d.start).Nanoseconds()
-}
-
-// Add makes it live. The caller also puts it in the fair-share queue.
-func (d *dispatcher) Add(it Item) { d.live[it.Seq] = &entry{it: it} }
-
-// Drop ends a queued job's life without a completion (the server gave up
-// on it) and reports whether it was still live.
-func (d *dispatcher) Drop(seq uint64) bool {
-	_, ok := d.live[seq]
-	delete(d.live, seq)
-	return ok
-}
-
-// Live returns how many jobs are queued or outstanding.
-func (d *dispatcher) Live() int { return len(d.live) }
 
 // requeue takes a job back into the fair-share queue: its send was shed
 // or failed, its executor nacked it or went down, or the retry sweep gave
 // up waiting. Its admission slot is still held.
-func (d *dispatcher) requeue(it Item) { d.s.fs.Push(it.Job.Tenant, it) }
+func (s *Server) requeue(it Item) { s.fs.Push(it.Job.Tenant, it) }
 
-// eventKind says what the dispatcher is reacting to.
+// eventKind says what the dispatch loop is reacting to.
 type eventKind uint8
 
 const (
-	// wake is the zero event: nothing happened to the dispatcher itself,
+	// wake is the zero event: nothing happened to the dispatch loop itself,
 	// but the queue or the drain may have changed. It is also how a driver
 	// starts the loop.
 	wake eventKind = iota
@@ -107,21 +60,21 @@ const (
 	// detectorTick is one period of the failure detector (Server.Heartbeat).
 	detectorTick
 	// retryFire is the retry window running out: RetryAfter has passed
-	// since a Step last reported dispatch progress.
+	// since a step last reported dispatch progress.
 	retryFire
 )
 
-// event is one thing that happens to the dispatcher.
+// event is one thing that happens to the dispatch loop.
 type event struct {
 	kind eventKind
 	msg  comm.Message // arrival only
 }
 
-// Step is the whole of the dispatch loop's logic for one event: react to
+// step is the whole of the dispatch loop's logic for one event: react to
 // it, pump the queue into whatever windows that opened, and ask whether
 // the loop is over — drained, with nothing live — releasing the executors
 // with KindShutdown if it is. What waits for the next event and keeps the
-// time is a driver: Run on the wall clock and the transport's inbox,
+// time is a driver: run on the wall clock and the transport's inbox,
 // Simulate's cluster on virtual time.
 //
 // progress reports that dispatch moved (a job went out, came back or was
@@ -129,57 +82,56 @@ type event struct {
 // heartbeats or the detector's tick did, a cadence below RetryAfter would
 // keep retryFire from ever happening, and one lost KindSpawn to a live,
 // beating executor would never be re-sent. A retryFire step always reports
-// progress. After done or an error the dispatcher must not be stepped
-// again.
-func (d *dispatcher) Step(ev event) (progress, done bool, err error) {
-	d.rearm = false
+// progress. After done or an error the loop must not be stepped again.
+func (s *Server) step(ev event) (progress, done bool, err error) {
+	s.rearm = false
 	switch ev.kind {
 	case arrival:
-		d.handle(ev.msg)
+		s.handle(ev.msg)
 	case detectorTick:
-		d.detect()
+		s.detect()
 	case retryFire:
-		d.sweep()
-		d.rearm = true
+		s.sweep()
+		s.rearm = true
 	}
 	// Whatever happened may have opened a slot or queued a job, and with
 	// nothing outstanding retryFire is the cue for jobs parked after a shed.
-	if err := d.pump(); err != nil {
+	if err := s.pump(); err != nil {
 		return false, true, err
 	}
-	if d.s.stopping() && len(d.live) == 0 {
-		d.release()
+	if s.stopping() && len(s.live) == 0 {
+		s.release()
 		return false, true, nil
 	}
-	return d.rearm, false, nil
+	return s.rearm, false, nil
 }
 
-// Run drives Step from the transport's inbox, a ticker for the failure
+// run drives step from the transport's inbox, a ticker for the failure
 // detector, one timer for the retry window and the Server's drain signal,
 // until a drain completes. A cancelled ctx releases the executors at once
 // and returns ctx.Err().
-func (d *dispatcher) Run(ctx context.Context) error {
+func (s *Server) run(ctx context.Context) error {
 	var tick <-chan time.Time
-	if d.s.Heartbeat > 0 {
-		t := time.NewTicker(d.s.Heartbeat)
+	if s.Heartbeat > 0 {
+		t := time.NewTicker(s.Heartbeat)
 		defer t.Stop()
 		tick = t.C
 	}
-	retry := time.NewTimer(d.s.RetryAfter)
+	retry := time.NewTimer(s.RetryAfter)
 	defer retry.Stop()
-	drained := d.s.drained()
-	_, done, err := d.Step(event{})
+	drained := s.drained()
+	_, done, err := s.step(event{})
 	for !done {
 		var ev event
 		select {
 		case <-ctx.Done():
-			d.release()
+			s.release()
 			return ctx.Err()
 		case <-drained:
 			drained = nil // a closed channel: one wake is enough
-		case m, ok := <-d.s.Node.Inbox():
+		case m, ok := <-s.Node.Inbox():
 			if !ok {
-				return fmt.Errorf("service: inbox closed with %d job(s) unfinished", len(d.live))
+				return fmt.Errorf("service: inbox closed with %d job(s) unfinished", len(s.live))
 			}
 			ev = event{kind: arrival, msg: m}
 		case <-tick:
@@ -188,14 +140,14 @@ func (d *dispatcher) Run(ctx context.Context) error {
 			ev.kind = retryFire
 		}
 		var progress bool
-		if progress, done, err = d.Step(ev); progress {
+		if progress, done, err = s.step(ev); progress {
 			if !retry.Stop() {
 				select {
 				case <-retry.C:
 				default:
 				}
 			}
-			retry.Reset(d.s.RetryAfter)
+			retry.Reset(s.RetryAfter)
 		}
 	}
 	return err
@@ -203,16 +155,16 @@ func (d *dispatcher) Run(ctx context.Context) error {
 
 // handle processes one message of the dispatch protocol. Only executor
 // seats speak it; a message from any other seat is a client's.
-func (d *dispatcher) handle(m comm.Message) {
-	if m.From <= 0 || m.From >= d.s.Places {
-		d.s.onSubmit(m)
+func (s *Server) handle(m comm.Message) {
+	if m.From <= 0 || m.From >= s.Places {
+		s.onSubmit(m)
 		return
 	}
 	switch m.Kind {
 	case comm.KindPlaceDown:
-		d.markDown(m.From)
+		s.markDown(m.From)
 	case comm.KindSpawnDone:
-		d.complete(m.Seq, m.Payload)
+		s.complete(m.Seq, m.Payload)
 	case comm.KindSpawnNack:
 		// A draining executor returned the job unstarted. Unlike a
 		// completion this is honoured only from the place the job is
@@ -221,19 +173,19 @@ func (d *dispatcher) handle(m comm.Message) {
 		// announcement if none got through yet: the place must stop being
 		// eligible before the job is queued again, or it goes straight
 		// back there and every duplicate of the nack repeats the trip.
-		if e := d.live[m.Seq]; e != nil && e.place == m.From {
-			d.drain(m.From)
-			d.s.Counters.TasksOffloaded.Add(1)
-			d.unregister(e)
-			d.requeue(e.it)
-			d.rearm = true
+		if e := s.live[m.Seq]; e != nil && e.place == m.From {
+			s.drain(m.From)
+			s.Counters.TasksOffloaded.Add(1)
+			s.unregister(e)
+			s.requeue(e.it)
+			s.rearm = true
 		}
 	case comm.KindHeartbeat:
-		d.onHeartbeat(m)
+		s.onHeartbeat(m)
 	case comm.KindJoin:
-		d.onJoin(m)
+		s.onJoin(m)
 	case comm.KindDrain:
-		d.drain(m.From)
+		s.drain(m.From)
 	}
 }
 
@@ -242,53 +194,53 @@ func (d *dispatcher) handle(m comm.Message) {
 // goes there, results and nacks for what is outstanding flow back, then
 // the place is released. Nothing is re-executed and the place is not
 // counted lost. A repeated announcement changes nothing.
-func (d *dispatcher) drain(p int) {
-	if _, ok := d.members.Drain(p, d.Now()); ok {
-		d.s.Counters.MembershipDrains.Add(1)
-		d.s.logf("dispatch: place %d draining (%d item(s) outstanding there)", p, d.load[p])
-		d.maybeRelease(p)
+func (s *Server) drain(p int) {
+	if _, ok := s.members.Drain(p, s.now()); ok {
+		s.Counters.MembershipDrains.Add(1)
+		s.logf("dispatch: place %d draining (%d item(s) outstanding there)", p, s.load[p])
+		s.maybeRelease(p)
 	}
 }
 
 // complete accepts the first completion of a live id and drops the rest:
 // twins of a re-sent job, or the late reply of a healed partition.
-func (d *dispatcher) complete(seq uint64, result []byte) {
-	e := d.live[seq]
+func (s *Server) complete(seq uint64, result []byte) {
+	e := s.live[seq]
 	if e == nil {
 		return
 	}
-	delete(d.live, seq)
+	delete(s.live, seq)
 	if e.place != 0 {
-		d.unregister(e)
+		s.unregister(e)
 	}
-	d.rearm = true
-	d.s.done(e.it, result)
+	s.rearm = true
+	s.done(e.it, result)
 }
 
 // unregister takes e out of its executor's window.
-func (d *dispatcher) unregister(e *entry) {
+func (s *Server) unregister(e *entry) {
 	p := e.place
 	e.place = 0
-	d.load[p]--
-	d.maybeRelease(p)
+	s.load[p]--
+	s.maybeRelease(p)
 }
 
 // maybeRelease completes a drain once nothing is outstanding at the
 // draining place: the executor is released and recorded as departed.
-func (d *dispatcher) maybeRelease(p int) {
-	if d.load[p] > 0 || d.members.State(p) != member.Draining {
+func (s *Server) maybeRelease(p int) {
+	if s.load[p] > 0 || s.members.State(p) != member.Draining {
 		return
 	}
-	d.members.Left(p, d.Now())
-	d.s.logf("dispatch: place %d drain complete, released", p)
-	d.s.Node.Send(comm.Message{Kind: comm.KindShutdown, To: p})
+	s.members.Left(p)
+	s.logf("dispatch: place %d drain complete, released", p)
+	s.Node.Send(comm.Message{Kind: comm.KindShutdown, To: p})
 }
 
 // markDown records a failure the transport reported, unless the place was
 // already gone.
-func (d *dispatcher) markDown(p int) {
-	if _, ok := d.members.MarkDown(p, d.Now()); ok {
-		d.lost(p)
+func (s *Server) markDown(p int) {
+	if _, ok := s.members.MarkDown(p); ok {
+		s.lost(p)
 	}
 }
 
@@ -297,9 +249,9 @@ func (d *dispatcher) markDown(p int) {
 // which orphans and re-sends re-enter the queue is the order they go out
 // again: ranging over it directly made that differ from run to run. Only
 // failure paths pay for the sort.
-func (d *dispatcher) registered(p int) []*entry {
+func (s *Server) registered(p int) []*entry {
 	var es []*entry
-	for _, e := range d.live {
+	for _, e := range s.live {
 		if e.place != 0 && (p == 0 || e.place == p) {
 			es = append(es, e)
 		}
@@ -310,44 +262,44 @@ func (d *dispatcher) registered(p int) []*entry {
 
 // lost re-homes everything registered at a place the table just moved to
 // Down, by markDown or by the detector.
-func (d *dispatcher) lost(p int) {
-	d.s.Counters.PlacesLost.Add(1)
-	d.s.logf("dispatch: place %d down, re-homing %d item(s)", p, d.load[p])
-	for _, e := range d.registered(p) {
+func (s *Server) lost(p int) {
+	s.Counters.PlacesLost.Add(1)
+	s.logf("dispatch: place %d down, re-homing %d item(s)", p, s.load[p])
+	for _, e := range s.registered(p) {
 		e.place = 0
-		d.s.Counters.TasksReExecuted.Add(1)
-		d.requeue(e.it)
+		s.Counters.TasksReExecuted.Add(1)
+		s.requeue(e.it)
 	}
-	d.load[p] = 0
+	s.load[p] = 0
 }
 
 // sweep is the per-request timeout of the protocol: after RetryAfter with
 // no dispatch progress every outstanding job goes back to the queue to be
 // sent again, to whichever executor the cursor reaches.
-func (d *dispatcher) sweep() {
-	es := d.registered(0)
+func (s *Server) sweep() {
+	es := s.registered(0)
 	for _, e := range es {
-		d.s.Counters.Retries.Add(1)
-		d.unregister(e)
-		d.requeue(e.it)
+		s.Counters.Retries.Add(1)
+		s.unregister(e)
+		s.requeue(e.it)
 	}
 	if len(es) > 0 {
-		d.s.logf("dispatch: no progress for %v, re-sending %d item(s)", d.s.RetryAfter, len(es))
+		s.logf("dispatch: no progress for %v, re-sending %d item(s)", s.RetryAfter, len(es))
 	}
 }
 
 // detect runs one failure-detector sweep: silence beyond the adaptive
 // suspect timeout is a heartbeat miss; beyond the down timeout the place
 // is down and its work re-homed.
-func (d *dispatcher) detect() {
-	for _, tr := range d.members.Tick(d.Now()) {
+func (s *Server) detect() {
+	for _, tr := range s.members.Tick(s.now()) {
 		switch tr.To {
 		case member.Suspect:
-			d.s.Counters.HeartbeatMisses.Add(1)
-			d.s.logf("dispatch: place %d suspected (silent too long)", tr.Place)
+			s.Counters.HeartbeatMisses.Add(1)
+			s.logf("dispatch: place %d suspected (silent too long)", tr.Place)
 		case member.Down:
-			d.s.logf("dispatch: place %d declared down by failure detector", tr.Place)
-			d.lost(tr.Place)
+			s.logf("dispatch: place %d declared down by failure detector", tr.Place)
+			s.lost(tr.Place)
 		}
 	}
 }
@@ -358,69 +310,68 @@ func (d *dispatcher) detect() {
 // already carries the bumped incarnation is itself the rejoin. A drained
 // executor whose KindShutdown was lost learns from the Left in the ack that
 // it has been released.
-func (d *dispatcher) onHeartbeat(m comm.Message) {
+func (s *Server) onHeartbeat(m comm.Message) {
 	p, err := member.DecodePayload(m.Payload)
 	if err != nil {
 		return // malformed beat: the next one supersedes it
 	}
-	tr, ok := d.members.Heartbeat(m.From, p.Incarnation, d.Now())
+	tr, ok := s.members.Heartbeat(m.From, p.Incarnation, s.now())
 	if ok && tr.To == member.Alive {
 		if tr.From == member.Suspect {
-			d.s.logf("dispatch: place %d refuted suspicion", m.From)
+			s.logf("dispatch: place %d refuted suspicion", m.From)
 		} else {
-			d.admit(tr)
+			s.admit(tr)
 		}
 	}
 	// KindDrain is sent once. The beats keep saying what it said, so a
 	// drain whose announcement a partition swallowed starts at the first
 	// beat the table accepts afterwards.
 	if ok && p.State == member.Draining {
-		d.drain(m.From)
+		s.drain(m.From)
 	}
 	ack := member.Payload{
-		Incarnation: d.members.Incarnation(m.From),
-		Epoch:       d.members.Epoch(),
-		State:       d.members.State(m.From),
+		Incarnation: s.members.Incarnation(m.From),
+		State:       s.members.State(m.From),
 	}
-	d.s.Node.Send(comm.Message{Kind: comm.KindHeartbeat, To: m.From, Payload: member.AppendPayload(nil, ack)})
+	s.Node.Send(comm.Message{Kind: comm.KindHeartbeat, To: m.From, Payload: member.AppendPayload(nil, ack)})
 }
 
 // onJoin admits a joining (or rejoining) place; the transport's
 // incarnation handshake has already re-established an evicted link.
-func (d *dispatcher) onJoin(m comm.Message) {
+func (s *Server) onJoin(m comm.Message) {
 	p, err := member.DecodePayload(m.Payload)
 	if err != nil {
 		return
 	}
-	tr, ok := d.members.Join(m.From, p.Incarnation, d.Now())
+	tr, ok := s.members.Join(m.From, p.Incarnation, s.now())
 	if !ok {
-		d.s.logf("dispatch: stale join from place %d (incarnation %d)", m.From, p.Incarnation)
+		s.logf("dispatch: stale join from place %d (incarnation %d)", m.From, p.Incarnation)
 		return
 	}
-	d.admit(tr)
+	s.admit(tr)
 }
 
 // admit counts a place the table just made alive; the pump that follows
 // every event fills its fresh window.
-func (d *dispatcher) admit(tr member.Transition) {
+func (s *Server) admit(tr member.Transition) {
 	rejoin := tr.From == member.Down || tr.From == member.Left
 	if rejoin {
-		d.s.Counters.MembershipRejoins.Add(1)
+		s.Counters.MembershipRejoins.Add(1)
 	} else {
-		d.s.Counters.MembershipJoins.Add(1)
+		s.Counters.MembershipJoins.Add(1)
 	}
-	d.s.logf("dispatch: place %d joined (incarnation %d, rejoin=%v)", tr.Place, tr.Incarnation, rejoin)
+	s.logf("dispatch: place %d joined (incarnation %d, rejoin=%v)", tr.Place, tr.Incarnation, rejoin)
 }
 
 // slot returns the first executor at or after the cursor that may be
 // handed new work, has window capacity left and has not shed during this
 // pump, or -1. A suspect still may: suspicion is refutable, and its
 // outstanding work is left alone too.
-func (d *dispatcher) slot() int {
-	for try := 0; try < d.s.Places-1; try++ {
-		p := 1 + (d.cursor-1+try)%(d.s.Places-1)
-		st := d.members.State(p)
-		if !d.shed[p] && d.load[p] < d.s.Window && (st == member.Alive || st == member.Suspect) {
+func (s *Server) slot() int {
+	for try := 0; try < s.Places-1; try++ {
+		p := 1 + (s.cursor-1+try)%(s.Places-1)
+		st := s.members.State(p)
+		if !s.shed[p] && s.load[p] < s.Window && (st == member.Alive || st == member.Suspect) {
 			return p
 		}
 	}
@@ -428,20 +379,20 @@ func (d *dispatcher) slot() int {
 }
 
 // pump moves queued jobs into free executor windows until capacity runs
-// out, every executor with room has shed, or the queue drains. Step calls
+// out, every executor with room has shed, or the queue drains. step calls
 // it after every event.
-func (d *dispatcher) pump() error {
-	clear(d.shed)
+func (s *Server) pump() error {
+	clear(s.shed)
 	for {
-		dest := d.slot()
+		dest := s.slot()
 		if dest < 0 {
 			return nil // saturated or shed: the next event or the retry timer resumes
 		}
-		it, ok := d.s.next()
+		it, ok := s.next()
 		if !ok {
 			return nil
 		}
-		e := d.live[it.Seq]
+		e := s.live[it.Seq]
 		if e == nil {
 			continue // a re-sent twin already finished
 		}
@@ -450,43 +401,43 @@ func (d *dispatcher) pump() error {
 		if err != nil {
 			return err // an oversized name or argument: the caller's bug, not the link's
 		}
-		err = d.s.Node.Send(comm.Message{Kind: comm.KindSpawn, To: dest, Seq: it.Seq, Payload: payload})
+		err = s.Node.Send(comm.Message{Kind: comm.KindSpawn, To: dest, Seq: it.Seq, Payload: payload})
 		if err == nil {
 			e.place = dest
-			d.load[dest]++
-			d.cursor = dest + 1
-			d.rearm = true
+			s.load[dest]++
+			s.cursor = dest + 1
+			s.rearm = true
 			continue
 		}
-		d.requeue(it)
+		s.requeue(it)
 		switch {
 		case errors.Is(err, comm.ErrPlaceDown):
-			d.markDown(dest)
+			s.markDown(dest)
 		case errors.Is(err, comm.ErrBackpressure):
 			// A typed shed: the destination's queue is full, not broken.
 			// Trying it again at once is a retry storm, so skip it for the
 			// rest of this pump; if everyone sheds the job stays parked
 			// until an event or the retry timer pumps again.
-			d.s.Counters.Backpressure.Add(1)
-			d.s.logf("dispatch: place %d shed item %d (backpressure), backing off", dest, it.Seq)
-			d.shed[dest] = true
+			s.Counters.Backpressure.Add(1)
+			s.logf("dispatch: place %d shed item %d (backpressure), backing off", dest, it.Seq)
+			s.shed[dest] = true
 		default:
 			// A route still assembling or a transient link error is not a
 			// dead cluster: treat it like a shed. A dead executor shows up
 			// as ErrPlaceDown or through the detector, a closed node as a
 			// closed inbox.
-			d.s.logf("dispatch: send to place %d: %v", dest, err)
-			d.shed[dest] = true
+			s.logf("dispatch: send to place %d: %v", dest, err)
+			s.shed[dest] = true
 		}
 	}
 }
 
 // release broadcasts KindShutdown to every executor still present.
-func (d *dispatcher) release() {
-	for p := 1; p < d.s.Places; p++ {
-		switch d.members.State(p) {
+func (s *Server) release() {
+	for p := 1; p < s.Places; p++ {
+		switch s.members.State(p) {
 		case member.Alive, member.Suspect, member.Draining:
-			d.s.Node.Send(comm.Message{Kind: comm.KindShutdown, To: p})
+			s.Node.Send(comm.Message{Kind: comm.KindShutdown, To: p})
 		}
 	}
 }

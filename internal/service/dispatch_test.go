@@ -19,7 +19,7 @@ import (
 	"distws/internal/task"
 )
 
-// dispatchRig is one dispatcher seat, one executor and one client seat on
+// dispatchRig is one front-door seat, one executor and one client seat on
 // an in-process mesh.
 type dispatchRig struct {
 	mesh   *comm.Mesh

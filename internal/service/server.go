@@ -4,12 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"distws/internal/comm"
+	"distws/internal/member"
 	"distws/internal/metrics"
-	"distws/internal/obs"
 	"distws/internal/task"
 )
 
@@ -32,15 +33,14 @@ type Server struct {
 	Places int
 	// Tenants is the admission/fair-share contract per tenant id.
 	Tenants map[uint32]TenantConfig
-	// Registry resolves job task names; nil uses task.DefaultRegistry.
+	// Registry resolves job task names and checks their arguments at
+	// admission; nil uses task.DefaultRegistry.
 	Registry *task.Registry
 	// Counters receives aggregate job/membership accounting; nil discards
 	// it.
 	Counters *metrics.Counters
 	// Stats receives per-tenant accounting; nil disables.
 	Stats *Stats
-	// Recorder receives job admit/reject/done events; nil records nothing.
-	Recorder *obs.Recorder
 	// Window caps outstanding jobs per executor (default 8).
 	Window int
 	// Quantum scales the DRR credit per scheduler visit (default 1).
@@ -64,8 +64,16 @@ type Server struct {
 
 	adm *Admission
 	fs  *FairShare
-	d   *dispatcher
 	seq uint64 // dispatch ids minted so far, one per admitted job
+
+	// The dispatch loop's state (dispatch.go).
+	members *member.Table     // the only record of who is alive, suspect, draining
+	live    map[uint64]*entry // every live job by dispatch id
+	load    []int             // jobs registered at each place
+	shed    []bool            // places that refused a send during this pump
+	cursor  int               // where the next slot search starts
+	rearm   bool              // dispatch progressed during this step
+	began   time.Time         // time zero of the wall clock, when Clock is nil
 
 	drainInit, drainOnce sync.Once
 	drainCh              chan struct{}
@@ -108,9 +116,10 @@ func (s *Server) Drain() {
 	})
 }
 
-// start validates the front door, fills in the defaults and builds its
-// dispatcher. What steps the dispatcher afterwards is a driver: Serve, or
-// Simulate on virtual time.
+// start validates the front door, fills in the defaults and seeds the
+// membership table of its cluster: every executor not listed in Absent
+// starts alive. What steps the dispatch loop afterwards is a driver: Serve,
+// or Simulate on virtual time.
 func (s *Server) start() error {
 	if len(s.Tenants) == 0 {
 		return fmt.Errorf("service: Server needs at least one tenant config")
@@ -130,9 +139,21 @@ func (s *Server) start() error {
 	if s.Counters == nil {
 		s.Counters = new(metrics.Counters)
 	}
-	s.d = newDispatcher(s)
 	s.adm = NewAdmission(s.Tenants)
 	s.fs = NewFairShare(s.Quantum, s.adm.Weights())
+	s.members = member.NewTable(s.Places, 0, s.Heartbeat.Nanoseconds())
+	s.live = make(map[uint64]*entry)
+	s.load = make([]int, s.Places)
+	s.shed = make([]bool, s.Places)
+	s.cursor = 1
+	s.began = time.Now()
+	// Absent places stay Unknown in the table so their eventual KindJoin
+	// is a first contact, not a stale rejoin.
+	for p := 1; p < s.Places; p++ {
+		if !slices.Contains(s.Absent, p) {
+			s.members.SeedAlive(p, 0)
+		}
+	}
 	return nil
 }
 
@@ -143,14 +164,15 @@ func (s *Server) Serve(ctx context.Context) error {
 	if err := s.start(); err != nil {
 		return err
 	}
-	err := s.d.Run(ctx)
+	err := s.run(ctx)
 	if err == nil {
 		return ErrServerClosed
 	}
 	if ctx.Err() != nil {
 		// Hard stop: bounce every job that is still waiting to go out.
 		for _, it := range s.fs.DrainAll() {
-			if s.d.Drop(it.Seq) {
+			if _, live := s.live[it.Seq]; live {
+				delete(s.live, it.Seq)
 				s.adm.Complete(it.Job.Tenant)
 				s.reject(it.Client, it.Job, NackDraining, 0)
 			}
@@ -159,26 +181,18 @@ func (s *Server) Serve(ctx context.Context) error {
 	return err
 }
 
-// record emits a job lifecycle event at the front door's track.
-func (s *Server) record(kind obs.Kind, tenant uint32) {
-	if s.Recorder.Enabled() {
-		s.Recorder.Record(0, 0, kind, -1, int32(tenant), 0)
-	}
-}
-
 // reject nacks a submission back to its client.
 func (s *Server) reject(client int, j Job, code NackCode, retryNS int64) {
 	s.Counters.JobsRejected.Add(1)
 	if s.Stats != nil {
 		s.Stats.Tenant(j.Tenant).Rejected.Add(1)
 	}
-	s.record(obs.KindJobReject, j.Tenant)
 	payload := AppendReply(nil, Reply{Tenant: j.Tenant, ID: j.ID, Code: code, RetryAfterNS: retryNS})
 	s.Node.Send(comm.Message{Kind: comm.KindJobNack, To: client, Seq: j.ID, Payload: payload})
 }
 
 // onSubmit runs admission control on one streamed job and either queues
-// it for dispatch or nacks it with a typed reason. The dispatcher hands it
+// it for dispatch or nacks it with a typed reason. The dispatch loop hands it
 // every message from outside the compute cluster; only KindSubmit from a
 // client seat means anything here.
 func (s *Server) onSubmit(m comm.Message) {
@@ -193,7 +207,7 @@ func (s *Server) onSubmit(m comm.Message) {
 	// The payload aliases the inbox buffer on TCP transports; copy what
 	// outlives this message.
 	j.Arg = append([]byte(nil), j.Arg...)
-	now := s.d.Now()
+	now := s.now()
 	s.Counters.JobsSubmitted.Add(1)
 	if s.Stats != nil {
 		s.Stats.Tenant(j.Tenant).Submitted.Add(1)
@@ -206,8 +220,13 @@ func (s *Server) onSubmit(m comm.Message) {
 	if reg == nil {
 		reg = task.DefaultRegistry
 	}
-	if _, ok := reg.Lookup(j.Name); !ok {
+	check, ok := reg.Lookup(j.Name)
+	if !ok {
 		s.reject(m.From, j, NackUnknownTask, 0)
+		return
+	}
+	if err := check(j.Arg); err != nil { // refused here, no executor ever sees it
+		s.reject(m.From, j, NackBadArg, 0)
 		return
 	}
 	if j.DeadlineNS > 0 && now >= j.DeadlineNS {
@@ -227,14 +246,13 @@ func (s *Server) onSubmit(m comm.Message) {
 	if s.Stats != nil {
 		s.Stats.Tenant(j.Tenant).Admitted.Add(1)
 	}
-	s.record(obs.KindJobAdmit, j.Tenant)
 	s.seq++
 	it := Item{Job: j, Client: m.From, AdmittedNS: now, Seq: s.seq}
-	s.d.Add(it)
+	s.live[it.Seq] = &entry{it: it}
 	s.fs.Push(j.Tenant, it)
 }
 
-// next pops the fair-share queue for the dispatcher, expiring jobs whose
+// next pops the fair-share queue for the dispatch loop, expiring jobs whose
 // deadline passed while they waited.
 func (s *Server) next() (Item, bool) {
 	for {
@@ -242,9 +260,10 @@ func (s *Server) next() (Item, bool) {
 		if !ok {
 			return Item{}, false
 		}
-		now := s.d.Now()
+		now := s.now()
 		if it.Job.DeadlineNS > 0 && now >= it.Job.DeadlineNS {
-			if s.d.Drop(it.Seq) { // a finished twin has had its reply already
+			if _, live := s.live[it.Seq]; live { // a finished twin has had its reply already
+				delete(s.live, it.Seq)
 				s.adm.Complete(it.Job.Tenant)
 				if s.Stats != nil {
 					s.Stats.Tenant(it.Job.Tenant).Expired.Add(1)
@@ -267,9 +286,8 @@ func (s *Server) done(it Item, result []byte) {
 	if s.Stats != nil {
 		st := s.Stats.Tenant(it.Job.Tenant)
 		st.Completed.Add(1)
-		st.Latency.Record(s.d.Now() - it.AdmittedNS)
+		st.Latency.Record(s.now() - it.AdmittedNS)
 	}
-	s.record(obs.KindJobDone, it.Job.Tenant)
 	payload := AppendReply(nil, Reply{Tenant: it.Job.Tenant, ID: it.Job.ID, Result: result})
 	s.Node.Send(comm.Message{Kind: comm.KindJobDone, To: it.Client, Seq: it.Job.ID, Payload: payload})
 }

@@ -1,9 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -165,6 +167,56 @@ func TestServiceEndToEnd(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("executor %d never released", i+1)
 		}
+	}
+}
+
+// TestServiceRefusesABadArgument pins admission's argument check: a job
+// whose registered task.Func refuses its argument is nacked with
+// NackBadArg and counted as its tenant's rejection, and no executor is
+// handed it. Seat 1 is a bare executor seat the test reads: the first
+// spawn it sees is the good job submitted after the refused one.
+func TestServiceRefusesABadArgument(t *testing.T) {
+	const places = 2 // seat 2 is the client
+	m := comm.NewMesh(places+1, 64, nil)
+	reg := task.NewRegistry()
+	reg.Register("svc.u64", func(arg []byte) error {
+		if len(arg) != 8 {
+			return fmt.Errorf("want 8 bytes, got %d", len(arg))
+		}
+		return nil
+	})
+	stats := NewStats()
+	srv := &Server{Node: m.Endpoint(0), Places: places, Tenants: map[uint32]TenantConfig{1: {}}, Registry: reg, Stats: stats}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	srvDone := make(chan error, 1)
+	go func() { srvDone <- srv.Serve(ctx) }()
+	c := NewClient(m.Endpoint(places), 0)
+
+	r, err := c.Call(ctx, Job{Tenant: 1, Name: "svc.u64", Arg: []byte{1, 2, 3}})
+	if err != nil || r.Code != NackBadArg {
+		t.Fatalf("3-byte argument: reply %+v err %v, want %v", r, err, NackBadArg)
+	}
+	if st := stats.Tenant(1); st.Rejected.Load() != 1 || st.Admitted.Load() != 0 {
+		t.Fatalf("tenant 1: rejected %d, admitted %d, want 1 and 0", st.Rejected.Load(), st.Admitted.Load())
+	}
+
+	// The bare seat never replies: this Call ends when the test cancels ctx.
+	callDone := make(chan struct{})
+	go func() { defer close(callDone); c.Call(ctx, Job{Tenant: 1, Name: "svc.u64", Arg: u64(7)}) }()
+	select {
+	case msg := <-m.Endpoint(1).Inbox():
+		env, err := task.DecodeEnvelope(msg.Payload)
+		if msg.Kind != comm.KindSpawn || err != nil || !bytes.Equal(env.Arg, u64(7)) {
+			t.Fatalf("executor seat's first frame: %v %+v (%v), want the good job's spawn", msg.Kind, env, err)
+		}
+	case <-ctx.Done():
+		t.Fatal("the good job never reached the executor seat")
+	}
+	cancel()
+	<-callDone
+	if err := <-srvDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Serve returned %v, want context.Canceled", err)
 	}
 }
 

@@ -96,10 +96,10 @@ func (r *SimReport) Format() string {
 }
 
 // cluster drives a Server and its Executors on a vtime.Net: the second
-// driver of the loops whose first is dispatcher.Run and Executor.Serve.
+// driver of the loops whose first is Server.Serve and Executor.Serve.
 // Where those block in a select with a ticker and a timer, this one turns
 // every arriving frame, detector period, heartbeat period and retry expiry
-// into one call of the same Step, Handle or Beat, from the one goroutine
+// into one call of the same step, Handle or Beat, from the one goroutine
 // that steps the net.
 type cluster struct {
 	net   *vtime.Net
@@ -109,7 +109,7 @@ type cluster struct {
 	client func(to int, m comm.Message)
 
 	retryAt int64 // when the retry window runs out
-	done    bool  // the dispatcher finished and released its executors
+	done    bool  // the dispatch loop finished and released its executors
 	err     error // the first failure of the server or an executor
 }
 
@@ -133,13 +133,13 @@ func newCluster(net *vtime.Net, srv *Server) (*cluster, error) {
 	return c, c.err
 }
 
-// step is the dispatcher's half of the driver: one Step, then the retry
+// step is the server's half of the driver: one Server.step, then the retry
 // window restarted if dispatch progressed.
 func (c *cluster) step(ev event) {
 	if c.done {
 		return
 	}
-	progress, done, err := c.srv.d.Step(ev)
+	progress, done, err := c.srv.step(ev)
 	c.done = done
 	if err != nil && c.err == nil {
 		c.err = err
@@ -214,7 +214,7 @@ const (
 )
 
 // Simulate runs the real service on virtual time: a Server (Admission,
-// FairShare, the dispatcher and its member.Table) at seat 0 of a
+// FairShare, the dispatch loop and its member.Table) at seat 0 of a
 // vtime.Net, cfg.Slots node.Executors on the seats after it, and one
 // client seat per tenant submitting on a Poisson clock until DurationNS.
 // Every submission is a KindSubmit frame, every dispatch a KindSpawn into
@@ -342,7 +342,7 @@ func Simulate(cfg SimConfig) (*SimReport, error) {
 		return nil, c.err
 	}
 	if !c.done {
-		return nil, fmt.Errorf("service: simulation stalled with %d jobs unfinished", srv.d.Live())
+		return nil, fmt.Errorf("service: simulation stalled with %d jobs unfinished", len(srv.live))
 	}
 
 	report := &SimReport{Config: cfg, EndNS: endNS}

@@ -234,7 +234,7 @@ func (r *vrig) drain(at time.Duration, ex *node.Executor) {
 //   - every admitted job completed or was nacked after admission, and the
 //     server answered every submission it received exactly once, so no id
 //     reached Server.done twice and no twin's reply reached a client;
-//   - every executor that drained was released — the dispatcher moved it
+//   - every executor that drained was released — the dispatch loop moved it
 //     from Draining to Left and sent it KindShutdown — and has stopped;
 //   - a retry sweep that found work fired exactly RetryAfter after the last
 //     dispatch progress, and while anything was outstanding dispatch never
@@ -250,7 +250,7 @@ func (r *vrig) run() {
 		}
 		if now > vDeadline.Nanoseconds() {
 			t.Fatalf("%s: not quiescent after %v: %d of %d jobs answered, %d live\n%s",
-				name, vDeadline, len(r.replied), r.jobs, r.srv.d.Live(), r.Format())
+				name, vDeadline, len(r.replied), r.jobs, len(r.srv.live), r.Format())
 		}
 		if len(r.tap.log) > vFrames {
 			t.Fatalf("%s: the server has sent %d frames by %v, %d of them KindSpawn for %d jobs",
@@ -273,7 +273,7 @@ func (r *vrig) run() {
 		for _, q := range r.srv.fs.queues {
 			queued += len(q.items)
 		}
-		if r.srv.d.Live() > queued && now-progressAt > retryNS {
+		if len(r.srv.live) > queued && now-progressAt > retryNS {
 			t.Fatalf("%s: at %v an item has been outstanding with no dispatch progress and no sweep since %v (RetryAfter %v)",
 				name, time.Duration(now), time.Duration(progressAt), vRetryAfter)
 		}

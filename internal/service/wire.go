@@ -96,6 +96,9 @@ const (
 	NackDraining
 	// NackDeadline drops a job whose deadline passed before dispatch.
 	NackDeadline
+	// NackBadArg rejects a job whose argument its registered task.Func
+	// refused at admission.
+	NackBadArg
 	numNackCodes
 )
 
@@ -108,6 +111,7 @@ var nackNames = [...]string{
 	NackOverload:      "overload",
 	NackDraining:      "draining",
 	NackDeadline:      "deadline",
+	NackBadArg:        "bad-arg",
 }
 
 // String names the code for diagnostics.

@@ -113,9 +113,6 @@ func (o Options) withDefaults() Options {
 
 // Result summarizes one simulated run.
 type Result struct {
-	Graph        string
-	Policy       sched.Kind
-	Cluster      topology.Cluster
 	MakespanNS   int64
 	SequentialNS int64
 	Counters     metrics.Snapshot
@@ -318,7 +315,7 @@ func newEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Opti
 	e.rec = opts.Recorder
 	// Events are stamped with the event loop's virtual time via RecordAt
 	// (every record call runs inside its event's handler, so e.now is
-	// exactly the event's timestamp). No Clock is installed: a closure
+	// exactly the event's timestamp). No clock is installed: a closure
 	// over the engine would force it to escape to the heap even with
 	// tracing off.
 	e.rec.Configure(cl.Places, cl.WorkersPerPlace, nil, obs.VirtualNS)
@@ -419,9 +416,6 @@ func (e *engine) run() (*Result, error) {
 	}
 
 	res := &Result{
-		Graph:        g.Name,
-		Policy:       e.policy,
-		Cluster:      cl,
 		MakespanNS:   e.lastDone,
 		SequentialNS: g.Sequential(),
 		Counters:     e.counters(),

@@ -1,11 +1,10 @@
 // Package task defines the locality task model at the heart of the paper
 // (§II): every task is either locality-sensitive (pinned to its home place)
 // or locality-flexible (eligible for distributed stealing, the X10
-// @AnyPlaceTask annotation). The package also carries the descriptive
-// attributes the scheduler and the cache/communication models consume —
-// granularity, data footprint, and migration payload size — and a registry
-// of named functions so tasks can be spawned across process boundaries,
-// where closures cannot travel.
+// @AnyPlaceTask annotation). The package also carries the attributes the
+// runtime's communication accounting reads — migration payload size and
+// remote references — and a registry of named functions so tasks can be
+// spawned across process boundaries, where closures cannot travel.
 package task
 
 import (
@@ -41,14 +40,11 @@ func (c Class) String() string {
 
 // Locality bundles the attributes that characterize a task's locality
 // behaviour (paper §II: size, referenced data, spawned sub-tasks, local
-// accesses). The runtime uses Class for scheduling; the cache and
-// communication models use the remaining fields for accounting.
+// accesses). The runtime uses Class for scheduling and the remaining
+// fields for communication accounting; the data footprint the cache model
+// charges lives on the simulator's trace.Task.Blocks.
 type Locality struct {
 	Class Class
-	// Blocks identifies the data blocks (application-defined granularity,
-	// e.g. one block per cache-line-sized chunk of the working set) the
-	// task touches. Used by the L1d cache model (Table II).
-	Blocks []uint64
 	// MigrationBytes estimates the payload copied to a thief node when the
 	// task migrates (Table III byte accounting).
 	MigrationBytes int
@@ -65,13 +61,15 @@ var (
 	FlexibleLocality  = Locality{Class: Flexible}
 )
 
-// Func is the signature of a remotely invocable function. The argument is
-// the gob-encoded payload the spawner supplied; implementations decode it
-// themselves. It runs inside a worker of the destination place.
+// Func is a registered task's argument check. The service front door
+// (service.Server) calls it on a job's argument at admission and refuses
+// the job if it returns an error, so no executor is handed an argument
+// its code cannot take. What the task does is the executor's own code
+// (node.Executor.Run); a Func only vouches for the argument.
 type Func func(arg []byte) error
 
 // Registry maps stable names to Funcs so that a task can be shipped to
-// another process as (name, payload) and re-bound on arrival. A single
+// another process as (name, payload) and recognised on arrival. A single
 // process-global registry (DefaultRegistry) serves the common case; tests
 // can build private registries.
 type Registry struct {
@@ -82,7 +80,9 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{fns: make(map[string]Func)} }
 
-// DefaultRegistry is the process-global registry used by the TCP transport.
+// DefaultRegistry is the process-global registry that service.Server and
+// node.Executor use when their Registry is nil; distws-serve registers its
+// task set there.
 var DefaultRegistry = NewRegistry()
 
 // Register binds name to fn. It panics if the name is empty, fn is nil, or

@@ -1,0 +1,253 @@
+//go:build neverread
+
+package distws
+
+import (
+	"cmp"
+	"encoding/json"
+	"fmt"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// listedPackage is the part of `go list -json` the scan reads.
+type listedPackage struct {
+	ImportPath   string
+	Dir          string
+	Standard     bool
+	GoFiles      []string
+	TestGoFiles  []string
+	XTestGoFiles []string
+	Deps         []string
+}
+
+// TestNoFieldIsNeverRead type-checks the module from source, tests
+// included, and fails on every struct field declared outside _test.go
+// files that no code reads: state that is built, copied or encoded but
+// never consulted. Assigning a field, incrementing it or naming it in a
+// composite literal is not a read; selecting its value anywhere else,
+// a test included, is. Fields with a json tag are exempt (encoding/json
+// reads them by reflection), and so are embedded fields, which promote
+// methods and fields without being selected by name. Run with
+// `make never-read`.
+func TestNoFieldIsNeverRead(t *testing.T) {
+	// The standard library comes from its export data, for the tests'
+	// imports too; the module's packages are checked from source.
+	out, err := exec.Command("go", "list", "-deps", "-test", "-export",
+		"-f", "{{if .Standard}}{{.ImportPath}} {{.Export}}{{end}}", "./...").Output()
+	if err != nil {
+		t.Fatalf("go list -export: %v", err)
+	}
+	exports := map[string]string{}
+	for _, line := range strings.Split(string(out), "\n") {
+		if path, file, ok := strings.Cut(line, " "); ok {
+			exports[path] = file
+		}
+	}
+	out, err = exec.Command("go", "list", "-deps", "-json", "./...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	var module []*listedPackage
+	for dec := json.NewDecoder(strings.NewReader(string(out))); dec.More(); {
+		p := new(listedPackage)
+		if err := dec.Decode(p); err != nil {
+			t.Fatal(err)
+		}
+		if !p.Standard {
+			module = append(module, p) // -deps lists dependencies first
+		}
+	}
+
+	fset := token.NewFileSet()
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok || file == "" {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	})
+	s := &fieldScan{fset: fset, std: std, plain: map[string]*types.Package{}, declared: map[string]string{}, read: map[string]bool{}}
+	for _, p := range module {
+		s.plain[p.ImportPath] = s.check(t, p.ImportPath, p.Dir, p.GoFiles, nil, true)
+	}
+	for _, p := range module {
+		if len(p.TestGoFiles)+len(p.XTestGoFiles) == 0 {
+			continue
+		}
+		under := s.check(t, p.ImportPath, p.Dir, append(slices.Clip(p.GoFiles), p.TestGoFiles...), nil, false)
+		if len(p.XTestGoFiles) == 0 {
+			continue
+		}
+		// As `go test` builds it, the external test package sees its
+		// package under test with the in-package test files
+		// (export_test.go) compiled in, and so does every module package
+		// it imports that imports the package under test.
+		over := map[string]*types.Package{p.ImportPath: under}
+		for _, q := range module {
+			if slices.Contains(q.Deps, p.ImportPath) {
+				over[q.ImportPath] = s.check(t, q.ImportPath, q.Dir, q.GoFiles, over, false)
+			}
+		}
+		s.check(t, p.ImportPath+"_test", p.Dir, p.XTestGoFiles, over, false)
+	}
+
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var never []string
+	for pos, name := range s.declared {
+		if !s.read[pos] {
+			if rel, err := filepath.Rel(wd, pos); err == nil {
+				pos = rel
+			}
+			never = append(never, pos+": "+name)
+		}
+	}
+	sort.Strings(never)
+	for _, f := range never {
+		t.Errorf("never read: %s", f)
+	}
+}
+
+// fieldScan holds what the scan has seen: every field declared outside
+// tests, and every field read, both by declaration position.
+type fieldScan struct {
+	fset     *token.FileSet
+	std      types.Importer
+	plain    map[string]*types.Package // module packages without their tests
+	declared map[string]string         // position -> package.Type.Field
+	read     map[string]bool           // position of a read field
+}
+
+// check type-checks one package from files in dir, records the fields it
+// reads and, for a package without its tests (declare), the fields it
+// declares. over replaces module packages the files import.
+func (s *fieldScan) check(t *testing.T, path, dir string, names []string, over map[string]*types.Package, declare bool) *types.Package {
+	t.Helper()
+	var files []*ast.File
+	for _, n := range names {
+		f, err := parser.ParseFile(s.fset, filepath.Join(dir, n), nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
+	conf := types.Config{Importer: importerFunc(func(imp string) (*types.Package, error) {
+		if p, ok := over[imp]; ok {
+			return p, nil
+		}
+		if p, ok := s.plain[imp]; ok {
+			return p, nil
+		}
+		return s.std.Import(imp)
+	})}
+	pkg, err := conf.Check(path, s.fset, files, info)
+	if err != nil {
+		t.Fatalf("type-check %s: %v", path, err)
+	}
+	for _, f := range files {
+		if declare {
+			s.declare(f)
+		}
+		s.reads(f, info)
+	}
+	return pkg
+}
+
+// declare records the named fields without a json tag of every struct
+// type in f.
+func (s *fieldScan) declare(f *ast.File) {
+	typeName := map[*ast.StructType]string{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if ts, ok := n.(*ast.TypeSpec); ok {
+			if st, ok := ts.Type.(*ast.StructType); ok {
+				typeName[st] = ts.Name.Name
+			}
+		}
+		st, ok := n.(*ast.StructType)
+		if !ok {
+			return true
+		}
+		owner := f.Name.Name + "." + cmp.Or(typeName[st], "struct{...}") + "."
+		for _, fd := range st.Fields.List {
+			if fd.Tag != nil {
+				tag := strings.Trim(fd.Tag.Value, "`")
+				if _, ok := reflect.StructTag(tag).Lookup("json"); ok {
+					continue
+				}
+			}
+			for _, name := range fd.Names {
+				if name.Name == "_" {
+					continue
+				}
+				s.declared[s.fset.Position(name.Pos()).String()] = owner + name.Name
+			}
+		}
+		return true
+	})
+}
+
+// reads records every field f selects for its value — a selector that is
+// not the target of an assignment or an increment — and every field of a
+// struct f compares with == or != or uses as a map key.
+func (s *fieldScan) reads(f *ast.File, info *types.Info) {
+	written := map[ast.Expr]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				s.compared(info.TypeOf(n.X))
+			}
+		case *ast.MapType:
+			s.compared(info.TypeOf(n.Key))
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				written[ast.Unparen(lhs)] = true
+			}
+		case *ast.IncDecStmt:
+			written[ast.Unparen(n.X)] = true
+		case *ast.SelectorExpr:
+			sel := info.Selections[n]
+			if sel != nil && sel.Kind() == types.FieldVal && !written[n] {
+				s.read[s.fset.Position(sel.Obj().Pos()).String()] = true
+			}
+		}
+		return true
+	})
+}
+
+// compared records every field of a struct compared as a whole, nested
+// structs and arrays of them included.
+func (s *fieldScan) compared(t types.Type) {
+	if t == nil {
+		return
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Array:
+		s.compared(u.Elem())
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			s.read[s.fset.Position(u.Field(i).Pos()).String()] = true
+			s.compared(u.Field(i).Type())
+		}
+	}
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
