@@ -299,8 +299,10 @@ coverage-ledger:
 # declared outside tests that no code reads, found by type-checking the
 # module from source, tests included (neverread_test.go; fields with a json
 # tag and embedded fields are exempt). The list must be empty: delete such
-# a field, or read it. Behind the neverread build tag, so `test` does not
-# run it. Part of `check` (~15 s cold, ~2 s warm).
+# a field, or read it. In the same pass, the fields that no code outside
+# tests sets: that list must equal testdata/neverset_kept.txt
+# (`file: Type.Field reason`). Behind the neverread build tag, so `test`
+# does not run it. Part of `check` (~15 s cold, ~2 s warm).
 never-read:
 	$(GO) test -count=1 -tags neverread -run '^TestNoFieldIsNeverRead$$' .
 

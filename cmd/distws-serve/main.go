@@ -52,6 +52,10 @@ import (
 	"distws/internal/task"
 )
 
+// maxSleep caps svc.sleep's duration, so one job cannot park an executor
+// worker for longer.
+const maxSleep = 10 * time.Second
+
 func init() {
 	// The service task set: registered in the front door (name and
 	// argument checks at admission) and the executors (name resolution);
@@ -60,6 +64,9 @@ func init() {
 	task.DefaultRegistry.Register("svc.sleep", func(arg []byte) error {
 		if len(arg) != 8 {
 			return fmt.Errorf("svc.sleep wants an 8-byte big-endian duration, got %d bytes", len(arg))
+		}
+		if d := binary.BigEndian.Uint64(arg); d > uint64(maxSleep) {
+			return fmt.Errorf("svc.sleep sleeps at most %v, got %d ns", maxSleep, d)
 		}
 		return nil
 	})

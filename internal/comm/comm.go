@@ -168,7 +168,7 @@ var ErrBackpressure = errors.New("comm: destination queue full")
 type BackpressureError struct{ Place int }
 
 func (e *BackpressureError) Error() string {
-	return fmt.Sprintf("comm: place %d inbox full, steal message shed", e.Place)
+	return fmt.Sprintf("comm: lossy message to place %d shed: its queue is full", e.Place)
 }
 
 // Is makes errors.Is(err, ErrBackpressure) match.

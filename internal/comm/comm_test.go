@@ -117,6 +117,9 @@ func TestMeshBackpressure(t *testing.T) {
 	if !errors.As(err, &bpe) || bpe.Place != 1 {
 		t.Fatalf("error should carry the congested place, got %v", err)
 	}
+	if got, want := err.Error(), "comm: lossy message to place 1 shed: its queue is full"; got != want {
+		t.Fatalf("error text = %q, want %q", got, want)
+	}
 	if got := ctrs.Snapshot().Backpressure; got != 1 {
 		t.Fatalf("Backpressure = %d, want 1", got)
 	}

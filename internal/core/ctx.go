@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"distws/internal/metrics"
 	"distws/internal/task"
 )
 
@@ -177,7 +176,3 @@ func (c *Ctx) At(p int, bytes int, body func(*Ctx)) {
 	}
 	body(&Ctx{rt: c.rt, placeID: p, worker: nil, fin: c.fin})
 }
-
-// Metrics exposes a snapshot of the runtime counters to activity bodies
-// (useful in examples and tests).
-func (c *Ctx) Metrics() metrics.Snapshot { return c.rt.Metrics() }

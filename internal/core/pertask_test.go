@@ -172,7 +172,7 @@ func waitAllIdle(t *testing.T, rt *Runtime) {
 // goroutine takes to get a CPU is the host's business), or until the
 // deadline, which with the poll timer out of reach means the wake was lost.
 func fanOutUntilStolen(c *Ctx, before int64) {
-	for deadline := time.Now().Add(wakeDeadline); c.Metrics().RemoteSteals == before && time.Now().Before(deadline); {
+	for deadline := time.Now().Add(wakeDeadline); c.rt.Metrics().RemoteSteals == before && time.Now().Before(deadline); {
 		c.Finish(func(c *Ctx) {
 			for i := 0; i < 64; i++ {
 				c.AsyncAny(c.Place(), func(*Ctx) { spin(50 * time.Microsecond) })

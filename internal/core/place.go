@@ -697,14 +697,8 @@ func (w *worker) run(a *activity, how stealKind) {
 	if how == tookLocalSteal {
 		rt.counters.LocalSteals.Add(1)
 	}
-	migrated := p.id != a.home
-	if migrated {
+	if p.id != a.home {
 		rt.counters.TasksMigrated.Add(1)
-		// Remote data references the task performs when run off-home.
-		if a.loc.RemoteRefs > 0 {
-			rt.counters.RemoteDataAccess.Add(int64(a.loc.RemoteRefs))
-			rt.counters.Messages.Add(int64(a.loc.RemoteRefs))
-		}
 	}
 
 	rt.record(p.id, w.local, obs.KindTaskStart, -1, int32(a.home), 0)

@@ -4,11 +4,10 @@
 // dataflow runtime (arXiv:2211.00838). Tasks declare the data blocks
 // they read and write; dependencies are derived from the dataflow —
 // read-after-write, write-after-write and write-after-read in program
-// order — plus any explicit control edges. A per-run Tracker releases a
-// task into the scheduler only when its last dependency completes, and a
-// block Directory records which places hold each block after its
-// producer runs, so placement can weigh resident-input bytes against
-// migration cost (see Policy and BestPlace).
+// order. A per-run Tracker releases a task into the scheduler only when
+// its last dependency completes, and a block Directory records which
+// places hold each block after its producer runs, so placement can weigh
+// resident-input bytes against migration cost (see Policy and BestPlace).
 //
 // The package is runtime-agnostic. A run's release, placement and
 // residency are one Flow, which two engines drive: internal/sim replays a
@@ -20,7 +19,6 @@ package dag
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Task is one node of a dataflow graph.
@@ -42,9 +40,6 @@ type Task struct {
 	// this task the producer for subsequent readers and orders it after
 	// the block's previous writer and readers.
 	Outputs []uint64
-	// Deps are explicit extra dependencies (task ids), for control edges
-	// the dataflow does not capture. Most graphs leave this nil.
-	Deps []int
 }
 
 // Graph is a complete dataflow program.
@@ -62,9 +57,6 @@ type Graph struct {
 	// resident before any task runs (e.g. the block-cyclic owner of a
 	// matrix tile). Blocks first written by a task need no seed entry.
 	Seed map[uint64]int
-	// SeqNS optionally records the modelled sequential execution time.
-	// Zero means "sum of task costs".
-	SeqNS int64
 }
 
 // NumTasks returns the task count.
@@ -79,15 +71,6 @@ func (g *Graph) TotalWorkNS() int64 {
 	return sum
 }
 
-// Sequential returns the single-worker time: SeqNS when recorded, else
-// the total work.
-func (g *Graph) Sequential() int64 {
-	if g.SeqNS > 0 {
-		return g.SeqNS
-	}
-	return g.TotalWorkNS()
-}
-
 // InputBytes returns the total payload of t's input blocks.
 func (g *Graph) InputBytes(t int) int {
 	var sum int
@@ -97,117 +80,31 @@ func (g *Graph) InputBytes(t int) int {
 	return sum
 }
 
-// CycleError reports a dependency cycle: the explicit Deps edges closed
-// a loop the program-order dataflow cannot produce on its own. Match
-// with errors.As.
-type CycleError struct {
-	// Tasks are the ids left unreleasable once every acyclic task has
-	// been peeled away (every member is on or downstream of a cycle).
-	Tasks []int
-}
-
-// Error implements error.
-func (e *CycleError) Error() string {
-	ids := make([]string, 0, len(e.Tasks))
-	for i, t := range e.Tasks {
-		if i == 8 {
-			ids = append(ids, "...")
-			break
-		}
-		ids = append(ids, fmt.Sprintf("%d", t))
-	}
-	return fmt.Sprintf("dag: dependency cycle among %d task(s): %s",
-		len(e.Tasks), strings.Join(ids, " "))
-}
-
-// Validate checks structural invariants — ids match indices, costs are
-// non-negative, every referenced block has a size, explicit deps are in
-// range — and rejects cyclic graphs with a *CycleError. Graphs whose
-// edges come only from block dataflow are acyclic by construction
-// (edges always point forward in program order); explicit Deps can
-// close a loop, which this catches.
+// Validate checks structural invariants: ids match indices, costs are
+// non-negative and every referenced block has a size. It needs no cycle
+// check: every edge comes from block dataflow and points from an earlier
+// task to a later one in program order, so every graph is acyclic.
 func (g *Graph) Validate() error {
-	_, err := g.validate(false)
-	return err
-}
-
-// validate is Validate for a caller about to run g: with schedule set
-// it also returns the derived Schedule, so the run does not derive the
-// edge lists a second time. Only an explicit dep on a later task can
-// close a cycle (every other edge points forward in program order), so
-// a graph without one passes the cycle check unexamined and, schedule
-// unset, costs no derivation at all — which is what keeps callers in
-// other packages (Validate, then NewSchedule) at one derivation per run.
-func (g *Graph) validate(schedule bool) (*Schedule, error) {
-	later := false // some explicit dep names a later task
 	for i := range g.Tasks {
 		t := &g.Tasks[i]
 		if t.ID != i {
-			return nil, fmt.Errorf("dag: task at index %d has ID %d", i, t.ID)
+			return fmt.Errorf("dag: task at index %d has ID %d", i, t.ID)
 		}
 		if t.CostNS < 0 {
-			return nil, fmt.Errorf("dag: task %d (%s) has negative cost %d", i, t.Label, t.CostNS)
+			return fmt.Errorf("dag: task %d (%s) has negative cost %d", i, t.Label, t.CostNS)
 		}
 		for _, b := range t.Inputs {
 			if _, ok := g.BlockBytes[b]; !ok {
-				return nil, fmt.Errorf("dag: task %d (%s) reads block %#x with no size", i, t.Label, b)
+				return fmt.Errorf("dag: task %d (%s) reads block %#x with no size", i, t.Label, b)
 			}
 		}
 		for _, b := range t.Outputs {
 			if _, ok := g.BlockBytes[b]; !ok {
-				return nil, fmt.Errorf("dag: task %d (%s) writes block %#x with no size", i, t.Label, b)
-			}
-		}
-		for _, d := range t.Deps {
-			if d < 0 || d >= len(g.Tasks) {
-				return nil, fmt.Errorf("dag: task %d (%s) depends on out-of-range task %d", i, t.Label, d)
-			}
-			if d == i {
-				return nil, fmt.Errorf("dag: task %d (%s) depends on itself", i, t.Label)
-			}
-			if d > i {
-				later = true
+				return fmt.Errorf("dag: task %d (%s) writes block %#x with no size", i, t.Label, b)
 			}
 		}
 	}
-	if !later && !schedule {
-		return nil, nil
-	}
-	s := NewSchedule(g)
-	if !later {
-		return s, nil
-	}
-	// Kahn's algorithm: peel zero-in-degree tasks; anything left sits on
-	// or behind a cycle.
-	indeg := append([]int(nil), s.InDegree...)
-	queue := make([]int, 0, len(g.Tasks))
-	for i, d := range indeg {
-		if d == 0 {
-			queue = append(queue, i)
-		}
-	}
-	released := 0
-	for len(queue) > 0 {
-		n := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		released++
-		for _, m := range s.Dependents[n] {
-			indeg[m]--
-			if indeg[m] == 0 {
-				queue = append(queue, m)
-			}
-		}
-	}
-	if released != len(g.Tasks) {
-		var stuck []int
-		for i, d := range indeg {
-			if d > 0 {
-				stuck = append(stuck, i)
-			}
-		}
-		return nil, &CycleError{Tasks: stuck}
-	}
-	return s, nil
+	return nil
 }
 
 // Schedule is the derived dependency structure of a Graph: the edge
@@ -221,9 +118,8 @@ type Schedule struct {
 
 // NewSchedule derives the dependency edges of g: for every block, its
 // last writer precedes later readers (RAW) and its readers and previous
-// writer precede the next writer (WAR, WAW), all in program order;
-// explicit Deps edges are added on top. Parallel edges between the same
-// task pair collapse to one.
+// writer precede the next writer (WAR, WAW), all in program order.
+// Parallel edges between the same task pair collapse to one.
 func NewSchedule(g *Graph) *Schedule {
 	n := len(g.Tasks)
 	preds := make([][]int, n)
@@ -248,11 +144,6 @@ func NewSchedule(g *Graph) *Schedule {
 			}
 			lastWriter[b] = i
 			delete(readers, b)
-		}
-		for _, d := range t.Deps {
-			if d != i && d >= 0 && d < n {
-				preds[i] = append(preds[i], d)
-			}
 		}
 	}
 	s := &Schedule{

@@ -1,7 +1,6 @@
 package dag
 
 import (
-	"errors"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -63,7 +62,7 @@ func TestScheduleDedupsParallelEdges(t *testing.T) {
 	g := &Graph{
 		Tasks: []Task{
 			{ID: 0, Outputs: []uint64{1, 2}},
-			{ID: 1, Inputs: []uint64{1, 2}, Deps: []int{0}},
+			{ID: 1, Inputs: []uint64{1, 2}},
 		},
 		BlockBytes: map[uint64]int{1: 8, 2: 8},
 	}
@@ -94,47 +93,6 @@ func TestReadModifyWriteHasNoSelfEdge(t *testing.T) {
 	}
 }
 
-func TestValidateRejectsCycle(t *testing.T) {
-	g := chain()
-	g.Tasks[0].Deps = []int{2} // close the loop
-	err := g.Validate()
-	var ce *CycleError
-	if !errors.As(err, &ce) {
-		t.Fatalf("Validate = %v, want *CycleError", err)
-	}
-	if len(ce.Tasks) != 3 {
-		t.Fatalf("CycleError.Tasks = %v, want all 3", ce.Tasks)
-	}
-	if ce.Error() == "" {
-		t.Fatal("empty error string")
-	}
-}
-
-// TestValidateDerivesEdgesOnce pins what lets a run derive its edge lists
-// once: validate hands a runner the schedule NewSchedule would build, and
-// a graph whose explicit deps all point at earlier tasks (every graph the
-// repo builds) is acyclic by construction, so plain Validate derives
-// nothing — a caller in another package pays for NewSchedule alone.
-func TestValidateDerivesEdgesOnce(t *testing.T) {
-	g := chain()
-	g.Tasks[2].Deps = []int{0}
-	if s, err := g.validate(false); s != nil || err != nil {
-		t.Fatalf("validate(false) with only earlier deps = %v, %v, want no schedule derived", s, err)
-	}
-	later := chain()
-	later.Tasks = append(later.Tasks, Task{ID: 3, CostNS: 10})
-	later.Tasks[0].Deps = []int{3} // a dep on a later task that closes no loop
-	for _, g := range []*Graph{g, later} {
-		s, err := g.validate(true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := NewSchedule(g); !reflect.DeepEqual(s, want) {
-			t.Fatalf("validate(true) = %+v, NewSchedule = %+v", s, want)
-		}
-	}
-}
-
 func TestValidateRejectsMalformed(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -144,8 +102,6 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{"negative cost", func(g *Graph) { g.Tasks[0].CostNS = -1 }},
 		{"unsized input", func(g *Graph) { g.Tasks[2].Inputs = []uint64{99} }},
 		{"unsized output", func(g *Graph) { g.Tasks[0].Outputs = append(g.Tasks[0].Outputs, 99) }},
-		{"dep out of range", func(g *Graph) { g.Tasks[1].Deps = []int{5} }},
-		{"self dep", func(g *Graph) { g.Tasks[1].Deps = []int{1} }},
 	} {
 		g := chain()
 		tc.mut(g)
@@ -441,12 +397,8 @@ func TestParsePolicy(t *testing.T) {
 
 func TestGraphAccounting(t *testing.T) {
 	g := chain()
-	if g.NumTasks() != 3 || g.TotalWorkNS() != 30 || g.Sequential() != 30 {
+	if g.NumTasks() != 3 || g.TotalWorkNS() != 30 {
 		t.Fatal("accounting mismatch")
-	}
-	g.SeqNS = 25
-	if g.Sequential() != 25 {
-		t.Fatal("SeqNS not honored")
 	}
 	if got := g.InputBytes(2); got != 200 {
 		t.Fatalf("InputBytes = %d", got)

@@ -47,8 +47,7 @@ type ExecOptions struct {
 // (outstanding tasks × mean input payload) — the measured-bytes analogue
 // of the simulator's TransferNS scoring.
 func Execute(rt *core.Runtime, g *Graph, opts ExecOptions) (ExecStats, error) {
-	sch, err := g.validate(true)
-	if err != nil {
+	if err := g.Validate(); err != nil {
 		return ExecStats{}, err
 	}
 	if !opts.Policy.Valid() {
@@ -58,7 +57,7 @@ func Execute(rt *core.Runtime, g *Graph, opts ExecOptions) (ExecStats, error) {
 	x := &execution{
 		g:           g,
 		opts:        opts,
-		flow:        NewFlow(g, sch, places, opts.Policy),
+		flow:        NewFlow(g, NewSchedule(g), places, opts.Policy),
 		inputBytes:  make([]int, len(g.Tasks)),
 		meanBytes:   1,
 		home:        make([]int, len(g.Tasks)),
@@ -75,7 +74,7 @@ func Execute(rt *core.Runtime, g *Graph, opts ExecOptions) (ExecStats, error) {
 		}
 	}
 
-	err = rt.Run(func(c *core.Ctx) {
+	err := rt.Run(func(c *core.Ctx) {
 		c.Finish(func(fx *core.Ctx) {
 			x.mu.Lock()
 			ready := x.place(x.flow.Ready(nil))

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -80,8 +81,8 @@ const fuzzBlocks = 24
 
 // randomGraph builds a seeded graph of n tasks over a pool of fuzzBlocks
 // blocks small enough that read-after-write, write-after-write and
-// write-after-read edges all occur, plus a few explicit deps on earlier
-// tasks. Declared homes and seeds range over 8 places, so every smaller
+// write-after-read edges all occur, plus, in one task in ten, a read of
+// a block an earlier task writes. Declared homes and seeds range over 8 places, so every smaller
 // runtime exercises the wrap.
 func randomGraph(seed int64, n int) *dag.Graph {
 	rng := rand.New(rand.NewSource(seed))
@@ -112,11 +113,95 @@ func randomGraph(seed int64, n int) *dag.Graph {
 			Outputs: blocks(rng.Intn(3)),
 		}
 		if i > 0 && rng.Intn(10) == 0 {
-			t.Deps = []int{rng.Intn(i)}
+			// One task in ten also reads a block an earlier task writes.
+			if out := g.Tasks[rng.Intn(i)].Outputs; len(out) > 0 {
+				t.Inputs = append(t.Inputs, out[rng.Intn(len(out))])
+			}
 		}
 		g.Tasks = append(g.Tasks, t)
 	}
 	return g
+}
+
+// TestScheduleMatchesBruteForce checks NewSchedule against the dataflow
+// rules stated pair by pair: j precedes i when some block b that i reads
+// or writes was last written before i by j (RAW, WAW), or when i writes
+// b and j read it with no write of b from j up to i (WAR). The oracle
+// sees one edge per pair however many blocks imply it, and none from a
+// task to itself; every edge points forward in program order, which is
+// why a graph needs no cycle check.
+func TestScheduleMatchesBruteForce(t *testing.T) {
+	kinds := map[string]int{}
+	for seed := int64(1); seed <= 20; seed++ {
+		g := randomGraph(seed, 300)
+		n := len(g.Tasks)
+		reads := make([][fuzzBlocks]bool, n)
+		writes := make([][fuzzBlocks]bool, n)
+		// written[b][k] counts the tasks before k that write b.
+		var written [fuzzBlocks][]int
+		for i, tk := range g.Tasks {
+			for _, b := range tk.Inputs {
+				reads[i][b] = true
+			}
+			for _, b := range tk.Outputs {
+				writes[i][b] = true
+			}
+		}
+		for b := range written {
+			written[b] = make([]int, n+1)
+			for k := 0; k < n; k++ {
+				written[b][k+1] = written[b][k]
+				if writes[k][b] {
+					written[b][k+1]++
+				}
+			}
+		}
+		want := &dag.Schedule{Dependents: make([][]int, n), InDegree: make([]int, n)}
+		for i := 0; i < n; i++ {
+			for j := 0; j < i; j++ {
+				edge := false
+				for b := 0; b < fuzzBlocks; b++ {
+					if writes[j][b] && written[b][i]-written[b][j+1] == 0 {
+						if reads[i][b] {
+							edge = true
+							kinds["RAW"]++
+						}
+						if writes[i][b] {
+							edge = true
+							kinds["WAW"]++
+						}
+					}
+					if writes[i][b] && reads[j][b] && written[b][i]-written[b][j] == 0 {
+						edge = true
+						kinds["WAR"]++
+					}
+				}
+				if edge {
+					want.Dependents[j] = append(want.Dependents[j], i)
+					want.InDegree[i]++
+				}
+			}
+		}
+		got := dag.NewSchedule(g)
+		for j, ds := range got.Dependents {
+			for _, i := range ds {
+				if i <= j {
+					t.Fatalf("seed %d: edge %d -> %d does not point forward", seed, j, i)
+				}
+			}
+			if !slices.Equal(ds, want.Dependents[j]) {
+				t.Fatalf("seed %d: Dependents[%d] = %v, oracle %v", seed, j, ds, want.Dependents[j])
+			}
+		}
+		if !slices.Equal(got.InDegree, want.InDegree) {
+			t.Fatalf("seed %d: InDegree = %v, oracle %v", seed, got.InDegree, want.InDegree)
+		}
+	}
+	for _, k := range []string{"RAW", "WAW", "WAR"} {
+		if kinds[k] == 0 {
+			t.Errorf("no %s dependency in any graph: the oracle checked nothing of it", k)
+		}
+	}
 }
 
 func mix(x uint64) uint64 {

@@ -68,7 +68,7 @@ func dagTrace(g *dag.Graph, f *dag.Flow) *trace.Graph {
 	tg := &trace.Graph{
 		Name:  g.Name,
 		Tasks: make([]trace.Task, len(g.Tasks)),
-		SeqNS: g.Sequential(),
+		SeqNS: g.TotalWorkNS(),
 	}
 	for i := range g.Tasks {
 		tg.Tasks[i] = trace.Task{

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"testing"
 
 	"distws/internal/dag"
@@ -55,7 +54,7 @@ func TestRunDAGCompletes(t *testing.T) {
 		t.Fatalf("executed=%d spawned=%d released=%d, want all %d",
 			c.TasksExecuted, c.TasksSpawned, res.DAG.Released, n)
 	}
-	if res.MakespanNS <= 0 || res.SequentialNS != g.Sequential() {
+	if res.MakespanNS <= 0 || res.SequentialNS != g.TotalWorkNS() {
 		t.Fatalf("makespan=%d sequential=%d", res.MakespanNS, res.SequentialNS)
 	}
 	// Fault-free, each task's inputs are accounted once: hit or miss.
@@ -104,19 +103,6 @@ func TestRunDAGDataAwareMovesFewerBytes(t *testing.T) {
 	if aware.MakespanNS > blind.MakespanNS {
 		t.Fatalf("data-aware makespan %d > blind %d on a fetch-bound pipeline",
 			aware.MakespanNS, blind.MakespanNS)
-	}
-}
-
-func TestRunDAGRejectsCycle(t *testing.T) {
-	cl := topology.Laptop()
-	g := pipelineGraph(2, 2, cl.Places, 1024, 1000)
-	// Task 2 already depends on task 0 through the item's stage-1 block;
-	// an explicit 0-depends-on-2 edge closes the loop.
-	g.Tasks[0].Deps = []int{2}
-	_, err := RunDAG(g, cl, sched.DistWS, dag.PolicyBlind, Options{Seed: 1})
-	var ce *dag.CycleError
-	if !errors.As(err, &ce) {
-		t.Fatalf("RunDAG = %v, want *dag.CycleError", err)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package task defines the locality task model at the heart of the paper
 // (§II): every task is either locality-sensitive (pinned to its home place)
 // or locality-flexible (eligible for distributed stealing, the X10
-// @AnyPlaceTask annotation). The package also carries the attributes the
-// runtime's communication accounting reads — migration payload size and
-// remote references — and a registry of named functions so tasks can be
-// spawned across process boundaries, where closures cannot travel.
+// @AnyPlaceTask annotation). The package also carries the migration
+// payload size the runtime's byte accounting reads, and a registry of
+// named functions so tasks can be spawned across process boundaries,
+// where closures cannot travel.
 package task
 
 import (
@@ -40,18 +40,14 @@ func (c Class) String() string {
 
 // Locality bundles the attributes that characterize a task's locality
 // behaviour (paper §II: size, referenced data, spawned sub-tasks, local
-// accesses). The runtime uses Class for scheduling and the remaining
-// fields for communication accounting; the data footprint the cache model
+// accesses). The runtime uses Class for scheduling and MigrationBytes for
+// the bytes a migration moves; the data footprint the cache model
 // charges lives on the simulator's trace.Task.Blocks.
 type Locality struct {
 	Class Class
 	// MigrationBytes estimates the payload copied to a thief node when the
 	// task migrates (Table III byte accounting).
 	MigrationBytes int
-	// RemoteRefs is the number of remote data references the task performs
-	// per execution when it runs away from its home place. Flexible tasks
-	// that truly encapsulate their data have RemoteRefs == 0.
-	RemoteRefs int
 }
 
 // Sensitive and Flexible are convenience constructors for the common case

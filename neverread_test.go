@@ -40,8 +40,16 @@ type listedPackage struct {
 // composite literal is not a read; selecting its value anywhere else,
 // a test included, is. Fields with a json tag are exempt (encoding/json
 // reads them by reflection), and so are embedded fields, which promote
-// methods and fields without being selected by name. Run with
-// `make never-read`.
+// methods and fields without being selected by name.
+//
+// In the same pass it fails on every such field that no code outside
+// _test.go files sets: an input only tests give, zero in every program.
+// A field is set when it is an assignment or increment target, when its
+// address is taken or a method is called on it, when a composite literal
+// names it or fills it by position, and when it is selected on the way
+// to any of those (x.f.g = v sets f as well as g). The fields tests set
+// on purpose, each with its reason, are listed in neverSetKept, and the
+// never-set list must equal that file. Run with `make never-read`.
 func TestNoFieldIsNeverRead(t *testing.T) {
 	// The standard library comes from its export data, for the tests'
 	// imports too; the module's packages are checked from source.
@@ -79,7 +87,7 @@ func TestNoFieldIsNeverRead(t *testing.T) {
 		}
 		return os.Open(file)
 	})
-	s := &fieldScan{fset: fset, std: std, plain: map[string]*types.Package{}, declared: map[string]string{}, read: map[string]bool{}}
+	s := &fieldScan{fset: fset, std: std, plain: map[string]*types.Package{}, declared: map[string]string{}, read: map[string]bool{}, set: map[string]bool{}}
 	for _, p := range module {
 		s.plain[p.ImportPath] = s.check(t, p.ImportPath, p.Dir, p.GoFiles, nil, true)
 	}
@@ -109,33 +117,74 @@ func TestNoFieldIsNeverRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	var never []string
+	unset := map[string]bool{} // file: Type.Field
 	for pos, name := range s.declared {
+		rel := pos
+		if r, err := filepath.Rel(wd, pos); err == nil {
+			rel = r
+		}
 		if !s.read[pos] {
-			if rel, err := filepath.Rel(wd, pos); err == nil {
-				pos = rel
-			}
-			never = append(never, pos+": "+name)
+			never = append(never, rel+": "+name)
+		}
+		if !s.set[pos] {
+			file, _, _ := strings.Cut(rel, ":")
+			_, field, _ := strings.Cut(name, ".")
+			unset[file+": "+field] = true
 		}
 	}
 	sort.Strings(never)
 	for _, f := range never {
 		t.Errorf("never read: %s", f)
 	}
+
+	kept, err := os.ReadFile(neverSetKept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range strings.Split(string(kept), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		file, rest, _ := strings.Cut(line, ": ")
+		field, reason, _ := strings.Cut(rest, " ")
+		switch key := file + ": " + field; {
+		case reason == "":
+			t.Errorf("%s:%d: %q gives no reason", neverSetKept, i+1, key)
+		case !unset[key]:
+			t.Errorf("%s:%d: %s is set outside tests, or gone: remove the line", neverSetKept, i+1, key)
+		default:
+			delete(unset, key)
+		}
+	}
+	var stray []string
+	for f := range unset {
+		stray = append(stray, f)
+	}
+	sort.Strings(stray)
+	for _, f := range stray {
+		t.Errorf("never set outside tests: %s (set it, delete it, or add it to %s with its reason)", f, neverSetKept)
+	}
 }
 
+// neverSetKept lists the fields only tests set, on purpose: one
+// `file: Type.Field reason` per line.
+const neverSetKept = "testdata/neverset_kept.txt"
+
 // fieldScan holds what the scan has seen: every field declared outside
-// tests, and every field read, both by declaration position.
+// tests, every field read and every field set outside tests, all by
+// declaration position.
 type fieldScan struct {
 	fset     *token.FileSet
 	std      types.Importer
 	plain    map[string]*types.Package // module packages without their tests
 	declared map[string]string         // position -> package.Type.Field
 	read     map[string]bool           // position of a read field
+	set      map[string]bool           // position of a field set outside tests
 }
 
 // check type-checks one package from files in dir, records the fields it
 // reads and, for a package without its tests (declare), the fields it
-// declares. over replaces module packages the files import.
+// declares and sets. over replaces module packages the files import.
 func (s *fieldScan) check(t *testing.T, path, dir string, names []string, over map[string]*types.Package, declare bool) *types.Package {
 	t.Helper()
 	var files []*ast.File
@@ -163,6 +212,7 @@ func (s *fieldScan) check(t *testing.T, path, dir string, names []string, over m
 	for _, f := range files {
 		if declare {
 			s.declare(f)
+			s.sets(f, info)
 		}
 		s.reads(f, info)
 	}
@@ -229,6 +279,66 @@ func (s *fieldScan) reads(f *ast.File, info *types.Info) {
 		}
 		return true
 	})
+}
+
+// sets records every field f sets: see TestNoFieldIsNeverRead.
+func (s *fieldScan) sets(f *ast.File, info *types.Info) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				s.setPath(lhs, info)
+			}
+		case *ast.IncDecStmt:
+			s.setPath(n.X, info)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				s.setPath(n.X, info)
+			}
+		case *ast.SelectorExpr:
+			if sel := info.Selections[n]; sel != nil && sel.Kind() == types.MethodVal {
+				s.setPath(n.X, info)
+			}
+		case *ast.CompositeLit:
+			st, ok := info.TypeOf(n).Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, e := range n.Elts {
+				kv, ok := e.(*ast.KeyValueExpr)
+				if !ok {
+					s.set[s.fset.Position(st.Field(i).Pos()).String()] = true
+					continue
+				}
+				for j := 0; j < st.NumFields(); j++ {
+					if st.Field(j).Name() == kv.Key.(*ast.Ident).Name {
+						s.set[s.fset.Position(st.Field(j).Pos()).String()] = true
+					}
+				}
+			}
+		}
+		return true
+	})
+}
+
+// setPath records as set every field selected in the target expression
+// e, from the outermost in: x.f[i].g sets g and f.
+func (s *fieldScan) setPath(e ast.Expr, info *types.Info) {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+				s.set[s.fset.Position(sel.Obj().Pos()).String()] = true
+			}
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return
+		}
+	}
 }
 
 // compared records every field of a struct compared as a whole, nested
