@@ -43,8 +43,10 @@ race:
 # blocked kernel that panics on a remainder path fails here, and so does
 # linalg's checksum (BenchmarkChecksum: the byte-wise FNV-1a fold against
 # the word fold, over the suite's final tiles); so do the
-# mesh insert (map-based oracle and scratch-reusing Insert, with their
-# allocations), agglom's nearest-neighbour scan (all-pairs and the
+# mesh insert (map-based oracle; Insert on an unsized mesh, walking from
+# the last insert; Insert on a sized mesh, walking from the point's grid
+# cell; and a circumcentre inserted from its triangle, as dmr refines; with
+# their allocations), agglom's nearest-neighbour scan (all-pairs and the
 # x-sorted sweep, sort included), nbody's tree build (recursive oracle
 # and the one-pass build, with their allocations) and force (recursive
 # oracle and the preorder walk, both steps at 16 000 bodies), and dmr's

@@ -130,7 +130,7 @@ func triangulate(r region) (alive, steps int) {
 	if len(r.pts) == 0 {
 		return 0, 0
 	}
-	m := geom.NewMesh(r.minX, r.minY, r.maxX, r.maxY)
+	m := geom.NewMesh(r.minX, r.minY, r.maxX, r.maxY, len(r.pts))
 	for _, p := range r.pts {
 		m.Insert(p) // duplicates are skipped with an error; that's fine
 	}

@@ -159,7 +159,7 @@ func (a *App) refineRegion(ri int, pts []geom.Point) refineStats {
 // refineWith is refineRegion with isBad as the test of a triangle.
 func (a *App) refineWith(ri int, pts []geom.Point, isBad func(m *geom.Mesh, t int) bool) refineStats {
 	minX, minY, maxX, maxY := a.regionBounds(ri)
-	m := geom.NewMesh(minX, minY, maxX, maxY)
+	m := geom.NewMesh(minX, minY, maxX, maxY, len(pts))
 	for _, p := range pts {
 		m.Insert(p)
 	}
@@ -187,7 +187,7 @@ func (a *App) refineWith(ri int, pts []geom.Point, isBad func(m *geom.Mesh, t in
 			continue // no boundary splitting across regions; skip
 		}
 		before := m.InsertSteps
-		created, err := m.Insert(cc)
+		created, err := m.InsertFrom(cc, it.tri)
 		if err != nil {
 			continue
 		}

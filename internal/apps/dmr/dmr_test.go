@@ -82,7 +82,7 @@ func TestRefineRegionBounded(t *testing.T) {
 func TestIsBad(t *testing.T) {
 	a := small()
 	q := a.quality()
-	m := geom.NewMesh(0, 0, 1, 1)
+	m := geom.NewMesh(0, 0, 1, 1, 0)
 	// The initial super-triangle is never "bad".
 	if q.isBad(m, 0) {
 		t.Fatalf("super-triangle flagged bad")

@@ -1,8 +1,17 @@
 // Package geom provides the 2-D computational-geometry kernel behind the
 // Delaunay mesh generation (DMG) and refinement (DMR) applications of the
 // paper's evaluation: points, orientation and in-circumcircle predicates,
-// and an incremental Bowyer–Watson triangulator with walking point
-// location and full edge adjacency.
+// and an incremental Bowyer–Watson triangulator with full edge adjacency.
+//
+// Point location is jump-and-walk (Mücke, Saias & Zhu, SoCG 1996): a mesh
+// sized for n points keeps a bucket grid over its box, about four points
+// per cell, that remembers the last triangle created in each cell, and a
+// walk starts there, next to the point, instead of at the last insert.
+// The start never changes which triangles an insert makes: a point off
+// every edge lies in one triangle only, which the walk reaches from any
+// start, and the mesh is the same slot for slot. A point on an edge lies
+// in both triangles beside it; the cavity, and so the triangle set, is the
+// same from either, and only the order of the slots can differ.
 package geom
 
 import (
@@ -92,21 +101,33 @@ type Mesh struct {
 	Pts  []Point
 	Tris []Tri
 	free []int // indices of dead triangle slots for reuse
-	hint int   // last triangle touched, seeds the locate walk
+	hint int   // last triangle created: the walk's start when no grid cell gives one
 
 	// InsertSteps accumulates the number of cavity triangles processed
 	// across all inserts — the app layer uses it as a work-unit measure.
 	InsertSteps int
 
+	// The jump-and-walk grid: gx × gy cells over the box from (x0, y0),
+	// sx and sy cells per unit, each holding the last triangle created
+	// by an insert of a point in it, or -1. Nil in a mesh sized for 0.
+	grid   []int
+	gx, gy int
+	x0, y0 float64
+	sx, sy float64
+
 	// Insert's scratch, reused across calls so an insert neither hashes
-	// nor allocates beyond its result. Slot t is in the current cavity
-	// exactly when mark[t] == epoch; epoch is never 0, and every stamp is
-	// cleared when it wraps, so a stale stamp never matches.
+	// nor allocates. Slot t is in the current cavity exactly when
+	// mark[t] == epoch; epoch is never 0, and every stamp is cleared when
+	// it wraps, so a stale stamp never matches. from[v] and to[v] index
+	// the boundary edge that starts and that ends at vertex v; an entry
+	// left by an earlier insert is told apart by that edge's vertex.
 	mark     []uint32
 	epoch    uint32
 	stack    []int
 	cavity   []int
 	boundary []bEdge
+	from, to []int32
+	created  []int
 }
 
 // bEdge is a directed cavity-boundary edge (a -> b) with the triangle
@@ -117,8 +138,11 @@ type bEdge struct {
 }
 
 // NewMesh creates a mesh whose super-triangle comfortably encloses the
-// axis-aligned box (minX, minY)–(maxX, maxY).
-func NewMesh(minX, minY, maxX, maxY float64) *Mesh {
+// axis-aligned box (minX, minY)–(maxX, maxY), sized for n inserts: its
+// points, its 2n+1 triangles and Insert's scratch are allocated once, and
+// a grid of about n/4 cells over the box starts each walk near its point.
+// A mesh sized for 0 has no grid and grows as it goes.
+func NewMesh(minX, minY, maxX, maxY float64, n int) *Mesh {
 	w, h := maxX-minX, maxY-minY
 	if w <= 0 {
 		w = 1
@@ -129,14 +153,40 @@ func NewMesh(minX, minY, maxX, maxY float64) *Mesh {
 	cx, cy := (minX+maxX)/2, (minY+maxY)/2
 	r := 3 * math.Max(w, h)
 	m := &Mesh{
-		Pts: []Point{
-			{cx - 2*r, cy - r},
-			{cx + 2*r, cy - r},
-			{cx, cy + 2*r},
-		},
+		Pts:  append(make([]Point, 0, n+3), Point{cx - 2*r, cy - r}, Point{cx + 2*r, cy - r}, Point{cx, cy + 2*r}),
+		Tris: append(make([]Tri, 0, 2*n+1), Tri{V: [3]int{0, 1, 2}, N: [3]int{-1, -1, -1}, Alive: true}),
+		mark: make([]uint32, 2*n+1),
+		from: make([]int32, n+3),
+		to:   make([]int32, n+3),
 	}
-	m.Tris = append(m.Tris, Tri{V: [3]int{0, 1, 2}, N: [3]int{-1, -1, -1}, Alive: true})
+	if cells := (n + 3) / 4; n > 0 {
+		m.gx = min(max(int(math.Sqrt(float64(cells)*w/h)), 1), cells)
+		m.gy = (cells + m.gx - 1) / m.gx
+		m.x0, m.y0 = minX, minY
+		m.sx, m.sy = float64(m.gx)/w, float64(m.gy)/h
+		m.grid = make([]int, m.gx*m.gy)
+		for i := range m.grid {
+			m.grid[i] = -1
+		}
+	}
 	return m
+}
+
+// cell returns p's grid cell; a point off the box falls in the cell on
+// its rim nearest to it.
+func (m *Mesh) cell(p Point) int {
+	return gridIndex((p.X-m.x0)*m.sx, m.gx) + m.gx*gridIndex((p.Y-m.y0)*m.sy, m.gy)
+}
+
+// gridIndex clamps grid coordinate f to a cell in [0, n).
+func gridIndex(f float64, n int) int {
+	if !(f > 0) { // NaN too
+		return 0
+	}
+	if f >= float64(n) {
+		return n - 1
+	}
+	return int(f)
 }
 
 // NumAlive returns the number of live triangles.
@@ -172,12 +222,26 @@ func (m *Mesh) contains(t int, p Point) bool {
 	return true
 }
 
-// Locate returns a live triangle containing p, walking from the last
-// insertion site. It falls back to a linear scan if the walk cycles
-// (possible with near-degenerate geometry). Returns -1 if p is outside
-// every triangle (outside the super-triangle).
+// Locate returns a live triangle containing p by jump-and-walk: the walk
+// starts at the last triangle created in p's grid cell when that one is
+// still alive, and at the last insert's otherwise, then steps across the
+// first edge that has p on its far side. The start can move the result
+// only for a point on an edge or a vertex, between the triangles that
+// share it, never to a triangle without p. It falls back to a linear scan
+// if the walk cycles (possible with near-degenerate geometry). Returns -1
+// if p is outside every triangle (outside the super-triangle).
 func (m *Mesh) Locate(p Point) int {
 	t := m.hint
+	if m.grid != nil {
+		if g := m.grid[m.cell(p)]; g >= 0 && m.Tris[g].Alive {
+			t = g
+		}
+	}
+	return m.walk(t, p)
+}
+
+// walk returns a live triangle containing p, walking from triangle t.
+func (m *Mesh) walk(t int, p Point) int {
 	if t < 0 || t >= len(m.Tris) || !m.Tris[t].Alive {
 		t = m.anyAlive()
 		if t < 0 {
@@ -222,10 +286,25 @@ func (m *Mesh) anyAlive() int {
 }
 
 // Insert adds point p to the triangulation, returning the indices of the
-// newly created triangles. It returns an error when p falls outside the
+// newly created triangles in a slice the mesh reuses: it is valid until the
+// next insert on the mesh. It returns an error when p falls outside the
 // super-triangle or coincides with an existing vertex.
 func (m *Mesh) Insert(p Point) ([]int, error) {
-	t0 := m.Locate(p)
+	return m.insert(m.Locate(p), p)
+}
+
+// InsertFrom is Insert with the walk started at triangle t, which should
+// be near p: refinement inserts a triangle's circumcentre from it. A t
+// that is not a live triangle is ignored.
+func (m *Mesh) InsertFrom(p Point, t int) ([]int, error) {
+	if t < 0 || t >= len(m.Tris) || !m.Tris[t].Alive {
+		return m.Insert(p)
+	}
+	return m.insert(m.walk(t, p), p)
+}
+
+// insert adds p, which lies in triangle t0 (-1: in none).
+func (m *Mesh) insert(t0 int, p Point) ([]int, error) {
 	if t0 < 0 {
 		return nil, fmt.Errorf("geom: point (%v,%v) outside the mesh", p.X, p.Y)
 	}
@@ -241,8 +320,12 @@ func (m *Mesh) Insert(p Point) ([]int, error) {
 		clear(m.mark)
 		m.epoch = 1
 	}
-	for len(m.mark) < len(m.Tris) {
-		m.mark = append(m.mark, 0)
+	if n := len(m.Tris) - len(m.mark); n > 0 {
+		m.mark = append(m.mark, make([]uint32, n)...)
+	}
+	if n := len(m.Pts) - len(m.from); n > 0 {
+		m.from = append(m.from, make([]int32, n)...)
+		m.to = append(m.to, make([]int32, n)...)
 	}
 
 	// Grow the cavity: DFS over triangles whose circumcircle contains p.
@@ -290,7 +373,7 @@ func (m *Mesh) Insert(p Point) ([]int, error) {
 	// Add the new vertex and fan new triangles over the boundary.
 	pv := len(m.Pts)
 	m.Pts = append(m.Pts, p)
-	newTris := make([]int, 0, len(boundary))
+	newTris := m.created[:0]
 	for _, e := range boundary {
 		nt := m.alloc(Tri{V: [3]int{e.a, e.b, pv}, N: [3]int{e.outside, -1, -1}, Alive: true})
 		// Hook the outside neighbour back to us across edge (a,b).
@@ -305,22 +388,34 @@ func (m *Mesh) Insert(p Point) ([]int, error) {
 		}
 		newTris = append(newTris, nt)
 	}
-	// Stitch fan neighbours: new triangle (a,b,p) has edges (b,p) and
-	// (p,a); its neighbour across (b,p) is the new triangle whose boundary
-	// edge starts at b, and across (p,a) the one whose edge ends at a.
-	for i, e := range boundary {
-		tri := &m.Tris[newTris[i]]
-		for j, f := range boundary {
-			if f.a == e.b {
-				tri.N[1] = newTris[j]
-			}
-			if f.b == e.a {
-				tri.N[2] = newTris[j]
-			}
+	m.created = newTris
+	m.stitch()
+	m.hint = newTris[0]
+	if m.grid != nil {
+		m.grid[m.cell(p)] = newTris[0]
+	}
+	return newTris, nil
+}
+
+// stitch links the fan's neighbours, created[i] over boundary[i]: new
+// triangle (a,b,p) has edges (b,p) and (p,a); its neighbour across (b,p)
+// is the new triangle whose boundary edge starts at b, and across (p,a)
+// the one whose edge ends at a. Where no boundary edge of this insert
+// starts at b (or ends at a), from[b] (or to[a]) is an earlier insert's,
+// and the edge stays -1.
+func (m *Mesh) stitch() {
+	for j, e := range m.boundary {
+		m.from[e.a], m.to[e.b] = int32(j), int32(j)
+	}
+	for i, e := range m.boundary {
+		tri := &m.Tris[m.created[i]]
+		if j := m.from[e.b]; int(j) < len(m.boundary) && m.boundary[j].a == e.b {
+			tri.N[1] = m.created[j]
+		}
+		if j := m.to[e.a]; int(j) < len(m.boundary) && m.boundary[j].b == e.a {
+			tri.N[2] = m.created[j]
 		}
 	}
-	m.hint = newTris[0]
-	return newTris, nil
 }
 
 // alloc stores t in a free slot or appends, returning its index.

@@ -61,7 +61,7 @@ func TestMinAngleDeg(t *testing.T) {
 }
 
 func TestInsertSinglePoint(t *testing.T) {
-	m := NewMesh(0, 0, 1, 1)
+	m := NewMesh(0, 0, 1, 1, 0)
 	created, err := m.Insert(Point{0.5, 0.5})
 	if err != nil {
 		t.Fatalf("Insert: %v", err)
@@ -79,7 +79,7 @@ func TestInsertSinglePoint(t *testing.T) {
 
 func TestInsertManyPointsStaysDelaunay(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	m := NewMesh(0, 0, 1, 1)
+	m := NewMesh(0, 0, 1, 1, 0)
 	n := 120
 	for i := 0; i < n; i++ {
 		p := Point{rng.Float64(), rng.Float64()}
@@ -98,7 +98,7 @@ func TestInsertManyPointsStaysDelaunay(t *testing.T) {
 }
 
 func TestInsertDuplicateRejected(t *testing.T) {
-	m := NewMesh(0, 0, 1, 1)
+	m := NewMesh(0, 0, 1, 1, 0)
 	if _, err := m.Insert(Point{0.5, 0.5}); err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestInsertDuplicateRejected(t *testing.T) {
 }
 
 func TestInsertOutsideRejected(t *testing.T) {
-	m := NewMesh(0, 0, 1, 1)
+	m := NewMesh(0, 0, 1, 1, 0)
 	if _, err := m.Insert(Point{1e9, 1e9}); err == nil {
 		t.Fatalf("point outside the super-triangle should be rejected")
 	}
@@ -116,7 +116,7 @@ func TestInsertOutsideRejected(t *testing.T) {
 
 func TestLocateFindsContainingTriangle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	m := NewMesh(0, 0, 1, 1)
+	m := NewMesh(0, 0, 1, 1, 0)
 	for i := 0; i < 60; i++ {
 		m.Insert(Point{rng.Float64(), rng.Float64()})
 	}
@@ -133,7 +133,7 @@ func TestLocateFindsContainingTriangle(t *testing.T) {
 }
 
 func TestInsertStepsAccumulate(t *testing.T) {
-	m := NewMesh(0, 0, 1, 1)
+	m := NewMesh(0, 0, 1, 1, 0)
 	m.Insert(Point{0.3, 0.3})
 	if m.InsertSteps == 0 {
 		t.Fatalf("InsertSteps should accumulate cavity work")
@@ -141,7 +141,7 @@ func TestInsertStepsAccumulate(t *testing.T) {
 }
 
 func TestHasSuperVertex(t *testing.T) {
-	m := NewMesh(0, 0, 1, 1)
+	m := NewMesh(0, 0, 1, 1, 0)
 	if !m.HasSuperVertex(0) {
 		t.Fatalf("initial triangle is the super-triangle")
 	}
@@ -166,7 +166,7 @@ func TestMeshInvariantProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw)%40 + 1
 		rng := rand.New(rand.NewSource(seed))
-		m := NewMesh(0, 0, 1, 1)
+		m := NewMesh(0, 0, 1, 1, 0)
 		inserted := 0
 		for i := 0; i < n; i++ {
 			if _, err := m.Insert(Point{rng.Float64(), rng.Float64()}); err == nil {
@@ -328,33 +328,101 @@ func oracleInputs(seed int64, n int) map[string][]Point {
 	return in
 }
 
-// lockstep inserts pts into m with Insert and into a copy with
-// insertOracle, failing on the first insert after which the created
-// triangles, the error, InsertSteps, Tris, Pts or the free list differ.
-func lockstep(t *testing.T, name string, m *Mesh, pts []Point) {
-	t.Helper()
-	o := &Mesh{Pts: slices.Clone(m.Pts), Tris: slices.Clone(m.Tris), free: slices.Clone(m.free),
-		hint: m.hint, InsertSteps: m.InsertSteps}
-	for i, p := range pts {
-		got, gerr := m.Insert(p)
-		want, werr := insertOracle(o, p)
-		if fmt.Sprint(gerr) != fmt.Sprint(werr) || !slices.Equal(got, want) {
-			t.Fatalf("%s insert %d %v: created %v, %v; oracle %v, %v", name, i, p, got, gerr, want, werr)
-		}
-		if m.InsertSteps != o.InsertSteps || m.hint != o.hint || !slices.Equal(m.Tris, o.Tris) ||
-			!slices.Equal(m.Pts, o.Pts) || !slices.Equal(m.free, o.free) {
-			t.Fatalf("%s insert %d %v: mesh state diverges from the oracle", name, i, p)
+// inputs names the i-th insert of a lockstep: its point, and the live
+// triangle of the tested mesh to start its walk at, or -1 for Insert.
+type inputs func(m *Mesh, i int) (Point, int)
+
+// points inserts pts in order with Insert.
+func points(pts []Point) inputs {
+	return func(_ *Mesh, i int) (Point, int) { return pts[i], -1 }
+}
+
+// circumcentres inserts, as dmr's refinement does, the circumcentre of a
+// live triangle drawn by rng, with the walk started at that triangle.
+func circumcentres(rng *rand.Rand) inputs {
+	return func(m *Mesh, _ int) (Point, int) {
+		for {
+			t := rng.Intn(len(m.Tris))
+			if !m.Tris[t].Alive {
+				continue
+			}
+			v := m.Tris[t].V
+			if cc, ok := Circumcenter(m.Pts[v[0]], m.Pts[v[1]], m.Pts[v[2]]); ok {
+				return cc, t
+			}
 		}
 	}
 }
 
+// lockstep makes n inserts into m and, with insertOracle, into a copy of
+// it, failing on the first insert after which the error, InsertSteps or
+// the set of live triangles differ. When exact, the created triangles,
+// Tris, Pts, the free list and the hint must be identical too: slot for
+// slot, as they are for every point off the mesh's edges.
+func lockstep(t *testing.T, name string, m *Mesh, n int, in inputs, exact bool) {
+	t.Helper()
+	o := &Mesh{Pts: slices.Clone(m.Pts), Tris: slices.Clone(m.Tris), free: slices.Clone(m.free),
+		hint: m.hint, InsertSteps: m.InsertSteps}
+	for i := 0; i < n; i++ {
+		p, start := in(m, i)
+		var got []int
+		var gerr error
+		if start < 0 {
+			got, gerr = m.Insert(p)
+		} else {
+			got, gerr = m.InsertFrom(p, start)
+		}
+		want, werr := insertOracle(o, p)
+		if fmt.Sprint(gerr) != fmt.Sprint(werr) || m.InsertSteps != o.InsertSteps {
+			t.Fatalf("%s insert %d %v: %v, %d steps; oracle %v, %d steps", name, i, p, gerr, m.InsertSteps, werr, o.InsertSteps)
+		}
+		if exact {
+			if !slices.Equal(got, want) || m.hint != o.hint || !slices.Equal(m.Tris, o.Tris) ||
+				!slices.Equal(m.Pts, o.Pts) || !slices.Equal(m.free, o.free) {
+				t.Fatalf("%s insert %d %v: created %v; oracle %v; or the mesh state diverges", name, i, p, got, want)
+			}
+		} else if g, w := liveSet(m), liveSet(o); !slices.Equal(g, w) {
+			t.Fatalf("%s insert %d %v: %d live triangles; oracle %d; or they differ", name, i, p, len(g), len(w))
+		}
+	}
+}
+
+// liveSet returns m's live triangles, each rotated to start at its
+// smallest vertex and packed 21 bits a vertex, in sorted order.
+func liveSet(m *Mesh) []uint64 {
+	var set []uint64
+	for i := range m.Tris {
+		if !m.Tris[i].Alive {
+			continue
+		}
+		v := m.Tris[i].V
+		for v[0] > v[1] || v[0] > v[2] {
+			v = [3]int{v[1], v[2], v[0]}
+		}
+		set = append(set, uint64(v[0])<<42|uint64(v[1])<<21|uint64(v[2]))
+	}
+	slices.Sort(set)
+	return set
+}
+
 // TestInsertMatchesOracle drives Insert and the map-based oracle in
-// lockstep over 30 seeds of every input kind: every triangle slot, its
-// adjacency, InsertSteps and every error must be identical.
+// lockstep over 30 seeds of every input kind, three ways: Insert into an
+// unsized mesh, whose walk starts at the last insert; Insert into a sized
+// mesh, whose walk starts in the point's grid cell; and then, on that
+// mesh, InsertFrom at circumcentres of live triangles. Every error,
+// InsertSteps value and live-triangle set must equal the oracle's. On the
+// random, clustered and outside kinds, whose points lie off every edge,
+// every triangle slot and its adjacency must too; the unsized mesh starts
+// where the oracle does, so it must match slot for slot on every kind.
 func TestInsertMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
-		for name, pts := range oracleInputs(seed, 300) {
-			lockstep(t, fmt.Sprintf("seed %d %s", seed, name), NewMesh(0, 0, 1, 1), pts)
+		for kind, pts := range oracleInputs(seed, 300) {
+			name := fmt.Sprintf("seed %d %s", seed, kind)
+			offEdges := kind != "lattice" && kind != "duplicates"
+			lockstep(t, name, NewMesh(0, 0, 1, 1, 0), len(pts), points(pts), true)
+			m := NewMesh(0, 0, 1, 1, len(pts))
+			lockstep(t, name+" sized", m, len(pts), points(pts), offEdges)
+			lockstep(t, name+" refine", m, 100, circumcentres(rand.New(rand.NewSource(seed))), offEdges)
 		}
 	}
 }
@@ -365,23 +433,71 @@ func TestInsertMatchesOracle(t *testing.T) {
 // triangle outside the cavity would be taken for one inside.
 func TestInsertEpochWrap(t *testing.T) {
 	pts := oracleInputs(3, 300)["random"]
-	m := NewMesh(0, 0, 1, 1)
-	lockstep(t, "before", m, pts[:100])
+	m := NewMesh(0, 0, 1, 1, 0)
+	lockstep(t, "before", m, 100, points(pts), true)
 	for i := range m.mark {
 		m.mark[i] = 1
 	}
 	m.epoch = math.MaxUint32 - 2
-	lockstep(t, "across the wrap", m, pts[100:])
+	lockstep(t, "across the wrap", m, 200, points(pts[100:]), true)
 	if m.epoch == 0 || m.epoch > 200 {
 		t.Fatalf("epoch = %d, want it wrapped past 0", m.epoch)
 	}
 }
 
-// TestInsertAllocatesOnlyItsResult pins Insert on a warmed mesh to one
-// allocation, the returned slice.
-func TestInsertAllocatesOnlyItsResult(t *testing.T) {
+// stitchPairwise is the O(k²) stitch that stitch replaced, kept as its
+// reference: every boundary edge against every other, the last match
+// winning.
+func stitchPairwise(m *Mesh) {
+	for i, e := range m.boundary {
+		tri := &m.Tris[m.created[i]]
+		for j, f := range m.boundary {
+			if f.a == e.b {
+				tri.N[1] = m.created[j]
+			}
+			if f.b == e.a {
+				tri.N[2] = m.created[j]
+			}
+		}
+	}
+}
+
+// TestStitchLeavesOpenEdgesOpen stitches a closed fan and then an open
+// one, a boundary path whose ends no edge of it continues. There the
+// vertex slots still hold the closed fan's entries, and the open ends
+// must stay -1 as the pairwise stitch leaves them, not take the triangle
+// a stale slot names.
+func TestStitchLeavesOpenEdgesOpen(t *testing.T) {
+	m := &Mesh{Tris: make([]Tri, 5), from: make([]int32, 5), to: make([]int32, 5)}
+	fans := []struct {
+		boundary []bEdge
+		created  []int
+	}{
+		{[]bEdge{{0, 1, -1}, {1, 2, -1}, {2, 0, -1}}, []int{0, 1, 2}},
+		{[]bEdge{{3, 4, -1}, {4, 0, -1}}, []int{3, 4}},
+	}
+	for _, f := range fans {
+		m.boundary, m.created = f.boundary, f.created
+		for _, nt := range f.created {
+			m.Tris[nt].N = [3]int{-1, -1, -1}
+		}
+		want := slices.Clone(m.Tris)
+		stitchPairwise(&Mesh{Tris: want, boundary: f.boundary, created: f.created})
+		m.stitch()
+		if !slices.Equal(m.Tris, want) {
+			t.Fatalf("fan over %v: stitched %v, want %v", f.boundary, m.Tris, want)
+		}
+	}
+	if n := m.Tris[3].N; n != [3]int{-1, 4, -1} {
+		t.Fatalf("open fan's first triangle has neighbours %v, want [-1 4 -1]", n)
+	}
+}
+
+// TestInsertAllocatesNothing pins Insert on a warmed mesh sized for its
+// points to no allocation: the returned slice is the mesh's own.
+func TestInsertAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	m := NewMesh(0, 0, 1, 1)
+	m := NewMesh(0, 0, 1, 1, 2600)
 	for i := 0; i < 2000; i++ {
 		m.Insert(Point{rng.Float64(), rng.Float64()})
 	}
@@ -389,14 +505,19 @@ func TestInsertAllocatesOnlyItsResult(t *testing.T) {
 		if _, err := m.Insert(Point{rng.Float64(), rng.Float64()}); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 1 {
-		t.Fatalf("Insert allocates %v objects, want at most 1", n)
+	}); n != 0 {
+		t.Fatalf("Insert allocates %v objects, want 0", n)
 	}
 }
 
 // BenchmarkInsert times one insert into a mesh of up to 4 096 uniform
 // points, rebuilt every 4 096 inserts so ns/op does not grow with b.N:
-// the map-based oracle against Insert.
+// the map-based oracle and Insert on an unsized mesh, whose walks start
+// at the last insert, against Insert on a mesh sized for the points,
+// whose walks start in the point's grid cell. refine times one
+// circumcentre insert, started at its triangle (the draw of the triangle
+// included), into a mesh sized for 1 024 uniform points and seeded with
+// them, reseeded every 4 096 inserts off the clock.
 func BenchmarkInsert(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	pts := make([]Point, 4096)
@@ -405,16 +526,32 @@ func BenchmarkInsert(b *testing.B) {
 	}
 	for _, k := range []struct {
 		name   string
+		size   int
 		insert func(*Mesh, Point) ([]int, error)
-	}{{"oracle", insertOracle}, {"scratch", (*Mesh).Insert}} {
+	}{{"oracle", 0, insertOracle}, {"scratch", 0, (*Mesh).Insert}, {"sized", len(pts), (*Mesh).Insert}} {
 		b.Run(k.name, func(b *testing.B) {
 			var m *Mesh
 			for i := 0; i < b.N; i++ {
 				if i%len(pts) == 0 {
-					m = NewMesh(0, 0, 1, 1)
+					m = NewMesh(0, 0, 1, 1, k.size)
 				}
 				k.insert(m, pts[i%len(pts)])
 			}
 		})
 	}
+	b.Run("refine", func(b *testing.B) {
+		var m *Mesh
+		next := circumcentres(rand.New(rand.NewSource(2)))
+		for i := 0; i < b.N; i++ {
+			if i%len(pts) == 0 {
+				b.StopTimer()
+				m = NewMesh(0, 0, 1, 1, 1024)
+				for _, p := range pts[:1024] {
+					m.Insert(p)
+				}
+				b.StartTimer()
+			}
+			m.InsertFrom(next(m, i))
+		}
+	})
 }
