@@ -37,9 +37,11 @@ race:
 # without paying for a full measurement. One UTS tree on the goroutine
 # runtime runs too, so a bag (core.Bag) that deadlocks or stops completing
 # fails here in seconds. The dag.Execute overhead
-# benchmark runs once under its watchdog, so an executor that deadlocks
-# again fails here in seconds with a goroutine dump, not at the CI
-# timeout. Each linalg tile kernel, naive and blocked, runs once too, so a
+# benchmark (on a reused graph and on one built fresh for each run) runs
+# once under its watchdog, so an executor that deadlocks again fails here
+# in seconds with a goroutine dump, not at the CI timeout, and
+# dag.NewSchedule derives each suite graph's edges once, with its
+# allocations. Each linalg tile kernel, naive and blocked, runs once too, so a
 # blocked kernel that panics on a remainder path fails here, and so does
 # linalg's checksum (BenchmarkChecksum: the byte-wise FNV-1a fold against
 # the word fold, over the suite's final tiles); so do the
@@ -53,7 +55,7 @@ race:
 # bad-triangle test (MinAngleDeg's acos and the cosine filter).
 bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkSimulator128Workers|BenchmarkSimDAG|BenchmarkContentionStudy|BenchmarkUTSRuntime|BenchmarkNestedFinish|BenchmarkXSort' -benchtime=1x .
-	$(GO) test -run='^$$' -bench=BenchmarkExecuteOverhead -benchtime=1x ./internal/dag
+	$(GO) test -run='^$$' -bench='BenchmarkExecuteOverhead|BenchmarkNewSchedule' -benchtime=1x -benchmem ./internal/dag
 	$(GO) test -run='^$$' -bench='BenchmarkTileKernels|BenchmarkChecksum' -benchtime=1x ./internal/apps/linalg
 	$(GO) test -run='^$$' -bench=BenchmarkInsert -benchtime=1x -benchmem ./internal/geom
 	$(GO) test -run='^$$' -bench=BenchmarkNNChunk -benchtime=1x ./internal/apps/agglom
@@ -154,8 +156,9 @@ check: build fmt-check vet test race bench-smoke deque-stress dag-crash core-cra
 # benchtime, five counts each for spread: every exhibit's regeneration,
 # the simulator hot path (events/sec) on a fork-join trace and, in
 # BenchmarkSimDAG, on the cholesky and lu graphs, its tracing off/on
-# pair, the wire codec against gob, dag.Execute's empty-kernel ns/task,
-# and the kernels kept beside their naive references: linalg's tiles, the
+# pair, the wire codec against gob, dag.Execute's empty-kernel ns/task
+# (graph reused, and built fresh for each run) and dag.NewSchedule on the
+# three suite graphs (ns and allocs per derivation), and the kernels kept beside their naive references: linalg's tiles, the
 # mesh insert (ns, B and allocs per insert), agglom's nearest-neighbour
 # scan, nbody's tree build (ns, B and allocs per build) and force walk,
 # and dmr's bad-triangle test (ns per triangle). ~7 min in all on 2
@@ -163,7 +166,7 @@ check: build fmt-check vet test race bench-smoke deque-stress dag-crash core-cra
 bench:
 	$(GO) run ./benchmark
 	$(GO) test -run='^$$' -bench=. -benchtime=1s -count=5 -benchmem . ./internal/comm
-	$(GO) test -run='^$$' -bench=BenchmarkExecuteOverhead -benchtime=1s -count=5 ./internal/dag
+	$(GO) test -run='^$$' -bench='BenchmarkExecuteOverhead|BenchmarkNewSchedule' -benchtime=1s -count=5 -benchmem ./internal/dag
 	$(GO) test -run='^$$' -bench='BenchmarkTileKernels|BenchmarkChecksum' -benchtime=1s -count=5 ./internal/apps/linalg
 	$(GO) test -run='^$$' -bench=BenchmarkInsert -benchtime=1s -count=5 -benchmem ./internal/geom
 	$(GO) test -run='^$$' -bench=BenchmarkNNChunk -benchtime=1s -count=5 ./internal/apps/agglom

@@ -20,7 +20,7 @@ func NewCholesky(n, b int, seed int64) App {
 	if n <= 0 || b <= 0 || n%b != 0 {
 		panic(fmt.Sprintf("linalg: Cholesky n=%d b=%d, want b | n", n, b))
 	}
-	return dataflow{"cholesky", &cholesky{grid{n: n, b: b, seed: seed}}}
+	return &dataflow{name: "cholesky", kernels: &cholesky{grid{n: n, b: b, seed: seed, lower: true}}}
 }
 
 // tile materializes lower tile k of a symmetric strictly diagonally
@@ -46,29 +46,29 @@ func (a *cholesky) tile(k int) []float64 {
 
 // build emits the task graph in right-looking program order over the
 // lower tiles (see tiledGraph for seeds and homes).
-func (a *cholesky) build(places int, tiles [][]float64) (*dag.Graph, []func()) {
+func (a *cholesky) build(places int) (*dag.Graph, []op) {
 	T, b := a.tiles(), a.b
 	b3 := int64(b) * int64(b) * int64(b)
-	t := newTiledGraph("cholesky", T, b, places, tiles, true)
+	t := newTiledGraph("cholesky", a.grid, places)
 	for k := 0; k < T; k++ {
 		t.add(label("potrf", k), b3/3,
-			[]uint64{tileID(k, k)}, tileID(k, k),
-			func() { potrf(t.at(k, k), b) })
+			[]int{t.blk(k, k)}, t.blk(k, k),
+			func(d [][]float64) { potrf(a.at(d, k, k), b) })
 		for i := k + 1; i < T; i++ {
 			t.add(label("trsm", i, k), b3,
-				[]uint64{tileID(k, k), tileID(i, k)}, tileID(i, k),
-				func() { trsmRT(t.at(k, k), t.at(i, k), b) })
+				[]int{t.blk(k, k), t.blk(i, k)}, t.blk(i, k),
+				func(d [][]float64) { trsmRT(a.at(d, k, k), a.at(d, i, k), b) })
 		}
 		for i := k + 1; i < T; i++ {
 			for j := k + 1; j <= i; j++ {
 				if i == j {
 					t.add(label("syrk", i, k), b3,
-						[]uint64{tileID(i, k), tileID(i, i)}, tileID(i, i),
-						func() { syrkL(t.at(i, k), t.at(i, i), b) })
+						[]int{t.blk(i, k), t.blk(i, i)}, t.blk(i, i),
+						func(d [][]float64) { syrkL(a.at(d, i, k), a.at(d, i, i), b) })
 				} else {
 					t.add(label("gemm", i, j, k), 2*b3,
-						[]uint64{tileID(i, k), tileID(j, k), tileID(i, j)}, tileID(i, j),
-						func() { gemmNT(t.at(i, k), t.at(j, k), t.at(i, j), b) })
+						[]int{t.blk(i, k), t.blk(j, k), t.blk(i, j)}, t.blk(i, j),
+						func(d [][]float64) { gemmNT(a.at(d, i, k), a.at(d, j, k), a.at(d, i, j), b) })
 				}
 			}
 		}

@@ -18,13 +18,17 @@
 // reference runs the generator in tile order; the parallel run, before
 // dag.Execute, runs it as one task per tile pinned to the place the
 // graph seeds that tile at, so the data starts where the block directory
-// says it is, and no worker idles through a serial set-up.
+// says it is, and no worker idles through a serial set-up. The graph and
+// its kernels do not depend on the data: an app builds them once per place
+// count and every run binds its own tiles, so the runs of an app share one
+// graph and the one schedule dag derives for it.
 package linalg
 
 import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync"
 
 	"distws/internal/core"
 	"distws/internal/dag"
@@ -42,9 +46,11 @@ type App interface {
 	// the result checksum — bit-identical to Sequential() — plus the
 	// run's data-movement stats.
 	Parallel(rt *core.Runtime, pol dag.Policy) (uint64, dag.ExecStats, error)
-	// Graph builds the app's dataflow graph for a cluster of places
+	// Graph returns the app's dataflow graph for a cluster of places
 	// places: blocks seeded by the app's physical distribution, declared
 	// homes data-obliviously round-robin (see the builders' comments).
+	// Each place count's graph is built once; every caller and run shares
+	// it, read-only.
 	Graph(places int) (*dag.Graph, error)
 }
 
@@ -72,29 +78,59 @@ func Names() []string { return []string{"cholesky", "lu", "pipeline"} }
 
 // kernels is what a dataflow workload supplies: its initial data, one
 // tile at a time, and a builder that emits the task graph for places
-// places and, when data is non-nil, one kernel closure per task bound to
-// it. data holds size() tiles; tile k is the graph's block block(k), and
-// is generated only when the graph seeds that block (Cholesky's upper
-// tiles stay nil).
+// places and one kernel per task, which runs on the data it is given.
+// data holds size() tiles; tile k is the graph's block block(k), or no
+// block when that is negative, and is generated only when the graph seeds
+// its block (Cholesky's upper tiles are no blocks and stay nil).
 type kernels interface {
 	size() int
-	block(k int) uint64
+	block(k int) int
 	tile(k int) []float64
-	build(places int, data [][]float64) (*dag.Graph, []func())
+	build(places int) (*dag.Graph, []op)
 }
 
-// dataflow implements App once over any workload's kernels.
+// op is one task's kernel, run on a run's tiles.
+type op func(data [][]float64)
+
+// dataflow implements App once over any workload's kernels. It builds
+// the graph of each place count once, on first use, and keeps it with
+// its kernels: every later run shares the graph, and so the dependency
+// schedule dag derives once per graph.
 type dataflow struct {
 	name string
 	kernels
+
+	mu    sync.Mutex
+	built map[int]builtGraph // by place count
+}
+
+type builtGraph struct {
+	g   *dag.Graph
+	ops []op
+}
+
+// graph returns the graph for places places and its kernels, building
+// them on first use.
+func (a *dataflow) graph(places int) (*dag.Graph, []op) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	b, ok := a.built[places]
+	if !ok {
+		b.g, b.ops = a.build(places)
+		if a.built == nil {
+			a.built = map[int]builtGraph{}
+		}
+		a.built[places] = b
+	}
+	return b.g, b.ops
 }
 
 // Name implements App.
-func (a dataflow) Name() string { return a.name }
+func (a *dataflow) Name() string { return a.name }
 
 // Graph implements App.
-func (a dataflow) Graph(places int) (*dag.Graph, error) {
-	g, _ := a.build(places, nil)
+func (a *dataflow) Graph(places int) (*dag.Graph, error) {
+	g, _ := a.graph(places)
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -102,29 +138,29 @@ func (a dataflow) Graph(places int) (*dag.Graph, error) {
 }
 
 // Sequential implements App: the same kernels in program order.
-func (a dataflow) Sequential() uint64 { return checksum(a.final()) }
+func (a *dataflow) Sequential() uint64 { return checksum(a.final()) }
 
 // final runs the kernels in program order and returns the final tiles.
-func (a dataflow) final() [][]float64 {
+func (a *dataflow) final() [][]float64 {
 	data := make([][]float64, a.size())
-	g, ops := a.build(1, data)
+	g, ops := a.graph(1)
 	a.generate(g, data)
 	for _, op := range ops {
-		op()
+		op(data)
 	}
 	return data
 }
 
 // Parallel implements App.
-func (a dataflow) Parallel(rt *core.Runtime, pol dag.Policy) (uint64, dag.ExecStats, error) {
+func (a *dataflow) Parallel(rt *core.Runtime, pol dag.Policy) (uint64, dag.ExecStats, error) {
+	g, ops := a.graph(rt.Places())
 	data := make([][]float64, a.size())
-	g, ops := a.build(rt.Places(), data)
 	if err := a.generateAt(rt, g, data); err != nil {
 		return 0, dag.ExecStats{}, fmt.Errorf("linalg: generating %s: %w", a.name, err)
 	}
 	stats, err := dag.Execute(rt, g, dag.ExecOptions{
 		Policy: pol,
-		Kernel: func(t *dag.Task) { ops[t.ID]() },
+		Kernel: func(t *dag.Task) { ops[t.ID](data) },
 	})
 	if err != nil {
 		return 0, stats, err
@@ -132,10 +168,18 @@ func (a dataflow) Parallel(rt *core.Runtime, pol dag.Policy) (uint64, dag.ExecSt
 	return checksum(data), stats, nil
 }
 
+// tileSeed returns the place g seeds tile k's block at, or dag.NoSeed.
+func (a *dataflow) tileSeed(g *dag.Graph, k int) int {
+	if b := a.block(k); b >= 0 {
+		return g.Seed[b]
+	}
+	return dag.NoSeed
+}
+
 // generate fills data with every tile g seeds, in index order.
-func (a dataflow) generate(g *dag.Graph, data [][]float64) {
+func (a *dataflow) generate(g *dag.Graph, data [][]float64) {
 	for k := range data {
-		if _, ok := g.Seed[a.block(k)]; ok {
+		if a.tileSeed(g, k) != dag.NoSeed {
 			data[k] = a.tile(k)
 		}
 	}
@@ -144,10 +188,10 @@ func (a dataflow) generate(g *dag.Graph, data [][]float64) {
 // generateAt fills data as generate does, one task per tile under Run's
 // finish, each pinned to the place g seeds the tile at: the place the
 // block directory starts a tile at is the place that first writes it.
-func (a dataflow) generateAt(rt *core.Runtime, g *dag.Graph, data [][]float64) error {
+func (a *dataflow) generateAt(rt *core.Runtime, g *dag.Graph, data [][]float64) error {
 	return rt.Run(func(c *core.Ctx) {
 		for k := range data {
-			if p, ok := g.Seed[a.block(k)]; ok {
+			if p := a.tileSeed(g, k); p != dag.NoSeed {
 				c.Async(p, func(*core.Ctx) { data[k] = a.tile(k) })
 			}
 		}
@@ -187,21 +231,35 @@ func checksum(tiles [][]float64) uint64 {
 	return h
 }
 
-// tileID names tile (i, j) in the graph's block namespace.
-func tileID(i, j int) uint64 { return uint64(i+1)<<20 | uint64(j+1) }
-
 // grid is the shape Cholesky and LU share: an n×n matrix in b×b tiles
-// generated from seed, data slot k holding tile (k/T, k%T).
+// generated from seed, data slot k holding tile (k/T, k%T). The tiles are
+// every one, or with lower only those on and below the diagonal.
 type grid struct {
-	n, b int
-	seed int64
+	n, b  int
+	seed  int64
+	lower bool
 }
 
 func (a grid) tiles() int { return a.n / a.b }
 
 func (a grid) size() int { return a.tiles() * a.tiles() }
 
-func (a grid) block(k int) uint64 { return tileID(k/a.tiles(), k%a.tiles()) }
+// at returns tile (i, j) of data.
+func (a grid) at(data [][]float64, i, j int) []float64 { return data[i*a.tiles()+j] }
+
+// block numbers the tiles row by row, so tile (i, j) is block i·T + j,
+// or with lower i(i+1)/2 + j; an upper tile of a lower grid is no block.
+func (a grid) block(k int) int {
+	i, j := k/a.tiles(), k%a.tiles()
+	switch {
+	case !a.lower:
+		return k
+	case j > i:
+		return -1
+	default:
+		return i*(i+1)/2 + j
+	}
+}
 
 // tiledGraph is the graph builder Cholesky and LU share: a T×T tile grid
 // seeded 2D block-cyclic (gridOwner) — the standard physical layout —
@@ -210,44 +268,41 @@ func (a grid) block(k int) uint64 { return tileID(k/a.tiles(), k%a.tiles()) }
 // that; PolicyDataAware must rediscover the tile locality from the block
 // directory.
 type tiledGraph struct {
+	grid      grid
 	g         *dag.Graph
-	ops       []func()
-	tiles     [][]float64
+	ops       []op
 	T, places int
 }
 
-// newTiledGraph sizes and seeds the graph's tiles: the lower triangle
-// only when lower is set, else all of them.
-func newTiledGraph(name string, T, b, places int, tiles [][]float64, lower bool) *tiledGraph {
+// newTiledGraph declares the grid's tiles as the graph's blocks, in
+// block order, each seeded at its block-cyclic owner.
+func newTiledGraph(name string, a grid, places int) *tiledGraph {
 	owner := gridOwner(places)
-	g := &dag.Graph{
-		Name:       name,
-		BlockBytes: make(map[uint64]int, T*T),
-		Seed:       make(map[uint64]int, T*T),
-	}
-	for i := 0; i < T; i++ {
-		for j := 0; j < T && (!lower || j <= i); j++ {
-			g.BlockBytes[tileID(i, j)] = b * b * 8
-			g.Seed[tileID(i, j)] = owner(i, j)
+	T := a.tiles()
+	g := &dag.Graph{Name: name}
+	for k := 0; k < T*T; k++ {
+		if a.block(k) >= 0 {
+			g.AddBlock(a.b*a.b*8, owner(k/T, k%T))
 		}
 	}
-	return &tiledGraph{g: g, tiles: tiles, T: T, places: places}
+	return &tiledGraph{grid: a, g: g, T: T, places: places}
 }
 
-// add appends one kernel task of cost flops that reads in and writes out;
-// op runs it when the graph is bound to tiles.
-func (t *tiledGraph) add(label string, flops int64, in []uint64, out uint64, op func()) {
+// blk returns tile (i, j)'s block.
+func (t *tiledGraph) blk(i, j int) int { return t.grid.block(i*t.T + j) }
+
+// add appends one kernel task of cost flops that reads in and writes out
+// and whose kernel is run.
+func (t *tiledGraph) add(label string, flops int64, in []int, out int, run op) {
 	t.g.Tasks = append(t.g.Tasks, dag.Task{
 		ID:      len(t.g.Tasks),
 		Label:   label,
 		CostNS:  flopNS(flops),
 		Home:    len(t.g.Tasks) % t.places,
 		Inputs:  in,
-		Outputs: []uint64{out},
+		Outputs: []int{out},
 	})
-	if t.tiles != nil {
-		t.ops = append(t.ops, op)
-	}
+	t.ops = append(t.ops, run)
 }
 
 // label returns a task's label, name(i,j,...), the string
@@ -264,10 +319,6 @@ func label(name string, idx ...int) string {
 	}
 	return string(append(b, ')'))
 }
-
-// at returns tile (i, j) of the bound data; kernels call it only when
-// they run, which is only when the graph is bound.
-func (t *tiledGraph) at(i, j int) []float64 { return t.tiles[i*t.T+j] }
 
 // gridOwner returns the 2D block-cyclic owner map over places — the
 // ScaLAPACK-standard decomposition: tile (i, j) belongs to place

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 
 	"distws/internal/apps"
@@ -70,6 +71,54 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestConcurrentRunsShareOneGraph: two Parallel runs of one app on one
+// runtime, a Graph call and a Sequential racing them, each the first use
+// of its place count. The runs must match the sequential checksum, and
+// every caller must get the one graph built for its place count. Under
+// -race this checks the graph cache and the kernels, which share nothing
+// but the tiles each run binds.
+func TestConcurrentRunsShareOneGraph(t *testing.T) {
+	for _, app := range small(1) {
+		rt := newTestRuntime(t)
+		sums := make([]uint64, 2)
+		errs := make([]error, 3)
+		var g *dag.Graph
+		var seq uint64
+		var wg sync.WaitGroup
+		for i := range sums {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sums[i], _, errs[i] = app.Parallel(rt, dag.PolicyDataAware)
+			}()
+		}
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			g, errs[2] = app.Graph(rt.Places())
+		}()
+		go func() {
+			defer wg.Done()
+			seq = app.Sequential()
+		}()
+		wg.Wait()
+		rt.Shutdown()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("%s: call %d: %v", app.Name(), i, err)
+			}
+		}
+		for i, sum := range sums {
+			if sum != seq {
+				t.Errorf("%s: run %d checksum %#x, sequential %#x", app.Name(), i, sum, seq)
+			}
+		}
+		if again, err := app.Graph(rt.Places()); err != nil || again != g {
+			t.Errorf("%s: Graph returned %p, then %p (%v): built more than once", app.Name(), g, again, err)
+		}
+	}
+}
+
 // TestSequentialChecksumIsPinned pins every Sequential checksum, at suite
 // and test scale and two seeds: a tile kernel must keep each output's
 // exact floating-point sequence, so any rewrite of one leaves these
@@ -110,7 +159,7 @@ func TestSequentialChecksumIsPinned(t *testing.T) {
 				if got := app.Sequential(); got != w[scale][i] {
 					t.Errorf("%s: checksum %#x, want %#x", where, got, w[scale][i])
 				}
-				if got, want := byteFold(app.(dataflow).final()), wantBytes[seed][scale][i]; got != want {
+				if got, want := byteFold(app.(*dataflow).final()), wantBytes[seed][scale][i]; got != want {
 					t.Errorf("%s: byte fold %#x, want %#x", where, got, want)
 				}
 			}
@@ -218,12 +267,12 @@ func TestGenerateAtMatchesGenerate(t *testing.T) {
 			}
 			defer rt.Shutdown()
 			for _, app := range small(1) {
-				a := app.(dataflow)
+				a := app.(*dataflow)
 				want := make([][]float64, a.size())
-				g, _ := a.build(1, want)
+				g, _ := a.graph(1)
 				a.generate(g, want)
 				got := make([][]float64, a.size())
-				g, _ = a.build(places, got)
+				g, _ = a.graph(places)
 				if err := a.generateAt(rt, g, got); err != nil {
 					t.Fatalf("%s: %v", a.name, err)
 				}
@@ -265,7 +314,7 @@ func sameBits(x, y []float64) bool {
 // step), and two tiles swapped.
 func TestChecksumSensitivity(t *testing.T) {
 	for _, app := range small(1) {
-		a := app.(dataflow)
+		a := app.(*dataflow)
 		tiles := a.final()
 		base := checksum(tiles)
 		// vals addresses every value in fold order.
@@ -318,7 +367,7 @@ var checksumSink uint64
 // folded value.
 func BenchmarkChecksum(b *testing.B) {
 	for _, app := range Suite(1) {
-		tiles := app.(dataflow).final()
+		tiles := app.(*dataflow).final()
 		n := 0
 		for _, t := range tiles {
 			n += len(t)
@@ -342,7 +391,7 @@ func BenchmarkChecksum(b *testing.B) {
 func fmtLabels(a App) []string {
 	var want []string
 	add := func(format string, args ...any) { want = append(want, fmt.Sprintf(format, args...)) }
-	switch k := a.(dataflow).kernels.(type) {
+	switch k := a.(*dataflow).kernels.(type) {
 	case *cholesky:
 		T := k.tiles()
 		for c := 0; c < T; c++ {

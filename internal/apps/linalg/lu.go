@@ -20,7 +20,7 @@ func NewLU(n, b int, seed int64) App {
 	if n <= 0 || b <= 0 || n%b != 0 {
 		panic(fmt.Sprintf("linalg: LU n=%d b=%d, want b | n", n, b))
 	}
-	return dataflow{"lu", &lu{grid{n: n, b: b, seed: seed}}}
+	return &dataflow{name: "lu", kernels: &lu{grid{n: n, b: b, seed: seed}}}
 }
 
 func (a *lu) tile(k int) []float64 {
@@ -42,29 +42,29 @@ func (a *lu) tile(k int) []float64 {
 
 // build emits the task graph in right-looking program order over every
 // tile (see tiledGraph for seeds and homes).
-func (a *lu) build(places int, tiles [][]float64) (*dag.Graph, []func()) {
+func (a *lu) build(places int) (*dag.Graph, []op) {
 	T, b := a.tiles(), a.b
 	b3 := int64(b) * int64(b) * int64(b)
-	t := newTiledGraph("lu", T, b, places, tiles, false)
+	t := newTiledGraph("lu", a.grid, places)
 	for k := 0; k < T; k++ {
 		t.add(label("getrf", k), 2*b3/3,
-			[]uint64{tileID(k, k)}, tileID(k, k),
-			func() { getrf(t.at(k, k), b) })
+			[]int{t.blk(k, k)}, t.blk(k, k),
+			func(d [][]float64) { getrf(a.at(d, k, k), b) })
 		for j := k + 1; j < T; j++ {
 			t.add(label("trsmL", k, j), b3,
-				[]uint64{tileID(k, k), tileID(k, j)}, tileID(k, j),
-				func() { trsmLL(t.at(k, k), t.at(k, j), b) })
+				[]int{t.blk(k, k), t.blk(k, j)}, t.blk(k, j),
+				func(d [][]float64) { trsmLL(a.at(d, k, k), a.at(d, k, j), b) })
 		}
 		for i := k + 1; i < T; i++ {
 			t.add(label("trsmU", i, k), b3,
-				[]uint64{tileID(k, k), tileID(i, k)}, tileID(i, k),
-				func() { trsmRU(t.at(k, k), t.at(i, k), b) })
+				[]int{t.blk(k, k), t.blk(i, k)}, t.blk(i, k),
+				func(d [][]float64) { trsmRU(a.at(d, k, k), a.at(d, i, k), b) })
 		}
 		for i := k + 1; i < T; i++ {
 			for j := k + 1; j < T; j++ {
 				t.add(label("gemm", i, j, k), 2*b3,
-					[]uint64{tileID(i, k), tileID(k, j), tileID(i, j)}, tileID(i, j),
-					func() { gemmNN(t.at(i, k), t.at(k, j), t.at(i, j), b) })
+					[]int{t.blk(i, k), t.blk(k, j), t.blk(i, j)}, t.blk(i, j),
+					func(d [][]float64) { gemmNN(a.at(d, i, k), a.at(d, k, j), a.at(d, i, j), b) })
 			}
 		}
 	}

@@ -23,18 +23,20 @@ func NewPipeline(items, stages, width int, seed int64) App {
 	if items <= 0 || stages <= 0 || width <= 0 {
 		panic(fmt.Sprintf("linalg: Pipeline items=%d stages=%d width=%d", items, stages, width))
 	}
-	return dataflow{"pipeline", &pipeline{items: items, stages: stages, width: width, seed: seed}}
+	return &dataflow{name: "pipeline", kernels: &pipeline{items: items, stages: stages, width: width, seed: seed}}
 }
 
 // stageReps is how many sweeps each stage makes over its block, sizing
 // task cost against the block's transfer time.
 const stageReps = 8
 
-func blkID(i, s int) uint64 { return uint64(i+1)<<20 | uint64(s) }
+// blk is item i's stage-s block: each item's stages+1 blocks are
+// consecutive, in stage order.
+func (a *pipeline) blk(i, s int) int { return i*(a.stages+1) + s }
 
 func (a *pipeline) size() int { return a.items }
 
-func (a *pipeline) block(i int) uint64 { return blkID(i, 0) }
+func (a *pipeline) block(i int) int { return a.blk(i, 0) }
 
 // tile is item i's buffer before its first stage.
 func (a *pipeline) tile(i int) []float64 {
@@ -70,20 +72,16 @@ func stage(buf []float64, seed int64, s int) {
 
 // build emits the graph stage-by-stage; each item owns one physical
 // buffer, with the per-stage blocks naming its successive versions.
-func (a *pipeline) build(places int, bufs [][]float64) (*dag.Graph, []func()) {
-	g := &dag.Graph{
-		Name:       "pipeline",
-		BlockBytes: make(map[uint64]int, a.items*(a.stages+1)),
-		Seed:       make(map[uint64]int, a.items),
-	}
+func (a *pipeline) build(places int) (*dag.Graph, []op) {
+	g := &dag.Graph{Name: "pipeline"}
 	for i := 0; i < a.items; i++ {
-		for s := 0; s <= a.stages; s++ {
-			g.BlockBytes[blkID(i, s)] = a.width * 8
+		g.AddBlock(a.width*8, i%places)
+		for s := 1; s <= a.stages; s++ {
+			g.AddBlock(a.width*8, dag.NoSeed)
 		}
-		g.Seed[blkID(i, 0)] = i % places
 	}
 	cost := flopNS(2 * int64(stageReps) * int64(a.width))
-	var ops []func()
+	var ops []op
 	for s := 0; s < a.stages; s++ {
 		for i := 0; i < a.items; i++ {
 			g.Tasks = append(g.Tasks, dag.Task{
@@ -91,12 +89,10 @@ func (a *pipeline) build(places int, bufs [][]float64) (*dag.Graph, []func()) {
 				Label:   label("stage", i, s),
 				CostNS:  cost,
 				Home:    (i + s) % places,
-				Inputs:  []uint64{blkID(i, s)},
-				Outputs: []uint64{blkID(i, s+1)},
+				Inputs:  []int{a.blk(i, s)},
+				Outputs: []int{a.blk(i, s+1)},
 			})
-			if bufs != nil {
-				ops = append(ops, func() { stage(bufs[i], a.seed, s) })
-			}
+			ops = append(ops, func(bufs [][]float64) { stage(bufs[i], a.seed, s) })
 		}
 	}
 	return g, ops

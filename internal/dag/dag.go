@@ -18,7 +18,7 @@ package dag
 
 import (
 	"fmt"
-	"sort"
+	"sync"
 )
 
 // Task is one node of a dataflow graph.
@@ -33,16 +33,23 @@ type Task struct {
 	// decomposition would run it. Locality-blind placement uses it
 	// verbatim; data-aware placement treats it as a tie-break preference.
 	Home int
-	// Inputs are the block ids the task reads. Each input whose producer
-	// is another task adds a dependency edge.
-	Inputs []uint64
-	// Outputs are the block ids the task writes. Writing a block makes
-	// this task the producer for subsequent readers and orders it after
-	// the block's previous writer and readers.
-	Outputs []uint64
+	// Inputs are the indices of the blocks the task reads. Each input
+	// whose producer is another task adds a dependency edge.
+	Inputs []int
+	// Outputs are the indices of the blocks the task writes. Writing a
+	// block makes this task the producer for subsequent readers and
+	// orders it after the block's previous writer and readers.
+	Outputs []int
 }
 
-// Graph is a complete dataflow program.
+// NoSeed is the Graph.Seed entry of a block resident nowhere before any
+// task runs: one a task writes first, or a constant materialized
+// wherever it is needed.
+const NoSeed = -1
+
+// Graph is a complete dataflow program. Its blocks are the dense indices
+// 0..len(BlockBytes)-1, which tasks name and every per-block slice is
+// indexed by.
 type Graph struct {
 	// Name labels the workload ("cholesky", "lu", "pipeline").
 	Name string
@@ -50,13 +57,23 @@ type Graph struct {
 	// from block dataflow in slice order (the program order).
 	Tasks []Task
 	// BlockBytes gives each block's payload size, the unit of the
-	// data-movement accounting. Blocks referenced by a task but absent
-	// here are rejected by Validate.
-	BlockBytes map[uint64]int
-	// Seed records where each initially-materialized input block is
-	// resident before any task runs (e.g. the block-cyclic owner of a
-	// matrix tile). Blocks first written by a task need no seed entry.
-	Seed map[uint64]int
+	// data-movement accounting; its length is the block count.
+	BlockBytes []int
+	// Seed records where each block is resident before any task runs
+	// (e.g. the block-cyclic owner of a matrix tile), or NoSeed. It is
+	// nil, when nothing is seeded, or as long as BlockBytes.
+	Seed []int
+
+	schedOnce sync.Once
+	sched     *Schedule
+}
+
+// AddBlock appends a block of bytes seeded at seed (a place, or NoSeed)
+// and returns its index. Seed must hold an entry per block so far.
+func (g *Graph) AddBlock(bytes, seed int) int {
+	g.BlockBytes = append(g.BlockBytes, bytes)
+	g.Seed = append(g.Seed, seed)
+	return len(g.BlockBytes) - 1
 }
 
 // NumTasks returns the task count.
@@ -80,11 +97,26 @@ func (g *Graph) InputBytes(t int) int {
 	return sum
 }
 
-// Validate checks structural invariants: ids match indices, costs are
-// non-negative and every referenced block has a size. It needs no cycle
-// check: every edge comes from block dataflow and points from an earlier
-// task to a later one in program order, so every graph is acyclic.
+// Validate checks structural invariants: ids match indices, costs and
+// block sizes are non-negative, seeds are places or NoSeed, and every
+// block a task names exists. It needs no cycle check: every edge comes
+// from block dataflow and points from an earlier task to a later one in
+// program order, so every graph is acyclic.
 func (g *Graph) Validate() error {
+	nb := len(g.BlockBytes)
+	for b, sz := range g.BlockBytes {
+		if sz < 0 {
+			return fmt.Errorf("dag: block %d has negative size %d", b, sz)
+		}
+	}
+	if g.Seed != nil && len(g.Seed) != nb {
+		return fmt.Errorf("dag: %d seeds for %d blocks", len(g.Seed), nb)
+	}
+	for b, p := range g.Seed {
+		if p < NoSeed {
+			return fmt.Errorf("dag: block %d seeded at place %d", b, p)
+		}
+	}
 	for i := range g.Tasks {
 		t := &g.Tasks[i]
 		if t.ID != i {
@@ -94,72 +126,112 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("dag: task %d (%s) has negative cost %d", i, t.Label, t.CostNS)
 		}
 		for _, b := range t.Inputs {
-			if _, ok := g.BlockBytes[b]; !ok {
-				return fmt.Errorf("dag: task %d (%s) reads block %#x with no size", i, t.Label, b)
+			if b < 0 || b >= nb {
+				return fmt.Errorf("dag: task %d (%s) reads block %d of %d", i, t.Label, b, nb)
 			}
 		}
 		for _, b := range t.Outputs {
-			if _, ok := g.BlockBytes[b]; !ok {
-				return fmt.Errorf("dag: task %d (%s) writes block %#x with no size", i, t.Label, b)
+			if b < 0 || b >= nb {
+				return fmt.Errorf("dag: task %d (%s) writes block %d of %d", i, t.Label, b, nb)
 			}
 		}
 	}
 	return nil
 }
 
-// Schedule is the derived dependency structure of a Graph: the edge
-// lists a run needs, computed once and shared read-only across runs.
-type Schedule struct {
-	// Dependents[i] lists the tasks with an edge from i (sorted, deduped).
-	Dependents [][]int
-	// InDegree[i] is the number of distinct predecessors of task i.
-	InDegree []int
+// Schedule returns g's dependency structure, derived by NewSchedule on
+// the first call and shared, read-only, by every later run: the runs of
+// one graph derive it once. g must be valid, and once this has been
+// called its tasks must not change nor g be copied.
+func (g *Graph) Schedule() *Schedule {
+	g.schedOnce.Do(func() { g.sched = NewSchedule(g) })
+	return g.sched
 }
+
+// Schedule is the derived dependency structure of a Graph in compressed
+// sparse row form: the dependents of every task in one array, in task
+// order, and the offsets that bound each task's run of it.
+type Schedule struct {
+	start    []int // task i's dependents are deps[start[i]:start[i+1]]
+	deps     []int
+	inDegree []int
+}
+
+// Dependents returns the tasks with an edge from task i, ascending and
+// without duplicates. The slice is s's own; callers must not modify it.
+func (s *Schedule) Dependents(i int) []int { return s.deps[s.start[i]:s.start[i+1]:s.start[i+1]] }
+
+// InDegree returns the number of distinct predecessors of task i.
+func (s *Schedule) InDegree(i int) int { return s.inDegree[i] }
 
 // NewSchedule derives the dependency edges of g: for every block, its
 // last writer precedes later readers (RAW) and its readers and previous
 // writer precede the next writer (WAR, WAW), all in program order.
-// Parallel edges between the same task pair collapse to one.
+// Parallel edges between the same task pair collapse to one. g must be
+// valid. Each call derives the edges afresh; runs share g.Schedule().
+//
+// Tasks are visited in program order, so each task's predecessors are
+// found, deduplicated by a per-task stamp, and stored contiguously; the
+// dependents array is then filled by visiting the tasks in order again,
+// which leaves each task's dependents ascending with no sort.
 func NewSchedule(g *Graph) *Schedule {
-	n := len(g.Tasks)
-	preds := make([][]int, n)
-	lastWriter := make(map[uint64]int, len(g.BlockBytes))
-	readers := make(map[uint64][]int, len(g.BlockBytes))
+	n, nb := len(g.Tasks), len(g.BlockBytes)
+	var reads int
+	for i := range g.Tasks {
+		reads += len(g.Tasks[i].Inputs)
+	}
+	// Per block: its last writer plus one (0 for none), and the head of
+	// its list of readers since that write, threaded through next (one
+	// entry per read, reader[e] the reading task), plus one (0 for none).
+	lastWriter := make([]int, nb)
+	head := make([]int, nb)
+	next := make([]int, reads+1)
+	reader := make([]int, reads+1)
+	// stamp[p] == i+1 once p is a predecessor of task i.
+	stamp := make([]int, n)
+	predStart := make([]int, n+1)
+	preds := make([]int, 0, reads+n)
+	outDegree := make([]int, n+1)
+	add := func(i, p int) {
+		if p != i && stamp[p] != i+1 {
+			stamp[p] = i + 1
+			preds = append(preds, p)
+			outDegree[p+1]++
+		}
+	}
+	e := 0
 	for i := range g.Tasks {
 		t := &g.Tasks[i]
 		for _, b := range t.Inputs {
-			if w, ok := lastWriter[b]; ok && w != i {
-				preds[i] = append(preds[i], w) // RAW
+			if w := lastWriter[b]; w != 0 {
+				add(i, w-1) // RAW
 			}
-			readers[b] = append(readers[b], i)
+			e++
+			reader[e], next[e], head[b] = i, head[b], e
 		}
 		for _, b := range t.Outputs {
-			if w, ok := lastWriter[b]; ok && w != i {
-				preds[i] = append(preds[i], w) // WAW
+			if w := lastWriter[b]; w != 0 {
+				add(i, w-1) // WAW
 			}
-			for _, r := range readers[b] {
-				if r != i {
-					preds[i] = append(preds[i], r) // WAR
-				}
+			for r := head[b]; r != 0; r = next[r] {
+				add(i, reader[r]) // WAR
 			}
-			lastWriter[b] = i
-			delete(readers, b)
+			lastWriter[b] = i + 1
+			head[b] = 0
 		}
+		predStart[i+1] = len(preds)
 	}
-	s := &Schedule{
-		Dependents: make([][]int, n),
-		InDegree:   make([]int, n),
+	s := &Schedule{start: outDegree, deps: make([]int, len(preds)), inDegree: make([]int, n)}
+	for p := 0; p < n; p++ {
+		s.start[p+1] += s.start[p]
 	}
-	for i, ps := range preds {
-		sort.Ints(ps)
-		prev := -1
-		for _, p := range ps {
-			if p == prev {
-				continue
-			}
-			prev = p
-			s.Dependents[p] = append(s.Dependents[p], i)
-			s.InDegree[i]++
+	fill := stamp // reused: the next free slot of each task's dependents
+	copy(fill, s.start[:n])
+	for i := 0; i < n; i++ {
+		s.inDegree[i] = predStart[i+1] - predStart[i]
+		for _, p := range preds[predStart[i]:predStart[i+1]] {
+			s.deps[fill[p]] = i
+			fill[p]++
 		}
 	}
 	return s
@@ -179,8 +251,8 @@ type Tracker struct {
 func NewTracker(s *Schedule) *Tracker {
 	return &Tracker{
 		s:      s,
-		indeg:  append([]int(nil), s.InDegree...),
-		nTasks: len(s.InDegree),
+		indeg:  append([]int(nil), s.inDegree...),
+		nTasks: len(s.inDegree),
 	}
 }
 
@@ -199,7 +271,7 @@ func (tr *Tracker) Ready(dst []int) []int {
 // (in id order) to dst, returning the extended slice.
 func (tr *Tracker) Complete(id int, dst []int) []int {
 	tr.nDone++
-	for _, m := range tr.s.Dependents[id] {
+	for _, m := range tr.s.Dependents(id) {
 		tr.indeg[m]--
 		if tr.indeg[m] == 0 {
 			dst = append(dst, m)

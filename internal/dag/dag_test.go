@@ -7,30 +7,30 @@ import (
 	"testing"
 )
 
-// chain builds a 3-task RAW chain: t0 writes b1, t1 reads b1 writes b2,
-// t2 reads b2.
+// chain builds a 3-task RAW chain: t0 writes b0, t1 reads b0 writes b1,
+// t2 reads b1.
 func chain() *Graph {
 	return &Graph{
 		Name: "chain",
 		Tasks: []Task{
-			{ID: 0, CostNS: 10, Outputs: []uint64{1}},
-			{ID: 1, CostNS: 10, Inputs: []uint64{1}, Outputs: []uint64{2}},
-			{ID: 2, CostNS: 10, Inputs: []uint64{2}},
+			{ID: 0, CostNS: 10, Outputs: []int{0}},
+			{ID: 1, CostNS: 10, Inputs: []int{0}, Outputs: []int{1}},
+			{ID: 2, CostNS: 10, Inputs: []int{1}},
 		},
-		BlockBytes: map[uint64]int{1: 100, 2: 200},
+		BlockBytes: []int{100, 200},
 	}
 }
 
 func TestScheduleRAW(t *testing.T) {
 	s := NewSchedule(chain())
-	if got := s.InDegree; !reflect.DeepEqual(got, []int{0, 1, 1}) {
+	if got := s.inDegree; !reflect.DeepEqual(got, []int{0, 1, 1}) {
 		t.Fatalf("InDegree = %v", got)
 	}
-	if got := s.Dependents[0]; !reflect.DeepEqual(got, []int{1}) {
-		t.Fatalf("Dependents[0] = %v", got)
+	if got := s.Dependents(0); !reflect.DeepEqual(got, []int{1}) {
+		t.Fatalf("Dependents(0) = %v", got)
 	}
-	if got := s.Dependents[1]; !reflect.DeepEqual(got, []int{2}) {
-		t.Fatalf("Dependents[1] = %v", got)
+	if got := s.Dependents(1); !reflect.DeepEqual(got, []int{2}) {
+		t.Fatalf("Dependents(1) = %v", got)
 	}
 }
 
@@ -39,20 +39,20 @@ func TestScheduleWAWAndWAR(t *testing.T) {
 	// the previous writer (WAW) and the reader (WAR).
 	g := &Graph{
 		Tasks: []Task{
-			{ID: 0, Outputs: []uint64{7}},
-			{ID: 1, Inputs: []uint64{7}},
-			{ID: 2, Outputs: []uint64{7}},
+			{ID: 0, Outputs: []int{0}},
+			{ID: 1, Inputs: []int{0}},
+			{ID: 2, Outputs: []int{0}},
 		},
-		BlockBytes: map[uint64]int{7: 8},
+		BlockBytes: []int{8},
 	}
 	s := NewSchedule(g)
-	if got := s.Dependents[0]; !reflect.DeepEqual(got, []int{1, 2}) {
-		t.Fatalf("Dependents[0] = %v", got)
+	if got := s.Dependents(0); !reflect.DeepEqual(got, []int{1, 2}) {
+		t.Fatalf("Dependents(0) = %v", got)
 	}
-	if got := s.Dependents[1]; !reflect.DeepEqual(got, []int{2}) {
-		t.Fatalf("Dependents[1] = %v", got)
+	if got := s.Dependents(1); !reflect.DeepEqual(got, []int{2}) {
+		t.Fatalf("Dependents(1) = %v", got)
 	}
-	if got := s.InDegree[2]; got != 2 {
+	if got := s.InDegree(2); got != 2 {
 		t.Fatalf("InDegree[2] = %d, want 2 (WAW + WAR)", got)
 	}
 }
@@ -61,16 +61,16 @@ func TestScheduleDedupsParallelEdges(t *testing.T) {
 	// t1 reads two blocks both written by t0: one edge, in-degree 1.
 	g := &Graph{
 		Tasks: []Task{
-			{ID: 0, Outputs: []uint64{1, 2}},
-			{ID: 1, Inputs: []uint64{1, 2}},
+			{ID: 0, Outputs: []int{0, 1}},
+			{ID: 1, Inputs: []int{0, 1}},
 		},
-		BlockBytes: map[uint64]int{1: 8, 2: 8},
+		BlockBytes: []int{8, 8},
 	}
 	s := NewSchedule(g)
-	if got := s.Dependents[0]; !reflect.DeepEqual(got, []int{1}) {
-		t.Fatalf("Dependents[0] = %v", got)
+	if got := s.Dependents(0); !reflect.DeepEqual(got, []int{1}) {
+		t.Fatalf("Dependents(0) = %v", got)
 	}
-	if got := s.InDegree[1]; got != 1 {
+	if got := s.InDegree(1); got != 1 {
 		t.Fatalf("InDegree[1] = %d, want 1 after dedup", got)
 	}
 }
@@ -80,15 +80,15 @@ func TestReadModifyWriteHasNoSelfEdge(t *testing.T) {
 	// must not depend on itself.
 	g := &Graph{
 		Tasks: []Task{
-			{ID: 0, Outputs: []uint64{1}},
-			{ID: 1, Inputs: []uint64{1}, Outputs: []uint64{1}},
+			{ID: 0, Outputs: []int{0}},
+			{ID: 1, Inputs: []int{0}, Outputs: []int{0}},
 		},
-		BlockBytes: map[uint64]int{1: 8},
+		BlockBytes: []int{8},
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if got := NewSchedule(g).InDegree[1]; got != 1 {
+	if got := NewSchedule(g).InDegree(1); got != 1 {
 		t.Fatalf("InDegree[1] = %d, want 1", got)
 	}
 }
@@ -100,8 +100,13 @@ func TestValidateRejectsMalformed(t *testing.T) {
 	}{
 		{"bad id", func(g *Graph) { g.Tasks[1].ID = 7 }},
 		{"negative cost", func(g *Graph) { g.Tasks[0].CostNS = -1 }},
-		{"unsized input", func(g *Graph) { g.Tasks[2].Inputs = []uint64{99} }},
-		{"unsized output", func(g *Graph) { g.Tasks[0].Outputs = append(g.Tasks[0].Outputs, 99) }},
+		{"input past the last block", func(g *Graph) { g.Tasks[2].Inputs = []int{2} }},
+		{"negative input", func(g *Graph) { g.Tasks[2].Inputs = []int{-1} }},
+		{"output past the last block", func(g *Graph) { g.Tasks[0].Outputs = append(g.Tasks[0].Outputs, 99) }},
+		{"negative output", func(g *Graph) { g.Tasks[0].Outputs = []int{-1} }},
+		{"negative block size", func(g *Graph) { g.BlockBytes[1] = -200 }},
+		{"a seed short", func(g *Graph) { g.Seed = []int{0} }},
+		{"seed below NoSeed", func(g *Graph) { g.Seed = []int{0, -2} }},
 	} {
 		g := chain()
 		tc.mut(g)
@@ -115,12 +120,12 @@ func TestTrackerReleaseOrder(t *testing.T) {
 	// Diamond: 0 → {1,2} → 3.
 	g := &Graph{
 		Tasks: []Task{
-			{ID: 0, Outputs: []uint64{1}},
-			{ID: 1, Inputs: []uint64{1}, Outputs: []uint64{2}},
-			{ID: 2, Inputs: []uint64{1}, Outputs: []uint64{3}},
-			{ID: 3, Inputs: []uint64{2, 3}},
+			{ID: 0, Outputs: []int{0}},
+			{ID: 1, Inputs: []int{0}, Outputs: []int{1}},
+			{ID: 2, Inputs: []int{0}, Outputs: []int{2}},
+			{ID: 3, Inputs: []int{1, 2}},
 		},
-		BlockBytes: map[uint64]int{1: 8, 2: 8, 3: 8},
+		BlockBytes: []int{8, 8, 8},
 	}
 	tr := NewTracker(NewSchedule(g))
 	if got := tr.Ready(nil); !reflect.DeepEqual(got, []int{0}) {
@@ -146,6 +151,7 @@ func TestTrackerReleaseOrder(t *testing.T) {
 
 func TestDirectory(t *testing.T) {
 	d := NewDirectory(4)
+	d.SeedFrom(&Graph{BlockBytes: make([]int, 2)})
 	if d.Anywhere(1) {
 		t.Fatal("empty directory claims residency")
 	}
@@ -166,20 +172,24 @@ func TestDirectory(t *testing.T) {
 
 func TestDirectorySeedWraps(t *testing.T) {
 	g := chain()
-	g.Seed = map[uint64]int{1: 6} // built for more places than we have
+	g.Seed = []int{NoSeed, 6} // built for more places than we have
 	d := NewDirectory(4)
 	d.SeedFrom(g)
 	if !d.Resident(1, 2) {
 		t.Fatal("seed owner not wrapped mod places")
+	}
+	if d.Anywhere(0) {
+		t.Fatal("a block seeded at NoSeed is resident")
 	}
 }
 
 func TestFetchBytes(t *testing.T) {
 	g := chain()
 	d := NewDirectory(2)
-	d.Produce(1, 0)
-	d.Produce(2, 1)
-	// t2 reads block 2 (200B, resident at 1).
+	d.SeedFrom(g)
+	d.Produce(0, 0)
+	d.Produce(1, 1)
+	// t2 reads block 1 (200B, resident at 1).
 	if got := d.FetchBytes(g, 2, 1); got != 0 {
 		t.Fatalf("FetchBytes at home = %d", got)
 	}
@@ -187,8 +197,9 @@ func TestFetchBytes(t *testing.T) {
 		t.Fatalf("FetchBytes away = %d", got)
 	}
 	// Blocks resident nowhere cost nothing to fetch.
-	g.Tasks[2].Inputs = append(g.Tasks[2].Inputs, 1)
+	g.Tasks[2].Inputs = append(g.Tasks[2].Inputs, 0)
 	d2 := NewDirectory(2)
+	d2.SeedFrom(g)
 	if got := d2.FetchBytes(g, 2, 0); got != 0 {
 		t.Fatalf("FetchBytes of unmaterialized blocks = %d", got)
 	}
@@ -205,37 +216,37 @@ func (bytesCost) Transfer(bytes int) int64 { return int64(bytes) }
 // miss and replicate, where its outputs end up, and what each completion
 // releases.
 func TestFlow(t *testing.T) {
-	// Blocks 1 and 2 are seeded at places 1 and 0. t0 reads 1 and writes
-	// 3, t1 reads 2 and writes 4, t2 reads 3 and 4 and overwrites 1. Every
+	// Blocks 0 and 1 are seeded at places 1 and 0. t0 reads 0 and writes
+	// 2, t1 reads 1 and writes 3, t2 reads 2 and 3 and overwrites 0. Every
 	// home is declared as place 2, which wraps to 0.
 	g := &Graph{
 		Tasks: []Task{
-			{ID: 0, Home: 2, Inputs: []uint64{1}, Outputs: []uint64{3}},
-			{ID: 1, Home: 2, Inputs: []uint64{2}, Outputs: []uint64{4}},
-			{ID: 2, Home: 2, Inputs: []uint64{3, 4}, Outputs: []uint64{1}},
+			{ID: 0, Home: 2, Inputs: []int{0}, Outputs: []int{2}},
+			{ID: 1, Home: 2, Inputs: []int{1}, Outputs: []int{3}},
+			{ID: 2, Home: 2, Inputs: []int{2, 3}, Outputs: []int{0}},
 		},
-		BlockBytes: map[uint64]int{1: 100, 2: 100, 3: 300, 4: 50},
-		Seed:       map[uint64]int{1: 1, 2: 0},
+		BlockBytes: []int{100, 100, 300, 50},
+		Seed:       []int{1, 0, NoSeed, NoSeed},
 	}
 	for _, tc := range []struct {
 		policy Policy
 		homes  []int
 		stats  ExecStats
 		// where lists each block's places after the run.
-		where map[uint64][]int
+		where [][]int
 	}{
-		// Blind: everything at the wrapped home 0. t0 fetches block 1 (a
+		// Blind: everything at the wrapped home 0. t0 fetches block 0 (a
 		// replica stays at 0), t1 and t2 find their inputs there, and
-		// t2's write leaves 0 the only copy of block 1.
+		// t2's write leaves 0 the only copy of block 0.
 		{PolicyBlind, []int{0, 0, 0}, ExecStats{Released: 3, ResidentHits: 3, ResidentMisses: 1, FetchedBytes: 100},
-			map[uint64][]int{1: {0}, 2: {0}, 3: {0}, 4: {0}}},
-		// Data-aware: t0 follows block 1 to place 1, t1 stays with block 2
-		// at 0, and t2 runs at 1, where moving block 4 (50 B) beats moving
-		// block 3 (300 B) and block 1 already lives.
+			[][]int{{0}, {0}, {0}, {0}}},
+		// Data-aware: t0 follows block 0 to place 1, t1 stays with block 1
+		// at 0, and t2 runs at 1, where moving block 3 (50 B) beats moving
+		// block 2 (300 B) and block 0 already lives.
 		{PolicyDataAware, []int{1, 0, 1}, ExecStats{Released: 3, ResidentHits: 3, ResidentMisses: 1, FetchedBytes: 50},
-			map[uint64][]int{1: {1}, 2: {0}, 3: {1}, 4: {0, 1}}},
+			[][]int{{1}, {0}, {1}, {0, 1}}},
 	} {
-		f := NewFlow(g, NewSchedule(g), 2, tc.policy)
+		f := NewFlow(g, 2, tc.policy)
 		var released [][]int
 		run := func(ids []int) {
 			for _, id := range ids {
@@ -275,7 +286,8 @@ func TestBestPlace(t *testing.T) {
 	g := chain()
 	g.Tasks[2].Home = 0
 	d := NewDirectory(3)
-	d.Produce(2, 1)
+	d.SeedFrom(g)
+	d.Produce(1, 1)
 	transfer := func(b int) int64 { return int64(b) } // 1 ns per byte
 	// No backlog: the resident place wins over the declared home.
 	if got := BestPlace(g, d, 2, []int64{0, 0, 0}, transfer); got != 1 {
@@ -323,9 +335,10 @@ func TestBestPlaceMatchesMoveBytes(t *testing.T) {
 	const blocks = 24
 	for _, places := range []int{1, 2, 3, 16, 64, 65} {
 		for round := 0; round < 100; round++ {
-			g := &Graph{BlockBytes: map[uint64]int{}}
+			g := &Graph{BlockBytes: make([]int, blocks)}
 			d := NewDirectory(places)
-			for b := uint64(0); b < blocks; b++ {
+			d.SeedFrom(g)
+			for b := 0; b < blocks; b++ {
 				g.BlockBytes[b] = 1 + rng.Intn(999)
 				if rng.Intn(4) == 0 {
 					continue // resident nowhere
@@ -338,10 +351,10 @@ func TestBestPlaceMatchesMoveBytes(t *testing.T) {
 					d.Replicate(b, places-1) // the last word's top place
 				}
 			}
-			pick := func(k int) []uint64 {
-				var bs []uint64
+			pick := func(k int) []int {
+				var bs []int
 				for ; k > 0; k-- {
-					bs = append(bs, uint64(rng.Intn(blocks)))
+					bs = append(bs, rng.Intn(blocks))
 				}
 				return bs
 			}

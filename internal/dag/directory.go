@@ -6,77 +6,64 @@ import (
 	"strings"
 )
 
-// Directory records which places hold a current copy of each block. A
-// producer completing at a place makes that place the block's sole
-// resident (earlier copies are stale); a consumer fetching the block to
-// another place adds a replica. Not safe for concurrent use, like Tracker;
-// each run's Flow owns one.
+// Directory records which places hold a current copy of each block, in
+// one flat bit array: block b's residency is the words bit-words from
+// b*words, bit p of them set when place p holds a copy. A producer
+// completing at a place makes that place the block's sole resident
+// (earlier copies are stale); a consumer fetching the block to another
+// place adds a replica. Not safe for concurrent use, like Tracker; each
+// run's Flow owns one.
 type Directory struct {
 	places int
 	words  int
-	bits   map[uint64][]uint64
+	bits   []uint64
 	held   []int // BestPlace's scratch: resident bytes per place
 }
 
-// NewDirectory returns an empty directory for a cluster of places.
+// NewDirectory returns a directory for a cluster of places. It holds no
+// blocks until SeedFrom sizes it for a graph.
 func NewDirectory(places int) *Directory {
 	if places <= 0 {
 		panic(fmt.Sprintf("dag: NewDirectory(%d), want > 0", places))
 	}
-	return &Directory{
-		places: places,
-		words:  (places + 63) / 64,
-		bits:   make(map[uint64][]uint64),
-	}
+	return &Directory{places: places, words: (places + 63) / 64}
 }
 
-// SeedFrom installs the graph's initial block residency, wrapping
-// declared owners into the cluster.
+// SeedFrom sizes the directory for g's blocks, every one resident
+// nowhere, then installs g's seeds, wrapping declared owners into the
+// cluster.
 func (d *Directory) SeedFrom(g *Graph) {
+	d.bits = make([]uint64, len(g.BlockBytes)*d.words)
 	for b, p := range g.Seed {
-		d.Produce(b, wrap(p, d.places))
+		if p != NoSeed {
+			d.Produce(b, wrap(p, d.places))
+		}
 	}
 }
 
-func (d *Directory) set(b uint64, place int) {
-	w := d.bits[b]
-	if w == nil {
-		w = make([]uint64, d.words)
-		d.bits[b] = w
-	}
-	w[place>>6] |= 1 << (uint(place) & 63)
-}
+// row returns block b's residency words.
+func (d *Directory) row(b int) []uint64 { return d.bits[b*d.words : (b+1)*d.words : (b+1)*d.words] }
 
 // Produce records place as the block's sole resident: the producer just
 // wrote it, so every other copy is stale.
-func (d *Directory) Produce(b uint64, place int) {
-	w := d.bits[b]
-	if w == nil {
-		d.set(b, place)
-		return
-	}
-	for i := range w {
-		w[i] = 0
-	}
-	w[place>>6] |= 1 << (uint(place) & 63)
+func (d *Directory) Produce(b, place int) {
+	w := d.row(b)
+	clear(w)
+	w[place>>6] = 1 << (uint(place) & 63)
 }
 
 // Replicate records that place now also holds a copy of b (a consumer
 // fetched it).
-func (d *Directory) Replicate(b uint64, place int) { d.set(b, place) }
+func (d *Directory) Replicate(b, place int) { d.row(b)[place>>6] |= 1 << (uint(place) & 63) }
 
 // Resident reports whether place holds a current copy of b.
-func (d *Directory) Resident(b uint64, place int) bool {
-	w := d.bits[b]
-	if w == nil {
-		return false
-	}
-	return w[place>>6]&(1<<(uint(place)&63)) != 0
+func (d *Directory) Resident(b, place int) bool {
+	return d.row(b)[place>>6]&(1<<(uint(place)&63)) != 0
 }
 
 // Anywhere reports whether any place holds b (false for blocks never
 // produced nor seeded — e.g. constants materialized wherever needed).
-func (d *Directory) Anywhere(b uint64) bool { return anywhereIn(d.bits[b]) }
+func (d *Directory) Anywhere(b int) bool { return anywhereIn(d.row(b)) }
 
 // anywhereIn is Anywhere over a block's residency words.
 func anywhereIn(w []uint64) bool {
@@ -192,10 +179,10 @@ func BestPlace(g *Graph, d *Directory, t int, backlogNS []int64, transfer func(b
 	clear(held)
 	var total int
 	for _, b := range g.Tasks[t].Inputs {
-		total += d.credit(held, b, g.BlockBytes, 1)
+		total += d.credit(held, b, g.BlockBytes[b])
 	}
 	for _, b := range g.Tasks[t].Outputs {
-		total += d.credit(held, b, g.BlockBytes, 2)
+		total += d.credit(held, b, g.BlockBytes[b]/2)
 	}
 	home := wrap(g.Tasks[t].Home, len(backlogNS))
 	best := home
@@ -212,15 +199,13 @@ func BestPlace(g *Graph, d *Directory, t int, backlogNS []int64, transfer func(b
 	return best
 }
 
-// credit adds b's weight, its bytes over div, to held[p] for every place
-// p < len(held) holding b, and returns the weight, or 0 when no place
-// holds b.
-func (d *Directory) credit(held []int, b uint64, sizes map[uint64]int, div int) int {
-	w := d.bits[b]
+// credit adds weight to held[p] for every place p < len(held) holding
+// b, and returns the weight, or 0 when no place holds b.
+func (d *Directory) credit(held []int, b, weight int) int {
+	w := d.row(b)
 	if !anywhereIn(w) {
 		return 0
 	}
-	weight := sizes[b] / div
 	for i, word := range w {
 		for ; word != 0; word &= word - 1 {
 			if p := i<<6 + bits.TrailingZeros64(word); p < len(held) {

@@ -57,7 +57,7 @@ func Execute(rt *core.Runtime, g *Graph, opts ExecOptions) (ExecStats, error) {
 	x := &execution{
 		g:           g,
 		opts:        opts,
-		flow:        NewFlow(g, NewSchedule(g), places, opts.Policy),
+		flow:        NewFlow(g, places, opts.Policy),
 		inputBytes:  make([]int, len(g.Tasks)),
 		meanBytes:   1,
 		home:        make([]int, len(g.Tasks)),

@@ -18,6 +18,7 @@ import (
 	"distws/internal/deque"
 	"distws/internal/fault"
 	"distws/internal/sched"
+	"distws/internal/sim"
 	"distws/internal/topology"
 )
 
@@ -86,21 +87,18 @@ const fuzzBlocks = 24
 // runtime exercises the wrap.
 func randomGraph(seed int64, n int) *dag.Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := &dag.Graph{
-		Name:       fmt.Sprintf("random-%d", seed),
-		BlockBytes: map[uint64]int{},
-		Seed:       map[uint64]int{},
-	}
-	for b := uint64(0); b < fuzzBlocks; b++ {
-		g.BlockBytes[b] = 64 << rng.Intn(6)
+	g := &dag.Graph{Name: fmt.Sprintf("random-%d", seed)}
+	for b := 0; b < fuzzBlocks; b++ {
+		size, at := 64<<rng.Intn(6), dag.NoSeed
 		if rng.Intn(2) == 0 {
-			g.Seed[b] = rng.Intn(8)
+			at = rng.Intn(8)
 		}
+		g.AddBlock(size, at)
 	}
-	blocks := func(k int) []uint64 {
-		var bs []uint64
+	blocks := func(k int) []int {
+		var bs []int
 		for ; k > 0; k-- {
-			bs = append(bs, uint64(rng.Intn(fuzzBlocks)))
+			bs = append(bs, rng.Intn(fuzzBlocks))
 		}
 		return bs
 	}
@@ -123,13 +121,15 @@ func randomGraph(seed int64, n int) *dag.Graph {
 	return g
 }
 
-// TestScheduleMatchesBruteForce checks NewSchedule against the dataflow
-// rules stated pair by pair: j precedes i when some block b that i reads
-// or writes was last written before i by j (RAW, WAW), or when i writes
-// b and j read it with no write of b from j up to i (WAR). The oracle
-// sees one edge per pair however many blocks imply it, and none from a
-// task to itself; every edge points forward in program order, which is
-// why a graph needs no cycle check.
+// TestScheduleMatchesBruteForce checks NewSchedule's compressed rows
+// against the dataflow rules stated pair by pair: j precedes i when some
+// block b that i reads or writes was last written before i by j (RAW,
+// WAW), or when i writes b and j read it with no write of b from j up to
+// i (WAR). The oracle sees one edge per pair however many blocks imply
+// it, and none from a task to itself; every edge points forward in
+// program order, which is why a graph needs no cycle check. Each task's
+// dependents must be strictly ascending, so without duplicates, and its
+// in-degree the oracle's count of its predecessors.
 func TestScheduleMatchesBruteForce(t *testing.T) {
 	kinds := map[string]int{}
 	for seed := int64(1); seed <= 20; seed++ {
@@ -156,7 +156,7 @@ func TestScheduleMatchesBruteForce(t *testing.T) {
 				}
 			}
 		}
-		want := &dag.Schedule{Dependents: make([][]int, n), InDegree: make([]int, n)}
+		wantDeps, wantIn := make([][]int, n), make([]int, n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < i; j++ {
 				edge := false
@@ -177,24 +177,28 @@ func TestScheduleMatchesBruteForce(t *testing.T) {
 					}
 				}
 				if edge {
-					want.Dependents[j] = append(want.Dependents[j], i)
-					want.InDegree[i]++
+					wantDeps[j] = append(wantDeps[j], i)
+					wantIn[i]++
 				}
 			}
 		}
 		got := dag.NewSchedule(g)
-		for j, ds := range got.Dependents {
-			for _, i := range ds {
+		for j := 0; j < n; j++ {
+			ds := got.Dependents(j)
+			for k, i := range ds {
 				if i <= j {
 					t.Fatalf("seed %d: edge %d -> %d does not point forward", seed, j, i)
 				}
+				if k > 0 && i <= ds[k-1] {
+					t.Fatalf("seed %d: Dependents(%d) = %v, not strictly ascending", seed, j, ds)
+				}
 			}
-			if !slices.Equal(ds, want.Dependents[j]) {
-				t.Fatalf("seed %d: Dependents[%d] = %v, oracle %v", seed, j, ds, want.Dependents[j])
+			if !slices.Equal(ds, wantDeps[j]) {
+				t.Fatalf("seed %d: Dependents(%d) = %v, oracle %v", seed, j, ds, wantDeps[j])
 			}
-		}
-		if !slices.Equal(got.InDegree, want.InDegree) {
-			t.Fatalf("seed %d: InDegree = %v, oracle %v", seed, got.InDegree, want.InDegree)
+			if got.InDegree(j) != wantIn[j] {
+				t.Fatalf("seed %d: InDegree(%d) = %d, oracle %d", seed, j, got.InDegree(j), wantIn[j])
+			}
 		}
 	}
 	for _, k := range []string{"RAW", "WAW", "WAR"} {
@@ -278,8 +282,9 @@ func (o *observed) check(t *testing.T, g *dag.Graph) {
 			t.Errorf("cell %d = %#x, sequential replay has %#x", b, o.cells[b], want)
 		}
 	}
-	for p, succs := range dag.NewSchedule(g).Dependents {
-		for _, s := range succs {
+	sch := dag.NewSchedule(g)
+	for p := range g.Tasks {
+		for _, s := range sch.Dependents(p) {
 			if o.began[s].Before(o.end[p]) {
 				t.Errorf("task %d began %v before its predecessor %d ended",
 					s, o.end[p].Sub(o.began[s]), p)
@@ -352,7 +357,7 @@ func TestExecuteKernelPanic(t *testing.T) {
 	for frontier := []int{victim}; len(frontier) > 0; {
 		id := frontier[0]
 		frontier = frontier[1:]
-		for _, s := range sch.Dependents[id] {
+		for _, s := range sch.Dependents(id) {
 			if !downstream[s] {
 				downstream[s] = true
 				frontier = append(frontier, s)
@@ -562,12 +567,12 @@ func TestDataAwareFetchesLessThanBlind(t *testing.T) {
 // neighbours' blocks and writes its own: anti-diagonals run in
 // parallel, each completion releases at most two tasks.
 func wavefront(n int) *dag.Graph {
-	g := &dag.Graph{Name: "wavefront", BlockBytes: map[uint64]int{}, Seed: map[uint64]int{}}
-	id := func(i, j int) uint64 { return uint64(i*n + j) }
+	g := &dag.Graph{Name: "wavefront"}
+	id := func(i, j int) int { return i*n + j }
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			g.BlockBytes[id(i, j)] = 1024
-			t := dag.Task{ID: i*n + j, Home: (i + j) % 8, Outputs: []uint64{id(i, j)}}
+			g.AddBlock(1024, dag.NoSeed)
+			t := dag.Task{ID: i*n + j, Home: (i + j) % 8, Outputs: []int{id(i, j)}}
 			if i > 0 {
 				t.Inputs = append(t.Inputs, id(i-1, j))
 			}
@@ -580,24 +585,149 @@ func wavefront(n int) *dag.Graph {
 	return g
 }
 
+// TestExecuteAllocCeiling pins the allocations of one Execute of the
+// 784-task wavefront at 2×1 with empty kernels, the graph's schedule
+// already derived (testing.AllocsPerRun's warm-up run derives it, and
+// runs at GOMAXPROCS 1, so the count is deterministic). The measured
+// 2 369 are about three per task, the closure and the task record each
+// spawn makes, plus the run's per-task and per-place slices, its flow and
+// its directory; the ceiling sits under 10 % above them. A per-block map
+// or slice back in the directory, or per-task slices back in the
+// schedule, add at least one allocation per block or task, 784, and fail
+// it: with both, before blocks were dense, a run made 7 715.
+func TestExecuteAllocCeiling(t *testing.T) {
+	const ceiling = 2600
+	g := wavefront(28)
+	rt := newExecRuntime(t, 2, 1, deque.KindMutex, nil)
+	opts := dag.ExecOptions{Policy: dag.PolicyDataAware, Kernel: func(*dag.Task) {}}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := dag.Execute(rt, g, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per Execute of %d tasks (ceiling %d)", allocs, g.NumTasks(), ceiling)
+	if allocs > ceiling {
+		t.Errorf("%.0f allocations per Execute, ceiling %d: the executor allocates per block or per run again", allocs, ceiling)
+	}
+}
+
 // BenchmarkExecuteOverhead runs empty kernels, so ns/task is the
 // executor's whole cost per task: release, placement, spawn, directory
-// accounting. It runs under the watchdog, which makes its one-iteration
-// smoke in `make bench-smoke` a deadlock check as well.
+// accounting. The reused case runs one graph throughout, so its schedule
+// is derived once, by the first run; the fresh case builds the graph anew
+// before each run (off the clock), so every run also derives it, as the
+// first run of any graph does. It runs under the watchdog, which makes
+// its one-iteration smoke in `make bench-smoke` a deadlock check as well.
 func BenchmarkExecuteOverhead(b *testing.B) {
-	g := wavefront(28) // 784 tasks
+	const n = 28 // 784 tasks
 	for _, sh := range []shape{{2, 1}, {2, 2}} {
-		b.Run(fmt.Sprintf("%dx%d", sh.places, sh.workers), func(b *testing.B) {
-			rt := newExecRuntime(b, sh.places, sh.workers, deque.KindMutex, nil)
-			opts := dag.ExecOptions{Policy: dag.PolicyDataAware, Kernel: func(*dag.Task) {}}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				stats, err := executeWatched(b, rt, g, opts)
-				if err != nil || stats.Released != int64(g.NumTasks()) {
-					b.Fatalf("Execute = %+v, %v", stats, err)
+		for _, fresh := range []bool{false, true} {
+			name := fmt.Sprintf("%dx%d/reused", sh.places, sh.workers)
+			if fresh {
+				name = fmt.Sprintf("%dx%d/fresh", sh.places, sh.workers)
+			}
+			b.Run(name, func(b *testing.B) {
+				rt := newExecRuntime(b, sh.places, sh.workers, deque.KindMutex, nil)
+				opts := dag.ExecOptions{Policy: dag.PolicyDataAware, Kernel: func(*dag.Task) {}}
+				g := wavefront(n)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if fresh {
+						b.StopTimer()
+						g = wavefront(n)
+						b.StartTimer()
+					}
+					stats, err := executeWatched(b, rt, g, opts)
+					if err != nil || stats.Released != int64(g.NumTasks()) {
+						b.Fatalf("Execute = %+v, %v", stats, err)
+					}
 				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*g.NumTasks()), "ns/task")
+			})
+		}
+	}
+}
+
+// scheduleSink keeps BenchmarkNewSchedule's derivations from being
+// optimized away.
+var scheduleSink *dag.Schedule
+
+// BenchmarkNewSchedule derives the dependency edges of each of the
+// suite's three graphs, built for 2 places: what a run pays the first
+// time it meets a graph. With -benchmem it shows the derivation's
+// allocations, a handful per graph whatever its size.
+func BenchmarkNewSchedule(b *testing.B) {
+	for _, a := range linalg.Suite(1) {
+		g, err := a.Graph(2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(a.Name(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				scheduleSink = dag.NewSchedule(g)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*g.NumTasks()), "ns/task")
 		})
+	}
+}
+
+// TestScheduleSharedAcrossRuns: two concurrent Executes and a sim.RunDAG
+// on one Graph, the first runs of it, derive its schedule once between
+// them. Every caller of Graph.Schedule, the runs' and two more racing
+// them, gets the one *Schedule, and it equals a fresh NewSchedule. Under
+// -race this is the check that the first use is published safely.
+func TestScheduleSharedAcrossRuns(t *testing.T) {
+	g := randomGraph(9, 300)
+	rt := newExecRuntime(t, 2, 2, deque.KindMutex, nil)
+	obs := []*observed{newObserved(g), newObserved(g)}
+	errs := make([]error, len(obs)+1)
+	scheds := make([]*dag.Schedule, 2)
+	var res *sim.Result
+	var wg sync.WaitGroup
+	for i := range obs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = dag.Execute(rt, g, dag.ExecOptions{Policy: dag.PolicyDataAware, Kernel: obs[i].kernel})
+		}()
+	}
+	for i := range scheds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			scheds[i] = g.Schedule()
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		res, errs[len(obs)] = sim.RunDAG(g, topology.Laptop(), sched.DistWS, dag.PolicyDataAware, sim.Options{Seed: 1})
+	}()
+	watched(t, "two Executes and a RunDAG on one graph", wg.Wait)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+	for _, o := range obs {
+		o.check(t, g)
+	}
+	if res.DAG.Released != int64(g.NumTasks()) {
+		t.Errorf("RunDAG released %d of %d tasks", res.DAG.Released, g.NumTasks())
+	}
+	shared := g.Schedule()
+	if scheds[0] != shared || scheds[1] != shared {
+		t.Fatalf("Graph.Schedule returned %p, %p and %p: derived more than once", scheds[0], scheds[1], shared)
+	}
+	fresh := dag.NewSchedule(g)
+	if fresh == shared {
+		t.Fatal("NewSchedule returned the graph's cached schedule")
+	}
+	for i := range g.Tasks {
+		if !slices.Equal(shared.Dependents(i), fresh.Dependents(i)) || shared.InDegree(i) != fresh.InDegree(i) {
+			t.Fatalf("task %d: shared schedule has dependents %v, in-degree %d; fresh has %v, %d",
+				i, shared.Dependents(i), shared.InDegree(i), fresh.Dependents(i), fresh.InDegree(i))
+		}
 	}
 }

@@ -45,10 +45,11 @@ func (s ExecStats) ResidencyRate() float64 {
 	return 100 * float64(s.ResidentHits) / float64(total)
 }
 
-// NewFlow starts a run of g, whose dependencies s holds, on a cluster of
-// places under policy, with the graph's seed blocks resident.
-func NewFlow(g *Graph, s *Schedule, places int, policy Policy) *Flow {
-	f := &Flow{g: g, policy: policy, tr: NewTracker(s), dir: NewDirectory(places),
+// NewFlow starts a run of g on a cluster of places under policy, over
+// g's shared schedule, with the graph's seed blocks resident. g must be
+// valid.
+func NewFlow(g *Graph, places int, policy Policy) *Flow {
+	f := &Flow{g: g, policy: policy, tr: NewTracker(g.Schedule()), dir: NewDirectory(places),
 		backlog: make([]int64, places)}
 	f.dir.SeedFrom(g)
 	return f

@@ -50,7 +50,7 @@ func RunDAG(g *dag.Graph, cl topology.Cluster, policy sched.Kind, pol dag.Policy
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 
-	ds := &dagState{flow: dag.NewFlow(g, dag.NewSchedule(g), cl.Places, pol)}
+	ds := &dagState{flow: dag.NewFlow(g, cl.Places, pol)}
 	if n := g.NumTasks(); n > 0 {
 		ds.avgCostNS = g.TotalWorkNS() / int64(n)
 	}

@@ -15,17 +15,13 @@ import (
 // Blind homes follow the stage owner (s mod places) — the worst case for
 // data movement, since every item changes place at every stage.
 func pipelineGraph(items, stages, places, blockBytes int, costNS int64) *dag.Graph {
-	g := &dag.Graph{
-		Name:       "testpipe",
-		BlockBytes: make(map[uint64]int),
-		Seed:       make(map[uint64]int),
-	}
-	blk := func(i, s int) uint64 { return uint64(i)<<16 | uint64(s) }
+	g := &dag.Graph{Name: "testpipe"}
+	blk := func(i, s int) int { return i*(stages+1) + s }
 	for i := 0; i < items; i++ {
-		for s := 0; s <= stages; s++ {
-			g.BlockBytes[blk(i, s)] = blockBytes
+		g.AddBlock(blockBytes, 0) // all inputs start at place 0
+		for s := 1; s <= stages; s++ {
+			g.AddBlock(blockBytes, dag.NoSeed)
 		}
-		g.Seed[blk(i, 0)] = 0 // all inputs start at place 0
 	}
 	for s := 0; s < stages; s++ {
 		for i := 0; i < items; i++ {
@@ -33,8 +29,8 @@ func pipelineGraph(items, stages, places, blockBytes int, costNS int64) *dag.Gra
 				ID:      len(g.Tasks),
 				CostNS:  costNS,
 				Home:    s % places,
-				Inputs:  []uint64{blk(i, s)},
-				Outputs: []uint64{blk(i, s+1)},
+				Inputs:  []int{blk(i, s)},
+				Outputs: []int{blk(i, s+1)},
 			})
 		}
 	}
