@@ -217,7 +217,7 @@ loc:
 		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
 		printf "%7d  total outside benchmark/\n", total }'
 
-# Coverage ledger (ROADMAP item 4): the functions outside benchmark/, cmd/
+# Coverage ledger (ROADMAP item 12): the functions outside benchmark/, cmd/
 # and examples/ that (1) nothing reaches and (2) only tests reach. "Reached
 # by the program" is what coverage-instrumented builds of the commands and
 # the benchmark execute on the exhibit run, the benchmark's smoke run, the
@@ -305,7 +305,8 @@ coverage-ledger:
 # module from source, tests included (neverread_test.go; fields with a json
 # tag and embedded fields are exempt). The list must be empty: delete such
 # a field, or read it. In the same pass, the fields that no code outside
-# tests sets: that list must equal testdata/neverset_kept.txt
+# tests sets (a withDefaults-style `if o.N <= 0 { o.N = defaultN }` is
+# not a set): that list must equal testdata/neverset_kept.txt
 # (`file: Type.Field reason`). Behind the neverread build tag, so `test`
 # does not run it. Part of `check` (~15 s cold, ~2 s warm).
 never-read:

@@ -11,18 +11,24 @@ import (
 // TestFaultsAndTraceReachEveryApp runs a fork-join and a dataflow app on
 // both engines under one crash and one trace: each run must lose the
 // crashed place, verify its checksum on the runtime, and write the trace.
-// Place 1 is home to about half of either app's ~800 tasks, and its own
-// workers take those first, so it runs its 100th task long before the
-// end. On the runtime, cholesky's place 1 first generates the 64 tiles
-// seeded there, one task each, so its 100th task is inside dag.Execute.
+// In the simulator place 1 crashes after its 100th task: it is home to
+// about half of either app's ~800 tasks, and the schedule is fixed by the
+// seed. On the runtime how many tasks place 1 runs depends on the
+// schedule, so it crashes on the wall clock instead, 1 µs in, long before
+// either run ends.
 func TestFaultsAndTraceReachEveryApp(t *testing.T) {
+	crash := map[string][]string{
+		"sim":     {"-crash-after-tasks", "100"},
+		"runtime": {"-crash-at", "1us"},
+	}
 	for _, app := range []string{"quicksort", "cholesky"} {
 		for _, mode := range []string{"sim", "runtime"} {
 			t.Run(app+"/"+mode, func(t *testing.T) {
 				trace := filepath.Join(t.TempDir(), "run.events")
 				var out bytes.Buffer
-				err := run([]string{"-app", app, "-mode", mode, "-places", "2", "-workers", "2",
-					"-crash-place", "1", "-crash-after-tasks", "100", "-trace", trace}, &out)
+				args := []string{"-app", app, "-mode", mode, "-places", "2", "-workers", "2",
+					"-crash-place", "1", "-trace", trace}
+				err := run(append(args, crash[mode]...), &out)
 				if err != nil {
 					t.Fatalf("%v\n%s", err, out.String())
 				}

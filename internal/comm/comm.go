@@ -22,15 +22,19 @@
 // payload bytes. This is the accounting source for the paper's Table III —
 // which is why the hub's second hop and the mesh's single hop are visible
 // in the message counts.
+//
+// Heartbeats are the only lossy kind: the only traffic a TCPMesh's
+// injected loss drops or a full queue sheds. No remote steal crosses
+// these transports (the runtime's is a counted shared-memory pop), so a
+// steal's loss is drawn by sched.Thief.Sweep from
+// fault.Injector.RoundTrip, not here.
 package comm
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
-	"distws/internal/fault"
 	"distws/internal/metrics"
 )
 
@@ -43,16 +47,9 @@ const (
 	// KindSpawnDone is an executor's reply to a KindSpawn: the job's
 	// result, under the spawn's Seq (the front door's dispatch id).
 	KindSpawnDone
-	// KindStealReq asks the destination for surplus work (no program
-	// sends it yet).
-	KindStealReq
-	// KindStealResp answers a steal request (no program sends it yet).
-	KindStealResp
 	// KindData is an opaque payload delivered reliably, as the benchmark's
 	// transport probes send it (Ctx.At sends no message).
 	KindData
-	// KindLifeline registers the sender on the destination's lifeline.
-	KindLifeline
 	// KindShutdown tells the destination to stop its workers.
 	KindShutdown
 )
@@ -97,10 +94,7 @@ const (
 var kindNames = [...]string{
 	KindSpawn:     "spawn",
 	KindSpawnDone: "spawn-done",
-	KindStealReq:  "steal-req",
-	KindStealResp: "steal-resp",
 	KindData:      "data",
-	KindLifeline:  "lifeline",
 	KindShutdown:  "shutdown",
 }
 
@@ -158,10 +152,11 @@ func (e *PlaceDownError) Error() string { return fmt.Sprintf("comm: place %d dow
 func (e *PlaceDownError) Is(target error) bool { return target == ErrPlaceDown }
 
 // ErrBackpressure is the sentinel for a lossy send shed because the
-// destination inbox (Mesh) or link queue (TCPMesh) was full. Only lossy
-// kinds are ever shed — in practice heartbeats, which the next beat
-// supersedes; reliable kinds block instead. Match with errors.Is; the
-// concrete error is a *BackpressureError carrying the congested place.
+// destination inbox (Mesh) or link queue (TCPMesh) was full. Only
+// heartbeats, the one lossy kind, are ever shed (the next beat
+// supersedes a lost one); reliable kinds block instead. Match with
+// errors.Is; the concrete error is a *BackpressureError carrying the
+// congested place.
 var ErrBackpressure = errors.New("comm: destination queue full")
 
 // BackpressureError reports which destination place was congested.
@@ -175,13 +170,13 @@ func (e *BackpressureError) Error() string {
 func (e *BackpressureError) Is(target error) bool { return target == ErrBackpressure }
 
 // lossy reports whether injected message loss and backpressure shedding
-// may apply to k. Heartbeats tolerate silent loss (the next beat
-// supersedes a lost one), and so would the steal kinds, which no program
-// sends yet (a thief would time out and retry); spawns, replies,
-// membership announcements and control traffic must be delivered for
-// every job to be accounted.
+// may apply to k: to heartbeats alone, which tolerate silent loss (the
+// next beat supersedes a lost one). Spawns, replies, membership
+// announcements and control traffic must be delivered for every job to
+// be accounted. Steal loss is not drawn here: sched.Thief.Sweep draws it
+// from fault.Injector.RoundTrip.
 func lossy(k Kind) bool {
-	return k == KindStealReq || k == KindStealResp || k == KindHeartbeat
+	return k == KindHeartbeat
 }
 
 // Endpoint is one place's attachment to the transport.
@@ -205,7 +200,6 @@ type Endpoint interface {
 // channels. It is safe for concurrent use.
 type Mesh struct {
 	counters *metrics.Counters
-	inj      *fault.Injector // nil-safe; set via InjectFaults
 	mu       sync.Mutex
 	inboxes  []chan Message
 	closed   []bool
@@ -239,11 +233,6 @@ func (m *Mesh) Endpoint(p int) Endpoint {
 	return &meshEndpoint{mesh: m, place: p}
 }
 
-// InjectFaults arms the mesh with a fault injector: lossy messages may be
-// silently dropped (the sender's timeout recovers) and any message may be
-// delayed by a latency spike. Call before traffic starts; nil disarms.
-func (m *Mesh) InjectFaults(inj *fault.Injector) { m.inj = inj }
-
 func (m *Mesh) send(msg Message) (err error) {
 	if msg.To < 0 || msg.To >= len(m.inboxes) {
 		return fmt.Errorf("comm: send to invalid place %d", msg.To)
@@ -256,17 +245,6 @@ func (m *Mesh) send(msg Message) (err error) {
 	inbox := m.inboxes[msg.To]
 	m.mu.Unlock()
 
-	if msg.From != msg.To {
-		if lossy(msg.Kind) && m.inj.Drop(msg.From, msg.To) {
-			if m.counters != nil {
-				m.counters.DroppedMessages.Add(1)
-			}
-			return nil // lost in transit; delivery is the sender's problem
-		}
-		if ns := m.inj.SpikeNS(msg.From, msg.To); ns > 0 {
-			time.Sleep(time.Duration(ns))
-		}
-	}
 	if m.counters != nil && msg.From != msg.To {
 		m.counters.Messages.Add(1)
 		m.counters.BytesTransferred.Add(int64(len(msg.Payload)))

@@ -105,11 +105,11 @@ func TestMeshBackpressure(t *testing.T) {
 	var ctrs metrics.Counters
 	m := NewMesh(2, 1, &ctrs) // single-slot inbox: second send congests
 	a := m.Endpoint(0)
-	if err := a.Send(Message{Kind: KindStealReq, To: 1}); err != nil {
+	if err := a.Send(Message{Kind: KindHeartbeat, To: 1}); err != nil {
 		t.Fatalf("first send: %v", err)
 	}
-	// Lossy steal traffic is shed with a typed error, not silently stalled.
-	err := a.Send(Message{Kind: KindStealReq, To: 1})
+	// A lossy heartbeat is shed with a typed error, not silently stalled.
+	err := a.Send(Message{Kind: KindHeartbeat, To: 1})
 	if !errors.Is(err, ErrBackpressure) {
 		t.Fatalf("send into full inbox = %v, want ErrBackpressure", err)
 	}
@@ -134,8 +134,8 @@ func TestMeshBackpressure(t *testing.T) {
 	case <-time.After(20 * time.Millisecond):
 	}
 	got := recvTimeout(t, m.Endpoint(1).Inbox())
-	if got.Kind != KindStealReq {
-		t.Fatalf("first drained message %+v, want the steal request", got)
+	if got.Kind != KindHeartbeat {
+		t.Fatalf("first drained message %+v, want the heartbeat", got)
 	}
 	if err := <-delivered; err != nil {
 		t.Fatalf("blocked reliable send: %v", err)
@@ -160,8 +160,8 @@ func TestEndpointPanicsOutOfRange(t *testing.T) {
 }
 
 func TestKindString(t *testing.T) {
-	if KindSpawn.String() != "spawn" || KindStealReq.String() != "steal-req" {
-		t.Fatalf("kind names wrong: %v %v", KindSpawn, KindStealReq)
+	if KindSpawn.String() != "spawn" || KindHeartbeat.String() != "heartbeat" {
+		t.Fatalf("kind names wrong: %v %v", KindSpawn, KindHeartbeat)
 	}
 	if Kind(123).String() == "" {
 		t.Fatalf("unknown kind should still print")

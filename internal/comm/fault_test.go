@@ -4,9 +4,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"distws/internal/fault"
-	"distws/internal/metrics"
 )
 
 func TestMeshSendAfterSenderClose(t *testing.T) {
@@ -17,49 +14,6 @@ func TestMeshSendAfterSenderClose(t *testing.T) {
 	}
 	if err := a.Send(Message{To: 1}); err != ErrClosed {
 		t.Fatalf("send from closed endpoint = %v, want ErrClosed", err)
-	}
-}
-
-func TestMeshDropsOnlyStealTraffic(t *testing.T) {
-	var ctrs metrics.Counters
-	m := NewMesh(2, 16, &ctrs)
-	m.InjectFaults(fault.NewInjector(&fault.Plan{Seed: 1, DropProb: 1}))
-	a, b := m.Endpoint(0), m.Endpoint(1)
-
-	// Steal traffic is lossy: with DropProb 1 nothing arrives.
-	if err := a.Send(Message{Kind: KindStealReq, To: 1}); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	select {
-	case got := <-b.Inbox():
-		t.Fatalf("steal request should have been dropped, got %+v", got)
-	case <-time.After(50 * time.Millisecond):
-	}
-	if got := ctrs.Snapshot().DroppedMessages; got != 1 {
-		t.Fatalf("DroppedMessages = %d, want 1", got)
-	}
-
-	// Spawn traffic must be delivered regardless of the drop plan.
-	if err := a.Send(Message{Kind: KindSpawn, To: 1}); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	if got := recvTimeout(t, b.Inbox()); got.Kind != KindSpawn {
-		t.Fatalf("received %+v, want spawn", got)
-	}
-}
-
-func TestMeshLatencySpike(t *testing.T) {
-	m := NewMesh(2, 4, nil)
-	spikeNS := int64(30 * time.Millisecond)
-	m.InjectFaults(fault.NewInjector(&fault.Plan{Seed: 1, SpikeProb: 1, SpikeNS: spikeNS}))
-	a, b := m.Endpoint(0), m.Endpoint(1)
-	start := time.Now()
-	if err := a.Send(Message{Kind: KindData, To: 1}); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	recvTimeout(t, b.Inbox())
-	if elapsed := time.Since(start); elapsed < time.Duration(spikeNS) {
-		t.Fatalf("spiked send took %v, want >= %v", elapsed, time.Duration(spikeNS))
 	}
 }
 

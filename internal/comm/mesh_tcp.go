@@ -13,11 +13,15 @@ import (
 	"distws/internal/metrics"
 )
 
-// Defaults for MeshOptions zero values.
+// The link discipline every program runs: a dial makes dialAttempts
+// attempts (the first try plus backoff retries), waiting dialBackoff
+// after the first failure and doubling per retry; a link queue deeper
+// than linkQueue frames counts as backpressure, and heartbeats, the one
+// lossy kind, are shed.
 const (
-	defaultDialAttempts = 5
-	defaultDialBackoff  = 50 * time.Millisecond
-	defaultLinkQueue    = 1024
+	dialAttempts = 5
+	dialBackoff  = 50 * time.Millisecond
+	linkQueue    = 1024
 )
 
 // KindHello is the handshake message a dialer sends first on every
@@ -71,16 +75,6 @@ func (c *tcpConn) read() (Message, error) {
 type MeshOptions struct {
 	// Counters receives message/byte/fault accounting; nil disables it.
 	Counters *metrics.Counters
-	// DialAttempts bounds connection attempts per peer link (first try
-	// plus backoff retries). Default 5.
-	DialAttempts int
-	// DialBackoff is the wait after the first failed dial; it doubles per
-	// attempt with full jitter, mirroring the steal-retry discipline of
-	// the fault model. Default 50ms.
-	DialBackoff time.Duration
-	// LinkQueue is the per-link frame queue depth beyond which sends
-	// count as backpressure (lossy traffic is shed). Default 1024.
-	LinkQueue int
 	// Listener, when non-nil, is used instead of binding addrs[place] —
 	// callers that pre-bind (tests, port-0 setups) inject it here.
 	Listener net.Listener
@@ -90,17 +84,23 @@ type MeshOptions struct {
 	// readmitted by peers that marked it down (see handshake). Zero
 	// picks 1.
 	Incarnation uint32
+
+	// Only this package's tests set these, to shorten or stall a link;
+	// zero picks the constant of the same name.
+	dialAttempts int
+	dialBackoff  time.Duration
+	linkQueue    int
 }
 
 func (o MeshOptions) withDefaults() MeshOptions {
-	if o.DialAttempts <= 0 {
-		o.DialAttempts = defaultDialAttempts
+	if o.dialAttempts <= 0 {
+		o.dialAttempts = dialAttempts
 	}
-	if o.DialBackoff <= 0 {
-		o.DialBackoff = defaultDialBackoff
+	if o.dialBackoff <= 0 {
+		o.dialBackoff = dialBackoff
 	}
-	if o.LinkQueue <= 0 {
-		o.LinkQueue = defaultLinkQueue
+	if o.linkQueue <= 0 {
+		o.linkQueue = linkQueue
 	}
 	if o.Incarnation == 0 {
 		o.Incarnation = 1
@@ -208,7 +208,7 @@ func (t *TCPMesh) Addr() string { return t.ln.Addr().String() }
 // Place implements Endpoint.
 func (t *TCPMesh) Place() int { return t.place }
 
-// InjectFaults arms sends and dials with a fault injector: lossy messages
+// InjectFaults arms sends and dials with a fault injector: heartbeats
 // may be dropped, any message may suffer a latency spike, and dial
 // attempts on a lossy link may fail (exercising the backoff path). Safe
 // to call while links are live; nil disarms.
@@ -323,7 +323,7 @@ func (t *TCPMesh) Send(m Message) error {
 		if t.opts.Counters != nil {
 			t.opts.Counters.DroppedMessages.Add(1)
 		}
-		return nil // lost in transit; the thief's timeout recovers
+		return nil // a lost heartbeat; the next beat supersedes it
 	}
 	delay := t.inj.Load().SpikeNS(t.place, m.To) + t.inj.Load().GrayNS(t.place, m.To, nowNS)
 	if delay > 0 {
@@ -540,7 +540,7 @@ func (l *meshLink) enqueue(m Message) error {
 		l.mu.Unlock()
 		return err
 	}
-	if len(l.queue) >= l.mesh.opts.LinkQueue {
+	if len(l.queue) >= l.mesh.opts.linkQueue {
 		if c := l.mesh.opts.Counters; c != nil {
 			c.Backpressure.Add(1)
 		}
@@ -611,10 +611,10 @@ func (l *meshLink) flush() {
 }
 
 // ensureConn dials the peer if this link has no connection yet: bounded
-// attempts under exponential backoff with jitter (the same discipline as
-// steal retries), with injected link faults able to fail an attempt so
-// chaos plans exercise this path deterministically. On success it writes
-// the hello frame that identifies this node to the peer's acceptor.
+// attempts under doubling backoff, with injected link faults able to
+// fail an attempt so chaos plans exercise this path deterministically.
+// On success it writes the hello frame that identifies this node to the
+// peer's acceptor.
 func (l *meshLink) ensureConn() bool {
 	l.mu.Lock()
 	if l.conn != nil || l.err != nil {
@@ -627,8 +627,8 @@ func (l *meshLink) ensureConn() bool {
 	t := l.mesh
 	var conn net.Conn
 	var err error
-	backoff := t.opts.DialBackoff
-	for attempt := 0; attempt < t.opts.DialAttempts; attempt++ {
+	backoff := t.opts.dialBackoff
+	for attempt := 0; attempt < t.opts.dialAttempts; attempt++ {
 		if attempt > 0 {
 			if c := t.opts.Counters; c != nil {
 				c.Retries.Add(1)

@@ -152,7 +152,7 @@ func TestTCPMeshDeadAddressBackpressureAndEviction(t *testing.T) {
 		addrs[i] = ln.Addr().String()
 	}
 	lns[2].Close() // place 2 is a ghost
-	opts := MeshOptions{Counters: &ctrs, DialAttempts: 4, DialBackoff: 50 * time.Millisecond, LinkQueue: 1}
+	opts := MeshOptions{Counters: &ctrs, dialAttempts: 4, dialBackoff: 50 * time.Millisecond, linkQueue: 1}
 	opts.Listener = lns[0]
 	n0, err := ListenMeshTCP(addrs, 0, opts)
 	if err != nil {
@@ -169,14 +169,14 @@ func TestTCPMeshDeadAddressBackpressureAndEviction(t *testing.T) {
 
 	// First send queues and starts the flusher, which is now stuck in dial
 	// backoff against the dead address. The queue is over its depth, so a
-	// lossy steal probe is shed with a typed error while reliable traffic
+	// lossy heartbeat is shed with a typed error while reliable traffic
 	// keeps queueing.
 	if err := n0.Send(Message{Kind: KindData, To: 2}); err != nil {
 		t.Fatalf("first send: %v", err)
 	}
-	serr := n0.Send(Message{Kind: KindStealReq, To: 2})
+	serr := n0.Send(Message{Kind: KindHeartbeat, To: 2})
 	if !errors.Is(serr, ErrBackpressure) {
-		t.Fatalf("steal into stalled link = %v, want ErrBackpressure", serr)
+		t.Fatalf("heartbeat into stalled link = %v, want ErrBackpressure", serr)
 	}
 	var bpe *BackpressureError
 	if !errors.As(serr, &bpe) || bpe.Place != 2 {
@@ -209,7 +209,7 @@ func TestTCPMeshInjectedDialFault(t *testing.T) {
 	// fault.
 	var ctrs metrics.Counters
 	nodes := startTCPMesh(t, 2, func(int) MeshOptions {
-		return MeshOptions{Counters: &ctrs, DialAttempts: 3, DialBackoff: time.Millisecond}
+		return MeshOptions{Counters: &ctrs, dialAttempts: 3, dialBackoff: time.Millisecond}
 	})
 	inj := fault.NewInjector(&fault.Plan{
 		Seed:  7,
@@ -361,7 +361,7 @@ func TestTCPMeshDialBackoffAbortsOnClose(t *testing.T) {
 		addrs[i] = ln.Addr().String()
 	}
 	lns[1].Close() // place 1 is a ghost: dials fail instantly
-	opts := MeshOptions{DialAttempts: 10, DialBackoff: 5 * time.Second, Listener: lns[0]}
+	opts := MeshOptions{dialAttempts: 10, dialBackoff: 5 * time.Second, Listener: lns[0]}
 	n0, err := ListenMeshTCP(addrs, 0, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -385,7 +385,8 @@ func TestTCPMeshDialBackoffAbortsOnClose(t *testing.T) {
 
 // TestTCPMeshWindowedFaults drives the wall-clock side of the extended
 // fault vocabulary: an active partition swallows traffic until it
-// heals, gray failures add latency, and duplication delivers twice.
+// heals, gray failures add latency, duplication delivers twice, and
+// certain loss drops heartbeats but no spawn.
 func TestTCPMeshWindowedFaults(t *testing.T) {
 	var ctrs metrics.Counters
 	nodes := startTCPMesh(t, 2, func(int) MeshOptions { return MeshOptions{Counters: &ctrs} })
@@ -441,6 +442,22 @@ func TestTCPMeshWindowedFaults(t *testing.T) {
 	}
 	if got := ctrs.Snapshot().DuplicatedMessages; got != 1 {
 		t.Fatalf("DuplicatedMessages = %d, want 1", got)
+	}
+
+	// Certain loss drops heartbeats alone: the beat is counted and never
+	// arrives, while a spawn sent after it still does.
+	nodes[0].InjectFaults(fault.NewInjector(&fault.Plan{DropProb: 1}))
+	if err := nodes[0].Send(Message{Kind: KindHeartbeat, To: 1}); err != nil {
+		t.Fatalf("dropped heartbeat must be silent, got %v", err)
+	}
+	if got := ctrs.Snapshot().DroppedMessages; got != 2 {
+		t.Fatalf("DroppedMessages = %d, want 2 (the partitioned send and the heartbeat)", got)
+	}
+	if err := nodes[0].Send(Message{Kind: KindSpawn, To: 1, Payload: []byte("job")}); err != nil {
+		t.Fatal(err)
+	}
+	if got := recvTimeout(t, nodes[1].Inbox()); got.Kind != KindSpawn {
+		t.Fatalf("received %+v, want the spawn (the heartbeat was dropped)", got)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 
 // The binary wire format framing every Message on the TCP transports.
 //
-// Replacing encoding/gob on the hot path matters because steal probes and
-// finish acknowledgements are tiny, latency-bound control messages: gob
+// Replacing encoding/gob on the hot path matters because heartbeats, job
+// replies and acknowledgements are tiny, latency-bound control messages: gob
 // spends reflection and per-stream type descriptors on them, while this
 // codec is a fixed 17-byte header behind a 4-byte length prefix. User task
 // payloads stay opaque []byte here — applications keep encoding them with

@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// benchMessages are the two shapes that dominate transport traffic: the
-// empty-payload steal probe (the latency-bound hot path the mesh exists
-// for) and a spawn envelope with a small task payload.
+// benchMessages are two shapes programs send: a heartbeat, the small
+// latency-bound control frame (its 6-byte membership payload), and a
+// spawn envelope with a small task payload.
 func benchMessages() []Message {
 	return []Message{
-		{Kind: KindStealReq, From: 3, To: 7, Seq: 99},
+		{Kind: KindHeartbeat, From: 3, To: 0, Seq: 99, Payload: make([]byte, 6)},
 		{Kind: KindSpawn, From: 0, To: 5, Seq: 12, Payload: bytes.Repeat([]byte{0x5a}, 64)},
 	}
 }

@@ -13,10 +13,10 @@ func wireSamples() []Message {
 		{},
 		{Kind: KindSpawn, From: 0, To: 3, Seq: 42, Payload: []byte("task payload")},
 		{Kind: KindSpawnDone, From: 3, To: 0, Seq: 42, Payload: []byte{0}},
-		{Kind: KindStealReq, From: 7, To: 1, Seq: 1<<64 - 1},
-		{Kind: KindStealResp, From: 1, To: 7, Seq: 9, Payload: bytes.Repeat([]byte{0xab}, 1024)},
+		{Kind: KindHeartbeat, From: 7, To: 0, Seq: 1<<64 - 1},
+		{Kind: KindSubmit, From: 4, To: 0, Seq: 9, Payload: bytes.Repeat([]byte{0xab}, 1024)},
 		{Kind: KindData, From: -1, To: -1, Seq: 0, Payload: []byte{}},
-		{Kind: KindLifeline, From: 15, To: 8},
+		{Kind: KindJoin, From: 15, To: 0},
 		{Kind: KindShutdown, From: 0, To: 2},
 		{Kind: KindHello, From: 5, To: 0},
 		{Kind: KindPlaceDown, From: 2, To: 0},

@@ -47,8 +47,11 @@ type listedPackage struct {
 // A field is set when it is an assignment or increment target, when its
 // address is taken or a method is called on it, when a composite literal
 // names it or fills it by position, and when it is selected on the way
-// to any of those (x.f.g = v sets f as well as g). The fields tests set
-// on purpose, each with its reason, are listed in neverSetKept, and the
+// to any of those (x.f.g = v sets f as well as g). A default is not a
+// set: a constant assigned to a field in the body of an if that compares
+// that same field with a constant (`if o.N <= 0 { o.N = defaultN }`)
+// fills in a field its callers left unset. The fields tests set on
+// purpose, each with its reason, are listed in neverSetKept, and the
 // never-set list must equal that file. Run with `make never-read`.
 func TestNoFieldIsNeverRead(t *testing.T) {
 	// The standard library comes from its export data, for the tests'
@@ -283,9 +286,15 @@ func (s *fieldScan) reads(f *ast.File, info *types.Info) {
 
 // sets records every field f sets: see TestNoFieldIsNeverRead.
 func (s *fieldScan) sets(f *ast.File, info *types.Info) {
+	defaults := map[*ast.AssignStmt]bool{}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.IfStmt:
+			markDefaults(n, info, defaults)
 		case *ast.AssignStmt:
+			if defaults[n] {
+				break
+			}
 			for _, lhs := range n.Lhs {
 				s.setPath(lhs, info)
 			}
@@ -319,6 +328,33 @@ func (s *fieldScan) sets(f *ast.File, info *types.Info) {
 		}
 		return true
 	})
+}
+
+// markDefaults marks each assignment in the body of n that gives a field
+// a constant when n's condition compares that same field with a constant.
+func markDefaults(n *ast.IfStmt, info *types.Info, defaults map[*ast.AssignStmt]bool) {
+	cond, ok := ast.Unparen(n.Cond).(*ast.BinaryExpr)
+	if !ok || !slices.Contains([]token.Token{token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ}, cond.Op) {
+		return
+	}
+	constant := func(e ast.Expr) bool { return info.Types[e].Value != nil }
+	field := cond.X
+	switch {
+	case constant(cond.X):
+		field = cond.Y
+	case !constant(cond.Y):
+		return
+	}
+	if sel, ok := ast.Unparen(field).(*ast.SelectorExpr); !ok || info.Selections[sel] == nil || info.Selections[sel].Kind() != types.FieldVal {
+		return
+	}
+	for _, st := range n.Body.List {
+		a, ok := st.(*ast.AssignStmt)
+		if ok && a.Tok == token.ASSIGN && len(a.Lhs) == 1 && constant(a.Rhs[0]) &&
+			types.ExprString(a.Lhs[0]) == types.ExprString(field) {
+			defaults[a] = true
+		}
+	}
 }
 
 // setPath records as set every field selected in the target expression
