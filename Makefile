@@ -36,7 +36,10 @@ race:
 # regressing to a non-compiling, panicking, racy, or slow-queue state
 # without paying for a full measurement. One UTS tree on the goroutine
 # runtime runs too, so a bag (core.Bag) that deadlocks or stops completing
-# fails here in seconds. The dag.Execute overhead
+# fails here in seconds, and so does each paper app and uts, once through
+# Parallel on one 2x1 runtime and once through Sequential (BenchmarkAppRun,
+# checksums checked): a serial floor or a hang inside one app's run shows
+# here without the benchmark harness. The dag.Execute overhead
 # benchmark (on a reused graph and on one built fresh for each run) runs
 # once under its watchdog, so an executor that deadlocks again fails here
 # in seconds with a goroutine dump, not at the CI timeout, and
@@ -54,7 +57,7 @@ race:
 # oracle and the preorder walk, both steps at 16 000 bodies), and dmr's
 # bad-triangle test (MinAngleDeg's acos and the cosine filter).
 bench-smoke:
-	$(GO) test -run='^$$' -bench='BenchmarkSimulator128Workers|BenchmarkSimDAG|BenchmarkContentionStudy|BenchmarkUTSRuntime|BenchmarkNestedFinish|BenchmarkXSort' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='BenchmarkSimulator128Workers|BenchmarkSimDAG|BenchmarkContentionStudy|BenchmarkUTSRuntime|BenchmarkAppRun|BenchmarkNestedFinish|BenchmarkXSort' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='BenchmarkExecuteOverhead|BenchmarkNewSchedule' -benchtime=1x -benchmem ./internal/dag
 	$(GO) test -run='^$$' -bench='BenchmarkTileKernels|BenchmarkChecksum' -benchtime=1x ./internal/apps/linalg
 	$(GO) test -run='^$$' -bench=BenchmarkInsert -benchtime=1x -benchmem ./internal/geom

@@ -522,6 +522,48 @@ func BenchmarkUTSRuntime(b *testing.B) {
 	b.ReportMetric(per/float64(seq.Nanoseconds()), "x-seq")
 }
 
+// BenchmarkAppRun runs each of the seven paper apps and uts at the
+// suite's small scale, seed 1, through Parallel on one long-lived 2x1
+// DistWS runtime and through Sequential, and fails on a wrong checksum.
+// One run each way before the timers builds the App's input, so a timed
+// run is its algorithm only; bench-smoke runs it once, so a serial floor
+// or a hang inside one app's run shows here in seconds.
+func BenchmarkAppRun(b *testing.B) {
+	rt, err := core.New(core.Config{
+		Cluster: topology.Cluster{Places: 2, WorkersPerPlace: 1},
+		Policy:  sched.DistWS,
+		Seed:    1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rt.Shutdown()
+	for _, a := range append(suite.Paper(suite.Small, 1), suite.UTS(1)) {
+		seq, par := a.Sequential(), apps.ParallelReference(a)
+		if _, err := a.Parallel(rt); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(a.Name()+"/parallel", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				got, err := a.Parallel(rt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got != par {
+					b.Fatalf("checksum %#x, want %#x", got, par)
+				}
+			}
+		})
+		b.Run(a.Name()+"/sequential", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if got := a.Sequential(); got != seq {
+					b.Fatalf("checksum %#x, want %#x", got, seq)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkNestedFinish times one nested Finish on a worker, inside one
 // long Run, so neither Run's hand-offs nor a pool wake-up are in the
 // figure: an empty scope, and a scope with one Async the worker runs

@@ -43,6 +43,8 @@ type App struct {
 	GranularityNS int64
 	// MaxRounds bounds the merge rounds (safety; log2(N) suffices).
 	MaxRounds int
+
+	points apps.Input[[]Cluster] // gen's clusters, shared read-only by every run
 }
 
 // New returns an agglomerative clustering app over n points.
@@ -81,6 +83,10 @@ func (a *App) gen() []Cluster {
 	}
 	return out
 }
+
+// input returns the input clusters, generating them on first use. A run
+// only reads them: each merge round builds its survivors afresh.
+func (a *App) input() []Cluster { return a.points.Get(a.gen) }
 
 // round is one merge round's input to the nearest-neighbour scan: the
 // active clusters, their indices sorted by X (ties by index), and each
@@ -186,7 +192,7 @@ func mergeMutual(act []Cluster, nn []int, h *apps.Fnv1a) ([]Cluster, int) {
 
 // run executes the clustering with a pluggable per-round chunk executor.
 func (a *App) run(eachRound func(r round, nn []int, chunks [][2]int)) uint64 {
-	act := a.gen()
+	act := a.input()
 	h := apps.NewFnv()
 	for rd := 0; len(act) > 1 && rd < a.MaxRounds; rd++ {
 		nn := make([]int, len(act))
@@ -242,7 +248,7 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 // place 0) parents the next round's chunks.
 func (a *App) Trace(places int) (*trace.Graph, error) {
 	b := trace.NewBuilder(a.Name())
-	act := a.gen()
+	act := a.input()
 	prevMerge := -1
 	for rd := 0; len(act) > 1 && rd < a.MaxRounds; rd++ {
 		nn := make([]int, len(act))

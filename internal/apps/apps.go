@@ -16,6 +16,7 @@ package apps
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"distws/internal/core"
 	"distws/internal/trace"
@@ -32,6 +33,15 @@ type Model interface {
 }
 
 // App is one benchmark application that also runs on the real runtime.
+//
+// A run times only its algorithm. Input that a run does not change is
+// built once per App, on first use, in an Input, and shared read-only by
+// every Sequential, Parallel and Trace call after it, from any goroutine;
+// a run that changes its input changes a copy. So an App's fields are
+// fixed once it has run. Two inputs are still built per run: turingring's
+// ring, because 256 cells cost microseconds, and linalg's tiles, because
+// runs change them in place and a parallel run generates each at its seed
+// place.
 type App interface {
 	Model
 	// Sequential runs the reference implementation and returns its result
@@ -51,6 +61,20 @@ func ParallelReference(a App) uint64 {
 		return x.ChecksumXOR()
 	}
 	return a.Sequential()
+}
+
+// Input is an App's run-invariant input: the first Get builds it, and
+// every Get after it, from any goroutine, returns the same value, which
+// callers only read.
+type Input[T any] struct {
+	once sync.Once
+	v    T
+}
+
+// Get returns the input, calling build on the first Get.
+func (in *Input[T]) Get(build func() T) T {
+	in.once.Do(func() { in.v = build() })
+	return in.v
 }
 
 // Fnv1a implements the FNV-1a hash over a stream of uint64 words, a byte

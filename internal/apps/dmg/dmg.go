@@ -44,6 +44,8 @@ type App struct {
 	RootGrid int
 	// GranularityNS is the Table I calibration target (732 ms).
 	GranularityNS int64
+
+	roots apps.Input[[]region] // gen's points in root regions, shared read-only
 }
 
 // New returns a DMG app over n points.
@@ -100,6 +102,13 @@ func (a *App) rootRegions(pts []geom.Point) []region {
 		regs[i].pts = append(regs[i].pts, p)
 	}
 	return regs
+}
+
+// regions returns the root regions of the input points, generating them
+// on first use. A run only reads them: split copies points into fresh
+// quadrants.
+func (a *App) regions() []region {
+	return a.roots.Get(func() []region { return a.rootRegions(a.gen()) })
 }
 
 // split quarters a region by its midlines.
@@ -179,7 +188,7 @@ func (a *App) seqRec(r region, stats *[]leafStat) {
 // Sequential implements apps.App.
 func (a *App) Sequential() uint64 {
 	var stats []leafStat
-	for _, r := range a.rootRegions(a.gen()) {
+	for _, r := range a.regions() {
 		a.seqRec(r, &stats)
 	}
 	return checksum(stats)
@@ -227,7 +236,7 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 		}
 		res.leaf = leaf(r)
 	}
-	roots := a.rootRegions(a.gen())
+	roots := a.regions()
 	results := make([]result, len(roots))
 	err := rt.Run(func(ctx *core.Ctx) {
 		ctx.Finish(func(c *core.Ctx) {
@@ -262,7 +271,7 @@ func (a *App) locality(npts int) task.Locality {
 // (paper §II condition b).
 func (a *App) Trace(places int) (*trace.Graph, error) {
 	b := trace.NewBuilder(a.Name())
-	roots := a.rootRegions(a.gen())
+	roots := a.regions()
 	var rec func(parent int, r region)
 	rec = func(parent int, r region) {
 		if len(r.pts) > a.Cutoff {

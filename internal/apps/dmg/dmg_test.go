@@ -1,6 +1,7 @@
 package dmg
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -118,8 +119,12 @@ func TestTriangulateEmptyRegion(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSequential runs one App sequentially, in parallel
+// under each policy and sequentially again: every checksum must match,
+// and the root regions every run shares must still equal a fresh generation.
 func TestParallelMatchesSequential(t *testing.T) {
-	want := small().Sequential()
+	a := small()
+	want := a.Sequential()
 	for _, policy := range []sched.Kind{sched.X10WS, sched.DistWS} {
 		rt, err := core.New(core.Config{
 			Cluster: topology.Cluster{Places: 2, WorkersPerPlace: 2},
@@ -129,7 +134,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := small().Parallel(rt)
+		got, err := a.Parallel(rt)
 		rt.Shutdown()
 		if err != nil {
 			t.Fatalf("%v: %v", policy, err)
@@ -137,6 +142,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 		if got != want {
 			t.Fatalf("%v: parallel %x != sequential %x", policy, got, want)
 		}
+	}
+	if got := a.Sequential(); got != want {
+		t.Fatalf("second sequential %x != first %x", got, want)
+	}
+	if !reflect.DeepEqual(a.regions(), a.rootRegions(a.gen())) {
+		t.Fatalf("a run changed the shared root regions")
 	}
 }
 

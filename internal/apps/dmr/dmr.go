@@ -40,6 +40,8 @@ type App struct {
 	CapFactor int
 	// GranularityNS is the Table I calibration target (899 ms).
 	GranularityNS int64
+
+	parts apps.Input[[][]geom.Point] // gen's points by region, shared read-only
 }
 
 // New returns a DMR app over n seed points.
@@ -213,6 +215,13 @@ func (a *App) partition(pts []geom.Point) [][]geom.Point {
 	return regs
 }
 
+// regions returns the input points grouped by region, generating them on
+// first use. A run only reads them: refineWith inserts them into its own
+// mesh.
+func (a *App) regions() [][]geom.Point {
+	return a.parts.Get(func() [][]geom.Point { return a.partition(a.gen()) })
+}
+
 func checksum(stats []refineStats) uint64 {
 	h := apps.NewFnv()
 	for _, s := range stats {
@@ -225,7 +234,7 @@ func checksum(stats []refineStats) uint64 {
 
 // Sequential implements apps.App.
 func (a *App) Sequential() uint64 {
-	regs := a.partition(a.gen())
+	regs := a.regions()
 	stats := make([]refineStats, a.RootGrid)
 	for i, pts := range regs {
 		stats[i] = a.refineRegion(i, pts)
@@ -239,7 +248,7 @@ func (a *App) regionPlace(i, places int) int { return i * places / a.RootGrid }
 // Parallel implements apps.App.
 func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 	places := rt.Places()
-	regs := a.partition(a.gen())
+	regs := a.regions()
 	stats := make([]refineStats, a.RootGrid)
 	err := rt.Run(func(ctx *core.Ctx) {
 		ctx.Finish(func(c *core.Ctx) {
@@ -270,7 +279,7 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 // migrate but DistWS-NS happily steals.
 func (a *App) Trace(places int) (*trace.Graph, error) {
 	b := trace.NewBuilder(a.Name())
-	regs := a.partition(a.gen())
+	regs := a.regions()
 	for i, pts := range regs {
 		st := a.refineRegion(i, pts)
 		root := b.Root(trace.Task{

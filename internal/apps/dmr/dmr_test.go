@@ -3,6 +3,7 @@ package dmr
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -208,8 +209,12 @@ func BenchmarkIsBad(b *testing.B) {
 	}
 }
 
+// TestParallelMatchesSequential runs one App sequentially, in parallel
+// under each policy and sequentially again: every checksum must match,
+// and the region points every run shares must still equal a fresh generation.
 func TestParallelMatchesSequential(t *testing.T) {
-	want := small().Sequential()
+	a := small()
+	want := a.Sequential()
 	for _, policy := range []sched.Kind{sched.X10WS, sched.DistWS} {
 		rt, err := core.New(core.Config{
 			Cluster: topology.Cluster{Places: 2, WorkersPerPlace: 2},
@@ -219,7 +224,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := small().Parallel(rt)
+		got, err := a.Parallel(rt)
 		rt.Shutdown()
 		if err != nil {
 			t.Fatalf("%v: %v", policy, err)
@@ -227,6 +232,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 		if got != want {
 			t.Fatalf("%v: parallel %x != sequential %x", policy, got, want)
 		}
+	}
+	if got := a.Sequential(); got != want {
+		t.Fatalf("second sequential %x != first %x", got, want)
+	}
+	if !reflect.DeepEqual(a.regions(), a.partition(a.gen())) {
+		t.Fatalf("a run changed the shared region points")
 	}
 }
 

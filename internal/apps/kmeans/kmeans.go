@@ -36,6 +36,8 @@ type App struct {
 	ChunkSize int
 	// GranularityNS is the Table I calibration target (383 ms).
 	GranularityNS int64
+
+	pts apps.Input[[]Point] // gen's points, shared read-only by every run
 }
 
 // New returns a k-Means app over n points for iters iterations.
@@ -99,6 +101,9 @@ func (a *App) gen() []Point {
 	apps.SortX(pts, func(p *Point) float64 { return p.X })
 	return pts
 }
+
+// points returns the input points, generating them on first use.
+func (a *App) points() []Point { return a.pts.Get(a.gen) }
 
 // partial accumulates one chunk's contribution to the new centroids.
 type partial struct {
@@ -173,7 +178,7 @@ func (a *App) checksum(cents []Point, counts []int64) uint64 {
 // run executes the algorithm with a pluggable chunk executor, so the
 // sequential and parallel paths share every line of numeric code.
 func (a *App) run(eachIter func(pts, cents []Point, chunks [][2]int, parts []*partial)) uint64 {
-	pts := a.gen()
+	pts := a.points()
 	cents := a.initialCentroids(pts)
 	chunks := apps.Chunks(a.N, a.ChunkSize)
 	var lastCounts []int64
@@ -233,7 +238,7 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 // messages with every place.
 func (a *App) Trace(places int) (*trace.Graph, error) {
 	b := trace.NewBuilder(a.Name())
-	pts := a.gen()
+	pts := a.points()
 	chunks := apps.Chunks(a.N, a.ChunkSize)
 	prev := make([]int, len(chunks))
 	prevReduce := -1

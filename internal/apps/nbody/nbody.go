@@ -17,6 +17,7 @@ package nbody
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"distws/internal/apps"
 	"distws/internal/core"
@@ -43,6 +44,8 @@ type App struct {
 	ChunkSize int
 	// GranularityNS is the Table I calibration target (623 ms).
 	GranularityNS int64
+
+	start apps.Input[[]Body] // gen's bodies; every run integrates a copy
 }
 
 // New returns an n-Body app over n bodies for steps steps.
@@ -320,9 +323,13 @@ func checksum(bodies []Body) uint64 {
 	return h.Sum()
 }
 
+// bodies returns a copy of the initial bodies, generating them on first
+// use.
+func (a *App) bodies() []Body { return slices.Clone(a.start.Get(a.gen)) }
+
 // run executes the simulation with a pluggable chunk executor.
 func (a *App) run(eachStep func(t *tree, bodies []Body, ax, ay []float64, chunks [][2]int)) uint64 {
-	bodies := a.gen()
+	bodies := a.bodies()
 	ax := make([]float64, a.N)
 	ay := make([]float64, a.N)
 	chunks := apps.Chunks(a.N, a.ChunkSize)
@@ -376,7 +383,7 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 // step's chunks.
 func (a *App) Trace(places int) (*trace.Graph, error) {
 	b := trace.NewBuilder(a.Name())
-	bodies := a.gen()
+	bodies := a.bodies()
 	ax := make([]float64, a.N)
 	ay := make([]float64, a.N)
 	chunks := apps.Chunks(a.N, a.ChunkSize)

@@ -3,6 +3,7 @@ package nbody
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -441,8 +442,12 @@ func TestBodiesStayInDomain(t *testing.T) {
 	})
 }
 
+// TestParallelMatchesSequential runs one App sequentially, in parallel
+// under each policy and sequentially again: every checksum must match,
+// and the initial bodies every run copies must still equal a fresh generation.
 func TestParallelMatchesSequential(t *testing.T) {
-	want := small().Sequential()
+	a := small()
+	want := a.Sequential()
 	for _, policy := range []sched.Kind{sched.X10WS, sched.DistWS} {
 		rt, err := core.New(core.Config{
 			Cluster: topology.Cluster{Places: 2, WorkersPerPlace: 2},
@@ -452,7 +457,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := small().Parallel(rt)
+		got, err := a.Parallel(rt)
 		rt.Shutdown()
 		if err != nil {
 			t.Fatalf("%v: %v", policy, err)
@@ -460,6 +465,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 		if got != want {
 			t.Fatalf("%v: parallel %x != sequential %x", policy, got, want)
 		}
+	}
+	if got := a.Sequential(); got != want {
+		t.Fatalf("second sequential %x != first %x", got, want)
+	}
+	if !reflect.DeepEqual(a.start.Get(a.gen), a.gen()) {
+		t.Fatalf("a run changed the shared initial bodies")
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sync/atomic"
+	"sync"
 
 	"distws/internal/apps"
 	"distws/internal/core"
@@ -32,6 +32,11 @@ type App struct {
 	FlexMin int
 	// GranularityNS is the Table I calibration target (1.1 ms).
 	GranularityNS int64
+
+	keys apps.Input[[]int64] // gen's keys; every run sorts a copy
+
+	mu     sync.Mutex
+	placed map[int][][]int64 // the keys' buckets, by place count
 }
 
 // New returns a Quicksort app over n elements.
@@ -65,6 +70,25 @@ func (a *App) gen() []int64 {
 		data[i] = int64(u * u * float64(1<<62))
 	}
 	return data
+}
+
+// input returns the input keys, generating them on first use.
+func (a *App) input() []int64 { return a.keys.Get(a.gen) }
+
+// bucketed returns the input keys' buckets for places places, bucketing
+// them on first use.
+func (a *App) bucketed(places int) [][]int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	bks, ok := a.placed[places]
+	if !ok {
+		bks = buckets(a.input(), places)
+		if a.placed == nil {
+			a.placed = map[int][][]int64{}
+		}
+		a.placed[places] = bks
+	}
+	return bks
 }
 
 // buckets partitions data by value range into places buckets (bucket p
@@ -160,19 +184,24 @@ func (a *App) seqSort(d []int64) {
 
 // Sequential implements apps.App.
 func (a *App) Sequential() uint64 {
-	data := a.gen()
+	data := slices.Clone(a.input())
 	a.seqSort(data)
 	return checksum(data)
 }
 
 // Parallel implements apps.App: a range-partitioned task-parallel sort.
 // Each place owns a key range (bucket) and sorts it with recursive tasks
-// (big segments flexible); concatenating the buckets yields the result.
+// (big segments flexible). The run sorts a copy of the buckets laid end
+// to end in one array, which is then the sorted result.
 func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
-	data := a.gen()
 	places := rt.Places()
-	bks := buckets(data, places)
-	var taskCount atomic.Int64
+	data := make([]int64, a.N)
+	bks := make([][]int64, places)
+	off := 0
+	for p, b := range a.bucketed(places) {
+		bks[p] = data[off : off+copy(data[off:], b)]
+		off += len(b)
+	}
 	err := rt.Run(func(ctx *core.Ctx) {
 		ctx.Finish(func(c *core.Ctx) {
 			for p := 0; p < places; p++ {
@@ -182,7 +211,7 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 				}
 				home := p
 				c.AsyncLoc(home, a.locality(len(seg)), func(cc *core.Ctx) {
-					a.sortTask(cc, seg, &taskCount)
+					a.sortTask(cc, seg)
 				})
 			}
 		})
@@ -190,16 +219,11 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("qsort: %w", err)
 	}
-	merged := make([]int64, 0, a.N)
-	for _, b := range bks {
-		merged = append(merged, b...)
-	}
-	return checksum(merged), nil
+	return checksum(data), nil
 }
 
 // sortTask recursively sorts seg, spawning subtasks for both halves.
-func (a *App) sortTask(ctx *core.Ctx, seg []int64, count *atomic.Int64) {
-	count.Add(1)
+func (a *App) sortTask(ctx *core.Ctx, seg []int64) {
 	if len(seg) <= a.SeqCutoff {
 		slices.Sort(seg)
 		return
@@ -211,9 +235,9 @@ func (a *App) sortTask(ctx *core.Ctx, seg []int64, count *atomic.Int64) {
 	}
 	ctx.Finish(func(c *core.Ctx) {
 		c.AsyncLoc(c.Place(), a.locality(len(l)), func(cc *core.Ctx) {
-			a.sortTask(cc, l, count)
+			a.sortTask(cc, l)
 		})
-		a.sortTask(c, r, count)
+		a.sortTask(c, r)
 	})
 }
 
@@ -234,8 +258,7 @@ func (a *App) locality(segLen int) task.Locality {
 // partition work (and n·log n at the leaves), then calibrates the mean
 // flexible granularity to Table I (1.1 ms).
 func (a *App) Trace(places int) (*trace.Graph, error) {
-	data := a.gen()
-	bks := buckets(data, places)
+	bks := buckets(a.input(), places) // fresh buckets: traceRec sorts them
 	b := trace.NewBuilder(a.Name())
 	for p := 0; p < places; p++ {
 		seg := bks[p]

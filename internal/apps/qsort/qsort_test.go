@@ -1,6 +1,8 @@
 package qsort
 
 import (
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -52,8 +54,13 @@ func TestPartitionSplitsAroundPivot(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSequential runs one App sequentially, in parallel
+// under each policy and sequentially again: every checksum must match,
+// and the keys and buckets every run copies must still equal fresh ones.
+// A run that sorted them in place would leave the checksums as they are.
 func TestParallelMatchesSequential(t *testing.T) {
-	want := small().Sequential()
+	a := small()
+	want := a.Sequential()
 	for _, policy := range []sched.Kind{sched.X10WS, sched.DistWS, sched.DistWSNS} {
 		rt, err := core.New(core.Config{
 			Cluster: topology.Cluster{Places: 2, WorkersPerPlace: 2},
@@ -63,7 +70,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := small().Parallel(rt)
+		got, err := a.Parallel(rt)
 		rt.Shutdown()
 		if err != nil {
 			t.Fatalf("%v: %v", policy, err)
@@ -71,6 +78,15 @@ func TestParallelMatchesSequential(t *testing.T) {
 		if got != want {
 			t.Fatalf("%v: parallel checksum %x != sequential %x", policy, got, want)
 		}
+	}
+	if got := a.Sequential(); got != want {
+		t.Fatalf("second sequential %x != first %x", got, want)
+	}
+	if !slices.Equal(a.input(), a.gen()) {
+		t.Fatalf("a run changed the shared input keys")
+	}
+	if !reflect.DeepEqual(a.bucketed(2), buckets(a.gen(), 2)) {
+		t.Fatalf("a run changed the shared buckets")
 	}
 }
 

@@ -2,6 +2,7 @@ package suite
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -103,6 +104,90 @@ func TestParallelMatchesReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// pinned is every paper app's and uts's Sequential checksum at Small
+// scale, seed 1, as first computed before the apps shared their inputs
+// across runs. amd64's: another architecture may fuse a multiply-add.
+var pinned = map[string]uint64{
+	"quicksort":  0xd30cdf22dad2bcda,
+	"turingring": 0x204c13332f89b67c,
+	"kmeans":     0x238adf4a9d86d8c,
+	"agglom":     0xa365c370a270576,
+	"dmg":        0xf1778ea61a99ebf3,
+	"dmr":        0x1d279e088ee5e002,
+	"nbody":      0x1c0b2ff9f1c53314,
+	"uts":        0xaeda2fb8941887a2,
+}
+
+// TestRunsShareInput runs each app as a benchmark pass reuses it, on one
+// App: Sequential, Parallel on a 2x1 DistWS runtime, then Sequential
+// again. The App builds its run-invariant input on its first run and every
+// later run reads it, so a run that changed it would move a later
+// checksum. Then a fresh App runs Parallel on two runtimes at once: both
+// runs race to build the input and then read it, which -race checks.
+func TestRunsShareInput(t *testing.T) {
+	for _, a := range append(Paper(Small, 1), UTS(1)) {
+		t.Run(a.Name(), func(t *testing.T) {
+			seq := pinned[a.Name()]
+			if runtime.GOARCH != "amd64" {
+				seq = mustByName(t, a.Name()).Sequential()
+			}
+			par := apps.ParallelReference(mustByName(t, a.Name()))
+			if got := a.Sequential(); got != seq {
+				t.Fatalf("first sequential %#x, want %#x", got, seq)
+			}
+			if got := parallel(t, a); got != par {
+				t.Fatalf("parallel %#x, want %#x", got, par)
+			}
+			if got := a.Sequential(); got != seq {
+				t.Fatalf("second sequential %#x, want %#x", got, seq)
+			}
+			fresh := mustByName(t, a.Name())
+			var got [2]uint64
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[i] = parallel(t, fresh)
+				}()
+			}
+			wg.Wait()
+			if got[0] != par || got[1] != par {
+				t.Fatalf("concurrent parallel runs %#x, %#x, want %#x", got[0], got[1], par)
+			}
+		})
+	}
+}
+
+func mustByName(t *testing.T, name string) apps.App {
+	t.Helper()
+	a, err := ByName(name, Small, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// parallel runs a.Parallel on a fresh 2x1 DistWS runtime. It may run on a
+// goroutine other than the test's, so it reports a failure with Error.
+func parallel(t *testing.T, a apps.App) uint64 {
+	rt, err := core.New(core.Config{
+		Cluster: topology.Cluster{Places: 2, WorkersPerPlace: 1},
+		Policy:  sched.DistWS,
+		Seed:    1,
+	})
+	if err != nil {
+		t.Error(err)
+		return 0
+	}
+	defer rt.Shutdown()
+	sum, err := a.Parallel(rt)
+	if err != nil {
+		t.Error(err)
+	}
+	return sum
 }
 
 // TestTracesArePure is what lets expt's Runner generate two place counts

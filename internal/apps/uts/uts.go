@@ -30,6 +30,8 @@ type App struct {
 	Seed int64
 	// NodeCostNS is the per-node virtual work in the trace.
 	NodeCostNS int64
+
+	nodes apps.Input[int] // walk's count, read by every Parallel
 }
 
 // New returns a UTS instance.
@@ -95,8 +97,12 @@ func (a *App) Sequential() uint64 {
 	return h.Sum()
 }
 
-// Count returns just the number of tree nodes (bounded by MaxNodes).
-func (a *App) Count() int {
+// Count returns just the number of tree nodes (bounded by MaxNodes),
+// walking the tree on the first call only.
+func (a *App) Count() int { return a.nodes.Get(a.walk) }
+
+// walk counts the tree's nodes (bounded by MaxNodes).
+func (a *App) walk() int {
 	stack := []node{{1, 0}}
 	count := 0
 	for len(stack) > 0 && count < a.MaxNodes {
