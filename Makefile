@@ -303,11 +303,12 @@ coverage-ledger:
 		      exit (s || stale) ? 1 : 0 }' \
 		$(LEDGER_KEPT) "$$dir/prog.txt" "$$dir/all.txt"
 
-# Never-read fields, beside the coverage ledger: the struct fields
-# declared outside tests that no code reads, found by type-checking the
-# module from source, tests included (neverread_test.go; fields with a json
-# tag and embedded fields are exempt). The list must be empty: delete such
-# a field, or read it. In the same pass, the fields that no code outside
+# Never-read fields, beside the coverage ledger: the struct fields and
+# package-level consts and vars declared outside tests that no code reads,
+# found by type-checking the module from source, tests included
+# (neverread_test.go; fields with a json tag and embedded fields are
+# exempt). The list must be empty: delete such a name, or read it. In the
+# same pass, the fields that no code outside
 # tests sets (a withDefaults-style `if o.N <= 0 { o.N = defaultN }` is
 # not a set): that list must equal testdata/neverset_kept.txt
 # (`file: Type.Field reason`). Behind the neverread build tag, so `test`

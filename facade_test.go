@@ -3,8 +3,12 @@ package distws
 import (
 	"context"
 	"errors"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"distws/internal/sched"
 )
 
 // TestFacadeErrorSurface pins the re-exported typed error: user code
@@ -34,5 +38,33 @@ func TestFacadeRunContext(t *testing.T) {
 	<-ran
 	if err := rt.ShutdownContext(ctx); err != nil {
 		t.Fatalf("ShutdownContext: %v", err)
+	}
+}
+
+// TestFacadePolicies runs a Sensitive and a Flexible task under every
+// policy the facade exports, which must be every policy, in sched.Kinds'
+// order.
+func TestFacadePolicies(t *testing.T) {
+	policies := []Policy{X10WS, DistWS, DistWSNS, RandomWS, LifelineWS}
+	if !slices.Equal(policies, sched.Kinds()) {
+		t.Fatalf("facade policies %v, want %v", policies, sched.Kinds())
+	}
+	for _, p := range policies {
+		rt, err := New(Config{Cluster: LaptopCluster(), Policy: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ran atomic.Int32
+		err = rt.Run(func(ctx *Ctx) {
+			ctx.Finish(func(c *Ctx) {
+				for _, class := range []Class{Sensitive, Flexible} {
+					c.AsyncLoc(c.Places()-1, Locality{Class: class}, func(*Ctx) { ran.Add(1) })
+				}
+			})
+		})
+		rt.Shutdown()
+		if err != nil || ran.Load() != 2 {
+			t.Fatalf("%v: ran %d of 2 tasks, err %v", p, ran.Load(), err)
+		}
 	}
 }

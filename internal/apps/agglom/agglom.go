@@ -33,33 +33,23 @@ type Cluster struct {
 
 // App configures one clustering instance.
 type App struct {
-	// N is the number of input points (paper scale: 2_000_000).
-	N int
-	// Seed drives the input distribution.
-	Seed int64
-	// ChunkSize is the number of clusters per nearest-neighbour task.
-	ChunkSize int
-	// GranularityNS is the Table I calibration target (529 ms).
-	GranularityNS int64
-	// MaxRounds bounds the merge rounds (safety; log2(N) suffices).
-	MaxRounds int
+	n         int   // input points (paper scale: 2_000_000)
+	seed      int64 // drives the input distribution
+	chunkSize int   // clusters per nearest-neighbour task
 
 	points apps.Input[[]Cluster] // gen's clusters, shared read-only by every run
 }
 
+const (
+	// granularityNS is the Table I calibration target: 529 ms.
+	granularityNS = 529_000_000
+	// maxRounds bounds the merge rounds (safety; log2(n) suffices).
+	maxRounds = 64
+)
+
 // New returns an agglomerative clustering app over n points.
 func New(n int, seed int64) *App {
-	chunk := n / 128
-	if chunk < 16 {
-		chunk = 16
-	}
-	return &App{
-		N:             n,
-		Seed:          seed,
-		ChunkSize:     chunk,
-		GranularityNS: 529_000_000, // Table I: 529 ms
-		MaxRounds:     64,
-	}
+	return &App{n: n, seed: seed, chunkSize: max(n/128, 16)}
 }
 
 // Name implements apps.App.
@@ -67,9 +57,9 @@ func (a *App) Name() string { return "agglom" }
 
 // gen produces clustered points (dense and sparse blobs).
 func (a *App) gen() []Cluster {
-	out := make([]Cluster, a.N)
+	out := make([]Cluster, a.n)
 	for i := range out {
-		h := apps.Mix(uint64(a.Seed), uint64(i))
+		h := apps.Mix(uint64(a.seed), uint64(i))
 		var x, y float64
 		switch h % 8 {
 		case 0, 1, 2, 3: // heavy blob left
@@ -152,8 +142,9 @@ func (r round) nnChunk(nn []int, lo, hi int) int {
 }
 
 // mergeMutual merges mutual nearest-neighbour pairs (i<j, nn[i]=j,
-// nn[j]=i) and returns the next round's clusters plus the merge count.
-// Clusters not in a mutual pair survive unchanged. Deterministic.
+// nn[j]=i), folding each merged cluster into h, and returns the next
+// round's clusters plus the merge count. Clusters not in a mutual pair
+// survive unchanged. Deterministic.
 func mergeMutual(act []Cluster, nn []int, h *apps.Fnv1a) ([]Cluster, int) {
 	merged := make([]bool, len(act))
 	var next []Cluster
@@ -174,11 +165,9 @@ func mergeMutual(act []Cluster, nn []int, h *apps.Fnv1a) ([]Cluster, int) {
 			merged[i], merged[j] = true, true
 			next = append(next, nc)
 			merges++
-			if h != nil {
-				h.Add(uint64(nc.Size))
-				h.AddFloat(nc.X)
-				h.AddFloat(nc.Y)
-			}
+			h.Add(uint64(nc.Size))
+			h.AddFloat(nc.X)
+			h.AddFloat(nc.Y)
 			continue
 		}
 	}
@@ -194,9 +183,9 @@ func mergeMutual(act []Cluster, nn []int, h *apps.Fnv1a) ([]Cluster, int) {
 func (a *App) run(eachRound func(r round, nn []int, chunks [][2]int)) uint64 {
 	act := a.input()
 	h := apps.NewFnv()
-	for rd := 0; len(act) > 1 && rd < a.MaxRounds; rd++ {
+	for rd := 0; len(act) > 1 && rd < maxRounds; rd++ {
 		nn := make([]int, len(act))
-		eachRound(newRound(act), nn, apps.Chunks(len(act), a.ChunkSize))
+		eachRound(newRound(act), nn, apps.Chunks(len(act), a.chunkSize))
 		var merges int
 		act, merges = mergeMutual(act, nn, &h)
 		if merges == 0 {
@@ -248,20 +237,16 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 // place 0) parents the next round's chunks.
 func (a *App) Trace(places int) (*trace.Graph, error) {
 	b := trace.NewBuilder(a.Name())
-	act := a.input()
 	prevMerge := -1
-	for rd := 0; len(act) > 1 && rd < a.MaxRounds; rd++ {
-		nn := make([]int, len(act))
-		r := newRound(act)
-		chunks := apps.Chunks(len(act), a.ChunkSize)
+	a.run(func(r round, nn []int, chunks [][2]int) {
 		// The merge/coordination task for this round.
 		mt := trace.Task{
 			HomeMode:  trace.HomeFixed,
 			Home:      0,
-			CostNS:    int64(len(act)),
+			CostNS:    int64(len(r.act)),
 			Flexible:  false,
 			BaseMsgs:  2 * (places - 1), // gather nn[], broadcast survivors
-			BaseBytes: 8 * len(act),
+			BaseBytes: 8 * len(r.act),
 		}
 		var mid int
 		if prevMerge < 0 {
@@ -275,29 +260,24 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 			sz := ch[1] - ch[0]
 			b.Child(mid, trace.Task{
 				HomeMode:  trace.HomeFixed,
-				Home:      apps.Stripe(act[ch[0]].X, places),
+				Home:      apps.Stripe(r.act[ch[0]].X, places),
 				CostNS:    int64(work + sz),
 				Flexible:  true,
 				MigBytes:  24 * sz,
 				MigMsgs:   sz / 64, // remote reads of off-place centroids
 				BaseMsgs:  1,
 				BaseBytes: 8 * sz,
-				Blocks:    spatialBlocks(act, ch[0], ch[1]),
+				Blocks:    spatialBlocks(r.act, ch[0], ch[1]),
 				BlockReps: 4,
 			})
 		}
-		var merges int
-		act, merges = mergeMutual(act, nn, nil)
-		if merges == 0 {
-			break
-		}
-	}
+	})
 	g, err := b.Graph()
 	if err != nil {
 		return nil, fmt.Errorf("agglom: %w", err)
 	}
 	apps.SpawnAtEnd(g)
-	if _, err := apps.CalibrateFlexibleGranularity(g, a.GranularityNS); err != nil {
+	if _, err := apps.CalibrateFlexibleGranularity(g, granularityNS); err != nil {
 		return nil, fmt.Errorf("agglom: %w", err)
 	}
 	return g, nil

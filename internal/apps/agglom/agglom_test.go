@@ -38,7 +38,7 @@ func TestSequentialChecksumIsPinned(t *testing.T) {
 		2: {0x7552da56beea2af6, 0xfd85a40b6a5e12a7},
 	}
 	for seed, w := range want {
-		for i, n := range []int{small().N, 1_200 * 4} {
+		for i, n := range []int{small().n, 1_200 * 4} {
 			if got := New(n, seed).Sequential(); got != w[i] {
 				t.Errorf("seed %d, %d points: checksum %#x, want %#x", seed, n, got, w[i])
 			}
@@ -134,9 +134,9 @@ func TestNNChunkMatchesNaive(t *testing.T) {
 			a := New(n, seed)
 			act := a.gen()
 			for rd := 0; len(act) > 1; rd++ {
-				nn := checkRound(t, fmt.Sprintf("%d points, seed %d, round %d", n, seed, rd), act, a.ChunkSize)
+				nn := checkRound(t, fmt.Sprintf("%d points, seed %d, round %d", n, seed, rd), act, a.chunkSize)
 				var merges int
-				if act, merges = mergeMutual(act, nn, nil); merges == 0 {
+				if act, merges = mergeMutual(act, nn, new(apps.Fnv1a)); merges == 0 {
 					break
 				}
 			}
@@ -168,7 +168,7 @@ func TestMergeMutualPairs(t *testing.T) {
 		{X: 10, Y: 10, Size: 1}, // loner (its nn is not mutual)
 	}
 	nn := []int{1, 0, 1}
-	next, merges := mergeMutual(act, nn, nil)
+	next, merges := mergeMutual(act, nn, new(apps.Fnv1a))
 	if merges != 1 {
 		t.Fatalf("merges = %d, want 1", merges)
 	}
@@ -185,11 +185,11 @@ func TestClusteringConvergesToOne(t *testing.T) {
 	a := small()
 	act := a.gen()
 	rounds := 0
-	for len(act) > 1 && rounds < a.MaxRounds {
+	for len(act) > 1 && rounds < maxRounds {
 		nn := make([]int, len(act))
 		newRound(act).nnChunk(nn, 0, len(act))
 		var merges int
-		act, merges = mergeMutual(act, nn, nil)
+		act, merges = mergeMutual(act, nn, new(apps.Fnv1a))
 		if merges == 0 {
 			break
 		}
@@ -198,8 +198,8 @@ func TestClusteringConvergesToOne(t *testing.T) {
 	if len(act) != 1 {
 		t.Fatalf("clustering stopped at %d clusters after %d rounds", len(act), rounds)
 	}
-	if act[0].Size != a.N {
-		t.Fatalf("final cluster size %d, want %d", act[0].Size, a.N)
+	if act[0].Size != a.n {
+		t.Fatalf("final cluster size %d, want %d", act[0].Size, a.n)
 	}
 }
 

@@ -34,14 +34,21 @@ type Model interface {
 
 // App is one benchmark application that also runs on the real runtime.
 //
+// An App's parameters are unexported: its constructor sets them and
+// nothing changes them after. An app writes its decomposition once, and
+// Sequential, Parallel and Trace drive that one walk, each with its own
+// step: uts's dfs, quicksort's split, the run loop of turingring, agglom
+// and n-body, dmg's split and leaf, dmr's refineRegion. So the trace is
+// the task graph the runs execute. Only k-means's trace models its
+// chunks without running Lloyd's iterations.
+//
 // A run times only its algorithm. Input that a run does not change is
 // built once per App, on first use, in an Input, and shared read-only by
 // every Sequential, Parallel and Trace call after it, from any goroutine;
-// a run that changes its input changes a copy. So an App's fields are
-// fixed once it has run. Two inputs are still built per run: turingring's
-// ring, because 256 cells cost microseconds, and linalg's tiles, because
-// runs change them in place and a parallel run generates each at its seed
-// place.
+// a run that changes its input changes a copy. Two inputs are still built
+// per run: turingring's ring, because 256 cells cost microseconds, and
+// linalg's tiles, because runs change them in place and a parallel run
+// generates each at its seed place.
 type App interface {
 	Model
 	// Sequential runs the reference implementation and returns its result

@@ -32,35 +32,24 @@ type region struct {
 
 // App configures one DMG instance.
 type App struct {
-	// N is the number of points (paper scale: 80_000).
-	N int
-	// Seed drives the input distribution.
-	Seed int64
-	// Cutoff is the region size below which points are triangulated
-	// rather than split further.
-	Cutoff int
-	// RootGrid is the number of top-level column stripes (one root region
-	// per stripe), distributed over the places.
-	RootGrid int
-	// GranularityNS is the Table I calibration target (732 ms).
-	GranularityNS int64
+	n      int   // points (paper scale: 80_000)
+	seed   int64 // drives the input distribution
+	cutoff int   // region size above which a region splits rather than triangulates
 
 	roots apps.Input[[]region] // gen's points in root regions, shared read-only
 }
 
+const (
+	// rootGrid is the number of top-level column stripes (one root region
+	// per stripe), distributed over the places.
+	rootGrid = 16
+	// granularityNS is the Table I calibration target: 732 ms.
+	granularityNS = 732_000_000
+)
+
 // New returns a DMG app over n points.
 func New(n int, seed int64) *App {
-	cutoff := n / 96
-	if cutoff < 64 {
-		cutoff = 64
-	}
-	return &App{
-		N:             n,
-		Seed:          seed,
-		Cutoff:        cutoff,
-		RootGrid:      16,
-		GranularityNS: 732_000_000, // Table I: 732 ms
-	}
+	return &App{n: n, seed: seed, cutoff: max(n/96, 64)}
 }
 
 // Name implements apps.App.
@@ -68,9 +57,9 @@ func (a *App) Name() string { return "dmg" }
 
 // gen produces clustered points in the unit square.
 func (a *App) gen() []geom.Point {
-	pts := make([]geom.Point, a.N)
+	pts := make([]geom.Point, a.n)
 	for i := range pts {
-		h := apps.Mix(uint64(a.Seed), uint64(i))
+		h := apps.Mix(uint64(a.seed), uint64(i))
 		var x, y float64
 		switch h % 8 {
 		case 0, 1, 2, 3: // dense cluster
@@ -87,18 +76,18 @@ func (a *App) gen() []geom.Point {
 	return pts
 }
 
-// rootRegions splits the domain into RootGrid column stripes.
-func (a *App) rootRegions(pts []geom.Point) []region {
-	regs := make([]region, a.RootGrid)
+// rootRegions splits the domain into rootGrid column stripes.
+func rootRegions(pts []geom.Point) []region {
+	regs := make([]region, rootGrid)
 	for i := range regs {
 		regs[i] = region{
-			minX: float64(i) / float64(a.RootGrid),
-			maxX: float64(i+1) / float64(a.RootGrid),
+			minX: float64(i) / float64(rootGrid),
+			maxX: float64(i+1) / float64(rootGrid),
 			minY: 0, maxY: 1,
 		}
 	}
 	for _, p := range pts {
-		i := apps.Stripe(p.X, a.RootGrid)
+		i := apps.Stripe(p.X, rootGrid)
 		regs[i].pts = append(regs[i].pts, p)
 	}
 	return regs
@@ -108,7 +97,7 @@ func (a *App) rootRegions(pts []geom.Point) []region {
 // on first use. A run only reads them: split copies points into fresh
 // quadrants.
 func (a *App) regions() []region {
-	return a.roots.Get(func() []region { return a.rootRegions(a.gen()) })
+	return a.roots.Get(func() []region { return rootRegions(a.gen()) })
 }
 
 // split quarters a region by its midlines.
@@ -176,7 +165,7 @@ func leafKey(r region) string {
 // seqRec triangulates r, splitting recursively, appending leaf stats in
 // decomposition order.
 func (a *App) seqRec(r region, stats *[]leafStat) {
-	if len(r.pts) > a.Cutoff {
+	if len(r.pts) > a.cutoff {
 		for _, q := range split(r) {
 			a.seqRec(q, stats)
 		}
@@ -195,8 +184,8 @@ func (a *App) Sequential() uint64 {
 }
 
 // regionPlace maps a root stripe to a place.
-func (a *App) regionPlace(i, places int) int {
-	return i * places / a.RootGrid
+func regionPlace(i, places int) int {
+	return i * places / rootGrid
 }
 
 // result is what one region task of Parallel leaves behind: a leaf's
@@ -222,7 +211,7 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 	places := rt.Places()
 	var parRec func(c *core.Ctx, r region, res *result)
 	parRec = func(c *core.Ctx, r region, res *result) {
-		if len(r.pts) > a.Cutoff {
+		if len(r.pts) > a.cutoff {
 			res.quads = make([]result, 4)
 			c.Finish(func(cc *core.Ctx) {
 				for i, q := range split(r) {
@@ -242,7 +231,7 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 		ctx.Finish(func(c *core.Ctx) {
 			for i, r := range roots {
 				i, r := i, r
-				c.AsyncLoc(a.regionPlace(i, places), a.locality(len(r.pts)), func(cc *core.Ctx) {
+				c.AsyncLoc(regionPlace(i, places), a.locality(len(r.pts)), func(cc *core.Ctx) {
 					parRec(cc, r, &results[i])
 				})
 			}
@@ -274,7 +263,7 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 	roots := a.regions()
 	var rec func(parent int, r region)
 	rec = func(parent int, r region) {
-		if len(r.pts) > a.Cutoff {
+		if len(r.pts) > a.cutoff {
 			for _, q := range split(r) {
 				child := b.Child(parent, trace.Task{
 					HomeMode:  trace.HomeInherit,
@@ -321,7 +310,7 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 	for i, r := range roots {
 		root := b.Root(trace.Task{
 			HomeMode:  trace.HomeFixed,
-			Home:      a.regionPlace(i, places),
+			Home:      regionPlace(i, places),
 			CostNS:    int64(len(r.pts) + 1),
 			Flexible:  true,
 			MigBytes:  16*len(r.pts) + 64,
@@ -336,7 +325,7 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dmg: %w", err)
 	}
-	if _, err := apps.CalibrateFlexibleGranularity(g, a.GranularityNS); err != nil {
+	if _, err := apps.CalibrateFlexibleGranularity(g, granularityNS); err != nil {
 		return nil, fmt.Errorf("dmg: %w", err)
 	}
 	return g, nil

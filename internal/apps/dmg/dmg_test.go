@@ -35,7 +35,7 @@ func TestSequentialChecksumIsPinned(t *testing.T) {
 		2: {0x337db7603163db2d, 0xfd286c280f4d91e3},
 	}
 	for seed, w := range want {
-		for i, n := range []int{small().N, 5_000 * 4} {
+		for i, n := range []int{small().n, 5_000 * 4} {
 			if got := New(n, seed).Sequential(); got != w[i] {
 				t.Errorf("seed %d, %d points: checksum %#x, want %#x", seed, n, got, w[i])
 			}
@@ -46,9 +46,9 @@ func TestSequentialChecksumIsPinned(t *testing.T) {
 func TestRootRegionsPartitionPoints(t *testing.T) {
 	a := small()
 	pts := a.gen()
-	regs := a.rootRegions(pts)
-	if len(regs) != a.RootGrid {
-		t.Fatalf("regions = %d, want %d", len(regs), a.RootGrid)
+	regs := rootRegions(pts)
+	if len(regs) != rootGrid {
+		t.Fatalf("regions = %d, want %d", len(regs), rootGrid)
 	}
 	total := 0
 	for _, r := range regs {
@@ -59,15 +59,15 @@ func TestRootRegionsPartitionPoints(t *testing.T) {
 			}
 		}
 	}
-	if total != a.N {
-		t.Fatalf("regions hold %d points, want %d", total, a.N)
+	if total != a.n {
+		t.Fatalf("regions hold %d points, want %d", total, a.n)
 	}
 }
 
 func TestRegionLoadIsSkewed(t *testing.T) {
 	a := small()
-	regs := a.rootRegions(a.gen())
-	minC, maxC := a.N, 0
+	regs := rootRegions(a.gen())
+	minC, maxC := a.n, 0
 	for _, r := range regs {
 		if len(r.pts) < minC {
 			minC = len(r.pts)
@@ -146,7 +146,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if got := a.Sequential(); got != want {
 		t.Fatalf("second sequential %x != first %x", got, want)
 	}
-	if !reflect.DeepEqual(a.regions(), a.rootRegions(a.gen())) {
+	if !reflect.DeepEqual(a.regions(), rootRegions(a.gen())) {
 		t.Fatalf("a run changed the shared root regions")
 	}
 }
@@ -156,7 +156,7 @@ func TestTraceValidAndCalibrated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumTasks() <= small().RootGrid {
+	if g.NumTasks() <= rootGrid {
 		t.Fatalf("trace has no recursion: %d tasks", g.NumTasks())
 	}
 	// DMG is the paper's flexible archetype: region tasks dominate, with

@@ -24,36 +24,30 @@ import (
 
 // App configures one DMR instance.
 type App struct {
-	// N is the number of seed points (the initial mesh has ~2N triangles;
+	// n is the number of seed points (the initial mesh has ~2n triangles;
 	// paper scale works out to ~275_000 points for 550K triangles).
-	N int
-	// Seed drives the input distribution.
-	Seed int64
-	// MinAngleDeg is the refinement quality bound (the paper uses 30; the
-	// default here is 26 to keep cascades bounded without boundary
-	// segment handling).
-	MinAngleDeg float64
-	// RootGrid is the number of domain regions.
-	RootGrid int
-	// CapFactor bounds inserts per region at CapFactor×points (safety
-	// against pathological cascades near region borders).
-	CapFactor int
-	// GranularityNS is the Table I calibration target (899 ms).
-	GranularityNS int64
+	n    int
+	seed int64 // drives the input distribution
 
 	parts apps.Input[[][]geom.Point] // gen's points by region, shared read-only
 }
 
+const (
+	// minAngleDeg is the refinement quality bound (the paper uses 30; 26
+	// keeps cascades bounded without boundary segment handling).
+	minAngleDeg = 26
+	// rootGrid is the number of domain regions.
+	rootGrid = 64
+	// capFactor bounds inserts per region at capFactor×points (safety
+	// against pathological cascades near region borders).
+	capFactor = 8
+	// granularityNS is the Table I calibration target: 899 ms.
+	granularityNS = 899_000_000
+)
+
 // New returns a DMR app over n seed points.
 func New(n int, seed int64) *App {
-	return &App{
-		N:             n,
-		Seed:          seed,
-		MinAngleDeg:   26,
-		RootGrid:      64,
-		CapFactor:     8,
-		GranularityNS: 899_000_000, // Table I: 899 ms
-	}
+	return &App{n: n, seed: seed}
 }
 
 // Name implements apps.App.
@@ -62,9 +56,9 @@ func (a *App) Name() string { return "dmr" }
 // gen produces clustered seed points (clusters produce skinny triangles
 // at their borders — plenty of refinement work, unevenly distributed).
 func (a *App) gen() []geom.Point {
-	pts := make([]geom.Point, a.N)
+	pts := make([]geom.Point, a.n)
 	for i := range pts {
-		h := apps.Mix(uint64(a.Seed), uint64(i))
+		h := apps.Mix(uint64(a.seed), uint64(i))
 		var x, y float64
 		switch h % 8 {
 		case 0, 1, 2, 3:
@@ -82,8 +76,8 @@ func (a *App) gen() []geom.Point {
 }
 
 // regionBounds returns stripe i's box.
-func (a *App) regionBounds(i int) (minX, minY, maxX, maxY float64) {
-	return float64(i) / float64(a.RootGrid), 0, float64(i+1) / float64(a.RootGrid), 1
+func regionBounds(i int) (minX, minY, maxX, maxY float64) {
+	return float64(i) / float64(rootGrid), 0, float64(i+1) / float64(rootGrid), 1
 }
 
 // quality is the refinement bound as isBad applies it: the angle and a
@@ -97,10 +91,13 @@ type quality struct {
 // which acos and the conversion to degrees can move an angle.
 const guard = 1e-9
 
-// quality returns the bound of a refinement run.
-func (a *App) quality() quality {
-	c := math.Cos(a.MinAngleDeg * math.Pi / 180)
-	return quality{minDeg: a.MinAngleDeg, lo: c - guard, hi: c + guard}
+// bound is the refinement bound of every run.
+var bound = newQuality(minAngleDeg)
+
+// newQuality returns the bound for the angle deg.
+func newQuality(deg float64) quality {
+	c := math.Cos(deg * math.Pi / 180)
+	return quality{minDeg: deg, lo: c - guard, hi: c + guard}
 }
 
 // isBad reports whether triangle t of m needs refinement.
@@ -154,13 +151,13 @@ type refineStats struct {
 }
 
 // refineRegion builds and refines one region's mesh.
-func (a *App) refineRegion(ri int, pts []geom.Point) refineStats {
-	return a.refineWith(ri, pts, a.quality().isBad)
+func refineRegion(ri int, pts []geom.Point) refineStats {
+	return refineWith(ri, pts, bound.isBad)
 }
 
 // refineWith is refineRegion with isBad as the test of a triangle.
-func (a *App) refineWith(ri int, pts []geom.Point, isBad func(m *geom.Mesh, t int) bool) refineStats {
-	minX, minY, maxX, maxY := a.regionBounds(ri)
+func refineWith(ri int, pts []geom.Point, isBad func(m *geom.Mesh, t int) bool) refineStats {
+	minX, minY, maxX, maxY := regionBounds(ri)
 	m := geom.NewMesh(minX, minY, maxX, maxY, len(pts))
 	for _, p := range pts {
 		m.Insert(p)
@@ -176,7 +173,7 @@ func (a *App) refineWith(ri int, pts []geom.Point, isBad func(m *geom.Mesh, t in
 			queue = append(queue, workItem{t, 0})
 		}
 	}
-	cap := a.CapFactor*len(pts) + 64
+	cap := capFactor*len(pts) + 64
 	for len(queue) > 0 && st.inserts < cap {
 		it := queue[0]
 		queue = queue[1:]
@@ -206,10 +203,10 @@ func (a *App) refineWith(ri int, pts []geom.Point, isBad func(m *geom.Mesh, t in
 }
 
 // partition groups the points by region.
-func (a *App) partition(pts []geom.Point) [][]geom.Point {
-	regs := make([][]geom.Point, a.RootGrid)
+func partition(pts []geom.Point) [][]geom.Point {
+	regs := make([][]geom.Point, rootGrid)
 	for _, p := range pts {
-		i := apps.Stripe(p.X, a.RootGrid)
+		i := apps.Stripe(p.X, rootGrid)
 		regs[i] = append(regs[i], p)
 	}
 	return regs
@@ -219,7 +216,7 @@ func (a *App) partition(pts []geom.Point) [][]geom.Point {
 // first use. A run only reads them: refineWith inserts them into its own
 // mesh.
 func (a *App) regions() [][]geom.Point {
-	return a.parts.Get(func() [][]geom.Point { return a.partition(a.gen()) })
+	return a.parts.Get(func() [][]geom.Point { return partition(a.gen()) })
 }
 
 func checksum(stats []refineStats) uint64 {
@@ -235,21 +232,21 @@ func checksum(stats []refineStats) uint64 {
 // Sequential implements apps.App.
 func (a *App) Sequential() uint64 {
 	regs := a.regions()
-	stats := make([]refineStats, a.RootGrid)
+	stats := make([]refineStats, rootGrid)
 	for i, pts := range regs {
-		stats[i] = a.refineRegion(i, pts)
+		stats[i] = refineRegion(i, pts)
 	}
 	return checksum(stats)
 }
 
 // regionPlace maps region i to a place.
-func (a *App) regionPlace(i, places int) int { return i * places / a.RootGrid }
+func regionPlace(i, places int) int { return i * places / rootGrid }
 
 // Parallel implements apps.App.
 func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 	places := rt.Places()
 	regs := a.regions()
-	stats := make([]refineStats, a.RootGrid)
+	stats := make([]refineStats, rootGrid)
 	err := rt.Run(func(ctx *core.Ctx) {
 		ctx.Finish(func(c *core.Ctx) {
 			for i, pts := range regs {
@@ -258,8 +255,8 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 					Class:          task.Flexible,
 					MigrationBytes: 16*len(pts) + 128,
 				}
-				c.AsyncLoc(a.regionPlace(i, places), loc, func(*core.Ctx) {
-					stats[i] = a.refineRegion(i, pts) // own slot; Finish orders it before checksum
+				c.AsyncLoc(regionPlace(i, places), loc, func(*core.Ctx) {
+					stats[i] = refineRegion(i, pts) // own slot; Finish orders it before checksum
 				})
 			}
 		})
@@ -281,10 +278,10 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 	b := trace.NewBuilder(a.Name())
 	regs := a.regions()
 	for i, pts := range regs {
-		st := a.refineRegion(i, pts)
+		st := refineRegion(i, pts)
 		root := b.Root(trace.Task{
 			HomeMode:  trace.HomeFixed,
-			Home:      a.regionPlace(i, places),
+			Home:      regionPlace(i, places),
 			CostNS:    int64(8*len(pts) + 1),
 			Flexible:  true,
 			MigBytes:  16*len(pts) + 128,
@@ -306,7 +303,7 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 		}
 		prev := root
 		ci := 0
-		for g, gen := range byGen {
+		for _, gen := range byGen {
 			if len(gen) == 0 {
 				continue
 			}
@@ -346,7 +343,6 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 				ci++
 			}
 			prev = coord
-			_ = g
 		}
 	}
 	g, err := b.Graph()
@@ -354,7 +350,7 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 		return nil, fmt.Errorf("dmr: %w", err)
 	}
 	apps.SpawnAtEnd(g)
-	if _, err := apps.CalibrateFlexibleGranularity(g, a.GranularityNS); err != nil {
+	if _, err := apps.CalibrateFlexibleGranularity(g, granularityNS); err != nil {
 		return nil, fmt.Errorf("dmr: %w", err)
 	}
 	return g, nil

@@ -38,7 +38,7 @@ func TestSequentialChecksumIsPinned(t *testing.T) {
 		2: {0x14d59860f5ac9895, 0xb47dc8d89e9e1fe1},
 	}
 	for seed, w := range want {
-		for i, n := range []int{small().N, 2_000 * 4} {
+		for i, n := range []int{small().n, 2_000 * 4} {
 			if got := New(n, seed).Sequential(); got != w[i] {
 				t.Errorf("seed %d, %d points: checksum %#x, want %#x", seed, n, got, w[i])
 			}
@@ -48,7 +48,7 @@ func TestSequentialChecksumIsPinned(t *testing.T) {
 
 func TestRefinementImprovesQuality(t *testing.T) {
 	a := small()
-	regs := a.partition(a.gen())
+	regs := partition(a.gen())
 	// Pick the densest region and verify refinement reduces the number of
 	// bad triangles (excluding border-blocked ones it cannot fix).
 	ri, best := 0, 0
@@ -57,7 +57,7 @@ func TestRefinementImprovesQuality(t *testing.T) {
 			ri, best = i, len(pts)
 		}
 	}
-	st := a.refineRegion(ri, regs[ri])
+	st := refineRegion(ri, regs[ri])
 	if st.inserts == 0 {
 		t.Fatalf("refinement made no inserts on a clustered region")
 	}
@@ -68,10 +68,10 @@ func TestRefinementImprovesQuality(t *testing.T) {
 
 func TestRefineRegionBounded(t *testing.T) {
 	a := small()
-	regs := a.partition(a.gen())
+	regs := partition(a.gen())
 	for i, pts := range regs {
-		st := a.refineRegion(i, pts)
-		if st.inserts > a.CapFactor*len(pts)+64 {
+		st := refineRegion(i, pts)
+		if st.inserts > capFactor*len(pts)+64 {
 			t.Fatalf("region %d exceeded the insert cap: %d", i, st.inserts)
 		}
 		if len(st.cavities) != st.inserts {
@@ -81,8 +81,7 @@ func TestRefineRegionBounded(t *testing.T) {
 }
 
 func TestIsBad(t *testing.T) {
-	a := small()
-	q := a.quality()
+	q := bound
 	m := geom.NewMesh(0, 0, 1, 1, 0)
 	// The initial super-triangle is never "bad".
 	if q.isBad(m, 0) {
@@ -105,12 +104,12 @@ func TestIsBad(t *testing.T) {
 
 // isBadOracle is the test isBad replaced, kept as its reference: every
 // verdict through acos.
-func isBadOracle(a *App, m *geom.Mesh, t int) bool {
+func isBadOracle(m *geom.Mesh, t int) bool {
 	if !m.Tris[t].Alive || m.HasSuperVertex(t) {
 		return false
 	}
 	v := m.Tris[t].V
-	return geom.MinAngleDeg(m.Pts[v[0]], m.Pts[v[1]], m.Pts[v[2]]) < a.MinAngleDeg
+	return geom.MinAngleDeg(m.Pts[v[0]], m.Pts[v[1]], m.Pts[v[2]]) < minAngleDeg
 }
 
 // triangleAt returns an isosceles triangle whose apex angle at the
@@ -128,11 +127,11 @@ func triangleAt(deg float64) [3]geom.Point {
 func TestIsBadMatchesMinAngleDeg(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		a := New(2_000, seed)
-		q := a.quality()
+		q := bound
 		tested := 0
-		for ri, pts := range a.partition(a.gen()) {
-			a.refineWith(ri, pts, func(m *geom.Mesh, tri int) bool {
-				got, want := q.isBad(m, tri), isBadOracle(a, m, tri)
+		for ri, pts := range partition(a.gen()) {
+			refineWith(ri, pts, func(m *geom.Mesh, tri int) bool {
+				got, want := q.isBad(m, tri), isBadOracle(m, tri)
 				if got != want {
 					v := m.Tris[tri].V
 					t.Fatalf("seed %d, region %d: triangle %v %v %v: filter says bad=%v, MinAngleDeg %v",
@@ -147,7 +146,7 @@ func TestIsBadMatchesMinAngleDeg(t *testing.T) {
 		}
 	}
 
-	q := small().quality()
+	q := bound
 	check := func(name string, p [3]geom.Point) {
 		t.Helper()
 		want := geom.MinAngleDeg(p[0], p[1], p[2]) < q.minDeg
@@ -180,10 +179,10 @@ func TestIsBadMatchesMinAngleDeg(t *testing.T) {
 // acos on every triangle against the cosine filter.
 func BenchmarkIsBad(b *testing.B) {
 	a := New(2_000*4, 1)
-	q := a.quality()
+	q := bound
 	var tris [][3]geom.Point
-	for ri, pts := range a.partition(a.gen()) {
-		a.refineWith(ri, pts, func(m *geom.Mesh, tri int) bool {
+	for ri, pts := range partition(a.gen()) {
+		refineWith(ri, pts, func(m *geom.Mesh, tri int) bool {
 			if m.Tris[tri].Alive && !m.HasSuperVertex(tri) {
 				v := m.Tris[tri].V
 				tris = append(tris, [3]geom.Point{m.Pts[v[0]], m.Pts[v[1]], m.Pts[v[2]]})
@@ -236,7 +235,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if got := a.Sequential(); got != want {
 		t.Fatalf("second sequential %x != first %x", got, want)
 	}
-	if !reflect.DeepEqual(a.regions(), a.partition(a.gen())) {
+	if !reflect.DeepEqual(a.regions(), partition(a.gen())) {
 		t.Fatalf("a run changed the shared region points")
 	}
 }
@@ -247,11 +246,11 @@ func TestTraceValidAndCalibrated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumTasks() <= a.RootGrid {
+	if g.NumTasks() <= rootGrid {
 		t.Fatalf("trace has no cavity chains: %d tasks", g.NumTasks())
 	}
-	if len(g.Roots) != a.RootGrid {
-		t.Fatalf("roots = %d, want %d", len(g.Roots), a.RootGrid)
+	if len(g.Roots) != rootGrid {
+		t.Fatalf("roots = %d, want %d", len(g.Roots), rootGrid)
 	}
 	mean := apps.MeanFlexibleCostNS(g)
 	if mean < 800_000_000 || mean > 1_000_000_000 {

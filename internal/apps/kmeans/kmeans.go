@@ -24,36 +24,24 @@ type Point struct{ X, Y float64 }
 
 // App configures one k-Means instance.
 type App struct {
-	// N is the number of points.
-	N int
-	// K is the number of clusters (the paper uses 4).
-	K int
-	// Iters is the number of Lloyd iterations (the paper uses 1000).
-	Iters int
-	// Seed drives the input distribution.
-	Seed int64
-	// ChunkSize is the number of points per assignment task.
-	ChunkSize int
-	// GranularityNS is the Table I calibration target (383 ms).
-	GranularityNS int64
+	n         int   // points
+	iters     int   // Lloyd iterations (the paper uses 1000)
+	seed      int64 // drives the input distribution
+	chunkSize int   // points per assignment task
 
 	pts apps.Input[[]Point] // gen's points, shared read-only by every run
 }
 
+const (
+	// clusters is k, the number of clusters (the paper uses 4).
+	clusters = 4
+	// granularityNS is the Table I calibration target: 383 ms.
+	granularityNS = 383_000_000
+)
+
 // New returns a k-Means app over n points for iters iterations.
 func New(n, iters int, seed int64) *App {
-	chunk := n / 256
-	if chunk < 32 {
-		chunk = 32
-	}
-	return &App{
-		N:             n,
-		K:             4,
-		Iters:         iters,
-		Seed:          seed,
-		ChunkSize:     chunk,
-		GranularityNS: 383_000_000, // Table I: 383 ms
-	}
+	return &App{n: n, iters: iters, seed: seed, chunkSize: max(n/256, 32)}
 }
 
 // Name implements apps.App.
@@ -63,7 +51,7 @@ func (a *App) Name() string { return "kmeans" }
 // different sizes, sorted by x so that stripe distribution over places is
 // skewed.
 func (a *App) gen() []Point {
-	pts := make([]Point, 0, a.N)
+	pts := make([]Point, 0, a.n)
 	blobs := []struct {
 		cx, cy, r float64
 		weight    int
@@ -78,8 +66,8 @@ func (a *App) gen() []Point {
 		totalW += b.weight
 	}
 	i := 0
-	for len(pts) < a.N {
-		h := apps.Mix(uint64(a.Seed), uint64(i))
+	for len(pts) < a.n {
+		h := apps.Mix(uint64(a.seed), uint64(i))
 		i++
 		w := int(h % uint64(totalW))
 		var blob int
@@ -118,10 +106,10 @@ func newPartial(k int) *partial {
 // assignChunk assigns pts[lo:hi) to the nearest centroid, accumulating
 // into a fresh partial.
 func (a *App) assignChunk(pts []Point, cents []Point, lo, hi int) *partial {
-	p := newPartial(a.K)
+	p := newPartial(clusters)
 	for i := lo; i < hi; i++ {
 		best, bestD := 0, math.MaxFloat64
-		for k := 0; k < a.K; k++ {
+		for k := 0; k < clusters; k++ {
 			dx, dy := pts[i].X-cents[k].X, pts[i].Y-cents[k].Y
 			if d := dx*dx + dy*dy; d < bestD {
 				best, bestD = k, d
@@ -137,16 +125,16 @@ func (a *App) assignChunk(pts []Point, cents []Point, lo, hi int) *partial {
 // reduce folds partials (in chunk order) into new centroids; empty
 // clusters keep their previous centroid.
 func (a *App) reduce(parts []*partial, prev []Point) []Point {
-	acc := newPartial(a.K)
+	acc := newPartial(clusters)
 	for _, p := range parts {
-		for k := 0; k < a.K; k++ {
+		for k := 0; k < clusters; k++ {
 			acc.sumX[k] += p.sumX[k]
 			acc.sumY[k] += p.sumY[k]
 			acc.count[k] += p.count[k]
 		}
 	}
-	next := make([]Point, a.K)
-	for k := 0; k < a.K; k++ {
+	next := make([]Point, clusters)
+	for k := 0; k < clusters; k++ {
 		if acc.count[k] == 0 {
 			next[k] = prev[k]
 			continue
@@ -158,9 +146,9 @@ func (a *App) reduce(parts []*partial, prev []Point) []Point {
 
 // initialCentroids picks K deterministic spread seeds.
 func (a *App) initialCentroids(pts []Point) []Point {
-	cents := make([]Point, a.K)
-	for k := 0; k < a.K; k++ {
-		cents[k] = pts[(k*len(pts))/a.K+len(pts)/(2*a.K)]
+	cents := make([]Point, clusters)
+	for k := 0; k < clusters; k++ {
+		cents[k] = pts[(k*len(pts))/clusters+len(pts)/(2*clusters)]
 	}
 	return cents
 }
@@ -180,15 +168,15 @@ func (a *App) checksum(cents []Point, counts []int64) uint64 {
 func (a *App) run(eachIter func(pts, cents []Point, chunks [][2]int, parts []*partial)) uint64 {
 	pts := a.points()
 	cents := a.initialCentroids(pts)
-	chunks := apps.Chunks(a.N, a.ChunkSize)
+	chunks := apps.Chunks(a.n, a.chunkSize)
 	var lastCounts []int64
-	for iter := 0; iter < a.Iters; iter++ {
+	for iter := 0; iter < a.iters; iter++ {
 		parts := make([]*partial, len(chunks))
 		eachIter(pts, cents, chunks, parts)
 		cents = a.reduce(parts, cents)
-		lastCounts = make([]int64, a.K)
+		lastCounts = make([]int64, clusters)
 		for _, p := range parts {
-			for k := 0; k < a.K; k++ {
+			for k := 0; k < clusters; k++ {
 				lastCounts[k] += p.count[k]
 			}
 		}
@@ -239,21 +227,21 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 func (a *App) Trace(places int) (*trace.Graph, error) {
 	b := trace.NewBuilder(a.Name())
 	pts := a.points()
-	chunks := apps.Chunks(a.N, a.ChunkSize)
+	chunks := apps.Chunks(a.n, a.chunkSize)
 	prev := make([]int, len(chunks))
 	prevReduce := -1
-	for iter := 0; iter < a.Iters; iter++ {
+	for iter := 0; iter < a.iters; iter++ {
 		for ci, ch := range chunks {
 			sz := ch[1] - ch[0]
 			t := trace.Task{
 				HomeMode: trace.HomeFixed,
 				Home:     apps.Stripe(pts[ch[0]].X, places),
-				CostNS:   int64(sz * a.K),
+				CostNS:   int64(sz * clusters),
 				Flexible: true,
 				MigBytes: 16 * sz,
 				// Publishing the partial sums back to the reducer.
 				BaseMsgs:  1,
-				BaseBytes: 16 * a.K,
+				BaseBytes: 16 * clusters,
 				Blocks:    chunkBlocks(ci, sz),
 				BlockReps: 4,
 			}
@@ -271,10 +259,10 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 		rt := trace.Task{
 			HomeMode:  trace.HomeFixed,
 			Home:      0,
-			CostNS:    int64(a.K * len(chunks)),
+			CostNS:    int64(clusters * len(chunks)),
 			Flexible:  false,
 			BaseMsgs:  2 * (places - 1),
-			BaseBytes: 32 * a.K * (places - 1),
+			BaseBytes: 32 * clusters * (places - 1),
 		}
 		if prevReduce < 0 {
 			prevReduce = b.Root(rt)
@@ -287,7 +275,7 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 		return nil, fmt.Errorf("kmeans: %w", err)
 	}
 	apps.SpawnAtEnd(g)
-	if _, err := apps.CalibrateFlexibleGranularity(g, a.GranularityNS); err != nil {
+	if _, err := apps.CalibrateFlexibleGranularity(g, granularityNS); err != nil {
 		return nil, fmt.Errorf("kmeans: %w", err)
 	}
 	return g, nil

@@ -46,7 +46,7 @@ func TestSpatialPlacementIsSkewed(t *testing.T) {
 	a := small()
 	pts := a.gen()
 	counts := make([]int, 4)
-	for _, ch := range apps.Chunks(a.N, a.ChunkSize) {
+	for _, ch := range apps.Chunks(a.n, a.chunkSize) {
 		counts[apps.Stripe(pts[ch[0]].X, 4)]++
 	}
 	minC, maxC := counts[0], counts[0]
@@ -75,7 +75,7 @@ func TestAssignChunkBasic(t *testing.T) {
 
 func TestReduceHandlesEmptyCluster(t *testing.T) {
 	a := small()
-	p := newPartial(a.K)
+	p := newPartial(clusters)
 	p.sumX[0], p.sumY[0], p.count[0] = 10, 20, 2
 	prev := []Point{{9, 9}, {7, 7}, {6, 6}, {5, 5}}
 	next := a.reduce([]*partial{p}, prev)
@@ -125,8 +125,8 @@ func TestTraceValidAndCalibrated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nChunks := len(apps.Chunks(a.N, a.ChunkSize))
-	want := (nChunks + 1) * a.Iters // chunk tasks + reduce task per iter
+	nChunks := len(apps.Chunks(a.n, a.chunkSize))
+	want := (nChunks + 1) * a.iters // chunk tasks + reduce task per iter
 	if g.NumTasks() != want {
 		t.Fatalf("NumTasks = %d, want %d", g.NumTasks(), want)
 	}

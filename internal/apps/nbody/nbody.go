@@ -32,36 +32,24 @@ type Body struct {
 
 // App configures one n-Body instance.
 type App struct {
-	// N is the number of bodies (paper scale: 220_000).
-	N int
-	// Steps is the number of leapfrog steps.
-	Steps int
-	// Theta is the Barnes–Hut opening angle (0.5 in the paper era).
-	Theta float64
-	// Seed drives the initial distribution.
-	Seed int64
-	// ChunkSize is the number of bodies per force task.
-	ChunkSize int
-	// GranularityNS is the Table I calibration target (623 ms).
-	GranularityNS int64
+	n         int   // bodies (paper scale: 220_000)
+	steps     int   // leapfrog steps
+	seed      int64 // drives the initial distribution
+	chunkSize int   // bodies per force task
 
 	start apps.Input[[]Body] // gen's bodies; every run integrates a copy
 }
 
+const (
+	// theta is the Barnes–Hut opening angle (0.5 in the paper era).
+	theta = 0.5
+	// granularityNS is the Table I calibration target: 623 ms.
+	granularityNS = 623_000_000
+)
+
 // New returns an n-Body app over n bodies for steps steps.
 func New(n, steps int, seed int64) *App {
-	chunk := n / 256
-	if chunk < 32 {
-		chunk = 32
-	}
-	return &App{
-		N:             n,
-		Steps:         steps,
-		Theta:         0.5,
-		Seed:          seed,
-		ChunkSize:     chunk,
-		GranularityNS: 623_000_000, // Table I: 623 ms
-	}
+	return &App{n: n, steps: steps, seed: seed, chunkSize: max(n/256, 32)}
 }
 
 // Name implements apps.App.
@@ -70,9 +58,9 @@ func (a *App) Name() string { return "nbody" }
 // gen produces a clustered body distribution: a dense core plus a sparse
 // halo, sorted by x so index chunks map to spatial stripes.
 func (a *App) gen() []Body {
-	bodies := make([]Body, a.N)
+	bodies := make([]Body, a.n)
 	for i := range bodies {
-		h := apps.Mix(uint64(a.Seed), uint64(i))
+		h := apps.Mix(uint64(a.seed), uint64(i))
 		var x, y float64
 		if h%10 < 7 {
 			// Dense core around (0.3, 0.3).
@@ -283,7 +271,7 @@ func (t *tree) force(bodies []Body, bi int, theta float64) (float64, float64, in
 func (a *App) forceChunk(t *tree, bodies []Body, ax, ay []float64, lo, hi int) int {
 	total := 0
 	for i := lo; i < hi; i++ {
-		x, y, n := t.force(bodies, i, a.Theta)
+		x, y, n := t.force(bodies, i, theta)
 		ax[i], ay[i] = x, y
 		total += n
 	}
@@ -330,13 +318,13 @@ func (a *App) bodies() []Body { return slices.Clone(a.start.Get(a.gen)) }
 // run executes the simulation with a pluggable chunk executor.
 func (a *App) run(eachStep func(t *tree, bodies []Body, ax, ay []float64, chunks [][2]int)) uint64 {
 	bodies := a.bodies()
-	ax := make([]float64, a.N)
-	ay := make([]float64, a.N)
-	chunks := apps.Chunks(a.N, a.ChunkSize)
-	for s := 0; s < a.Steps; s++ {
+	ax := make([]float64, a.n)
+	ay := make([]float64, a.n)
+	chunks := apps.Chunks(a.n, a.chunkSize)
+	for s := 0; s < a.steps; s++ {
 		t := build(bodies)
 		eachStep(&t, bodies, ax, ay, chunks)
-		integrate(bodies, ax, ay, 0, a.N)
+		integrate(bodies, ax, ay, 0, a.n)
 	}
 	return checksum(bodies)
 }
@@ -383,17 +371,12 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 // step's chunks.
 func (a *App) Trace(places int) (*trace.Graph, error) {
 	b := trace.NewBuilder(a.Name())
-	bodies := a.bodies()
-	ax := make([]float64, a.N)
-	ay := make([]float64, a.N)
-	chunks := apps.Chunks(a.N, a.ChunkSize)
 	prevBuild := -1
-	for s := 0; s < a.Steps; s++ {
-		t := build(bodies)
+	a.run(func(t *tree, bodies []Body, ax, ay []float64, chunks [][2]int) {
 		buildTask := trace.Task{
 			HomeMode: trace.HomeFixed,
 			Home:     0,
-			CostNS:   int64(a.N), // tree build ~ O(n log n); n is fine at trace scale
+			CostNS:   int64(a.n), // tree build ~ O(n log n); n is fine at trace scale
 			Flexible: false,
 			// Broadcasting the tree summary to every place.
 			BaseMsgs:  places - 1,
@@ -407,7 +390,7 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 		}
 		prevBuild = bt
 		for ci, ch := range chunks {
-			inter := a.forceChunk(&t, bodies, ax, ay, ch[0], ch[1])
+			inter := a.forceChunk(t, bodies, ax, ay, ch[0], ch[1])
 			sz := ch[1] - ch[0]
 			fc := b.Child(bt, trace.Task{
 				HomeMode: trace.HomeFixed,
@@ -436,8 +419,7 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 				BlockReps: 2,
 			})
 		}
-		integrate(bodies, ax, ay, 0, a.N)
-	}
+	})
 	g, err := b.Graph()
 	if err != nil {
 		return nil, fmt.Errorf("nbody: %w", err)
@@ -445,7 +427,7 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 	// Chunks of step s spawn at the end of the build task; the next build
 	// spawns after this one's chunks are modelled via its own SpawnFrac 1.
 	apps.SpawnAtEnd(g)
-	if _, err := apps.CalibrateFlexibleGranularity(g, a.GranularityNS); err != nil {
+	if _, err := apps.CalibrateFlexibleGranularity(g, granularityNS); err != nil {
 		return nil, fmt.Errorf("nbody: %w", err)
 	}
 	return g, nil

@@ -262,7 +262,7 @@ func TestWalkMatchesRecursiveForce(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			a, step := New(n, 2, seed), 0
 			a.run(func(tr *tree, bodies []Body, ax, ay []float64, chunks [][2]int) {
-				matchOracle(t, fmt.Sprintf("%d bodies, seed %d, step %d", n, seed, step), tr, bodies, a.Theta)
+				matchOracle(t, fmt.Sprintf("%d bodies, seed %d, step %d", n, seed, step), tr, bodies, theta)
 				step++
 				for _, ch := range chunks {
 					a.forceChunk(tr, bodies, ax, ay, ch[0], ch[1])
@@ -328,8 +328,8 @@ func BenchmarkForce(b *testing.B) {
 		name  string
 		force func(s step, bi int) (float64, float64, int)
 	}{
-		{"oracle", func(s step, bi int) (float64, float64, int) { return forceOracle(s.tr, s.sum, s.bodies, bi, a.Theta) }},
-		{"walk", func(s step, bi int) (float64, float64, int) { return s.tr.force(s.bodies, bi, a.Theta) }},
+		{"oracle", func(s step, bi int) (float64, float64, int) { return forceOracle(s.tr, s.sum, s.bodies, bi, theta) }},
+		{"walk", func(s step, bi int) (float64, float64, int) { return s.tr.force(s.bodies, bi, theta) }},
 	} {
 		b.Run(k.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -411,10 +411,10 @@ func TestDenseChunksCostMore(t *testing.T) {
 	a := small()
 	bodies := a.gen()
 	tr := build(bodies)
-	ax := make([]float64, a.N)
-	ay := make([]float64, a.N)
+	ax := make([]float64, a.n)
+	ay := make([]float64, a.n)
 	minI, maxI := math.MaxInt, 0
-	for _, ch := range apps.Chunks(a.N, a.ChunkSize) {
+	for _, ch := range apps.Chunks(a.n, a.chunkSize) {
 		inter := a.forceChunk(&tr, bodies, ax, ay, ch[0], ch[1])
 		if inter < minI {
 			minI = inter
@@ -482,7 +482,7 @@ func TestTraceValidAndCalibrated(t *testing.T) {
 	}
 	// Per step: one build task, one force task and one integrate task per
 	// chunk.
-	want := a.Steps * (2*len(apps.Chunks(a.N, a.ChunkSize)) + 1)
+	want := a.steps * (2*len(apps.Chunks(a.n, a.chunkSize)) + 1)
 	if g.NumTasks() != want {
 		t.Fatalf("NumTasks = %d, want %d", g.NumTasks(), want)
 	}

@@ -22,16 +22,10 @@ import (
 
 // App configures one Quicksort instance.
 type App struct {
-	// N is the number of elements (paper scale: 100_000_000).
-	N int
-	// Seed drives the input distribution.
-	Seed int64
-	// SeqCutoff is the segment size below which tasks sort sequentially.
-	SeqCutoff int
-	// FlexMin is the minimum segment size annotated @AnyPlaceTask.
-	FlexMin int
-	// GranularityNS is the Table I calibration target (1.1 ms).
-	GranularityNS int64
+	n         int   // elements (paper scale: 100_000_000)
+	seed      int64 // drives the input distribution
+	seqCutoff int   // segment size at or below which a segment is sorted sequentially
+	flexMin   int   // minimum segment size annotated @AnyPlaceTask
 
 	keys apps.Input[[]int64] // gen's keys; every run sorts a copy
 
@@ -39,19 +33,13 @@ type App struct {
 	placed map[int][][]int64 // the keys' buckets, by place count
 }
 
+// granularityNS is the Table I calibration target: 1.1 ms.
+const granularityNS = 1_100_000
+
 // New returns a Quicksort app over n elements.
 func New(n int, seed int64) *App {
-	cutoff := n / 2048
-	if cutoff < 64 {
-		cutoff = 64
-	}
-	return &App{
-		N:             n,
-		Seed:          seed,
-		SeqCutoff:     cutoff,
-		FlexMin:       4 * cutoff,
-		GranularityNS: 1_100_000, // Table I: 1.1 ms
-	}
+	cutoff := max(n/2048, 64)
+	return &App{n: n, seed: seed, seqCutoff: cutoff, flexMin: 4 * cutoff}
 }
 
 // Name implements apps.App.
@@ -63,8 +51,8 @@ func (a *App) Name() string { return "quicksort" }
 // the static imbalance the Cowichan distributed sort exhibits on
 // non-uniform keys.
 func (a *App) gen() []int64 {
-	rng := rand.New(rand.NewSource(a.Seed))
-	data := make([]int64, a.N)
+	rng := rand.New(rand.NewSource(a.seed))
+	data := make([]int64, a.n)
 	for i := range data {
 		u := rng.Float64()
 		data[i] = int64(u * u * float64(1<<62))
@@ -143,7 +131,9 @@ func medianOfThree(d []int64) int64 {
 }
 
 // partition splits d around a median-of-three pivot, returning the two
-// halves (Hoare-style; both non-empty for len >= 2).
+// halves (Hoare-style). For len(d) >= 3 both are non-empty, all keys
+// equal included: the scans stop at keys equal to the pivot and swap
+// them, so equal keys split down the middle.
 func partition(d []int64) (left, right []int64) {
 	pivot := medianOfThree(d)
 	i, j := 0, len(d)-1
@@ -164,12 +154,25 @@ func partition(d []int64) (left, right []int64) {
 	return d[:j+1], d[j+1:]
 }
 
-// seqSort sorts d with the same recursion the tasks use.
+// split is the one step of the recursion every sort runs: a segment at
+// or below the cutoff is sorted in place, and split returns ok false;
+// a longer one is partitioned into its two halves, both shorter.
+func (a *App) split(seg []int64) (l, r []int64, ok bool) {
+	if len(seg) <= a.seqCutoff {
+		slices.Sort(seg)
+		return nil, nil, false
+	}
+	l, r = partition(seg)
+	return l, r, true
+}
+
+// seqSort sorts d with split, recursing into the shorter half and
+// looping on the longer.
 func (a *App) seqSort(d []int64) {
-	for len(d) > a.SeqCutoff {
-		l, r := partition(d)
-		if len(l) == len(d) || len(r) == len(d) {
-			break // all-equal segment; cutoff sort finishes it
+	for {
+		l, r, ok := a.split(d)
+		if !ok {
+			return
 		}
 		if len(l) < len(r) {
 			a.seqSort(l)
@@ -179,7 +182,6 @@ func (a *App) seqSort(d []int64) {
 			d = l
 		}
 	}
-	slices.Sort(d)
 }
 
 // Sequential implements apps.App.
@@ -195,7 +197,7 @@ func (a *App) Sequential() uint64 {
 // to end in one array, which is then the sorted result.
 func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 	places := rt.Places()
-	data := make([]int64, a.N)
+	data := make([]int64, a.n)
 	bks := make([][]int64, places)
 	off := 0
 	for p, b := range a.bucketed(places) {
@@ -222,15 +224,10 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 	return checksum(data), nil
 }
 
-// sortTask recursively sorts seg, spawning subtasks for both halves.
+// sortTask recursively sorts seg, spawning a subtask for the left half.
 func (a *App) sortTask(ctx *core.Ctx, seg []int64) {
-	if len(seg) <= a.SeqCutoff {
-		slices.Sort(seg)
-		return
-	}
-	l, r := partition(seg)
-	if len(l) == len(seg) || len(r) == len(seg) {
-		slices.Sort(seg)
+	l, r, ok := a.split(seg)
+	if !ok {
 		return
 	}
 	ctx.Finish(func(c *core.Ctx) {
@@ -244,7 +241,7 @@ func (a *App) sortTask(ctx *core.Ctx, seg []int64) {
 // locality classifies a segment task per the paper's model: coarse
 // segments encapsulate their data and are flexible.
 func (a *App) locality(segLen int) task.Locality {
-	if segLen >= a.FlexMin {
+	if segLen >= a.flexMin {
 		return task.Locality{
 			Class:          task.Flexible,
 			MigrationBytes: 8 * segLen,
@@ -272,22 +269,17 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("qsort: %w", err)
 	}
-	if _, err := apps.CalibrateFlexibleGranularity(g, a.GranularityNS); err != nil {
+	if _, err := apps.CalibrateFlexibleGranularity(g, granularityNS); err != nil {
 		return nil, fmt.Errorf("qsort: %w", err)
 	}
 	return g, nil
 }
 
-// traceRec partitions seg exactly like the parallel code and records the
+// traceRec splits seg exactly like the parallel code and records the
 // child tasks.
 func (a *App) traceRec(b *trace.Builder, parent int, seg []int64, region int) {
-	if len(seg) <= a.SeqCutoff {
-		slices.Sort(seg)
-		return
-	}
-	l, r := partition(seg)
-	if len(l) == len(seg) || len(r) == len(seg) {
-		slices.Sort(seg)
+	l, r, ok := a.split(seg)
+	if !ok {
 		return
 	}
 	lt := b.Child(parent, a.traceTask(len(l), 0, region, trace.HomeInherit))
@@ -300,7 +292,7 @@ func (a *App) traceRec(b *trace.Builder, parent int, seg []int64, region int) {
 // namespaces the footprint blocks by the owning data block.
 func (a *App) traceTask(segLen, home, region int, mode trace.HomeMode) trace.Task {
 	cost := int64(segLen) // one partition pass
-	if segLen <= a.SeqCutoff {
+	if segLen <= a.seqCutoff {
 		lg := math.Log2(float64(segLen) + 2)
 		cost = int64(float64(segLen) * lg) // leaf sort
 	}
@@ -308,7 +300,7 @@ func (a *App) traceTask(segLen, home, region int, mode trace.HomeMode) trace.Tas
 		HomeMode: mode,
 		Home:     home,
 		CostNS:   cost,
-		Flexible: segLen >= a.FlexMin,
+		Flexible: segLen >= a.flexMin,
 		MigBytes: 8 * segLen,
 		// Distributed-array traffic: the partition streams the segment
 		// through the network layer in ~1 KiB chunks (Table III's

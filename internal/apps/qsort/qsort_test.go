@@ -35,22 +35,66 @@ func TestSequentialMatchesStdlibSort(t *testing.T) {
 	}
 }
 
+// TestPartitionSplitsAroundPivot checks one segment and every segment
+// of 3 to 8 keys drawn from 4 values: both halves are non-empty and no
+// left key exceeds a right one. So split, which partitions only
+// segments longer than the cutoff (at least 64), always shrinks both.
 func TestPartitionSplitsAroundPivot(t *testing.T) {
-	d := []int64{5, 3, 9, 1, 7, 2, 8}
-	l, r := partition(d)
-	if len(l) == 0 || len(r) == 0 || len(l)+len(r) != len(d) {
-		t.Fatalf("partition sizes %d/%d", len(l), len(r))
-	}
-	maxL := l[0]
-	for _, v := range l {
-		if v > maxL {
-			maxL = v
+	segs := [][]int64{{5, 3, 9, 1, 7, 2, 8}}
+	for n := 3; n <= 8; n++ {
+		for code := 0; code < 1<<(2*n); code++ {
+			d := make([]int64, n)
+			for i := range d {
+				d[i] = int64(code >> (2 * i) & 3)
+			}
+			segs = append(segs, d)
 		}
 	}
-	for _, v := range r {
-		if v < maxL {
-			t.Fatalf("right element %d below left max %d", v, maxL)
+	for _, d := range segs {
+		in := slices.Clone(d)
+		l, r := partition(d)
+		if len(l) == 0 || len(r) == 0 || len(l)+len(r) != len(d) || slices.Max(l) > slices.Min(r) {
+			t.Fatalf("partition(%v) = %v, %v", in, l, r)
 		}
+	}
+}
+
+// TestSplit checks the one recursion step of all three sorts on a
+// segment of equal keys longer than the cutoff (it partitions down the
+// middle), a segment of distinct keys that partitions, and a segment at
+// the cutoff (sorted in place, no halves).
+func TestSplit(t *testing.T) {
+	a := small()
+	c := a.seqCutoff
+	equal := make([]int64, 2*c+1)
+	for i := range equal {
+		equal[i] = 42
+	}
+	if l, r, ok := a.split(equal); !ok || len(l) == 0 || len(r) == 0 || len(l)+len(r) != len(equal) {
+		t.Fatalf("equal keys: split into %d and %d keys (ok %v), want two non-empty halves", len(l), len(r), ok)
+	}
+
+	distinct := make([]int64, 2*c)
+	for i := range distinct {
+		distinct[i] = int64((i * 7919) % len(distinct)) // a permutation of 0..2c-1
+	}
+	l, r, ok := a.split(distinct)
+	if !ok || len(l) == 0 || len(r) == 0 || len(l)+len(r) != len(distinct) {
+		t.Fatalf("distinct keys: split into %d and %d keys (ok %v)", len(l), len(r), ok)
+	}
+	if slices.Max(l) > slices.Min(r) {
+		t.Fatalf("distinct keys: left max %d above right min %d", slices.Max(l), slices.Min(r))
+	}
+
+	leaf := make([]int64, c)
+	for i := range leaf {
+		leaf[i] = int64(c - i)
+	}
+	if l, r, ok := a.split(leaf); ok || l != nil || r != nil {
+		t.Fatalf("segment at the cutoff: split into %d and %d keys (ok %v), want a leaf", len(l), len(r), ok)
+	}
+	if !slices.IsSorted(leaf) {
+		t.Fatalf("segment at the cutoff was not sorted in place")
 	}
 }
 

@@ -56,26 +56,35 @@ func TestByNameResolvesEverything(t *testing.T) {
 	}
 }
 
+// TestScaleGrowsWorkloads checks that Medium is a bigger workload than
+// Small for every paper app: its trace has more tasks and more total work.
 func TestScaleGrowsWorkloads(t *testing.T) {
-	small := Paper(Small, 1)
-	medium := Paper(Medium, 1)
+	small, medium := Paper(Small, 1), Paper(Medium, 1)
 	for i := range small {
 		gs, err := small[i].Trace(2)
 		if err != nil {
 			t.Fatalf("%s small trace: %v", small[i].Name(), err)
 		}
-		_ = medium[i] // medium traces are exercised in the expt benchmarks
-		if gs.NumTasks() == 0 {
-			t.Fatalf("%s produced an empty trace", small[i].Name())
+		gm, err := medium[i].Trace(2)
+		if err != nil {
+			t.Fatalf("%s medium trace: %v", medium[i].Name(), err)
+		}
+		if gm.NumTasks() <= gs.NumTasks() || gm.TotalWorkNS() <= gs.TotalWorkNS() {
+			t.Errorf("%s: medium trace has %d tasks and %d ns of work, small %d and %d",
+				small[i].Name(), gm.NumTasks(), gm.TotalWorkNS(), gs.NumTasks(), gs.TotalWorkNS())
 		}
 	}
 }
 
+// TestUTSInstanceBounded checks the §X tree is big enough to measure and
+// under its node cap: Parallel refuses a tree the cap cut short.
 func TestUTSInstanceBounded(t *testing.T) {
 	u := UTS(1)
-	n := u.Count()
-	if n < 1000 || n >= u.MaxNodes {
-		t.Fatalf("UTS default tree size %d out of range [1000, %d)", n, u.MaxNodes)
+	if n := u.Count(); n < 1000 {
+		t.Fatalf("UTS default tree has %d nodes, want at least 1000", n)
+	}
+	if got, want := parallel(t, u), u.ChecksumXOR(); got != want {
+		t.Fatalf("parallel %#x, want %#x", got, want)
 	}
 }
 

@@ -29,24 +29,17 @@ type Cell struct {
 
 // App configures one Turing Ring instance.
 type App struct {
-	// Cells is the ring size.
-	Cells int
-	// Iters is the number of simulated iterations.
-	Iters int
-	// Seed drives the initial population layout.
-	Seed int64
-	// GranularityNS is the Table I calibration target (1.86 ms).
-	GranularityNS int64
+	cells int   // the ring size
+	iters int   // simulated iterations
+	seed  int64 // drives the initial population layout
 }
+
+// granularityNS is the Table I calibration target: 1.86 ms.
+const granularityNS = 1_860_000
 
 // New returns a Turing Ring over cells cells for iters iterations.
 func New(cells, iters int, seed int64) *App {
-	return &App{
-		Cells:         cells,
-		Iters:         iters,
-		Seed:          seed,
-		GranularityNS: 1_860_000, // Table I: 1.86 ms
-	}
+	return &App{cells: cells, iters: iters, seed: seed}
 }
 
 // Name implements apps.App.
@@ -55,14 +48,14 @@ func (a *App) Name() string { return "turingring" }
 // initial builds the deterministic starting populations: a modest
 // background plus a few dense blooms.
 func (a *App) initial() []Cell {
-	cells := make([]Cell, a.Cells)
+	cells := make([]Cell, a.cells)
 	for i := range cells {
-		h := apps.Mix(uint64(a.Seed), uint64(i))
+		h := apps.Mix(uint64(a.seed), uint64(i))
 		cells[i].Prey = 20 + float64(h%50)
 		cells[i].Pred = 5 + float64((h>>8)%10)
 	}
 	// Dense blooms every ~64 cells seed travelling spikes.
-	for i := 0; i < a.Cells; i += 64 {
+	for i := 0; i < a.cells; i += 64 {
 		cells[i].Prey += 3000
 		cells[i].Pred += 200
 	}
@@ -93,7 +86,7 @@ func grow(c Cell) Cell {
 // paper's two-orders-of-magnitude load shifts — dump 90% of a bloom onto
 // one neighbour.
 func (a *App) outflow(i, iter int, c Cell) (preyOut, predOut float64, dir int) {
-	h := apps.Mix(uint64(a.Seed)^uint64(iter)*1315423911, uint64(i))
+	h := apps.Mix(uint64(a.seed)^uint64(iter)*1315423911, uint64(i))
 	dir = 1
 	if h&1 == 0 {
 		dir = -1
@@ -155,17 +148,26 @@ func checksum(cells []Cell) uint64 {
 	return h.Sum()
 }
 
-// Sequential implements apps.App.
-func (a *App) Sequential() uint64 {
+// run steps the ring iters times from its initial populations: each
+// iteration eachIter fills next from cur, and the two swap. It returns
+// the final populations' checksum.
+func (a *App) run(eachIter func(iter int, cur, next []Cell)) uint64 {
 	cur := a.initial()
 	next := make([]Cell, len(cur))
-	for iter := 0; iter < a.Iters; iter++ {
-		for i := range cur {
-			next[i] = burn(a.stepCell(cur, i, iter))
-		}
+	for iter := 0; iter < a.iters; iter++ {
+		eachIter(iter, cur, next)
 		cur, next = next, cur
 	}
 	return checksum(cur)
+}
+
+// Sequential implements apps.App.
+func (a *App) Sequential() uint64 {
+	return a.run(func(iter int, cur, next []Cell) {
+		for i := range cur {
+			next[i] = burn(a.stepCell(cur, i, iter))
+		}
+	})
 }
 
 // Parallel implements apps.App: the ring is block-distributed over the places;
@@ -173,16 +175,14 @@ func (a *App) Sequential() uint64 {
 // the sensitive inner prey task), with a finish barrier per iteration as
 // in the paper's pseudo-code.
 func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
-	cur := a.initial()
-	next := make([]Cell, len(cur))
 	places := rt.Places()
+	var sum uint64
 	err := rt.Run(func(ctx *core.Ctx) {
-		for iter := 0; iter < a.Iters; iter++ {
-			it := iter
+		sum = a.run(func(iter int, cur, next []Cell) {
 			ctx.Finish(func(c *core.Ctx) {
 				for i := range cur {
 					cell := i
-					home := placeOf(cell, a.Cells, places)
+					home := placeOf(cell, a.cells, places)
 					loc := task.Locality{
 						Class:          task.Flexible,
 						MigrationBytes: 16 * (bodies(cur[cell]) + 1),
@@ -190,7 +190,7 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 					c.AsyncLoc(home, loc, func(cc *core.Ctx) {
 						// Outer task: full cell update (predators,
 						// migration bookkeeping) ...
-						res := burn(a.stepCell(cur, cell, it))
+						res := burn(a.stepCell(cur, cell, iter))
 						// ... with the prey refinement as an inner
 						// sensitive task at the executing place, as in
 						// Fig. 1 line 6.
@@ -202,13 +202,12 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 					})
 				}
 			})
-			cur, next = next, cur
-		}
+		})
 	})
 	if err != nil {
 		return 0, fmt.Errorf("turingring: %w", err)
 	}
-	return checksum(cur), nil
+	return sum, nil
 }
 
 // Trace implements apps.App: the real dynamics are simulated; each
@@ -217,15 +216,12 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 // outer task per cell (cost ∝ bodies), each with a sensitive inner child.
 func (a *App) Trace(places int) (*trace.Graph, error) {
 	b := trace.NewBuilder(a.Name())
-	cur := a.initial()
-	next := make([]Cell, len(cur))
-
 	prevIter := -1
-	for iter := 0; iter < a.Iters; iter++ {
+	a.run(func(iter int, cur, next []Cell) {
 		coord := trace.Task{
 			HomeMode:  trace.HomeFixed,
 			Home:      0,
-			CostNS:    int64(a.Cells),
+			CostNS:    int64(a.cells),
 			Flexible:  false,
 			BaseMsgs:  places - 1, // iteration barrier/broadcast
 			BaseBytes: 16 * (places - 1),
@@ -239,7 +235,7 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 		prevIter = cid
 		for i := range cur {
 			nb := bodies(cur[i])
-			id := b.Child(cid, a.outerTask(places, i, nb, placeOf(i, a.Cells, places)))
+			id := b.Child(cid, a.outerTask(places, i, nb, placeOf(i, a.cells, places)))
 			// Inner sensitive prey update, local to wherever the outer ran.
 			b.Child(id, trace.Task{
 				HomeMode: trace.HomeInherit,
@@ -254,8 +250,7 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 			})
 			next[i] = a.stepCell(cur, i, iter)
 		}
-		cur, next = next, cur
-	}
+	})
 	g, err := b.Graph()
 	if err != nil {
 		return nil, fmt.Errorf("turingring: %w", err)
@@ -263,7 +258,7 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 	// Children (the inner task and the next iteration's outer task) spawn
 	// at the end of their parent, preserving per-cell iteration order.
 	apps.SpawnAtEnd(g)
-	if _, err := apps.CalibrateFlexibleGranularity(g, a.GranularityNS); err != nil {
+	if _, err := apps.CalibrateFlexibleGranularity(g, granularityNS); err != nil {
 		return nil, fmt.Errorf("turingring: %w", err)
 	}
 	return g, nil
@@ -283,7 +278,7 @@ func (a *App) outerTask(places, cell, nb, home int) trace.Task {
 		BlockReps: 4,
 	}
 	// Neighbour exchange crosses a place boundary for edge cells.
-	n := a.Cells
+	n := a.cells
 	left := (cell - 1 + n) % n
 	right := (cell + 1) % n
 	if placeOf(left, n, places) != home {

@@ -22,9 +22,7 @@ func TestSequentialDeterministic(t *testing.T) {
 
 func TestPopulationsStayBounded(t *testing.T) {
 	a := small()
-	cur := a.initial()
-	next := make([]Cell, len(cur))
-	for iter := 0; iter < a.Iters; iter++ {
+	a.run(func(iter int, cur, next []Cell) {
 		for i := range cur {
 			next[i] = a.stepCell(cur, i, iter)
 			if next[i].Prey < 0 || next[i].Pred < 0 {
@@ -34,8 +32,7 @@ func TestPopulationsStayBounded(t *testing.T) {
 				t.Fatalf("population blew up at cell %d iter %d: %+v", i, iter, next[i])
 			}
 		}
-		cur, next = next, cur
-	}
+	})
 }
 
 func TestMigrationConservesAtQuietCells(t *testing.T) {
@@ -57,10 +54,8 @@ func TestBurstsCreateLargeLoadShifts(t *testing.T) {
 	// Somewhere in the run a cell's body count must change by >10x in one
 	// iteration — the imbalance the paper attributes to migration.
 	a := New(128, 12, 5)
-	cur := a.initial()
-	next := make([]Cell, len(cur))
 	sawBurst := false
-	for iter := 0; iter < a.Iters; iter++ {
+	a.run(func(iter int, cur, next []Cell) {
 		for i := range cur {
 			next[i] = a.stepCell(cur, i, iter)
 			before, after := bodies(cur[i])+1, bodies(next[i])+1
@@ -68,8 +63,7 @@ func TestBurstsCreateLargeLoadShifts(t *testing.T) {
 				sawBurst = true
 			}
 		}
-		cur, next = next, cur
-	}
+	})
 	if !sawBurst {
 		t.Fatalf("no order-of-magnitude load shift observed")
 	}
@@ -105,7 +99,7 @@ func TestTraceValidAndShaped(t *testing.T) {
 	}
 	// One outer + one inner task per cell-iteration plus one coordinator
 	// per iteration.
-	want := a.Cells*a.Iters*2 + a.Iters
+	want := a.cells*a.iters*2 + a.iters
 	if g.NumTasks() != want {
 		t.Fatalf("NumTasks = %d, want %d", g.NumTasks(), want)
 	}

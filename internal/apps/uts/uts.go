@@ -19,30 +19,22 @@ import (
 
 // App configures one UTS instance.
 type App struct {
-	// RootKids is the root's branching factor.
-	RootKids int
-	// Warmup is the depth below which nodes branch richly (mean 2);
-	// beyond it branching drops to mean 0.5, so the tree dies out.
-	Warmup int
-	// MaxNodes caps generation (safety bound, also bounds traces).
-	MaxNodes int
-	// Seed drives the tree shape.
-	Seed int64
-	// NodeCostNS is the per-node virtual work in the trace.
-	NodeCostNS int64
+	rootKids int   // the root's branching factor
+	warmup   int   // depth below which nodes branch richly (mean 2), then mean 0.5
+	maxNodes int   // generation cap (safety bound, also bounds traces)
+	seed     int64 // drives the tree shape
 
-	nodes apps.Input[int] // walk's count, read by every Parallel
+	nodes apps.Input[int] // dfs's count, read by every Parallel
 }
 
-// New returns a UTS instance.
+// nodeCostNS is the per-node virtual work in the trace: fine-grained.
+const nodeCostNS = 20_000
+
+// New returns a UTS instance: the root has rootKids children, nodes
+// shallower than warmup branch richly (mean 2) and deeper ones die out
+// (mean 0.5), and every walk stops after maxNodes nodes.
 func New(rootKids, warmup, maxNodes int, seed int64) *App {
-	return &App{
-		RootKids:   rootKids,
-		Warmup:     warmup,
-		MaxNodes:   maxNodes,
-		Seed:       seed,
-		NodeCostNS: 20_000, // fine-grained: 20µs per node
-	}
+	return &App{rootKids: rootKids, warmup: warmup, maxNodes: maxNodes, seed: seed}
 }
 
 // Name implements apps.App.
@@ -50,11 +42,11 @@ func (a *App) Name() string { return "uts" }
 
 // kids returns the number of children of node id at the given depth.
 func (a *App) kids(id uint64, depth int) int {
-	h := apps.Mix(uint64(a.Seed), id)
+	h := apps.Mix(uint64(a.seed), id)
 	if depth == 0 {
-		return a.RootKids
+		return a.rootKids
 	}
-	if depth < a.Warmup {
+	if depth < a.warmup {
 		return int(h % 5) // mean 2: supercritical growth
 	}
 	return int(h % 2) // mean 0.5: subcritical tail
@@ -63,7 +55,7 @@ func (a *App) kids(id uint64, depth int) int {
 // childID derives child i's id from its parent's.
 func childID(id uint64, i int) uint64 { return apps.Mix(id, uint64(i)+1) }
 
-// node is one tree node: a stack frame of the walks below and, in
+// node is one tree node: the core of a frame of dfs's stack and, in
 // Parallel, a bag item of 16 bytes.
 type node struct {
 	id    uint64
@@ -79,41 +71,45 @@ func nodeWork(id uint64) uint64 {
 	return h
 }
 
-// Sequential implements apps.App: iterative DFS counting nodes.
-func (a *App) Sequential() uint64 {
-	stack := []node{{1, 0}}
+// dfs walks the tree depth first, one node at a time and at most
+// maxNodes of them, and returns how many it visited. visit gets the tag
+// visit returned for the node's parent (-1 at the root) and returns the
+// node's own. Sequential, Count, ChecksumXOR and Trace are its visits.
+func (a *App) dfs(visit func(parent int, id uint64) int) int {
+	type frame struct {
+		node
+		parent int
+	}
+	stack := []frame{{node{1, 0}, -1}}
 	count := 0
-	h := apps.NewFnv()
-	for len(stack) > 0 && count < a.MaxNodes {
+	for len(stack) > 0 && count < a.maxNodes {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		count++
-		h.Add(nodeWork(f.id))
+		tag := visit(f.parent, f.id)
 		for i := 0; i < a.kids(f.id, f.depth); i++ {
-			stack = append(stack, node{childID(f.id, i), f.depth + 1})
+			stack = append(stack, frame{node{childID(f.id, i), f.depth + 1}, tag})
 		}
 	}
+	return count
+}
+
+// Sequential implements apps.App: the DFS, hashing each node's work in
+// visit order and then the node count.
+func (a *App) Sequential() uint64 {
+	h := apps.NewFnv()
+	count := a.dfs(func(_ int, id uint64) int {
+		h.Add(nodeWork(id))
+		return 0
+	})
 	h.Add(uint64(count))
 	return h.Sum()
 }
 
-// Count returns just the number of tree nodes (bounded by MaxNodes),
+// Count returns just the number of tree nodes (bounded by the cap),
 // walking the tree on the first call only.
-func (a *App) Count() int { return a.nodes.Get(a.walk) }
-
-// walk counts the tree's nodes (bounded by MaxNodes).
-func (a *App) walk() int {
-	stack := []node{{1, 0}}
-	count := 0
-	for len(stack) > 0 && count < a.MaxNodes {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		count++
-		for i := 0; i < a.kids(f.id, f.depth); i++ {
-			stack = append(stack, node{childID(f.id, i), f.depth + 1})
-		}
-	}
-	return count
+func (a *App) Count() int {
+	return a.nodes.Get(func() int { return a.dfs(func(int, uint64) int { return 0 }) })
 }
 
 // sums is one bag run's share of the checksum: its node count and the XOR
@@ -128,12 +124,12 @@ type sums struct {
 // workers as they go idle. Every node still counts as one task. The
 // checksum is order-independent (XOR) so it matches Sequential's set of
 // nodes when the node cap is not hit (the cap makes visit *sets*
-// order-dependent, so Parallel requires MaxNodes to exceed the tree size;
-// New's defaults do).
+// order-dependent, so Parallel requires the cap to exceed the tree size;
+// suite.UTS's does).
 func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 	total := a.Count()
-	if total >= a.MaxNodes {
-		return 0, fmt.Errorf("uts: tree hit the MaxNodes cap (%d); raise it for parallel runs", a.MaxNodes)
+	if total >= a.maxNodes {
+		return 0, fmt.Errorf("uts: tree hit the node cap (%d); raise it for parallel runs", a.maxNodes)
 	}
 	var count atomic.Int64
 	var hash atomic.Uint64
@@ -178,18 +174,11 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 // ChecksumXOR is the order-independent checksum Parallel produces; use it
 // (not Sequential) as the reference for parallel runs.
 func (a *App) ChecksumXOR() uint64 {
-	stack := []node{{1, 0}}
-	count := 0
 	var x uint64
-	for len(stack) > 0 && count < a.MaxNodes {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		count++
-		x ^= nodeWork(f.id)
-		for i := 0; i < a.kids(f.id, f.depth); i++ {
-			stack = append(stack, node{childID(f.id, i), f.depth + 1})
-		}
-	}
+	count := a.dfs(func(_ int, id uint64) int {
+		x ^= nodeWork(id)
+		return 0
+	})
 	h := apps.NewFnv()
 	h.Add(x)
 	h.Add(uint64(count))
@@ -197,50 +186,28 @@ func (a *App) ChecksumXOR() uint64 {
 }
 
 // Trace implements apps.App: the whole tree rooted at place 0, every node
-// a flexible task of NodeCostNS, children homed wherever their parent
+// a flexible task of nodeCostNS, children homed wherever their parent
 // ran. This is the §X configuration for the Random/Lifeline/DistWS
-// comparison.
-func (a *App) Trace(places int) (*trace.Graph, error) {
+// comparison; the place count does not shape it.
+func (a *App) Trace(int) (*trace.Graph, error) {
 	b := trace.NewBuilder(a.Name())
-	type frame struct {
-		id     uint64
-		depth  int
-		parent int // trace task id of parent, -1 for root
-	}
-	mk := func(first bool) trace.Task {
+	a.dfs(func(parent int, _ uint64) int {
 		t := trace.Task{
 			HomeMode: trace.HomeInherit,
-			CostNS:   a.NodeCostNS,
+			CostNS:   nodeCostNS,
 			Flexible: true,
 			MigBytes: 64,
 		}
-		if first {
+		if parent < 0 {
 			t.HomeMode = trace.HomeFixed
-			t.Home = 0
+			return b.Root(t)
 		}
-		return t
-	}
-	stack := []frame{{1, 0, -1}}
-	count := 0
-	for len(stack) > 0 && count < a.MaxNodes {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		var tid int
-		if f.parent < 0 {
-			tid = b.Root(mk(true))
-		} else {
-			tid = b.Child(f.parent, mk(false))
-		}
-		count++
-		for i := 0; i < a.kids(f.id, f.depth); i++ {
-			stack = append(stack, frame{childID(f.id, i), f.depth + 1, tid})
-		}
-	}
+		return b.Child(parent, t)
+	})
 	g, err := b.Graph()
 	if err != nil {
 		return nil, fmt.Errorf("uts: %w", err)
 	}
-	_ = places
 	return g, nil
 }
 

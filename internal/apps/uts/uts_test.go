@@ -22,31 +22,29 @@ func TestTreeIsNontrivialAndBounded(t *testing.T) {
 	if n < 100 {
 		t.Fatalf("tree too small (%d nodes); pick a better seed/shape", n)
 	}
-	if n >= small().MaxNodes {
+	if n >= small().maxNodes {
 		t.Fatalf("tree hit the cap")
 	}
 }
 
 func TestTreeIsUnbalanced(t *testing.T) {
-	// Subtree sizes under the root must differ substantially.
+	// Subtree sizes under the root must differ substantially. Each child
+	// of the root tags its subtree with the child's index in sizes.
 	a := small()
-	sizes := make([]int, a.RootKids)
-	for i := 0; i < a.RootKids; i++ {
-		sub := &App{RootKids: 0, Warmup: a.Warmup, MaxNodes: a.MaxNodes, Seed: a.Seed}
-		// Count the subtree rooted at child i by walking manually.
-		type frame struct {
-			id    uint64
-			depth int
+	sizes := make([]int, 0, a.rootKids)
+	a.dfs(func(parent int, _ uint64) int {
+		switch parent {
+		case -1:
+			return -2 // the root, which no subtree counts
+		case -2:
+			sizes = append(sizes, 1)
+			return len(sizes) - 1
 		}
-		stack := []frame{{childID(1, i), 1}}
-		for len(stack) > 0 && sizes[i] < a.MaxNodes {
-			f := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			sizes[i]++
-			for k := 0; k < sub.kids(f.id, f.depth); k++ {
-				stack = append(stack, frame{childID(f.id, k), f.depth + 1})
-			}
-		}
+		sizes[parent]++
+		return parent
+	})
+	if len(sizes) != a.rootKids {
+		t.Fatalf("the root has %d subtrees, want %d", len(sizes), a.rootKids)
 	}
 	minS, maxS := sizes[0], sizes[0]
 	for _, s := range sizes {
@@ -90,11 +88,11 @@ func TestParallelMatchesChecksumXOR(t *testing.T) {
 		for _, a := range c.trees {
 			got, err := a.Parallel(rt)
 			if err != nil {
-				t.Fatalf("%dx%d %v seed %d: %v", c.cl.Places, c.cl.WorkersPerPlace, c.policy, a.Seed, err)
+				t.Fatalf("%dx%d %v seed %d: %v", c.cl.Places, c.cl.WorkersPerPlace, c.policy, a.seed, err)
 			}
 			if want := a.ChecksumXOR(); got != want {
 				t.Fatalf("%dx%d %v seed %d: parallel %x != reference %x",
-					c.cl.Places, c.cl.WorkersPerPlace, c.policy, a.Seed, got, want)
+					c.cl.Places, c.cl.WorkersPerPlace, c.policy, a.seed, got, want)
 			}
 		}
 		rt.Shutdown()

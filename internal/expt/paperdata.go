@@ -48,25 +48,6 @@ var PaperBestGainPct = map[string]float64{
 	"nbody": 19,
 }
 
-// PaperMicroGranularityMS is the §VIII-Q2 micro-app granularities.
-var PaperMicroGranularityMS = map[string]float64{
-	"mergesort":     0.12,
-	"skyline":       0.93,
-	"montecarlo-pi": 0.005,
-	"matchain":      0.09,
-	"randomaccess":  0.006,
-}
-
-// PaperUtilizationDisparityPct records Fig. 7's summary: ~35% average
-// node-utilization disparity under X10WS vs ~13% variance under DistWS.
-const (
-	PaperX10WSDisparityPct  = 35.0
-	PaperDistWSVariancePct  = 13.0
-	PaperUTSDistWSOverRnd   = 9.0 // §X: DistWS +9% over random stealing
-	PaperStealsToTaskRatioL = 1e-5
-	PaperStealsToTaskRatioH = 1e-4
-)
-
 // PaperName maps internal app names to the paper's display names.
 var PaperName = map[string]string{
 	"quicksort":     "Quicksort",

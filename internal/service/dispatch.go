@@ -120,7 +120,7 @@ func (s *Server) run(ctx context.Context) error {
 	retry := time.NewTimer(s.RetryAfter)
 	defer retry.Stop()
 	drained := s.drained()
-	_, done, err := s.step(event{})
+	_, done, err := s.step(event{kind: wake})
 	for !done {
 		var ev event
 		select {

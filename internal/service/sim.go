@@ -121,7 +121,7 @@ func newCluster(net *vtime.Net, srv *Server) (*cluster, error) {
 	}
 	c := &cluster{net: net, srv: srv, execs: make(map[int]*node.Executor)}
 	net.Deliver = c.deliver
-	c.step(event{})
+	c.step(event{kind: wake})
 	c.retryAt = srv.RetryAfter.Nanoseconds()
 	net.At(c.retryAt, c.retry)
 	if hb := srv.Heartbeat.Nanoseconds(); hb > 0 {
@@ -335,7 +335,7 @@ func Simulate(cfg SimConfig) (*SimReport, error) {
 		if !draining && open == 0 && sent == ctrs.JobsSubmitted.Load() {
 			draining = true
 			srv.Drain()
-			c.step(event{})
+			c.step(event{kind: wake})
 		}
 	}
 	if c.err != nil {

@@ -40,7 +40,10 @@ type listedPackage struct {
 // composite literal is not a read; selecting its value anywhere else,
 // a test included, is. Fields with a json tag are exempt (encoding/json
 // reads them by reflection), and so are embedded fields, which promote
-// methods and fields without being selected by name.
+// methods and fields without being selected by name. It fails the same
+// way on every package-level const or var declared outside _test.go
+// files that no code reads: assigning or incrementing the var is not a
+// read, naming it anywhere else is.
 //
 // In the same pass it fails on every such field that no code outside
 // _test.go files sets: an input only tests give, zero in every program.
@@ -90,7 +93,7 @@ func TestNoFieldIsNeverRead(t *testing.T) {
 		}
 		return os.Open(file)
 	})
-	s := &fieldScan{fset: fset, std: std, plain: map[string]*types.Package{}, declared: map[string]string{}, read: map[string]bool{}, set: map[string]bool{}}
+	s := &fieldScan{fset: fset, std: std, plain: map[string]*types.Package{}, declared: map[string]string{}, values: map[string]string{}, read: map[string]bool{}, set: map[string]bool{}}
 	for _, p := range module {
 		s.plain[p.ImportPath] = s.check(t, p.ImportPath, p.Dir, p.GoFiles, nil, true)
 	}
@@ -135,6 +138,15 @@ func TestNoFieldIsNeverRead(t *testing.T) {
 			unset[file+": "+field] = true
 		}
 	}
+	for pos, name := range s.values {
+		if !s.read[pos] {
+			rel := pos
+			if r, err := filepath.Rel(wd, pos); err == nil {
+				rel = r
+			}
+			never = append(never, rel+": "+name)
+		}
+	}
 	sort.Strings(never)
 	for _, f := range never {
 		t.Errorf("never read: %s", f)
@@ -173,15 +185,16 @@ func TestNoFieldIsNeverRead(t *testing.T) {
 // `file: Type.Field reason` per line.
 const neverSetKept = "testdata/neverset_kept.txt"
 
-// fieldScan holds what the scan has seen: every field declared outside
-// tests, every field read and every field set outside tests, all by
-// declaration position.
+// fieldScan holds what the scan has seen: every field and package-level
+// const or var declared outside tests, every one of them read and every
+// field set outside tests, all by declaration position.
 type fieldScan struct {
 	fset     *token.FileSet
 	std      types.Importer
 	plain    map[string]*types.Package // module packages without their tests
 	declared map[string]string         // position -> package.Type.Field
-	read     map[string]bool           // position of a read field
+	values   map[string]string         // position -> package.Name of a package-level const or var
+	read     map[string]bool           // position of a read field, const or var
 	set      map[string]bool           // position of a field set outside tests
 }
 
@@ -198,7 +211,7 @@ func (s *fieldScan) check(t *testing.T, path, dir string, names []string, over m
 		}
 		files = append(files, f)
 	}
-	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{}, Uses: map[*ast.Ident]types.Object{}}
 	conf := types.Config{Importer: importerFunc(func(imp string) (*types.Package, error) {
 		if p, ok := over[imp]; ok {
 			return p, nil
@@ -223,8 +236,19 @@ func (s *fieldScan) check(t *testing.T, path, dir string, names []string, over m
 }
 
 // declare records the named fields without a json tag of every struct
-// type in f.
+// type in f, and f's package-level consts and vars.
 func (s *fieldScan) declare(f *ast.File) {
+	for _, d := range f.Decls {
+		if gd, ok := d.(*ast.GenDecl); ok && (gd.Tok == token.CONST || gd.Tok == token.VAR) {
+			for _, spec := range gd.Specs {
+				for _, name := range spec.(*ast.ValueSpec).Names {
+					if name.Name != "_" {
+						s.values[s.fset.Position(name.Pos()).String()] = f.Name.Name + "." + name.Name
+					}
+				}
+			}
+		}
+	}
 	typeName := map[*ast.StructType]string{}
 	ast.Inspect(f, func(n ast.Node) bool {
 		if ts, ok := n.(*ast.TypeSpec); ok {
@@ -256,8 +280,9 @@ func (s *fieldScan) declare(f *ast.File) {
 }
 
 // reads records every field f selects for its value — a selector that is
-// not the target of an assignment or an increment — and every field of a
-// struct f compares with == or != or uses as a map key.
+// not the target of an assignment or an increment — every field of a
+// struct f compares with == or != or uses as a map key, and every
+// package-level const or var f names other than as such a target.
 func (s *fieldScan) reads(f *ast.File, info *types.Info) {
 	written := map[ast.Expr]bool{}
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -278,6 +303,13 @@ func (s *fieldScan) reads(f *ast.File, info *types.Info) {
 			sel := info.Selections[n]
 			if sel != nil && sel.Kind() == types.FieldVal && !written[n] {
 				s.read[s.fset.Position(sel.Obj().Pos()).String()] = true
+			}
+		case *ast.Ident:
+			switch obj := info.Uses[n].(type) {
+			case *types.Const, *types.Var:
+				if obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() && !written[n] {
+					s.read[s.fset.Position(obj.Pos()).String()] = true
+				}
 			}
 		}
 		return true
