@@ -220,7 +220,7 @@ loc:
 		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
 		printf "%7d  total outside benchmark/\n", total }'
 
-# Coverage ledger (ROADMAP item 12): the functions outside benchmark/, cmd/
+# Coverage ledger (ROADMAP's "The ledger's last unrun code"): the functions outside benchmark/, cmd/
 # and examples/ that (1) nothing reaches and (2) only tests reach. "Reached
 # by the program" is what coverage-instrumented builds of the commands and
 # the benchmark execute on the exhibit run, the benchmark's smoke run, the

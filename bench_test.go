@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -594,6 +595,51 @@ func BenchmarkNestedFinish(b *testing.B) {
 			}); err != nil {
 				b.Fatal(err)
 			}
+		})
+	}
+}
+
+// BenchmarkIdleWake times push-to-start: how long after a push one task
+// starts at a place whose only worker went idle 10 µs, 50 µs or 1 ms
+// earlier. The pusher, the root at place 0, keeps its processor busy
+// until the task starts, as a worker with more to run does; under X10WS
+// place 1's worker learns of the task only from the push's wake. It
+// reports the p50 and p90 of that latency; ns/op includes the idle wait.
+func BenchmarkIdleWake(b *testing.B) {
+	for _, idle := range []time.Duration{10 * time.Microsecond, 50 * time.Microsecond, time.Millisecond} {
+		b.Run(idle.String(), func(b *testing.B) {
+			rt, err := distws.New(distws.Config{
+				Cluster: distws.Cluster{Places: 2, WorkersPerPlace: 1},
+				Policy:  distws.X10WS,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer rt.Shutdown()
+			base := time.Now()
+			var started atomic.Int64 // ns since base at which the task started
+			lat := make([]time.Duration, 0, b.N)
+			b.ResetTimer()
+			err = rt.Run(func(c *distws.Ctx) {
+				for i := 0; i < b.N; i++ {
+					// The task's body is empty: its worker goes idle as it starts.
+					for time.Since(base)-time.Duration(started.Load()) < idle {
+					}
+					pushed := time.Since(base)
+					c.Finish(func(c *distws.Ctx) {
+						c.Async(1, func(*distws.Ctx) { started.Store(int64(time.Since(base))) })
+						for time.Duration(started.Load()) < pushed {
+						}
+					})
+					lat = append(lat, time.Duration(started.Load())-pushed)
+				}
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			slices.Sort(lat)
+			b.ReportMetric(float64(lat[len(lat)/2].Nanoseconds())/1e3, "p50-µs")
+			b.ReportMetric(float64(lat[len(lat)*9/10].Nanoseconds())/1e3, "p90-µs")
 		})
 	}
 }

@@ -1,6 +1,7 @@
 package distws
 
 import (
+	"bytes"
 	"encoding/json"
 	"go/ast"
 	"go/parser"
@@ -44,6 +45,9 @@ var (
 	// A span that is one qualified Go identifier: pkg.Name or
 	// pkg.Type.Member, Name exported, possibly called or instantiated.
 	goIdent = regexp.MustCompile(`^([a-z]\w*)\.([A-Z]\w*)(?:\.(\w+))?(?:\(.*\)|\[.*\])?$`)
+	// A pointer to a ROADMAP item by its number, which the ROADMAP
+	// reassigns whenever it is re-anchored; a document names the item.
+	roadmapItem = regexp.MustCompile(`ROADMAP(?:'s)?\s+items?\s+\d`)
 )
 
 // TestDocsResolve fails on a backticked `make <target>` (or a fenced
@@ -57,10 +61,25 @@ var (
 // so a renamed or retired row cannot linger in the prose that quotes it,
 // and a span that is a qualified Go identifier (see goIdent) whose package
 // is distws or a directory under internal/ must name a declaration there.
+// Neither those documents nor the Makefile nor a testdata/*_kept.txt list
+// may point at a ROADMAP item by number (see roadmapItem).
 func TestDocsResolve(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
 		t.Fatal(err)
+	}
+	kept, err := filepath.Glob(filepath.Join("testdata", "*_kept.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range append(append([]string{"Makefile"}, kept...), resolvedDocs...) {
+		data, err := os.ReadFile(filepath.FromSlash(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range roadmapItem.FindAllIndex(data, -1) {
+			t.Errorf("%s:%d: %q: name the ROADMAP item, not its number", doc, bytes.Count(data[:m[0]], []byte("\n"))+1, data[m[0]:m[1]])
+		}
 	}
 	targets := map[string]bool{}
 	for _, m := range makefileRule.FindAllStringSubmatch(string(makefile), -1) {

@@ -162,23 +162,31 @@ func leafKey(r region) string {
 	return fmt.Sprintf("%.6f:%.6f:%.6f:%.6f", r.minX, r.minY, r.maxX, r.maxY)
 }
 
-// seqRec triangulates r, splitting recursively, appending leaf stats in
-// decomposition order.
-func (a *App) seqRec(r region, stats *[]leafStat) {
-	if len(r.pts) > a.cutoff {
-		for _, q := range split(r) {
-			a.seqRec(q, stats)
-		}
+// walk is dmg's one decomposition, which Sequential, Parallel and Trace
+// drive: region r, tagged t, is a leaf once it holds at most cutoff
+// points; otherwise it splits into quadrants, and fan walks each of them
+// by calling down with the quadrant and its own tag. Sequential and Trace
+// fan out in turn on the caller's stack, Parallel from one task per
+// quadrant.
+func walk[T any](cutoff int, r region, t T, fan func(t T, quads [4]region, down func(q region, t T)), leaf func(t T, r region)) {
+	if len(r.pts) <= cutoff {
+		leaf(t, r)
 		return
 	}
-	*stats = append(*stats, leaf(r))
+	fan(t, split(r), func(q region, qt T) { walk(cutoff, q, qt, fan, leaf) })
 }
 
 // Sequential implements apps.App.
 func (a *App) Sequential() uint64 {
 	var stats []leafStat
 	for _, r := range a.regions() {
-		a.seqRec(r, &stats)
+		walk(a.cutoff, r, struct{}{},
+			func(t struct{}, quads [4]region, down func(region, struct{})) {
+				for _, q := range quads {
+					down(q, t)
+				}
+			},
+			func(_ struct{}, r region) { stats = append(stats, leaf(r)) })
 	}
 	return checksum(stats)
 }
@@ -209,22 +217,23 @@ func (res *result) fold(stats *[]leafStat) {
 // Parallel implements apps.App.
 func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 	places := rt.Places()
-	var parRec func(c *core.Ctx, r region, res *result)
-	parRec = func(c *core.Ctx, r region, res *result) {
-		if len(r.pts) > a.cutoff {
-			res.quads = make([]result, 4)
-			c.Finish(func(cc *core.Ctx) {
-				for i, q := range split(r) {
-					q, qres := q, &res.quads[i]
-					cc.AsyncLoc(cc.Place(), a.locality(len(q.pts)), func(c3 *core.Ctx) {
-						parRec(c3, q, qres)
-					})
-				}
-			})
-			return
-		}
-		res.leaf = leaf(r)
+	// A region's tag is the task walking it and the result it fills.
+	type node struct {
+		c   *core.Ctx
+		res *result
 	}
+	fan := func(t node, quads [4]region, down func(region, node)) {
+		t.res.quads = make([]result, 4)
+		t.c.Finish(func(cc *core.Ctx) {
+			for i, q := range quads {
+				q, qres := q, &t.res.quads[i]
+				cc.AsyncLoc(cc.Place(), a.locality(len(q.pts)), func(c3 *core.Ctx) {
+					down(q, node{c3, qres})
+				})
+			}
+		})
+	}
+	fill := func(t node, r region) { t.res.leaf = leaf(r) }
 	roots := a.regions()
 	results := make([]result, len(roots))
 	err := rt.Run(func(ctx *core.Ctx) {
@@ -232,7 +241,7 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 			for i, r := range roots {
 				i, r := i, r
 				c.AsyncLoc(regionPlace(i, places), a.locality(len(r.pts)), func(cc *core.Ctx) {
-					parRec(cc, r, &results[i])
+					walk(a.cutoff, r, node{cc, &results[i]}, fan, fill)
 				})
 			}
 		})
@@ -261,24 +270,21 @@ func (a *App) locality(npts int) task.Locality {
 func (a *App) Trace(places int) (*trace.Graph, error) {
 	b := trace.NewBuilder(a.Name())
 	roots := a.regions()
-	var rec func(parent int, r region)
-	rec = func(parent int, r region) {
-		if len(r.pts) > a.cutoff {
-			for _, q := range split(r) {
-				child := b.Child(parent, trace.Task{
-					HomeMode:  trace.HomeInherit,
-					CostNS:    int64(len(q.pts) + 1),
-					Flexible:  true,
-					MigBytes:  16*len(q.pts) + 64,
-					BaseMsgs:  1,
-					BaseBytes: 64,
-					Blocks:    regionBlocks(q),
-					BlockReps: 6,
-				})
-				rec(child, q)
-			}
-			return
+	fan := func(parent int, quads [4]region, down func(region, int)) {
+		for _, q := range quads {
+			down(q, b.Child(parent, trace.Task{
+				HomeMode:  trace.HomeInherit,
+				CostNS:    int64(len(q.pts) + 1),
+				Flexible:  true,
+				MigBytes:  16*len(q.pts) + 64,
+				BaseMsgs:  1,
+				BaseBytes: 64,
+				Blocks:    regionBlocks(q),
+				BlockReps: 6,
+			}))
 		}
+	}
+	leafTasks := func(parent int, r region) {
 		_, steps := triangulate(r)
 		// The leaf's triangulation work happens in the region task itself;
 		// fold it in as a child so the cavity work is a distinct cost unit.
@@ -319,7 +325,7 @@ func (a *App) Trace(places int) (*trace.Graph, error) {
 			Blocks:    regionBlocks(r),
 			BlockReps: 6,
 		})
-		rec(root, r)
+		walk(a.cutoff, r, root, fan, leafTasks)
 	}
 	g, err := b.Graph()
 	if err != nil {

@@ -93,20 +93,17 @@ func (a *App) gen() []Point {
 // points returns the input points, generating them on first use.
 func (a *App) points() []Point { return a.pts.Get(a.gen) }
 
-// partial accumulates one chunk's contribution to the new centroids.
+// partial is one chunk's contribution to the new centroids.
 type partial struct {
-	sumX, sumY []float64
-	count      []int64
+	sumX, sumY [clusters]float64
+	count      [clusters]int64
 }
 
-func newPartial(k int) *partial {
-	return &partial{sumX: make([]float64, k), sumY: make([]float64, k), count: make([]int64, k)}
-}
-
-// assignChunk assigns pts[lo:hi) to the nearest centroid, accumulating
-// into a fresh partial.
-func (a *App) assignChunk(pts []Point, cents []Point, lo, hi int) *partial {
-	p := newPartial(clusters)
+// assignChunk assigns pts[lo:hi) to the nearest centroid and returns the
+// chunk's partial. It accumulates in a local, so its caller writes the
+// slice of partials, whose cache lines chunks share, once per chunk.
+func assignChunk(pts []Point, cents []Point, lo, hi int) partial {
+	var p partial
 	for i := lo; i < hi; i++ {
 		best, bestD := 0, math.MaxFloat64
 		for k := 0; k < clusters; k++ {
@@ -122,26 +119,24 @@ func (a *App) assignChunk(pts []Point, cents []Point, lo, hi int) *partial {
 	return p
 }
 
-// reduce folds partials (in chunk order) into new centroids; empty
-// clusters keep their previous centroid.
-func (a *App) reduce(parts []*partial, prev []Point) []Point {
-	acc := newPartial(clusters)
-	for _, p := range parts {
+// reduce folds parts, in chunk order, into new centroids, written over
+// cents; an empty cluster keeps its centroid. It returns each cluster's
+// point count.
+func reduce(parts []partial, cents []Point) [clusters]int64 {
+	var acc partial
+	for i := range parts {
 		for k := 0; k < clusters; k++ {
-			acc.sumX[k] += p.sumX[k]
-			acc.sumY[k] += p.sumY[k]
-			acc.count[k] += p.count[k]
+			acc.sumX[k] += parts[i].sumX[k]
+			acc.sumY[k] += parts[i].sumY[k]
+			acc.count[k] += parts[i].count[k]
 		}
 	}
-	next := make([]Point, clusters)
 	for k := 0; k < clusters; k++ {
-		if acc.count[k] == 0 {
-			next[k] = prev[k]
-			continue
+		if acc.count[k] != 0 {
+			cents[k] = Point{acc.sumX[k] / float64(acc.count[k]), acc.sumY[k] / float64(acc.count[k])}
 		}
-		next[k] = Point{acc.sumX[k] / float64(acc.count[k]), acc.sumY[k] / float64(acc.count[k])}
 	}
-	return next
+	return acc.count
 }
 
 // initialCentroids picks K deterministic spread seeds.
@@ -165,30 +160,24 @@ func (a *App) checksum(cents []Point, counts []int64) uint64 {
 
 // run executes the algorithm with a pluggable chunk executor, so the
 // sequential and parallel paths share every line of numeric code.
-func (a *App) run(eachIter func(pts, cents []Point, chunks [][2]int, parts []*partial)) uint64 {
+func (a *App) run(eachIter func(pts, cents []Point, chunks [][2]int, parts []partial)) uint64 {
 	pts := a.points()
 	cents := a.initialCentroids(pts)
 	chunks := apps.Chunks(a.n, a.chunkSize)
-	var lastCounts []int64
+	parts := make([]partial, len(chunks))
+	var counts [clusters]int64
 	for iter := 0; iter < a.iters; iter++ {
-		parts := make([]*partial, len(chunks))
 		eachIter(pts, cents, chunks, parts)
-		cents = a.reduce(parts, cents)
-		lastCounts = make([]int64, clusters)
-		for _, p := range parts {
-			for k := 0; k < clusters; k++ {
-				lastCounts[k] += p.count[k]
-			}
-		}
+		counts = reduce(parts, cents)
 	}
-	return a.checksum(cents, lastCounts)
+	return a.checksum(cents, counts[:])
 }
 
 // Sequential implements apps.App.
 func (a *App) Sequential() uint64 {
-	return a.run(func(pts, cents []Point, chunks [][2]int, parts []*partial) {
+	return a.run(func(pts, cents []Point, chunks [][2]int, parts []partial) {
 		for ci, ch := range chunks {
-			parts[ci] = a.assignChunk(pts, cents, ch[0], ch[1])
+			parts[ci] = assignChunk(pts, cents, ch[0], ch[1])
 		}
 	})
 }
@@ -198,7 +187,7 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 	places := rt.Places()
 	var sum uint64
 	err := rt.Run(func(ctx *core.Ctx) {
-		sum = a.run(func(pts, cents []Point, chunks [][2]int, parts []*partial) {
+		sum = a.run(func(pts, cents []Point, chunks [][2]int, parts []partial) {
 			ctx.Finish(func(c *core.Ctx) {
 				for ci, ch := range chunks {
 					ci, ch := ci, ch
@@ -208,7 +197,7 @@ func (a *App) Parallel(rt *core.Runtime) (uint64, error) {
 						MigrationBytes: 16 * (ch[1] - ch[0]),
 					}
 					c.AsyncLoc(home, loc, func(*core.Ctx) {
-						parts[ci] = a.assignChunk(pts, cents, ch[0], ch[1])
+						parts[ci] = assignChunk(pts, cents, ch[0], ch[1])
 					})
 				}
 			})

@@ -64,26 +64,27 @@ func TestSpatialPlacementIsSkewed(t *testing.T) {
 }
 
 func TestAssignChunkBasic(t *testing.T) {
-	a := small()
 	pts := []Point{{0, 0}, {1, 1}, {0.1, 0}, {0.9, 1}}
 	cents := []Point{{0, 0}, {1, 1}, {-5, -5}, {5, 5}}
-	p := a.assignChunk(pts, cents, 0, 4)
+	p := assignChunk(pts, cents, 0, 4)
 	if p.count[0] != 2 || p.count[1] != 2 {
 		t.Fatalf("counts = %v, want [2 2 0 0]", p.count)
 	}
 }
 
 func TestReduceHandlesEmptyCluster(t *testing.T) {
-	a := small()
-	p := newPartial(clusters)
+	var p partial
 	p.sumX[0], p.sumY[0], p.count[0] = 10, 20, 2
-	prev := []Point{{9, 9}, {7, 7}, {6, 6}, {5, 5}}
-	next := a.reduce([]*partial{p}, prev)
-	if next[0].X != 5 || next[0].Y != 10 {
-		t.Fatalf("cluster 0 centroid = %v", next[0])
+	cents := []Point{{9, 9}, {7, 7}, {6, 6}, {5, 5}}
+	counts := reduce([]partial{p}, cents)
+	if cents[0].X != 5 || cents[0].Y != 10 {
+		t.Fatalf("cluster 0 centroid = %v", cents[0])
 	}
-	if next[1] != prev[1] {
-		t.Fatalf("empty cluster should keep previous centroid")
+	if cents[1] != (Point{7, 7}) {
+		t.Fatalf("empty cluster should keep previous centroid, got %v", cents[1])
+	}
+	if counts != [clusters]int64{2, 0, 0, 0} {
+		t.Fatalf("counts = %v, want [2 0 0 0]", counts)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -251,6 +252,43 @@ func TestHelpWaitSweepIsAccounted(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+}
+
+// TestIdleRuntimeStopsSpinning: an idle worker polls its wake token only
+// in the first idleSpin of an idle stretch, so a runtime left idle costs
+// the process only its idlePoll timer wakes: 2-4 % of one CPU (5-8 %
+// under -race) on a 2-vCPU host. A spin that restarted on every such wake
+// adds idleSpin per wake per worker: 20-22 % (23-24 % under -race), not
+// the 67 % a 200 µs poll would give, because with every processor idle Go
+// sleeps at least a millisecond for a timer. Load on the host can only
+// lower the figure. Not parallel: the process's CPU time is what it reads.
+func TestIdleRuntimeStopsSpinning(t *testing.T) {
+	rt := mustNew(t, testConfig(sched.DistWS, 2, 1))
+	if err := rt.Run(func(c *Ctx) {
+		c.Finish(func(c *Ctx) {
+			for p := 0; p < 2; p++ {
+				c.Async(p, func(*Ctx) {})
+			}
+		})
+	}); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	time.Sleep(2 * idleSpin) // let the stretches the run ended with spin out
+	cpu := func() time.Duration {
+		var ru syscall.Rusage
+		if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+			t.Fatalf("getrusage: %v", err)
+		}
+		return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+	}
+	cpu0, wall0 := cpu(), time.Now()
+	time.Sleep(50 * time.Millisecond)
+	used, wall := cpu()-cpu0, time.Since(wall0)
+	share := float64(used) / float64(wall)
+	t.Logf("idle 2x1 runtime: %v of CPU in %v (%.1f %% of one CPU)", used, wall, 100*share)
+	if share >= 0.12 {
+		t.Fatalf("an idle 2x1 runtime used %v of CPU in %v (%.0f %% of one CPU), want under 12 %%", used, wall, 100*share)
 	}
 }
 

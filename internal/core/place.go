@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -433,7 +434,8 @@ func (w *worker) claim(a *activity) bool {
 //
 // An idle worker is woken, not polling: the first failed sweep opens an
 // idle stretch (beginIdle), the next sweep is the protocol's re-check, and
-// only then does the worker block, on its place's wake tokens; the
+// only then does the worker wait for its place's wake tokens: polling them
+// (spin) until the stretch is idleSpin old, then blocking on them; the
 // idlePoll timer is the bound on a missed wake, not the way work is found.
 // A shutdown releases a help-wait too: pending activities in the scope are
 // abandoned (the documented Shutdown contract), which keeps a worker
@@ -455,6 +457,9 @@ func (w *worker) loop(fin *finish) {
 			w.beginIdle()
 			continue
 		}
+		if w.spin(fin) {
+			continue
+		}
 		if fin != nil {
 			done = fin.wait()
 		}
@@ -466,6 +471,32 @@ func (w *worker) loop(fin *finish) {
 		}
 	}
 	w.endIdle()
+}
+
+// spin polls what loop's block waits on, a wake token, the runtime's stop
+// and, in a help-wait, fin's completion, without blocking and yielding the
+// processor between polls, until the idle stretch is idleSpin old. It
+// reports whether one of them came; false means the window has passed and
+// the caller should block. It polls nothing a pusher does not already
+// signal: no queue, no remote place. So it finds no work the block would
+// miss, a lost wake stays lost, and a help-wait whose finish completes in
+// the window never makes its done channel.
+func (w *worker) spin(fin *finish) bool {
+	p, rt := w.place, w.place.rt
+	for rt.nowNS()-w.stats.idleSince.Load() < int64(idleSpin) {
+		select {
+		case <-p.wake:
+			return true
+		case <-rt.stopCh:
+			return true
+		default:
+		}
+		if fin != nil && fin.isDone() {
+			return true
+		}
+		runtime.Gosched()
+	}
+	return false
 }
 
 // idleWait arms the worker's idle timer for d and returns its channel. A

@@ -80,8 +80,17 @@ func (c Config) withDefaults() Config {
 const (
 	// idlePoll is the longest an idle worker blocks between work-finding
 	// sweeps. A push wakes the idle workers it concerns, so this is the
-	// bound on a missed wake, not the way work is found.
+	// bound on a missed wake, not the way work is found. Either wake out
+	// of the block costs 60-75 µs (p50 on a 2-vCPU host) before the
+	// worker runs again, which is why it spins first (idleSpin).
 	idlePoll = 200 * time.Microsecond
+	// idleSpin is how long into an idle stretch a worker polls its wake
+	// token instead of blocking on it: a goroutine woken over a channel
+	// starts 60-75 µs (p50) after the send on a 2-vCPU host, whether it
+	// had blocked for 10 µs or 1 ms (BenchmarkIdleWake), so a worker that
+	// parks at once pays that on every barrier it waits out. Counted from
+	// the stretch's start, so each stretch spins at most once (worker.spin).
+	idleSpin = 100 * time.Microsecond
 	// stealTimeout is how long a thief waits before declaring a remote
 	// steal round trip lost; it is also the base of the exponential
 	// backoff between retries.
